@@ -20,6 +20,7 @@ per-qubit alternative: CRY(θ4_c)[c, c+n] then RX(θ4_{n+c})[c].
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -42,45 +43,36 @@ def _ring_partner(c: int, n: int) -> int:
     return c + 1 if c != n - 1 else 0
 
 
-def build_qaoa(n: int, theta) -> Circuit:
-    theta = _check_params(theta, 2 * n)
-    circ = Circuit(n)
+@functools.cache
+def ansatz_layout(kind: str, n: int) -> tuple:
+    """Gate structure of an ansatz; slot c takes θ_c."""
+    if kind not in ANSATZ_KINDS:
+        raise ValueError(f"unknown ansatz kind {kind!r}")
+    axis = "RY" if kind == "qaoa" else "RZ"
+    layout = []
     for c in range(n):
-        circ.gate("H", (c,))
-        circ.gate("RY", (c,), float(theta[c]))
-    for c in range(n):
-        f = _ring_partner(c, n)
-        if f != c:
-            circ.gate("CNOT", (c, f))
-        circ.gate("RZ", (f,), float(theta[n + c]))
-        if f != c:
-            circ.gate("CNOT", (c, f))
-    return circ
-
-
-def build_hea(n: int, theta) -> Circuit:
-    theta = _check_params(theta, 2 * n)
-    circ = Circuit(n)
-    for c in range(n):
-        circ.gate("H", (c,))
-        circ.gate("RZ", (c,), float(theta[c]))
+        layout += [("H", (c,), None), (axis, (c,), c)]
     for c in range(n):
         f = _ring_partner(c, n)
-        if f != c:
-            circ.gate("CRY", (c, f), float(theta[n + c]))
-    return circ
+        if kind == "qaoa":
+            cnot = [("CNOT", (c, f), None)] if f != c else []
+            layout += cnot + [("RZ", (f,), n + c)] + cnot
+        elif f != c:
+            layout.append(("CRY", (c, f), n + c))
+    return tuple(layout)
 
 
 def build_ansatz(kind: str, n: int, theta) -> Circuit:
-    if kind == "qaoa":
-        return build_qaoa(n, theta)
-    if kind == "hea":
-        return build_hea(n, theta)
-    raise ValueError(f"unknown ansatz kind {kind!r}")
+    layout = ansatz_layout(kind, n)
+    return Circuit.from_layout(n, layout, _check_params(theta, 2 * n))
 
 
-def adjoint_circuit(fragment: Circuit) -> Circuit:
-    return fragment.adjoint()
+def build_qaoa(n: int, theta) -> Circuit:
+    return build_ansatz("qaoa", n, theta)
+
+
+def build_hea(n: int, theta) -> Circuit:
+    return build_ansatz("hea", n, theta)
 
 
 def ansatz_slot_kinds(kind: str, n: int) -> list[str]:
@@ -101,6 +93,22 @@ def link_slot_count(mode: str, n: int) -> int:
     raise ValueError(f"unknown link mode {mode!r}")
 
 
+@functools.cache
+def link_layout(mode: str, n: int) -> tuple:
+    """Gate structure of the link as the evaluator applies it.
+
+    Literal mode: the 2n-qubit unitary, CRY(θ4_c)[c, c+n] then
+    RX(θ4_{n+c})[c].  Canonical mode: its action on register 2 alone
+    (n qubits), RY(θ4_c) on each qubit, taken when register 1 reads
+    all zeros.
+    """
+    if mode == "per-qubit-literal":
+        return tuple(g for c in range(n) for g in (("CRY", (c, c + n), c), ("RX", (c,), n + c)))
+    if mode == "all-zeros-canonical":
+        return tuple(("RY", (c,), c) for c in range(n))
+    raise ValueError(f"unknown link mode {mode!r}")
+
+
 def build_link(mode: str, n: int, theta4, form: str = "conditional") -> Circuit:
     """Link fragment on 2n qubits (registers 1 and 2).
 
@@ -111,11 +119,7 @@ def build_link(mode: str, n: int, theta4, form: str = "conditional") -> Circuit:
     """
     theta4 = _check_params(theta4, link_slot_count(mode, n))
     if mode == "per-qubit-literal":
-        circ = Circuit(2 * n)
-        for c in range(n):
-            circ.gate("CRY", (c, c + n), float(theta4[c]))
-            circ.gate("RX", (c,), float(theta4[n + c]))
-        return circ
+        return Circuit.from_layout(2 * n, link_layout(mode, n), theta4)
     if form == "conditional":
         circ = Circuit(2 * n, clbits=n)
         cond = Condition.all_zero(range(n))
@@ -135,11 +139,7 @@ def link_local_ops(mode: str, n: int, theta4) -> Circuit:
     """The canonical link's action on register 2 alone (n qubits)."""
     if mode != "all-zeros-canonical":
         raise ValueError("only the canonical link acts locally on register 2")
-    theta4 = _check_params(theta4, n)
-    circ = Circuit(n)
-    for c in range(n):
-        circ.gate("RY", (c,), float(theta4[c]))
-    return circ
+    return Circuit.from_layout(n, link_layout(mode, n), _check_params(theta4, n))
 
 
 @dataclasses.dataclass

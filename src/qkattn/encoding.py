@@ -8,6 +8,8 @@ the axis cycling X, Y, Z by layer index.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .sim import Circuit
@@ -15,25 +17,35 @@ from .sim import Circuit
 ENCODER_KINDS = ("amplitude", "angle")
 
 
-def normalized_amplitudes(values, n: int) -> np.ndarray:
-    """Zero-padded, unit-norm amplitude vector of length 2^n."""
-    v = np.asarray(values, dtype=float).reshape(-1)
-    if v.size < 1:
+def _feature_rows(features, capacity: int, what: str) -> np.ndarray:
+    x = np.asarray(features, dtype=float)
+    if x.ndim != 2 or x.shape[1] < 1:
         raise ValueError("feature vector is empty")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(x).all():
         raise ValueError("feature vector has non-finite entries")
-    if v.size > 2**n:
-        raise ValueError(f"{v.size} features exceed 2^{n} amplitude slots")
-    norm = np.linalg.norm(v)
-    if norm <= 0.0:
-        raise ValueError("cannot amplitude-encode the zero vector")
-    padded = np.zeros(2**n)
-    padded[: v.size] = v / norm
+    if x.shape[1] > capacity:
+        raise ValueError(f"{x.shape[1]} features exceed {what}")
+    padded = np.zeros((x.shape[0], capacity))
+    padded[:, : x.shape[1]] = x
     return padded
 
 
+def _normalized_rows(features, n: int) -> np.ndarray:
+    x = _feature_rows(features, 2**n, f"2^{n} amplitude slots")
+    norm = np.sqrt((x * x).sum(axis=1, keepdims=True))
+    if not norm.all():
+        raise ValueError("cannot amplitude-encode the zero vector")
+    return x / norm
+
+
+def normalized_amplitudes(values, n: int) -> np.ndarray:
+    """Zero-padded, unit-norm amplitude vector of length 2^n."""
+    return _normalized_rows(np.asarray(values, dtype=float).reshape(1, -1), n)[0]
+
+
 def _tree_angles(amps: np.ndarray, n: int) -> list[np.ndarray]:
-    """RY angles per level, leaves (target qubit 0) first.
+    """RY angles per level, leaves (target qubit 0) first, one row per
+    sample.
 
     At the leaf level the signed pair (even, odd) fixes the angle via
     atan2, which carries the amplitude signs; upper levels rotate between
@@ -42,71 +54,75 @@ def _tree_angles(amps: np.ndarray, n: int) -> list[np.ndarray]:
     levels = []
     cur = amps
     for _ in range(n):
-        even, odd = cur[0::2], cur[1::2]
+        even, odd = cur[:, 0::2], cur[:, 1::2]
         levels.append(2.0 * np.arctan2(odd, even))
         cur = np.hypot(even, odd)
     return levels
 
 
-def amplitude_encode(values, n: int) -> Circuit:
-    """Circuit fragment preparing the normalized feature vector from |0...0⟩."""
-    amps = normalized_amplitudes(values, n)
-    levels = _tree_angles(amps, n)
-    circ = Circuit(n)
-    # top of the tree targets qubit n-1; deeper levels add one control each
+def _amplitude_layout(n: int) -> tuple:
+    # top of the tree targets qubit n-1; deeper levels add one control
+    # each, one multiplexed branch per control pattern
+    layout = []
+    slot = 0
     for target in range(n - 1, -1, -1):
-        angles = levels[target]
         controls = tuple(range(target + 1, n))
-        for pattern, angle in enumerate(angles):
-            if not controls:
-                circ.gate("RY", (target,), float(angle))
-                continue
-            flips = [c for k, c in enumerate(controls) if (pattern >> k) & 1]
-            for c in flips:
-                circ.gate("X", (c,))
-            circ.gate("MCRY-open", controls + (target,), float(angle))
-            for c in flips:
-                circ.gate("X", (c,))
-    return circ
+        for pattern in range(2 ** len(controls)):
+            flips = [("X", (c,), None) for k, c in enumerate(controls) if (pattern >> k) & 1]
+            branch = ("MCRY-open", controls + (target,), slot) if controls else ("RY", (target,), slot)
+            layout += flips + [branch] + flips
+            slot += 1
+    return tuple(layout)
 
 
 _AXES = ("RX", "RY", "RZ")
 
 
-def angle_encode(values, n: int) -> Circuit:
-    """n layers of n rotations; layer c rotates qubit d by feature d + c·n.
-
-    Features beyond the vector length are zero (identity rotations);
-    vectors longer than n² are rejected.
-    """
-    v = np.asarray(values, dtype=float).reshape(-1)
-    if v.size < 1:
-        raise ValueError("feature vector is empty")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("feature vector has non-finite entries")
-    if v.size > n * n:
-        raise ValueError(f"{v.size} features exceed the n²={n * n} angle slots")
-    padded = np.zeros(n * n)
-    padded[: v.size] = v
-    circ = Circuit(n)
-    for layer in range(n):
-        kind = _AXES[layer % 3]
-        for d in range(n):
-            circ.gate(kind, (d,), float(padded[d + layer * n]))
-    return circ
+def _angle_layout(n: int) -> tuple:
+    # layer c rotates qubit d by feature d + c·n, the axis cycling X, Y, Z
+    return tuple((_AXES[layer % 3], (d,), d + layer * n) for layer in range(n) for d in range(n))
 
 
-def encode(kind: str, values, n: int) -> Circuit:
+@functools.cache
+def encoder_layout(kind: str, n: int) -> tuple:
+    """Gate structure of an encoder; it does not depend on the features."""
     if kind == "amplitude":
-        return amplitude_encode(values, n)
+        return _amplitude_layout(n)
     if kind == "angle":
-        return angle_encode(values, n)
+        return _angle_layout(n)
     raise ValueError(f"unknown encoder kind {kind!r}")
 
 
-def encoder_adjoint(fragment: Circuit) -> Circuit:
-    """U† of an encoder fragment: reversed gates with negated angles."""
-    return fragment.adjoint()
+def encoder_angles(kind: str, features, n: int) -> np.ndarray:
+    """Angle rows (samples, slots) filling ``encoder_layout(kind, n)``.
+
+    Amplitude encoding rejects the zero vector; angle encoding pads with
+    zeros (identity rotations) and rejects vectors longer than n².
+    """
+    if kind == "amplitude":
+        levels = _tree_angles(_normalized_rows(features, n), n)
+        return np.concatenate(levels[::-1], axis=1)
+    if kind == "angle":
+        return _feature_rows(features, n * n, f"the n²={n * n} angle slots")
+    raise ValueError(f"unknown encoder kind {kind!r}")
+
+
+def encode(kind: str, values, n: int) -> Circuit:
+    """Circuit fragment preparing the encoded feature vector from |0...0⟩."""
+    layout = encoder_layout(kind, n)
+    rows = np.asarray(values, dtype=float).reshape(1, -1)
+    return Circuit.from_layout(n, layout, encoder_angles(kind, rows, n)[0])
+
+
+def amplitude_encode(values, n: int) -> Circuit:
+    """Prepares the normalized feature vector via a recursive
+    multiplexed-RY rotation tree."""
+    return encode("amplitude", values, n)
+
+
+def angle_encode(values, n: int) -> Circuit:
+    """n layers of n rotations; layer c rotates qubit d by feature d + c·n."""
+    return encode("angle", values, n)
 
 
 def feature_capacity(kind: str, n: int) -> int:

@@ -14,10 +14,16 @@ branches:
 
     E = p₀ · ⟨Z⟩(linked register-2 state) + (1 − p₀) · ⟨Z⟩(bare state)
 
-The analytic and density execution modes evaluate that closed form
-per register (vectorized over samples); the equivalence with a full
-conditional-circuit simulation is exercised by the test suite.  Shots
-mode samples the exact branch-resolved full-circuit distribution.
+``BatchEvaluator`` evaluates that closed form for a batch of pairs.  In
+analytic mode it is plain linear algebra on per-register states: with
+φ = U_φ(w)|0⟩ and A = U(θ2)†U(θ1), the register-1 distribution is
+|U_φ(w_j)† A φ_i|², and the register-2 readouts are ⟨Z⟩ of U(θ3)φ_j with
+and without the link; it is batched over stacks of parameter sets.  The
+literal link entangles the registers, so its 2n-qubit gates act on the
+joint product state.  Density mode evolves per-register density
+matrices gate by gate with the noise channels.  The equivalence with a
+full conditional-circuit simulation is exercised by the test suite.
+Shots mode samples the exact branch-resolved full-circuit distribution.
 """
 from __future__ import annotations
 
@@ -30,7 +36,7 @@ from . import ansatz as _ansatz
 from . import encoding as _encoding
 from . import sim as _sim
 from .ansatz import ParamSet
-from .sim import Circuit, DensityMatrix, NoiseChannel, StateVector
+from .sim import Circuit, NoiseChannel
 
 VARIANTS = ("AmHE", "AnHE", "AmQAOA", "AnQAOA")
 _ENCODER_TAG = {"Am": "amplitude", "An": "angle"}
@@ -181,7 +187,7 @@ def build_link_fragment(theta4, config: ModelConfig, form: str) -> Circuit:
     return _ansatz.build_link(config.link_mode, config.n, theta4, form=form)
 
 
-# --- compiled batch evaluation -------------------------------------------
+# --- batch evaluation ----------------------------------------------------
 
 @dataclasses.dataclass
 class _CompiledOp:
@@ -240,21 +246,12 @@ def _op_mats(op: _CompiledOp, idx) -> np.ndarray:
     return op.mats[idx]
 
 
-def _evolve_pure(psi: np.ndarray, ops: Sequence[_CompiledOp], idx) -> np.ndarray:
-    for op in ops:
-        m = _op_mats(op, idx)
-        if m.ndim == 2:
-            psi = psi @ m.T
-        else:
-            psi = np.einsum("bij,bj->bi", m, psi)
-    return psi
-
-
 def _evolve_density(rho: np.ndarray, ops: Sequence[_CompiledOp], idx,
                     noise: Sequence[NoiseChannel], q: int,
                     kraus_cache: dict) -> np.ndarray:
     """Apply compiled ops with one noise application per touched qubit
-    per moment, after the moment."""
+    per moment, after the moment.  Moment tags are compared only within
+    one call, so a fragment's tags may start anywhere."""
     pending: set[int] = set()
     pending_moment = None
 
@@ -289,12 +286,21 @@ def _z_sign(q: int, qubit: int) -> np.ndarray:
     return 1.0 - 2.0 * ((np.arange(2**q) >> qubit) & 1)
 
 
-class BatchEvaluator:
-    """Vectorized forward evaluation over a fixed set of (w_i, w_j) pairs.
+def _adjoint(u: np.ndarray) -> np.ndarray:
+    return u.conj().transpose(0, 2, 1)
 
-    Per-sample encoder fragments are compiled once at construction; each
-    ``evaluate`` call only recompiles the (sample-independent) trainable
-    fragments, so parameter sweeps such as gradient evaluation stay cheap.
+
+class BatchEvaluator:
+    """Forward evaluation over a fixed set of (w_i, w_j) pairs.
+
+    Analytic mode encodes every sample once at construction, as the
+    unitary U_φ(w) built for all samples in one batched call; it keeps
+    φ_i, φ_j and U_φ(w_j)†.  A call then builds the ansatz unitaries for a
+    stack of parameter sets and evaluates the closed form for all of them
+    at once (``evaluate_stack``), which is how a gradient evaluates its
+    2P+1 shifted parameter sets.  Density mode compiles the per-sample
+    encoder fragments once at construction and evolves density matrices
+    gate by gate, one parameter set at a time.
     """
 
     def __init__(self, wi, wj, config: ModelConfig):
@@ -307,116 +313,112 @@ class BatchEvaluator:
         if wi.shape != wj.shape:
             raise ValueError("w_i and w_j batches must have matching shapes")
         self.count = wi.shape[0]
-        enc = config.encoder
-
-        enc_i = [_encoding.encode(enc, w, n) for w in wi]
-        enc_j = [_encoding.encode(enc, w, n) for w in wj]
-        self._enc_i, m = stack_fragments(enc_i)
-        self._reg1_mid_start = m
-        self._enc_j_adj_ops = [c.adjoint() for c in enc_j]
-        self._enc_j, self._reg2_mid_start = stack_fragments(enc_j)
         self._dim = 2**n
         self._z_last = _z_sign(n, n - 1)
+        enc = config.encoder
+        if config.execution == "analytic":
+            angles = _encoding.encoder_angles(enc, np.vstack([wi, wj]), n)
+            u_enc = _sim.layout_unitaries(_encoding.encoder_layout(enc, n), angles, n)
+            self._phi_i = u_enc[: self.count, :, 0]
+            self._phi_j = u_enc[self.count:, :, 0]
+            self._v_j = _adjoint(u_enc[self.count:])
+            self._ansatz = _ansatz.ansatz_layout(config.ansatz, n)
+            self._link = _ansatz.link_layout(config.link_mode, n)
+            return
+        enc_i = [_encoding.encode(enc, w, n) for w in wi]
+        enc_j = [_encoding.encode(enc, w, n) for w in wj]
+        self._enc_i, self._reg1_mid_start = stack_fragments(enc_i)
+        self._enc_j, self._reg2_mid_start = stack_fragments(enc_j)
+        self._enc_j_adj, _ = stack_fragments([c.adjoint() for c in enc_j])
         self._kraus_cache: dict = {}
-
-    def _theta_fragments(self, params: ParamSet):
-        cfg = self.config
-        n = cfg.n
-        mid = Circuit(n)
-        mid.extend(_ansatz.build_ansatz(cfg.ansatz, n, params.theta1))
-        mid.extend(_ansatz.build_ansatz(cfg.ansatz, n, params.theta2).adjoint())
-        mid_ops, m = compile_fragment(mid, self._reg1_mid_start)
-        enc_j_adj, _ = stack_fragments(self._enc_j_adj_ops, m)
-        reg2_theta, m2 = compile_fragment(
-            _ansatz.build_ansatz(cfg.ansatz, n, params.theta3), self._reg2_mid_start)
-        return mid_ops, enc_j_adj, reg2_theta, m2
 
     def evaluate(self, params: ParamSet, idx=None) -> tuple[np.ndarray, np.ndarray]:
         """Return (E, register-1 outcome distributions) for the batch
         (or the sub-batch selected by ``idx``)."""
+        if self.config.execution == "density":
+            return self._evaluate_density(params, idx)
+        e_val, probs = self.evaluate_stack(params.to_vector()[None], idx)
+        return e_val[0], probs[0]
+
+    def evaluate_stack(self, thetas, idx=None) -> tuple[np.ndarray, np.ndarray]:
+        """``evaluate`` at K flattened parameter vectors (rows of
+        ``thetas``): E is (K, batch) and the distributions (K, batch, 2^n)."""
         cfg = self.config
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 2 or thetas.shape[1] != cfg.parameter_count:
+            raise ValueError(f"expected rows of {cfg.parameter_count} parameters, "
+                             f"got shape {thetas.shape}")
+        if not np.all(np.isfinite(thetas)):
+            raise ValueError("parameters must be finite")
+        if cfg.execution == "analytic":
+            return self._evaluate_analytic(thetas, idx)
+        rows = [self.evaluate(ParamSet.from_vector(t, cfg.n, cfg.link_mode), idx)
+                for t in thetas]
+        return np.stack([e for e, _ in rows]), np.stack([p for _, p in rows])
+
+    def _evaluate_analytic(self, thetas: np.ndarray, idx) -> tuple[np.ndarray, np.ndarray]:
+        cfg = self.config
+        n = cfg.n
+        phi_i, phi_j, v_j = self._phi_i, self._phi_j, self._v_j
+        if idx is not None:
+            phi_i, phi_j, v_j = phi_i[idx], phi_j[idx], v_j[idx]
+        t1, t2, t3, t4 = np.split(thetas, [2 * n, 4 * n, 6 * n], axis=1)
+        u1, u2, u3 = (_sim.layout_unitaries(self._ansatz, t, n) for t in (t1, t2, t3))
+        a = _adjoint(u2) @ u1
+        # (K, batch, dim): A φ_i, then U_φ(w_j)† of each sample
+        psi1 = np.einsum("bij,kbj->kbi", v_j, phi_i @ a.transpose(0, 2, 1))
+        probs = np.abs(psi1) ** 2
+        psi2 = phi_j @ u3.transpose(0, 2, 1)
+
         if cfg.link_mode == "per-qubit-literal":
-            return self._evaluate_literal(params, idx)
-        n, dim = cfg.n, self._dim
-        count = self.count if idx is None else len(idx)
-        mid_ops, enc_j_adj, reg2_theta, reg2_next = self._theta_fragments(params)
-        link_ops, _ = compile_fragment(
-            _ansatz.link_local_ops(cfg.link_mode, n, params.theta4), reg2_next)
+            # joint index = i1 + dim·i2 (register 1 in the low bits)
+            joint = np.einsum("kbi,kbj->kbij", psi2, psi1).reshape(psi1.shape[:2] + (-1,))
+            joint = _sim.apply_layout(joint, self._link, t4, 2 * n)
+            return (np.abs(joint) ** 2) @ _z_sign(2 * n, 2 * n - 1), probs
 
-        if cfg.execution == "analytic":
-            psi = np.zeros((count, dim), dtype=complex)
-            psi[:, 0] = 1.0
-            psi1 = _evolve_pure(psi.copy(), self._enc_i, idx)
-            psi1 = _evolve_pure(psi1, mid_ops, idx)
-            psi1 = _evolve_pure(psi1, enc_j_adj, idx)
-            probs = np.abs(psi1) ** 2
+        linked = phi_j @ (_sim.layout_unitaries(self._link, t4, n) @ u3).transpose(0, 2, 1)
+        z_bare = (np.abs(psi2) ** 2) @ self._z_last
+        z_link = (np.abs(linked) ** 2) @ self._z_last
+        p0 = probs[..., 0]
+        return p0 * z_link + (1.0 - p0) * z_bare, probs
 
-            psi2 = _evolve_pure(psi.copy(), self._enc_j, idx)
-            psi2 = _evolve_pure(psi2, reg2_theta, idx)
-            psi2_linked = _evolve_pure(psi2.copy(), link_ops, idx)
-            z_bare = (np.abs(psi2) ** 2) @ self._z_last
-            z_link = (np.abs(psi2_linked) ** 2) @ self._z_last
-        else:
-            noise = cfg.noise
-            rho = np.zeros((count, dim, dim), dtype=complex)
-            rho[:, 0, 0] = 1.0
-            cache = self._kraus_cache
-            rho1 = _evolve_density(rho.copy(), self._enc_i, idx, noise, n, cache)
-            rho1 = _evolve_density(rho1, mid_ops, idx, noise, n, cache)
-            rho1 = _evolve_density(rho1, enc_j_adj, idx, noise, n, cache)
-            probs = np.diagonal(rho1, axis1=1, axis2=2).real.copy()
-
-            rho2 = _evolve_density(rho.copy(), self._enc_j, idx, noise, n, cache)
-            rho2 = _evolve_density(rho2, reg2_theta, idx, noise, n, cache)
-            rho2_linked = _evolve_density(rho2.copy(), link_ops, idx, noise, n, cache)
-            diag_bare = np.diagonal(rho2, axis1=1, axis2=2).real
-            diag_link = np.diagonal(rho2_linked, axis1=1, axis2=2).real
-            z_bare = diag_bare @ self._z_last
-            z_link = diag_link @ self._z_last
-
-        p0 = probs[:, 0]
-        e_val = p0 * z_link + (1.0 - p0) * z_bare
-        return e_val, probs
-
-    def _evaluate_literal(self, params: ParamSet, idx) -> tuple[np.ndarray, np.ndarray]:
+    def _evaluate_density(self, params: ParamSet, idx) -> tuple[np.ndarray, np.ndarray]:
         cfg = self.config
         n, dim = cfg.n, self._dim
         count = self.count if idx is None else len(idx)
-        mid_ops, enc_j_adj, reg2_theta, reg2_next = self._theta_fragments(params)
-        link_circ = _ansatz.build_link(cfg.link_mode, n, params.theta4)
-        link_ops, _ = compile_fragment(link_circ, max(self._reg1_mid_start, reg2_next))
-        z_full = _z_sign(2 * n, 2 * n - 1)
+        noise, cache = cfg.noise, self._kraus_cache
+        mid = Circuit(n)
+        mid.extend(_ansatz.build_ansatz(cfg.ansatz, n, params.theta1))
+        mid.extend(_ansatz.build_ansatz(cfg.ansatz, n, params.theta2).adjoint())
+        mid_ops, _ = compile_fragment(mid, self._reg1_mid_start)
+        reg2_theta, reg2_next = compile_fragment(
+            _ansatz.build_ansatz(cfg.ansatz, n, params.theta3), self._reg2_mid_start)
 
-        if cfg.execution == "analytic":
-            psi = np.zeros((count, dim), dtype=complex)
-            psi[:, 0] = 1.0
-            psi1 = _evolve_pure(psi.copy(), self._enc_i, idx)
-            psi1 = _evolve_pure(psi1, mid_ops, idx)
-            psi1 = _evolve_pure(psi1, enc_j_adj, idx)
-            probs = np.abs(psi1) ** 2
-            psi2 = _evolve_pure(psi.copy(), self._enc_j, idx)
-            psi2 = _evolve_pure(psi2, reg2_theta, idx)
-            # joint index = i1 + dim·i2 (register 1 in the low bits)
-            full = np.einsum("bi,bj->bij", psi2, psi1).reshape(count, dim * dim)
-            full = _evolve_pure(full, link_ops, idx)
-            e_val = (np.abs(full) ** 2) @ z_full
-        else:
-            noise = cfg.noise
-            cache = self._kraus_cache
-            rho = np.zeros((count, dim, dim), dtype=complex)
-            rho[:, 0, 0] = 1.0
-            rho1 = _evolve_density(rho.copy(), self._enc_i, idx, noise, n, cache)
-            rho1 = _evolve_density(rho1, mid_ops, idx, noise, n, cache)
-            rho1 = _evolve_density(rho1, enc_j_adj, idx, noise, n, cache)
-            probs = np.diagonal(rho1, axis1=1, axis2=2).real.copy()
-            rho2 = _evolve_density(rho.copy(), self._enc_j, idx, noise, n, cache)
-            rho2 = _evolve_density(rho2, reg2_theta, idx, noise, n, cache)
+        rho = np.zeros((count, dim, dim), dtype=complex)
+        rho[:, 0, 0] = 1.0
+        rho1 = _evolve_density(rho.copy(), self._enc_i, idx, noise, n, cache)
+        rho1 = _evolve_density(rho1, mid_ops, idx, noise, n, cache)
+        rho1 = _evolve_density(rho1, self._enc_j_adj, idx, noise, n, cache)
+        probs = np.diagonal(rho1, axis1=1, axis2=2).real.copy()
+        rho2 = _evolve_density(rho.copy(), self._enc_j, idx, noise, n, cache)
+        rho2 = _evolve_density(rho2, reg2_theta, idx, noise, n, cache)
+
+        if cfg.link_mode == "per-qubit-literal":
+            link_circ = _ansatz.build_link(cfg.link_mode, n, params.theta4)
+            link_ops, _ = compile_fragment(link_circ, max(self._reg1_mid_start, reg2_next))
             full = np.einsum("bik,bjl->bijkl", rho2, rho1).reshape(
                 count, dim * dim, dim * dim)
-            full_cache: dict = {}
-            full = _evolve_density(full, link_ops, idx, noise, 2 * n, full_cache)
-            e_val = np.diagonal(full, axis1=1, axis2=2).real @ z_full
-        return e_val, probs
+            full = _evolve_density(full, link_ops, idx, noise, 2 * n, {})
+            e_val = np.diagonal(full, axis1=1, axis2=2).real @ _z_sign(2 * n, 2 * n - 1)
+            return e_val, probs
+
+        link_ops, _ = compile_fragment(
+            _ansatz.link_local_ops(cfg.link_mode, n, params.theta4), reg2_next)
+        rho2_linked = _evolve_density(rho2.copy(), link_ops, idx, noise, n, cache)
+        z_bare = np.diagonal(rho2, axis1=1, axis2=2).real @ self._z_last
+        z_link = np.diagonal(rho2_linked, axis1=1, axis2=2).real @ self._z_last
+        p0 = probs[:, 0]
+        return p0 * z_link + (1.0 - p0) * z_bare, probs
 
 
 # --- single-pair operations ----------------------------------------------

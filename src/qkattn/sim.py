@@ -83,6 +83,40 @@ def gate_matrix(kind: str, angle: float | None = None, qubits: int | None = None
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
+def _rotation_stack(kind: str, angles: np.ndarray, qubits: int) -> np.ndarray:
+    """gate_matrix of a parameterized kind at K angles: (K, D, D).
+
+    Kept apart from gate_matrix, which the circuit oracle uses one gate at
+    a time: the oracle tests then check these matrices against it.  RY,
+    CRY and MCRY-open rotate between two local basis indices (lo, hi) and
+    act as the identity elsewhere.
+    """
+    c, s = np.cos(angles / 2), np.sin(angles / 2)
+    if kind == "RZ":
+        m = np.zeros((angles.size, 2, 2), dtype=complex)
+        m[:, 0, 0] = np.exp(-0.5j * angles)
+        m[:, 1, 1] = np.exp(0.5j * angles)
+        return m
+    if kind == "RX":
+        m = np.empty((angles.size, 2, 2), dtype=complex)
+        m[:, 0, 0] = m[:, 1, 1] = c
+        m[:, 0, 1] = m[:, 1, 0] = -1j * s
+        return m
+    if kind == "RY":
+        dim, lo, hi = 2, 0, 1
+    elif kind == "CRY":
+        dim, lo, hi = 4, 1, 3
+    else:
+        dim = 2**qubits
+        lo, hi = 0, dim // 2
+    m = np.zeros((angles.size, dim, dim), dtype=complex)
+    m[:, np.arange(dim), np.arange(dim)] = 1.0
+    m[:, lo, lo] = m[:, hi, hi] = c
+    m[:, lo, hi] = -s
+    m[:, hi, lo] = s
+    return m
+
+
 @dataclasses.dataclass(frozen=True)
 class Condition:
     """Classical predicate: the listed bits must all equal the pattern."""
@@ -159,6 +193,11 @@ class Measure:
 
 CircuitOp = Union[GateOp, Measure]
 
+# A fragment whose gate structure is fixed and whose angles vary: one
+# (kind, coords, angle slot) per gate, slot None for unparameterized
+# gates.  A row of angles fills the slots of one instance.
+Layout = Sequence[tuple[str, tuple[int, ...], Union[int, None]]]
+
 
 class Circuit:
     """Ordered gate/measurement sequence on ``qubits`` qubits."""
@@ -169,6 +208,14 @@ class Circuit:
         self.qubits = qubits
         self.clbits = clbits
         self.ops: list[CircuitOp] = []
+
+    @classmethod
+    def from_layout(cls, qubits: int, layout: Layout, angles) -> "Circuit":
+        """One instance of a fixed-structure fragment."""
+        circ = cls(qubits)
+        for kind, coords, slot in layout:
+            circ.gate(kind, coords, None if slot is None else float(angles[slot]))
+        return circ
 
     def add(self, op: CircuitOp) -> "Circuit":
         if isinstance(op, Measure):
@@ -307,13 +354,43 @@ def _coord_axes(coords: Sequence[int], q: int) -> list[int]:
 
 def apply_unitary(amps: np.ndarray, u: np.ndarray, coords: Sequence[int], q: int) -> np.ndarray:
     """Apply a local unitary to the listed qubits of a 2^q amplitude array."""
-    m = len(coords)
-    t = amps.reshape((2,) * q)
-    axes = _coord_axes(coords, q)
-    ut = u.reshape((2,) * (2 * m))
-    t = np.tensordot(ut, t, axes=(list(range(m, 2 * m)), axes))
-    t = np.moveaxis(t, range(m), axes)
-    return t.reshape(-1)
+    return _apply_stack(amps.reshape(1, 1, -1), u[None], coords, q).reshape(-1)
+
+
+def _apply_stack(states: np.ndarray, mats: np.ndarray, coords: Sequence[int], q: int) -> np.ndarray:
+    """apply_unitary over a (K, B, 2^q) stack of states; ``mats`` is
+    (K, 2^m, 2^m), the gate for row k, or (1, 2^m, 2^m), shared."""
+    lead = states.shape[:2]
+    axes = [2 + a for a in _coord_axes(coords, q)]
+    # gate axes right after the row axis: one matrix product per row
+    perm = [0, *axes] + [a for a in range(1, 2 + q) if a not in axes]
+    t = states.reshape(lead + (2,) * q).transpose(perm)
+    moved = t.shape
+    t = mats @ t.reshape(lead[0], 2 ** len(coords), -1)
+    return t.reshape(moved).transpose(np.argsort(perm)).reshape(lead + (2**q,))
+
+
+def apply_layout(states: np.ndarray, layout: Layout, angles: np.ndarray, q: int) -> np.ndarray:
+    """Run a fixed-structure fragment on a (K, B, 2^q) stack of states.
+
+    Row k of ``angles`` (K, slots) drives the gates applied to states[k].
+    """
+    for kind, coords, slot in layout:
+        if slot is None:
+            mats = gate_matrix(kind, qubits=len(coords))[None]
+        else:
+            mats = _rotation_stack(kind, angles[:, slot], len(coords))
+        states = _apply_stack(states, mats, coords, q)
+    return states
+
+
+def layout_unitaries(layout: Layout, angles: np.ndarray, q: int) -> np.ndarray:
+    """Unitaries (K, 2^q, 2^q) of a fixed-structure fragment, one per
+    row of ``angles``."""
+    dim = 2**q
+    basis = np.broadcast_to(np.eye(dim, dtype=complex), (len(angles), dim, dim))
+    # row b of the evolved basis is U e_b, column b of U
+    return apply_layout(basis, layout, angles, q).transpose(0, 2, 1)
 
 
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:

@@ -3,7 +3,8 @@ import pytest
 
 from qkattn import sim
 from qkattn.ansatz import ParamSet
-from qkattn.model import (BatchEvaluator, ModelConfig, build_full_circuit,
+from qkattn.ansatz import LINK_MODES
+from qkattn.model import (VARIANTS, BatchEvaluator, ModelConfig, build_full_circuit,
                           build_register1, build_register2, forward, predict,
                           qksas)
 
@@ -169,6 +170,54 @@ def test_literal_link_evaluator_matches_full_circuit():
         circ = build_full_circuit(wi, wj, p, cfg)
         state = sim.run_circuit(circ, "pure").state
         assert abs(e[0] - sim.expectation_z(state, 2 * n - 1)) < 1e-12
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_analytic_evaluator_matches_full_circuit_oracle(n):
+    # E against the full conditional circuit, the distributions against a
+    # measurement of the register-1 circuit; idx repeats a pair
+    rng = np.random.default_rng(20 + n)
+    for variant in VARIANTS:
+        for link in LINK_MODES:
+            cfg = ModelConfig.from_variant(variant, n=n, link_mode=link)
+            wi = np.array([random_features(cfg, rng) for _ in range(3)])
+            wj = np.array([random_features(cfg, rng) for _ in range(3)])
+            p = cfg.random_params(rng)
+            oracle = []
+            for a, b in zip(wi, wj):
+                full = build_full_circuit(a, b, p, cfg, form="conditional")
+                e_ref = sim.expectation_z(sim.run_circuit(full, "density").state, 2 * n - 1)
+                reg1 = sim.Circuit(n, clbits=n)
+                reg1.extend(build_register1(a, b, p.theta1, p.theta2, cfg))
+                reg1.measure(range(n), range(n))
+                oracle.append((e_ref, sim.run_circuit(reg1, "density").measurement_probs[0]))
+            ev = BatchEvaluator(wi, wj, cfg)
+            idx = np.array([2, 0, 2])
+            for rows, (e, probs) in ((range(3), ev.evaluate(p)), (idx, ev.evaluate(p, idx=idx))):
+                for k, row in enumerate(rows):
+                    e_ref, p_ref = oracle[row]
+                    assert abs(e[k] - e_ref) < 1e-12, (variant, link)
+                    assert np.max(np.abs(probs[k] - p_ref)) < 1e-12, (variant, link)
+
+
+def test_evaluate_stack_rows_match_evaluate():
+    rng = np.random.default_rng(21)
+    cfg = ModelConfig(n=2, encoder="angle", ansatz="hea")
+    x = rng.uniform(0, np.pi, size=(4, 4))
+    ev = BatchEvaluator(x, x, cfg)
+    thetas = np.array([cfg.random_params(rng).to_vector() for _ in range(3)])
+    e, probs = ev.evaluate_stack(thetas, idx=[3, 1])
+    assert e.shape == (3, 2) and probs.shape == (3, 2, 4)
+    for k, vec in enumerate(thetas):
+        e1, p1 = ev.evaluate(ParamSet.from_vector(vec, 2, cfg.link_mode), idx=[3, 1])
+        assert np.max(np.abs(e[k] - e1)) < 1e-13
+        assert np.max(np.abs(probs[k] - p1)) < 1e-13
+    with pytest.raises(ValueError):
+        ev.evaluate_stack(thetas[:, :-1])
+    bad = thetas.copy()
+    bad[1, 0] = np.nan
+    with pytest.raises(ValueError):
+        ev.evaluate_stack(bad)
 
 
 def test_batch_matches_single_evaluation():

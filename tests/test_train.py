@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from qkattn.ansatz import LINK_MODES, ParamSet, param_slot_kinds
 from qkattn.model import BatchEvaluator, ModelConfig
-from qkattn.train import (RunRecord, TrainConfig, accuracy, gradient,
-                          gradient_check, loss, nesterov_step,
+from qkattn.sim import NoiseChannel
+from qkattn.train import (GRADIENT_METHODS, RunRecord, TrainConfig, accuracy,
+                          gradient, gradient_check, loss, nesterov_step,
                           predictions_from_e, train_loop)
 
 
@@ -109,6 +111,54 @@ def test_gradient_batch_duplication_invariance():
     xx = np.vstack([x, x])
     g2 = gradient(BatchEvaluator(xx, xx, cfg), p, np.concatenate([y, y]), tc)
     assert np.allclose(g1, g2, atol=1e-13)
+
+
+def slotwise_gradient(evaluator, params, labels, config, idx=None, shift=np.pi / 2):
+    """Reference: two one-parameter-set evaluate calls per slot."""
+    mcfg = evaluator.config
+    theta = params.to_vector()
+    kinds = param_slot_kinds(mcfg.ansatz, mcfg.link_mode, mcfg.n)
+    if config.gradient_method == "finite-difference":
+        kinds = ["fd"] * len(kinds)
+
+    def e_at(vec):
+        return evaluator.evaluate(ParamSet.from_vector(vec, mcfg.n, mcfg.link_mode), idx=idx)[0]
+
+    chain = -2.0 * (np.asarray(labels, dtype=float) - e_at(theta))
+    grad = np.empty(theta.size)
+    for k, kind in enumerate(kinds):
+        delta = shift if kind == "shift" else config.fd_step
+        plus, minus = theta.copy(), theta.copy()
+        plus[k] += delta
+        minus[k] -= delta
+        scale = 2.0 if kind == "shift" else 2.0 * config.fd_step
+        grad[k] = np.mean(chain * (e_at(plus) - e_at(minus)) / scale)
+    return grad, np.array(kinds) == "shift"
+
+
+@pytest.mark.parametrize("execution", ("analytic", "density"))
+def test_stacked_gradient_matches_slotwise_reference(execution):
+    rng = np.random.default_rng(11)
+    noise = (NoiseChannel("amplitude-damping", 0.08),) if execution == "density" else ()
+    for variant in ("AmHE", "AnQAOA"):
+        for link in LINK_MODES:
+            cfg = ModelConfig.from_variant(variant, n=2, link_mode=link,
+                                           execution=execution, noise=noise)
+            if cfg.encoder == "amplitude":
+                x = rng.uniform(-1, 1, size=(4, 4))
+            else:
+                x = rng.uniform(0, np.pi, size=(4, 4))
+            ev = BatchEvaluator(x, x, cfg)
+            p = cfg.random_params(rng)
+            idx = np.array([1, 3, 1])
+            y = np.array([1.0, -1.0, 1.0])
+            for method in GRADIENT_METHODS:
+                tc = TrainConfig(gradient_method=method)
+                g = gradient(ev, p, y, tc, idx=idx)
+                ref, is_shift = slotwise_gradient(ev, p, y, tc, idx=idx)
+                err = np.abs(g - ref)
+                assert np.all(err[is_shift] < 1e-12), (variant, link, method)
+                assert np.all(err[~is_shift] < 1e-9), (variant, link, method)
 
 
 def test_gradient_shift_matches_finite_difference():
