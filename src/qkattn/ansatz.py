@@ -135,13 +135,6 @@ def build_link(mode: str, n: int, theta4, form: str = "conditional") -> Circuit:
     raise ValueError(f"unknown link form {form!r}")
 
 
-def link_local_ops(mode: str, n: int, theta4) -> Circuit:
-    """The canonical link's action on register 2 alone (n qubits)."""
-    if mode != "all-zeros-canonical":
-        raise ValueError("only the canonical link acts locally on register 2")
-    return Circuit.from_layout(n, link_layout(mode, n), _check_params(theta4, n))
-
-
 @dataclasses.dataclass
 class ParamSet:
     """The four trainable angle vectors: θ1, θ2, θ3 drive the ansatz

@@ -295,7 +295,14 @@ def cmd_noise_sweep(args) -> int:
     jobs = [(resolved, args.channel, p, s) for p in probs for s in seeds]
     workers = min(thread_budget(), len(jobs))
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        # spawn, not fork: forking a process whose BLAS already runs
+        # threads can deadlock the children.  Imported here, as
+        # concurrent.futures does, so serial sweeps do not load it.
+        import multiprocessing
+
+        spawn = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
+                                                    mp_context=spawn) as pool:
             rows = list(pool.map(_sweep_job, jobs))
     else:
         rows = [_sweep_job(job) for job in jobs]

@@ -14,22 +14,27 @@ branches:
 
     E = p₀ · ⟨Z⟩(linked register-2 state) + (1 − p₀) · ⟨Z⟩(bare state)
 
-``BatchEvaluator`` evaluates that closed form for a batch of pairs.  In
-analytic mode it is plain linear algebra on per-register states: with
-φ = U_φ(w)|0⟩ and A = U(θ2)†U(θ1), the register-1 distribution is
-|U_φ(w_j)† A φ_i|², and the register-2 readouts are ⟨Z⟩ of U(θ3)φ_j with
-and without the link; it is batched over stacks of parameter sets.  The
-literal link entangles the registers, so its 2n-qubit gates act on the
-joint product state.  Density mode evolves per-register density
-matrices gate by gate with the noise channels.  The equivalence with a
-full conditional-circuit simulation is exercised by the test suite.
-Shots mode samples the exact branch-resolved full-circuit distribution.
+``BatchEvaluator`` evaluates that closed form for a batch of pairs and
+a stack of parameter sets at once.  In analytic mode it is plain linear
+algebra on per-register states: with φ = U_φ(w)|0⟩ and A = U(θ2)†U(θ1),
+the register-1 distribution is |U_φ(w_j)† A φ_i|², and the register-2
+readouts are ⟨Z⟩ of U(θ3)φ_j with and without the link.  Density mode
+is the same closed form on vectorised density matrices: every fragment
+is a noisy channel whose gates are each fused with their noise into one
+local superoperator (noise after every gate, on each of its qubits, as
+``sim.run_circuit`` places it per moment).  Register 1 applies the channel of U†(θ2)U(θ1) to
+the noisy encoded ρ_i, then that of U_φ†(w_j); the register-2 readouts
+carry Z backwards (Heisenberg picture) through the link and θ3 and read
+it on the noisy encoded ρ_j.  The literal link entangles the registers:
+analytic mode runs its 2n-qubit gates on the joint product state, and
+density mode pulls Z back through it and reads it on ρ2 ⊗ ρ1 without
+forming that state.  The equivalence with a full conditional-circuit
+simulation is exercised by the test suite.  Shots mode samples the exact
+branch-resolved full-circuit distribution.
 """
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
-
 import numpy as np
 
 from . import ansatz as _ansatz
@@ -189,118 +194,41 @@ def build_link_fragment(theta4, config: ModelConfig, form: str) -> Circuit:
 
 # --- batch evaluation ----------------------------------------------------
 
-@dataclasses.dataclass
-class _CompiledOp:
-    mats: np.ndarray          # (D, D) shared or (N, D, D) per-sample
-    qubits: tuple[int, ...]
-    moment: int
-
-
-def _assign_moments(ops: Sequence[_sim.GateOp], start: int = 0) -> list[int]:
-    moments = []
-    used: set[int] = set()
-    current = start
-    for op in ops:
-        if used & set(op.coords):
-            current += 1
-            used = set()
-        moments.append(current)
-        used |= set(op.coords)
-    return moments
-
-
-def compile_fragment(circ: Circuit, moment_start: int = 0) -> tuple[list[_CompiledOp], int]:
-    """Expand a unitary fragment to full-space matrices with moment tags."""
-    ops = circ.ops
-    if any(not isinstance(op, _sim.GateOp) or op.condition is not None for op in ops):
-        raise ValueError("only unconditioned unitary fragments can be compiled")
-    moments = _assign_moments(ops, moment_start)
-    compiled = [
-        _CompiledOp(_sim.expand_matrix(op.matrix(), op.coords, circ.qubits), op.coords, m)
-        for op, m in zip(ops, moments)
-    ]
-    next_moment = (moments[-1] + 1) if moments else moment_start
-    return compiled, next_moment
-
-
-def stack_fragments(circuits: Sequence[Circuit], moment_start: int = 0) -> tuple[list[_CompiledOp], int]:
-    """Compile structurally identical per-sample fragments into batched ops."""
-    first, next_moment = compile_fragment(circuits[0], moment_start)
-    stacks = [[op.mats] for op in first]
-    for circ in circuits[1:]:
-        other, _ = compile_fragment(circ, moment_start)
-        if len(other) != len(first) or any(
-                a.qubits != b.qubits for a, b in zip(first, other)):
-            raise ValueError("encoder fragments differ in structure across samples")
-        for s, op in zip(stacks, other):
-            s.append(op.mats)
-    compiled = [
-        _CompiledOp(np.stack(s), op.qubits, op.moment) for s, op in zip(stacks, first)
-    ]
-    return compiled, next_moment
-
-
-def _op_mats(op: _CompiledOp, idx) -> np.ndarray:
-    if op.mats.ndim == 2 or idx is None:
-        return op.mats
-    return op.mats[idx]
-
-
-def _evolve_density(rho: np.ndarray, ops: Sequence[_CompiledOp], idx,
-                    noise: Sequence[NoiseChannel], q: int,
-                    kraus_cache: dict) -> np.ndarray:
-    """Apply compiled ops with one noise application per touched qubit
-    per moment, after the moment.  Moment tags are compared only within
-    one call, so a fragment's tags may start anywhere."""
-    pending: set[int] = set()
-    pending_moment = None
-
-    def flush():
-        nonlocal rho, pending
-        for qubit in sorted(pending):
-            key = qubit
-            if key not in kraus_cache:
-                kraus_cache[key] = [
-                    [_sim.expand_matrix(k, (qubit,), q) for k in ch.kraus()] for ch in noise
-                ]
-            for kraus_full in kraus_cache[key]:
-                rho = sum(k @ rho @ k.conj().T for k in kraus_full)
-        pending = set()
-
-    for op in ops:
-        if noise and pending_moment is not None and op.moment != pending_moment:
-            flush()
-        pending_moment = op.moment
-        m = _op_mats(op, idx)
-        if m.ndim == 2:
-            rho = m @ rho @ m.conj().T
-        else:
-            rho = np.einsum("bij,bjk,blk->bil", m, rho, m.conj())
-        pending |= set(op.qubits)
-    if noise:
-        flush()
-    return rho
-
-
 def _z_sign(q: int, qubit: int) -> np.ndarray:
     return 1.0 - 2.0 * ((np.arange(2**q) >> qubit) & 1)
+
+
+def _z_rows(sign: np.ndarray, k: int) -> np.ndarray:
+    """vec of the diagonal observable ``sign`` as K rows (K, 1, 4^q)."""
+    vec = np.diag(sign).reshape(-1).astype(complex)
+    return np.broadcast_to(vec, (k, 1, vec.size))
 
 
 def _adjoint(u: np.ndarray) -> np.ndarray:
     return u.conj().transpose(0, 2, 1)
 
 
+def _reversed_layout(layout, offset: int = 0) -> tuple:
+    """``layout``'s gates in reverse order with slots moved up by
+    ``offset``; run on negated angles it is the adjoint fragment (every
+    unparameterized gate here is self-inverse)."""
+    return tuple((kind, coords, None if slot is None else slot + offset)
+                 for kind, coords, slot in reversed(layout))
+
+
 class BatchEvaluator:
     """Forward evaluation over a fixed set of (w_i, w_j) pairs.
 
-    Analytic mode encodes every sample once at construction, as the
-    unitary U_φ(w) built for all samples in one batched call; it keeps
-    φ_i, φ_j and U_φ(w_j)†.  A call then builds the ansatz unitaries for a
-    stack of parameter sets and evaluates the closed form for all of them
-    at once (``evaluate_stack``), which is how a gradient evaluates its
-    2P+1 shifted parameter sets.  Density mode compiles the per-sample
-    encoder fragments once at construction and evolves density matrices
-    gate by gate, one parameter set at a time.
+    Both modes encode every sample once at construction, in one batched
+    call, and a call then evaluates the closed form for a stack of K
+    parameter sets at once (``evaluate_stack``), which is how a gradient
+    evaluates its 2P+1 shifted parameter sets; ``evaluate`` is the K = 1
+    case.  Analytic mode keeps φ_i, φ_j and U_φ(w_j)† and builds the
+    ansatz unitaries per call.  Density mode keeps the noisy encoded
+    states ρ_i, ρ_j and the noisy channel C_j of U_φ(w_j)†; per call it
+    builds the register-1 channel of U†(θ2)U(θ1) and carries the readout
+    observable backwards through θ3 and the link, each gate fused with
+    its noise into one local superoperator (``sim.apply_noisy_layout``).
     """
 
     def __init__(self, wi, wj, config: ModelConfig):
@@ -313,30 +241,31 @@ class BatchEvaluator:
         if wi.shape != wj.shape:
             raise ValueError("w_i and w_j batches must have matching shapes")
         self.count = wi.shape[0]
-        self._dim = 2**n
         self._z_last = _z_sign(n, n - 1)
+        self._ansatz = _ansatz.ansatz_layout(config.ansatz, n)
+        self._link = _ansatz.link_layout(config.link_mode, n)
         enc = config.encoder
+        layout = _encoding.encoder_layout(enc, n)
+        angles = _encoding.encoder_angles(enc, np.vstack([wi, wj]), n)
         if config.execution == "analytic":
-            angles = _encoding.encoder_angles(enc, np.vstack([wi, wj]), n)
-            u_enc = _sim.layout_unitaries(_encoding.encoder_layout(enc, n), angles, n)
+            u_enc = _sim.layout_unitaries(layout, angles, n)
             self._phi_i = u_enc[: self.count, :, 0]
             self._phi_j = u_enc[self.count:, :, 0]
             self._v_j = _adjoint(u_enc[self.count:])
-            self._ansatz = _ansatz.ansatz_layout(config.ansatz, n)
-            self._link = _ansatz.link_layout(config.link_mode, n)
             return
-        enc_i = [_encoding.encode(enc, w, n) for w in wi]
-        enc_j = [_encoding.encode(enc, w, n) for w in wj]
-        self._enc_i, self._reg1_mid_start = stack_fragments(enc_i)
-        self._enc_j, self._reg2_mid_start = stack_fragments(enc_j)
-        self._enc_j_adj, _ = stack_fragments([c.adjoint() for c in enc_j])
-        self._kraus_cache: dict = {}
+        noise = config.noise
+        zero = np.zeros((len(angles), 1, 4**n), dtype=complex)
+        zero[:, 0, 0] = 1.0
+        rho = _sim.apply_noisy_layout(zero, layout, angles, n, noise)[:, 0]
+        self._rho_i, self._rho_j = rho[: self.count], rho[self.count:]
+        self._c_j = _sim.layout_channels(_reversed_layout(layout), -angles[self.count:],
+                                         n, noise)
+        # U(θ1) then U†(θ2), driven by the angle row [θ1, −θ2]
+        self._mid = self._ansatz + _reversed_layout(self._ansatz, 2 * n)
 
     def evaluate(self, params: ParamSet, idx=None) -> tuple[np.ndarray, np.ndarray]:
         """Return (E, register-1 outcome distributions) for the batch
         (or the sub-batch selected by ``idx``)."""
-        if self.config.execution == "density":
-            return self._evaluate_density(params, idx)
         e_val, probs = self.evaluate_stack(params.to_vector()[None], idx)
         return e_val[0], probs[0]
 
@@ -352,9 +281,7 @@ class BatchEvaluator:
             raise ValueError("parameters must be finite")
         if cfg.execution == "analytic":
             return self._evaluate_analytic(thetas, idx)
-        rows = [self.evaluate(ParamSet.from_vector(t, cfg.n, cfg.link_mode), idx)
-                for t in thetas]
-        return np.stack([e for e, _ in rows]), np.stack([p for _, p in rows])
+        return self._evaluate_channels(thetas, idx)
 
     def _evaluate_analytic(self, thetas: np.ndarray, idx) -> tuple[np.ndarray, np.ndarray]:
         cfg = self.config
@@ -382,42 +309,40 @@ class BatchEvaluator:
         p0 = probs[..., 0]
         return p0 * z_link + (1.0 - p0) * z_bare, probs
 
-    def _evaluate_density(self, params: ParamSet, idx) -> tuple[np.ndarray, np.ndarray]:
+    def _evaluate_channels(self, thetas: np.ndarray, idx) -> tuple[np.ndarray, np.ndarray]:
+        # vec(ρ)[c + dim·r] = ρ[r, c]: the diagonal is every (dim+1)-th
+        # entry, and Tr(O·ρ) = vec(O)ᴴ vec(ρ) for Hermitian O
         cfg = self.config
-        n, dim = cfg.n, self._dim
-        count = self.count if idx is None else len(idx)
-        noise, cache = cfg.noise, self._kraus_cache
-        mid = Circuit(n)
-        mid.extend(_ansatz.build_ansatz(cfg.ansatz, n, params.theta1))
-        mid.extend(_ansatz.build_ansatz(cfg.ansatz, n, params.theta2).adjoint())
-        mid_ops, _ = compile_fragment(mid, self._reg1_mid_start)
-        reg2_theta, reg2_next = compile_fragment(
-            _ansatz.build_ansatz(cfg.ansatz, n, params.theta3), self._reg2_mid_start)
-
-        rho = np.zeros((count, dim, dim), dtype=complex)
-        rho[:, 0, 0] = 1.0
-        rho1 = _evolve_density(rho.copy(), self._enc_i, idx, noise, n, cache)
-        rho1 = _evolve_density(rho1, mid_ops, idx, noise, n, cache)
-        rho1 = _evolve_density(rho1, self._enc_j_adj, idx, noise, n, cache)
-        probs = np.diagonal(rho1, axis1=1, axis2=2).real.copy()
-        rho2 = _evolve_density(rho.copy(), self._enc_j, idx, noise, n, cache)
-        rho2 = _evolve_density(rho2, reg2_theta, idx, noise, n, cache)
+        n, noise, dim = cfg.n, cfg.noise, 2**cfg.n
+        rho_i, rho_j, c_j = self._rho_i, self._rho_j, self._c_j
+        if idx is not None:
+            rho_i, rho_j, c_j = rho_i[idx], rho_j[idx], c_j[idx]
+        t1, t2, t3, t4 = np.split(thetas, [2 * n, 4 * n, 6 * n], axis=1)
+        k = len(thetas)
+        s_mid = _sim.layout_channels(self._mid, np.hstack([t1, -t2]), n, noise)
+        # (K, batch, 4^n): register 1 after U_φ†(w_j) of each sample
+        sigma = rho_i @ s_mid.transpose(0, 2, 1)
+        rho1 = (c_j @ sigma.transpose(1, 2, 0)).transpose(2, 0, 1)
+        probs = rho1[..., :: dim + 1].real.copy()
 
         if cfg.link_mode == "per-qubit-literal":
-            link_circ = _ansatz.build_link(cfg.link_mode, n, params.theta4)
-            link_ops, _ = compile_fragment(link_circ, max(self._reg1_mid_start, reg2_next))
-            full = np.einsum("bik,bjl->bijkl", rho2, rho1).reshape(
-                count, dim * dim, dim * dim)
-            full = _evolve_density(full, link_ops, idx, noise, 2 * n, {})
-            e_val = np.diagonal(full, axis1=1, axis2=2).real @ _z_sign(2 * n, 2 * n - 1)
-            return e_val, probs
+            # Z on qubit 2n−1 pulled back through the 2n-qubit link and
+            # read on ρ2 ⊗ ρ1 (register 1 in the low bits) without forming
+            # it: regroup the vec axes (r2 r1 c2 c1) into (r2 c2) × (r1 c1)
+            obs = _sim.apply_noisy_layout(_z_rows(_z_sign(2 * n, 2 * n - 1), k),
+                                          self._link, t4, 2 * n, noise, adjoint=True)
+            obs = obs.reshape((k,) + (dim,) * 4).transpose(0, 1, 3, 2, 4)
+            s3 = _sim.layout_channels(self._ansatz, t3, n, noise)
+            rho2 = rho_j @ s3.transpose(0, 2, 1)
+            e_val = ((rho2 @ obs.reshape(k, dim * dim, dim * dim).conj()) * rho1).sum(axis=2)
+            return e_val.real, probs
 
-        link_ops, _ = compile_fragment(
-            _ansatz.link_local_ops(cfg.link_mode, n, params.theta4), reg2_next)
-        rho2_linked = _evolve_density(rho2.copy(), link_ops, idx, noise, n, cache)
-        z_bare = np.diagonal(rho2, axis1=1, axis2=2).real @ self._z_last
-        z_link = np.diagonal(rho2_linked, axis1=1, axis2=2).real @ self._z_last
-        p0 = probs[:, 0]
+        z = _z_rows(self._z_last, k)
+        linked = _sim.apply_noisy_layout(z, self._link, t4, n, noise, adjoint=True)
+        obs = _sim.apply_noisy_layout(np.concatenate([z, linked], axis=1),
+                                      self._ansatz, t3, n, noise, adjoint=True)
+        z_bare, z_link = np.moveaxis((rho_j @ obs.conj().transpose(0, 2, 1)).real, 2, 0)
+        p0 = probs[..., 0]
         return p0 * z_link + (1.0 - p0) * z_bare, probs
 
 
@@ -440,11 +365,11 @@ def qksas(w_i, w_j, theta1, theta2, config: ModelConfig) -> QksasRecord:
 def forward(w_i, w_j, params: ParamSet, config: ModelConfig,
             rng: np.random.Generator | None = None) -> tuple[float, QksasRecord]:
     """Classifier expectation E ∈ [−1, 1] plus the attention record."""
-    record = qksas(w_i, w_j, params.theta1, params.theta2, config)
     if config.execution in ("analytic", "density"):
-        evaluator = BatchEvaluator([w_i], [w_j], config)
-        e_val, _ = evaluator.evaluate(params)
-        return float(e_val[0]), record
+        e_val, probs = BatchEvaluator([w_i], [w_j], config).evaluate(params)
+        pair = (np.asarray(w_i, dtype=float), np.asarray(w_j, dtype=float))
+        return float(e_val[0]), QksasRecord(probs[0], pair)
+    record = qksas(w_i, w_j, params.theta1, params.theta2, config)
     # shots: sample the exact joint distribution of the conditional circuit
     if rng is None:
         raise ValueError("shots mode needs an rng")

@@ -15,6 +15,7 @@ here is phase-insensitive.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from math import cos, sin, sqrt
 from typing import Sequence, Union
 
@@ -393,6 +394,79 @@ def layout_unitaries(layout: Layout, angles: np.ndarray, q: int) -> np.ndarray:
     return apply_layout(basis, layout, angles, q).transpose(0, 2, 1)
 
 
+@functools.lru_cache(maxsize=256)
+def _noise_superop(noise: tuple[NoiseChannel, ...], arity: int) -> np.ndarray:
+    """The channels of ``noise``, composed in order, on each of ``arity``
+    qubits: a superoperator on the local vec space of a gate (column bits
+    low, row bits high)."""
+    one = np.eye(4, dtype=complex)
+    for ch in noise:
+        one = sum(np.kron(k, k.conj()) for k in ch.kraus()) @ one
+    dim = 4**arity
+    rows = np.eye(dim, dtype=complex)[None]
+    for i in range(arity):
+        rows = _apply_stack(rows, one[None], (i, arity + i), 2 * arity)
+    # row b of the evolved basis is N e_b
+    out = rows[0].T.copy()
+    out.flags.writeable = False
+    return out
+
+
+def _superop_stack(u: np.ndarray) -> np.ndarray:
+    """U ⊗ U* over a (K, d, d) stack: ρ ↦ UρU† on the local vec space."""
+    k, d, _ = u.shape
+    return (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(k, d * d, d * d)
+
+
+@functools.lru_cache(maxsize=256)
+def _fixed_superop(kind: str, arity: int, noise: tuple[NoiseChannel, ...]) -> np.ndarray:
+    """Fused noisy superoperator (1, 4^m, 4^m) of an unparameterized gate."""
+    s = _superop_stack(gate_matrix(kind, qubits=arity)[None])
+    if noise:
+        s = _noise_superop(noise, arity) @ s
+    s.flags.writeable = False
+    return s
+
+
+def apply_noisy_layout(vecs: np.ndarray, layout: Layout, angles: np.ndarray, q: int,
+                       noise: Sequence[NoiseChannel] = (), adjoint: bool = False) -> np.ndarray:
+    """Run a fixed-structure fragment on a (K, B, 4^q) stack of vectorised
+    density matrices, vec(ρ)[c + 2^q r] = ρ[r, c].
+
+    Every gate is followed by each channel of ``noise`` on each of its
+    qubits, fused with the gate into one local superoperator.  Row k of
+    ``angles`` drives the gates applied to vecs[k].  ``adjoint`` applies
+    the adjoint map instead (the superoperators conjugate-transposed, in
+    reverse order), which carries vectorised observables backwards:
+    Tr(O·Λ(ρ)) = Tr(Λ†(O)·ρ).
+    """
+    noise = tuple(noise)
+    ops = []
+    for kind, coords, slot in layout:
+        if slot is None:
+            mats = _fixed_superop(kind, len(coords), noise)
+        else:
+            mats = _superop_stack(_rotation_stack(kind, angles[:, slot], len(coords)))
+            if noise:
+                mats = _noise_superop(noise, len(coords)) @ mats
+        # the gate's column bits, then its row bits
+        ops.append((mats, tuple(coords) + tuple(c + q for c in coords)))
+    if adjoint:
+        ops = [(m.conj().transpose(0, 2, 1), c) for m, c in reversed(ops)]
+    for mats, coords in ops:
+        vecs = _apply_stack(vecs, mats, coords, 2 * q)
+    return vecs
+
+
+def layout_channels(layout: Layout, angles: np.ndarray, q: int,
+                    noise: Sequence[NoiseChannel] = ()) -> np.ndarray:
+    """Superoperators (K, 4^q, 4^q) of a noisy fixed-structure fragment,
+    one per row of ``angles``, acting on vec(ρ) as in apply_noisy_layout."""
+    dim = 4**q
+    basis = np.broadcast_to(np.eye(dim, dtype=complex), (len(angles), dim, dim))
+    return apply_noisy_layout(basis, layout, angles, q, noise).transpose(0, 2, 1)
+
+
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     if max(op.coords) >= state.qubits:
         raise ValueError("gate coordinate out of range")
@@ -718,6 +792,11 @@ def run_circuit(circuit: Circuit, mode: str = "pure",
     ``noise`` applied to every qubit touched in a moment, after that
     moment), "trajectories" (``trajectories`` stochastic pure-state runs
     averaged into a density matrix).
+
+    Per-moment noise equals per-gate noise, each channel after every gate
+    on each of its qubits (as ``apply_noisy_layout`` places it): the gates
+    of one moment act on disjoint qubits, and single-qubit channels on
+    different qubits commute with each other and with those gates.
     """
     circuit.validate()
     if isinstance(noise, NoiseChannel):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from qkattn.ansatz import (ParamSet, ansatz_slot_kinds, build_ansatz, build_hea,
-                           build_link, build_qaoa, link_local_ops,
-                           link_slot_count, param_slot_kinds)
+                           build_link, build_qaoa, link_slot_count, param_slot_kinds)
 from qkattn.sim import Circuit, run_circuit
 
 
@@ -104,13 +103,6 @@ def test_link_slot_counts():
     assert link_slot_count("per-qubit-literal", 3) == 6
     with pytest.raises(ValueError):
         link_slot_count("other", 2)
-
-
-def test_link_local_ops_only_canonical():
-    circ = link_local_ops("all-zeros-canonical", 2, [0.1, 0.2])
-    assert gate_tuples(circ) == [("RY", (0,)), ("RY", (1,))]
-    with pytest.raises(ValueError):
-        link_local_ops("per-qubit-literal", 2, np.zeros(2))
 
 
 def test_paramset_vector_round_trip():

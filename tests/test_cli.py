@@ -166,6 +166,21 @@ def test_noise_sweep_row_cardinality(tmp_path):
     assert len(lines) == 5
 
 
+def test_noise_sweep_process_pool_matches_serial(tmp_path, monkeypatch):
+    # two spawned workers must write the same bytes as the in-process loop
+    cfg = write_config(tmp_path, model={"n": 1}, train={"steps": 2, "batch_size": 10},
+                       data={"d": 2})
+    outputs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("QKATTN_THREADS", threads)
+        out = os.path.join(str(tmp_path), f"threads{threads}")
+        assert main(["noise-sweep", "--config", cfg, "--out", out,
+                     "--channel", "bit-flip", "--probs", "0.1,0.3", "--seeds", "1,2"]) == 0
+        outputs[threads] = read(os.path.join(out, "sweep.csv"))
+    assert len(outputs["1"].strip().split("\n")) == 5
+    assert outputs["2"] == outputs["1"]
+
+
 def test_noise_sweep_validation(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["noise-sweep", "--config", cfg, "--out", str(tmp_path),

@@ -220,6 +220,50 @@ def test_evaluate_stack_rows_match_evaluate():
         ev.evaluate_stack(bad)
 
 
+NOISE_SETS = {
+    "bit-flip": (sim.NoiseChannel("bit-flip", 0.08),),
+    "amplitude-damping": (sim.NoiseChannel("amplitude-damping", 0.12),),
+    "both": (sim.NoiseChannel("bit-flip", 0.06), sim.NoiseChannel("amplitude-damping", 0.1)),
+}
+
+
+@pytest.mark.parametrize("noise", list(NOISE_SETS))
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_noisy_density_evaluator_matches_full_circuit_oracle(n, noise):
+    # E against the noisy full conditional circuit for every variant and
+    # link; canonical links also compare the mid-circuit register-1
+    # distribution.  A K=3 stack with a repeated idx matches per-row calls.
+    rng = np.random.default_rng(30 + n)
+    channels = NOISE_SETS[noise]
+    for variant in VARIANTS:
+        for link in LINK_MODES:
+            cfg = ModelConfig.from_variant(variant, n=n, link_mode=link,
+                                           execution="density", noise=channels)
+            wi = np.array([random_features(cfg, rng) for _ in range(3)])
+            wj = np.array([random_features(cfg, rng) for _ in range(3)])
+            p = cfg.random_params(rng)
+            ev = BatchEvaluator(wi, wj, cfg)
+            e, probs = ev.evaluate(p)
+            for k in range(3):
+                full = build_full_circuit(wi[k], wj[k], p, cfg, form="conditional")
+                res = sim.run_circuit(full, "density", noise=channels)
+                e_ref = sim.expectation_z(res.state, 2 * n - 1)
+                assert abs(e[k] - e_ref) < 1e-12, (variant, link)
+                if link == "all-zeros-canonical":
+                    p_ref = res.measurement_probs[0]
+                    assert np.max(np.abs(probs[k] - p_ref)) < 1e-12, (variant, link)
+
+            thetas = np.array([p.to_vector()] + [cfg.random_params(rng).to_vector()
+                                                 for _ in range(2)])
+            idx = np.array([2, 0, 2])
+            e_stack, p_stack = ev.evaluate_stack(thetas, idx=idx)
+            assert e_stack.shape == (3, 3) and p_stack.shape == (3, 3, 2**n)
+            for k, vec in enumerate(thetas):
+                e1, p1 = ev.evaluate(ParamSet.from_vector(vec, n, link), idx=idx)
+                assert np.max(np.abs(e_stack[k] - e1)) < 1e-13, (variant, link)
+                assert np.max(np.abs(p_stack[k] - p1)) < 1e-13, (variant, link)
+
+
 def test_batch_matches_single_evaluation():
     rng = np.random.default_rng(10)
     cfg = ModelConfig(n=2, encoder="amplitude", ansatz="qaoa")

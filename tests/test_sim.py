@@ -314,3 +314,80 @@ def test_shifted_fragment():
     circ = Circuit(1).gate("H", (0,)).gate("RY", (0,), 0.4)
     moved = circ.shifted(2, 3)
     assert [op.coords for op in moved.ops] == [(2,), (2,)]
+
+
+# --- noisy layouts as superoperators ----------------------------------------
+
+def _random_layout(rng, q, extra):
+    """Random fixed-structure fragment over 3 angle slots; at q >= 2 it
+    holds at least one CNOT, CRY, MCRY-open and X."""
+    kinds = ["X"] + (["CNOT", "CRY", "MCRY-open"] if q >= 2 else [])
+    kinds += list(rng.choice(["H", "X", "RX", "RY", "RZ"] + kinds, size=extra))
+    layout = []
+    for kind in rng.permutation(kinds):
+        if kind in ("CNOT", "CRY"):
+            coords = tuple(int(c) for c in rng.choice(q, size=2, replace=False))
+        elif kind == "MCRY-open":
+            arity = int(rng.integers(2, q + 1))
+            coords = tuple(int(c) for c in rng.choice(q, size=arity, replace=False))
+        else:
+            coords = (int(rng.integers(q)),)
+        slot = int(rng.integers(3)) if kind in sim.PARAMETERIZED_KINDS else None
+        layout.append((str(kind), coords, slot))
+    return tuple(layout)
+
+
+def _lifted_channel(layout, row, q, noise):
+    # vec(ρ) = ρ.reshape(-1), so vec(AρB) = (A ⊗ Bᵀ) vec(ρ)
+    total = np.eye(4**q, dtype=complex)
+    for kind, coords, slot in layout:
+        angle = None if slot is None else row[slot]
+        u = expand_matrix(gate_matrix(kind, angle, qubits=len(coords)), coords, q)
+        total = np.kron(u, u.conj()) @ total
+        for qubit in coords:
+            for ch in noise:
+                lifted = [expand_matrix(k, (qubit,), q) for k in ch.kraus()]
+                total = sum(np.kron(k, k.conj()) for k in lifted) @ total
+    return total
+
+
+NOISE_SETS = [(), (NoiseChannel("bit-flip", 0.15),), (NoiseChannel("amplitude-damping", 0.2),),
+              (NoiseChannel("bit-flip", 0.1), NoiseChannel("amplitude-damping", 0.3))]
+
+
+@pytest.mark.parametrize("q", (1, 2, 3))
+def test_layout_channels_match_lifted_kraus_reference(q):
+    rng = np.random.default_rng(60 + q)
+    for noise in NOISE_SETS:
+        for _ in range(3):
+            layout = _random_layout(rng, q, 6)
+            angles = rng.uniform(0, 2 * np.pi, size=(2, 3))
+            got = sim.layout_channels(layout, angles, q, noise)
+            assert got.shape == (2, 4**q, 4**q)
+            for k, row in enumerate(angles):
+                ref = _lifted_channel(layout, row, q, noise)
+                assert np.max(np.abs(got[k] - ref)) < 1e-12, (layout, noise)
+
+
+@pytest.mark.parametrize("q", (1, 2, 3))
+def test_noisy_layout_adjoint_is_heisenberg_picture(q):
+    # Tr(O·Λ(ρ)) = Tr(Λ†(O)·ρ) for Hermitian O and a density matrix ρ
+    rng = np.random.default_rng(70 + q)
+    dim = 2**q
+    noise = NOISE_SETS[3]
+    for _ in range(4):
+        layout = _random_layout(rng, q, 6)
+        angles = rng.uniform(0, 2 * np.pi, size=(2, 3))
+        a = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
+        rho = a @ a.conj().transpose(0, 2, 1)
+        rho /= np.trace(rho, axis1=1, axis2=2)[:, None, None]
+        b = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
+        obs = b + b.conj().transpose(0, 2, 1)
+        out = sim.apply_noisy_layout(rho.reshape(2, 1, -1), layout, angles, q, noise)
+        back = sim.apply_noisy_layout(obs.reshape(2, 1, -1), layout, angles, q, noise,
+                                      adjoint=True)
+        for k in range(2):
+            forward = np.trace(obs[k] @ out[k, 0].reshape(dim, dim))
+            heisenberg = np.trace(back[k, 0].reshape(dim, dim) @ rho[k])
+            assert abs(forward - heisenberg) < 1e-12
+            assert abs(np.trace(out[k, 0].reshape(dim, dim)) - 1.0) < 1e-12
