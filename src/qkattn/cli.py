@@ -49,6 +49,13 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
         raise CliError(f"unknown config key(s) in {where}: {', '.join(unknown)}")
 
 
+def _as_int(value, key: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CliError(f"config key {key!r} must be an integer, got {value!r}") from exc
+
+
 def load_config(path: str, seed_override: int | None = None,
                 variant_override: str | None = None) -> dict:
     """Read, validate, and resolve a JSON run config."""
@@ -70,7 +77,7 @@ def load_config(path: str, seed_override: int | None = None,
         _check_keys(sub, keys, f"section {section!r}")
 
     resolved = {
-        "seed": int(raw.get("seed", 0)),
+        "seed": _as_int(raw.get("seed", 0), "seed"),
         "model": dict(raw.get("model", {})),
         "train": dict(raw.get("train", {})),
         "data": {**_DEFAULT_DATA, **raw.get("data", {})},
@@ -104,8 +111,8 @@ def train_config_from(resolved: dict) -> TrainConfig:
 def load_dataset(resolved: dict, encoder: str) -> Split:
     spec = resolved["data"]
     if spec["source"] == "synthetic":
-        split = synthetic_dataset(spec["kind"], int(spec["count"]), int(spec["d"]),
-                                  resolved["seed"])
+        split = synthetic_dataset(spec["kind"], _as_int(spec["count"], "count"),
+                                  _as_int(spec["d"], "d"), resolved["seed"])
         if encoder == "angle":
             from .data import scale_features
             split.train_x, split.test_x = scale_features(split.train_x, split.test_x)
@@ -120,10 +127,10 @@ def load_dataset(resolved: dict, encoder: str) -> Split:
             raise CliError(f"cannot load idx data: {exc}") from exc
         classes = tuple(spec.get("classes", (0, 1)))
         split = make_split(images, labels, classes,
-                           int(spec.get("per_class_total", 550)),
-                           int(spec.get("per_class_train", 500)),
+                           _as_int(spec.get("per_class_total", 550), "per_class_total"),
+                           _as_int(spec.get("per_class_train", 500), "per_class_train"),
                            seed=resolved["seed"])
-        return prepare_image_features(split, int(spec.get("pca_d", 4)), encoder)
+        return prepare_image_features(split, _as_int(spec.get("pca_d", 4), "pca_d"), encoder)
     raise CliError(f"unknown data source {spec['source']!r}")
 
 
@@ -172,11 +179,19 @@ def load_params(path: str) -> ParamSet:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read params {path}: {exc}") from exc
-    missing = [k for k in ("theta1", "theta2", "theta3", "theta4") if k not in payload]
+    if not isinstance(payload, dict):
+        raise CliError(f"params file {path} must hold a JSON object")
+    names = ("theta1", "theta2", "theta3", "theta4")
+    missing = [k for k in names if k not in payload]
     if missing:
         raise CliError(f"params file lacks {', '.join(missing)}")
-    return ParamSet(**{k: np.asarray(payload[k], dtype=float)
-                       for k in ("theta1", "theta2", "theta3", "theta4")})
+    values = {}
+    for k in names:
+        try:
+            values[k] = np.asarray(payload[k], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"params key {k!r} must be a list of numbers") from exc
+    return ParamSet(**values)
 
 
 # --- subcommands ---------------------------------------------------------

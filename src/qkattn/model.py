@@ -18,7 +18,9 @@ branches:
 a stack of parameter sets at once.  In analytic mode it is plain linear
 algebra on per-register states: with φ = U_φ(w)|0⟩ and A = U(θ2)†U(θ1),
 the register-1 distribution is |U_φ(w_j)† A φ_i|², and the register-2
-readouts are ⟨Z⟩ of U(θ3)φ_j with and without the link.  Density mode
+readouts are ⟨Z⟩ of U(θ3)φ_j with and without the link.  U(θ1), U(θ2)
+and U(θ3) come from one stacked ``sim.layout_unitaries`` call, a short
+product of the ansatz's cached full-space rotation factors.  Density mode
 is the same closed form on vectorised density matrices: every fragment
 is a noisy channel whose gates are each fused with their noise into one
 local superoperator (noise after every gate, on each of its qubits, as
@@ -223,9 +225,11 @@ class BatchEvaluator:
     call, and a call then evaluates the closed form for a stack of K
     parameter sets at once (``evaluate_stack``), which is how a gradient
     evaluates its 2P+1 shifted parameter sets; ``evaluate`` is the K = 1
-    case.  Analytic mode keeps φ_i, φ_j and U_φ(w_j)† and builds the
-    ansatz unitaries per call.  Density mode keeps the noisy encoded
-    states ρ_i, ρ_j and the noisy channel C_j of U_φ(w_j)†; per call it
+    case.  Analytic mode keeps φ_i, φ_j and U_φ(w_j)† and per call
+    builds U(θ1), U(θ2) and U(θ3) for all K rows in one stacked
+    ``sim.layout_unitaries`` call (3K rows), each a product of the
+    ansatz's cached full-space factors.  Density mode keeps the noisy
+    encoded states ρ_i, ρ_j and the noisy channel C_j of U_φ(w_j)†; per call it
     builds the register-1 channel of U†(θ2)U(θ1) and carries the readout
     observable backwards through θ3 and the link, each gate fused with
     its noise into one local superoperator (``sim.apply_noisy_layout``).
@@ -290,10 +294,12 @@ class BatchEvaluator:
         if idx is not None:
             phi_i, phi_j, v_j = phi_i[idx], phi_j[idx], v_j[idx]
         t1, t2, t3, t4 = np.split(thetas, [2 * n, 4 * n, 6 * n], axis=1)
-        u1, u2, u3 = (_sim.layout_unitaries(self._ansatz, t, n) for t in (t1, t2, t3))
+        k, dim = len(thetas), 2**n
+        u1, u2, u3 = _sim.layout_unitaries(self._ansatz, np.vstack([t1, t2, t3]),
+                                           n).reshape(3, k, dim, dim)
         a = _adjoint(u2) @ u1
         # (K, batch, dim): A φ_i, then U_φ(w_j)† of each sample
-        psi1 = np.einsum("bij,kbj->kbi", v_j, phi_i @ a.transpose(0, 2, 1))
+        psi1 = (v_j @ (phi_i @ a.transpose(0, 2, 1)).transpose(1, 2, 0)).transpose(2, 0, 1)
         probs = np.abs(psi1) ** 2
         psi2 = phi_j @ u3.transpose(0, 2, 1)
 

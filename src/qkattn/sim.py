@@ -84,22 +84,24 @@ def gate_matrix(kind: str, angle: float | None = None, qubits: int | None = None
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
-def _rotation_stack(kind: str, angles: np.ndarray, qubits: int) -> np.ndarray:
-    """gate_matrix of a parameterized kind at K angles: (K, D, D).
+def _rotation_stack(kind: str, c: np.ndarray, s: np.ndarray, qubits: int) -> np.ndarray:
+    """gate_matrix of a parameterized kind at K angles θ, given as
+    c = cos(θ/2) and s = sin(θ/2) (K each): (K, D, D).
 
-    Kept apart from gate_matrix, which the circuit oracle uses one gate at
-    a time: the oracle tests then check these matrices against it.  RY,
-    CRY and MCRY-open rotate between two local basis indices (lo, hi) and
-    act as the identity elsewhere.
+    Every entry is affine in (c, s), so the rows at (c, s) = (0, 0),
+    (1, 0) and (0, 1) give the factors of R(θ) = M0 + c·M1 + s·M2 that
+    ``_unitary_factors`` caches.  Kept apart from gate_matrix, which the
+    circuit oracle uses one gate at a time: the oracle tests then check
+    these matrices against it.  RY, CRY and MCRY-open rotate between two
+    local basis indices (lo, hi) and act as the identity elsewhere.
     """
-    c, s = np.cos(angles / 2), np.sin(angles / 2)
     if kind == "RZ":
-        m = np.zeros((angles.size, 2, 2), dtype=complex)
-        m[:, 0, 0] = np.exp(-0.5j * angles)
-        m[:, 1, 1] = np.exp(0.5j * angles)
+        m = np.zeros((c.size, 2, 2), dtype=complex)
+        m[:, 0, 0] = c - 1j * s
+        m[:, 1, 1] = c + 1j * s
         return m
     if kind == "RX":
-        m = np.empty((angles.size, 2, 2), dtype=complex)
+        m = np.empty((c.size, 2, 2), dtype=complex)
         m[:, 0, 0] = m[:, 1, 1] = c
         m[:, 0, 1] = m[:, 1, 0] = -1j * s
         return m
@@ -110,7 +112,7 @@ def _rotation_stack(kind: str, angles: np.ndarray, qubits: int) -> np.ndarray:
     else:
         dim = 2**qubits
         lo, hi = 0, dim // 2
-    m = np.zeros((angles.size, dim, dim), dtype=complex)
+    m = np.zeros((c.size, dim, dim), dtype=complex)
     m[:, np.arange(dim), np.arange(dim)] = 1.0
     m[:, lo, lo] = m[:, hi, hi] = c
     m[:, lo, hi] = -s
@@ -196,7 +198,8 @@ CircuitOp = Union[GateOp, Measure]
 
 # A fragment whose gate structure is fixed and whose angles vary: one
 # (kind, coords, angle slot) per gate, slot None for unparameterized
-# gates.  A row of angles fills the slots of one instance.
+# gates.  A row of angles fills the slots of one instance.  Layouts are
+# hashable tuples (of tuples), so compiled forms can be cached per layout.
 Layout = Sequence[tuple[str, tuple[int, ...], Union[int, None]]]
 
 
@@ -380,18 +383,69 @@ def apply_layout(states: np.ndarray, layout: Layout, angles: np.ndarray, q: int)
         if slot is None:
             mats = gate_matrix(kind, qubits=len(coords))[None]
         else:
-            mats = _rotation_stack(kind, angles[:, slot], len(coords))
+            half = angles[:, slot] / 2
+            mats = _rotation_stack(kind, np.cos(half), np.sin(half), len(coords))
         states = _apply_stack(states, mats, coords, q)
     return states
 
 
+@functools.lru_cache(maxsize=64)
+def _unitary_factors(layout: tuple, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A layout compiled into full-space factors, for layout_unitaries.
+
+    Returns (slots, factors, tail): the angle slot of each of the R
+    rotations (R,), and per rotation the full-space (M0, M1, M2) of
+    R(θ) = M0 + c·M1 + s·M2 as (R, 3, 4^q).  The unparameterized gates
+    before a rotation are folded into its factors (on the right); the
+    tail, those after the last rotation, into the last rotation's (on
+    the left).  With no rotation, tail is the whole unitary.
+    """
+    dim = 2**q
+    eye = np.eye(dim, dtype=complex)[None]
+    slots, factors = [], []
+    # row b: column b of the unparameterized gates since the last rotation
+    cols = eye
+    for kind, coords, slot in layout:
+        if slot is None:
+            cols = _apply_stack(cols, gate_matrix(kind, qubits=len(coords))[None], coords, q)
+            continue
+        m = _rotation_stack(kind, np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]),
+                            len(coords))
+        m[1:] -= m[0]
+        lifted = _apply_stack(np.broadcast_to(cols, (3, dim, dim)), m, coords, q)
+        factors.append(lifted.transpose(0, 2, 1))
+        slots.append(slot)
+        cols = eye
+    tail = cols[0].T.copy()
+    if factors:
+        factors[-1] = tail @ factors[-1]
+    factors = np.array(factors, dtype=complex).reshape(len(slots), 3, dim * dim)
+    out = (np.array(slots, dtype=np.intp), factors, tail)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 def layout_unitaries(layout: Layout, angles: np.ndarray, q: int) -> np.ndarray:
     """Unitaries (K, 2^q, 2^q) of a fixed-structure fragment, one per
-    row of ``angles``."""
+    row of ``angles``.
+
+    The layout is compiled once into cached full-space factors
+    (``_unitary_factors``); a call evaluates every rotation of every row
+    from its [1, cos(θ/2), sin(θ/2)] in one batched product and
+    multiplies the R gates together, R − 1 batched matmuls in all.
+    """
+    slots, factors, tail = _unitary_factors(tuple(layout), q)
     dim = 2**q
-    basis = np.broadcast_to(np.eye(dim, dtype=complex), (len(angles), dim, dim))
-    # row b of the evolved basis is U e_b, column b of U
-    return apply_layout(basis, layout, angles, q).transpose(0, 2, 1)
+    if not slots.size:
+        return np.broadcast_to(tail, (len(angles), dim, dim)).copy()
+    half = angles[:, slots].T / 2
+    coef = np.stack([np.ones_like(half), np.cos(half), np.sin(half)], axis=2)
+    gates = (coef @ factors).reshape(slots.size, len(angles), dim, dim)
+    u = gates[0]
+    for gate in gates[1:]:
+        u = gate @ u
+    return u
 
 
 @functools.lru_cache(maxsize=256)
@@ -446,7 +500,9 @@ def apply_noisy_layout(vecs: np.ndarray, layout: Layout, angles: np.ndarray, q: 
         if slot is None:
             mats = _fixed_superop(kind, len(coords), noise)
         else:
-            mats = _superop_stack(_rotation_stack(kind, angles[:, slot], len(coords)))
+            half = angles[:, slot] / 2
+            mats = _superop_stack(_rotation_stack(kind, np.cos(half), np.sin(half),
+                                                  len(coords)))
             if noise:
                 mats = _noise_superop(noise, len(coords)) @ mats
         # the gate's column bits, then its row bits

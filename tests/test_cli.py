@@ -195,3 +195,38 @@ def test_variant_flag(tmp_path):
     assert main(["train", "--config", cfg, "--out", out, "--variant", "AnQAOA"]) == 0
     summary = json.loads(read(os.path.join(out, "summary.json")))
     assert summary["variant"] == "AnQAOA"
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"seed": None}, "seed"),
+    ({"seed": "three"}, "seed"),
+    ({"data": {"count": None}}, "count"),
+    ({"data": {"d": None}}, "d"),
+    ({"data": {"count": [24]}}, "count"),
+])
+def test_malformed_config_value_is_one_line_error(tmp_path, capsys, overrides, key):
+    cfg = write_config(tmp_path, **overrides)
+    out = os.path.join(str(tmp_path), "run")
+    for command in (["train"], ["noise-sweep", "--channel", "bit-flip",
+                                "--probs", "0", "--seeds", "1"]):
+        assert main(command + ["--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.strip().count("\n") == 0
+        assert repr(key) in err
+        assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("payload", ["3", "null", '"theta1"', "[1, 2]",
+                                     '{"theta1": {"a": 1}, "theta2": [], "theta3": [], '
+                                     '"theta4": []}'])
+def test_malformed_params_file_is_one_line_error(tmp_path, capsys, payload):
+    cfg = write_config(tmp_path)
+    params = os.path.join(str(tmp_path), "params.json")
+    with open(params, "w") as fh:
+        fh.write(payload)
+    out = os.path.join(str(tmp_path), "q")
+    assert main(["qksas", "--config", cfg, "--out", out, "--params", params]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.strip().count("\n") == 0
+    assert "params" in err
+    assert not os.path.exists(out)

@@ -391,3 +391,58 @@ def test_noisy_layout_adjoint_is_heisenberg_picture(q):
             heisenberg = np.trace(back[k, 0].reshape(dim, dim) @ rho[k])
             assert abs(forward - heisenberg) < 1e-12
             assert abs(np.trace(out[k, 0].reshape(dim, dim)) - 1.0) < 1e-12
+
+
+# --- analytic layouts as products of cached factors ---------------------------
+
+def _kron_unitary(layout, row, q):
+    total = np.eye(2**q, dtype=complex)
+    for kind, coords, slot in layout:
+        angle = None if slot is None else row[slot]
+        total = _kron_embed(gate_matrix(kind, angle, qubits=len(coords)), coords, q) @ total
+    return total
+
+
+def _assert_matches_kron(layout, angles, q):
+    got = sim.layout_unitaries(layout, angles, q)
+    assert got.shape == (len(angles), 2**q, 2**q)
+    for k, row in enumerate(angles):
+        assert np.max(np.abs(got[k] - _kron_unitary(layout, row, q))) < 1e-12, layout
+
+
+@pytest.mark.parametrize("q", (1, 2, 3))
+def test_layout_unitaries_match_kronecker_oracle(q):
+    rng = np.random.default_rng(80 + q)
+    for _ in range(6):
+        layout = _random_layout(rng, q, 6)
+        _assert_matches_kron(layout, rng.uniform(0, 2 * np.pi, size=(3, 3)), q)
+    # unparameterized gates at both ends fold into the first and last factors
+    fixed = (("H", (0,), None), ("X", (q - 1,), None))
+    layout = fixed + _random_layout(rng, q, 4) + fixed[::-1]
+    _assert_matches_kron(layout, rng.uniform(0, 2 * np.pi, size=(2, 3)), q)
+    # a list layout is accepted like its tuple
+    _assert_matches_kron(list(layout), rng.uniform(0, 2 * np.pi, size=(2, 3)), q)
+    # no rotation at all: the fixed unitary for every row
+    _assert_matches_kron(fixed, np.zeros((2, 0)), q)
+
+
+def test_rotation_stack_matches_gate_matrix():
+    rng = np.random.default_rng(90)
+    angles = rng.uniform(-2 * np.pi, 2 * np.pi, size=5)
+    c, s = np.cos(angles / 2), np.sin(angles / 2)
+    for kind, arity in (("RX", 1), ("RY", 1), ("RZ", 1), ("CRY", 2),
+                        ("MCRY-open", 2), ("MCRY-open", 3)):
+        stack = sim._rotation_stack(kind, c, s, arity)
+        assert stack.shape == (5, 2**arity, 2**arity)
+        for k, angle in enumerate(angles):
+            assert np.max(np.abs(stack[k] - gate_matrix(kind, angle, qubits=arity))) < 1e-15
+
+
+def test_layout_unitaries_results_do_not_alias_the_cache():
+    rng = np.random.default_rng(91)
+    angles = rng.uniform(0, 2 * np.pi, size=(2, 3))
+    for layout in (_random_layout(rng, 2, 4), (("H", (0,), None), ("CNOT", (0, 1), None))):
+        first = sim.layout_unitaries(layout, angles, 2)
+        expected = first.copy()
+        first[...] = 0.0
+        assert np.array_equal(sim.layout_unitaries(layout, angles, 2), expected)
