@@ -67,14 +67,6 @@ def build_ansatz(kind: str, n: int, theta) -> Circuit:
     return Circuit.from_layout(n, layout, _check_params(theta, 2 * n))
 
 
-def build_qaoa(n: int, theta) -> Circuit:
-    return build_ansatz("qaoa", n, theta)
-
-
-def build_hea(n: int, theta) -> Circuit:
-    return build_ansatz("hea", n, theta)
-
-
 def ansatz_slot_kinds(kind: str, n: int) -> list[str]:
     """Gradient rule per parameter slot: "shift" for single-qubit
     rotations, "fd" for controlled rotations."""
@@ -93,22 +85,6 @@ def link_slot_count(mode: str, n: int) -> int:
     raise ValueError(f"unknown link mode {mode!r}")
 
 
-@functools.cache
-def link_layout(mode: str, n: int) -> tuple:
-    """Gate structure of the link as the evaluator applies it.
-
-    Literal mode: the 2n-qubit unitary, CRY(θ4_c)[c, c+n] then
-    RX(θ4_{n+c})[c].  Canonical mode: its action on register 2 alone
-    (n qubits), RY(θ4_c) on each qubit, taken when register 1 reads
-    all zeros.
-    """
-    if mode == "per-qubit-literal":
-        return tuple(g for c in range(n) for g in (("CRY", (c, c + n), c), ("RX", (c,), n + c)))
-    if mode == "all-zeros-canonical":
-        return tuple(("RY", (c,), c) for c in range(n))
-    raise ValueError(f"unknown link mode {mode!r}")
-
-
 def build_link(mode: str, n: int, theta4, form: str = "conditional") -> Circuit:
     """Link fragment on 2n qubits (registers 1 and 2).
 
@@ -119,7 +95,11 @@ def build_link(mode: str, n: int, theta4, form: str = "conditional") -> Circuit:
     """
     theta4 = _check_params(theta4, link_slot_count(mode, n))
     if mode == "per-qubit-literal":
-        return Circuit.from_layout(2 * n, link_layout(mode, n), theta4)
+        circ = Circuit(2 * n)
+        for c in range(n):
+            circ.gate("CRY", (c, c + n), float(theta4[c]))
+            circ.gate("RX", (c,), float(theta4[n + c]))
+        return circ
     if form == "conditional":
         circ = Circuit(2 * n, clbits=n)
         cond = Condition.all_zero(range(n))

@@ -51,6 +51,8 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
 
 def _as_int(value, key: str) -> int:
     try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError
         return int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"config key {key!r} must be an integer, got {value!r}") from exc
@@ -108,16 +110,29 @@ def train_config_from(resolved: dict) -> TrainConfig:
         raise CliError(f"invalid train config: {exc}") from exc
 
 
-def load_dataset(resolved: dict, encoder: str) -> Split:
+def _feature_count(spec: dict, key: str, model: ModelConfig | None) -> int:
+    d = _as_int(spec.get(key, 4), key)
+    if model is not None and d > model.feature_dim:
+        raise CliError(f"config key {key!r} is {d}, more features than the {model.encoder} "
+                       f"encoder holds at n={model.n} ({model.feature_dim})")
+    return d
+
+
+def load_dataset(resolved: dict, model: ModelConfig | str) -> Split:
+    """The configured data split for ``model``.  The feature count is
+    checked against the model's encoder before any data is generated or
+    loaded; an encoder name alone skips that check."""
+    encoder, model = (model, None) if isinstance(model, str) else (model.encoder, model)
     spec = resolved["data"]
     if spec["source"] == "synthetic":
         split = synthetic_dataset(spec["kind"], _as_int(spec["count"], "count"),
-                                  _as_int(spec["d"], "d"), resolved["seed"])
+                                  _feature_count(spec, "d", model), resolved["seed"])
         if encoder == "angle":
             from .data import scale_features
             split.train_x, split.test_x = scale_features(split.train_x, split.test_x)
         return split
     if spec["source"] == "idx":
+        pca_d = _feature_count(spec, "pca_d", model)
         for key in ("images", "labels"):
             if key not in spec:
                 raise CliError(f"idx data source needs the {key!r} path")
@@ -130,7 +145,7 @@ def load_dataset(resolved: dict, encoder: str) -> Split:
                            _as_int(spec.get("per_class_total", 550), "per_class_total"),
                            _as_int(spec.get("per_class_train", 500), "per_class_train"),
                            seed=resolved["seed"])
-        return prepare_image_features(split, _as_int(spec.get("pca_d", 4), "pca_d"), encoder)
+        return prepare_image_features(split, pca_d, encoder)
     raise CliError(f"unknown data source {spec['source']!r}")
 
 
@@ -200,7 +215,7 @@ def cmd_train(args) -> int:
     resolved = load_config(args.config, args.seed, args.variant)
     mcfg = model_config_from(resolved)
     tcfg = train_config_from(resolved)
-    split = load_dataset(resolved, mcfg.encoder)
+    split = load_dataset(resolved, mcfg)
     record = train_loop(mcfg, split.train_x, split.train_y, tcfg,
                         test_x=split.test_x, test_y=split.test_y)
     summary = {
@@ -239,7 +254,7 @@ def _qksas_csv(records: list[tuple[int, QksasRecord]]) -> tuple[str, str]:
 def cmd_qksas(args) -> int:
     resolved = load_config(args.config, args.seed, args.variant)
     mcfg = model_config_from(resolved)
-    split = load_dataset(resolved, mcfg.encoder)
+    split = load_dataset(resolved, mcfg)
     if args.params:
         params = load_params(args.params)
     else:
@@ -273,7 +288,7 @@ def _sweep_job(payload) -> tuple[float, int, float, float, float]:
     noise = (NoiseChannel(channel, p),)
     mcfg = model_config_from(resolved, execution="density", noise=noise)
     tcfg = train_config_from(resolved)
-    split = load_dataset(resolved, mcfg.encoder)
+    split = load_dataset(resolved, mcfg)
     record = train_loop(mcfg, split.train_x, split.train_y, tcfg,
                         test_x=split.test_x, test_y=split.test_y)
     final = record.steps - 1

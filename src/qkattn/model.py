@@ -8,35 +8,43 @@ register 2 conditioned on register 1 collapsing to |0...0⟩, and the
 classifier output is the Z expectation of the last qubit.
 
 Because every gate and noise channel before the link is local to one
-register, the two registers stay in a product state until the
-measurement, and the output decomposes exactly into the two classical
-branches:
+register, the two registers stay in a product state until the link, and
+the output decomposes exactly into two classical branches:
 
-    E = p₀ · ⟨Z⟩(linked register-2 state) + (1 − p₀) · ⟨Z⟩(bare state)
+    E = fire · ⟨Z⟩(register 2 after the link fires) + (1 − fire) · ⟨Z⟩(idle)
+
+Only the link gate on the readout qubit reaches E: every other link gate,
+and the noise on every other qubit, pulls Z back to the identity, since
+the adjoint of a trace-preserving channel is unital.  For the canonical
+link that gate is RY(θ4_{n−1}), fired with probability p₀.  The literal
+link's is CRY(θ4_{n−1})[n−1, 2n−1], block-diagonal in its control: the
+same RY, fired when register 1's qubit n−1 reads 1, whose noise reaches
+the readout on both branches.  So for either link E is
+a + b·cos θ4_{n−1} + c·sin θ4_{n−1} and constant in the other θ4 slots.
 
 ``BatchEvaluator`` evaluates that closed form for a batch of pairs and
 a stack of parameter sets at once.  In analytic mode it is plain linear
 algebra on per-register states: with φ = U_φ(w)|0⟩ and A = U(θ2)†U(θ1),
 the register-1 distribution is |U_φ(w_j)† A φ_i|², and the register-2
-readouts are ⟨Z⟩ of U(θ3)φ_j with and without the link.  U(θ1), U(θ2)
-and U(θ3) come from one stacked ``sim.layout_unitaries`` call, a short
-product of the ansatz's cached full-space rotation factors.  Density mode
-is the same closed form on vectorised density matrices: every fragment
-is a noisy channel whose gates are each fused with their noise into one
-local superoperator (noise after every gate, on each of its qubits, as
-``sim.run_circuit`` places it per moment).  Register 1 applies the channel of U†(θ2)U(θ1) to
-the noisy encoded ρ_i, then that of U_φ†(w_j); the register-2 readouts
-carry Z backwards (Heisenberg picture) through the link and θ3 and read
-it on the noisy encoded ρ_j.  The literal link entangles the registers:
-analytic mode runs its 2n-qubit gates on the joint product state, and
-density mode pulls Z back through it and reads it on ρ2 ⊗ ρ1 without
-forming that state.  The equivalence with a full conditional-circuit
-simulation is exercised by the test suite.  Shots mode samples the exact
+readouts are ⟨Z⟩ of U(θ3)φ_j with and without the link gate.  U(θ1),
+U(θ2) and U(θ3) come from one stacked ``sim.layout_unitaries`` call, a
+short product of the ansatz's cached full-space rotation factors.
+Density mode is the same closed form on vectorised density matrices:
+every fragment is a noisy channel whose gates are each fused with their
+noise into one local superoperator (noise after every gate, on each of
+its qubits, as ``sim.run_circuit`` places it per moment).  Register 1
+applies the channel of U†(θ2)U(θ1) to the noisy encoded ρ_i, then that
+of U_φ†(w_j); the register-2 readouts carry Z backwards (Heisenberg
+picture) through the link gate and θ3 and read it on the noisy encoded
+ρ_j.  The test suite checks both modes against the full circuit, whose
+literal link is the real 2n-qubit unitary.  Shots mode samples the exact
 branch-resolved full-circuit distribution.
 """
 from __future__ import annotations
 
 import dataclasses
+import numbers
+
 import numpy as np
 
 from . import ansatz as _ansatz
@@ -62,6 +70,10 @@ class ModelConfig:
     noise: tuple[NoiseChannel, ...] = ()
 
     def __post_init__(self):
+        for name in ("n", "shots"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name!r} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValueError("need at least one qubit per register")
         if self.encoder not in _encoding.ENCODER_KINDS:
@@ -164,47 +176,19 @@ def build_full_circuit(w_i, w_j, params: ParamSet, config: ModelConfig,
     circ = Circuit(2 * n, clbits=clbits)
     circ.extend(build_register1(w_i, w_j, params.theta1, params.theta2, config))
     circ.extend(build_register2(w_j, params.theta3, config).shifted(n, 2 * n, clbits))
-
-    if config.link_mode == "per-qubit-literal":
-        circ.extend(build_link_fragment(params.theta4, config, "unitary"))
-        if final_measure:
-            circ.measure((2 * n - 1,), (n,))
-        return circ
-
-    if form == "conditional":
+    canonical = config.link_mode == "all-zeros-canonical"
+    if canonical and form == "conditional":
         circ.measure(tuple(range(n)), tuple(range(n)))
-        circ.extend(build_link_fragment(params.theta4, config, "conditional"))
-    elif form == "deferred":
-        circ.extend(build_link_fragment(params.theta4, config, "deferred"))
-        if final_measure:
+    circ.extend(_ansatz.build_link(config.link_mode, n, params.theta4, form=form))
+    if final_measure:
+        if canonical and form == "deferred":
             # outcomes are read at the end under the deferred form
             circ.measure(tuple(range(n)), tuple(range(n)))
-    else:
-        raise ValueError(f"unknown circuit form {form!r}")
-    if final_measure:
         circ.measure((2 * n - 1,), (n,))
     return circ
 
 
-def build_link_fragment(theta4, config: ModelConfig, form: str) -> Circuit:
-    if config.link_mode == "per-qubit-literal":
-        return _ansatz.build_link(config.link_mode, config.n, theta4)
-    if form == "unitary":
-        form = "deferred"
-    return _ansatz.build_link(config.link_mode, config.n, theta4, form=form)
-
-
 # --- batch evaluation ----------------------------------------------------
-
-def _z_sign(q: int, qubit: int) -> np.ndarray:
-    return 1.0 - 2.0 * ((np.arange(2**q) >> qubit) & 1)
-
-
-def _z_rows(sign: np.ndarray, k: int) -> np.ndarray:
-    """vec of the diagonal observable ``sign`` as K rows (K, 1, 4^q)."""
-    vec = np.diag(sign).reshape(-1).astype(complex)
-    return np.broadcast_to(vec, (k, 1, vec.size))
-
 
 def _adjoint(u: np.ndarray) -> np.ndarray:
     return u.conj().transpose(0, 2, 1)
@@ -225,14 +209,19 @@ class BatchEvaluator:
     call, and a call then evaluates the closed form for a stack of K
     parameter sets at once (``evaluate_stack``), which is how a gradient
     evaluates its 2P+1 shifted parameter sets; ``evaluate`` is the K = 1
-    case.  Analytic mode keeps φ_i, φ_j and U_φ(w_j)† and per call
-    builds U(θ1), U(θ2) and U(θ3) for all K rows in one stacked
+    case.  Rows that agree on θ1, θ2, θ3 and θ4_{n−1}, the slots E
+    reads, are evaluated once, so E is exactly constant in the others.
+    Analytic mode keeps φ_i, φ_j and U_φ(w_j)† and per call builds U(θ1),
+    U(θ2) and U(θ3) for all K rows in one stacked
     ``sim.layout_unitaries`` call (3K rows), each a product of the
     ansatz's cached full-space factors.  Density mode keeps the noisy
-    encoded states ρ_i, ρ_j and the noisy channel C_j of U_φ(w_j)†; per call it
-    builds the register-1 channel of U†(θ2)U(θ1) and carries the readout
-    observable backwards through θ3 and the link, each gate fused with
-    its noise into one local superoperator (``sim.apply_noisy_layout``).
+    encoded states ρ_i, ρ_j and the noisy channel C_j of U_φ(w_j)†; per
+    call it builds the register-1 channel of U†(θ2)U(θ1) and carries the
+    readout observable backwards through θ3 and the link gate, each gate
+    fused with its noise into one local superoperator
+    (``sim.apply_noisy_layout``).  The two links differ only in the
+    register-1 outcomes on which the link fires and, in density mode,
+    the noise of the idle readout.
     """
 
     def __init__(self, wi, wj, config: ModelConfig):
@@ -245,9 +234,20 @@ class BatchEvaluator:
         if wi.shape != wj.shape:
             raise ValueError("w_i and w_j batches must have matching shapes")
         self.count = wi.shape[0]
-        self._z_last = _z_sign(n, n - 1)
+        # bit n−1 of each basis index: the readout qubit in register 2, and
+        # the literal CRY's control qubit in register 1
+        bit = (np.arange(2**n) >> (n - 1)).astype(float)
+        self._z_last = 1.0 - 2.0 * bit
+        # 0/1 weights of the register-1 outcomes on which the link fires:
+        # all zeros, or (literal) the control reading 1
+        literal = config.link_mode == "per-qubit-literal"
+        self._fire = bit if literal else np.eye(2**n)[0]
         self._ansatz = _ansatz.ansatz_layout(config.ansatz, n)
-        self._link = _ansatz.link_layout(config.link_mode, n)
+        # E reads θ1, θ2, θ3 and θ4_{n−1}, the angle of the one link gate
+        # that reaches the readout qubit n−1 (column 6n of the rows that
+        # the _evaluate_* methods get)
+        self._read = np.append(np.arange(6 * n), 7 * n - 1)
+        self._link = (("RY", (n - 1,), 0),)
         enc = config.encoder
         layout = _encoding.encoder_layout(enc, n)
         angles = _encoding.encoder_angles(enc, np.vstack([wi, wj]), n)
@@ -266,6 +266,13 @@ class BatchEvaluator:
                                          n, noise)
         # U(θ1) then U†(θ2), driven by the angle row [θ1, −θ2]
         self._mid = self._ansatz + _reversed_layout(self._ansatz, 2 * n)
+        self._z_obs = np.diag(self._z_last).reshape(1, 1, -1).astype(complex)
+        # the literal CRY's noise reaches the readout qubit on both
+        # branches; the canonical link does nothing when it does not fire
+        self._z_idle = self._z_obs
+        if literal:
+            self._z_idle = _sim.apply_noisy_layout(self._z_obs, self._link, np.zeros((1, 1)),
+                                                   n, noise, adjoint=True)
 
     def evaluate(self, params: ParamSet, idx=None) -> tuple[np.ndarray, np.ndarray]:
         """Return (E, register-1 outcome distributions) for the batch
@@ -283,13 +290,25 @@ class BatchEvaluator:
                              f"got shape {thetas.shape}")
         if not np.all(np.isfinite(thetas)):
             raise ValueError("parameters must be finite")
+        rows, inverse = thetas[:, self._read], slice(None)
+        if len(rows) > 1:
+            # rows that agree on every slot E reads are evaluated once
+            raw, width = rows.tobytes(), rows[0].nbytes
+            labels: dict[bytes, int] = {}
+            inverse = np.array([labels.setdefault(raw[at: at + width], len(labels))
+                                for at in range(0, len(raw), width)])
+            rows = np.frombuffer(b"".join(labels)).reshape(len(labels), -1)
         if cfg.execution == "analytic":
-            return self._evaluate_analytic(thetas, idx)
-        return self._evaluate_channels(thetas, idx)
+            z_idle, z_fire, probs = self._evaluate_analytic(rows, idx)
+        else:
+            z_idle, z_fire, probs = self._evaluate_channels(rows, idx)
+        fire = probs @ self._fire
+        e_val = fire * z_fire + (1.0 - fire) * z_idle
+        return e_val[inverse], probs[inverse]
 
-    def _evaluate_analytic(self, thetas: np.ndarray, idx) -> tuple[np.ndarray, np.ndarray]:
-        cfg = self.config
-        n = cfg.n
+    def _evaluate_analytic(self, thetas: np.ndarray, idx) -> tuple[np.ndarray, ...]:
+        """(z_idle, z_fire, distributions) at rows of [θ1, θ2, θ3, θ4_{n−1}]."""
+        n = self.config.n
         phi_i, phi_j, v_j = self._phi_i, self._phi_j, self._v_j
         if idx is not None:
             phi_i, phi_j, v_j = phi_i[idx], phi_j[idx], v_j[idx]
@@ -302,20 +321,10 @@ class BatchEvaluator:
         psi1 = (v_j @ (phi_i @ a.transpose(0, 2, 1)).transpose(1, 2, 0)).transpose(2, 0, 1)
         probs = np.abs(psi1) ** 2
         psi2 = phi_j @ u3.transpose(0, 2, 1)
+        fired = phi_j @ (_sim.layout_unitaries(self._link, t4, n) @ u3).transpose(0, 2, 1)
+        return (np.abs(psi2) ** 2) @ self._z_last, (np.abs(fired) ** 2) @ self._z_last, probs
 
-        if cfg.link_mode == "per-qubit-literal":
-            # joint index = i1 + dim·i2 (register 1 in the low bits)
-            joint = np.einsum("kbi,kbj->kbij", psi2, psi1).reshape(psi1.shape[:2] + (-1,))
-            joint = _sim.apply_layout(joint, self._link, t4, 2 * n)
-            return (np.abs(joint) ** 2) @ _z_sign(2 * n, 2 * n - 1), probs
-
-        linked = phi_j @ (_sim.layout_unitaries(self._link, t4, n) @ u3).transpose(0, 2, 1)
-        z_bare = (np.abs(psi2) ** 2) @ self._z_last
-        z_link = (np.abs(linked) ** 2) @ self._z_last
-        p0 = probs[..., 0]
-        return p0 * z_link + (1.0 - p0) * z_bare, probs
-
-    def _evaluate_channels(self, thetas: np.ndarray, idx) -> tuple[np.ndarray, np.ndarray]:
+    def _evaluate_channels(self, thetas: np.ndarray, idx) -> tuple[np.ndarray, ...]:
         # vec(ρ)[c + dim·r] = ρ[r, c]: the diagonal is every (dim+1)-th
         # entry, and Tr(O·ρ) = vec(O)ᴴ vec(ρ) for Hermitian O
         cfg = self.config
@@ -331,25 +340,13 @@ class BatchEvaluator:
         rho1 = (c_j @ sigma.transpose(1, 2, 0)).transpose(2, 0, 1)
         probs = rho1[..., :: dim + 1].real.copy()
 
-        if cfg.link_mode == "per-qubit-literal":
-            # Z on qubit 2n−1 pulled back through the 2n-qubit link and
-            # read on ρ2 ⊗ ρ1 (register 1 in the low bits) without forming
-            # it: regroup the vec axes (r2 r1 c2 c1) into (r2 c2) × (r1 c1)
-            obs = _sim.apply_noisy_layout(_z_rows(_z_sign(2 * n, 2 * n - 1), k),
-                                          self._link, t4, 2 * n, noise, adjoint=True)
-            obs = obs.reshape((k,) + (dim,) * 4).transpose(0, 1, 3, 2, 4)
-            s3 = _sim.layout_channels(self._ansatz, t3, n, noise)
-            rho2 = rho_j @ s3.transpose(0, 2, 1)
-            e_val = ((rho2 @ obs.reshape(k, dim * dim, dim * dim).conj()) * rho1).sum(axis=2)
-            return e_val.real, probs
-
-        z = _z_rows(self._z_last, k)
-        linked = _sim.apply_noisy_layout(z, self._link, t4, n, noise, adjoint=True)
-        obs = _sim.apply_noisy_layout(np.concatenate([z, linked], axis=1),
+        z = np.broadcast_to(self._z_obs, (k, 1, dim * dim))
+        fired = _sim.apply_noisy_layout(z, self._link, t4, n, noise, adjoint=True)
+        idle = np.broadcast_to(self._z_idle, z.shape)
+        obs = _sim.apply_noisy_layout(np.concatenate([idle, fired], axis=1),
                                       self._ansatz, t3, n, noise, adjoint=True)
-        z_bare, z_link = np.moveaxis((rho_j @ obs.conj().transpose(0, 2, 1)).real, 2, 0)
-        p0 = probs[..., 0]
-        return p0 * z_link + (1.0 - p0) * z_bare, probs
+        z_idle, z_fire = np.moveaxis((rho_j @ obs.conj().transpose(0, 2, 1)).real, 2, 0)
+        return z_idle, z_fire, probs
 
 
 # --- single-pair operations ----------------------------------------------

@@ -374,21 +374,6 @@ def _apply_stack(states: np.ndarray, mats: np.ndarray, coords: Sequence[int], q:
     return t.reshape(moved).transpose(np.argsort(perm)).reshape(lead + (2**q,))
 
 
-def apply_layout(states: np.ndarray, layout: Layout, angles: np.ndarray, q: int) -> np.ndarray:
-    """Run a fixed-structure fragment on a (K, B, 2^q) stack of states.
-
-    Row k of ``angles`` (K, slots) drives the gates applied to states[k].
-    """
-    for kind, coords, slot in layout:
-        if slot is None:
-            mats = gate_matrix(kind, qubits=len(coords))[None]
-        else:
-            half = angles[:, slot] / 2
-            mats = _rotation_stack(kind, np.cos(half), np.sin(half), len(coords))
-        states = _apply_stack(states, mats, coords, q)
-    return states
-
-
 @functools.lru_cache(maxsize=64)
 def _unitary_factors(layout: tuple, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A layout compiled into full-space factors, for layout_unitaries.

@@ -15,6 +15,7 @@ parameter sets of one gradient are batched: the evaluator receives all
 from __future__ import annotations
 
 import dataclasses
+import numbers
 
 import numpy as np
 
@@ -36,6 +37,10 @@ class TrainConfig:
     surrogate: bool = True
 
     def __post_init__(self):
+        for name in ("batch_size", "steps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name!r} must be an integer, got {value!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if not 0.0 <= self.momentum < 1.0:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qkattn.ansatz import (ParamSet, ansatz_slot_kinds, build_ansatz, build_hea,
-                           build_link, build_qaoa, link_slot_count, param_slot_kinds)
+from qkattn.ansatz import (ParamSet, ansatz_slot_kinds, build_ansatz, build_link,
+                           link_slot_count, param_slot_kinds)
 from qkattn.sim import Circuit, run_circuit
 
 
@@ -11,7 +11,7 @@ def gate_tuples(circ):
 
 
 def test_qaoa_structure_n2():
-    circ = build_qaoa(2, np.arange(4, dtype=float))
+    circ = build_ansatz("qaoa", 2, np.arange(4, dtype=float))
     assert gate_tuples(circ) == [
         ("H", (0,)), ("RY", (0,)), ("H", (1,)), ("RY", (1,)),
         ("CNOT", (0, 1)), ("RZ", (1,)), ("CNOT", (0, 1)),
@@ -23,7 +23,7 @@ def test_qaoa_structure_n2():
 
 
 def test_hea_structure_n2():
-    circ = build_hea(2, np.arange(4, dtype=float))
+    circ = build_ansatz("hea", 2, np.arange(4, dtype=float))
     assert gate_tuples(circ) == [
         ("H", (0,)), ("RZ", (0,)), ("H", (1,)), ("RZ", (1,)),
         ("CRY", (0, 1)), ("CRY", (1, 0)),
@@ -31,16 +31,16 @@ def test_hea_structure_n2():
 
 
 def test_ring_wraps_n3():
-    circ = build_hea(3, np.zeros(6))
+    circ = build_ansatz("hea", 3, np.zeros(6))
     entanglers = [op.coords for op in circ.ops if op.kind == "CRY"]
     assert entanglers == [(0, 1), (1, 2), (2, 0)]
 
 
 def test_n1_degeneracy():
     # self-loop entanglers are dropped; the qaoa RZ survives
-    qaoa = build_qaoa(1, [0.3, 0.4])
+    qaoa = build_ansatz("qaoa", 1, [0.3, 0.4])
     assert [op.kind for op in qaoa.ops] == ["H", "RY", "RZ"]
-    hea = build_hea(1, [0.3, 0.4])
+    hea = build_ansatz("hea", 1, [0.3, 0.4])
     assert [op.kind for op in hea.ops] == ["H", "RZ"]
 
 
@@ -52,9 +52,9 @@ def test_zero_angles_keep_h_layer():
 
 def test_param_count_validation():
     with pytest.raises(ValueError):
-        build_qaoa(2, np.zeros(3))
+        build_ansatz("qaoa", 2, np.zeros(3))
     with pytest.raises(ValueError):
-        build_hea(2, [0.1, np.inf, 0.0, 0.0])
+        build_ansatz("hea", 2, [0.1, np.inf, 0.0, 0.0])
     with pytest.raises(ValueError):
         build_ansatz("vqe", 2, np.zeros(4))
 

@@ -203,6 +203,15 @@ def test_variant_flag(tmp_path):
     ({"data": {"count": None}}, "count"),
     ({"data": {"d": None}}, "d"),
     ({"data": {"count": [24]}}, "count"),
+    ({"seed": 2.5}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"model": {"n": 2.5}}, "n"),
+    ({"model": {"n": True}}, "n"),
+    ({"model": {"shots": 2.5}}, "shots"),
+    ({"train": {"steps": 2.5}}, "steps"),
+    ({"train": {"batch_size": 2.5}}, "batch_size"),
+    # more features than the encoder holds is refused before any is generated
+    ({"data": {"d": 1e9}}, "d"),
 ])
 def test_malformed_config_value_is_one_line_error(tmp_path, capsys, overrides, key):
     cfg = write_config(tmp_path, **overrides)

@@ -7,6 +7,7 @@ from qkattn.ansatz import LINK_MODES
 from qkattn.model import (VARIANTS, BatchEvaluator, ModelConfig, build_full_circuit,
                           build_register1, build_register2, forward, predict,
                           qksas)
+from qkattn.train import TrainConfig, gradient
 
 
 def random_features(cfg, rng):
@@ -262,6 +263,36 @@ def test_noisy_density_evaluator_matches_full_circuit_oracle(n, noise):
                 e1, p1 = ev.evaluate(ParamSet.from_vector(vec, n, link), idx=idx)
                 assert np.max(np.abs(e_stack[k] - e1)) < 1e-13, (variant, link)
                 assert np.max(np.abs(p_stack[k] - p1)) < 1e-13, (variant, link)
+
+
+@pytest.mark.parametrize("noise", [None, "bit-flip", "both"])
+@pytest.mark.parametrize("link", LINK_MODES)
+@pytest.mark.parametrize("n", (2, 3))
+def test_only_theta4_slot_n_minus_1_reaches_the_readout(n, link, noise):
+    # of the link's gates only the one on the readout qubit (slot n−1)
+    # reaches E: perturbing any other θ4 slot leaves the full circuit's E
+    # unchanged, and the gradient there is exactly 0
+    rng = np.random.default_rng(40 + n)
+    kwargs = {} if noise is None else dict(execution="density", noise=NOISE_SETS[noise])
+    for variant in VARIANTS:
+        cfg = ModelConfig.from_variant(variant, n=n, link_mode=link, **kwargs)
+        x = np.array([random_features(cfg, rng) for _ in range(3)])
+        p = cfg.random_params(rng)
+
+        def oracle(params):
+            full = build_full_circuit(x[0], x[1], params, cfg)
+            state = sim.run_circuit(full, "density", noise=cfg.noise).state
+            return sim.expectation_z(state, 2 * n - 1)
+
+        e_ref = oracle(p)
+        others = [s for s in range(p.theta4.size) if s != n - 1]
+        for s in others:
+            moved = ParamSet.from_vector(p.to_vector(), n, link)
+            moved.theta4[s] += 1.3
+            assert abs(oracle(moved) - e_ref) < 1e-12, (variant, s)
+        g = gradient(BatchEvaluator(x, x, cfg), p, [1.0, -1.0, 1.0], TrainConfig())
+        assert np.all(g[6 * n:][others] == 0), variant
+        assert g[7 * n - 1] != 0, variant
 
 
 def test_batch_matches_single_evaluation():
