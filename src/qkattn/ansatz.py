@@ -28,6 +28,7 @@ from .sim import Circuit, Condition
 
 ANSATZ_KINDS = ("qaoa", "hea")
 LINK_MODES = ("all-zeros-canonical", "per-qubit-literal")
+LINK_FORMS = ("conditional", "deferred")
 
 
 def _check_params(theta, count: int) -> np.ndarray:
@@ -91,9 +92,11 @@ def build_link(mode: str, n: int, theta4, form: str = "conditional") -> Circuit:
     Canonical mode supports form="conditional" (classically conditioned
     on register-1 bits 0..n-1 all reading 0) and form="deferred"
     (open-controlled RY on all register-1 qubits).  Literal mode is a
-    pure unitary; ``form`` is ignored.
+    pure unitary under either form.
     """
     theta4 = _check_params(theta4, link_slot_count(mode, n))
+    if form not in LINK_FORMS:
+        raise ValueError(f"unknown link form {form!r}")
     if mode == "per-qubit-literal":
         circ = Circuit(2 * n)
         for c in range(n):
@@ -106,13 +109,11 @@ def build_link(mode: str, n: int, theta4, form: str = "conditional") -> Circuit:
         for c in range(n):
             circ.gate("RY", (n + c,), float(theta4[c]), condition=cond)
         return circ
-    if form == "deferred":
-        circ = Circuit(2 * n)
-        controls = tuple(range(n))
-        for c in range(n):
-            circ.gate("MCRY-open", controls + (n + c,), float(theta4[c]))
-        return circ
-    raise ValueError(f"unknown link form {form!r}")
+    circ = Circuit(2 * n)
+    controls = tuple(range(n))
+    for c in range(n):
+        circ.gate("MCRY-open", controls + (n + c,), float(theta4[c]))
+    return circ
 
 
 @dataclasses.dataclass

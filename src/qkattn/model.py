@@ -30,13 +30,15 @@ readouts are ⟨Z⟩ of U(θ3)φ_j with and without the link gate.  U(θ1),
 U(θ2) and U(θ3) come from one stacked ``sim.layout_unitaries`` call, a
 short product of the ansatz's cached full-space rotation factors.
 Density mode is the same closed form on vectorised density matrices:
-every fragment is a noisy channel whose gates are each fused with their
-noise into one local superoperator (noise after every gate, on each of
-its qubits, as ``sim.run_circuit`` places it per moment).  Register 1
-applies the channel of U†(θ2)U(θ1) to the noisy encoded ρ_i, then that
-of U_φ†(w_j); the register-2 readouts carry Z backwards (Heisenberg
-picture) through the link gate and θ3 and read it on the noisy encoded
-ρ_j.  The test suite checks both modes against the full circuit, whose
+every fragment is a noisy channel in which each gate is followed by its
+noise, on each of its qubits, as ``sim.run_circuit`` places it per
+moment.  At n ≤ 2 a fragment's channel is one product of the layout's
+cached full-space superoperator factors; larger registers fuse each gate
+with its noise into one local superoperator and apply them in turn.
+Register 1 applies the channel of U†(θ2)U(θ1) to the noisy encoded ρ_i,
+then that of U_φ†(w_j); the register-2 readouts carry Z backwards
+(Heisenberg picture) through the link gate and θ3 and read it on the
+noisy encoded ρ_j.  The test suite checks both modes against the full circuit, whose
 literal link is the real 2n-qubit unitary.  Shots mode samples the exact
 branch-resolved full-circuit distribution.
 """
@@ -57,6 +59,8 @@ VARIANTS = ("AmHE", "AnHE", "AmQAOA", "AnQAOA")
 _ENCODER_TAG = {"Am": "amplitude", "An": "angle"}
 _ANSATZ_TAG = {"HE": "hea", "QAOA": "qaoa"}
 EXECUTION_MODES = ("analytic", "shots", "density")
+# each register holds at most 2^n ≤ 16 amplitudes
+MAX_QUBITS = 4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -74,8 +78,9 @@ class ModelConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name!r} must be an integer, got {value!r}")
-        if self.n < 1:
-            raise ValueError("need at least one qubit per register")
+        if not 1 <= self.n <= MAX_QUBITS:
+            raise ValueError(f"'n' must be between 1 and {MAX_QUBITS} qubits per register, "
+                             f"got {self.n}")
         if self.encoder not in _encoding.ENCODER_KINDS:
             raise ValueError(f"unknown encoder {self.encoder!r}")
         if self.ansatz not in _ansatz.ANSATZ_KINDS:
@@ -167,7 +172,7 @@ def build_full_circuit(w_i, w_j, params: ParamSet, config: ModelConfig,
     ``form`` selects how the link is realized for the canonical mode:
     "conditional" measures register 1 mid-circuit and classically
     conditions the link, "deferred" keeps everything unitary via
-    open-controlled RY.  Literal link mode is always unitary.
+    open-controlled RY.  Literal link mode is unitary under either form.
     ``final_measure`` appends a measurement of the last qubit into
     classical bit n.
     """
@@ -217,11 +222,12 @@ class BatchEvaluator:
     ansatz's cached full-space factors.  Density mode keeps the noisy
     encoded states ρ_i, ρ_j and the noisy channel C_j of U_φ(w_j)†; per
     call it builds the register-1 channel of U†(θ2)U(θ1) and carries the
-    readout observable backwards through θ3 and the link gate, each gate
-    fused with its noise into one local superoperator
-    (``sim.apply_noisy_layout``).  The two links differ only in the
-    register-1 outcomes on which the link fires and, in density mode,
-    the noise of the idle readout.
+    readout observable backwards through θ3 and the link gate
+    (``sim.layout_channels``, ``sim.apply_noisy_layout``): at n ≤ 2 each
+    fragment is one product of cached full-space superoperator factors,
+    at n ≥ 3 its gates, each fused with its noise, are applied one at a
+    time.  The two links differ only in the register-1 outcomes on which
+    the link fires and, in density mode, the noise of the idle readout.
     """
 
     def __init__(self, wi, wj, config: ModelConfig):

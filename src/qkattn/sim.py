@@ -90,7 +90,7 @@ def _rotation_stack(kind: str, c: np.ndarray, s: np.ndarray, qubits: int) -> np.
 
     Every entry is affine in (c, s), so the rows at (c, s) = (0, 0),
     (1, 0) and (0, 1) give the factors of R(θ) = M0 + c·M1 + s·M2 that
-    ``_unitary_factors`` caches.  Kept apart from gate_matrix, which the
+    ``_gate_factors`` caches.  Kept apart from gate_matrix, which the
     circuit oracle uses one gate at a time: the oracle tests then check
     these matrices against it.  RY, CRY and MCRY-open rotate between two
     local basis indices (lo, hi) and act as the identity elsewhere.
@@ -249,9 +249,6 @@ class Circuit:
             self.add(op)
         return self
 
-    def gate_ops(self) -> list[GateOp]:
-        return [op for op in self.ops if isinstance(op, GateOp)]
-
     def adjoint(self) -> "Circuit":
         """Reverse gate order and negate rotation angles.
 
@@ -374,63 +371,125 @@ def _apply_stack(states: np.ndarray, mats: np.ndarray, coords: Sequence[int], q:
     return t.reshape(moved).transpose(np.argsort(perm)).reshape(lead + (2**q,))
 
 
-@functools.lru_cache(maxsize=64)
-def _unitary_factors(layout: tuple, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A layout compiled into full-space factors, for layout_unitaries.
+# b_i·b_j for b = [1, c, s] (column 3i + j) in the basis [1, c, s, cs, s²]
+# of a rotation's superoperator coefficients, using c² = 1 − s²
+_PAIR_BASIS = np.array([[1, 0, 0, 0, 1, 0, 0, 0, 0],
+                        [0, 1, 0, 1, 0, 0, 0, 0, 0],
+                        [0, 0, 1, 0, 0, 0, 1, 0, 0],
+                        [0, 0, 0, 0, 0, 1, 0, 1, 0],
+                        [0, 0, 0, 0, -1, 0, 0, 0, 1]], dtype=float)
 
-    Returns (slots, factors, tail): the angle slot of each of the R
-    rotations (R,), and per rotation the full-space (M0, M1, M2) of
-    R(θ) = M0 + c·M1 + s·M2 as (R, 3, 4^q).  The unparameterized gates
-    before a rotation are folded into its factors (on the right); the
-    tail, those after the last rotation, into the last rotation's (on
-    the left).  With no rotation, tail is the whole unitary.
+
+def _coefficients(half: np.ndarray, channel: bool) -> np.ndarray:
+    """The coefficient basis at half-angles θ/2, on a new last axis:
+    [1, c, s] for a unitary, [1, c, s, cs, s²] for a superoperator."""
+    c, s = np.cos(half), np.sin(half)
+    terms = [np.ones_like(half), c, s] + ([c * s, s * s] if channel else [])
+    return np.stack(terms, axis=-1)
+
+
+@functools.lru_cache(maxsize=256)
+def _gate_factors(kind: str, arity: int, rotation: bool,
+                  noise: tuple[NoiseChannel, ...] | None) -> np.ndarray:
+    """One gate in its local space as factors over ``_coefficients``:
+    a rotation's value at θ is coefficients(θ/2) @ factors, a fixed
+    gate's is its one factor (1, d, d).
+
+    ``noise`` None gives the unitary (d = 2^m) with R(θ) = M0 + c·M1 +
+    s·M2.  Otherwise the gate is fused with each channel of ``noise`` on
+    each of its qubits into one superoperator N·(R ⊗ R*) (d = 4^m), on
+    the gate's local vec space as in ``apply_noisy_layout``.
     """
-    dim = 2**q
+    if rotation:
+        m = _rotation_stack(kind, np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]), arity)
+        m[1:] -= m[0]
+    else:
+        m = gate_matrix(kind, qubits=arity)[None]
+    if noise is not None:
+        b, d = m.shape[:2]
+        # Mi ⊗ Mj*, with vec(ρ)'s row bits high
+        m = (m[:, None, :, None, :, None] * m.conj()[None, :, None, :, None, :]).reshape(
+            b * b, d * d, d * d)
+        if rotation:
+            m = np.tensordot(_PAIR_BASIS, m, axes=1)
+        if noise:
+            m = _noise_superop(noise, arity) @ m
+    m.flags.writeable = False
+    return m
+
+
+@functools.lru_cache(maxsize=64)
+def _layout_factors(layout: tuple, q: int, noise: tuple[NoiseChannel, ...] | None
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A layout compiled into full-space factors, for ``_layout_product``.
+
+    ``noise`` None compiles unitaries on 2^q amplitudes; otherwise noisy
+    superoperators on 4^q vec entries, every gate fused with its noise
+    (``_gate_factors``).  Returns (slots, factors, tail): the angle slot
+    of each of the R rotations (R,), the full-space factors of each
+    rotation over ``_coefficients`` as (R, 3 or 5, D²), and the fixed
+    tail.  The unparameterized gates before a rotation are folded into
+    its factors (on the right); the tail, those after the last rotation,
+    into the last rotation's (on the left).  With no rotation, tail is
+    the whole fragment.
+    """
+    qubits = q if noise is None else 2 * q
+    dim = 2**qubits
     eye = np.eye(dim, dtype=complex)[None]
     slots, factors = [], []
     # row b: column b of the unparameterized gates since the last rotation
     cols = eye
     for kind, coords, slot in layout:
+        mats = _gate_factors(kind, len(coords), slot is not None, noise)
+        if noise is not None:
+            # the gate's column bits, then its row bits
+            coords = tuple(coords) + tuple(c + q for c in coords)
         if slot is None:
-            cols = _apply_stack(cols, gate_matrix(kind, qubits=len(coords))[None], coords, q)
+            cols = _apply_stack(cols, mats, coords, qubits)
             continue
-        m = _rotation_stack(kind, np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]),
-                            len(coords))
-        m[1:] -= m[0]
-        lifted = _apply_stack(np.broadcast_to(cols, (3, dim, dim)), m, coords, q)
+        lifted = _apply_stack(np.broadcast_to(cols, (len(mats), dim, dim)), mats, coords, qubits)
         factors.append(lifted.transpose(0, 2, 1))
         slots.append(slot)
         cols = eye
     tail = cols[0].T.copy()
     if factors:
         factors[-1] = tail @ factors[-1]
-    factors = np.array(factors, dtype=complex).reshape(len(slots), 3, dim * dim)
+    terms = 3 if noise is None else len(_PAIR_BASIS)
+    factors = np.array(factors, dtype=complex).reshape(len(slots), terms, dim * dim)
     out = (np.array(slots, dtype=np.intp), factors, tail)
     for arr in out:
         arr.flags.writeable = False
     return out
 
 
-def layout_unitaries(layout: Layout, angles: np.ndarray, q: int) -> np.ndarray:
-    """Unitaries (K, 2^q, 2^q) of a fixed-structure fragment, one per
-    row of ``angles``.
-
-    The layout is compiled once into cached full-space factors
-    (``_unitary_factors``); a call evaluates every rotation of every row
-    from its [1, cos(θ/2), sin(θ/2)] in one batched product and
-    multiplies the R gates together, R − 1 batched matmuls in all.
-    """
-    slots, factors, tail = _unitary_factors(tuple(layout), q)
-    dim = 2**q
+def _layout_product(layout: Layout, angles: np.ndarray, q: int,
+                    noise: tuple[NoiseChannel, ...] | None) -> np.ndarray:
+    """The fragment (unitary or, with ``noise`` not None, superoperator)
+    for each row of ``angles``: every rotation of every row from one
+    batched product of coefficients and cached factors, then R − 1
+    batched matmuls."""
+    slots, factors, tail = _layout_factors(tuple(layout), q, noise)
+    dim = len(tail)
     if not slots.size:
         return np.broadcast_to(tail, (len(angles), dim, dim)).copy()
-    half = angles[:, slots].T / 2
-    coef = np.stack([np.ones_like(half), np.cos(half), np.sin(half)], axis=2)
+    coef = _coefficients(angles[:, slots].T / 2, noise is not None)
     gates = (coef @ factors).reshape(slots.size, len(angles), dim, dim)
     u = gates[0]
     for gate in gates[1:]:
         u = gate @ u
     return u
+
+
+def layout_unitaries(layout: Layout, angles: np.ndarray, q: int) -> np.ndarray:
+    """Unitaries (K, 2^q, 2^q) of a fixed-structure fragment, one per
+    row of ``angles``.
+
+    The layout is compiled once into cached full-space factors, R(θ) =
+    M0 + c·M1 + s·M2 per rotation with c, s = cos(θ/2), sin(θ/2); a call
+    evaluates every rotation of every row in one batched product and
+    multiplies the R gates together, R − 1 batched matmuls in all.
+    """
+    return _layout_product(layout, angles, q, None)
 
 
 @functools.lru_cache(maxsize=256)
@@ -451,20 +510,13 @@ def _noise_superop(noise: tuple[NoiseChannel, ...], arity: int) -> np.ndarray:
     return out
 
 
-def _superop_stack(u: np.ndarray) -> np.ndarray:
-    """U ⊗ U* over a (K, d, d) stack: ρ ↦ UρU† on the local vec space."""
-    k, d, _ = u.shape
-    return (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(k, d * d, d * d)
-
-
-@functools.lru_cache(maxsize=256)
-def _fixed_superop(kind: str, arity: int, noise: tuple[NoiseChannel, ...]) -> np.ndarray:
-    """Fused noisy superoperator (1, 4^m, 4^m) of an unparameterized gate."""
-    s = _superop_stack(gate_matrix(kind, qubits=arity)[None])
-    if noise:
-        s = _noise_superop(noise, arity) @ s
-    s.flags.writeable = False
-    return s
+# Registers with at most this many vec(ρ) entries (q ≤ 2) build a noisy
+# fragment as one product of cached full-space factors, like
+# layout_unitaries.  At q = 3 the 64 × 64 products measured no net gain
+# over applying the gates one at a time (slower for the angle encoder's
+# channel, faster for others), and at q = 4 one rotation's factors would
+# take 5 MB.
+_FACTORED_VEC_DIM = 16
 
 
 def apply_noisy_layout(vecs: np.ndarray, layout: Layout, angles: np.ndarray, q: int,
@@ -473,24 +525,24 @@ def apply_noisy_layout(vecs: np.ndarray, layout: Layout, angles: np.ndarray, q: 
     density matrices, vec(ρ)[c + 2^q r] = ρ[r, c].
 
     Every gate is followed by each channel of ``noise`` on each of its
-    qubits, fused with the gate into one local superoperator.  Row k of
-    ``angles`` drives the gates applied to vecs[k].  ``adjoint`` applies
-    the adjoint map instead (the superoperators conjugate-transposed, in
-    reverse order), which carries vectorised observables backwards:
-    Tr(O·Λ(ρ)) = Tr(Λ†(O)·ρ).
+    qubits, fused with the gate into one superoperator.  Row k of
+    ``angles`` drives the gates applied to vecs[k].  At q ≤ 2 the whole
+    fragment S is one product of cached full-space factors
+    (``layout_channels``) applied as vecs @ Sᵀ; larger registers apply
+    the fused gates one at a time on their local qubits.  ``adjoint``
+    applies the adjoint map instead (S†, or the local superoperators
+    conjugate-transposed in reverse order), which carries vectorised
+    observables backwards: Tr(O·Λ(ρ)) = Tr(Λ†(O)·ρ).
     """
     noise = tuple(noise)
+    if 4**q <= _FACTORED_VEC_DIM:
+        s = _layout_product(layout, angles, q, noise)
+        return vecs @ (s.conj() if adjoint else s.transpose(0, 2, 1))
     ops = []
     for kind, coords, slot in layout:
-        if slot is None:
-            mats = _fixed_superop(kind, len(coords), noise)
-        else:
-            half = angles[:, slot] / 2
-            mats = _superop_stack(_rotation_stack(kind, np.cos(half), np.sin(half),
-                                                  len(coords)))
-            if noise:
-                mats = _noise_superop(noise, len(coords)) @ mats
-        # the gate's column bits, then its row bits
+        mats = _gate_factors(kind, len(coords), slot is not None, noise)
+        if slot is not None:
+            mats = np.tensordot(_coefficients(angles[:, slot] / 2, True), mats, axes=1)
         ops.append((mats, tuple(coords) + tuple(c + q for c in coords)))
     if adjoint:
         ops = [(m.conj().transpose(0, 2, 1), c) for m, c in reversed(ops)]
@@ -502,7 +554,16 @@ def apply_noisy_layout(vecs: np.ndarray, layout: Layout, angles: np.ndarray, q: 
 def layout_channels(layout: Layout, angles: np.ndarray, q: int,
                     noise: Sequence[NoiseChannel] = ()) -> np.ndarray:
     """Superoperators (K, 4^q, 4^q) of a noisy fixed-structure fragment,
-    one per row of ``angles``, acting on vec(ρ) as in apply_noisy_layout."""
+    one per row of ``angles``, acting on vec(ρ) as in apply_noisy_layout.
+
+    At q ≤ 2 each is one product of the layout's cached full-space
+    factors, N·(R ⊗ R*) per rotation over [1, c, s, cs, s²] with the
+    noisy fixed gates folded in; larger registers run the fused gates
+    one at a time on the 4^q basis vectors.
+    """
+    noise = tuple(noise)
+    if 4**q <= _FACTORED_VEC_DIM:
+        return _layout_product(layout, angles, q, noise)
     dim = 4**q
     basis = np.broadcast_to(np.eye(dim, dtype=complex), (len(angles), dim, dim))
     return apply_noisy_layout(basis, layout, angles, q, noise).transpose(0, 2, 1)

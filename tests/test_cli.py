@@ -212,6 +212,9 @@ def test_variant_flag(tmp_path):
     ({"train": {"batch_size": 2.5}}, "batch_size"),
     # more features than the encoder holds is refused before any is generated
     ({"data": {"d": 1e9}}, "d"),
+    # registers hold at most 2^4 amplitudes
+    ({"model": {"n": 5}}, "n"),
+    ({"model": {"n": 30}}, "n"),
 ])
 def test_malformed_config_value_is_one_line_error(tmp_path, capsys, overrides, key):
     cfg = write_config(tmp_path, **overrides)

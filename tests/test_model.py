@@ -39,6 +39,23 @@ def test_config_validation_and_variants():
         ModelConfig.from_variant("AmVQE")
 
 
+def test_config_bounds_register_size():
+    # 2^n ≤ 16 amplitudes per register
+    assert ModelConfig(n=4).feature_dim == 16
+    for n in (0, 5, 30):
+        with pytest.raises(ValueError, match="'n'"):
+            ModelConfig(n=n)
+
+
+@pytest.mark.parametrize("link_mode", LINK_MODES)
+def test_full_circuit_rejects_unknown_link_form(link_mode):
+    cfg = ModelConfig(n=1, link_mode=link_mode)
+    rng = np.random.default_rng(8)
+    w = random_features(cfg, rng)
+    with pytest.raises(ValueError, match="bogus"):
+        build_full_circuit(w, w, cfg.random_params(rng), cfg, form="bogus")
+
+
 def test_kernel_self_consistency():
     rng = np.random.default_rng(0)
     for cfg in all_configs():

@@ -393,6 +393,57 @@ def test_noisy_layout_adjoint_is_heisenberg_picture(q):
             assert abs(np.trace(out[k, 0].reshape(dim, dim)) - 1.0) < 1e-12
 
 
+# --- noisy layouts as products of cached factors (q <= 2) ---------------------
+
+def _assert_channels_match_lifted(layout, angles, q, noise, rng):
+    got = sim.layout_channels(layout, angles, q, noise)
+    assert got.shape == (len(angles), 4**q, 4**q)
+    vecs = rng.normal(size=(len(angles), 3, 4**q)) + 1j * rng.normal(size=(len(angles), 3, 4**q))
+    forward = sim.apply_noisy_layout(vecs, layout, angles, q, noise)
+    backward = sim.apply_noisy_layout(vecs, layout, angles, q, noise, adjoint=True)
+    for k, row in enumerate(angles):
+        ref = _lifted_channel(layout, row, q, noise)
+        assert np.max(np.abs(got[k] - ref)) < 1e-12, (layout, noise)
+        assert np.max(np.abs(forward[k] - vecs[k] @ ref.T)) < 1e-12, (layout, noise)
+        assert np.max(np.abs(backward[k] - vecs[k] @ ref.conj())) < 1e-12, (layout, noise)
+
+
+@pytest.mark.parametrize("q", (1, 2))
+@pytest.mark.parametrize("noise", NOISE_SETS)
+def test_layout_channel_factors_match_lifted_kraus_reference(q, noise):
+    rng = np.random.default_rng(100 + q)
+    # noisy fixed gates at both ends fold into the first and last factors
+    fixed = (("H", (0,), None), ("X", (q - 1,), None))
+    layout = fixed + _random_layout(rng, q, 4) + fixed[::-1]
+    _assert_channels_match_lifted(layout, rng.uniform(0, 2 * np.pi, size=(2, 3)), q, noise, rng)
+    # a list layout is accepted like its tuple
+    _assert_channels_match_lifted(list(layout), rng.uniform(0, 2 * np.pi, size=(2, 3)), q,
+                                  noise, rng)
+    # no rotation at all: the fixed channel for every row
+    _assert_channels_match_lifted(fixed, np.zeros((2, 0)), q, noise, rng)
+
+
+@pytest.mark.parametrize("q", (1, 2))
+def test_layout_channel_factors_depend_on_noise_strength(q):
+    rng = np.random.default_rng(110 + q)
+    layout = _random_layout(rng, q, 4)
+    angles = rng.uniform(0, 2 * np.pi, size=(2, 3))
+    for kind in ("bit-flip", "amplitude-damping"):
+        for strength in (0.1, 0.3):
+            _assert_channels_match_lifted(layout, angles, q, (NoiseChannel(kind, strength),), rng)
+
+
+@pytest.mark.parametrize("q", (1, 2))
+def test_layout_channels_results_do_not_alias_the_cache(q):
+    rng = np.random.default_rng(120 + q)
+    angles = rng.uniform(0, 2 * np.pi, size=(2, 3))
+    for layout in (_random_layout(rng, q, 4), (("H", (0,), None), ("X", (q - 1,), None))):
+        first = sim.layout_channels(layout, angles, q, NOISE_SETS[3])
+        expected = first.copy()
+        first[...] = 0.0
+        assert np.array_equal(sim.layout_channels(layout, angles, q, NOISE_SETS[3]), expected)
+
+
 # --- analytic layouts as products of cached factors ---------------------------
 
 def _kron_unitary(layout, row, q):
