@@ -188,7 +188,9 @@ def _params_json(params: ParamSet) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def load_params(path: str) -> ParamSet:
+def load_params(path: str, mcfg: ModelConfig) -> ParamSet:
+    """The ParamSet in a params.json, each block a flat list of exactly as
+    many numbers as ``mcfg`` has slots in it."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -200,12 +202,18 @@ def load_params(path: str) -> ParamSet:
     missing = [k for k in names if k not in payload]
     if missing:
         raise CliError(f"params file lacks {', '.join(missing)}")
+    expected = ParamSet.zeros(mcfg.n, mcfg.link_mode)
     values = {}
     for k in names:
         try:
             values[k] = np.asarray(payload[k], dtype=float)
         except (TypeError, ValueError) as exc:
             raise CliError(f"params key {k!r} must be a list of numbers") from exc
+        size = getattr(expected, k).size
+        if values[k].shape != (size,):
+            raise CliError(f"params key {k!r} must be a flat list of {size} numbers for "
+                           f"n={mcfg.n} and link {mcfg.link_mode!r}, got shape "
+                           f"{values[k].shape}")
     return ParamSet(**values)
 
 
@@ -256,7 +264,7 @@ def cmd_qksas(args) -> int:
     mcfg = model_config_from(resolved)
     split = load_dataset(resolved, mcfg)
     if args.params:
-        params = load_params(args.params)
+        params = load_params(args.params, mcfg)
     else:
         params = mcfg.random_params(np.random.default_rng(resolved["seed"]))
     try:

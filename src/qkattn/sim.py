@@ -4,6 +4,17 @@ Pure statevector evolution, density-matrix evolution with Kraus noise
 channels, projective measurement of qubit subsets (including mid-circuit
 measurement with classically conditioned gates), and Z expectations.
 
+``run_circuit`` is the gate-by-gate oracle.  Its density mode keeps each
+classical branch's ρ as a (2,)·2q tensor and applies every operator on
+its own axes: a gate as the 4^m × 4^m superoperator U ⊗ U* built from
+``gate_matrix``, and after each moment the noise channels, composed from
+``NoiseChannel.kraus`` into one 4 × 4 superoperator, on each qubit the
+moment touched.  Only measurement projectors are lifted to the full
+space (``expand_matrix``).  The batched layout builders
+(``layout_unitaries``, ``layout_channels``, ``apply_noisy_layout``) are
+the fast paths checked against it; the oracle uses none of their
+compiled factors or caches.
+
 Basis ordering is little-endian throughout: qubit 0 is the least
 significant bit of a basis index.  For two-qubit gates the first
 coordinate is the control and maps to the low bit of the local 2-qubit
@@ -655,16 +666,6 @@ def expectation_z(state: StateVector | DensityMatrix, qubit: int) -> float:
     return float(np.sum(np.diagonal(state.mat).real * sign))
 
 
-def apply_channel(rho: DensityMatrix, channel: NoiseChannel, qubit: int) -> DensityMatrix:
-    if qubit >= rho.qubits:
-        raise ValueError("qubit index out of range")
-    out = np.zeros_like(rho.mat)
-    for k in channel.kraus():
-        kf = expand_matrix(k, (qubit,), rho.qubits)
-        out += kf @ rho.mat @ kf.conj().T
-    return DensityMatrix(rho.qubits, out)
-
-
 # --- circuit execution -------------------------------------------------
 
 @dataclasses.dataclass
@@ -714,14 +715,6 @@ def _moment_groups(ops: Sequence[CircuitOp]):
     yield from flush()
 
 
-def _noise_kraus_full(noise: Sequence[NoiseChannel], qubit: int, q: int,
-                      cache: dict) -> list[list[np.ndarray]]:
-    key = qubit
-    if key not in cache:
-        cache[key] = [[expand_matrix(k, (qubit,), q) for k in ch.kraus()] for ch in noise]
-    return cache[key]
-
-
 def _run_pure(circuit: Circuit, rng: np.random.Generator | None) -> RunResult:
     state = StateVector.zero(circuit.qubits)
     bits = [0] * circuit.clbits
@@ -745,52 +738,81 @@ def _run_pure(circuit: Circuit, rng: np.random.Generator | None) -> RunResult:
     return RunResult(state, tuple(bits), probs_record)
 
 
-def _apply_noise_density(branches: dict, keys, qubits: set[int], noise, q, cache) -> None:
-    """Apply every channel to every touched qubit, on the listed branches."""
-    for qubit in sorted(qubits):
-        for kraus_full in _noise_kraus_full(noise, qubit, q, cache):
-            for key in keys:
-                rho = branches[key]
-                branches[key] = sum(k @ rho @ k.conj().T for k in kraus_full)
+@functools.lru_cache(maxsize=1024)
+def _density_axes(coords: tuple[int, ...], q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The permutation that brings the row axes of ``coords``, then their
+    column axes, to the front of a (2,)·2q density tensor, and its inverse."""
+    rows = _coord_axes(coords, q)
+    front = rows + [q + a for a in rows]
+    perm = front + [a for a in range(2 * q) if a not in front]
+    return tuple(perm), tuple(np.argsort(perm))
+
+
+def _superop(u: np.ndarray) -> np.ndarray:
+    """U ⊗ U* on a local vec space with the row bits high:
+    vec(U ρ U†)[r·d + c] = Σ (U ⊗ U*)[r·d + c, r'·d + c'] ρ[r', c']."""
+    d = len(u)
+    return (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(d * d, d * d)
+
+
+def _apply_local(rho: np.ndarray, sop: np.ndarray, coords: tuple[int, ...], q: int) -> np.ndarray:
+    """Apply a local superoperator to the row and column axes of ``coords``
+    of a (2,)·2q density tensor: one transpose, one matmul, the inverse."""
+    perm, inverse = _density_axes(coords, q)
+    t = rho.transpose(perm)
+    moved = t.shape
+    return (sop @ t.reshape(len(sop), -1)).reshape(moved).transpose(inverse)
 
 
 def _run_density(circuit: Circuit, noise: Sequence[NoiseChannel]) -> RunResult:
+    """Exact branch-resolved evolution; one unnormalized density tensor of
+    shape (2,)·2q (row bits, then column bits) per classical bit pattern.
+
+    Each gate acts as its U ⊗ U* on the gate's own row and column axes
+    (``_apply_local``), never lifted to the full space.  After a moment,
+    the channels of ``noise``, composed once into one 4 × 4 superoperator
+    Σ K ⊗ K*, act on each qubit the moment touched.  A measurement splits
+    every branch by outcome with the diagonal of the lifted projectors,
+    dropping outcomes of weight ≤ 1e-15.
+    """
     q = circuit.qubits
     dim = 2**q
-    cache: dict = {}
+    shape = (2,) * (2 * q)
+    noise_sop = np.eye(4, dtype=complex)
+    for ch in noise:
+        noise_sop = sum(_superop(k) for k in ch.kraus()) @ noise_sop
+    rho0 = np.zeros(shape, dtype=complex)
+    rho0[(0,) * (2 * q)] = 1.0
     # branch key = classical bit pattern; values are unnormalized densities
-    rho0 = np.zeros((dim, dim), dtype=complex)
-    rho0[0, 0] = 1.0
     branches: dict[tuple[int, ...], np.ndarray] = {(0,) * circuit.clbits: rho0}
     probs_record: list[np.ndarray] = []
 
+    def evolve(keys, ops: Sequence[GateOp]) -> None:
+        for op in ops:
+            sop = _superop(op.matrix())
+            for key in keys:
+                branches[key] = _apply_local(branches[key], sop, op.coords, q)
+        if noise:
+            for qubit in sorted({c for op in ops for c in op.coords}):
+                for key in keys:
+                    branches[key] = _apply_local(branches[key], noise_sop, (qubit,), q)
+
     for kind, item in _moment_groups(circuit.ops):
         if kind == "gates":
-            touched: set[int] = set()
-            for op in item:
-                u = expand_matrix(op.matrix(), op.coords, q)
-                for key in branches:
-                    branches[key] = u @ branches[key] @ u.conj().T
-                touched |= set(op.coords)
-            if noise:
-                _apply_noise_density(branches, list(branches), touched, noise, q, cache)
+            evolve(list(branches), item)
         elif kind == "cond":
-            op = item
-            u = expand_matrix(op.matrix(), op.coords, q)
-            selected = [key for key in branches if op.condition.holds(key)]
-            for key in selected:
-                branches[key] = u @ branches[key] @ u.conj().T
-            if noise and selected:
-                _apply_noise_density(branches, selected, set(op.coords), noise, q, cache)
+            evolve([key for key in branches if item.condition.holds(key)], [item])
         elif kind == "measure":
             m = len(item.qubits)
+            # the diagonal of each outcome's projector, lifted to the full space
+            masks = [expand_matrix(np.diag(e), item.qubits, q).diagonal().real
+                     for e in np.eye(2**m)]
             agg = np.zeros(2**m)
             new_branches: dict[tuple[int, ...], np.ndarray] = {}
-            masks = _measurement_masks(item.qubits, q)
             for key, rho in branches.items():
-                for outcome in range(2**m):
-                    mask = masks[outcome]
-                    sub = rho * np.outer(mask, mask)
+                mat = rho.reshape(dim, dim)
+                for outcome, mask in enumerate(masks):
+                    sub = mat * np.outer(mask, mask)
                     w = float(np.trace(sub).real)
                     agg[outcome] += w
                     if w <= 1e-15:
@@ -799,27 +821,13 @@ def _run_density(circuit: Circuit, noise: Sequence[NoiseChannel]) -> RunResult:
                     for i, cb in enumerate(item.clbits):
                         newkey[cb] = (outcome >> i) & 1
                     newkey = tuple(newkey)
-                    if newkey in new_branches:
-                        new_branches[newkey] = new_branches[newkey] + sub
-                    else:
-                        new_branches[newkey] = sub
+                    new_branches[newkey] = new_branches.get(newkey, 0) + sub.reshape(shape)
             branches = new_branches
             probs_record.append(agg)
 
-    total = sum(branches.values())
-    weights = {key: float(np.trace(rho).real) for key, rho in branches.items()}
-    return RunResult(DensityMatrix(q, total), weights, probs_record)
-
-
-def _measurement_masks(qubits: Sequence[int], q: int) -> list[np.ndarray]:
-    idx = np.arange(2**q)
-    masks = []
-    for outcome in range(2 ** len(qubits)):
-        m = np.ones(2**q, dtype=bool)
-        for i, mq in enumerate(qubits):
-            m &= ((idx >> mq) & 1) == ((outcome >> i) & 1)
-        masks.append(m.astype(float))
-    return masks
+    mats = {key: rho.reshape(dim, dim) for key, rho in branches.items()}
+    weights = {key: float(np.trace(mat).real) for key, mat in mats.items()}
+    return RunResult(DensityMatrix(q, sum(mats.values())), weights, probs_record)
 
 
 def _run_one_trajectory(circuit: Circuit, noise: Sequence[NoiseChannel],
@@ -891,9 +899,11 @@ def run_circuit(circuit: Circuit, mode: str = "pure",
 
     Modes: "pure" (statevector; mid-circuit measurements sampled with
     ``rng``), "density" (exact, branch-resolved over classical outcomes;
-    ``noise`` applied to every qubit touched in a moment, after that
-    moment), "trajectories" (``trajectories`` stochastic pure-state runs
-    averaged into a density matrix).
+    each gate applied as U ⊗ U* on its own row and column axes, and
+    ``noise``, composed into one single-qubit superoperator, applied to
+    every qubit touched in a moment, after that moment; see
+    ``_run_density``), "trajectories" (``trajectories`` stochastic
+    pure-state runs averaged into a density matrix).
 
     Per-moment noise equals per-gate noise, each channel after every gate
     on each of its qubits (as ``apply_noisy_layout`` places it): the gates

@@ -230,7 +230,15 @@ def test_malformed_config_value_is_one_line_error(tmp_path, capsys, overrides, k
 
 @pytest.mark.parametrize("payload", ["3", "null", '"theta1"', "[1, 2]",
                                      '{"theta1": {"a": 1}, "theta2": [], "theta3": [], '
-                                     '"theta4": []}'])
+                                     '"theta4": []}',
+                                     # AmHE at n=2: 4 slots in theta1..3, 2 in theta4
+                                     json.dumps({"theta1": [0.1] * 4, "theta2": [0.1] * 4,
+                                                 "theta3": [0.1] * 9, "theta4": [0.1] * 7}),
+                                     json.dumps({"theta1": [0.1] * 4, "theta2": [0.1] * 4,
+                                                 "theta3": [0.1] * 4, "theta4": [0.1]}),
+                                     json.dumps({"theta1": [[0.1, 0.2], [0.1, 0.2]],
+                                                 "theta2": [0.1] * 4, "theta3": [0.1] * 4,
+                                                 "theta4": [0.1] * 2})])
 def test_malformed_params_file_is_one_line_error(tmp_path, capsys, payload):
     cfg = write_config(tmp_path)
     params = os.path.join(str(tmp_path), "params.json")

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from qkattn import sim
-from qkattn.sim import (Circuit, Condition, DensityMatrix, GateOp, Measure,
-                        NoiseChannel, StateVector, apply_channel, apply_gate,
-                        expand_matrix, expectation_z, gate_matrix,
-                        measure_subset, outcome_probabilities, run_circuit)
+from qkattn.sim import (Circuit, Condition, GateOp, Measure, NoiseChannel,
+                        StateVector, expand_matrix, expectation_z,
+                        gate_matrix, measure_subset, outcome_probabilities,
+                        run_circuit)
 
 
 # --- gate matrices -------------------------------------------------------
@@ -114,24 +114,27 @@ def _kron_embed(u, coords, q):
     return full
 
 
-def _random_circuit(rng, q, length, with_mcry=True):
+def _random_gate(rng, q, kinds=None):
+    """(kind, coords, angle) of a random gate on q qubits, of any kind that
+    fits unless ``kinds`` is given."""
+    if kinds is None:
+        kinds = ["H", "X", "RX", "RY", "RZ"] + (["CNOT", "CRY", "MCRY-open"] if q >= 2 else [])
+    kind = str(rng.choice(kinds))
+    if kind in ("CNOT", "CRY"):
+        coords = tuple(int(c) for c in rng.choice(q, size=2, replace=False))
+    elif kind == "MCRY-open":
+        arity = int(rng.integers(2, q + 1))
+        coords = tuple(int(c) for c in rng.choice(q, size=arity, replace=False))
+    else:
+        coords = (int(rng.integers(q)),)
+    angle = float(rng.uniform(0, 2 * np.pi)) if kind in sim.PARAMETERIZED_KINDS else None
+    return kind, coords, angle
+
+
+def _random_circuit(rng, q, length):
     circ = Circuit(q)
-    kinds = ["H", "X", "RX", "RY", "RZ"]
-    if q >= 2:
-        kinds += ["CNOT", "CRY"]
-        if with_mcry:
-            kinds += ["MCRY-open"]
     for _ in range(length):
-        kind = rng.choice(kinds)
-        if kind in ("CNOT", "CRY"):
-            coords = tuple(rng.choice(q, size=2, replace=False))
-        elif kind == "MCRY-open":
-            arity = int(rng.integers(2, q + 1))
-            coords = tuple(rng.choice(q, size=arity, replace=False))
-        else:
-            coords = (int(rng.integers(q)),)
-        angle = float(rng.uniform(0, 2 * np.pi)) if kind in sim.PARAMETERIZED_KINDS else None
-        circ.gate(kind, coords, angle)
+        circ.gate(*_random_gate(rng, q))
     return circ
 
 
@@ -211,23 +214,20 @@ def test_channel_trace_preservation(kind):
         kraus = ch.kraus()
         total = sum(k.conj().T @ k for k in kraus)
         assert np.allclose(total, np.eye(2), atol=1e-12)
-        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-        amps /= np.linalg.norm(amps)
-        rho = DensityMatrix.from_statevector(StateVector.from_amplitudes(amps))
-        out = apply_channel(rho, ch, int(rng.integers(2)))
+        out = run_circuit(_random_circuit(rng, 2, 4), "density", noise=ch).state
         assert np.isclose(out.trace(), 1.0)
 
 
 def test_bit_flip_full_strength_flips():
-    rho = DensityMatrix.zero(1)
-    out = apply_channel(rho, NoiseChannel("bit-flip", 1.0), 0)
+    # RZ(0) is the identity; it only marks qubit 0 as touched
+    circ = Circuit(1).gate("RZ", (0,), 0.0)
+    out = run_circuit(circ, "density", noise=NoiseChannel("bit-flip", 1.0)).state
     assert np.isclose(out.mat[1, 1].real, 1.0)
 
 
 def test_amplitude_damping_full_strength_resets():
     circ = Circuit(1).gate("X", (0,))
-    rho = DensityMatrix.from_statevector(run_circuit(circ, "pure").state)
-    out = apply_channel(rho, NoiseChannel("amplitude-damping", 1.0), 0)
+    out = run_circuit(circ, "density", noise=NoiseChannel("amplitude-damping", 1.0)).state
     assert np.isclose(out.mat[0, 0].real, 1.0)
 
 
@@ -497,3 +497,105 @@ def test_layout_unitaries_results_do_not_alias_the_cache():
         expected = first.copy()
         first[...] = 0.0
         assert np.array_equal(sim.layout_unitaries(layout, angles, 2), expected)
+
+
+# --- density oracle against lifted Kraus operators ----------------------------
+
+def _random_measured_circuit(rng, q):
+    """Random gates, mid-circuit measurements of qubit subsets and gates
+    conditioned on bits already written; at q >= 2 at least one
+    conditioned gate is an MCRY-open."""
+    clbits = min(q, 3)
+    circ = Circuit(q, clbits=clbits)
+    written: list[int] = []
+
+    def measure():
+        size = int(rng.integers(1, min(q, clbits) + 1))
+        qubits = rng.choice(q, size=size, replace=False)
+        bits = rng.choice(clbits, size=size, replace=False)
+        circ.measure(qubits, bits)
+        written.extend(b for b in bits if b not in written)
+
+    def conditioned(kinds=None):
+        bits = rng.choice(written, size=int(rng.integers(1, len(written) + 1)), replace=False)
+        condition = Condition(tuple(int(b) for b in bits),
+                              tuple(int(v) for v in rng.integers(2, size=len(bits))))
+        circ.gate(*_random_gate(rng, q, kinds=kinds), condition=condition)
+
+    for _ in range(3):
+        circ.gate(*_random_gate(rng, q))
+    measure()
+    conditioned(["MCRY-open"] if q >= 2 else None)
+    for _ in range(int(rng.integers(6, 12))):
+        r = rng.random()
+        if r < 0.15:
+            measure()
+        elif r < 0.4:
+            conditioned()
+        else:
+            circ.gate(*_random_gate(rng, q))
+    measure()
+    return circ
+
+
+def _lifted_density_run(circ, noise):
+    """run_circuit's density mode by brute force: every gate, Kraus
+    operator and projector lifted to the full space with _kron_embed, ρ
+    evolved by dense products, one ρ per classical bit pattern.  Noise
+    follows each gate on each of its qubits, which equals run_circuit's
+    once-per-touched-qubit-per-moment rule because the gates of a moment
+    act on disjoint qubits."""
+    q = circ.qubits
+    kraus = [[[_kron_embed(k, (qubit,), q) for k in ch.kraus()] for ch in noise]
+             for qubit in range(q)]
+    rho = np.zeros((2**q, 2**q), dtype=complex)
+    rho[0, 0] = 1.0
+    branches = {(0,) * circ.clbits: rho}
+    probs = []
+    for op in circ.ops:
+        if isinstance(op, Measure):
+            outcomes = 2 ** len(op.qubits)
+            projectors = [_kron_embed(np.diag(e), op.qubits, q) for e in np.eye(outcomes)]
+            agg = np.zeros(outcomes)
+            split = {}
+            for key, rho in branches.items():
+                for outcome, proj in enumerate(projectors):
+                    sub = proj @ rho @ proj
+                    w = float(np.trace(sub).real)
+                    agg[outcome] += w
+                    if w <= 1e-15:
+                        continue
+                    new = list(key)
+                    for i, cb in enumerate(op.clbits):
+                        new[cb] = (outcome >> i) & 1
+                    split[tuple(new)] = split.get(tuple(new), 0) + sub
+            branches = split
+            probs.append(agg)
+            continue
+        u = _kron_embed(op.matrix(), op.coords, q)
+        for key, rho in branches.items():
+            if op.condition is not None and not op.condition.holds(key):
+                continue
+            rho = u @ rho @ u.conj().T
+            for qubit in op.coords:
+                for ks in kraus[qubit]:
+                    rho = sum(k @ rho @ k.conj().T for k in ks)
+            branches[key] = rho
+    weights = {key: float(np.trace(rho).real) for key, rho in branches.items()}
+    return sum(branches.values()), weights, probs
+
+
+@pytest.mark.parametrize("noise", NOISE_SETS)
+def test_density_oracle_matches_lifted_kraus_reference(noise):
+    rng = np.random.default_rng(130 + NOISE_SETS.index(noise))
+    for q in range(1, 7):
+        for _ in range(2):
+            circ = _random_measured_circuit(rng, q)
+            got = run_circuit(circ, "density", noise=noise)
+            mat, weights, probs = _lifted_density_run(circ, noise)
+            assert np.max(np.abs(got.state.mat - mat)) < 1e-12, (q, noise)
+            assert set(got.bits) == set(weights), (q, noise)
+            assert max(abs(got.bits[k] - w) for k, w in weights.items()) < 1e-12
+            assert len(got.measurement_probs) == len(probs)
+            for a, b in zip(got.measurement_probs, probs):
+                assert np.max(np.abs(a - b)) < 1e-12, (q, noise)
