@@ -35,10 +35,11 @@ noise, on each of its qubits, as ``sim.run_circuit`` places it per
 moment.  At n ≤ 2 a fragment's channel is one product of the layout's
 cached full-space superoperator factors; larger registers fuse each gate
 with its noise into one local superoperator and apply them in turn.
-Register 1 applies the channel of U†(θ2)U(θ1) to the noisy encoded ρ_i,
-then that of U_φ†(w_j); the register-2 readouts carry Z backwards
-(Heisenberg picture) through the link gate and θ3 and read it on the
-noisy encoded ρ_j.  The test suite checks both modes against the full circuit, whose
+Register 1 applies the channel of U†(θ2)U(θ1) to the noisy encoded ρ_i
+and reads each outcome's projector carried back (Heisenberg picture)
+through the channel of U_φ†(w_j); the register-2 readouts carry Z
+backwards through the link gate and θ3 and read it on the noisy encoded
+ρ_j.  The test suite checks both modes against the full circuit, whose
 literal link is the real 2n-qubit unitary.  Shots mode samples the exact
 branch-resolved full-circuit distribution.
 """
@@ -211,23 +212,28 @@ class BatchEvaluator:
     """Forward evaluation over a fixed set of (w_i, w_j) pairs.
 
     Both modes encode every sample once at construction, in one batched
-    call, and a call then evaluates the closed form for a stack of K
-    parameter sets at once (``evaluate_stack``), which is how a gradient
-    evaluates its 2P+1 shifted parameter sets; ``evaluate`` is the K = 1
-    case.  Rows that agree on θ1, θ2, θ3 and θ4_{n−1}, the slots E
-    reads, are evaluated once, so E is exactly constant in the others.
+    call (a batch that pairs each sample with itself, as training does,
+    encodes it once for both roles), and a call then evaluates the closed
+    form for a stack of K parameter sets at once (``evaluate_stack``),
+    which is how a gradient evaluates its 2P+1 shifted parameter sets;
+    ``evaluate`` is the K = 1 case.  Rows that agree on θ1, θ2, θ3 and
+    θ4_{n−1}, the slots E reads, are evaluated once, so E is exactly
+    constant in the others.
     Analytic mode keeps φ_i, φ_j and U_φ(w_j)† and per call builds U(θ1),
     U(θ2) and U(θ3) for all K rows in one stacked
     ``sim.layout_unitaries`` call (3K rows), each a product of the
     ansatz's cached full-space factors.  Density mode keeps the noisy
-    encoded states ρ_i, ρ_j and the noisy channel C_j of U_φ(w_j)†; per
-    call it builds the register-1 channel of U†(θ2)U(θ1) and carries the
-    readout observable backwards through θ3 and the link gate
+    encoded states ρ_i, ρ_j and, per sample, the 2^n register-1 outcome
+    projectors pulled back through the noisy channel of U_φ(w_j)†; per
+    call it applies the register-1 channel of U†(θ2)U(θ1) to ρ_i and
+    carries the readout observable backwards through θ3 and the link gate
     (``sim.layout_channels``, ``sim.apply_noisy_layout``): at n ≤ 2 each
     fragment is one product of cached full-space superoperator factors,
     at n ≥ 3 its gates, each fused with its noise, are applied one at a
-    time.  The two links differ only in the register-1 outcomes on which
-    the link fires and, in density mode, the noise of the idle readout.
+    time, to the batch's states when they are fewer than the 4^n vec
+    basis vectors, else once to that basis to build the channel.  The two
+    links differ only in the register-1 outcomes on which the link fires
+    and, in density mode, the noise of the idle readout.
     """
 
     def __init__(self, wi, wj, config: ModelConfig):
@@ -256,20 +262,27 @@ class BatchEvaluator:
         self._link = (("RY", (n - 1,), 0),)
         enc = config.encoder
         layout = _encoding.encoder_layout(enc, n)
-        angles = _encoding.encoder_angles(enc, np.vstack([wi, wj]), n)
+        same = np.array_equal(wi, wj)
+        angles = _encoding.encoder_angles(enc, wi if same else np.vstack([wi, wj]), n)
+        at_j = 0 if same else self.count  # first row of the w_j encodings
         if config.execution == "analytic":
             u_enc = _sim.layout_unitaries(layout, angles, n)
             self._phi_i = u_enc[: self.count, :, 0]
-            self._phi_j = u_enc[self.count:, :, 0]
-            self._v_j = _adjoint(u_enc[self.count:])
+            self._phi_j = u_enc[at_j:, :, 0]
+            self._v_j = _adjoint(u_enc[at_j:])
             return
         noise = config.noise
-        zero = np.zeros((len(angles), 1, 4**n), dtype=complex)
-        zero[:, 0, 0] = 1.0
+        zero = np.zeros((1, 1, 4**n), dtype=complex)
+        zero[0, 0, 0] = 1.0
         rho = _sim.apply_noisy_layout(zero, layout, angles, n, noise)[:, 0]
-        self._rho_i, self._rho_j = rho[: self.count], rho[self.count:]
-        self._c_j = _sim.layout_channels(_reversed_layout(layout), -angles[self.count:],
-                                         n, noise)
+        self._rho_i, self._rho_j = rho[: self.count], rho[at_j:]
+        # the 2^n outcome projectors, vec(|o⟩⟨o|) = e_{o(2^n + 1)}, carried
+        # back through the channel of U_φ†(w_j) and conjugated, so that
+        # probs = p_j · vec(σ)
+        proj = np.eye(4**n, dtype=complex)[:: 2**n + 1]
+        self._p_j = _sim.apply_noisy_layout(proj[None], _reversed_layout(layout),
+                                            -angles[at_j:], n, noise,
+                                            adjoint=True).conj()
         # U(θ1) then U†(θ2), driven by the angle row [θ1, −θ2]
         self._mid = self._ansatz + _reversed_layout(self._ansatz, 2 * n)
         self._z_obs = np.diag(self._z_last).reshape(1, 1, -1).astype(complex)
@@ -335,20 +348,22 @@ class BatchEvaluator:
         # entry, and Tr(O·ρ) = vec(O)ᴴ vec(ρ) for Hermitian O
         cfg = self.config
         n, noise, dim = cfg.n, cfg.noise, 2**cfg.n
-        rho_i, rho_j, c_j = self._rho_i, self._rho_j, self._c_j
+        rho_i, rho_j, p_j = self._rho_i, self._rho_j, self._p_j
         if idx is not None:
-            rho_i, rho_j, c_j = rho_i[idx], rho_j[idx], c_j[idx]
+            rho_i, rho_j, p_j = rho_i[idx], rho_j[idx], p_j[idx]
         t1, t2, t3, t4 = np.split(thetas, [2 * n, 4 * n, 6 * n], axis=1)
-        k = len(thetas)
-        s_mid = _sim.layout_channels(self._mid, np.hstack([t1, -t2]), n, noise)
-        # (K, batch, 4^n): register 1 after U_φ†(w_j) of each sample
-        sigma = rho_i @ s_mid.transpose(0, 2, 1)
-        rho1 = (c_j @ sigma.transpose(1, 2, 0)).transpose(2, 0, 1)
-        probs = rho1[..., :: dim + 1].real.copy()
+        mid = np.hstack([t1, -t2])
+        # (K, batch, 4^n): register 1 after U†(θ2)U(θ1).  With fewer
+        # states than vec basis vectors, the gates act on the states;
+        # otherwise the channel is built once and applied to them all.
+        if len(rho_i) < dim * dim:
+            sigma = _sim.apply_noisy_layout(rho_i[None], self._mid, mid, n, noise)
+        else:
+            sigma = rho_i @ _sim.layout_channels(self._mid, mid, n, noise).transpose(0, 2, 1)
+        probs = (p_j @ sigma.transpose(1, 2, 0)).transpose(2, 0, 1).real.copy()
 
-        z = np.broadcast_to(self._z_obs, (k, 1, dim * dim))
-        fired = _sim.apply_noisy_layout(z, self._link, t4, n, noise, adjoint=True)
-        idle = np.broadcast_to(self._z_idle, z.shape)
+        fired = _sim.apply_noisy_layout(self._z_obs, self._link, t4, n, noise, adjoint=True)
+        idle = np.broadcast_to(self._z_idle, fired.shape)
         obs = _sim.apply_noisy_layout(np.concatenate([idle, fired], axis=1),
                                       self._ansatz, t3, n, noise, adjoint=True)
         z_idle, z_fire = np.moveaxis((rho_j @ obs.conj().transpose(0, 2, 1)).real, 2, 0)

@@ -215,6 +215,13 @@ def test_variant_flag(tmp_path):
     # registers hold at most 2^4 amplitudes
     ({"model": {"n": 5}}, "n"),
     ({"model": {"n": 30}}, "n"),
+    # non-finite, boolean or non-numeric optimizer settings
+    ({"train": {"learning_rate": float("nan")}}, "learning_rate"),
+    ({"train": {"learning_rate": float("inf")}}, "learning_rate"),
+    ({"train": {"learning_rate": True}}, "learning_rate"),
+    ({"train": {"momentum": float("nan")}}, "momentum"),
+    ({"train": {"fd_step": float("nan")}}, "fd_step"),
+    ({"train": {"fd_step": "0.001"}}, "fd_step"),
 ])
 def test_malformed_config_value_is_one_line_error(tmp_path, capsys, overrides, key):
     cfg = write_config(tmp_path, **overrides)

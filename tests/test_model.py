@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qkattn import sim
+from qkattn import encoding, sim
 from qkattn.ansatz import ParamSet
 from qkattn.ansatz import LINK_MODES
 from qkattn.model import (VARIANTS, BatchEvaluator, ModelConfig, build_full_circuit,
@@ -177,6 +177,28 @@ def test_density_evaluator_matches_full_conditional_sim():
         assert np.max(np.abs(probs[0] - res.measurement_probs[0])) < 1e-12
 
 
+@pytest.mark.parametrize("execution", ("analytic", "density"))
+def test_self_pairs_are_encoded_once_and_match_full_circuit(monkeypatch, execution):
+    # training pairs each sample with itself; those samples are encoded once
+    rng = np.random.default_rng(12)
+    encoded = []
+    angles = encoding.encoder_angles
+    monkeypatch.setattr(encoding, "encoder_angles",
+                        lambda enc, w, n: encoded.append(len(w)) or angles(enc, w, n))
+    noise = NOISE_SETS["both"] if execution == "density" else ()
+    for variant in VARIANTS:
+        cfg = ModelConfig.from_variant(variant, execution=execution, noise=noise)
+        x = np.array([random_features(cfg, rng) for _ in range(3)])
+        p = cfg.random_params(rng)
+        e, probs = BatchEvaluator(x, x, cfg).evaluate(p)
+        assert encoded[-1] == 3
+        for k in range(3):
+            res = sim.run_circuit(build_full_circuit(x[k], x[k], p, cfg), "density",
+                                  noise=noise)
+            assert abs(e[k] - sim.expectation_z(res.state, 3)) < 1e-12, variant
+            assert np.max(np.abs(probs[k] - res.measurement_probs[0])) < 1e-12, variant
+
+
 def test_literal_link_evaluator_matches_full_circuit():
     rng = np.random.default_rng(9)
     for n in (1, 2):
@@ -280,6 +302,35 @@ def test_noisy_density_evaluator_matches_full_circuit_oracle(n, noise):
                 e1, p1 = ev.evaluate(ParamSet.from_vector(vec, n, link), idx=idx)
                 assert np.max(np.abs(e_stack[k] - e1)) < 1e-13, (variant, link)
                 assert np.max(np.abs(p_stack[k] - p1)) < 1e-13, (variant, link)
+
+
+def test_noisy_density_batch_and_sub_batch_agree_at_n3():
+    # at n=3 a batch of at least 4^n = 64 samples builds the register-1
+    # channel once; a smaller sub-batch applies the gates to its states.
+    # Both must agree with each other and with the full circuit.
+    rng = np.random.default_rng(35)
+    channels = NOISE_SETS["both"]
+    idx = np.array([5, 64, 0, 5])
+    for variant in VARIANTS:
+        for link in LINK_MODES:
+            cfg = ModelConfig.from_variant(variant, n=3, link_mode=link,
+                                           execution="density", noise=channels)
+            wi = np.array([random_features(cfg, rng) for _ in range(65)])
+            wj = np.array([random_features(cfg, rng) for _ in range(65)])
+            thetas = np.array([cfg.random_params(rng).to_vector() for _ in range(2)])
+            ev = BatchEvaluator(wi, wj, cfg)
+            e_all, p_all = ev.evaluate_stack(thetas)
+            e_sub, p_sub = ev.evaluate_stack(thetas, idx=idx)
+            assert np.max(np.abs(e_sub - e_all[:, idx])) < 1e-12, (variant, link)
+            assert np.max(np.abs(p_sub - p_all[:, idx])) < 1e-12, (variant, link)
+            p = ParamSet.from_vector(thetas[0], 3, link)
+            for k in idx[:3]:
+                full = build_full_circuit(wi[k], wj[k], p, cfg, form="conditional")
+                res = sim.run_circuit(full, "density", noise=channels)
+                assert abs(e_all[0, k] - sim.expectation_z(res.state, 5)) < 1e-12, (variant, link)
+                if link == "all-zeros-canonical":
+                    p_ref = res.measurement_probs[0]
+                    assert np.max(np.abs(p_all[0, k] - p_ref)) < 1e-12, (variant, link)
 
 
 @pytest.mark.parametrize("execution", ("analytic", "density"))

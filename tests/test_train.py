@@ -85,6 +85,14 @@ def test_train_config_validation():
         TrainConfig(gradient_method="spsa")
 
 
+@pytest.mark.parametrize("key", ("learning_rate", "momentum", "fd_step"))
+@pytest.mark.parametrize("value", (float("nan"), float("inf"), -float("inf"), True, "0.1",
+                                   None))
+def test_train_config_rejects_non_finite_or_non_real(key, value):
+    with pytest.raises(ValueError, match=repr(key)):
+        TrainConfig(**{key: value})
+
+
 def test_gradient_zero_at_exact_fit():
     # with y = E for every sample the squared loss sits at its minimum in E,
     # so the chain-rule factor vanishes slot by slot
@@ -234,3 +242,101 @@ def test_run_record_lengths():
     assert isinstance(rec, RunRecord)
     assert len(rec.loss) == len(rec.train_acc) == len(rec.test_acc) == steps
     assert all(0.0 <= a <= 1.0 for a in rec.train_acc + rec.test_acc)
+
+
+@pytest.mark.parametrize("test_x, test_y, message", [
+    (np.zeros((2, 4)), None, "together"),
+    (None, np.ones(2), "together"),
+    (np.zeros((3, 4)), np.ones(2), "counts differ"),
+    (np.zeros((2, 3)), np.ones(2), "features"),
+    (np.zeros((2, 4)), np.array([1.0, 0.0]), "labels"),
+])
+def test_train_loop_checks_test_set_before_building(monkeypatch, test_x, test_y, message):
+    rng = np.random.default_rng(12)
+    x, y = separable_data(rng, count=8)
+    built = []
+    monkeypatch.setattr(BatchEvaluator, "__init__", lambda *args: built.append(args))
+    cfg = ModelConfig(n=2, encoder="amplitude", ansatz="hea")
+    with pytest.raises(ValueError, match=message) as err:
+        train_loop(cfg, x, y, TrainConfig(steps=1), test_x=test_x, test_y=test_y)
+    assert "\n" not in str(err.value)
+    assert built == []
+
+
+def reference_train_loop(model_config, train_x, train_y, config, test_x=None, test_y=None):
+    """The loop with two evaluators: the batch gradient through
+    ``gradient(..., idx=...)`` at the lookahead, then ``evaluate`` for the
+    full-set metrics of the updated parameters."""
+    seq = np.random.SeedSequence(config.seed)
+    init_rng, shuffle_rng = (np.random.default_rng(s) for s in seq.spawn(2))
+    params = model_config.random_params(init_rng)
+    train_eval = BatchEvaluator(train_x, train_x, model_config)
+    test_eval = None if test_x is None else BatchEvaluator(test_x, test_x, model_config)
+
+    def metrics(p):
+        e_train, _ = train_eval.evaluate(p)
+        test_acc = float("nan")
+        if test_eval is not None:
+            test_acc = accuracy(predictions_from_e(test_eval.evaluate(p)[0]), test_y)
+        return (loss(e_train, train_y, config.surrogate),
+                accuracy(predictions_from_e(e_train), train_y), test_acc)
+
+    history = [metrics(params)]
+    theta, acc = params.to_vector(), np.zeros(model_config.parameter_count)
+    order, cursor = np.empty(0, dtype=np.intp), 0
+    for _ in range(config.steps):
+        if cursor >= order.size:
+            order, cursor = shuffle_rng.permutation(train_y.size), 0
+        idx = order[cursor: cursor + config.batch_size]
+        cursor += config.batch_size
+        lookahead = ParamSet.from_vector(theta - config.momentum * acc, model_config.n,
+                                         model_config.link_mode)
+        g = gradient(train_eval, lookahead, train_y[idx], config, idx=idx)
+        theta, acc = nesterov_step(theta, acc, g, config.learning_rate, config.momentum)
+        history.append(metrics(ParamSet.from_vector(theta, model_config.n,
+                                                    model_config.link_mode)))
+    return np.array(history), theta
+
+
+@pytest.mark.parametrize("execution", ("analytic", "density"))
+@pytest.mark.parametrize("with_test", (False, True))
+def test_train_loop_matches_two_evaluator_reference(execution, with_test):
+    # 20 samples in batches of 7: the third batch holds 6, the fourth starts
+    # a new epoch
+    rng = np.random.default_rng(13)
+    x, y = separable_data(rng, count=26)
+    order = rng.permutation(26)
+    train_x, train_y = x[order[:20]], y[order[:20]]
+    test_x, test_y = (x[order[20:]], y[order[20:]]) if with_test else (None, None)
+    noise = (NoiseChannel("bit-flip", 0.05),) if execution == "density" else ()
+    for variant in ("AmHE", "AnQAOA"):
+        cfg = ModelConfig.from_variant(variant, n=2, execution=execution, noise=noise)
+        tc = TrainConfig(steps=6, batch_size=7, seed=4)
+        rec = train_loop(cfg, train_x, train_y, tc, test_x=test_x, test_y=test_y)
+        ref, theta = reference_train_loop(cfg, train_x, train_y, tc, test_x, test_y)
+        got = np.array([[rec.initial.loss, rec.initial.train_acc, rec.initial.test_acc]]
+                       + list(zip(rec.loss, rec.train_acc, rec.test_acc)))
+        assert got.shape == ref.shape == (tc.steps + 1, 3)
+        assert np.allclose(got, ref, rtol=0, atol=1e-10, equal_nan=True), variant
+        assert np.all(np.isnan(got[:, 2])) != with_test
+        assert np.max(np.abs(rec.params.to_vector() - theta)) < 1e-10, variant
+
+
+@pytest.mark.parametrize("steps", (0, 3))
+@pytest.mark.parametrize("with_test", (False, True))
+def test_train_loop_makes_one_evaluator_call_per_step(monkeypatch, steps, with_test):
+    counts = {"__init__": 0, "evaluate_stack": 0}
+    for name in counts:
+        original = getattr(BatchEvaluator, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(BatchEvaluator, name, counted)
+    rng = np.random.default_rng(14)
+    x, y = separable_data(rng, count=12)
+    test = dict(test_x=x[:4], test_y=y[:4]) if with_test else {}
+    cfg = ModelConfig(n=2, encoder="amplitude", ansatz="hea")
+    train_loop(cfg, x, y, TrainConfig(steps=steps, batch_size=5), **test)
+    assert counts == {"__init__": 1, "evaluate_stack": steps + 1}
