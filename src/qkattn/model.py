@@ -272,15 +272,16 @@ class BatchEvaluator:
             self._v_j = _adjoint(u_enc[at_j:])
             return
         noise = config.noise
-        zero = np.zeros((1, 1, 4**n), dtype=complex)
-        zero[0, 0, 0] = 1.0
+        zero = np.zeros((len(angles), 1, 4**n), dtype=complex)
+        zero[:, 0, 0] = 1.0
         rho = _sim.apply_noisy_layout(zero, layout, angles, n, noise)[:, 0]
         self._rho_i, self._rho_j = rho[: self.count], rho[at_j:]
         # the 2^n outcome projectors, vec(|o⟩⟨o|) = e_{o(2^n + 1)}, carried
         # back through the channel of U_φ†(w_j) and conjugated, so that
         # probs = p_j · vec(σ)
         proj = np.eye(4**n, dtype=complex)[:: 2**n + 1]
-        self._p_j = _sim.apply_noisy_layout(proj[None], _reversed_layout(layout),
+        proj = np.broadcast_to(proj, (self.count,) + proj.shape)
+        self._p_j = _sim.apply_noisy_layout(proj, _reversed_layout(layout),
                                             -angles[at_j:], n, noise,
                                             adjoint=True).conj()
         # U(θ1) then U†(θ2), driven by the angle row [θ1, −θ2]
@@ -352,18 +353,20 @@ class BatchEvaluator:
         if idx is not None:
             rho_i, rho_j, p_j = rho_i[idx], rho_j[idx], p_j[idx]
         t1, t2, t3, t4 = np.split(thetas, [2 * n, 4 * n, 6 * n], axis=1)
-        mid = np.hstack([t1, -t2])
+        k, mid = len(thetas), np.hstack([t1, -t2])
         # (K, batch, 4^n): register 1 after U†(θ2)U(θ1).  With fewer
         # states than vec basis vectors, the gates act on the states;
         # otherwise the channel is built once and applied to them all.
         if len(rho_i) < dim * dim:
-            sigma = _sim.apply_noisy_layout(rho_i[None], self._mid, mid, n, noise)
+            sigma = _sim.apply_noisy_layout(np.broadcast_to(rho_i, (k,) + rho_i.shape),
+                                            self._mid, mid, n, noise)
         else:
             sigma = rho_i @ _sim.layout_channels(self._mid, mid, n, noise).transpose(0, 2, 1)
         probs = (p_j @ sigma.transpose(1, 2, 0)).transpose(2, 0, 1).real.copy()
 
-        fired = _sim.apply_noisy_layout(self._z_obs, self._link, t4, n, noise, adjoint=True)
-        idle = np.broadcast_to(self._z_idle, fired.shape)
+        z = np.broadcast_to(self._z_obs, (k, 1, dim * dim))
+        fired = _sim.apply_noisy_layout(z, self._link, t4, n, noise, adjoint=True)
+        idle = np.broadcast_to(self._z_idle, z.shape)
         obs = _sim.apply_noisy_layout(np.concatenate([idle, fired], axis=1),
                                       self._ansatz, t3, n, noise, adjoint=True)
         z_idle, z_fire = np.moveaxis((rho_j @ obs.conj().transpose(0, 2, 1)).real, 2, 0)

@@ -371,8 +371,7 @@ def apply_unitary(amps: np.ndarray, u: np.ndarray, coords: Sequence[int], q: int
 
 def _apply_stack(states: np.ndarray, mats: np.ndarray, coords: Sequence[int], q: int) -> np.ndarray:
     """apply_unitary over a (K, B, 2^q) stack of states; ``mats`` is
-    (K, 2^m, 2^m), the gate for row k, or (1, 2^m, 2^m), shared.  A
-    (1, B, 2^q) stack of states is shared by every row of ``mats``."""
+    (K, 2^m, 2^m), the gate for row k, or (1, 2^m, 2^m), shared."""
     lead = states.shape[:2]
     axes = [2 + a for a in _coord_axes(coords, q)]
     # gate axes right after the row axis: one matrix product per row
@@ -380,9 +379,7 @@ def _apply_stack(states: np.ndarray, mats: np.ndarray, coords: Sequence[int], q:
     t = states.reshape(lead + (2,) * q).transpose(perm)
     moved = t.shape
     t = mats @ t.reshape(lead[0], 2 ** len(coords), -1)
-    rows = len(t)
-    return t.reshape((rows,) + moved[1:]).transpose(np.argsort(perm)).reshape(
-        (rows, lead[1], 2**q))
+    return t.reshape(moved).transpose(np.argsort(perm)).reshape(lead + (2**q,))
 
 
 # b_i·b_j for b = [1, c, s] (column 3i + j) in the basis [1, c, s, cs, s²]
@@ -540,8 +537,7 @@ def apply_noisy_layout(vecs: np.ndarray, layout: Layout, angles: np.ndarray, q: 
 
     Every gate is followed by each channel of ``noise`` on each of its
     qubits, fused with the gate into one superoperator.  Row k of
-    ``angles`` drives the gates applied to vecs[k], or to vecs[0] when
-    the stack has one row, shared by every row.  At q ≤ 2 the whole
+    ``angles`` drives the gates applied to vecs[k].  At q ≤ 2 the whole
     fragment S is one product of cached full-space factors
     (``layout_channels``) applied as vecs @ Sᵀ; larger registers apply
     the fused gates one at a time on their local qubits.  ``adjoint``

@@ -8,17 +8,14 @@ feature vector is fed to both model inputs (the token attends to itself).
 Gradients of E use the parameter-shift rule for slots that feed a single
 plain rotation gate and central finite differences for slots feeding
 controlled rotations or the link; the squared loss then contributes
-through the chain rule dL/dθ = mean(−2(y − E)·dE/dθ).  One helper
-stacks the 2P+1 parameter sets of a gradient (the base point, each slot
-shifted up, each shifted down) and another turns their E values into
-the gradient, for ``gradient`` and ``train_loop`` alike.
+through the chain rule dL/dθ = mean(−2(y − E)·dE/dθ).  The shifted
+parameter sets of one gradient are batched: the evaluator receives all
+2P+1 of them as one stack.
 
-``train_loop`` makes one evaluator call per optimizer step: a single
-evaluator holds the train samples and then the test samples, and step t
-sends it θ_t, whose full-set metrics are recorded, stacked with the
-2P+1 rows of the next gradient at the Nesterov lookahead θ_t − γ·a_t,
-which read only the batch's columns.  One last single-row call gives
-the metrics of the final parameters.
+``train_loop`` builds one evaluator over the train samples followed by
+the test samples and makes two calls to it per optimizer step: the
+gradient's stack on the batch's samples only, then the updated
+parameters on every sample for the train and test metrics.
 """
 from __future__ import annotations
 
@@ -119,47 +116,36 @@ def predictions_from_e(e_values) -> np.ndarray:
     return np.where(np.asarray(e_values, dtype=float) < 0, -1, 1)
 
 
-def _gradient_rows(mcfg: ModelConfig, theta: np.ndarray, config: TrainConfig,
-                   shift: float = np.pi / 2) -> tuple[np.ndarray, np.ndarray]:
-    """The 2P+1 parameter rows of a gradient at ``theta`` (the base point,
-    then each slot shifted up, then each shifted down) and the divisor of
-    each slot's difference, for ``_gradient_from``."""
-    if mcfg.execution == "shots":
-        raise ValueError("gradients need a deterministic execution mode")
-    is_shift = np.equal(param_slot_kinds(mcfg.ansatz, mcfg.link_mode, mcfg.n), "shift")
-    if config.gradient_method == "finite-difference":
-        is_shift[:] = False
-    steps = np.diag(np.where(is_shift, shift, config.fd_step))
-    rows = np.vstack([theta, theta + steps, theta - steps])
-    return rows, np.where(is_shift, 2.0, 2.0 * config.fd_step)
-
-
-def _gradient_from(e: np.ndarray, labels, divisors: np.ndarray) -> np.ndarray:
-    """Surrogate-loss gradient from E (2P+1, batch) at the rows of
-    ``_gradient_rows``: slot differences, then the chain rule."""
-    y = np.asarray(labels, dtype=float)
-    e_base = e[0]
-    if not np.isfinite(np.mean((y - e_base) ** 2)):
-        raise ValueError("loss is not finite")
-    chain = -2.0 * (y - e_base)
-    plus, minus = e[1: divisors.size + 1], e[divisors.size + 1:]
-    return np.mean(chain * (plus - minus) / divisors[:, None], axis=1)
-
-
 def gradient(evaluator: BatchEvaluator, params: ParamSet, labels, config: TrainConfig,
              idx=None, shift: float = np.pi / 2) -> np.ndarray:
     """Gradient of the surrogate loss over one batch.
 
-    All 2P+1 parameter sets of ``_gradient_rows`` go to the evaluator in
-    one stacked call; ``train_loop`` builds the same rows and reduces
-    them with the same helper, so the two agree.  ``shift`` is the
-    parameter-shift constant; it is exposed so a deliberately wrong value
-    can be injected to validate the gradient checker.  Deterministic
-    execution modes only (analytic or density).
+    All 2P+1 parameter sets (the base point, then each slot shifted up,
+    then each shifted down) go to the evaluator in one stacked call;
+    ``train_loop`` takes every step's gradient from here.  ``shift`` is
+    the parameter-shift constant; it is exposed so a deliberately wrong
+    value can be injected to validate the gradient checker.
+    Deterministic execution modes only (analytic or density).
     """
-    rows, divisors = _gradient_rows(evaluator.config, params.to_vector(), config, shift)
-    e, _ = evaluator.evaluate_stack(rows, idx=idx)
-    return _gradient_from(e, labels, divisors)
+    mcfg = evaluator.config
+    if mcfg.execution == "shots":
+        raise ValueError("gradients need a deterministic execution mode")
+    y = np.asarray(labels, dtype=float)
+    theta = params.to_vector()
+    is_shift = np.equal(param_slot_kinds(mcfg.ansatz, mcfg.link_mode, mcfg.n), "shift")
+    if config.gradient_method == "finite-difference":
+        is_shift[:] = False
+    steps = np.diag(np.where(is_shift, shift, config.fd_step))
+    e, _ = evaluator.evaluate_stack(np.vstack([theta, theta + steps, theta - steps]), idx=idx)
+
+    e_base = e[0]
+    base_loss = np.mean((y - e_base) ** 2)
+    if not np.isfinite(base_loss):
+        raise ValueError("loss is not finite")
+    chain = -2.0 * (y - e_base)
+    plus, minus = e[1: theta.size + 1], e[theta.size + 1:]
+    de = (plus - minus) / np.where(is_shift, 2.0, 2.0 * config.fd_step)[:, None]
+    return np.mean(chain * de, axis=1)
 
 
 def nesterov_step(theta: np.ndarray, accumulator: np.ndarray,
@@ -175,10 +161,11 @@ def nesterov_step(theta: np.ndarray, accumulator: np.ndarray,
     return theta - new_acc, new_acc
 
 
-def _metrics(e_values: np.ndarray, train_y: np.ndarray, test_y: np.ndarray | None,
-             surrogate: bool) -> StepMetrics:
-    """Metrics of one parameter set from its E on the train samples
+def _metrics(evaluator: BatchEvaluator, params: ParamSet, train_y: np.ndarray,
+             test_y: np.ndarray | None, surrogate: bool) -> StepMetrics:
+    """Metrics of ``params`` from one evaluation over the train samples
     followed by the test samples."""
+    e_values, _ = evaluator.evaluate(params)
     e_train = e_values[: train_y.size]
     test_acc = float("nan")
     if test_y is not None:
@@ -214,14 +201,14 @@ def train_loop(model_config: ModelConfig, train_x, train_y, config: TrainConfig,
     is reshuffled every epoch.  Metrics over the full train and test sets
     are recorded after every update.  Fully deterministic given the seed.
 
-    One evaluator holds the train samples followed by the test samples,
-    and each step makes one ``evaluate_stack`` call on all of them: row 0
-    is the current θ, whose metrics are recorded (the initial metrics at
-    the first step), and the rest are the ``_gradient_rows`` at the
-    Nesterov lookahead θ − γ·a, read on the batch's columns only.  At the
-    first step, and at every step with zero momentum, θ is the lookahead
-    and the evaluator computes that row once.  A final single-row call
-    gives the metrics after the last update: ``steps + 1`` calls in all.
+    One evaluator holds the train samples followed by the test samples.
+    Each step evaluates the 2P+1 rows of ``gradient`` at the Nesterov
+    lookahead θ − γ·a on the batch's samples only, then the updated θ on
+    every sample, whose train and test columns give the step's metrics:
+    with the initial metrics, ``2·steps + 1`` evaluator calls in all.
+    The gradient rows stay on the batch because the full sets can be many
+    times larger (1000 + 100 samples against a batch of 30 in the image
+    runs).
     """
     train_x = np.atleast_2d(np.asarray(train_x, dtype=float))
     train_y = np.asarray(train_y, dtype=float)
@@ -243,14 +230,11 @@ def train_loop(model_config: ModelConfig, train_x, train_y, config: TrainConfig,
 
     x = train_x if test_x is None else np.vstack([train_x, test_x])
     evaluator = BatchEvaluator(x, x, model_config)
-    history: list[StepMetrics] = []
 
-    def record(rows: np.ndarray) -> np.ndarray:
-        """E of every row on every sample; row 0's metrics are recorded
-        and E of the other rows is returned."""
-        e, _ = evaluator.evaluate_stack(rows)
-        history.append(_metrics(e[0], train_y, test_y, config.surrogate))
-        return e[1:]
+    initial = _metrics(evaluator, params, train_y, test_y, config.surrogate)
+    losses: list[float] = []
+    train_accs: list[float] = []
+    test_accs: list[float] = []
 
     theta = params.to_vector()
     acc = np.zeros_like(theta)
@@ -265,16 +249,18 @@ def train_loop(model_config: ModelConfig, train_x, train_y, config: TrainConfig,
         idx = order[cursor: cursor + config.batch_size]
         cursor += config.batch_size
 
-        rows, divisors = _gradient_rows(model_config, theta - config.momentum * acc, config)
-        e = record(np.vstack([theta, rows]))
-        g = _gradient_from(e[:, idx], train_y[idx], divisors)
+        lookahead = ParamSet.from_vector(theta - config.momentum * acc,
+                                         model_config.n, model_config.link_mode)
+        g = gradient(evaluator, lookahead, train_y[idx], config, idx=idx)
         theta, acc = nesterov_step(theta, acc, g, config.learning_rate, config.momentum)
-    record(theta[None])
 
-    initial, *after = history
-    return RunRecord(initial, [m.loss for m in after], [m.train_acc for m in after],
-                     [m.test_acc for m in after],
-                     ParamSet.from_vector(theta, model_config.n, model_config.link_mode))
+        params = ParamSet.from_vector(theta, model_config.n, model_config.link_mode)
+        m = _metrics(evaluator, params, train_y, test_y, config.surrogate)
+        losses.append(m.loss)
+        train_accs.append(m.train_acc)
+        test_accs.append(m.test_acc)
+
+    return RunRecord(initial, losses, train_accs, test_accs, params)
 
 
 def gradient_check(model_config: ModelConfig, trials: int, seed: int,

@@ -83,14 +83,11 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(gradient_method="spsa")
-
-
-@pytest.mark.parametrize("key", ("learning_rate", "momentum", "fd_step"))
-@pytest.mark.parametrize("value", (float("nan"), float("inf"), -float("inf"), True, "0.1",
-                                   None))
-def test_train_config_rejects_non_finite_or_non_real(key, value):
-    with pytest.raises(ValueError, match=repr(key)):
-        TrainConfig(**{key: value})
+    # non-finite, boolean or non-numeric optimizer settings name their key
+    for key in ("learning_rate", "momentum", "fd_step"):
+        for value in (float("nan"), float("inf"), -float("inf"), True, "0.1", None):
+            with pytest.raises(ValueError, match=repr(key)):
+                TrainConfig(**{key: value})
 
 
 def test_gradient_zero_at_exact_fit():
@@ -324,7 +321,8 @@ def test_train_loop_matches_two_evaluator_reference(execution, with_test):
 
 @pytest.mark.parametrize("steps", (0, 3))
 @pytest.mark.parametrize("with_test", (False, True))
-def test_train_loop_makes_one_evaluator_call_per_step(monkeypatch, steps, with_test):
+def test_train_loop_builds_one_evaluator_and_calls_it_twice_per_step(monkeypatch, steps,
+                                                                      with_test):
     counts = {"__init__": 0, "evaluate_stack": 0}
     for name in counts:
         original = getattr(BatchEvaluator, name)
@@ -339,4 +337,5 @@ def test_train_loop_makes_one_evaluator_call_per_step(monkeypatch, steps, with_t
     test = dict(test_x=x[:4], test_y=y[:4]) if with_test else {}
     cfg = ModelConfig(n=2, encoder="amplitude", ansatz="hea")
     train_loop(cfg, x, y, TrainConfig(steps=steps, batch_size=5), **test)
-    assert counts == {"__init__": 1, "evaluate_stack": steps + 1}
+    # the initial metrics, then per step the gradient and the metrics
+    assert counts == {"__init__": 1, "evaluate_stack": 2 * steps + 1}
