@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import os
 import sys
@@ -118,10 +119,19 @@ def _feature_count(spec: dict, key: str, model: ModelConfig | None) -> int:
     return d
 
 
+def _class_pair(value) -> tuple[int, int]:
+    """The IDX ``classes`` setting: exactly two distinct integer labels."""
+    if (not isinstance(value, (list, tuple)) or len(value) != 2
+            or not all(isinstance(c, int) and not isinstance(c, bool) for c in value)
+            or value[0] == value[1]):
+        raise CliError(f"config key 'classes' must be two distinct integers, got {value!r}")
+    return value[0], value[1]
+
+
 def load_dataset(resolved: dict, model: ModelConfig | str) -> Split:
-    """The configured data split for ``model``.  The feature count is
-    checked against the model's encoder before any data is generated or
-    loaded; an encoder name alone skips that check."""
+    """The configured data split for ``model``.  The feature count and,
+    for IDX data, the class pair are checked before any data is
+    generated or loaded; an encoder name alone skips the feature check."""
     encoder, model = (model, None) if isinstance(model, str) else (model.encoder, model)
     spec = resolved["data"]
     if spec["source"] == "synthetic":
@@ -133,6 +143,7 @@ def load_dataset(resolved: dict, model: ModelConfig | str) -> Split:
         return split
     if spec["source"] == "idx":
         pca_d = _feature_count(spec, "pca_d", model)
+        classes = _class_pair(spec.get("classes", (0, 1)))
         for key in ("images", "labels"):
             if key not in spec:
                 raise CliError(f"idx data source needs the {key!r} path")
@@ -140,7 +151,6 @@ def load_dataset(resolved: dict, model: ModelConfig | str) -> Split:
             images, labels = load_idx(spec["images"], spec["labels"])
         except (OSError, ValueError) as exc:
             raise CliError(f"cannot load idx data: {exc}") from exc
-        classes = tuple(spec.get("classes", (0, 1)))
         split = make_split(images, labels, classes,
                            _as_int(spec.get("per_class_total", 550), "per_class_total"),
                            _as_int(spec.get("per_class_train", 500), "per_class_train"),
@@ -386,7 +396,10 @@ def cmd_gradcheck(args) -> int:
 
 # --- entry point ---------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by every
+    in-process ``main`` call."""
     parser = argparse.ArgumentParser(prog="qkattn",
                                      description="quantum kernel self-attention classifiers")
     sub = parser.add_subparsers(dest="command", required=True)

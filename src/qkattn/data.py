@@ -78,6 +78,8 @@ def make_split(images, labels, classes: tuple[int, int] = (0, 1),
     ``per_class_train`` of each go to the train set and the rest to the
     test set.  Class ``classes[0]`` maps to -1, ``classes[1]`` to +1.
     """
+    if classes[0] == classes[1]:
+        raise ValueError(f"the two classes must differ, got {classes[0]!r} twice")
     if per_class_train >= per_class_total:
         raise ValueError("per-class train count must leave test samples")
     images = np.asarray(images)

@@ -208,6 +208,18 @@ def _reversed_layout(layout, offset: int = 0) -> tuple:
                  for kind, coords, slot in reversed(layout))
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
+    """The distinct rows of ``rows`` in first-seen order and each row's
+    index among them; a stack of at most one row passes through."""
+    if len(rows) < 2:
+        return rows, slice(None)
+    raw, width = rows.tobytes(), rows[0].nbytes
+    labels: dict[bytes, int] = {}
+    inverse = np.array([labels.setdefault(raw[at: at + width], len(labels))
+                        for at in range(0, len(raw), width)])
+    return np.frombuffer(b"".join(labels)).reshape(len(labels), -1), inverse
+
+
 class BatchEvaluator:
     """Forward evaluation over a fixed set of (w_i, w_j) pairs.
 
@@ -216,13 +228,17 @@ class BatchEvaluator:
     encodes it once for both roles), and a call then evaluates the closed
     form for a stack of K parameter sets at once (``evaluate_stack``),
     which is how a gradient evaluates its 2P+1 shifted parameter sets;
-    ``evaluate`` is the K = 1 case.  Rows that agree on θ1, θ2, θ3 and
-    θ4_{n−1}, the slots E reads, are evaluated once, so E is exactly
-    constant in the others.
-    Analytic mode keeps φ_i, φ_j and U_φ(w_j)† and per call builds U(θ1),
-    U(θ2) and U(θ3) for all K rows in one stacked
-    ``sim.layout_unitaries`` call (3K rows), each a product of the
-    ansatz's cached full-space factors.  Density mode keeps the noisy
+    ``evaluate`` is the K = 1 case.  Each register runs once per distinct
+    row of the slots it reads: register 1 per row of θ1 and θ2, register
+    2 per row of θ3 and θ4_{n−1}, and E combines the two through the
+    rows' indices among them.  So a gradient's shifts of θ3 or θ4 share
+    the base row's distribution bit for bit, and E is exactly constant
+    in the θ4 slots it does not read.
+    Analytic mode keeps φ_i, φ_j and U_φ(w_j)† and per call builds U(θ1)
+    and U(θ2) for the K1 register-1 rows and U(θ3) for the K2 register-2
+    rows in one stacked ``sim.layout_unitaries`` call (2·K1 + K2 rows),
+    each a product of the ansatz's cached full-space factors.  Density
+    mode keeps the noisy
     encoded states ρ_i, ρ_j and, per sample, the 2^n register-1 outcome
     projectors pulled back through the noisy channel of U_φ(w_j)†; per
     call it applies the register-1 channel of U†(θ2)U(θ1) to ρ_i and
@@ -255,10 +271,10 @@ class BatchEvaluator:
         literal = config.link_mode == "per-qubit-literal"
         self._fire = bit if literal else np.eye(2**n)[0]
         self._ansatz = _ansatz.ansatz_layout(config.ansatz, n)
-        # E reads θ1, θ2, θ3 and θ4_{n−1}, the angle of the one link gate
-        # that reaches the readout qubit n−1 (column 6n of the rows that
-        # the _evaluate_* methods get)
-        self._read = np.append(np.arange(6 * n), 7 * n - 1)
+        # register 1 reads θ1 and θ2 (columns [0, 4n)); register 2 reads θ3
+        # and θ4_{n−1}, the angle of the one link gate that reaches the
+        # readout qubit n−1 (column 2n of the rows that it gets)
+        self._read2 = np.append(np.arange(4 * n, 6 * n), 7 * n - 1)
         self._link = (("RY", (n - 1,), 0),)
         enc = config.encoder
         layout = _encoding.encoder_layout(enc, n)
@@ -310,41 +326,39 @@ class BatchEvaluator:
                              f"got shape {thetas.shape}")
         if not np.all(np.isfinite(thetas)):
             raise ValueError("parameters must be finite")
-        rows, inverse = thetas[:, self._read], slice(None)
-        if len(rows) > 1:
-            # rows that agree on every slot E reads are evaluated once
-            raw, width = rows.tobytes(), rows[0].nbytes
-            labels: dict[bytes, int] = {}
-            inverse = np.array([labels.setdefault(raw[at: at + width], len(labels))
-                                for at in range(0, len(raw), width)])
-            rows = np.frombuffer(b"".join(labels)).reshape(len(labels), -1)
+        rows1, at1 = _distinct_rows(thetas[:, : 4 * cfg.n])
+        rows2, at2 = _distinct_rows(thetas[:, self._read2])
         if cfg.execution == "analytic":
-            z_idle, z_fire, probs = self._evaluate_analytic(rows, idx)
+            z_idle, z_fire, probs = self._evaluate_analytic(rows1, rows2, idx)
         else:
-            z_idle, z_fire, probs = self._evaluate_channels(rows, idx)
-        fire = probs @ self._fire
-        e_val = fire * z_fire + (1.0 - fire) * z_idle
-        return e_val[inverse], probs[inverse]
+            z_idle, z_fire, probs = self._evaluate_channels(rows1, rows2, idx)
+        fire = (probs @ self._fire)[at1]
+        e_val = fire * z_fire[at2] + (1.0 - fire) * z_idle[at2]
+        return e_val, probs[at1]
 
-    def _evaluate_analytic(self, thetas: np.ndarray, idx) -> tuple[np.ndarray, ...]:
-        """(z_idle, z_fire, distributions) at rows of [θ1, θ2, θ3, θ4_{n−1}]."""
+    def _evaluate_analytic(self, rows1: np.ndarray, rows2: np.ndarray,
+                           idx) -> tuple[np.ndarray, ...]:
+        """(z_idle, z_fire) at ``rows2`` of [θ3, θ4_{n−1}] and the
+        distributions at ``rows1`` of [θ1, θ2]."""
         n = self.config.n
         phi_i, phi_j, v_j = self._phi_i, self._phi_j, self._v_j
         if idx is not None:
             phi_i, phi_j, v_j = phi_i[idx], phi_j[idx], v_j[idx]
-        t1, t2, t3, t4 = np.split(thetas, [2 * n, 4 * n, 6 * n], axis=1)
-        k, dim = len(thetas), 2**n
-        u1, u2, u3 = _sim.layout_unitaries(self._ansatz, np.vstack([t1, t2, t3]),
-                                           n).reshape(3, k, dim, dim)
+        k = len(rows1)
+        t1, t2 = rows1[:, : 2 * n], rows1[:, 2 * n:]
+        t3, t4 = rows2[:, : 2 * n], rows2[:, 2 * n:]
+        u = _sim.layout_unitaries(self._ansatz, np.vstack([t1, t2, t3]), n)
+        u1, u2, u3 = u[:k], u[k: 2 * k], u[2 * k:]
         a = _adjoint(u2) @ u1
-        # (K, batch, dim): A φ_i, then U_φ(w_j)† of each sample
+        # (K1, batch, dim): A φ_i, then U_φ(w_j)† of each sample
         psi1 = (v_j @ (phi_i @ a.transpose(0, 2, 1)).transpose(1, 2, 0)).transpose(2, 0, 1)
         probs = np.abs(psi1) ** 2
         psi2 = phi_j @ u3.transpose(0, 2, 1)
         fired = phi_j @ (_sim.layout_unitaries(self._link, t4, n) @ u3).transpose(0, 2, 1)
         return (np.abs(psi2) ** 2) @ self._z_last, (np.abs(fired) ** 2) @ self._z_last, probs
 
-    def _evaluate_channels(self, thetas: np.ndarray, idx) -> tuple[np.ndarray, ...]:
+    def _evaluate_channels(self, rows1: np.ndarray, rows2: np.ndarray,
+                           idx) -> tuple[np.ndarray, ...]:
         # vec(ρ)[c + dim·r] = ρ[r, c]: the diagonal is every (dim+1)-th
         # entry, and Tr(O·ρ) = vec(O)ᴴ vec(ρ) for Hermitian O
         cfg = self.config
@@ -352,19 +366,19 @@ class BatchEvaluator:
         rho_i, rho_j, p_j = self._rho_i, self._rho_j, self._p_j
         if idx is not None:
             rho_i, rho_j, p_j = rho_i[idx], rho_j[idx], p_j[idx]
-        t1, t2, t3, t4 = np.split(thetas, [2 * n, 4 * n, 6 * n], axis=1)
-        k, mid = len(thetas), np.hstack([t1, -t2])
-        # (K, batch, 4^n): register 1 after U†(θ2)U(θ1).  With fewer
+        mid = np.hstack([rows1[:, : 2 * n], -rows1[:, 2 * n:]])
+        # (K1, batch, 4^n): register 1 after U†(θ2)U(θ1).  With fewer
         # states than vec basis vectors, the gates act on the states;
         # otherwise the channel is built once and applied to them all.
         if len(rho_i) < dim * dim:
-            sigma = _sim.apply_noisy_layout(np.broadcast_to(rho_i, (k,) + rho_i.shape),
+            sigma = _sim.apply_noisy_layout(np.broadcast_to(rho_i, (len(mid),) + rho_i.shape),
                                             self._mid, mid, n, noise)
         else:
             sigma = rho_i @ _sim.layout_channels(self._mid, mid, n, noise).transpose(0, 2, 1)
         probs = (p_j @ sigma.transpose(1, 2, 0)).transpose(2, 0, 1).real.copy()
 
-        z = np.broadcast_to(self._z_obs, (k, 1, dim * dim))
+        t3, t4 = rows2[:, : 2 * n], rows2[:, 2 * n:]
+        z = np.broadcast_to(self._z_obs, (len(rows2), 1, dim * dim))
         fired = _sim.apply_noisy_layout(z, self._link, t4, n, noise, adjoint=True)
         idle = np.broadcast_to(self._z_idle, z.shape)
         obs = _sim.apply_noisy_layout(np.concatenate([idle, fired], axis=1),

@@ -10,7 +10,10 @@ plain rotation gate and central finite differences for slots feeding
 controlled rotations or the link; the squared loss then contributes
 through the chain rule dL/dθ = mean(−2(y − E)·dE/dθ).  The shifted
 parameter sets of one gradient are batched: the evaluator receives all
-2P+1 of them as one stack.
+2P+1 of them as one stack and evaluates each register once per distinct
+row of the parameters it reads, so the rows that shift θ3 or θ4 reuse
+the base row's register-1 result and those that shift θ1 or θ2 its
+register-2 readouts.
 
 ``train_loop`` builds one evaluator over the train samples followed by
 the test samples and makes two calls to it per optimizer step: the

@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from qkattn import cli
 from qkattn.cli import main
+from test_data import write_idx_pair
 
 
 def write_config(tmp_path, **overrides):
@@ -256,4 +258,38 @@ def test_malformed_params_file_is_one_line_error(tmp_path, capsys, payload):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.strip().count("\n") == 0
     assert "params" in err
+    assert not os.path.exists(out)
+
+
+def write_idx_config(tmp_path, classes):
+    rng = np.random.default_rng(4)
+    images = rng.integers(0, 256, size=(40, 784), dtype=np.uint8)
+    labels = np.tile([0, 1, 2, 3], 10).astype(np.uint8)
+    ip, lp = write_idx_pair(str(tmp_path), images, labels)
+    return write_config(tmp_path, data={"source": "idx", "images": ip, "labels": lp,
+                                        "classes": classes, "per_class_total": 6,
+                                        "per_class_train": 4, "pca_d": 4})
+
+
+def test_idx_class_pair_trains(tmp_path):
+    cfg = write_idx_config(tmp_path, [3, 1])
+    out = os.path.join(str(tmp_path), "run")
+    assert main(["train", "--config", cfg, "--out", out]) == 0
+    resolved = json.loads(read(os.path.join(out, "resolved_config.json")))
+    assert resolved["data"]["classes"] == [3, 1]
+
+
+@pytest.mark.parametrize("classes", [[1], [1, 1], [0, 1, 2], 1, "01", None, [],
+                                     [True, False], [0, 1.0], [0, "1"]])
+def test_idx_classes_must_be_two_distinct_integers(tmp_path, capsys, monkeypatch, classes):
+    # refused with a one-line error before either IDX file is read
+    cfg = write_idx_config(tmp_path, classes)
+    out = os.path.join(str(tmp_path), "run")
+    reads = []
+    monkeypatch.setattr(cli, "load_idx", lambda *paths: reads.append(paths))
+    assert main(["train", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.strip().count("\n") == 0
+    assert "'classes'" in err
+    assert not reads
     assert not os.path.exists(out)

@@ -92,6 +92,13 @@ def test_make_split_insufficient_class():
         make_split(images, labels, (0, 1), 550, 500, seed=0)
 
 
+def test_make_split_rejects_equal_classes():
+    images = np.zeros((1200, 784), dtype=np.uint8)
+    labels = np.tile([0, 1], 600).astype(np.uint8)
+    with pytest.raises(ValueError, match="classes must differ"):
+        make_split(images, labels, (1, 1), 550, 500, seed=0)
+
+
 def test_pca_exact_subspace_recovery():
     rng = np.random.default_rng(3)
     base = rng.normal(size=(3, 20))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -331,6 +333,83 @@ def test_noisy_density_batch_and_sub_batch_agree_at_n3():
                 if link == "all-zeros-canonical":
                     p_ref = res.measurement_probs[0]
                     assert np.max(np.abs(p_all[0, k] - p_ref)) < 1e-12, (variant, link)
+
+
+def gradient_stack(theta, shift=np.pi / 2):
+    """The rows of a gradient: the base point, each slot shifted up, then
+    each slot shifted down."""
+    steps = np.diag(np.full(theta.size, shift))
+    return np.vstack([theta, theta + steps, theta - steps])
+
+
+@pytest.mark.parametrize("execution", ("analytic", "density"))
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_gradient_stack_rows_match_evaluate(n, execution):
+    # each register is evaluated once per distinct sub-row; every row of
+    # the stack still matches its own evaluate call, and a row that moves
+    # only θ3 or θ4 shares the base row's distribution bit for bit
+    rng = np.random.default_rng(60 + n)
+    noise = NOISE_SETS["bit-flip"] if execution == "density" else ()
+    for variant in VARIANTS:
+        for link in LINK_MODES:
+            cfg = ModelConfig.from_variant(variant, n=n, link_mode=link,
+                                           execution=execution, noise=noise)
+            x = np.array([random_features(cfg, rng) for _ in range(4)])
+            ev = BatchEvaluator(x, x, cfg)
+            thetas = gradient_stack(cfg.random_params(rng).to_vector())
+            idx = np.array([3, 0, 3])
+            e, probs = ev.evaluate_stack(thetas, idx=idx)
+            assert e.shape == (len(thetas), 3) and probs.shape == (len(thetas), 3, 2**n)
+            for k, vec in enumerate(thetas):
+                e1, p1 = ev.evaluate(ParamSet.from_vector(vec, n, link), idx=idx)
+                assert np.max(np.abs(e[k] - e1)) < 1e-13, (variant, link, k)
+                assert np.max(np.abs(probs[k] - p1)) < 1e-13, (variant, link, k)
+            slots = cfg.parameter_count
+            for k in range(1, len(thetas)):
+                if (k - 1) % slots >= 4 * n:
+                    assert np.array_equal(probs[k], probs[0]), (variant, link, k)
+
+
+@pytest.mark.parametrize("execution", ("analytic", "density"))
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_registers_get_their_distinct_rows(monkeypatch, n, execution):
+    # a gradient stack reaches register 1 as 8n+1 rows of [θ1, θ2] and
+    # register 2 as 4n+3 rows of [θ3, θ4_{n−1}]: the θ3 and θ4 shifts
+    # repeat the base row's θ1 and θ2, the θ1 and θ2 shifts and the
+    # unread θ4 slots its θ3 and θ4_{n−1}
+    rng = np.random.default_rng(70 + n)
+    noise = NOISE_SETS["bit-flip"] if execution == "density" else ()
+    for variant, link in itertools.product(VARIANTS, LINK_MODES):
+        cfg = ModelConfig.from_variant(variant, n=n, link_mode=link,
+                                       execution=execution, noise=noise)
+        x = np.array([random_features(cfg, rng) for _ in range(4)])
+        ev = BatchEvaluator(x, x, cfg)
+        calls = []
+        # (name, position of the layout argument); the angles follow it
+        for name, at in (("layout_unitaries", 0), ("layout_channels", 0),
+                         ("apply_noisy_layout", 1)):
+            def spy(*args, _f=getattr(sim, name), _at=at, **kwargs):
+                calls.append((args[_at], len(args[_at + 1])))
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(sim, name, spy)
+        ev.evaluate_stack(gradient_stack(cfg.random_params(rng).to_vector()))
+        monkeypatch.undo()
+        rows = {}
+        for layout, count in calls:
+            rows.setdefault(layout, []).append(count)
+        if execution == "analytic":
+            assert rows[ev._ansatz] == [2 * (8 * n + 1) + 4 * n + 3], (variant, link)
+        else:
+            assert rows[ev._mid] == [8 * n + 1], (variant, link)
+            assert rows[ev._ansatz] == [4 * n + 3], (variant, link)
+
+
+@pytest.mark.parametrize("execution", ("analytic", "density"))
+def test_empty_stack_returns_empty_arrays(execution):
+    cfg = ModelConfig(n=2, execution=execution)
+    x = np.random.default_rng(80).uniform(-1, 1, size=(3, 4))
+    e, probs = BatchEvaluator(x, x, cfg).evaluate_stack(np.zeros((0, cfg.parameter_count)))
+    assert e.shape == (0, 3) and probs.shape == (0, 3, 4)
 
 
 @pytest.mark.parametrize("execution", ("analytic", "density"))
