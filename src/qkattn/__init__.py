@@ -2,7 +2,7 @@
 
 from .ansatz import ParamSet, build_ansatz, build_link
 from .data import Split, load_idx, make_split, pca_fit_transform, synthetic_dataset
-from .encoding import amplitude_encode, angle_encode, encode
+from .encoding import encode
 from .model import (BatchEvaluator, ModelConfig, QksasRecord, build_full_circuit,
                     forward, predict, qksas)
 from .sim import (Circuit, Condition, DensityMatrix, GateOp, Measure, NoiseChannel,
@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ParamSet", "build_ansatz", "build_link",
     "Split", "load_idx", "make_split", "pca_fit_transform", "synthetic_dataset",
-    "amplitude_encode", "angle_encode", "encode",
+    "encode",
     "BatchEvaluator", "ModelConfig", "QksasRecord", "build_full_circuit",
     "forward", "predict", "qksas",
     "Circuit", "Condition", "DensityMatrix", "GateOp", "Measure", "NoiseChannel",

@@ -25,7 +25,8 @@ import tempfile
 import numpy as np
 
 from .ansatz import ParamSet
-from .data import Split, load_idx, make_split, prepare_image_features, synthetic_dataset
+from .data import (Split, load_idx, make_split, prepare_image_features, scale_features,
+                   synthetic_dataset)
 from .model import VARIANTS, ModelConfig, QksasRecord, qksas
 from .sim import NoiseChannel
 from .train import RunRecord, TrainConfig, gradient_check, train_loop
@@ -138,7 +139,6 @@ def load_dataset(resolved: dict, model: ModelConfig | str) -> Split:
         split = synthetic_dataset(spec["kind"], _as_int(spec["count"], "count"),
                                   _feature_count(spec, "d", model), resolved["seed"])
         if encoder == "angle":
-            from .data import scale_features
             split.train_x, split.test_x = scale_features(split.train_x, split.test_x)
         return split
     if spec["source"] == "idx":

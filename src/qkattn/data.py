@@ -166,7 +166,6 @@ class FeatureScaler:
 
     def transform(self, features) -> np.ndarray:
         x = np.atleast_2d(np.asarray(features, dtype=float))
-        out = np.empty_like(x)
         const = self.span <= 0
         safe_span = np.where(const, 1.0, self.span)
         out = (x - self.low) / safe_span * np.pi

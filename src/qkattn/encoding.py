@@ -114,17 +114,6 @@ def encode(kind: str, values, n: int) -> Circuit:
     return Circuit.from_layout(n, layout, encoder_angles(kind, rows, n)[0])
 
 
-def amplitude_encode(values, n: int) -> Circuit:
-    """Prepares the normalized feature vector via a recursive
-    multiplexed-RY rotation tree."""
-    return encode("amplitude", values, n)
-
-
-def angle_encode(values, n: int) -> Circuit:
-    """n layers of n rotations; layer c rotates qubit d by feature d + c·n."""
-    return encode("angle", values, n)
-
-
 def feature_capacity(kind: str, n: int) -> int:
     if kind == "amplitude":
         return 2**n

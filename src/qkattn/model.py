@@ -131,7 +131,6 @@ class QksasRecord:
     ground-state entry p₀ is the self-attention score."""
 
     distribution: np.ndarray
-    pair: tuple[np.ndarray, np.ndarray]
 
     @property
     def p0(self) -> float:
@@ -398,9 +397,7 @@ def qksas(w_i, w_j, theta1, theta2, config: ModelConfig) -> QksasRecord:
     else:
         result = _sim.run_circuit(circ, "pure")
         dist = _sim.outcome_probabilities(result.state, tuple(range(config.n)))
-    w_i = np.asarray(w_i, dtype=float)
-    w_j = np.asarray(w_j, dtype=float)
-    return QksasRecord(dist, (w_i, w_j))
+    return QksasRecord(dist)
 
 
 def forward(w_i, w_j, params: ParamSet, config: ModelConfig,
@@ -408,12 +405,11 @@ def forward(w_i, w_j, params: ParamSet, config: ModelConfig,
     """Classifier expectation E ∈ [−1, 1] plus the attention record."""
     if config.execution in ("analytic", "density"):
         e_val, probs = BatchEvaluator([w_i], [w_j], config).evaluate(params)
-        pair = (np.asarray(w_i, dtype=float), np.asarray(w_j, dtype=float))
-        return float(e_val[0]), QksasRecord(probs[0], pair)
-    record = qksas(w_i, w_j, params.theta1, params.theta2, config)
-    # shots: sample the exact joint distribution of the conditional circuit
+        return float(e_val[0]), QksasRecord(probs[0])
     if rng is None:
         raise ValueError("shots mode needs an rng")
+    record = qksas(w_i, w_j, params.theta1, params.theta2, config)
+    # shots: sample the exact joint distribution of the conditional circuit
     circ = build_full_circuit(w_i, w_j, params, config,
                               form="conditional", final_measure=True)
     result = _sim.run_circuit(circ, "density")

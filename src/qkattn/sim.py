@@ -1,8 +1,10 @@
 """Exact simulation of few-qubit circuits.
 
-Pure statevector evolution, density-matrix evolution with Kraus noise
-channels, projective measurement of qubit subsets (including mid-circuit
-measurement with classically conditioned gates), and Z expectations.
+Two exact engines: pure statevector evolution of measurement-free
+circuits, and density-matrix evolution with Kraus noise channels,
+resolved over every classical branch of mid-circuit measurements and
+classically conditioned gates.  Outcome distributions and Z
+expectations are read from either state.
 
 ``run_circuit`` is the gate-by-gate oracle.  Its density mode keeps each
 classical branch's ρ as a (2,)·2q tensor and applies every operator on
@@ -305,32 +307,11 @@ class StateVector:
         amps[0] = 1.0
         return cls(qubits, amps)
 
-    @classmethod
-    def from_amplitudes(cls, amps: Sequence[complex]) -> "StateVector":
-        amps = np.asarray(amps, dtype=complex)
-        q = int(np.log2(len(amps)))
-        if 2**q != len(amps):
-            raise ValueError("amplitude count must be a power of two")
-        return cls(q, amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
 
 @dataclasses.dataclass
 class DensityMatrix:
     qubits: int
     mat: np.ndarray
-
-    @classmethod
-    def zero(cls, qubits: int) -> "DensityMatrix":
-        m = np.zeros((2**qubits, 2**qubits), dtype=complex)
-        m[0, 0] = 1.0
-        return cls(qubits, m)
-
-    @classmethod
-    def from_statevector(cls, state: StateVector) -> "DensityMatrix":
-        return cls(state.qubits, np.outer(state.amps, state.amps.conj()))
 
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
@@ -580,12 +561,6 @@ def layout_channels(layout: Layout, angles: np.ndarray, q: int,
     return apply_noisy_layout(basis, layout, angles, q, noise).transpose(0, 2, 1)
 
 
-def apply_gate(state: StateVector, op: GateOp) -> StateVector:
-    if max(op.coords) >= state.qubits:
-        raise ValueError("gate coordinate out of range")
-    return StateVector(state.qubits, apply_unitary(state.amps, op.matrix(), op.coords, state.qubits))
-
-
 def expand_matrix(u: np.ndarray, coords: Sequence[int], q: int) -> np.ndarray:
     """Embed a local operator on ``coords`` into the full 2^q space."""
     dim = 2**q
@@ -620,42 +595,6 @@ def outcome_probabilities(state: StateVector, measured: Sequence[int]) -> np.nda
     return p
 
 
-def _project(state: StateVector, measured: Sequence[int], outcome: int) -> tuple[np.ndarray, float]:
-    """Unnormalized projection of the full state onto a measurement outcome."""
-    q = state.qubits
-    t = state.amps.reshape((2,) * q).copy()
-    for i, mq in enumerate(measured):
-        bit = (outcome >> i) & 1
-        idx = [slice(None)] * q
-        idx[q - 1 - mq] = 1 - bit
-        t[tuple(idx)] = 0.0
-    flat = t.reshape(-1)
-    prob = float(np.vdot(flat, flat).real)
-    return flat, prob
-
-
-def measure_subset(state: StateVector, measured: Sequence[int],
-                   rng: np.random.Generator) -> tuple[int, StateVector, float]:
-    """Sample an outcome; return it with the renormalized residual state.
-
-    The residual lives on the unmeasured qubits, in ascending qubit order.
-    """
-    measured = tuple(measured)
-    probs = outcome_probabilities(state, measured)
-    outcome = int(rng.choice(len(probs), p=np.clip(probs, 0, None) / probs.sum()))
-    flat, prob = _project(state, measured, outcome)
-    assert prob > 0.0, "sampled a zero-probability branch"
-    q = state.qubits
-    keep = [k for k in range(q) if k not in measured]
-    t = flat.reshape((2,) * q)
-    index = [slice(None)] * q
-    for i, mq in enumerate(measured):
-        index[q - 1 - mq] = (outcome >> i) & 1
-    residual = t[tuple(index)].reshape(-1)
-    residual = residual / sqrt(prob)
-    return outcome, StateVector(len(keep), residual), float(probs[outcome])
-
-
 def expectation_z(state: StateVector | DensityMatrix, qubit: int) -> float:
     """⟨Z⟩ on one qubit: P(qubit=0) − P(qubit=1)."""
     if qubit >= state.qubits:
@@ -672,11 +611,11 @@ def expectation_z(state: StateVector | DensityMatrix, qubit: int) -> float:
 class RunResult:
     """Final state plus the classical record of a circuit run.
 
-    ``bits`` is a tuple of bit values in pure/trajectory mode and a
-    {bit-pattern: probability} dict in density mode.  One entry of
-    ``measurement_probs`` is recorded per measurement marker, in order:
-    the exact pre-measurement outcome distribution (density/pure modes)
-    or the empirical outcome frequencies (trajectory mode).
+    ``bits`` is the all-zero register tuple in pure mode, which runs only
+    measurement-free circuits, and a {bit-pattern: probability} dict in
+    density mode.  ``measurement_probs`` holds the exact pre-measurement
+    outcome distribution of each measurement marker, in order; pure mode
+    records none.
     """
 
     state: StateVector | DensityMatrix
@@ -715,27 +654,11 @@ def _moment_groups(ops: Sequence[CircuitOp]):
     yield from flush()
 
 
-def _run_pure(circuit: Circuit, rng: np.random.Generator | None) -> RunResult:
-    state = StateVector.zero(circuit.qubits)
-    bits = [0] * circuit.clbits
-    probs_record: list[np.ndarray] = []
+def _run_pure(circuit: Circuit) -> RunResult:
+    amps = StateVector.zero(circuit.qubits).amps
     for op in circuit.ops:
-        if isinstance(op, Measure):
-            if rng is None:
-                raise ValueError("pure mode with measurements needs an rng")
-            probs = outcome_probabilities(state, op.qubits)
-            probs_record.append(probs)
-            outcome = int(rng.choice(len(probs), p=np.clip(probs, 0, None) / probs.sum()))
-            flat, prob = _project(state, op.qubits, outcome)
-            assert prob > 0.0
-            state = StateVector(circuit.qubits, flat / sqrt(prob))
-            for i, cb in enumerate(op.clbits):
-                bits[cb] = (outcome >> i) & 1
-        else:
-            if op.condition is not None and not op.condition.holds(bits):
-                continue
-            state = apply_gate(state, op)
-    return RunResult(state, tuple(bits), probs_record)
+        amps = apply_unitary(amps, op.matrix(), op.coords, circuit.qubits)
+    return RunResult(StateVector(circuit.qubits, amps), (0,) * circuit.clbits, [])
 
 
 @functools.lru_cache(maxsize=1024)
@@ -830,80 +753,16 @@ def _run_density(circuit: Circuit, noise: Sequence[NoiseChannel]) -> RunResult:
     return RunResult(DensityMatrix(q, sum(mats.values())), weights, probs_record)
 
 
-def _run_one_trajectory(circuit: Circuit, noise: Sequence[NoiseChannel],
-                        rng: np.random.Generator,
-                        records: list[list[int]]) -> tuple[StateVector, tuple[int, ...]]:
-    state = StateVector.zero(circuit.qubits)
-    bits = [0] * circuit.clbits
-    marker = 0
-
-    def sample_noise(touched: set[int]):
-        nonlocal state
-        for qubit in sorted(touched):
-            for ch in noise:
-                kraus = ch.kraus()
-                amps = [apply_unitary(state.amps, k, (qubit,), circuit.qubits) for k in kraus]
-                weights = np.array([float(np.vdot(a, a).real) for a in amps])
-                pick = int(rng.choice(len(kraus), p=weights / weights.sum()))
-                state = StateVector(circuit.qubits, amps[pick] / sqrt(weights[pick]))
-
-    for kind, item in _moment_groups(circuit.ops):
-        if kind == "gates":
-            for op in item:
-                state = apply_gate(state, op)
-            sample_noise({c for op in item for c in op.coords})
-        elif kind == "cond":
-            if item.condition.holds(bits):
-                state = apply_gate(state, item)
-                sample_noise(set(item.coords))
-        else:
-            probs = outcome_probabilities(state, item.qubits)
-            outcome = int(rng.choice(len(probs), p=np.clip(probs, 0, None) / probs.sum()))
-            records[marker].append(outcome)
-            marker += 1
-            flat, prob = _project(state, item.qubits, outcome)
-            state = StateVector(circuit.qubits, flat / sqrt(prob))
-            for i, cb in enumerate(item.clbits):
-                bits[cb] = (outcome >> i) & 1
-    return state, tuple(bits)
-
-
-def _run_trajectories(circuit: Circuit, noise, rng, count: int) -> RunResult:
-    if rng is None:
-        raise ValueError("trajectory mode needs an rng")
-    if count < 1:
-        raise ValueError("trajectory count must be positive")
-    dim = 2**circuit.qubits
-    acc = np.zeros((dim, dim), dtype=complex)
-    n_markers = sum(1 for op in circuit.ops if isinstance(op, Measure))
-    records: list[list[int]] = [[] for _ in range(n_markers)]
-    bit_counts: dict[tuple[int, ...], int] = {}
-    for _ in range(count):
-        state, bits = _run_one_trajectory(circuit, noise, rng, records)
-        acc += np.outer(state.amps, state.amps.conj())
-        bit_counts[bits] = bit_counts.get(bits, 0) + 1
-    probs_record = []
-    for i, rec in enumerate(records):
-        marker = [op for op in circuit.ops if isinstance(op, Measure)][i]
-        freq = np.bincount(rec, minlength=2 ** len(marker.qubits)) / count
-        probs_record.append(freq)
-    weights = {key: c / count for key, c in bit_counts.items()}
-    return RunResult(DensityMatrix(circuit.qubits, acc / count), weights, probs_record)
-
-
 def run_circuit(circuit: Circuit, mode: str = "pure",
-                noise: NoiseChannel | Sequence[NoiseChannel] | None = None,
-                rng: np.random.Generator | None = None,
-                trajectories: int | None = None) -> RunResult:
+                noise: NoiseChannel | Sequence[NoiseChannel] | None = None) -> RunResult:
     """Execute a circuit from |0...0⟩.
 
-    Modes: "pure" (statevector; mid-circuit measurements sampled with
-    ``rng``), "density" (exact, branch-resolved over classical outcomes;
-    each gate applied as U ⊗ U* on its own row and column axes, and
-    ``noise``, composed into one single-qubit superoperator, applied to
-    every qubit touched in a moment, after that moment; see
-    ``_run_density``), "trajectories" (``trajectories`` stochastic
-    pure-state runs averaged into a density matrix).
+    Modes: "pure" (statevector; measurement-free, noise-free circuits
+    only) and "density" (exact, branch-resolved over the classical
+    outcomes of mid-circuit measurements; each gate applied as U ⊗ U* on
+    its own row and column axes, and ``noise``, composed into one
+    single-qubit superoperator, applied to every qubit touched in a
+    moment, after that moment; see ``_run_density``).
 
     Per-moment noise equals per-gate noise, each channel after every gate
     on each of its qubits (as ``apply_noisy_layout`` places it): the gates
@@ -916,10 +775,10 @@ def run_circuit(circuit: Circuit, mode: str = "pure",
     noise = tuple(noise) if noise else ()
     if mode == "pure":
         if noise:
-            raise ValueError("pure mode cannot carry noise; use density or trajectories")
-        return _run_pure(circuit, rng)
+            raise ValueError("pure mode cannot carry noise; use density mode")
+        if any(isinstance(op, Measure) for op in circuit.ops):
+            raise ValueError("pure mode runs measurement-free circuits; use density mode")
+        return _run_pure(circuit)
     if mode == "density":
         return _run_density(circuit, noise)
-    if mode == "trajectories":
-        return _run_trajectories(circuit, noise, rng, trajectories or 0)
     raise ValueError(f"unknown mode {mode!r}")

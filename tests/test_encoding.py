@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from qkattn.encoding import (amplitude_encode, angle_encode, encode,
-                             feature_capacity, normalized_amplitudes)
+from qkattn.encoding import encode, feature_capacity, normalized_amplitudes
 from qkattn.sim import Circuit, run_circuit
 
 
@@ -37,14 +36,14 @@ def test_amplitude_encode_exact_preparation():
         if np.linalg.norm(v) < 1e-9:
             continue
         target = normalized_amplitudes(v, n)
-        amps = prepared_state(amplitude_encode(v, n))
+        amps = prepared_state(encode("amplitude", v, n))
         worst = max(worst, np.max(np.abs(amps - target)))
     assert worst < 1e-12
 
 
 def test_amplitude_encode_handles_signs():
     v = [0.5, -0.5, -0.5, 0.5]
-    amps = prepared_state(amplitude_encode(v, 2))
+    amps = prepared_state(encode("amplitude", v, 2))
     assert np.allclose(amps, v, atol=1e-12)
 
 
@@ -52,13 +51,13 @@ def test_amplitude_encode_basis_states():
     for k in range(4):
         v = np.zeros(4)
         v[k] = 1.0
-        amps = prepared_state(amplitude_encode(v, 2))
+        amps = prepared_state(encode("amplitude", v, 2))
         assert np.allclose(amps, v, atol=1e-12)
 
 
 def test_angle_encode_layer_axes():
     # one feature per (layer, qubit) slot; layer axis cycles X, Y, Z
-    circ = angle_encode(np.arange(1, 10, dtype=float), 3)
+    circ = encode("angle", np.arange(1, 10, dtype=float), 3)
     kinds = [op.kind for op in circ.ops]
     assert kinds == ["RX"] * 3 + ["RY"] * 3 + ["RZ"] * 3
     angles = [op.angle for op in circ.ops]
@@ -66,7 +65,7 @@ def test_angle_encode_layer_axes():
 
 
 def test_angle_encode_zero_padding():
-    circ = angle_encode([0.7], 2)
+    circ = encode("angle", [0.7], 2)
     assert len(circ.ops) == 4
     assert circ.ops[0].angle == 0.7
     assert all(op.angle == 0.0 for op in circ.ops[1:])
@@ -74,12 +73,12 @@ def test_angle_encode_zero_padding():
 
 def test_angle_encode_overflow_rejected():
     with pytest.raises(ValueError):
-        angle_encode(np.ones(5), 2)
+        encode("angle", np.ones(5), 2)
 
 
 def test_single_feature_angle_state():
     # RX(t) on |0> leaves qubit 1 untouched
-    amps = prepared_state(angle_encode([np.pi], 2))
+    amps = prepared_state(encode("angle", [np.pi], 2))
     assert np.isclose(abs(amps[1]), 1.0, atol=1e-12)
 
 

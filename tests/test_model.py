@@ -491,6 +491,18 @@ def test_shots_mode_agrees_within_three_standard_errors():
     assert abs(e - es) < 3 * se + 1e-6
 
 
+def test_shots_mode_without_rng_fails_before_simulating(monkeypatch):
+    def spy(*args, **kwargs):
+        raise AssertionError("sim.run_circuit called before the rng check")
+
+    monkeypatch.setattr(sim, "run_circuit", spy)
+    scfg = ModelConfig(n=2, encoder="angle", ansatz="hea", execution="shots", shots=10)
+    rng = np.random.default_rng(14)
+    p = scfg.random_params(rng)
+    with pytest.raises(ValueError, match="needs an rng"):
+        forward(rng.uniform(0, np.pi, size=4), rng.uniform(0, np.pi, size=4), p, scfg)
+
+
 def test_register_locality_wi_perturbation():
     # changing w_i must not move the unlinked register-2 state
     cfg = ModelConfig(n=2, encoder="angle", ansatz="hea")

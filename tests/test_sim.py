@@ -7,8 +7,7 @@ import pytest
 from qkattn import sim
 from qkattn.sim import (Circuit, Condition, GateOp, Measure, NoiseChannel,
                         StateVector, expand_matrix, expectation_z,
-                        gate_matrix, measure_subset, outcome_probabilities,
-                        run_circuit)
+                        gate_matrix, outcome_probabilities, run_circuit)
 
 
 # --- gate matrices -------------------------------------------------------
@@ -174,7 +173,7 @@ def test_bell_state_preparation():
 
 def test_outcome_probabilities_ordering():
     # amplitude index 1 means qubit 0 is set
-    state = StateVector.from_amplitudes([0, 1, 0, 0])
+    state = StateVector(2, np.array([0, 1, 0, 0], dtype=complex))
     p = outcome_probabilities(state, (0,))
     assert np.allclose(p, [0, 1])
     p = outcome_probabilities(state, (1,))
@@ -183,20 +182,9 @@ def test_outcome_probabilities_ordering():
     assert np.allclose(p, [0, 1, 0, 0])
 
 
-def test_measure_subset_residual():
-    rng = np.random.default_rng(0)
-    circ = Circuit(2).gate("H", (0,))
-    state = run_circuit(circ, "pure").state
-    outcome, residual, prob = measure_subset(state, (0,), rng)
-    assert outcome in (0, 1)
-    assert np.isclose(prob, 0.5)
-    assert np.isclose(residual.norm(), 1.0)
-    assert residual.qubits == 1
-
-
 def test_expectation_z():
     assert np.isclose(expectation_z(StateVector.zero(2), 0), 1.0)
-    minus = StateVector.from_amplitudes([0, 0, 1, 0])  # qubit 1 set
+    minus = StateVector(2, np.array([0, 0, 1, 0], dtype=complex))  # qubit 1 set
     assert np.isclose(expectation_z(minus, 1), -1.0)
     assert np.isclose(expectation_z(minus, 0), 1.0)
     plus = run_circuit(Circuit(1).gate("H", (0,)), "pure").state
@@ -265,24 +253,21 @@ def test_conditional_mid_circuit_branching():
     assert np.allclose(diag, [0.5, 0, 0, 0.5])
 
 
-def test_pure_mode_rejects_noise():
-    with pytest.raises(ValueError):
-        run_circuit(Circuit(1).gate("H", (0,)), "pure",
-                    noise=NoiseChannel("bit-flip", 0.1))
-
-
-def test_trajectories_converge_to_density():
-    rng = np.random.default_rng(12)
-    noise = (NoiseChannel("bit-flip", 0.15),)
-    circ = Circuit(2).gate("H", (0,)).gate("CNOT", (0, 1)).gate("RY", (1,), 0.8)
-    exact = run_circuit(circ, "density", noise=noise).state
-    count = 3000
-    est = run_circuit(circ, "trajectories", noise=noise, rng=rng,
-                      trajectories=count).state
-    # diagonal entries are binomial proportions; allow 3 standard errors
-    se = 3 * np.sqrt(0.25 / count)
-    assert np.max(np.abs(np.diagonal(est.mat).real
-                         - np.diagonal(exact.mat).real)) < se
+@pytest.mark.parametrize("case", ["noise", "measure", "trajectories"])
+def test_pure_mode_rejects_noise(case):
+    circ = Circuit(1, clbits=1).gate("H", (0,))
+    kwargs = {"mode": "pure"}
+    if case == "noise":
+        kwargs["noise"] = NoiseChannel("bit-flip", 0.1)
+    elif case == "measure":
+        circ.measure((0,), (0,))
+    else:
+        kwargs["mode"] = "trajectories"
+    with pytest.raises(ValueError) as err:
+        run_circuit(circ, **kwargs)
+    message = str(err.value)
+    assert "\n" not in message
+    assert ("unknown mode" if case == "trajectories" else "use density mode") in message
 
 
 def test_adjoint_cancellation():
