@@ -232,6 +232,9 @@ def load_params(path: str, mcfg: ModelConfig) -> ParamSet:
 def cmd_train(args) -> int:
     resolved = load_config(args.config, args.seed, args.variant)
     mcfg = model_config_from(resolved)
+    if mcfg.execution == "shots":
+        raise CliError("model.execution 'shots' cannot train: gradients need "
+                       "'analytic' or 'density' execution")
     tcfg = train_config_from(resolved)
     split = load_dataset(resolved, mcfg)
     record = train_loop(mcfg, split.train_x, split.train_y, tcfg,

@@ -31,10 +31,10 @@ U(θ2) and U(θ3) come from one stacked ``sim.layout_unitaries`` call, a
 short product of the ansatz's cached full-space rotation factors.
 Density mode is the same closed form on vectorised density matrices:
 every fragment is a noisy channel in which each gate is followed by its
-noise, on each of its qubits, as ``sim.run_circuit`` places it per
-moment.  At n ≤ 2 a fragment's channel is one product of the layout's
-cached full-space superoperator factors; larger registers fuse each gate
-with its noise into one local superoperator and apply them in turn.
+noise, on each of its qubits, as ``sim.run_circuit`` places it.  At
+n ≤ 2 a fragment's channel is one product of the layout's cached
+full-space superoperator factors; larger registers fuse each gate with
+its noise into one local superoperator and apply them in turn.
 Register 1 applies the channel of U†(θ2)U(θ1) to the noisy encoded ρ_i
 and reads each outcome's projector carried back (Heisenberg picture)
 through the channel of U_φ†(w_j); the register-2 readouts carry Z
@@ -108,10 +108,6 @@ class ModelConfig:
                 if variant == tag_e + tag_a:
                     return cls(encoder=enc, ansatz=anz, **kwargs)
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-
-    @property
-    def total_qubits(self) -> int:
-        return 2 * self.n
 
     @property
     def feature_dim(self) -> int:

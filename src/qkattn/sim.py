@@ -9,10 +9,11 @@ expectations are read from either state.
 ``run_circuit`` is the gate-by-gate oracle.  Its density mode keeps each
 classical branch's ρ as a (2,)·2q tensor and applies every operator on
 its own axes: a gate as the 4^m × 4^m superoperator U ⊗ U* built from
-``gate_matrix``, and after each moment the noise channels, composed from
-``NoiseChannel.kraus`` into one 4 × 4 superoperator, on each qubit the
-moment touched.  Only measurement projectors are lifted to the full
-space (``expand_matrix``).  The batched layout builders
+``gate_matrix``, followed by the noise channels, composed from
+``NoiseChannel.kraus`` into one 4 × 4 superoperator, on each of the
+gate's qubits (folded into the gate's superoperator for gates on at most
+two qubits).  Only one label operator per measurement is lifted to the
+full space (``expand_matrix``).  The batched layout builders
 (``layout_unitaries``, ``layout_channels``, ``apply_noisy_layout``) are
 the fast paths checked against it; the oracle uses none of their
 compiled factors or caches.
@@ -285,7 +286,8 @@ class Circuit:
         return out
 
     def validate(self) -> None:
-        """Check write-before-read on classical bits and qubit liveness."""
+        """Check that every condition reads classical bits written by an
+        earlier measurement."""
         written: set[int] = set()
         for op in self.ops:
             if isinstance(op, Measure):
@@ -623,37 +625,6 @@ class RunResult:
     measurement_probs: list[np.ndarray]
 
 
-def _moment_groups(ops: Sequence[CircuitOp]):
-    """Split an op sequence into layers for noise placement.
-
-    Yields ("gates", [GateOp...]) for maximal runs of unconditioned gates
-    on disjoint qubits, ("cond", GateOp) for conditioned gates (their own
-    moment), and ("measure", Measure) markers.
-    """
-    group: list[GateOp] = []
-    used: set[int] = set()
-
-    def flush():
-        nonlocal group, used
-        if group:
-            yield ("gates", group)
-        group, used = [], set()
-
-    for op in ops:
-        if isinstance(op, Measure):
-            yield from flush()
-            yield ("measure", op)
-        elif op.condition is not None:
-            yield from flush()
-            yield ("cond", op)
-        else:
-            if used & set(op.coords):
-                yield from flush()
-            group.append(op)
-            used |= set(op.coords)
-    yield from flush()
-
-
 def _run_pure(circuit: Circuit) -> RunResult:
     amps = StateVector.zero(circuit.qubits).amps
     for op in circuit.ops:
@@ -687,66 +658,92 @@ def _apply_local(rho: np.ndarray, sop: np.ndarray, coords: tuple[int, ...], q: i
     return (sop @ t.reshape(len(sop), -1)).reshape(moved).transpose(inverse)
 
 
+# Gates on at most this many qubits carry the run's noise folded into
+# their superoperator, N^{⊗m}·(U ⊗ U*), at most 16 × 16.  Wider gates (the
+# MCRY-open gates) apply the 4 × 4 channel on each of their qubits after
+# the gate instead: at arity 6 a folded one would be 4096 × 4096.
+_FOLDED_ARITY = 2
+
+
 def _run_density(circuit: Circuit, noise: Sequence[NoiseChannel]) -> RunResult:
     """Exact branch-resolved evolution; one unnormalized density tensor of
     shape (2,)·2q (row bits, then column bits) per classical bit pattern.
 
-    Each gate acts as its U ⊗ U* on the gate's own row and column axes
-    (``_apply_local``), never lifted to the full space.  After a moment,
-    the channels of ``noise``, composed once into one 4 × 4 superoperator
-    Σ K ⊗ K*, act on each qubit the moment touched.  A measurement splits
-    every branch by outcome with the diagonal of the lifted projectors,
+    Each gate acts on its own row and column axes (``_apply_local``),
+    never lifted to the full space, and is followed by the channels of
+    ``noise``, composed once into one 4 × 4 superoperator N = Σ K ⊗ K*,
+    on each of its qubits.  A gate on m ≤ 2 qubits is one application of
+    N^{⊗m}·(U ⊗ U*); unparameterized gates build theirs once per run.  A
+    measurement lifts one label operator, diag(0, …, 2^m − 1), to read
+    each basis index's outcome, and splits every branch by outcome,
     dropping outcomes of weight ≤ 1e-15.
     """
     q = circuit.qubits
     dim = 2**q
     shape = (2,) * (2 * q)
-    noise_sop = np.eye(4, dtype=complex)
+    one = np.eye(4, dtype=complex)
     for ch in noise:
-        noise_sop = sum(_superop(k) for k in ch.kraus()) @ noise_sop
+        one = sum(_superop(k) for k in ch.kraus()) @ one
+    # N^{⊗m} on a gate's local vec space: the kron of m copies has each
+    # qubit's (row, column) bits adjacent; move the row bits high
+    folds: dict[int, np.ndarray] = {}
+    if noise:
+        for m in range(1, _FOLDED_ARITY + 1):
+            pairs = functools.reduce(np.kron, [one] * m)
+            perm = [*range(0, 2 * m, 2), *range(1, 2 * m, 2)]
+            folds[m] = pairs.reshape((2,) * (4 * m)).transpose(
+                perm + [2 * m + a for a in perm]).reshape(4**m, 4**m)
+    fixed: dict[str, np.ndarray] = {}
+
+    def superop(op: GateOp) -> np.ndarray:
+        sop = _superop(op.matrix())
+        fold = folds.get(len(op.coords))
+        return sop if fold is None else fold @ sop
+
     rho0 = np.zeros(shape, dtype=complex)
     rho0[(0,) * (2 * q)] = 1.0
     # branch key = classical bit pattern; values are unnormalized densities
     branches: dict[tuple[int, ...], np.ndarray] = {(0,) * circuit.clbits: rho0}
     probs_record: list[np.ndarray] = []
 
-    def evolve(keys, ops: Sequence[GateOp]) -> None:
-        for op in ops:
-            sop = _superop(op.matrix())
-            for key in keys:
-                branches[key] = _apply_local(branches[key], sop, op.coords, q)
-        if noise:
-            for qubit in sorted({c for op in ops for c in op.coords}):
-                for key in keys:
-                    branches[key] = _apply_local(branches[key], noise_sop, (qubit,), q)
-
-    for kind, item in _moment_groups(circuit.ops):
-        if kind == "gates":
-            evolve(list(branches), item)
-        elif kind == "cond":
-            evolve([key for key in branches if item.condition.holds(key)], [item])
-        elif kind == "measure":
-            m = len(item.qubits)
-            # the diagonal of each outcome's projector, lifted to the full space
-            masks = [expand_matrix(np.diag(e), item.qubits, q).diagonal().real
-                     for e in np.eye(2**m)]
-            agg = np.zeros(2**m)
-            new_branches: dict[tuple[int, ...], np.ndarray] = {}
+    for op in circuit.ops:
+        if isinstance(op, Measure):
+            outcomes = 2 ** len(op.qubits)
+            # bit i of a basis index's label is the value of op.qubits[i]
+            labels = expand_matrix(np.diag(np.arange(outcomes, dtype=float)), op.qubits,
+                                   q).diagonal().real.astype(np.intp)
+            agg = np.zeros(outcomes)
+            split: dict[tuple[int, ...], np.ndarray] = {}
             for key, rho in branches.items():
                 mat = rho.reshape(dim, dim)
-                for outcome, mask in enumerate(masks):
-                    sub = mat * np.outer(mask, mask)
-                    w = float(np.trace(sub).real)
-                    agg[outcome] += w
-                    if w <= 1e-15:
-                        continue
+                weights = np.bincount(labels, mat.diagonal().real, outcomes)
+                agg += weights
+                for outcome in np.flatnonzero(weights > 1e-15).tolist():
+                    keep = labels == outcome
+                    sub = mat * (keep[:, None] & keep[None, :])
                     newkey = list(key)
-                    for i, cb in enumerate(item.clbits):
+                    for i, cb in enumerate(op.clbits):
                         newkey[cb] = (outcome >> i) & 1
                     newkey = tuple(newkey)
-                    new_branches[newkey] = new_branches.get(newkey, 0) + sub.reshape(shape)
-            branches = new_branches
+                    split[newkey] = split.get(newkey, 0) + sub.reshape(shape)
+            branches = split
             probs_record.append(agg)
+            continue
+        if op.angle is not None:
+            sop = superop(op)
+        elif op.kind in fixed:
+            sop = fixed[op.kind]
+        else:
+            sop = fixed[op.kind] = superop(op)
+        wide = bool(noise) and len(op.coords) > _FOLDED_ARITY
+        for key, rho in branches.items():
+            if op.condition is not None and not op.condition.holds(key):
+                continue
+            rho = _apply_local(rho, sop, op.coords, q)
+            if wide:
+                for qubit in op.coords:
+                    rho = _apply_local(rho, one, (qubit,), q)
+            branches[key] = rho
 
     mats = {key: rho.reshape(dim, dim) for key, rho in branches.items()}
     weights = {key: float(np.trace(mat).real) for key, mat in mats.items()}
@@ -760,14 +757,9 @@ def run_circuit(circuit: Circuit, mode: str = "pure",
     Modes: "pure" (statevector; measurement-free, noise-free circuits
     only) and "density" (exact, branch-resolved over the classical
     outcomes of mid-circuit measurements; each gate applied as U ⊗ U* on
-    its own row and column axes, and ``noise``, composed into one
-    single-qubit superoperator, applied to every qubit touched in a
-    moment, after that moment; see ``_run_density``).
-
-    Per-moment noise equals per-gate noise, each channel after every gate
-    on each of its qubits (as ``apply_noisy_layout`` places it): the gates
-    of one moment act on disjoint qubits, and single-qubit channels on
-    different qubits commute with each other and with those gates.
+    its own row and column axes and followed by ``noise``, composed into
+    one single-qubit superoperator, on each of its qubits, as
+    ``apply_noisy_layout`` places it; see ``_run_density``).
     """
     circuit.validate()
     if isinstance(noise, NoiseChannel):

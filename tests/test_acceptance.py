@@ -205,8 +205,8 @@ def test_criterion_7_noise_sweep(tmp_path):
     p=0.1 and non-increasing (2-point tolerance) out to p=0.5.
 
     Run at n=1 (one qubit per register, 2-dimensional features).  The
-    per-moment noise placement applies each channel once per touched qubit
-    per layer, so depth multiplies the effective error rate; the shallow
+    per-gate noise placement applies each channel after every gate on each
+    of its qubits, so depth multiplies the effective error rate; the shallow
     n=1 circuit is the regime where a p=0.1 channel leaves accuracy intact
     while p=0.5 erases the readout signal entirely.
     """

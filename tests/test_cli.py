@@ -293,3 +293,16 @@ def test_idx_classes_must_be_two_distinct_integers(tmp_path, capsys, monkeypatch
     assert "'classes'" in err
     assert not reads
     assert not os.path.exists(out)
+
+
+def test_train_refuses_shots_execution_before_loading_data(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, model={"execution": "shots", "shots": 100})
+    out = os.path.join(str(tmp_path), "run")
+    loads = []
+    monkeypatch.setattr(cli, "load_dataset", lambda *args: loads.append(args))
+    assert main(["train", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.strip().count("\n") == 0
+    assert "model.execution" in err
+    assert not loads
+    assert not os.path.exists(out)

@@ -527,9 +527,7 @@ def _lifted_density_run(circ, noise):
     """run_circuit's density mode by brute force: every gate, Kraus
     operator and projector lifted to the full space with _kron_embed, ρ
     evolved by dense products, one ρ per classical bit pattern.  Noise
-    follows each gate on each of its qubits, which equals run_circuit's
-    once-per-touched-qubit-per-moment rule because the gates of a moment
-    act on disjoint qubits."""
+    follows each gate on each of its qubits, as in run_circuit."""
     q = circ.qubits
     kraus = [[[_kron_embed(k, (qubit,), q) for k in ch.kraus()] for ch in noise]
              for qubit in range(q)]
@@ -584,3 +582,50 @@ def test_density_oracle_matches_lifted_kraus_reference(noise):
             assert len(got.measurement_probs) == len(probs)
             for a, b in zip(got.measurement_probs, probs):
                 assert np.max(np.abs(a - b)) < 1e-12, (q, noise)
+
+
+def _noisy_branching_circuit():
+    """Noisy 1- and 2-qubit gates, a mid-circuit measurement of two qubits
+    and a gate conditioned on one of the bits it writes."""
+    circ = Circuit(3, clbits=3)
+    circ.gate("H", (0,)).gate("CNOT", (0, 1)).gate("RY", (2,), 0.3)
+    circ.measure((0, 1), (0, 1))
+    circ.gate("X", (2,), condition=Condition((0,), (1,)))
+    circ.gate("CRY", (1, 2), 0.4).gate("RX", (0,), 0.7)
+    return circ
+
+
+def test_density_oracle_applies_one_operator_per_gate_per_branch(monkeypatch):
+    # each gate's noise is folded into its superoperator: one application
+    # per gate on every live branch its condition admits, none for the noise
+    noise = (NoiseChannel("bit-flip", 0.1),)
+    circ = _noisy_branching_circuit()
+    calls = []
+    apply_local = sim._apply_local
+
+    def spy(rho, sop, coords, q):
+        calls.append(coords)
+        return apply_local(rho, sop, coords, q)
+
+    monkeypatch.setattr(sim, "_apply_local", spy)
+    result = run_circuit(circ, "density", noise=noise)
+    assert len(result.bits) == 4  # bit-flip noise leaves every outcome live
+    fired = sum(key[0] == 1 for key in result.bits)
+    assert len(calls) == 3 + fired + 2 * len(result.bits)
+    mat, _, _ = _lifted_density_run(circ, noise)
+    assert np.max(np.abs(result.state.mat - mat)) < 1e-12
+
+
+def test_density_oracle_lifts_one_operator_per_measurement(monkeypatch):
+    # perfbench's tracer probe sim.expand_matrix.calls counts these lifts
+    circ = _noisy_branching_circuit().measure((2,), (2,))
+    calls = []
+    expand = sim.expand_matrix
+
+    def spy(u, coords, q):
+        calls.append(coords)
+        return expand(u, coords, q)
+
+    monkeypatch.setattr(sim, "expand_matrix", spy)
+    run_circuit(circ, "density", noise=(NoiseChannel("amplitude-damping", 0.2),))
+    assert calls == [(0, 1), (2,)]
