@@ -7,13 +7,15 @@ classically conditioned gates.  Outcome distributions and Z
 expectations are read from either state.
 
 ``run_circuit`` is the gate-by-gate oracle.  Its density mode keeps each
-classical branch's ρ as a (2,)·2q tensor and applies every operator on
-its own axes: a gate as the 4^m × 4^m superoperator U ⊗ U* built from
-``gate_matrix``, followed by the noise channels, composed from
-``NoiseChannel.kraus`` into one 4 × 4 superoperator, on each of the
+classical branch's ρ as a product of factors, one per group of qubits
+that no gate has coupled yet (groups start as single qubits and merge,
+in every branch, when an op spans several), and applies every operator
+on its group's own axes: a gate as the 4^m × 4^m superoperator U ⊗ U*
+built from ``gate_matrix``, followed by the noise channels, composed
+from ``NoiseChannel.kraus`` into one 4 × 4 superoperator, on each of the
 gate's qubits (folded into the gate's superoperator for gates on at most
-two qubits).  Only one label operator per measurement is lifted to the
-full space (``expand_matrix``).  The batched layout builders
+two qubits).  Only one label operator per measurement is lifted, to the
+measured group's space (``expand_matrix``).  The batched layout builders
 (``layout_unitaries``, ``layout_channels``, ``apply_noisy_layout``) are
 the fast paths checked against it; the oracle uses none of their
 compiled factors or caches.
@@ -661,26 +663,99 @@ def _apply_local(rho: np.ndarray, sop: np.ndarray, coords: tuple[int, ...], q: i
 # Gates on at most this many qubits carry the run's noise folded into
 # their superoperator, N^{⊗m}·(U ⊗ U*), at most 16 × 16.  Wider gates (the
 # MCRY-open gates) apply the 4 × 4 channel on each of their qubits after
-# the gate instead: at arity 6 a folded one would be 4096 × 4096.
+# the gate instead: folding would cost one 4^m × 4^m product per gate per
+# run, 4096 × 4096 at arity 6.
 _FOLDED_ARITY = 2
 
 
-def _run_density(circuit: Circuit, noise: Sequence[NoiseChannel]) -> RunResult:
-    """Exact branch-resolved evolution; one unnormalized density tensor of
-    shape (2,)·2q (row bits, then column bits) per classical bit pattern.
+def _matrix(factor: np.ndarray) -> np.ndarray:
+    """A (2,)·2m density tensor as a 2^m × 2^m matrix."""
+    d = 2 ** (factor.ndim // 2)
+    return factor.reshape(d, d)
 
-    Each gate acts on its own row and column axes (``_apply_local``),
-    never lifted to the full space, and is followed by the channels of
-    ``noise``, composed once into one 4 × 4 superoperator N = Σ K ⊗ K*,
-    on each of its qubits.  A gate on m ≤ 2 qubits is one application of
-    N^{⊗m}·(U ⊗ U*); unparameterized gates build theirs once per run.  A
-    measurement lifts one label operator, diag(0, …, 2^m − 1), to read
-    each basis index's outcome, and splits every branch by outcome,
-    dropping outcomes of weight ≤ 1e-15.
+
+def _kron(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """hi ⊗ lo over the last two axes: ``lo``'s index gives the low bits."""
+    dh, dl = hi.shape[-1], lo.shape[-1]
+    return (hi[..., :, None, :, None] * lo[..., None, :, None, :]).reshape(
+        hi.shape[:-2] + (dh * dl, dh * dl))
+
+
+def _merge(branches: dict, hit: tuple[int, ...]) -> None:
+    """Replace the factors ``hit`` of every branch by their product, last,
+    with the first one's qubits lowest."""
+    shape = (2,) * sum(next(iter(branches.values()))[g].ndim for g in hit)
+    for key, factors in branches.items():
+        merged = _matrix(factors[hit[0]])
+        for g in hit[1:]:
+            merged = _kron(_matrix(factors[g]), merged)
+        branches[key] = [f for g, f in enumerate(factors) if g not in hit] + [merged.reshape(shape)]
+
+
+@functools.lru_cache(maxsize=256)
+def _group_plan(q: int, sites: tuple) -> tuple[tuple, tuple[int, ...]]:
+    """The qubit groups of a density run, from the (qubits, clbits) of
+    each op (clbits () for a gate) alone.
+
+    Groups start as one per qubit; an op on qubits of several groups
+    merges them first.  A measurement that writes a classical bit an
+    earlier one wrote can bring two branches onto one bit pattern, whose
+    sum is no product, so it merges every group first.  Returns, per op,
+    (groups to merge, the op's group, its local coordinates, the group's
+    size), then the permutation that takes the axes of the final density,
+    as ``_run_density`` sums it, to qubit order.
+    """
+    groups = [(k,) for k in range(q)]
+    written: set[int] = set()
+    steps = []
+    for qubits, clbits in sites:
+        if written.intersection(clbits):
+            hit = list(range(len(groups)))
+        else:
+            hit = sorted({g for g, group in enumerate(groups) if set(group) & set(qubits)},
+                         key=lambda g: min(groups[g]))
+        written.update(clbits)
+        if len(hit) > 1:
+            groups = [group for g, group in enumerate(groups) if g not in hit] + [
+                sum((groups[g] for g in hit), ())]
+        else:
+            hit = ()
+        g = next(g for g, group in enumerate(groups) if qubits[0] in group)
+        steps.append((tuple(hit), g, tuple(groups[g].index(c) for c in qubits), len(groups[g])))
+    order = sum(groups, ())
+    # local bit i of the product of the final groups (group 0 lowest) is
+    # qubit order[i]; the axis of qubit k is q-1-k
+    perm = [q - 1 - order.index(q - 1 - a) for a in range(q)]
+    perm += [q + a for a in perm]
+    # the sum arrives as the last group's row bits, its column bits, then
+    # the other groups' row bits and column bits
+    m = len(groups[-1])
+    axes = [*range(m), *range(2 * m, q + m), *range(m, 2 * m), *range(q + m, 2 * q)]
+    return tuple(steps), tuple(axes[a] for a in perm)
+
+
+def _run_density(circuit: Circuit, noise: Sequence[NoiseChannel]) -> RunResult:
+    """Exact branch-resolved evolution, one classical bit pattern per
+    branch.  A branch's unnormalized density is a product of factors, one
+    per qubit group: a (2,)·2m tensor (row bits, then column bits) over the
+    group's m qubits.  Every branch shares the groups, which start as one
+    per qubit and merge by outer product, in every branch, when an op
+    spans several of them (``_group_plan``); at the end all merge into one.
+
+    Each gate acts on its group's local row and column axes
+    (``_apply_local``), never lifted to the full space, and is followed by
+    the channels of ``noise``, composed once into one 4 × 4 superoperator
+    N = Σ K ⊗ K*, on each of its qubits.  A gate on m ≤ 2 qubits is one
+    application of N^{⊗m}·(U ⊗ U*); unparameterized gates build theirs
+    once per run.  A measurement lifts one label operator, diag(0, …,
+    2^m − 1), on its group to read each basis index's outcome, and splits
+    every branch by outcome, dropping outcomes of weight ≤ 1e-15: an
+    outcome's weight is its share of the group's trace times the traces
+    of the branch's other factors, and the split masks only the measured
+    factor, sharing the others.
     """
     q = circuit.qubits
     dim = 2**q
-    shape = (2,) * (2 * q)
     one = np.eye(4, dtype=complex)
     for ch in noise:
         one = sum(_superop(k) for k in ch.kraus()) @ one
@@ -700,32 +775,48 @@ def _run_density(circuit: Circuit, noise: Sequence[NoiseChannel]) -> RunResult:
         fold = folds.get(len(op.coords))
         return sop if fold is None else fold @ sop
 
-    rho0 = np.zeros(shape, dtype=complex)
-    rho0[(0,) * (2 * q)] = 1.0
-    # branch key = classical bit pattern; values are unnormalized densities
-    branches: dict[tuple[int, ...], np.ndarray] = {(0,) * circuit.clbits: rho0}
+    steps, perm = _group_plan(q, tuple(
+        (op.qubits, op.clbits) if isinstance(op, Measure) else (op.coords, ())
+        for op in circuit.ops))
+    zero = np.zeros((2, 2), dtype=complex)
+    zero[0, 0] = 1.0
+    # branch key = classical bit pattern; values are one unnormalized
+    # factor per group, in a list the branch owns
+    branches: dict[tuple[int, ...], list[np.ndarray]] = {(0,) * circuit.clbits: [zero] * q}
     probs_record: list[np.ndarray] = []
 
-    for op in circuit.ops:
+    for op, (hit, g, local, m) in zip(circuit.ops, steps):
+        if hit:
+            _merge(branches, hit)
         if isinstance(op, Measure):
             outcomes = 2 ** len(op.qubits)
-            # bit i of a basis index's label is the value of op.qubits[i]
-            labels = expand_matrix(np.diag(np.arange(outcomes, dtype=float)), op.qubits,
-                                   q).diagonal().real.astype(np.intp)
+            # bit i of a local basis index's label is the value of op.qubits[i]
+            labels = expand_matrix(np.diag(np.arange(outcomes, dtype=float)), local,
+                                   m).diagonal().real.astype(np.intp)
+            # masks[o]: the block of the basis indices with label o
+            keep = labels == np.arange(outcomes)[:, None]
+            masks = keep[:, :, None] & keep[:, None, :]
             agg = np.zeros(outcomes)
-            split: dict[tuple[int, ...], np.ndarray] = {}
-            for key, rho in branches.items():
-                mat = rho.reshape(dim, dim)
-                weights = np.bincount(labels, mat.diagonal().real, outcomes)
+            split: dict[tuple[int, ...], list[np.ndarray]] = {}
+            for key, factors in branches.items():
+                others = 1.0
+                for h, factor in enumerate(factors):
+                    if h != g:
+                        others *= _matrix(factor).trace().real
+                mat = _matrix(factors[g])
+                weights = np.bincount(labels, mat.diagonal().real, outcomes) * others
                 agg += weights
-                for outcome in np.flatnonzero(weights > 1e-15).tolist():
-                    keep = labels == outcome
-                    sub = mat * (keep[:, None] & keep[None, :])
+                for outcome, weight in enumerate(weights.tolist()):
+                    if weight <= 1e-15:
+                        continue
+                    sub = (mat * masks[outcome]).reshape((2,) * (2 * m))
                     newkey = list(key)
                     for i, cb in enumerate(op.clbits):
                         newkey[cb] = (outcome >> i) & 1
                     newkey = tuple(newkey)
-                    split[newkey] = split.get(newkey, 0) + sub.reshape(shape)
+                    if newkey in split:  # only after a merge into one group
+                        sub = split[newkey][g] + sub
+                    split[newkey] = factors[:g] + [sub] + factors[g + 1:]
             branches = split
             probs_record.append(agg)
             continue
@@ -736,18 +827,27 @@ def _run_density(circuit: Circuit, noise: Sequence[NoiseChannel]) -> RunResult:
         else:
             sop = fixed[op.kind] = superop(op)
         wide = bool(noise) and len(op.coords) > _FOLDED_ARITY
-        for key, rho in branches.items():
+        for key, factors in branches.items():
             if op.condition is not None and not op.condition.holds(key):
                 continue
-            rho = _apply_local(rho, sop, op.coords, q)
+            factor = _apply_local(factors[g], sop, local, m)
             if wide:
-                for qubit in op.coords:
-                    rho = _apply_local(rho, one, (qubit,), q)
-            branches[key] = rho
+                for c in local:
+                    factor = _apply_local(factor, one, (c,), m)
+            factors[g] = factor
 
-    mats = {key: rho.reshape(dim, dim) for key, rho in branches.items()}
-    weights = {key: float(np.trace(mat).real) for key, mat in mats.items()}
-    return RunResult(DensityMatrix(q, sum(mats.values())), weights, probs_record)
+    # a branch's weight is the product of its factors' traces; the state
+    # Σ hi ⊗ lo over the branches, hi the last group's factor and lo the
+    # product of the others (group 0 lowest), is one matrix product over
+    # the branch axis
+    stacks = [np.array([_matrix(f) for f in group]) for group in zip(*branches.values())]
+    weights = functools.reduce(np.multiply, [s.trace(axis1=1, axis2=2).real for s in stacks])
+    hi = stacks.pop()
+    lo = functools.reduce(lambda low, high: _kron(high, low), stacks) if stacks else np.ones(len(hi))
+    mat = (hi.reshape(len(hi), -1).T @ lo.reshape(len(lo), -1)).reshape(
+        (2,) * (2 * q)).transpose(perm).reshape(dim, dim)
+    bits = dict(zip(branches, weights.tolist()))
+    return RunResult(DensityMatrix(q, mat), bits, probs_record)
 
 
 def run_circuit(circuit: Circuit, mode: str = "pure",
@@ -756,9 +856,11 @@ def run_circuit(circuit: Circuit, mode: str = "pure",
 
     Modes: "pure" (statevector; measurement-free, noise-free circuits
     only) and "density" (exact, branch-resolved over the classical
-    outcomes of mid-circuit measurements; each gate applied as U ⊗ U* on
-    its own row and column axes and followed by ``noise``, composed into
-    one single-qubit superoperator, on each of its qubits, as
+    outcomes of mid-circuit measurements; each branch's ρ is held as a
+    product of one factor per group of qubits no gate has yet coupled,
+    and each gate applied as U ⊗ U* on its own row and column axes of its
+    group's factor and followed by ``noise``, composed into one
+    single-qubit superoperator, on each of its qubits, as
     ``apply_noisy_layout`` places it; see ``_run_density``).
     """
     circuit.validate()

@@ -415,23 +415,28 @@ def test_empty_stack_returns_empty_arrays(execution):
 @pytest.mark.parametrize("execution", ("analytic", "density"))
 def test_forward_matches_eight_qubit_oracle_at_n4(execution):
     # the largest registers (2^4 amplitudes): forward against the noisy
-    # 8-qubit conditional circuit, every variant and link; canonical links
-    # also compare p0 with the mid-circuit measurement
+    # 8-qubit conditional circuit, every variant and link, under bit-flip,
+    # amplitude damping and both; canonical links also compare p0 with the
+    # mid-circuit measurement
     rng = np.random.default_rng(50)
-    noise = (sim.NoiseChannel("bit-flip", 0.05),) if execution == "density" else ()
-    for variant in VARIANTS:
-        for link in LINK_MODES:
-            cfg = ModelConfig.from_variant(variant, n=4, link_mode=link,
-                                           execution=execution, noise=noise)
-            wi, wj = random_features(cfg, rng), random_features(cfg, rng)
-            p = cfg.random_params(rng)
-            e, rec = forward(wi, wj, p, cfg)
-            full = build_full_circuit(wi, wj, p, cfg, form="conditional")
-            res = sim.run_circuit(full, "density", noise=noise)
-            assert abs(e - sim.expectation_z(res.state, 7)) < 1e-12, (variant, link)
-            if link == "all-zeros-canonical":
-                p0_ref = res.measurement_probs[0][0]
-                assert abs(rec.p0 - p0_ref) < 1e-12, (variant, link)
+    noise_sets = [()]
+    if execution == "density":
+        noise_sets = [(sim.NoiseChannel("bit-flip", 0.05),),
+                      NOISE_SETS["amplitude-damping"], NOISE_SETS["both"]]
+    for noise in noise_sets:
+        for variant in VARIANTS:
+            for link in LINK_MODES:
+                cfg = ModelConfig.from_variant(variant, n=4, link_mode=link,
+                                               execution=execution, noise=noise)
+                wi, wj = random_features(cfg, rng), random_features(cfg, rng)
+                p = cfg.random_params(rng)
+                e, rec = forward(wi, wj, p, cfg)
+                full = build_full_circuit(wi, wj, p, cfg, form="conditional")
+                res = sim.run_circuit(full, "density", noise=noise)
+                assert abs(e - sim.expectation_z(res.state, 7)) < 1e-12, (variant, link, noise)
+                if link == "all-zeros-canonical":
+                    p0_ref = res.measurement_probs[0][0]
+                    assert abs(rec.p0 - p0_ref) < 1e-12, (variant, link, noise)
 
 
 @pytest.mark.parametrize("noise", [None, "bit-flip", "both"])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qkattn import sim
+from qkattn.model import ModelConfig, build_full_circuit
 from qkattn.sim import (Circuit, Condition, GateOp, Measure, NoiseChannel,
                         StateVector, expand_matrix, expectation_z,
                         gate_matrix, outcome_probabilities, run_circuit)
@@ -595,19 +596,25 @@ def _noisy_branching_circuit():
     return circ
 
 
+def _spy_apply_local(monkeypatch):
+    """Record (tensor axes, superoperator) of every _apply_local call."""
+    calls = []
+    apply_local = sim._apply_local
+
+    def spy(rho, sop, coords, q):
+        calls.append((rho.ndim, sop))
+        return apply_local(rho, sop, coords, q)
+
+    monkeypatch.setattr(sim, "_apply_local", spy)
+    return calls
+
+
 def test_density_oracle_applies_one_operator_per_gate_per_branch(monkeypatch):
     # each gate's noise is folded into its superoperator: one application
     # per gate on every live branch its condition admits, none for the noise
     noise = (NoiseChannel("bit-flip", 0.1),)
     circ = _noisy_branching_circuit()
-    calls = []
-    apply_local = sim._apply_local
-
-    def spy(rho, sop, coords, q):
-        calls.append(coords)
-        return apply_local(rho, sop, coords, q)
-
-    monkeypatch.setattr(sim, "_apply_local", spy)
+    calls = _spy_apply_local(monkeypatch)
     result = run_circuit(circ, "density", noise=noise)
     assert len(result.bits) == 4  # bit-flip noise leaves every outcome live
     fired = sum(key[0] == 1 for key in result.bits)
@@ -616,16 +623,84 @@ def test_density_oracle_applies_one_operator_per_gate_per_branch(monkeypatch):
     assert np.max(np.abs(result.state.mat - mat)) < 1e-12
 
 
+def _meeting_branches_circuit():
+    """Two qubits no gate couples, measured one after the other into the
+    same classical bit: the branches that read 0 then 1 and 1 then 0 meet
+    on one bit pattern, where their sum is no product of per-qubit
+    factors.  A third uncoupled qubit is measured into a bit of its own."""
+    circ = Circuit(3, clbits=2)
+    circ.gate("H", (0,)).gate("RY", (1,), 1.1).gate("RX", (2,), 0.6)
+    circ.measure((0,), (0,)).measure((1,), (0,))
+    circ.gate("RY", (2,), 0.9, condition=Condition((0,), (1,)))
+    circ.gate("RX", (0,), 0.4).measure((2,), (1,))
+    return circ
+
+
 def test_density_oracle_lifts_one_operator_per_measurement(monkeypatch):
     # perfbench's tracer probe sim.expand_matrix.calls counts these lifts
-    circ = _noisy_branching_circuit().measure((2,), (2,))
     calls = []
     expand = sim.expand_matrix
 
     def spy(u, coords, q):
-        calls.append(coords)
+        calls.append(len(coords))
         return expand(u, coords, q)
 
     monkeypatch.setattr(sim, "expand_matrix", spy)
-    run_circuit(circ, "density", noise=(NoiseChannel("amplitude-damping", 0.2),))
-    assert calls == [(0, 1), (2,)]
+    for circ in (_noisy_branching_circuit().measure((2,), (2,)), _meeting_branches_circuit()):
+        calls.clear()
+        run_circuit(circ, "density", noise=(NoiseChannel("amplitude-damping", 0.2),))
+        assert calls == [len(op.qubits) for op in circ.ops if isinstance(op, Measure)]
+
+
+@pytest.mark.parametrize("noise", NOISE_SETS)
+def test_density_oracle_sums_branches_that_meet_on_one_bit_pattern(noise):
+    circ = _meeting_branches_circuit()
+    got = run_circuit(circ, "density", noise=noise)
+    mat, weights, probs = _lifted_density_run(circ, noise)
+    assert np.max(np.abs(got.state.mat - mat)) < 1e-12
+    assert list(got.bits) == list(weights)
+    assert max(abs(got.bits[k] - w) for k, w in weights.items()) < 1e-12
+    for a, b in zip(got.measurement_probs, probs, strict=True):
+        assert np.max(np.abs(a - b)) < 1e-12
+
+
+def test_density_oracle_keeps_conditionally_linked_registers_apart(monkeypatch):
+    # the canonical link couples the registers only through classical
+    # bits: every gate acts on a register's own n-qubit factor (2n axes),
+    # never on the 2n-qubit density (4n axes)
+    n = 3
+    noise = (NoiseChannel("bit-flip", 0.05), NoiseChannel("amplitude-damping", 0.1))
+    cfg = ModelConfig.from_variant("AmHE", n=n, execution="density", noise=noise)
+    rng = np.random.default_rng(140)
+    x = rng.normal(size=(2, cfg.feature_dim))
+    circ = build_full_circuit(x[0], x[1], cfg.random_params(rng), cfg,
+                              form="conditional", final_measure=True)
+    calls = _spy_apply_local(monkeypatch)
+    result = run_circuit(circ, "density", noise=noise)
+    assert calls and max(ndim for ndim, _ in calls) <= 2 * n
+    mat, weights, probs = _lifted_density_run(circ, noise)
+    assert np.max(np.abs(result.state.mat - mat)) < 1e-12
+    assert list(result.bits) == list(weights)
+    assert max(abs(result.bits[k] - w) for k, w in weights.items()) < 1e-12
+    # the readout's outcome weights carry register 1's measured trace
+    for a, b in zip(result.measurement_probs, probs, strict=True):
+        assert np.max(np.abs(a - b)) < 1e-12
+
+
+def test_density_oracle_couples_registers_at_the_first_literal_link_gate(monkeypatch):
+    # the literal link's CRY gates are the first ops that span both
+    # registers, so the first application to the full 2n-qubit density
+    # is the first of them
+    n = 2
+    cfg = ModelConfig.from_variant("AmHE", n=n, link_mode="per-qubit-literal")
+    rng = np.random.default_rng(141)
+    x = rng.normal(size=(2, cfg.feature_dim))
+    params = cfg.random_params(rng)
+    circ = build_full_circuit(x[0], x[1], params, cfg, form="conditional")
+    calls = _spy_apply_local(monkeypatch)
+    run_circuit(circ, "density")
+    assert len(calls) == len(circ.ops)  # noise-free, one branch: one call per gate
+    first = next(k for k, (ndim, _) in enumerate(calls) if ndim == 4 * n)
+    link = next(k for k, op in enumerate(circ.ops) if op.coords == (0, n))
+    assert circ.ops[link].kind == "CRY" and first == link
+    assert np.allclose(calls[first][1], sim._superop(gate_matrix("CRY", params.theta4[0])))
