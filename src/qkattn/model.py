@@ -33,8 +33,10 @@ Density mode is the same closed form on vectorised density matrices:
 every fragment is a noisy channel in which each gate is followed by its
 noise, on each of its qubits, as ``sim.run_circuit`` places it.  At
 n ≤ 2 a fragment's channel is one product of the layout's cached
-full-space superoperator factors; larger registers fuse each gate with
-its noise into one local superoperator and apply them in turn.
+full-space superoperator factors; larger registers walk a per-gate plan
+compiled once per layout, which fuses each gate on at most two qubits
+with its noise into one local superoperator and applies a wider gate as
+U and U* on its own row and column axes, then the noise per qubit.
 Register 1 applies the channel of U†(θ2)U(θ1) to the noisy encoded ρ_i
 and reads each outcome's projector carried back (Heisenberg picture)
 through the channel of U_φ†(w_j); the register-2 readouts carry Z
@@ -240,9 +242,11 @@ class BatchEvaluator:
     carries the readout observable backwards through θ3 and the link gate
     (``sim.layout_channels``, ``sim.apply_noisy_layout``): at n ≤ 2 each
     fragment is one product of cached full-space superoperator factors,
-    at n ≥ 3 its gates, each fused with its noise, are applied one at a
-    time, to the batch's states when they are fewer than the 4^n vec
-    basis vectors, else once to that basis to build the channel.  The two
+    at n ≥ 3 the steps of its cached per-gate plan (a gate on at most two
+    qubits fused with its noise, a wider one as U and U* on its own axes,
+    then the noise) are applied one at a time, to the batch's states when
+    they are fewer than the 4^n vec basis vectors, else once to that
+    basis to build the channel.  The two
     links differ only in the register-1 outcomes on which the link fires
     and, in density mode, the noise of the idle readout.
     """

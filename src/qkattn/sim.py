@@ -10,15 +10,18 @@ expectations are read from either state.
 classical branch's ρ as a product of factors, one per group of qubits
 that no gate has coupled yet (groups start as single qubits and merge,
 in every branch, when an op spans several), and applies every operator
-on its group's own axes: a gate as the 4^m × 4^m superoperator U ⊗ U*
-built from ``gate_matrix``, followed by the noise channels, composed
-from ``NoiseChannel.kraus`` into one 4 × 4 superoperator, on each of the
-gate's qubits (folded into the gate's superoperator for gates on at most
-two qubits).  Only one label operator per measurement is lifted, to the
-measured group's space (``expand_matrix``).  The batched layout builders
-(``layout_unitaries``, ``layout_channels``, ``apply_noisy_layout``) are
-the fast paths checked against it; the oracle uses none of their
-compiled factors or caches.
+on its group's own axes.  A gate on at most ``_FOLDED_ARITY`` (two)
+qubits is one superoperator N^{⊗m}·(U ⊗ U*) built from ``gate_matrix``
+and the noise channels, composed from ``NoiseChannel.kraus`` into one
+4 × 4 superoperator N per qubit; a wider gate applies U on its row axes,
+U* on its column axes, then N on each of its qubits, so no 4^m × 4^m
+operator is formed for it.  Only one label operator per measurement is
+lifted, to the measured group's space (``expand_matrix``).  The batched
+layout builders (``layout_unitaries``, ``layout_channels``,
+``apply_noisy_layout``) are the fast paths checked against it; the
+oracle uses none of their compiled factors or caches.  At q ≥ 3 the
+noisy builders walk a per-gate plan compiled once per layout, register
+size and noise (``_layout_plan``), which places noise by the same rule.
 
 Basis ordering is little-endian throughout: qubit 0 is the least
 significant bit of a basis index.  For two-qubit gates the first
@@ -506,13 +509,73 @@ def _noise_superop(noise: tuple[NoiseChannel, ...], arity: int) -> np.ndarray:
     return out
 
 
+# Gates on at most this many qubits carry the noise folded into their
+# superoperator, N^{⊗m}·(U ⊗ U*), at most 16 × 16.  Wider gates (the
+# MCRY-open gates) apply U on their row axes, U* on their column axes,
+# then the 4 × 4 channel on each of their qubits: folding would cost a
+# 4^m × 4^m superoperator per gate, 256 × 256 at arity 4 and 4096 × 4096
+# at arity 6.  Both engines follow this rule: the oracle
+# (``_run_density``) and ``apply_noisy_layout``'s per-gate plans.
+_FOLDED_ARITY = 2
+
 # Registers with at most this many vec(ρ) entries (q ≤ 2) build a noisy
 # fragment as one product of cached full-space factors, like
-# layout_unitaries.  At q = 3 the 64 × 64 products measured no net gain
-# over applying the gates one at a time (slower for the angle encoder's
-# channel, faster for others), and at q = 4 one rotation's factors would
-# take 5 MB.
+# layout_unitaries.  At q = 3 the 64 × 64 products ran 2.4–5.3× slower than
+# the per-gate plan in a one-pair forward and 1.7–4× slower in a 30-sample
+# gradient, and at q = 4 one rotation's factors would take 5 MB.
 _FACTORED_VEC_DIM = 16
+
+
+@functools.lru_cache(maxsize=1024)
+def _density_axes(coords: tuple[int, ...], q: int, sides: tuple[int, ...] = (0, 1)
+                  ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The permutation that brings the row axes of ``coords`` (side 0),
+    then their column axes (side 1), to the front of a (2,)·2q density
+    tensor, and its inverse."""
+    rows = _coord_axes(coords, q)
+    front = [side * q + a for side in sides for a in rows]
+    perm = front + [a for a in range(2 * q) if a not in front]
+    return tuple(perm), tuple(np.argsort(perm))
+
+
+@functools.lru_cache(maxsize=64)
+def _layout_plan(layout: tuple, q: int, noise: tuple[NoiseChannel, ...]) -> tuple:
+    """A noisy layout compiled into per-gate steps for ``apply_noisy_layout``
+    at q > 2, under the ``_FOLDED_ARITY`` rule.
+
+    Each step is (angle slot or None, factors, d, perm, inverse) for an
+    operator on d local entries.  A rotation's factors are (3 or 5, d²),
+    its matrix at θ being coefficients(θ/2) @ factors; a fixed operator's
+    are its matrix (1, d, d).  ``perm`` brings the stack's row axis, then
+    the operator's axes, to the front of a (K, B) + (2,)·2q stack.  A gate
+    on at most two qubits is one step, N^{⊗m}·(U ⊗ U*) on its row and
+    column axes; a wider one is U on its row axes, U* on its column axes,
+    then the 4 × 4 channel on each of its qubits.
+    """
+    steps = []
+
+    def step(slot, factors, coords, sides):
+        axes, _ = _density_axes(coords, q, sides)
+        k = len(sides) * len(coords)
+        # the stack's row axis, the operator's axes, then B and the rest
+        perm = (0, *(2 + a for a in axes[:k]), 1, *(2 + a for a in axes[k:]))
+        if slot is not None:
+            factors = factors.reshape(len(factors), -1)
+        factors.flags.writeable = False
+        steps.append((slot, factors, 2**k, perm, tuple(np.argsort(perm).tolist())))
+
+    for kind, coords, slot in layout:
+        rotation = slot is not None
+        if len(coords) <= _FOLDED_ARITY:
+            step(slot, _gate_factors(kind, len(coords), rotation, noise), coords, (0, 1))
+            continue
+        u = _gate_factors(kind, len(coords), rotation, None)
+        step(slot, u, coords, (0,))
+        step(slot, u.conj(), coords, (1,))
+        if noise:
+            for c in coords:
+                step(None, _noise_superop(noise, 1)[None], (c,), (0, 1))
+    return tuple(steps)
 
 
 def apply_noisy_layout(vecs: np.ndarray, layout: Layout, angles: np.ndarray, q: int,
@@ -521,30 +584,38 @@ def apply_noisy_layout(vecs: np.ndarray, layout: Layout, angles: np.ndarray, q: 
     density matrices, vec(ρ)[c + 2^q r] = ρ[r, c].
 
     Every gate is followed by each channel of ``noise`` on each of its
-    qubits, fused with the gate into one superoperator.  Row k of
-    ``angles`` drives the gates applied to vecs[k].  At q ≤ 2 the whole
-    fragment S is one product of cached full-space factors
-    (``layout_channels``) applied as vecs @ Sᵀ; larger registers apply
-    the fused gates one at a time on their local qubits.  ``adjoint``
-    applies the adjoint map instead (S†, or the local superoperators
-    conjugate-transposed in reverse order), which carries vectorised
-    observables backwards: Tr(O·Λ(ρ)) = Tr(Λ†(O)·ρ).
+    qubits.  Row k of ``angles`` drives the gates applied to vecs[k].  At
+    q ≤ 2 the whole fragment S is one product of cached full-space
+    factors (``layout_channels``) applied as vecs @ Sᵀ.  Larger registers
+    walk the layout's cached per-gate plan (``_layout_plan``): one small
+    product of coefficients and factors per rotation, then one transpose,
+    matmul and inverse transpose of the stack per step; a gate on at most
+    ``_FOLDED_ARITY`` qubits is fused with its noise, a wider one applies
+    U and U* on its own row and column axes, then the noise per qubit.
+    ``adjoint`` applies the adjoint map instead (S†, or the steps'
+    matrices conjugate-transposed in reverse order), which carries
+    vectorised observables backwards: Tr(O·Λ(ρ)) = Tr(Λ†(O)·ρ).
     """
     noise = tuple(noise)
     if 4**q <= _FACTORED_VEC_DIM:
         s = _layout_product(layout, angles, q, noise)
         return vecs @ (s.conj() if adjoint else s.transpose(0, 2, 1))
-    ops = []
-    for kind, coords, slot in layout:
-        mats = _gate_factors(kind, len(coords), slot is not None, noise)
-        if slot is not None:
-            mats = np.tensordot(_coefficients(angles[:, slot] / 2, True), mats, axes=1)
-        ops.append((mats, tuple(coords) + tuple(c + q for c in coords)))
-    if adjoint:
-        ops = [(m.conj().transpose(0, 2, 1), c) for m, c in reversed(ops)]
-    for mats, coords in ops:
-        vecs = _apply_stack(vecs, mats, coords, 2 * q)
-    return vecs
+    steps = _layout_plan(tuple(layout), q, noise)
+    coef = _coefficients(angles.T / 2, True)
+    lead = vecs.shape[:2]
+    size = lead[1] * 4**q  # entries per row, also of an empty stack
+    t = vecs.reshape(lead + (2,) * (2 * q))
+    for slot, factors, d, perm, inverse in (reversed(steps) if adjoint else steps):
+        if slot is None:
+            mats = factors
+        else:
+            mats = (coef[slot, :, : len(factors)] @ factors).reshape(len(angles), d, d)
+        if adjoint:
+            mats = mats.conj().transpose(0, 2, 1)
+        t = t.transpose(perm)
+        moved = t.shape
+        t = (mats @ t.reshape(lead[0], d, size // d)).reshape(moved).transpose(inverse)
+    return t.reshape(lead + (4**q,))
 
 
 def layout_channels(layout: Layout, angles: np.ndarray, q: int,
@@ -554,8 +625,9 @@ def layout_channels(layout: Layout, angles: np.ndarray, q: int,
 
     At q ≤ 2 each is one product of the layout's cached full-space
     factors, N·(R ⊗ R*) per rotation over [1, c, s, cs, s²] with the
-    noisy fixed gates folded in; larger registers run the fused gates
-    one at a time on the 4^q basis vectors.
+    noisy fixed gates folded in; larger registers run the layout's
+    per-gate plan (``apply_noisy_layout``) on the 4^q basis vectors,
+    wide gates as U and U* on their own axes.
     """
     noise = tuple(noise)
     if 4**q <= _FACTORED_VEC_DIM:
@@ -634,16 +706,6 @@ def _run_pure(circuit: Circuit) -> RunResult:
     return RunResult(StateVector(circuit.qubits, amps), (0,) * circuit.clbits, [])
 
 
-@functools.lru_cache(maxsize=1024)
-def _density_axes(coords: tuple[int, ...], q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The permutation that brings the row axes of ``coords``, then their
-    column axes, to the front of a (2,)·2q density tensor, and its inverse."""
-    rows = _coord_axes(coords, q)
-    front = rows + [q + a for a in rows]
-    perm = front + [a for a in range(2 * q) if a not in front]
-    return tuple(perm), tuple(np.argsort(perm))
-
-
 def _superop(u: np.ndarray) -> np.ndarray:
     """U ⊗ U* on a local vec space with the row bits high:
     vec(U ρ U†)[r·d + c] = Σ (U ⊗ U*)[r·d + c, r'·d + c'] ρ[r', c']."""
@@ -651,21 +713,16 @@ def _superop(u: np.ndarray) -> np.ndarray:
     return (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(d * d, d * d)
 
 
-def _apply_local(rho: np.ndarray, sop: np.ndarray, coords: tuple[int, ...], q: int) -> np.ndarray:
-    """Apply a local superoperator to the row and column axes of ``coords``
-    of a (2,)·2q density tensor: one transpose, one matmul, the inverse."""
-    perm, inverse = _density_axes(coords, q)
+def _apply_local(rho: np.ndarray, mat: np.ndarray, coords: tuple[int, ...], q: int,
+                 sides: tuple[int, ...] = (0, 1)) -> np.ndarray:
+    """Apply a local operator to the axes of ``coords`` on the given sides
+    (0 rows, 1 columns) of a (2,)·2q density tensor: a superoperator on
+    both sides, U on the rows or U* on the columns.  One transpose, one
+    matmul, the inverse."""
+    perm, inverse = _density_axes(coords, q, sides)
     t = rho.transpose(perm)
     moved = t.shape
-    return (sop @ t.reshape(len(sop), -1)).reshape(moved).transpose(inverse)
-
-
-# Gates on at most this many qubits carry the run's noise folded into
-# their superoperator, N^{⊗m}·(U ⊗ U*), at most 16 × 16.  Wider gates (the
-# MCRY-open gates) apply the 4 × 4 channel on each of their qubits after
-# the gate instead: folding would cost one 4^m × 4^m product per gate per
-# run, 4096 × 4096 at arity 6.
-_FOLDED_ARITY = 2
+    return (mat @ t.reshape(len(mat), -1)).reshape(moved).transpose(inverse)
 
 
 def _matrix(factor: np.ndarray) -> np.ndarray:
@@ -745,9 +802,10 @@ def _run_density(circuit: Circuit, noise: Sequence[NoiseChannel]) -> RunResult:
     Each gate acts on its group's local row and column axes
     (``_apply_local``), never lifted to the full space, and is followed by
     the channels of ``noise``, composed once into one 4 × 4 superoperator
-    N = Σ K ⊗ K*, on each of its qubits.  A gate on m ≤ 2 qubits is one
-    application of N^{⊗m}·(U ⊗ U*); unparameterized gates build theirs
-    once per run.  A measurement lifts one label operator, diag(0, …,
+    N = Σ K ⊗ K*, on each of its qubits.  A gate on m ≤ ``_FOLDED_ARITY``
+    qubits is one application of N^{⊗m}·(U ⊗ U*); unparameterized gates
+    build theirs once per run.  A wider gate applies U on its row axes, U*
+    on its column axes, then N on each of its qubits.  A measurement lifts one label operator, diag(0, …,
     2^m − 1), on its group to read each basis index's outcome, and splits
     every branch by outcome, dropping outcomes of weight ≤ 1e-15: an
     outcome's weight is its share of the group's trace times the traces
@@ -820,20 +878,24 @@ def _run_density(circuit: Circuit, noise: Sequence[NoiseChannel]) -> RunResult:
             branches = split
             probs_record.append(agg)
             continue
-        if op.angle is not None:
-            sop = superop(op)
-        elif op.kind in fixed:
-            sop = fixed[op.kind]
+        # (operator, local coordinates, sides) in order
+        if len(op.coords) > _FOLDED_ARITY:
+            u = op.matrix()
+            local_ops = [(u, local, (0,)), (u.conj(), local, (1,))]
+            if noise:
+                local_ops += [(one, (c,), (0, 1)) for c in local]
+        elif op.angle is not None:
+            local_ops = [(superop(op), local, (0, 1))]
         else:
-            sop = fixed[op.kind] = superop(op)
-        wide = bool(noise) and len(op.coords) > _FOLDED_ARITY
+            if op.kind not in fixed:
+                fixed[op.kind] = superop(op)
+            local_ops = [(fixed[op.kind], local, (0, 1))]
         for key, factors in branches.items():
             if op.condition is not None and not op.condition.holds(key):
                 continue
-            factor = _apply_local(factors[g], sop, local, m)
-            if wide:
-                for c in local:
-                    factor = _apply_local(factor, one, (c,), m)
+            factor = factors[g]
+            for mat, coords, sides in local_ops:
+                factor = _apply_local(factor, mat, coords, m, sides)
             factors[g] = factor
 
     # a branch's weight is the product of its factors' traces; the state
@@ -858,10 +920,10 @@ def run_circuit(circuit: Circuit, mode: str = "pure",
     only) and "density" (exact, branch-resolved over the classical
     outcomes of mid-circuit measurements; each branch's ρ is held as a
     product of one factor per group of qubits no gate has yet coupled,
-    and each gate applied as U ⊗ U* on its own row and column axes of its
-    group's factor and followed by ``noise``, composed into one
-    single-qubit superoperator, on each of its qubits, as
-    ``apply_noisy_layout`` places it; see ``_run_density``).
+    and each gate applied on its own row and column axes of its group's
+    factor and followed by ``noise``, composed into one single-qubit
+    superoperator, on each of its qubits, as ``apply_noisy_layout``
+    places it; see ``_run_density``).
     """
     circuit.validate()
     if isinstance(noise, NoiseChannel):

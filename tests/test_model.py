@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -406,10 +407,12 @@ def test_registers_get_their_distinct_rows(monkeypatch, n, execution):
 
 @pytest.mark.parametrize("execution", ("analytic", "density"))
 def test_empty_stack_returns_empty_arrays(execution):
-    cfg = ModelConfig(n=2, execution=execution)
-    x = np.random.default_rng(80).uniform(-1, 1, size=(3, 4))
-    e, probs = BatchEvaluator(x, x, cfg).evaluate_stack(np.zeros((0, cfg.parameter_count)))
-    assert e.shape == (0, 3) and probs.shape == (0, 3, 4)
+    # n = 3 runs density mode's per-gate plans on the empty stack
+    for n in (2, 3):
+        cfg = ModelConfig(n=n, execution=execution)
+        x = np.random.default_rng(80).uniform(-1, 1, size=(3, 2**n))
+        e, probs = BatchEvaluator(x, x, cfg).evaluate_stack(np.zeros((0, cfg.parameter_count)))
+        assert e.shape == (0, 3) and probs.shape == (0, 3, 2**n)
 
 
 @pytest.mark.parametrize("execution", ("analytic", "density"))
@@ -437,6 +440,55 @@ def test_forward_matches_eight_qubit_oracle_at_n4(execution):
                 if link == "all-zeros-canonical":
                     p0_ref = res.measurement_probs[0][0]
                     assert abs(rec.p0 - p0_ref) < 1e-12, (variant, link, noise)
+
+
+def test_wide_gates_build_no_dense_superoperator(monkeypatch):
+    # gates on more than two qubits (the amplitude encoder's and the
+    # deferred link's MCRY-open) apply U and U* on their own axes in both
+    # engines: no noisy gate factor and no U ⊗ U* is formed for them
+    factor_calls, superop_dims = [], []
+    gate_factors, superop = sim._gate_factors, sim._superop
+
+    def spy_factors(kind, arity, rotation, noise):
+        factor_calls.append((arity, noise is not None))
+        return gate_factors(kind, arity, rotation, noise)
+
+    def spy_superop(u):
+        superop_dims.append(len(u))
+        return superop(u)
+
+    monkeypatch.setattr(sim, "_gate_factors", spy_factors)
+    monkeypatch.setattr(sim, "_superop", spy_superop)
+    sim._layout_plan.cache_clear()
+    noise = NOISE_SETS["both"]
+    cfg = ModelConfig.from_variant("AmHE", n=4, execution="density", noise=noise)
+    rng = np.random.default_rng(90)
+    x = np.array([random_features(cfg, rng) for _ in range(6)])
+    params = cfg.random_params(rng)
+    gradient(BatchEvaluator(x, x, cfg), params, np.array([1.0, -1.0] * 3), TrainConfig())
+    circ = build_full_circuit(x[0], x[1], params, cfg, form="deferred", final_measure=True)
+    sim.run_circuit(circ, "density", noise=noise)
+    assert max(arity for arity, noisy in factor_calls if noisy) <= 2
+    assert max(arity for arity, noisy in factor_calls if not noisy) == 4
+    assert superop_dims and max(superop_dims) <= 4
+
+
+def test_noisy_n4_amplitude_evaluator_builds_in_little_memory():
+    # per-sample 256 × 256 superoperators for the arity-4 MCRY-open gates
+    # would take about 500 MB; U and U* on their own axes need a few MB
+    cfg = ModelConfig.from_variant("AmHE", n=4, execution="density",
+                                   noise=(sim.NoiseChannel("bit-flip", 0.05),))
+    rng = np.random.default_rng(91)
+    x = np.array([random_features(cfg, rng) for _ in range(30)])
+    sim._gate_factors.cache_clear()
+    sim._layout_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        BatchEvaluator(x, x, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 @pytest.mark.parametrize("noise", [None, "bit-flip", "both"])

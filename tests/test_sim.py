@@ -341,28 +341,39 @@ NOISE_SETS = [(), (NoiseChannel("bit-flip", 0.15),), (NoiseChannel("amplitude-da
               (NoiseChannel("bit-flip", 0.1), NoiseChannel("amplitude-damping", 0.3))]
 
 
-@pytest.mark.parametrize("q", (1, 2, 3))
+def _wide_arities(layout):
+    return {len(coords) for _, coords, _ in layout if len(coords) > sim._FOLDED_ARITY}
+
+
+@pytest.mark.parametrize("q", (1, 2, 3, 4))
 def test_layout_channels_match_lifted_kraus_reference(q):
+    # at q = 4 the layouts hold MCRY-open gates of arity 3 and 4, which
+    # apply U and U* on their own axes instead of one fused superoperator
     rng = np.random.default_rng(60 + q)
+    wide = set()
     for noise in NOISE_SETS:
         for _ in range(3):
             layout = _random_layout(rng, q, 6)
+            wide |= _wide_arities(layout)
             angles = rng.uniform(0, 2 * np.pi, size=(2, 3))
             got = sim.layout_channels(layout, angles, q, noise)
             assert got.shape == (2, 4**q, 4**q)
             for k, row in enumerate(angles):
                 ref = _lifted_channel(layout, row, q, noise)
                 assert np.max(np.abs(got[k] - ref)) < 1e-12, (layout, noise)
+    assert wide == set(range(3, q + 1))
 
 
-@pytest.mark.parametrize("q", (1, 2, 3))
+@pytest.mark.parametrize("q", (1, 2, 3, 4))
 def test_noisy_layout_adjoint_is_heisenberg_picture(q):
     # Tr(O·Λ(ρ)) = Tr(Λ†(O)·ρ) for Hermitian O and a density matrix ρ
     rng = np.random.default_rng(70 + q)
     dim = 2**q
     noise = NOISE_SETS[3]
-    for _ in range(4):
+    wide = set()
+    for _ in range(6):
         layout = _random_layout(rng, q, 6)
+        wide |= _wide_arities(layout)
         angles = rng.uniform(0, 2 * np.pi, size=(2, 3))
         a = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
         rho = a @ a.conj().transpose(0, 2, 1)
@@ -377,6 +388,7 @@ def test_noisy_layout_adjoint_is_heisenberg_picture(q):
             heisenberg = np.trace(back[k, 0].reshape(dim, dim) @ rho[k])
             assert abs(forward - heisenberg) < 1e-12
             assert abs(np.trace(out[k, 0].reshape(dim, dim)) - 1.0) < 1e-12
+    assert wide == set(range(3, q + 1))
 
 
 # --- noisy layouts as products of cached factors (q <= 2) ---------------------
@@ -597,13 +609,13 @@ def _noisy_branching_circuit():
 
 
 def _spy_apply_local(monkeypatch):
-    """Record (tensor axes, superoperator) of every _apply_local call."""
+    """Record (tensor axes, operator) of every _apply_local call."""
     calls = []
     apply_local = sim._apply_local
 
-    def spy(rho, sop, coords, q):
+    def spy(rho, sop, *args):
         calls.append((rho.ndim, sop))
-        return apply_local(rho, sop, coords, q)
+        return apply_local(rho, sop, *args)
 
     monkeypatch.setattr(sim, "_apply_local", spy)
     return calls
