@@ -27,7 +27,7 @@ import numpy as np
 from .ansatz import ParamSet
 from .data import (Split, load_idx, make_split, prepare_image_features, scale_features,
                    synthetic_dataset)
-from .model import VARIANTS, ModelConfig, QksasRecord, qksas
+from .model import VARIANTS, BatchEvaluator, ModelConfig, QksasRecord
 from .sim import NoiseChannel
 from .train import RunRecord, TrainConfig, gradient_check, train_loop
 
@@ -289,10 +289,9 @@ def cmd_qksas(args) -> int:
     bad = [i for i in indices if not 0 <= i < split.train_x.shape[0]]
     if bad:
         raise CliError(f"sample indices out of range: {bad}")
-    records = []
-    for i in indices:
-        w = split.train_x[i]
-        records.append((i, qksas(w, w, params.theta1, params.theta2, mcfg)))
+    w = split.train_x[indices]
+    _, probs = BatchEvaluator(w, w, mcfg).evaluate(params)
+    records = [(i, QksasRecord(dist)) for i, dist in zip(indices, probs)]
     dist_csv, grid_csv = _qksas_csv(records)
     _flush_outputs(args.out, {
         "qksas.csv": dist_csv,

@@ -42,8 +42,15 @@ and reads each outcome's projector carried back (Heisenberg picture)
 through the channel of U_φ†(w_j); the register-2 readouts carry Z
 backwards through the link gate and θ3 and read it on the noisy encoded
 ρ_j.  The test suite checks both modes against the full circuit, whose
-literal link is the real 2n-qubit unitary.  Shots mode samples the exact
-branch-resolved full-circuit distribution.
+literal link is the real 2n-qubit unitary.
+
+Shots mode evaluates the same analytic closed form and then estimates E
+from ``shots`` readouts.  The readout is one ±1 bit whose mean is E, so
+the mean of ``shots`` readouts is 2·Binomial(shots, (1 + E)/2)/shots − 1,
+and ``forward`` draws it once.  The circuit-level functions below
+(``build_register1``, ``build_full_circuit``, ``qksas``) build the same
+model gate by gate for ``sim.run_circuit``, the reference that the tests
+and the benchmark's oracle checks compare the evaluator against.
 """
 from __future__ import annotations
 
@@ -92,6 +99,8 @@ class ModelConfig:
             raise ValueError(f"unknown link mode {self.link_mode!r}")
         if self.execution not in EXECUTION_MODES:
             raise ValueError(f"unknown execution mode {self.execution!r}")
+        if self.shots < 0:
+            raise ValueError(f"'shots' must not be negative, got {self.shots}")
         if self.execution == "shots" and self.shots < 1:
             raise ValueError("shots mode needs a positive shot count")
         if self.noise and self.execution != "density":
@@ -220,7 +229,7 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
 class BatchEvaluator:
     """Forward evaluation over a fixed set of (w_i, w_j) pairs.
 
-    Both modes encode every sample once at construction, in one batched
+    Every mode encodes every sample once at construction, in one batched
     call (a batch that pairs each sample with itself, as training does,
     encodes it once for both roles), and a call then evaluates the closed
     form for a stack of K parameter sets at once (``evaluate_stack``),
@@ -231,11 +240,11 @@ class BatchEvaluator:
     rows' indices among them.  So a gradient's shifts of θ3 or θ4 share
     the base row's distribution bit for bit, and E is exactly constant
     in the θ4 slots it does not read.
-    Analytic mode keeps φ_i, φ_j and U_φ(w_j)† and per call builds U(θ1)
-    and U(θ2) for the K1 register-1 rows and U(θ3) for the K2 register-2
-    rows in one stacked ``sim.layout_unitaries`` call (2·K1 + K2 rows),
-    each a product of the ansatz's cached full-space factors.  Density
-    mode keeps the noisy
+    Analytic mode, which also gives shots mode its exact E, keeps φ_i,
+    φ_j and U_φ(w_j)† and per call builds U(θ1) and U(θ2) for the K1
+    register-1 rows and U(θ3) for the K2 register-2 rows in one stacked
+    ``sim.layout_unitaries`` call (2·K1 + K2 rows), each a product of the
+    ansatz's cached full-space factors.  Density mode keeps the noisy
     encoded states ρ_i, ρ_j and, per sample, the 2^n register-1 outcome
     projectors pulled back through the noisy channel of U_φ(w_j)†; per
     call it applies the register-1 channel of U†(θ2)U(θ1) to ρ_i and
@@ -252,8 +261,6 @@ class BatchEvaluator:
     """
 
     def __init__(self, wi, wj, config: ModelConfig):
-        if config.execution == "shots":
-            raise ValueError("BatchEvaluator supports analytic and density modes")
         self.config = config
         n = config.n
         wi = np.atleast_2d(np.asarray(wi, dtype=float))
@@ -280,7 +287,7 @@ class BatchEvaluator:
         same = np.array_equal(wi, wj)
         angles = _encoding.encoder_angles(enc, wi if same else np.vstack([wi, wj]), n)
         at_j = 0 if same else self.count  # first row of the w_j encodings
-        if config.execution == "analytic":
+        if config.execution != "density":
             u_enc = _sim.layout_unitaries(layout, angles, n)
             self._phi_i = u_enc[: self.count, :, 0]
             self._phi_j = u_enc[at_j:, :, 0]
@@ -327,10 +334,10 @@ class BatchEvaluator:
             raise ValueError("parameters must be finite")
         rows1, at1 = _distinct_rows(thetas[:, : 4 * cfg.n])
         rows2, at2 = _distinct_rows(thetas[:, self._read2])
-        if cfg.execution == "analytic":
-            z_idle, z_fire, probs = self._evaluate_analytic(rows1, rows2, idx)
-        else:
+        if cfg.execution == "density":
             z_idle, z_fire, probs = self._evaluate_channels(rows1, rows2, idx)
+        else:
+            z_idle, z_fire, probs = self._evaluate_analytic(rows1, rows2, idx)
         fire = (probs @ self._fire)[at1]
         e_val = fire * z_fire[at2] + (1.0 - fire) * z_idle[at2]
         return e_val, probs[at1]
@@ -402,23 +409,18 @@ def qksas(w_i, w_j, theta1, theta2, config: ModelConfig) -> QksasRecord:
 
 def forward(w_i, w_j, params: ParamSet, config: ModelConfig,
             rng: np.random.Generator | None = None) -> tuple[float, QksasRecord]:
-    """Classifier expectation E ∈ [−1, 1] plus the attention record."""
-    if config.execution in ("analytic", "density"):
-        e_val, probs = BatchEvaluator([w_i], [w_j], config).evaluate(params)
-        return float(e_val[0]), QksasRecord(probs[0])
-    if rng is None:
+    """Classifier expectation E ∈ [−1, 1] plus the attention record, from
+    a one-pair ``BatchEvaluator``.  Shots mode returns the mean of
+    ``config.shots`` ±1 readouts instead, drawn from ``rng`` as one
+    binomial count of the readouts that read +1."""
+    if config.execution == "shots" and rng is None:
         raise ValueError("shots mode needs an rng")
-    record = qksas(w_i, w_j, params.theta1, params.theta2, config)
-    # shots: sample the exact joint distribution of the conditional circuit
-    circ = build_full_circuit(w_i, w_j, params, config,
-                              form="conditional", final_measure=True)
-    result = _sim.run_circuit(circ, "density")
-    patterns = list(result.bits)
-    weights = np.array([result.bits[p] for p in patterns])
-    weights = np.clip(weights, 0, None)
-    draws = rng.choice(len(patterns), size=config.shots, p=weights / weights.sum())
-    z_values = np.array([1.0 - 2.0 * patterns[k][config.n] for k in draws])
-    return float(z_values.mean()), record
+    e_val, probs = BatchEvaluator([w_i], [w_j], config).evaluate(params)
+    e_val = float(e_val[0])
+    if config.execution == "shots":
+        plus = rng.binomial(config.shots, np.clip((1.0 + e_val) / 2.0, 0.0, 1.0))
+        e_val = 2.0 * plus / config.shots - 1.0
+    return e_val, QksasRecord(probs[0])
 
 
 def predict(e_value: float) -> int:

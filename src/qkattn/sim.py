@@ -352,14 +352,10 @@ def _coord_axes(coords: Sequence[int], q: int) -> list[int]:
     return [q - 1 - c for c in reversed(coords)]
 
 
-def apply_unitary(amps: np.ndarray, u: np.ndarray, coords: Sequence[int], q: int) -> np.ndarray:
-    """Apply a local unitary to the listed qubits of a 2^q amplitude array."""
-    return _apply_stack(amps.reshape(1, 1, -1), u[None], coords, q).reshape(-1)
-
-
 def _apply_stack(states: np.ndarray, mats: np.ndarray, coords: Sequence[int], q: int) -> np.ndarray:
-    """apply_unitary over a (K, B, 2^q) stack of states; ``mats`` is
-    (K, 2^m, 2^m), the gate for row k, or (1, 2^m, 2^m), shared."""
+    """Apply a local unitary to the listed qubits of a (K, B, 2^q) stack of
+    states; ``mats`` is (K, 2^m, 2^m), the gate for row k, or (1, 2^m, 2^m),
+    shared."""
     lead = states.shape[:2]
     axes = [2 + a for a in _coord_axes(coords, q)]
     # gate axes right after the row axis: one matrix product per row
@@ -700,10 +696,10 @@ class RunResult:
 
 
 def _run_pure(circuit: Circuit) -> RunResult:
-    amps = StateVector.zero(circuit.qubits).amps
+    amps = StateVector.zero(circuit.qubits).amps.reshape(1, 1, -1)
     for op in circuit.ops:
-        amps = apply_unitary(amps, op.matrix(), op.coords, circuit.qubits)
-    return RunResult(StateVector(circuit.qubits, amps), (0,) * circuit.clbits, [])
+        amps = _apply_stack(amps, op.matrix()[None], op.coords, circuit.qubits)
+    return RunResult(StateVector(circuit.qubits, amps.reshape(-1)), (0,) * circuit.clbits, [])
 
 
 def _superop(u: np.ndarray) -> np.ndarray:

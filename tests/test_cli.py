@@ -6,6 +6,7 @@ import pytest
 
 from qkattn import cli
 from qkattn.cli import main
+from qkattn.model import ModelConfig, qksas
 from test_data import write_idx_pair
 
 
@@ -109,6 +110,33 @@ def test_qksas_rows_normalized(tmp_path):
         assert abs(sum(values) - 1.0) < 1e-9
     grid = read(os.path.join(qdir, "qksas_grid.csv")).strip().split("\n")
     assert len(grid) == 1 + 3 * 2  # header + two grid rows per sample
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("link_mode", ["all-zeros-canonical", "per-qubit-literal"])
+@pytest.mark.parametrize("execution", ["analytic", "density", "shots"])
+def test_qksas_matches_per_index_oracle(tmp_path, execution, link_mode, n):
+    model_spec = {"n": n, "execution": execution, "link_mode": link_mode}
+    if execution == "shots":
+        model_spec["shots"] = 50
+    cfg = write_config(tmp_path, model=model_spec)
+    mcfg = ModelConfig(**model_spec)
+    params = mcfg.random_params(np.random.default_rng(n))
+    path = os.path.join(str(tmp_path), "params.json")
+    with open(path, "w") as fh:
+        json.dump({k: list(getattr(params, k)) for k in ("theta1", "theta2", "theta3",
+                                                           "theta4")}, fh)
+    out = os.path.join(str(tmp_path), "q")
+    assert main(["qksas", "--config", cfg, "--out", out, "--params", path,
+                 "--indices", "0,3,0"]) == 0
+    x = cli.load_dataset(cli.load_config(cfg), mcfg).train_x
+    rows = read(os.path.join(out, "qksas.csv")).strip().split("\n")[1:]
+    assert [int(row.split(",")[0]) for row in rows] == [0, 3, 0]
+    for row in rows:
+        index, *values = row.split(",")
+        w = x[int(index)]
+        ref = qksas(w, w, params.theta1, params.theta2, mcfg).distribution
+        assert np.max(np.abs(np.array(values, dtype=float) - ref)) < 1e-12
 
 
 def test_qksas_bad_indices(tmp_path, capsys):
@@ -224,6 +252,7 @@ def test_variant_flag(tmp_path):
     ({"train": {"momentum": float("nan")}}, "momentum"),
     ({"train": {"fd_step": float("nan")}}, "fd_step"),
     ({"train": {"fd_step": "0.001"}}, "fd_step"),
+    ({"model": {"shots": -5}}, "shots"),
 ])
 def test_malformed_config_value_is_one_line_error(tmp_path, capsys, overrides, key):
     cfg = write_config(tmp_path, **overrides)

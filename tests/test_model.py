@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qkattn import encoding, sim
+from qkattn import cli, encoding, model, sim
 from qkattn.ansatz import ParamSet
 from qkattn.ansatz import LINK_MODES
 from qkattn.model import (VARIANTS, BatchEvaluator, ModelConfig, build_full_circuit,
@@ -36,6 +36,8 @@ def test_config_validation_and_variants():
     assert ModelConfig(n=3, encoder="angle").feature_dim == 9
     with pytest.raises(ValueError):
         ModelConfig(execution="shots")  # needs a shot count
+    with pytest.raises(ValueError, match="'shots'"):
+        ModelConfig(shots=-1)
     with pytest.raises(ValueError):
         ModelConfig(noise=(sim.NoiseChannel("bit-flip", 0.1),))  # needs density
     with pytest.raises(ValueError):
@@ -548,16 +550,97 @@ def test_shots_mode_agrees_within_three_standard_errors():
     assert abs(e - es) < 3 * se + 1e-6
 
 
-def test_shots_mode_without_rng_fails_before_simulating(monkeypatch):
+def forbid(monkeypatch, owner, name):
     def spy(*args, **kwargs):
-        raise AssertionError("sim.run_circuit called before the rng check")
+        raise AssertionError(f"{name} called")
 
-    monkeypatch.setattr(sim, "run_circuit", spy)
+    monkeypatch.setattr(owner, name, spy)
+
+
+def test_shots_mode_without_rng_fails_before_simulating(monkeypatch):
+    forbid(monkeypatch, sim, "run_circuit")
+    forbid(monkeypatch, BatchEvaluator, "__init__")
     scfg = ModelConfig(n=2, encoder="angle", ansatz="hea", execution="shots", shots=10)
     rng = np.random.default_rng(14)
     p = scfg.random_params(rng)
     with pytest.raises(ValueError, match="needs an rng"):
         forward(rng.uniform(0, np.pi, size=4), rng.uniform(0, np.pi, size=4), p, scfg)
+
+
+@pytest.mark.parametrize("link_mode", LINK_MODES)
+def test_shots_forward_is_one_binomial_draw_on_the_evaluator(monkeypatch, link_mode):
+    # no oracle run: E comes from the evaluator, then one draw of the
+    # number of +1 readouts among the shots
+    forbid(monkeypatch, sim, "run_circuit")
+    rng = np.random.default_rng(16)
+    shots = 1000
+    for n in (1, 2, 3):
+        for variant in VARIANTS:
+            cfg = ModelConfig.from_variant(variant, n=n, link_mode=link_mode)
+            scfg = ModelConfig.from_variant(variant, n=n, link_mode=link_mode,
+                                            execution="shots", shots=shots)
+            wi, wj = random_features(cfg, rng), random_features(cfg, rng)
+            p = cfg.random_params(rng)
+            e, probs = BatchEvaluator([wi], [wj], cfg).evaluate(p)
+            plus = np.random.default_rng(n).binomial(shots, (1.0 + e[0]) / 2.0)
+            es, rec = forward(wi, wj, p, scfg, rng=np.random.default_rng(n))
+            assert es == 2.0 * plus / shots - 1.0
+            assert np.array_equal(rec.distribution, probs[0])
+
+
+def oracle_shots(w_i, w_j, params, config, rng):
+    """Shots-mode E sampled from the full circuit: ``config.shots`` joint
+    outcomes of the branch-resolved conditional circuit, averaged over
+    the readout bit.  Also returns the probability that the readout
+    reads 0 (Z = +1) under the distribution it samples."""
+    circ = build_full_circuit(w_i, w_j, params, config, form="conditional",
+                              final_measure=True)
+    bits = sim.run_circuit(circ, "density").bits
+    patterns = list(bits)
+    weights = np.clip([bits[b] for b in patterns], 0, None)
+    weights = weights / weights.sum()
+    z = np.array([1.0 - 2.0 * b[config.n] for b in patterns])
+    draws = rng.choice(len(patterns), size=config.shots, p=weights)
+    return z[draws].mean(), weights @ (z > 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_oracle_sampler_has_the_binomial_readout_distribution(n):
+    # the full-circuit sampler reads 0 with probability (1 + E)/2, so the
+    # mean of its readouts has the distribution of the single draw
+    rng = np.random.default_rng(17)
+    shots = 4000
+    for link_mode in LINK_MODES:
+        for variant in VARIANTS:
+            cfg = ModelConfig.from_variant(variant, n=n, link_mode=link_mode,
+                                           execution="shots", shots=shots)
+            wi, wj = random_features(cfg, rng), random_features(cfg, rng)
+            p = cfg.random_params(rng)
+            e = BatchEvaluator([wi], [wj], cfg).evaluate(p)[0][0]
+            mean, p_plus = oracle_shots(wi, wj, p, cfg, rng)
+            assert abs(p_plus - (1.0 + e) / 2.0) < 1e-12, (variant, link_mode)
+            se = np.sqrt(max(1.0 - e**2, 1e-6) / shots)
+            assert abs(mean - e) < 5 * se, (variant, link_mode)
+
+
+def test_cli_qksas_runs_one_evaluator(monkeypatch, tmp_path):
+    forbid(monkeypatch, sim, "run_circuit")
+    forbid(monkeypatch, model, "qksas")
+    built = []
+    init = BatchEvaluator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BatchEvaluator, "__init__", counting_init)
+    config = tmp_path / "config.json"
+    config.write_text('{"seed": 2, "model": {"n": 2, "execution": "shots", "shots": 10},'
+                      ' "data": {"count": 24}}')
+    assert cli.main(["qksas", "--config", str(config), "--out", str(tmp_path / "q"),
+                     "--indices", "0,3,0"]) == 0
+    assert len(built) == 1
+    assert len(built[0][0]) == 3
 
 
 def test_register_locality_wi_perturbation():
