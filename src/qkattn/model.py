@@ -20,15 +20,21 @@ link that gate is RY(θ4_{n−1}), fired with probability p₀.  The literal
 link's is CRY(θ4_{n−1})[n−1, 2n−1], block-diagonal in its control: the
 same RY, fired when register 1's qubit n−1 reads 1, whose noise reaches
 the readout on both branches.  So for either link E is
-a + b·cos θ4_{n−1} + c·sin θ4_{n−1} and constant in the other θ4 slots.
+a + b·cos θ4_{n−1} + c·sin θ4_{n−1} and constant in the other θ4 slots:
+carried back through that gate and its noise, Z becomes the observable
+B + cos θ·C + sin θ·S at θ = θ4_{n−1}.  These and the observable read
+when the link does not fire, [idle, B, C, S], depend only on n, the
+link and the noise, and are built once (``_link_readouts``).
 
 ``BatchEvaluator`` evaluates that closed form for a batch of pairs and
 a stack of parameter sets at once.  In analytic mode it is plain linear
 algebra on per-register states: with φ = U_φ(w)|0⟩ and A = U(θ2)†U(θ1),
-the register-1 distribution is |U_φ(w_j)† A φ_i|², and the register-2
-readouts are ⟨Z⟩ of U(θ3)φ_j with and without the link gate.  U(θ1),
-U(θ2) and U(θ3) come from one stacked ``sim.layout_unitaries`` call, a
-short product of the ansatz's cached full-space rotation factors.
+the register-1 distribution is |U_φ(w_j)† A φ_i|², and register 2 reads
+⟨ψ|O|ψ⟩ of the four readouts O on ψ = U(θ3)φ_j, as combinations of
+the Z readouts of the link gate's three fixed rotations of ψ
+(``_readout_bases``).  U(θ1), U(θ2) and U(θ3) come from one stacked
+``sim.layout_unitaries`` call, a short product of the ansatz's cached
+full-space rotation factors.
 Density mode is the same closed form on vectorised density matrices:
 every fragment is a noisy channel in which each gate is followed by its
 noise, on each of its qubits, as ``sim.run_circuit`` places it.  At
@@ -39,10 +45,12 @@ with its noise into one local superoperator and applies a wider gate as
 U and U* on its own row and column axes, then the noise per qubit.
 Register 1 applies the channel of U†(θ2)U(θ1) to the noisy encoded ρ_i
 and reads each outcome's projector carried back (Heisenberg picture)
-through the channel of U_φ†(w_j); the register-2 readouts carry Z
-backwards through the link gate and θ3 and read it on the noisy encoded
-ρ_j.  The test suite checks both modes against the full circuit, whose
-literal link is the real 2n-qubit unitary.
+through the channel of U_φ†(w_j); register 2 carries the four readouts
+backwards through the channel of U(θ3) and reads them on the noisy
+encoded ρ_j.  Either way the link angle enters only when E is combined,
+as cos θ4_{n−1} and sin θ4_{n−1}; no fragment is simulated for it.  The
+test suite checks both modes against the full circuit, whose literal
+link is the real 2n-qubit unitary.
 
 Shots mode evaluates the same analytic closed form and then estimates E
 from ``shots`` readouts.  The readout is one ±1 bit whose mean is E, so
@@ -55,6 +63,7 @@ and the benchmark's oracle checks compare the evaluator against.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import numbers
 
 import numpy as np
@@ -99,8 +108,9 @@ class ModelConfig:
             raise ValueError(f"unknown link mode {self.link_mode!r}")
         if self.execution not in EXECUTION_MODES:
             raise ValueError(f"unknown execution mode {self.execution!r}")
-        if self.shots < 0:
-            raise ValueError(f"'shots' must not be negative, got {self.shots}")
+        # shots mode's binomial draw takes counts up to 2^63 − 1 (a C long)
+        if not 0 <= self.shots < 2**63:
+            raise ValueError(f"'shots' must lie in 0..2**63 - 1, got {self.shots}")
         if self.execution == "shots" and self.shots < 1:
             raise ValueError("shots mode needs a positive shot count")
         if self.noise and self.execution != "density":
@@ -226,6 +236,59 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
     return np.frombuffer(b"".join(labels)).reshape(len(labels), -1), inverse
 
 
+# The link angles of the three fired readouts that build [idle, B, C, S],
+# and how: the fired readout is B + C, B + S and B − C at θ = 0, π/2 and
+# π, and idle is the one at θ = 0 (for the canonical link only without
+# noise).  Row t weighs the readout at angle t, column m gives readout m.
+_FIRED_ANGLES = np.array([[0.0], [np.pi / 2], [np.pi]])
+_FIRED_MIX = np.array([[1.0, 0.5, 0.5, -0.5], [0.0, 0.0, 0.0, 1.0], [0.0, 0.5, -0.5, -0.5]])
+
+
+@functools.lru_cache(maxsize=64)
+def _link_readouts(n: int, link_mode: str, noise: tuple[NoiseChannel, ...]) -> np.ndarray:
+    """The four register-2 readout observables [idle, B, C, S], each a
+    2^n × 2^n matrix, for ``link_mode`` under ``noise`` (() for none).
+
+    Z on readout qubit n−1, carried back through the link gate RY(θ) and
+    its noise, is B + cos θ·C + sin θ·S: RY(θ)'s entries are affine in
+    cos(θ/2) and sin(θ/2), so its conjugation is affine in cos θ and
+    sin θ; ``_FIRED_MIX`` solves for B, C and S from θ = 0, π/2 and π.
+    ``idle`` is read when the link does not fire: Z for the canonical
+    link, which then does nothing, and for the literal link, whose CRY's
+    noise reaches the readout on both branches, the fired readout at
+    θ = 0.
+    """
+    dim = 2**n
+    z = np.diag(1.0 - 2.0 * (np.arange(dim) >> (n - 1))).astype(complex)
+    fired = _sim.apply_noisy_layout(np.broadcast_to(z.reshape(1, 1, -1), (3, 1, dim * dim)),
+                                    (("RY", (n - 1,), 0),), _FIRED_ANGLES, n, noise,
+                                    adjoint=True).reshape(3, dim, dim)
+    out = np.tensordot(_FIRED_MIX, fired, axes=(0, 0))
+    if link_mode != "per-qubit-literal":
+        out[0] = z
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _readout_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The noiseless readouts of ``_link_readouts`` in measurement form,
+    for pure states.  Without noise the fired readout at θ is Z measured
+    after the link gate L(θ), ⟨ψ|L(θ)† Z L(θ)|ψ⟩ = |L(θ)ψ|² · z, and idle
+    is the one at θ = 0 for either link.  Returns (bases, weights) such
+    that |ψ @ bases|² @ weights are the four readouts of a row ψ: bases
+    (2^n, 3·2^n) holds L(θ)ᵀ at the three ``_FIRED_ANGLES``, and weights
+    (3·2^n, 4) is ``_FIRED_MIX`` times z.
+    """
+    z = 1.0 - 2.0 * (np.arange(2**n) >> (n - 1))
+    gates = _sim.layout_unitaries((("RY", (n - 1,), 0),), _FIRED_ANGLES, n)
+    bases = gates.transpose(2, 0, 1).reshape(2**n, -1)
+    weights = np.kron(_FIRED_MIX, z[:, None])
+    for arr in (bases, weights):
+        arr.flags.writeable = False
+    return bases, weights
+
+
 class BatchEvaluator:
     """Forward evaluation over a fixed set of (w_i, w_j) pairs.
 
@@ -236,10 +299,13 @@ class BatchEvaluator:
     which is how a gradient evaluates its 2P+1 shifted parameter sets;
     ``evaluate`` is the K = 1 case.  Each register runs once per distinct
     row of the slots it reads: register 1 per row of θ1 and θ2, register
-    2 per row of θ3 and θ4_{n−1}, and E combines the two through the
-    rows' indices among them.  So a gradient's shifts of θ3 or θ4 share
-    the base row's distribution bit for bit, and E is exactly constant
-    in the θ4 slots it does not read.
+    2 per row of θ3, and E combines the two through the rows' indices
+    among them.  Register 2 reads the four cached readouts [idle, B, C, S]
+    of ``_link_readouts`` per θ3 row, and each stack row combines them
+    with its own θ4_{n−1} as fire·(B + cos θ·C + sin θ·S) + (1 − fire)·idle.
+    So a gradient's shifts of θ3 or θ4 share the base row's distribution
+    bit for bit, its θ4 shifts cost no register evaluation at all, and E
+    is exactly constant in the θ4 slots it does not read.
     Analytic mode, which also gives shots mode its exact E, keeps φ_i,
     φ_j and U_φ(w_j)† and per call builds U(θ1) and U(θ2) for the K1
     register-1 rows and U(θ3) for the K2 register-2 rows in one stacked
@@ -248,16 +314,16 @@ class BatchEvaluator:
     encoded states ρ_i, ρ_j and, per sample, the 2^n register-1 outcome
     projectors pulled back through the noisy channel of U_φ(w_j)†; per
     call it applies the register-1 channel of U†(θ2)U(θ1) to ρ_i and
-    carries the readout observable backwards through θ3 and the link gate
+    carries the four readouts backwards through the channel of θ3
     (``sim.layout_channels``, ``sim.apply_noisy_layout``): at n ≤ 2 each
     fragment is one product of cached full-space superoperator factors,
     at n ≥ 3 the steps of its cached per-gate plan (a gate on at most two
     qubits fused with its noise, a wider one as U and U* on its own axes,
     then the noise) are applied one at a time, to the batch's states when
     they are fewer than the 4^n vec basis vectors, else once to that
-    basis to build the channel.  The two
-    links differ only in the register-1 outcomes on which the link fires
-    and, in density mode, the noise of the idle readout.
+    basis to build the channel.  The two links differ only in the
+    register-1 outcomes on which the link fires and, in density mode, the
+    noise of the idle readout.
     """
 
     def __init__(self, wi, wj, config: ModelConfig):
@@ -268,20 +334,12 @@ class BatchEvaluator:
         if wi.shape != wj.shape:
             raise ValueError("w_i and w_j batches must have matching shapes")
         self.count = wi.shape[0]
-        # bit n−1 of each basis index: the readout qubit in register 2, and
-        # the literal CRY's control qubit in register 1
+        # bit n−1 of each basis index: the literal CRY's control qubit in
+        # register 1.  0/1 weights of the register-1 outcomes on which the
+        # link fires: all zeros, or (literal) the control reading 1
         bit = (np.arange(2**n) >> (n - 1)).astype(float)
-        self._z_last = 1.0 - 2.0 * bit
-        # 0/1 weights of the register-1 outcomes on which the link fires:
-        # all zeros, or (literal) the control reading 1
-        literal = config.link_mode == "per-qubit-literal"
-        self._fire = bit if literal else np.eye(2**n)[0]
+        self._fire = bit if config.link_mode == "per-qubit-literal" else np.eye(2**n)[0]
         self._ansatz = _ansatz.ansatz_layout(config.ansatz, n)
-        # register 1 reads θ1 and θ2 (columns [0, 4n)); register 2 reads θ3
-        # and θ4_{n−1}, the angle of the one link gate that reaches the
-        # readout qubit n−1 (column 2n of the rows that it gets)
-        self._read2 = np.append(np.arange(4 * n, 6 * n), 7 * n - 1)
-        self._link = (("RY", (n - 1,), 0),)
         enc = config.encoder
         layout = _encoding.encoder_layout(enc, n)
         same = np.array_equal(wi, wj)
@@ -292,6 +350,7 @@ class BatchEvaluator:
             self._phi_i = u_enc[: self.count, :, 0]
             self._phi_j = u_enc[at_j:, :, 0]
             self._v_j = _adjoint(u_enc[at_j:])
+            self._bases, self._weights = _readout_bases(n)
             return
         noise = config.noise
         zero = np.zeros((len(angles), 1, 4**n), dtype=complex)
@@ -308,13 +367,8 @@ class BatchEvaluator:
                                             adjoint=True).conj()
         # U(θ1) then U†(θ2), driven by the angle row [θ1, −θ2]
         self._mid = self._ansatz + _reversed_layout(self._ansatz, 2 * n)
-        self._z_obs = np.diag(self._z_last).reshape(1, 1, -1).astype(complex)
-        # the literal CRY's noise reaches the readout qubit on both
-        # branches; the canonical link does nothing when it does not fire
-        self._z_idle = self._z_obs
-        if literal:
-            self._z_idle = _sim.apply_noisy_layout(self._z_obs, self._link, np.zeros((1, 1)),
-                                                   n, noise, adjoint=True)
+        # vec(O) of each readout, (1, 4, 4^n)
+        self._readouts = _link_readouts(n, config.link_mode, noise).reshape(1, 4, -1)
 
     def evaluate(self, params: ParamSet, idx=None) -> tuple[np.ndarray, np.ndarray]:
         """Return (E, register-1 outcome distributions) for the batch
@@ -332,39 +386,41 @@ class BatchEvaluator:
                              f"got shape {thetas.shape}")
         if not np.all(np.isfinite(thetas)):
             raise ValueError("parameters must be finite")
-        rows1, at1 = _distinct_rows(thetas[:, : 4 * cfg.n])
-        rows2, at2 = _distinct_rows(thetas[:, self._read2])
+        n = cfg.n
+        rows1, at1 = _distinct_rows(thetas[:, : 4 * n])
+        rows2, at2 = _distinct_rows(thetas[:, 4 * n: 6 * n])
         if cfg.execution == "density":
-            z_idle, z_fire, probs = self._evaluate_channels(rows1, rows2, idx)
+            probs, reads = self._evaluate_channels(rows1, rows2, idx)
         else:
-            z_idle, z_fire, probs = self._evaluate_analytic(rows1, rows2, idx)
+            probs, reads = self._evaluate_analytic(rows1, rows2, idx)
         fire = (probs @ self._fire)[at1]
-        e_val = fire * z_fire[at2] + (1.0 - fire) * z_idle[at2]
+        idle, b, c, s = reads[at2].transpose(2, 0, 1)
+        link = thetas[:, 7 * n - 1, None]
+        e_val = fire * (b + np.cos(link) * c + np.sin(link) * s) + (1.0 - fire) * idle
         return e_val, probs[at1]
 
     def _evaluate_analytic(self, rows1: np.ndarray, rows2: np.ndarray,
-                           idx) -> tuple[np.ndarray, ...]:
-        """(z_idle, z_fire) at ``rows2`` of [θ3, θ4_{n−1}] and the
-        distributions at ``rows1`` of [θ1, θ2]."""
+                           idx) -> tuple[np.ndarray, np.ndarray]:
+        """The distributions at ``rows1`` of [θ1, θ2] and the readouts
+        [idle, B, C, S] (K2, batch, 4) at ``rows2`` of θ3."""
         n = self.config.n
         phi_i, phi_j, v_j = self._phi_i, self._phi_j, self._v_j
         if idx is not None:
             phi_i, phi_j, v_j = phi_i[idx], phi_j[idx], v_j[idx]
         k = len(rows1)
-        t1, t2 = rows1[:, : 2 * n], rows1[:, 2 * n:]
-        t3, t4 = rows2[:, : 2 * n], rows2[:, 2 * n:]
-        u = _sim.layout_unitaries(self._ansatz, np.vstack([t1, t2, t3]), n)
+        u = _sim.layout_unitaries(self._ansatz, np.vstack([rows1[:, : 2 * n],
+                                                           rows1[:, 2 * n:], rows2]), n)
         u1, u2, u3 = u[:k], u[k: 2 * k], u[2 * k:]
         a = _adjoint(u2) @ u1
         # (K1, batch, dim): A φ_i, then U_φ(w_j)† of each sample
         psi1 = (v_j @ (phi_i @ a.transpose(0, 2, 1)).transpose(1, 2, 0)).transpose(2, 0, 1)
         probs = np.abs(psi1) ** 2
+        # ⟨ψ|O|ψ⟩ of each readout O on ψ = U(θ3)φ_j
         psi2 = phi_j @ u3.transpose(0, 2, 1)
-        fired = phi_j @ (_sim.layout_unitaries(self._link, t4, n) @ u3).transpose(0, 2, 1)
-        return (np.abs(psi2) ** 2) @ self._z_last, (np.abs(fired) ** 2) @ self._z_last, probs
+        return probs, (np.abs(psi2 @ self._bases) ** 2) @ self._weights
 
     def _evaluate_channels(self, rows1: np.ndarray, rows2: np.ndarray,
-                           idx) -> tuple[np.ndarray, ...]:
+                           idx) -> tuple[np.ndarray, np.ndarray]:
         # vec(ρ)[c + dim·r] = ρ[r, c]: the diagonal is every (dim+1)-th
         # entry, and Tr(O·ρ) = vec(O)ᴴ vec(ρ) for Hermitian O
         cfg = self.config
@@ -382,15 +438,11 @@ class BatchEvaluator:
         else:
             sigma = rho_i @ _sim.layout_channels(self._mid, mid, n, noise).transpose(0, 2, 1)
         probs = (p_j @ sigma.transpose(1, 2, 0)).transpose(2, 0, 1).real.copy()
-
-        t3, t4 = rows2[:, : 2 * n], rows2[:, 2 * n:]
-        z = np.broadcast_to(self._z_obs, (len(rows2), 1, dim * dim))
-        fired = _sim.apply_noisy_layout(z, self._link, t4, n, noise, adjoint=True)
-        idle = np.broadcast_to(self._z_idle, z.shape)
-        obs = _sim.apply_noisy_layout(np.concatenate([idle, fired], axis=1),
-                                      self._ansatz, t3, n, noise, adjoint=True)
-        z_idle, z_fire = np.moveaxis((rho_j @ obs.conj().transpose(0, 2, 1)).real, 2, 0)
-        return z_idle, z_fire, probs
+        # the readouts carried back through the channel of θ3, read on ρ_j
+        obs = _sim.apply_noisy_layout(
+            np.broadcast_to(self._readouts, (len(rows2),) + self._readouts.shape[1:]),
+            self._ansatz, rows2, n, noise, adjoint=True)
+        return probs, (rho_j @ obs.conj().transpose(0, 2, 1)).real
 
 
 # --- single-pair operations ----------------------------------------------

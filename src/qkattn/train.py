@@ -12,8 +12,8 @@ through the chain rule dL/dθ = mean(−2(y − E)·dE/dθ).  The shifted
 parameter sets of one gradient are batched: the evaluator receives all
 2P+1 of them as one stack and evaluates each register once per distinct
 row of the parameters it reads, so the rows that shift θ3 or θ4 reuse
-the base row's register-1 result and those that shift θ1 or θ2 its
-register-2 readouts.
+the base row's register-1 result and those that shift θ1, θ2 or θ4 its
+register-2 readouts, in which θ4 enters in closed form.
 
 ``train_loop`` builds one evaluator over the train samples followed by
 the test samples and makes two calls to it per optimizer step: the
@@ -167,14 +167,15 @@ def nesterov_step(theta: np.ndarray, accumulator: np.ndarray,
 def _metrics(evaluator: BatchEvaluator, params: ParamSet, train_y: np.ndarray,
              test_y: np.ndarray | None, surrogate: bool) -> StepMetrics:
     """Metrics of ``params`` from one evaluation over the train samples
-    followed by the test samples."""
+    followed by the test samples, scored as ``loss`` and ``accuracy``
+    score them; ``train_loop`` has checked the labels once."""
     e_values, _ = evaluator.evaluate(params)
-    e_train = e_values[: train_y.size]
-    test_acc = float("nan")
-    if test_y is not None:
-        test_acc = accuracy(predictions_from_e(e_values[train_y.size:]), test_y)
-    return StepMetrics(loss(e_train, train_y, surrogate),
-                       accuracy(predictions_from_e(e_train), train_y), test_acc)
+    m = train_y.size
+    signs = np.where(e_values < 0, -1.0, 1.0)
+    test_acc = float("nan") if test_y is None else float(np.mean(signs[m:] == test_y))
+    fit = e_values[:m] if surrogate else signs[:m]
+    return StepMetrics(float(np.mean((train_y - fit) ** 2)),
+                       float(np.mean(signs[:m] == train_y)), test_acc)
 
 
 def _check_test_set(train_x: np.ndarray, test_x, test_y):
@@ -219,6 +220,8 @@ def train_loop(model_config: ModelConfig, train_x, train_y, config: TrainConfig,
         raise ValueError("feature and label counts differ")
     if train_x.shape[0] == 0:
         raise ValueError("training set is empty")
+    if not np.all(np.isin(train_y, (-1.0, 1.0))):
+        raise ValueError("labels must be -1 or +1")
     for label in (-1.0, 1.0):
         if not np.any(train_y == label):
             raise ValueError(f"training set has no samples with label {int(label)}")

@@ -253,6 +253,7 @@ def test_variant_flag(tmp_path):
     ({"train": {"fd_step": float("nan")}}, "fd_step"),
     ({"train": {"fd_step": "0.001"}}, "fd_step"),
     ({"model": {"shots": -5}}, "shots"),
+    ({"model": {"shots": 10**30}}, "shots"),
 ])
 def test_malformed_config_value_is_one_line_error(tmp_path, capsys, overrides, key):
     cfg = write_config(tmp_path, **overrides)

@@ -38,6 +38,11 @@ def test_config_validation_and_variants():
         ModelConfig(execution="shots")  # needs a shot count
     with pytest.raises(ValueError, match="'shots'"):
         ModelConfig(shots=-1)
+    # shots mode's binomial draw takes at most 2^63 − 1
+    assert ModelConfig(execution="shots", shots=2**63 - 1).shots == 2**63 - 1
+    for shots in (2**63, 10**30):
+        with pytest.raises(ValueError, match="'shots'"):
+            ModelConfig(execution="shots", shots=shots)
     with pytest.raises(ValueError):
         ModelConfig(noise=(sim.NoiseChannel("bit-flip", 0.1),))  # needs density
     with pytest.raises(ValueError):
@@ -377,9 +382,10 @@ def test_gradient_stack_rows_match_evaluate(n, execution):
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_registers_get_their_distinct_rows(monkeypatch, n, execution):
     # a gradient stack reaches register 1 as 8n+1 rows of [θ1, θ2] and
-    # register 2 as 4n+3 rows of [θ3, θ4_{n−1}]: the θ3 and θ4 shifts
-    # repeat the base row's θ1 and θ2, the θ1 and θ2 shifts and the
-    # unread θ4 slots its θ3 and θ4_{n−1}
+    # register 2 as 4n+1 rows of θ3: the θ3 and θ4 shifts repeat the base
+    # row's θ1 and θ2, the θ1, θ2 and θ4 shifts its θ3.  The link angle
+    # enters only the closed-form combination of the cached readouts, so
+    # no layout function of sim sees the link gate
     rng = np.random.default_rng(70 + n)
     noise = NOISE_SETS["bit-flip"] if execution == "density" else ()
     for variant, link in itertools.product(VARIANTS, LINK_MODES):
@@ -401,10 +407,74 @@ def test_registers_get_their_distinct_rows(monkeypatch, n, execution):
         for layout, count in calls:
             rows.setdefault(layout, []).append(count)
         if execution == "analytic":
-            assert rows[ev._ansatz] == [2 * (8 * n + 1) + 4 * n + 3], (variant, link)
+            assert rows == {ev._ansatz: [2 * (8 * n + 1) + 4 * n + 1]}, (variant, link)
         else:
-            assert rows[ev._mid] == [8 * n + 1], (variant, link)
-            assert rows[ev._ansatz] == [4 * n + 3], (variant, link)
+            assert rows == {ev._mid: [8 * n + 1], ev._ansatz: [4 * n + 1]}, (variant, link)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_closed_form_link_angle_matches_full_circuit(n):
+    # E is read in closed form in θ4_{n−1}; sweep it over the quarter
+    # turns and random angles against the full conditional circuit, in
+    # analytic mode and under every noise set
+    rng = np.random.default_rng(100 + n)
+    modes = [("analytic", ())] + [("density", noise) for noise in NOISE_SETS.values()]
+    for (execution, noise), variant, link in itertools.product(modes, VARIANTS, LINK_MODES):
+        cfg = ModelConfig.from_variant(variant, n=n, link_mode=link,
+                                       execution=execution, noise=noise)
+        wi = np.array([random_features(cfg, rng) for _ in range(2)])
+        wj = np.array([random_features(cfg, rng) for _ in range(2)])
+        angles = np.concatenate([np.arange(4) * np.pi / 2, rng.uniform(-2 * np.pi, 2 * np.pi, 2)])
+        thetas = np.repeat(cfg.random_params(rng).to_vector()[None], len(angles), axis=0)
+        thetas[:, 7 * n - 1] = angles
+        e, _ = BatchEvaluator(wi, wj, cfg).evaluate_stack(thetas)
+        tol = 1e-12 if execution == "analytic" else 1e-10
+        for row, vec in enumerate(thetas):
+            p = ParamSet.from_vector(vec, n, link)
+            for k in range(2):
+                full = build_full_circuit(wi[k], wj[k], p, cfg, form="conditional")
+                state = sim.run_circuit(full, "density", noise=noise).state
+                e_ref = sim.expectation_z(state, 2 * n - 1)
+                assert abs(e[row, k] - e_ref) < tol, (variant, link, noise, angles[row])
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_cached_readouts_are_the_link_carried_back_in_closed_form(n):
+    # B + cos θ·C + sin θ·S is Z carried back through the link gate (and its
+    # noise) at θ; idle is Z, or the literal CRY's noise alone
+    rng = np.random.default_rng(110 + n)
+    dim = 2**n
+    z = np.diag(1.0 - 2.0 * (np.arange(dim) >> (n - 1))).astype(complex)
+    link_gate = (("RY", (n - 1,), 0),)
+    angles = np.concatenate([[0.0], rng.uniform(-2 * np.pi, 2 * np.pi, 5)])[:, None]
+    for noise, link in itertools.product([()] + list(NOISE_SETS.values()), LINK_MODES):
+        idle, b, c, s = model._link_readouts(n, link, noise)
+        fired = b + np.cos(angles)[:, :, None] * c + np.sin(angles)[:, :, None] * s
+        ref = sim.apply_noisy_layout(np.broadcast_to(z.reshape(1, 1, -1), (len(angles), 1, dim**2)),
+                                     link_gate, angles, n, noise, adjoint=True)
+        assert np.max(np.abs(fired - ref.reshape(fired.shape))) < 1e-14, (link, noise)
+        if not noise:
+            u = sim.layout_unitaries(link_gate, angles, n)
+            assert np.max(np.abs(fired - model._adjoint(u) @ z @ u)) < 1e-14, link
+        expected_idle = ref[0, 0].reshape(dim, dim) if link == "per-qubit-literal" else z
+        assert np.max(np.abs(idle - expected_idle)) < 1e-14, (link, noise)
+    # analytic mode reads the noiseless readouts in measurement form
+    psi = rng.normal(size=(5, dim)) + 1j * rng.normal(size=(5, dim))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    bases, weights = model._readout_bases(n)
+    for link in LINK_MODES:
+        ref = np.einsum("ka,mab,kb->km", psi.conj(), model._link_readouts(n, link, ()), psi).real
+        assert np.max(np.abs((np.abs(psi @ bases) ** 2) @ weights - ref)) < 1e-14, link
+    # cached per (n, link, noise): once built, a one-pair forward, which
+    # builds its own evaluator, does not build them again
+    for execution, noise in (("analytic", ()), ("density", NOISE_SETS["both"])):
+        cfg = ModelConfig(n=n, execution=execution, noise=noise)
+        w = random_features(cfg, rng)
+        forward(w, w, cfg.random_params(rng), cfg)
+        caches = (model._link_readouts, model._readout_bases)
+        misses = [f.cache_info().misses for f in caches]
+        forward(w, w, cfg.random_params(rng), cfg)
+        assert [f.cache_info().misses for f in caches] == misses, execution
 
 
 @pytest.mark.parametrize("execution", ("analytic", "density"))

@@ -260,6 +260,17 @@ def test_train_loop_checks_test_set_before_building(monkeypatch, test_x, test_y,
     assert built == []
 
 
+def test_train_loop_checks_labels_before_building(monkeypatch):
+    rng = np.random.default_rng(12)
+    x, y = separable_data(rng, count=8)
+    y[3] = 0.5
+    built = []
+    monkeypatch.setattr(BatchEvaluator, "__init__", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
+        train_loop(ModelConfig(n=2), x, y, TrainConfig(steps=1))
+    assert built == []
+
+
 def reference_train_loop(model_config, train_x, train_y, config, test_x=None, test_y=None):
     """The loop with two evaluators: the batch gradient through
     ``gradient(..., idx=...)`` at the lookahead, then ``evaluate`` for the
