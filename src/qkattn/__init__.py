@@ -1,4 +1,15 @@
-"""Quantum kernel self-attention classifiers on an exact few-qubit simulator."""
+"""Quantum kernel self-attention classifiers on an exact few-qubit simulator.
+
+Importing the package sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 unless they are already set.  The matrices here are
+at most 256 × 256, where threaded BLAS only adds scheduling cost.  BLAS
+reads the variables when numpy loads, so they take effect only if numpy
+is imported after this package, as it is by the ``qkattn`` command.
+"""
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .ansatz import ParamSet, build_ansatz, build_link
 from .data import Split, load_idx, make_split, pca_fit_transform, synthetic_dataset

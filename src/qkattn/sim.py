@@ -378,13 +378,9 @@ _PAIR_BASIS = np.array([[1, 0, 0, 0, 1, 0, 0, 0, 0],
 def _coefficients(half: np.ndarray, channel: bool) -> np.ndarray:
     """The coefficient basis at half-angles θ/2, on a new last axis:
     [1, c, s] for a unitary, [1, c, s, cs, s²] for a superoperator."""
-    out = np.empty(half.shape + (len(_PAIR_BASIS) if channel else 3,))
-    out[..., 0] = 1.0
-    c, s = np.cos(half, out=out[..., 1]), np.sin(half, out=out[..., 2])
-    if channel:
-        np.multiply(c, s, out=out[..., 3])
-        np.multiply(s, s, out=out[..., 4])
-    return out
+    c, s = np.cos(half), np.sin(half)
+    terms = [np.ones_like(half), c, s] + ([c * s, s * s] if channel else [])
+    return np.stack(terms, axis=-1)
 
 
 @functools.lru_cache(maxsize=256)

@@ -100,7 +100,7 @@ def loss(e_values, labels, surrogate: bool = True) -> float:
     y = np.asarray(labels, dtype=float)
     if e.shape != y.shape:
         raise ValueError("expectation and label counts differ")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
+    if not np.all(np.abs(y) == 1.0):
         raise ValueError("labels must be -1 or +1")
     if not surrogate:
         e = np.where(e < 0, -1.0, 1.0)
@@ -167,15 +167,13 @@ def nesterov_step(theta: np.ndarray, accumulator: np.ndarray,
 def _metrics(evaluator: BatchEvaluator, params: ParamSet, train_y: np.ndarray,
              test_y: np.ndarray | None, surrogate: bool) -> StepMetrics:
     """Metrics of ``params`` from one evaluation over the train samples
-    followed by the test samples, scored as ``loss`` and ``accuracy``
-    score them; ``train_loop`` has checked the labels once."""
+    followed by the test samples."""
     e_values, _ = evaluator.evaluate(params)
     m = train_y.size
-    signs = np.where(e_values < 0, -1.0, 1.0)
-    test_acc = float("nan") if test_y is None else float(np.mean(signs[m:] == test_y))
-    fit = e_values[:m] if surrogate else signs[:m]
-    return StepMetrics(float(np.mean((train_y - fit) ** 2)),
-                       float(np.mean(signs[:m] == train_y)), test_acc)
+    predictions = predictions_from_e(e_values)
+    test_acc = float("nan") if test_y is None else accuracy(predictions[m:], test_y)
+    return StepMetrics(loss(e_values[:m], train_y, surrogate),
+                       accuracy(predictions[:m], train_y), test_acc)
 
 
 def _check_test_set(train_x: np.ndarray, test_x, test_y):

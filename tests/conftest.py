@@ -1,14 +1,10 @@
-"""Pin BLAS to one thread for the test run.
-
-The suite's matrices are at most 256 × 256, where threaded BLAS only adds
-scheduling cost: on a loaded 2-core host the suite took 116 s with
-threaded OpenBLAS and 16 s pinned.  The variables are read when numpy
-loads, so they are set here, before any test module imports it; a value
-already in the environment wins.
-"""
-import os
+"""Import the package before any test module imports numpy, so that the
+suite runs with the one BLAS thread the package pins (see
+``qkattn/__init__.py``), as the ``qkattn`` command does."""
 import sys
+import warnings
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-assert "numpy" not in sys.modules, "numpy was imported before the BLAS threads were pinned"
+if "numpy" in sys.modules:
+    warnings.warn("numpy was imported before qkattn; BLAS threads are not pinned")
+
+import qkattn  # noqa: E402,F401

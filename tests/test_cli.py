@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -336,3 +338,17 @@ def test_train_refuses_shots_execution_before_loading_data(tmp_path, capsys, mon
     assert "model.execution" in err
     assert not loads
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_package_import_pins_blas_threads_unless_set(preset, expected):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", "import os, qkattn; print(os.environ['OPENBLAS_NUM_THREADS'],"
+         " os.environ['OMP_NUM_THREADS'], os.environ['MKL_NUM_THREADS'])"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert out == [expected, "1", "1"]

@@ -271,6 +271,17 @@ def test_train_loop_checks_labels_before_building(monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("column", ["train", "test"])
+def test_train_loop_rejects_column_vector_labels(column):
+    rng = np.random.default_rng(13)
+    x, y = separable_data(rng, count=8)
+    train_y, test_y = (y[:, None], y[:4]) if column == "train" else (y, y[:4, None])
+    cfg = ModelConfig(n=1, encoder="angle", ansatz="qaoa")
+    with pytest.raises(ValueError, match="counts differ"):
+        train_loop(cfg, x[:, :1], train_y, TrainConfig(steps=2, batch_size=1),
+                   test_x=x[:4, :1], test_y=test_y)
+
+
 def reference_train_loop(model_config, train_x, train_y, config, test_x=None, test_y=None):
     """The loop with two evaluators: the batch gradient through
     ``gradient(..., idx=...)`` at the lookahead, then ``evaluate`` for the
