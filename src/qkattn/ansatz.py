@@ -68,16 +68,6 @@ def build_ansatz(kind: str, n: int, theta) -> Circuit:
     return Circuit.from_layout(n, layout, _check_params(theta, 2 * n))
 
 
-def ansatz_slot_kinds(kind: str, n: int) -> list[str]:
-    """Gradient rule per parameter slot: "shift" for single-qubit
-    rotations, "fd" for controlled rotations."""
-    if kind == "qaoa":
-        return ["shift"] * (2 * n)
-    if kind == "hea":
-        return ["shift"] * n + ["fd"] * n
-    raise ValueError(f"unknown ansatz kind {kind!r}")
-
-
 def link_slot_count(mode: str, n: int) -> int:
     if mode == "all-zeros-canonical":
         return n
@@ -166,9 +156,3 @@ class ParamSet:
             names += [f"{group}[{i}]" for i in range(getattr(self, group).size)]
         return names
 
-
-def param_slot_kinds(ansatz_kind: str, link_mode: str, n: int) -> list[str]:
-    """Gradient rule per flattened ParamSet slot; link slots use finite
-    differences."""
-    per_ansatz = ansatz_slot_kinds(ansatz_kind, n)
-    return per_ansatz * 3 + ["fd"] * link_slot_count(link_mode, n)

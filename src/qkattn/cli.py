@@ -8,9 +8,7 @@ Errors exit nonzero with a one-line diagnostic and leave no partial
 output files behind.
 
 The environment variable QKATTN_THREADS caps process-level parallelism
-(currently used by the noise sweep); QKATTN_SHIFT_OVERRIDE replaces the
-parameter-shift constant, which exists so the gradient checker's failure
-path can be exercised deliberately.
+(currently used by the noise sweep).
 """
 from __future__ import annotations
 
@@ -375,14 +373,7 @@ def cmd_gradcheck(args) -> int:
     if args.trials < 1:
         raise CliError("trials must be at least 1")
     mcfg = model_config_from(resolved, execution="analytic", noise=())
-    shift = np.pi / 2
-    override = os.environ.get("QKATTN_SHIFT_OVERRIDE")
-    if override is not None:
-        try:
-            shift = float(override)
-        except ValueError as exc:
-            raise CliError(f"QKATTN_SHIFT_OVERRIDE must be a float, got {override!r}") from exc
-    report = gradient_check(mcfg, args.trials, resolved["seed"], shift=shift)
+    report = gradient_check(mcfg, args.trials, resolved["seed"])
     _flush_outputs(args.out, {
         "gradcheck.json": json.dumps(report, indent=2) + "\n",
         "resolved_config.json": json.dumps(resolved, indent=2) + "\n",
@@ -430,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0,1,2", help="comma-separated seeds")
     p.set_defaults(func=cmd_noise_sweep)
 
-    p = sub.add_parser("gradcheck", help="parameter-shift vs finite-difference check")
+    p = sub.add_parser("gradcheck", help="exact vs finite-difference gradient check")
     common(p)
     p.add_argument("--trials", type=int, default=50, help="random configurations to test")
     p.set_defaults(func=cmd_gradcheck)

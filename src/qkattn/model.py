@@ -37,20 +37,22 @@ the Z readouts of the link gate's three fixed rotations of ψ
 full-space rotation factors.
 Density mode is the same closed form on vectorised density matrices:
 every fragment is a noisy channel in which each gate is followed by its
-noise, on each of its qubits, as ``sim.run_circuit`` places it.  At
-n ≤ 2 a fragment's channel is one product of the layout's cached
-full-space superoperator factors; larger registers walk a per-gate plan
-compiled once per layout, which fuses each gate on at most two qubits
-with its noise into one local superoperator and applies a wider gate as
-U and U* on its own row and column axes, then the noise per qubit.
-Register 1 applies the channel of U†(θ2)U(θ1) to the noisy encoded ρ_i
-and reads each outcome's projector carried back (Heisenberg picture)
-through the channel of U_φ†(w_j); register 2 carries the four readouts
-backwards through the channel of U(θ3) and reads them on the noisy
-encoded ρ_j.  Either way the link angle enters only when E is combined,
+noise, on each of its qubits, as ``sim.run_circuit`` places it
+(``sim.apply_noisy_layout``).  Register 1 applies the channel of
+U†(θ2)U(θ1) to the noisy encoded ρ_i and reads each outcome's projector
+carried back (Heisenberg picture) through the channel of U_φ†(w_j);
+register 2 carries the four readouts backwards through the channel of
+U(θ3) and reads them on the noisy encoded ρ_j.  Either way the link angle enters only when E is combined,
 as cos θ4_{n−1} and sin θ4_{n−1}; no fragment is simulated for it.  The
 test suite checks both modes against the full circuit, whose literal
 link is the real 2n-qubit unitary.
+
+Derivatives are exact: every ansatz slot drives one gate on at most two
+qubits, so the derivative of U(θ) or of its noisy channel in a slot is
+the same product of cached factors with that gate's coefficients
+differentiated (``sim``'s ``derivatives`` flag).  A derivative row of a
+density register is already the derivative of what it reads; an
+analytic one, ψk, gives 2·Re(ψ0*·ψk).
 
 Shots mode evaluates the same analytic closed form and then estimates E
 from ``shots`` readouts.  The readout is one ±1 bit whose mean is E, so
@@ -236,6 +238,14 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
     return np.frombuffer(b"".join(labels)).reshape(len(labels), -1), inverse
 
 
+def _squared(amps: np.ndarray, derivatives: bool) -> np.ndarray:
+    """|amps|² per row; with ``derivatives``, the first row's, then the
+    derivative 2·Re(ψ0*·ψk) of |ψ|² along each further row ψk."""
+    if not derivatives:
+        return np.abs(amps) ** 2
+    return np.concatenate([np.abs(amps[:1]) ** 2, 2.0 * (amps[:1].conj() * amps[1:]).real])
+
+
 # The link angles of the three fired readouts that build [idle, B, C, S],
 # and how: the fired readout is B + C, B + S and B − C at θ = 0, π/2 and
 # π, and idle is the one at θ = 0 (for the canonical link only without
@@ -260,9 +270,8 @@ def _link_readouts(n: int, link_mode: str, noise: tuple[NoiseChannel, ...]) -> n
     """
     dim = 2**n
     z = np.diag(1.0 - 2.0 * (np.arange(dim) >> (n - 1))).astype(complex)
-    fired = _sim.apply_noisy_layout(np.broadcast_to(z.reshape(1, 1, -1), (3, 1, dim * dim)),
-                                    (("RY", (n - 1,), 0),), _FIRED_ANGLES, n, noise,
-                                    adjoint=True).reshape(3, dim, dim)
+    fired = _sim.apply_noisy_layout(z.reshape(1, 1, -1), (("RY", (n - 1,), 0),),
+                                    _FIRED_ANGLES, n, noise, adjoint=True).reshape(3, dim, dim)
     out = np.tensordot(_FIRED_MIX, fired, axes=(0, 0))
     if link_mode != "per-qubit-literal":
         out[0] = z
@@ -294,36 +303,22 @@ class BatchEvaluator:
 
     Every mode encodes every sample once at construction, in one batched
     call (a batch that pairs each sample with itself, as training does,
-    encodes it once for both roles), and a call then evaluates the closed
-    form for a stack of K parameter sets at once (``evaluate_stack``),
-    which is how a gradient evaluates its 2P+1 shifted parameter sets;
-    ``evaluate`` is the K = 1 case.  Each register runs once per distinct
-    row of the slots it reads: register 1 per row of θ1 and θ2, register
-    2 per row of θ3, and E combines the two through the rows' indices
-    among them.  Register 2 reads the four cached readouts [idle, B, C, S]
-    of ``_link_readouts`` per θ3 row, and each stack row combines them
-    with its own θ4_{n−1} as fire·(B + cos θ·C + sin θ·S) + (1 − fire)·idle.
-    So a gradient's shifts of θ3 or θ4 share the base row's distribution
-    bit for bit, its θ4 shifts cost no register evaluation at all, and E
-    is exactly constant in the θ4 slots it does not read.
+    encodes it once for both roles).  ``evaluate_stack`` then evaluates
+    the closed form for a stack of K parameter sets at once, each
+    register once per distinct row of the slots it reads (θ1 and θ2, or
+    θ3), so rows that differ only in θ4 share both registers bit for bit
+    and E is exactly constant in the θ4 slots it does not read;
+    ``evaluate`` is the K = 1 case.  ``derivatives`` gives E and its
+    exact derivative in every slot at one parameter set.
     Analytic mode, which also gives shots mode its exact E, keeps φ_i,
-    φ_j and U_φ(w_j)† and per call builds U(θ1) and U(θ2) for the K1
-    register-1 rows and U(θ3) for the K2 register-2 rows in one stacked
-    ``sim.layout_unitaries`` call (2·K1 + K2 rows), each a product of the
-    ansatz's cached full-space factors.  Density mode keeps the noisy
+    φ_j and U_φ(w_j)† and per call builds U(θ1), U(θ2) and U(θ3) in one
+    stacked ``sim.layout_unitaries`` call.  Density mode keeps the noisy
     encoded states ρ_i, ρ_j and, per sample, the 2^n register-1 outcome
     projectors pulled back through the noisy channel of U_φ(w_j)†; per
-    call it applies the register-1 channel of U†(θ2)U(θ1) to ρ_i and
-    carries the four readouts backwards through the channel of θ3
-    (``sim.layout_channels``, ``sim.apply_noisy_layout``): at n ≤ 2 each
-    fragment is one product of cached full-space superoperator factors,
-    at n ≥ 3 the steps of its cached per-gate plan (a gate on at most two
-    qubits fused with its noise, a wider one as U and U* on its own axes,
-    then the noise) are applied one at a time, to the batch's states when
-    they are fewer than the 4^n vec basis vectors, else once to that
-    basis to build the channel.  The two links differ only in the
-    register-1 outcomes on which the link fires and, in density mode, the
-    noise of the idle readout.
+    call ``sim.apply_noisy_layout`` applies the register-1 channel of
+    U†(θ2)U(θ1) to ρ_i, or to the 4^n vec basis vectors when they are
+    fewer than the batch's states, and carries the four readouts
+    backwards through the channel of θ3.
     """
 
     def __init__(self, wi, wj, config: ModelConfig):
@@ -376,72 +371,96 @@ class BatchEvaluator:
         e_val, probs = self.evaluate_stack(params.to_vector()[None], idx)
         return e_val[0], probs[0]
 
+    def _rows(self, thetas) -> np.ndarray:
+        """``thetas`` as a checked (K, P) stack of flat parameter vectors."""
+        count = self.config.parameter_count
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 2 or thetas.shape[1] != count:
+            raise ValueError(f"expected rows of {count} parameters, got shape {thetas.shape}")
+        if not np.all(np.isfinite(thetas)):
+            raise ValueError("parameters must be finite")
+        return thetas
+
     def evaluate_stack(self, thetas, idx=None) -> tuple[np.ndarray, np.ndarray]:
         """``evaluate`` at K flattened parameter vectors (rows of
         ``thetas``): E is (K, batch) and the distributions (K, batch, 2^n)."""
-        cfg = self.config
-        thetas = np.asarray(thetas, dtype=float)
-        if thetas.ndim != 2 or thetas.shape[1] != cfg.parameter_count:
-            raise ValueError(f"expected rows of {cfg.parameter_count} parameters, "
-                             f"got shape {thetas.shape}")
-        if not np.all(np.isfinite(thetas)):
-            raise ValueError("parameters must be finite")
-        n = cfg.n
+        thetas = self._rows(thetas)
+        n = self.config.n
         rows1, at1 = _distinct_rows(thetas[:, : 4 * n])
         rows2, at2 = _distinct_rows(thetas[:, 4 * n: 6 * n])
-        if cfg.execution == "density":
-            probs, reads = self._evaluate_channels(rows1, rows2, idx)
-        else:
-            probs, reads = self._evaluate_analytic(rows1, rows2, idx)
+        probs, reads = self._registers(rows1, rows2, idx)
         fire = (probs @ self._fire)[at1]
         idle, b, c, s = reads[at2].transpose(2, 0, 1)
         link = thetas[:, 7 * n - 1, None]
         e_val = fire * (b + np.cos(link) * c + np.sin(link) * s) + (1.0 - fire) * idle
         return e_val, probs[at1]
 
-    def _evaluate_analytic(self, rows1: np.ndarray, rows2: np.ndarray,
-                           idx) -> tuple[np.ndarray, np.ndarray]:
-        """The distributions at ``rows1`` of [θ1, θ2] and the readouts
-        [idle, B, C, S] (K2, batch, 4) at ``rows2`` of θ3."""
+    def derivatives(self, theta, idx=None) -> tuple[np.ndarray, np.ndarray]:
+        """E (batch,) at one flat parameter vector and its exact derivative
+        dE (P, batch), from one run of each register on its row and
+        derivative rows.  With f the firing probability and T = B +
+        cos θ·C + sin θ·S, dE is df·(T − idle) in θ1 and θ2, f·dT +
+        (1 − f)·d idle in θ3, f·(cos θ·S − sin θ·C) in θ = θ4_{n−1}, and
+        exactly 0 in the other θ4 slots and in slots that drive no gate."""
+        theta = self._rows(np.reshape(theta, (1, -1)))[0]
         n = self.config.n
-        phi_i, phi_j, v_j = self._phi_i, self._phi_j, self._v_j
-        if idx is not None:
-            phi_i, phi_j, v_j = phi_i[idx], phi_j[idx], v_j[idx]
-        k = len(rows1)
-        u = _sim.layout_unitaries(self._ansatz, np.vstack([rows1[:, : 2 * n],
-                                                           rows1[:, 2 * n:], rows2]), n)
-        u1, u2, u3 = u[:k], u[k: 2 * k], u[2 * k:]
-        a = _adjoint(u2) @ u1
-        # (K1, batch, dim): A φ_i, then U_φ(w_j)† of each sample
-        psi1 = (v_j @ (phi_i @ a.transpose(0, 2, 1)).transpose(1, 2, 0)).transpose(2, 0, 1)
-        probs = np.abs(psi1) ** 2
-        # ⟨ψ|O|ψ⟩ of each readout O on ψ = U(θ3)φ_j
-        psi2 = phi_j @ u3.transpose(0, 2, 1)
-        return probs, (np.abs(psi2 @ self._bases) ** 2) @ self._weights
+        probs, reads = self._registers(theta[None, : 4 * n], theta[None, 4 * n: 6 * n], idx,
+                                       derivatives=True)
+        fire = probs @ self._fire
+        idle, b, c, s = reads.transpose(2, 0, 1)
+        cos, sin = np.cos(theta[7 * n - 1]), np.sin(theta[7 * n - 1])
+        t = b + cos * c + sin * s
+        de = np.zeros((theta.size, fire.shape[1]))
+        de[: 4 * n] = fire[1:] * (t[0] - idle[0])
+        de[4 * n: 6 * n] = fire[0] * t[1:] + (1.0 - fire[0]) * idle[1:]
+        de[7 * n - 1] = fire[0] * (cos * s[0] - sin * c[0])
+        return fire[0] * t[0] + (1.0 - fire[0]) * idle[0], de
 
-    def _evaluate_channels(self, rows1: np.ndarray, rows2: np.ndarray,
-                           idx) -> tuple[np.ndarray, np.ndarray]:
+    def _registers(self, rows1: np.ndarray, rows2: np.ndarray, idx,
+                   derivatives: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """The register-1 distributions (K1, batch, 2^n) at ``rows1`` of
+        [θ1, θ2] and the readouts [idle, B, C, S] (K2, batch, 4) at
+        ``rows2`` of θ3; with ``derivatives``, at one row each, then the
+        derivative in each column: 1 + 4n distributions, 1 + 2n readouts."""
+        cfg = self.config
+        n, dim = cfg.n, 2**cfg.n
+        if cfg.execution != "density":
+            phi_i, phi_j, v_j = self._phi_i, self._phi_j, self._v_j
+            if idx is not None:
+                phi_i, phi_j, v_j = phi_i[idx], phi_j[idx], v_j[idx]
+            u = _sim.layout_unitaries(self._ansatz, np.vstack([rows1[:, : 2 * n],
+                                                               rows1[:, 2 * n:], rows2]),
+                                      n, derivatives)
+            k = len(u) // 3 if derivatives else len(rows1)
+            u1, u2, u3 = u[:k], u[k: 2 * k], u[2 * k:]
+            a = (np.concatenate([_adjoint(u2[:1]) @ u1, _adjoint(u2[1:]) @ u1[:1]])
+                 if derivatives else _adjoint(u2) @ u1)
+            # (rows, batch, dim): A φ_i, then U_φ(w_j)† of each sample
+            psi1 = (v_j @ (phi_i @ a.transpose(0, 2, 1)).transpose(1, 2, 0)).transpose(2, 0, 1)
+            # the link gate's three fixed rotations of ψ = U(θ3)φ_j
+            psi2 = (phi_j @ u3.transpose(0, 2, 1)) @ self._bases
+            return _squared(psi1, derivatives), _squared(psi2, derivatives) @ self._weights
         # vec(ρ)[c + dim·r] = ρ[r, c]: the diagonal is every (dim+1)-th
         # entry, and Tr(O·ρ) = vec(O)ᴴ vec(ρ) for Hermitian O
-        cfg = self.config
-        n, noise, dim = cfg.n, cfg.noise, 2**cfg.n
         rho_i, rho_j, p_j = self._rho_i, self._rho_j, self._p_j
         if idx is not None:
             rho_i, rho_j, p_j = rho_i[idx], rho_j[idx], p_j[idx]
         mid = np.hstack([rows1[:, : 2 * n], -rows1[:, 2 * n:]])
         # (K1, batch, 4^n): register 1 after U†(θ2)U(θ1).  With fewer
         # states than vec basis vectors, the gates act on the states;
-        # otherwise the channel is built once and applied to them all.
-        if len(rho_i) < dim * dim:
-            sigma = _sim.apply_noisy_layout(np.broadcast_to(rho_i, (len(mid),) + rho_i.shape),
-                                            self._mid, mid, n, noise)
-        else:
-            sigma = rho_i @ _sim.layout_channels(self._mid, mid, n, noise).transpose(0, 2, 1)
+        # otherwise they act on the basis, which gives the channel.
+        states = len(rho_i) < dim * dim
+        vecs = rho_i[None] if states else np.eye(dim * dim, dtype=complex)[None]
+        sigma = _sim.apply_noisy_layout(vecs, self._mid, mid, n, cfg.noise,
+                                        derivatives=derivatives)
+        if not states:
+            sigma = rho_i @ sigma
         probs = (p_j @ sigma.transpose(1, 2, 0)).transpose(2, 0, 1).real.copy()
+        if derivatives:  # _mid runs on −θ2
+            probs[1 + 2 * n:] *= -1.0
         # the readouts carried back through the channel of θ3, read on ρ_j
-        obs = _sim.apply_noisy_layout(
-            np.broadcast_to(self._readouts, (len(rows2),) + self._readouts.shape[1:]),
-            self._ansatz, rows2, n, noise, adjoint=True)
+        obs = _sim.apply_noisy_layout(self._readouts, self._ansatz, rows2, n, cfg.noise,
+                                      adjoint=True, derivatives=derivatives)
         return probs, (rho_j @ obs.conj().transpose(0, 2, 1)).real
 
 

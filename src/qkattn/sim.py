@@ -17,11 +17,12 @@ and the noise channels, composed from ``NoiseChannel.kraus`` into one
 U* on its column axes, then N on each of its qubits, so no 4^m × 4^m
 operator is formed for it.  Only one label operator per measurement is
 lifted, to the measured group's space (``expand_matrix``).  The batched
-layout builders (``layout_unitaries``, ``layout_channels``,
-``apply_noisy_layout``) are the fast paths checked against it; the
-oracle uses none of their compiled factors or caches.  At q ≥ 3 the
-noisy builders walk a per-gate plan compiled once per layout, register
-size and noise (``_layout_plan``), which places noise by the same rule.
+layout builders (``layout_unitaries``, ``apply_noisy_layout``) are the
+fast paths checked against it; the oracle uses none of their compiled
+factors or caches.  At q ≥ 3 the noisy builder walks a per-gate plan
+compiled once per layout, register size and noise (``_layout_plan``),
+which places noise by the same rule.  Both builders also give exact
+derivatives in the angles (``_coefficients``).
 
 Basis ordering is little-endian throughout: qubit 0 is the least
 significant bit of a basis index.  For two-qubit gates the first
@@ -374,13 +375,41 @@ _PAIR_BASIS = np.array([[1, 0, 0, 0, 1, 0, 0, 0, 0],
                         [0, 0, 0, 0, 0, 1, 0, 1, 0],
                         [0, 0, 0, 0, -1, 0, 0, 0, 1]], dtype=float)
 
+# d/dθ of the basis [1, c, s, cs, s²], [0, −s/2, c/2, ½ − s², c·s], as a
+# map on it (column j gives term j); the top left block is [1, c, s]'s
+_BASIS_DERIVATIVE = np.array([[0, 0, 0, 0.5, 0], [0, 0, 0.5, 0, 0], [0, -0.5, 0, 0, 0],
+                              [0, 0, 0, 0, 1], [0, 0, 0, -1, 0]])
 
-def _coefficients(half: np.ndarray, channel: bool) -> np.ndarray:
-    """The coefficient basis at half-angles θ/2, on a new last axis:
-    [1, c, s] for a unitary, [1, c, s, cs, s²] for a superoperator."""
+
+def _coefficients(angles: np.ndarray, slots: np.ndarray, channel: bool,
+                  derivatives: bool = False) -> np.ndarray:
+    """The coefficient basis of R rotations, rotation r driven by column
+    slots[r] of ``angles`` (K, P), as (R, K, terms): [1, c, s] for a
+    unitary, [1, c, s, cs, s²] for a superoperator, c, s = cos, sin(θ/2).
+
+    ``derivatives`` follows each row with one row per column j, in which
+    the rotation that j drives has its basis' θ-derivative
+    (``_BASIS_DERIVATIVE``): every factor is affine in the basis, so that
+    row's product is the fragment's derivative in θ_j, as long as no
+    column drives two rotations.  A column that drives none zeroes its
+    row's first rotation, so its derivative is 0.
+    """
+    half = angles[:, slots].T / 2
     c, s = np.cos(half), np.sin(half)
-    terms = [np.ones_like(half), c, s] + ([c * s, s * s] if channel else [])
-    return np.stack(terms, axis=-1)
+    coef = np.stack([np.ones_like(c), c, s] + ([c * s, s * s] if channel else []), axis=-1)
+    if not derivatives:
+        return coef
+    driven = set(slots.tolist())
+    if not driven or len(driven) < slots.size:
+        raise ValueError("derivative rows need rotations, each slot driving at most one")
+    width = angles.shape[1]
+    terms = coef.shape[-1]
+    out = np.repeat(coef[:, :, None], 1 + width, axis=2)
+    out[np.arange(slots.size), :, 1 + slots] = coef @ _BASIS_DERIVATIVE[:terms, :terms]
+    undriven = [1 + j for j in range(width) if j not in driven]
+    if undriven:
+        out[0, :, undriven] = 0.0
+    return out.reshape(slots.size, -1, terms)
 
 
 @functools.lru_cache(maxsize=256)
@@ -458,24 +487,27 @@ def _layout_factors(layout: tuple, q: int, noise: tuple[NoiseChannel, ...] | Non
 
 
 def _layout_product(layout: Layout, angles: np.ndarray, q: int,
-                    noise: tuple[NoiseChannel, ...] | None) -> np.ndarray:
+                    noise: tuple[NoiseChannel, ...] | None,
+                    derivatives: bool = False) -> np.ndarray:
     """The fragment (unitary or, with ``noise`` not None, superoperator)
-    for each row of ``angles``: every rotation of every row from one
+    for each row of ``angles``, and with ``derivatives`` its derivative
+    rows (``_coefficients``): every rotation of every row from one
     batched product of coefficients and cached factors, then R − 1
     batched matmuls."""
     slots, factors, tail = _layout_factors(tuple(layout), q, noise)
     dim = len(tail)
+    coef = _coefficients(angles, slots, noise is not None, derivatives)
     if not slots.size:
         return np.broadcast_to(tail, (len(angles), dim, dim)).copy()
-    coef = _coefficients(angles[:, slots].T / 2, noise is not None)
-    gates = (coef @ factors).reshape(slots.size, len(angles), dim, dim)
+    gates = (coef @ factors).reshape(slots.size, coef.shape[1], dim, dim)
     u = gates[0]
     for gate in gates[1:]:
         u = gate @ u
     return u
 
 
-def layout_unitaries(layout: Layout, angles: np.ndarray, q: int) -> np.ndarray:
+def layout_unitaries(layout: Layout, angles: np.ndarray, q: int,
+                     derivatives: bool = False) -> np.ndarray:
     """Unitaries (K, 2^q, 2^q) of a fixed-structure fragment, one per
     row of ``angles``.
 
@@ -483,8 +515,10 @@ def layout_unitaries(layout: Layout, angles: np.ndarray, q: int) -> np.ndarray:
     M0 + c·M1 + s·M2 per rotation with c, s = cos(θ/2), sin(θ/2); a call
     evaluates every rotation of every row in one batched product and
     multiplies the R gates together, R − 1 batched matmuls in all.
+    ``derivatives`` follows each unitary with its derivative in each
+    column of ``angles`` (``_coefficients``).
     """
-    return _layout_product(layout, angles, q, None)
+    return _layout_product(layout, angles, q, None, derivatives)
 
 
 @functools.lru_cache(maxsize=256)
@@ -539,7 +573,8 @@ def _layout_plan(layout: tuple, q: int, noise: tuple[NoiseChannel, ...]) -> tupl
     """A noisy layout compiled into per-gate steps for ``apply_noisy_layout``
     at q > 2, under the ``_FOLDED_ARITY`` rule.
 
-    Each step is (angle slot or None, factors, d, perm, inverse) for an
+    Returns (slots, steps): the angle slot of each rotation step, and per
+    step (rotation index or None, factors, d, perm, inverse) for an
     operator on d local entries.  A rotation's factors are (3 or 5, d²),
     its matrix at θ being coefficients(θ/2) @ factors; a fixed operator's
     are its matrix (1, d, d).  ``perm`` brings the stack's row axis, then
@@ -548,7 +583,7 @@ def _layout_plan(layout: tuple, q: int, noise: tuple[NoiseChannel, ...]) -> tupl
     column axes; a wider one is U on its row axes, U* on its column axes,
     then the 4 × 4 channel on each of its qubits.
     """
-    steps = []
+    slots, steps = [], []
 
     def step(slot, factors, coords, sides):
         axes, _ = _density_axes(coords, q, sides)
@@ -557,8 +592,10 @@ def _layout_plan(layout: tuple, q: int, noise: tuple[NoiseChannel, ...]) -> tupl
         perm = (0, *(2 + a for a in axes[:k]), 1, *(2 + a for a in axes[k:]))
         if slot is not None:
             factors = factors.reshape(len(factors), -1)
+            slots.append(slot)
         factors.flags.writeable = False
-        steps.append((slot, factors, 2**k, perm, tuple(np.argsort(perm).tolist())))
+        steps.append((None if slot is None else len(slots) - 1, factors, 2**k, perm,
+                      tuple(np.argsort(perm).tolist())))
 
     for kind, coords, slot in layout:
         rotation = slot is not None
@@ -571,66 +608,52 @@ def _layout_plan(layout: tuple, q: int, noise: tuple[NoiseChannel, ...]) -> tupl
         if noise:
             for c in coords:
                 step(None, _noise_superop(noise, 1)[None], (c,), (0, 1))
-    return tuple(steps)
+    slots = np.array(slots, dtype=np.intp)
+    slots.flags.writeable = False
+    return slots, tuple(steps)
 
 
 def apply_noisy_layout(vecs: np.ndarray, layout: Layout, angles: np.ndarray, q: int,
-                       noise: Sequence[NoiseChannel] = (), adjoint: bool = False) -> np.ndarray:
+                       noise: Sequence[NoiseChannel] = (), adjoint: bool = False,
+                       derivatives: bool = False) -> np.ndarray:
     """Run a fixed-structure fragment on a (K, B, 4^q) stack of vectorised
     density matrices, vec(ρ)[c + 2^q r] = ρ[r, c].
 
     Every gate is followed by each channel of ``noise`` on each of its
-    qubits.  Row k of ``angles`` drives the gates applied to vecs[k].  At
-    q ≤ 2 the whole fragment S is one product of cached full-space
-    factors (``layout_channels``) applied as vecs @ Sᵀ.  Larger registers
-    walk the layout's cached per-gate plan (``_layout_plan``): one small
-    product of coefficients and factors per rotation, then one transpose,
-    matmul and inverse transpose of the stack per step; a gate on at most
-    ``_FOLDED_ARITY`` qubits is fused with its noise, a wider one applies
-    U and U* on its own row and column axes, then the noise per qubit.
+    qubits.  Row k of ``angles`` drives the gates applied to vecs[k]; a
+    one-row stack is shared by every row.  Run on the 4^q basis vectors,
+    row k is the fragment's superoperator S transposed.  At q ≤ 2 S is one
+    product of cached full-space factors applied as vecs @ Sᵀ.  Larger
+    registers walk the layout's cached per-gate plan (``_layout_plan``):
+    one small product of coefficients and factors per rotation, then one
+    transpose, matmul and inverse transpose of the stack per step.
     ``adjoint`` applies the adjoint map instead (S†, or the steps'
     matrices conjugate-transposed in reverse order), which carries
     vectorised observables backwards: Tr(O·Λ(ρ)) = Tr(Λ†(O)·ρ).
+    ``derivatives`` follows each row with the fragment's derivative in
+    each column of ``angles`` (``_coefficients``); it needs every slot to
+    drive at most one gate on at most ``_FOLDED_ARITY`` qubits.
     """
     noise = tuple(noise)
     if 4**q <= _FACTORED_VEC_DIM:
-        s = _layout_product(layout, angles, q, noise)
+        s = _layout_product(layout, angles, q, noise, derivatives)
         return vecs @ (s.conj() if adjoint else s.transpose(0, 2, 1))
-    steps = _layout_plan(tuple(layout), q, noise)
-    coef = _coefficients(angles.T / 2, True)
-    lead = vecs.shape[:2]
-    size = lead[1] * 4**q  # entries per row, also of an empty stack
-    t = vecs.reshape(lead + (2,) * (2 * q))
-    for slot, factors, d, perm, inverse in (reversed(steps) if adjoint else steps):
-        if slot is None:
+    slots, steps = _layout_plan(tuple(layout), q, noise)
+    coef = _coefficients(angles, slots, True, derivatives)
+    size = vecs.shape[1] * 4**q  # entries per row, also of an empty stack
+    t = vecs.reshape(vecs.shape[:2] + (2,) * (2 * q))
+    for rotation, factors, d, perm, inverse in (reversed(steps) if adjoint else steps):
+        if rotation is None:
             mats = factors
         else:
-            mats = (coef[slot, :, : len(factors)] @ factors).reshape(len(angles), d, d)
+            mats = (coef[rotation, :, : len(factors)] @ factors).reshape(-1, d, d)
         if adjoint:
             mats = mats.conj().transpose(0, 2, 1)
         t = t.transpose(perm)
         moved = t.shape
-        t = (mats @ t.reshape(lead[0], d, size // d)).reshape(moved).transpose(inverse)
-    return t.reshape(lead + (4**q,))
-
-
-def layout_channels(layout: Layout, angles: np.ndarray, q: int,
-                    noise: Sequence[NoiseChannel] = ()) -> np.ndarray:
-    """Superoperators (K, 4^q, 4^q) of a noisy fixed-structure fragment,
-    one per row of ``angles``, acting on vec(ρ) as in apply_noisy_layout.
-
-    At q ≤ 2 each is one product of the layout's cached full-space
-    factors, N·(R ⊗ R*) per rotation over [1, c, s, cs, s²] with the
-    noisy fixed gates folded in; larger registers run the layout's
-    per-gate plan (``apply_noisy_layout``) on the 4^q basis vectors,
-    wide gates as U and U* on their own axes.
-    """
-    noise = tuple(noise)
-    if 4**q <= _FACTORED_VEC_DIM:
-        return _layout_product(layout, angles, q, noise)
-    dim = 4**q
-    basis = np.broadcast_to(np.eye(dim, dtype=complex), (len(angles), dim, dim))
-    return apply_noisy_layout(basis, layout, angles, q, noise).transpose(0, 2, 1)
+        t = mats @ t.reshape(moved[0], d, size // d)
+        t = t.reshape(t.shape[:1] + moved[1:]).transpose(inverse)
+    return t.reshape(t.shape[:1] + vecs.shape[1:])
 
 
 def expand_matrix(u: np.ndarray, coords: Sequence[int], q: int) -> np.ndarray:

@@ -5,20 +5,18 @@ so optimization runs on the smooth surrogate (1/m)Σ(y − E)² by default;
 the sign-based literal loss stays available as a metric.  Each sample's
 feature vector is fed to both model inputs (the token attends to itself).
 
-Gradients of E use the parameter-shift rule for slots that feed a single
-plain rotation gate and central finite differences for slots feeding
-controlled rotations or the link; the squared loss then contributes
-through the chain rule dL/dθ = mean(−2(y − E)·dE/dθ).  The shifted
-parameter sets of one gradient are batched: the evaluator receives all
-2P+1 of them as one stack and evaluates each register once per distinct
-row of the parameters it reads, so the rows that shift θ3 or θ4 reuse
-the base row's register-1 result and those that shift θ1, θ2 or θ4 its
-register-2 readouts, in which θ4 enters in closed form.
+Gradients of E are exact in every slot: ``BatchEvaluator.derivatives``
+runs each register once on its parameter row and that row's derivative
+rows, built from the same cached rotation factors, and the squared loss
+contributes through the chain rule dL/dθ = mean(−2(y − E)·dE/dθ).
+Central finite differences remain as an explicit ``gradient_method`` and
+as ``gradient_check``'s reference.
 
-``train_loop`` builds one evaluator over the train samples followed by
-the test samples and makes two calls to it per optimizer step: the
-gradient's stack on the batch's samples only, then the updated
-parameters on every sample for the train and test metrics.
+``train_loop`` keeps the parameters as one flat vector, builds one
+evaluator over the train samples followed by the test samples, and makes
+two calls to it per optimizer step: the gradient on the batch's samples
+only, then the updated parameters on every sample for the train and test
+metrics.
 """
 from __future__ import annotations
 
@@ -28,10 +26,14 @@ import numbers
 
 import numpy as np
 
-from .ansatz import ParamSet, param_slot_kinds
+from .ansatz import ParamSet
 from .model import BatchEvaluator, ModelConfig
 
+# "parameter-shift", the name configs use, is the exact derivative
 GRADIENT_METHODS = ("parameter-shift", "finite-difference")
+# gradient_check's central-difference step: at 1e-3 the truncation error
+# on the HE CRY slots reached 1.3e-3 relative, at 1e-5 round-off 7.1e-5
+_REFERENCE_STEP = 1e-4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,36 +121,25 @@ def predictions_from_e(e_values) -> np.ndarray:
     return np.where(np.asarray(e_values, dtype=float) < 0, -1, 1)
 
 
-def gradient(evaluator: BatchEvaluator, params: ParamSet, labels, config: TrainConfig,
-             idx=None, shift: float = np.pi / 2) -> np.ndarray:
-    """Gradient of the surrogate loss over one batch.
-
-    All 2P+1 parameter sets (the base point, then each slot shifted up,
-    then each shifted down) go to the evaluator in one stacked call;
-    ``train_loop`` takes every step's gradient from here.  ``shift`` is
-    the parameter-shift constant; it is exposed so a deliberately wrong
-    value can be injected to validate the gradient checker.
-    Deterministic execution modes only (analytic or density).
-    """
-    mcfg = evaluator.config
-    if mcfg.execution == "shots":
+def gradient(evaluator: BatchEvaluator, theta, labels, config: TrainConfig,
+             idx=None) -> np.ndarray:
+    """Gradient of the surrogate loss over one batch at the flat parameter
+    vector ``theta``: exact (``evaluator.derivatives``) by default, or
+    central differences at ``config.fd_step``, all 2P+1 parameter sets in
+    one ``evaluate_stack`` call.  Deterministic execution modes only."""
+    if evaluator.config.execution == "shots":
         raise ValueError("gradients need a deterministic execution mode")
     y = np.asarray(labels, dtype=float)
-    theta = params.to_vector()
-    is_shift = np.equal(param_slot_kinds(mcfg.ansatz, mcfg.link_mode, mcfg.n), "shift")
+    theta = np.asarray(theta, dtype=float)
     if config.gradient_method == "finite-difference":
-        is_shift[:] = False
-    steps = np.diag(np.where(is_shift, shift, config.fd_step))
-    e, _ = evaluator.evaluate_stack(np.vstack([theta, theta + steps, theta - steps]), idx=idx)
-
-    e_base = e[0]
-    base_loss = np.mean((y - e_base) ** 2)
-    if not np.isfinite(base_loss):
+        steps = np.diag(np.full(theta.size, config.fd_step))
+        e, _ = evaluator.evaluate_stack(np.vstack([theta, theta + steps, theta - steps]), idx=idx)
+        e_base, de = e[0], (e[1: theta.size + 1] - e[theta.size + 1:]) / (2 * config.fd_step)
+    else:
+        e_base, de = evaluator.derivatives(theta, idx=idx)
+    if not np.isfinite(np.mean((y - e_base) ** 2)):
         raise ValueError("loss is not finite")
-    chain = -2.0 * (y - e_base)
-    plus, minus = e[1: theta.size + 1], e[theta.size + 1:]
-    de = (plus - minus) / np.where(is_shift, 2.0, 2.0 * config.fd_step)[:, None]
-    return np.mean(chain * de, axis=1)
+    return np.mean(-2.0 * (y - e_base) * de, axis=1)
 
 
 def nesterov_step(theta: np.ndarray, accumulator: np.ndarray,
@@ -164,11 +155,11 @@ def nesterov_step(theta: np.ndarray, accumulator: np.ndarray,
     return theta - new_acc, new_acc
 
 
-def _metrics(evaluator: BatchEvaluator, params: ParamSet, train_y: np.ndarray,
+def _metrics(evaluator: BatchEvaluator, theta: np.ndarray, train_y: np.ndarray,
              test_y: np.ndarray | None, surrogate: bool) -> StepMetrics:
-    """Metrics of ``params`` from one evaluation over the train samples
-    followed by the test samples."""
-    e_values, _ = evaluator.evaluate(params)
+    """Metrics of the flat parameter vector ``theta`` from one evaluation
+    over the train samples followed by the test samples."""
+    e_values = evaluator.evaluate_stack(theta[None])[0][0]
     m = train_y.size
     predictions = predictions_from_e(e_values)
     test_acc = float("nan") if test_y is None else accuracy(predictions[m:], test_y)
@@ -204,13 +195,13 @@ def train_loop(model_config: ModelConfig, train_x, train_y, config: TrainConfig,
     are recorded after every update.  Fully deterministic given the seed.
 
     One evaluator holds the train samples followed by the test samples.
-    Each step evaluates the 2P+1 rows of ``gradient`` at the Nesterov
-    lookahead θ − γ·a on the batch's samples only, then the updated θ on
-    every sample, whose train and test columns give the step's metrics:
-    with the initial metrics, ``2·steps + 1`` evaluator calls in all.
-    The gradient rows stay on the batch because the full sets can be many
-    times larger (1000 + 100 samples against a batch of 30 in the image
-    runs).
+    Each step takes the ``gradient`` at the Nesterov lookahead θ − γ·a on
+    the batch's samples only, then evaluates the updated θ on every
+    sample, whose train and test columns give the step's metrics: with
+    the initial metrics, ``2·steps + 1`` evaluator calls in all.  The
+    gradient stays on the batch because the full sets can be many times
+    larger (1000 + 100 samples against a batch of 30 in the image runs).
+    θ stays a flat vector; the one ``ParamSet`` is built for the record.
     """
     train_x = np.atleast_2d(np.asarray(train_x, dtype=float))
     train_y = np.asarray(train_y, dtype=float)
@@ -228,19 +219,17 @@ def train_loop(model_config: ModelConfig, train_x, train_y, config: TrainConfig,
     seq = np.random.SeedSequence(config.seed)
     init_rng, shuffle_rng = (np.random.default_rng(s) for s in seq.spawn(2))
     if initial_params is None:
-        params = model_config.random_params(init_rng)
-    else:
-        params = initial_params
+        initial_params = model_config.random_params(init_rng)
+    theta = initial_params.to_vector()
 
     x = train_x if test_x is None else np.vstack([train_x, test_x])
     evaluator = BatchEvaluator(x, x, model_config)
 
-    initial = _metrics(evaluator, params, train_y, test_y, config.surrogate)
+    initial = _metrics(evaluator, theta, train_y, test_y, config.surrogate)
     losses: list[float] = []
     train_accs: list[float] = []
     test_accs: list[float] = []
 
-    theta = params.to_vector()
     acc = np.zeros_like(theta)
     count = train_x.shape[0]
     order: np.ndarray = np.empty(0, dtype=np.intp)
@@ -253,38 +242,34 @@ def train_loop(model_config: ModelConfig, train_x, train_y, config: TrainConfig,
         idx = order[cursor: cursor + config.batch_size]
         cursor += config.batch_size
 
-        lookahead = ParamSet.from_vector(theta - config.momentum * acc,
-                                         model_config.n, model_config.link_mode)
-        g = gradient(evaluator, lookahead, train_y[idx], config, idx=idx)
+        g = gradient(evaluator, theta - config.momentum * acc, train_y[idx], config, idx=idx)
         theta, acc = nesterov_step(theta, acc, g, config.learning_rate, config.momentum)
 
-        params = ParamSet.from_vector(theta, model_config.n, model_config.link_mode)
-        m = _metrics(evaluator, params, train_y, test_y, config.surrogate)
+        m = _metrics(evaluator, theta, train_y, test_y, config.surrogate)
         losses.append(m.loss)
         train_accs.append(m.train_acc)
         test_accs.append(m.test_acc)
 
-    return RunRecord(initial, losses, train_accs, test_accs, params)
+    return RunRecord(initial, losses, train_accs, test_accs,
+                     ParamSet.from_vector(theta, model_config.n, model_config.link_mode))
 
 
-def gradient_check(model_config: ModelConfig, trials: int, seed: int,
-                   shift: float = np.pi / 2, fd_step: float = 1e-3,
-                   rel_floor: float = 1e-6) -> dict:
-    """Compare parameter-shift gradients against finite differences.
+def gradient_check(model_config: ModelConfig, trials: int, seed: int) -> dict:
+    """Compare the exact gradient against central differences.
 
     Each trial draws random features, labels, and parameters, computes
-    both gradients on a small batch, and records the worst relative error
-    on the parameter-shift slots (with a denominator floor so vanishing
-    gradients compare on absolute error).  Returns a summary dict.
+    both gradients on a small batch, the differences at step
+    ``_REFERENCE_STEP``, and records every slot's worst relative error
+    (with a denominator floor of 1e-6, so vanishing gradients compare on
+    absolute error).  Returns a summary dict.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
-    cfg_shift = TrainConfig(gradient_method="parameter-shift", fd_step=fd_step)
-    cfg_fd = TrainConfig(gradient_method="finite-difference", fd_step=fd_step)
-    kinds = param_slot_kinds(model_config.ansatz, model_config.link_mode, model_config.n)
+    cfg_exact = TrainConfig()
+    cfg_fd = TrainConfig(gradient_method="finite-difference", fd_step=_REFERENCE_STEP)
     names = ParamSet.zeros(model_config.n, model_config.link_mode).slot_names()
-    per_slot = np.zeros(len(kinds))
+    per_slot = np.zeros(len(names))
     for _ in range(trials):
         batch = int(rng.integers(2, 5))
         if model_config.encoder == "amplitude":
@@ -293,21 +278,17 @@ def gradient_check(model_config: ModelConfig, trials: int, seed: int,
         else:
             x = rng.uniform(0.0, np.pi, size=(batch, model_config.feature_dim))
         y = np.where(rng.random(batch) < 0.5, -1.0, 1.0)
-        params = model_config.random_params(rng)
+        theta = model_config.random_params(rng).to_vector()
         ev = BatchEvaluator(x, x, model_config)
-        g_shift = gradient(ev, params, y, cfg_shift, shift=shift)
-        g_fd = gradient(ev, params, y, cfg_fd)
-        for k, kind in enumerate(kinds):
-            if kind != "shift":
-                continue
-            rel = abs(g_shift[k] - g_fd[k]) / max(abs(g_fd[k]), rel_floor)
-            per_slot[k] = max(per_slot[k], rel)
+        g_exact = gradient(ev, theta, y, cfg_exact)
+        g_fd = gradient(ev, theta, y, cfg_fd)
+        rel = np.abs(g_exact - g_fd) / np.maximum(np.abs(g_fd), 1e-6)
+        per_slot = np.maximum(per_slot, rel)
     worst_slot = int(np.argmax(per_slot))
     return {
         "trials": trials,
         "worst_rel_error": float(per_slot[worst_slot]),
         "worst_slot": names[worst_slot],
-        "slots": len(kinds),
+        "slots": len(names),
         "per_slot": {name: float(v) for name, v in zip(names, per_slot)},
-        "slot_kinds": dict(zip(names, kinds)),
     }

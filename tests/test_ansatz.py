@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from qkattn.ansatz import (ParamSet, ansatz_slot_kinds, build_ansatz, build_link,
-                           link_slot_count, param_slot_kinds)
+from qkattn.ansatz import ParamSet, build_ansatz, build_link, link_slot_count
 from qkattn.sim import Circuit, run_circuit
 
 
@@ -70,14 +69,6 @@ def test_adjoint_cancels():
             both.extend(circ.adjoint())
             amps = run_circuit(both, "pure").state.amps
             assert np.isclose(abs(amps[0]), 1.0, atol=1e-12)
-
-
-def test_slot_kinds():
-    assert ansatz_slot_kinds("qaoa", 2) == ["shift"] * 4
-    assert ansatz_slot_kinds("hea", 2) == ["shift", "shift", "fd", "fd"]
-    kinds = param_slot_kinds("hea", "all-zeros-canonical", 2)
-    assert len(kinds) == 14
-    assert kinds[-2:] == ["fd", "fd"]
 
 
 def test_link_literal_structure():

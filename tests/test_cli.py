@@ -8,7 +8,7 @@ import pytest
 
 from qkattn import cli
 from qkattn.cli import main
-from qkattn.model import ModelConfig, qksas
+from qkattn.model import BatchEvaluator, ModelConfig, qksas
 from test_data import write_idx_pair
 
 
@@ -166,7 +166,14 @@ def test_gradcheck_zero_trials_usage_error(tmp_path, capsys):
 def test_gradcheck_fault_injection(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path)
     out = os.path.join(str(tmp_path), "g")
-    monkeypatch.setenv("QKATTN_SHIFT_OVERRIDE", "1.65")
+    # a deliberately wrong derivative: every dE scaled by 1.1
+    exact = BatchEvaluator.derivatives
+
+    def scaled(*args, **kwargs):
+        e, de = exact(*args, **kwargs)
+        return e, 1.1 * de
+
+    monkeypatch.setattr(BatchEvaluator, "derivatives", scaled)
     assert main(["gradcheck", "--config", cfg, "--out", out, "--trials", "2"]) == 1
     err = capsys.readouterr().err
     assert "theta" in err  # the offending slot is named

@@ -395,8 +395,7 @@ def test_registers_get_their_distinct_rows(monkeypatch, n, execution):
         ev = BatchEvaluator(x, x, cfg)
         calls = []
         # (name, position of the layout argument); the angles follow it
-        for name, at in (("layout_unitaries", 0), ("layout_channels", 0),
-                         ("apply_noisy_layout", 1)):
+        for name, at in (("layout_unitaries", 0), ("apply_noisy_layout", 1)):
             def spy(*args, _f=getattr(sim, name), _at=at, **kwargs):
                 calls.append((args[_at], len(args[_at + 1])))
                 return _f(*args, **kwargs)
@@ -410,6 +409,113 @@ def test_registers_get_their_distinct_rows(monkeypatch, n, execution):
             assert rows == {ev._ansatz: [2 * (8 * n + 1) + 4 * n + 1]}, (variant, link)
         else:
             assert rows == {ev._mid: [8 * n + 1], ev._ansatz: [4 * n + 1]}, (variant, link)
+
+
+@pytest.mark.parametrize("execution", ("analytic", "density"))
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_derivatives_run_each_register_once(monkeypatch, n, execution):
+    # analytic mode: one layout_unitaries call on the rows θ1, θ2, θ3, each
+    # followed by its 2n derivative rows; density mode: the register-1
+    # layout on [θ1, −θ2] (1 + 4n outputs), the ansatz on θ3 (1 + 2n)
+    rng = np.random.default_rng(80 + n)
+    noise = NOISE_SETS["bit-flip"] if execution == "density" else ()
+    for variant, link in itertools.product(VARIANTS, LINK_MODES):
+        cfg = ModelConfig.from_variant(variant, n=n, link_mode=link,
+                                       execution=execution, noise=noise)
+        x = np.array([random_features(cfg, rng) for _ in range(4)])
+        ev = BatchEvaluator(x, x, cfg)
+        calls = []
+        for name, at in (("layout_unitaries", 0), ("apply_noisy_layout", 1)):
+            def spy(*args, _f=getattr(sim, name), _at=at, **kwargs):
+                out = _f(*args, **kwargs)
+                calls.append((args[_at], len(args[_at + 1]), len(out)))
+                return out
+            monkeypatch.setattr(sim, name, spy)
+        ev.derivatives(cfg.random_params(rng).to_vector())
+        monkeypatch.undo()
+        if execution == "analytic":
+            assert calls == [(ev._ansatz, 3, 3 * (2 * n + 1))], (variant, link)
+        else:
+            assert calls == [(ev._mid, 1, 1 + 4 * n), (ev._ansatz, 1, 1 + 2 * n)], (variant, link)
+
+
+# The four-term shift rule (Wierichs et al., "General parameter-shift
+# rules for quantum gradients", Quantum 6, 677 (2022)) as (shift, weight)
+# pairs, dE = Σ weight·(E(θ + shift) − E(θ − shift)): exact in every slot,
+# since E holds no frequency above 1 in any angle (at most 1/2 and 1 for a
+# CRY or a noisy channel)
+FOUR_TERM_RULE = ((np.pi / 2, (np.sqrt(2) + 1) / (4 * np.sqrt(2))),
+                  (3 * np.pi / 2, -(np.sqrt(2) - 1) / (4 * np.sqrt(2))))
+
+
+def stack_derivatives(ev, theta, pairs, idx=None):
+    """dE (P, batch) from one evaluate_stack call on θ ± shift in each
+    slot, combined by the (shift, weight) ``pairs``."""
+    eye = np.eye(theta.size)
+    rows = [theta + sign * shift * eye for shift, _ in pairs for sign in (1.0, -1.0)]
+    e = ev.evaluate_stack(np.vstack(rows), idx)[0].reshape(len(pairs), 2, theta.size, -1)
+    return sum(weight * (e[k, 0] - e[k, 1]) for k, (_, weight) in enumerate(pairs))
+
+
+def richardson_derivatives(ev, theta, idx=None, h=1e-3):
+    """Central differences at h and h/2, Richardson-extrapolated (error
+    O(h⁴))."""
+    coarse = stack_derivatives(ev, theta, ((h, 0.5 / h),), idx)
+    fine = stack_derivatives(ev, theta, ((h / 2, 1.0 / h),), idx)
+    return (4.0 * fine - coarse) / 3.0
+
+
+def dead_slots(ev):
+    """Slots E cannot read: θ1, θ2, θ3 slots that drive no ansatz gate (the
+    HE CRY slots at n = 1) and every θ4 slot but n − 1."""
+    n = ev.config.n
+    driven = {slot for _, _, slot in ev._ansatz if slot is not None}
+    ansatz = [2 * n * block + k for block in range(3) for k in range(2 * n) if k not in driven]
+    link = [6 * n + k for k in range(ev.config.parameter_count - 6 * n) if k != n - 1]
+    return ansatz + link
+
+
+@pytest.mark.parametrize("mode", ["analytic"] + list(NOISE_SETS))
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_derivatives_match_shift_rule_and_richardson_differences(n, mode):
+    # four samples: at n = 1 register 1 runs on the 4^n vec basis, above
+    # on the states
+    rng = np.random.default_rng(120 + n)
+    kwargs = {} if mode == "analytic" else dict(execution="density", noise=NOISE_SETS[mode])
+    for variant, link in itertools.product(VARIANTS, LINK_MODES):
+        cfg = ModelConfig.from_variant(variant, n=n, link_mode=link, **kwargs)
+        x = np.array([random_features(cfg, rng) for _ in range(4)])
+        ev = BatchEvaluator(x, x, cfg)
+        theta = cfg.random_params(rng).to_vector()
+        idx = np.array([2, 0, 2])
+        e, de = ev.derivatives(theta, idx)
+        assert de.shape == (theta.size, 3)
+        assert np.max(np.abs(e - ev.evaluate_stack(theta[None], idx)[0][0])) < 1e-13
+        y = np.array([1.0, -1.0, -1.0])
+        g = gradient(ev, theta, y, TrainConfig(), idx)
+        for ref in (stack_derivatives(ev, theta, FOUR_TERM_RULE, idx),
+                    richardson_derivatives(ev, theta, idx)):
+            assert np.max(np.abs(de - ref)) < 1e-10, (variant, link)
+            assert np.max(np.abs(g - np.mean(-2.0 * (y - e) * ref, axis=1))) < 1e-10
+        dead = dead_slots(ev)
+        assert len(dead) == (3 if n == 1 and cfg.ansatz == "hea" else 0) + theta.size - 6 * n - 1
+        assert np.all(de[dead] == 0.0), (variant, link)
+
+
+def test_density_derivatives_on_the_vec_basis_at_n3():
+    # 64 samples reach the 4^n vec basis vectors: register 1 runs the
+    # per-gate plan on the basis instead of the states
+    rng = np.random.default_rng(130)
+    for variant in ("AmHE", "AnQAOA"):
+        cfg = ModelConfig.from_variant(variant, n=3, execution="density",
+                                       noise=NOISE_SETS["both"])
+        x = np.array([random_features(cfg, rng) for _ in range(64)])
+        ev = BatchEvaluator(x, x, cfg)
+        theta = cfg.random_params(rng).to_vector()
+        e, de = ev.derivatives(theta)
+        _, de_states = ev.derivatives(theta, np.arange(5))
+        assert np.max(np.abs(de[:, :5] - de_states)) < 1e-13, variant
+        assert np.max(np.abs(de - richardson_derivatives(ev, theta))) < 1e-10, variant
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
@@ -537,7 +643,8 @@ def test_wide_gates_build_no_dense_superoperator(monkeypatch):
     rng = np.random.default_rng(90)
     x = np.array([random_features(cfg, rng) for _ in range(6)])
     params = cfg.random_params(rng)
-    gradient(BatchEvaluator(x, x, cfg), params, np.array([1.0, -1.0] * 3), TrainConfig())
+    gradient(BatchEvaluator(x, x, cfg), params.to_vector(), np.array([1.0, -1.0] * 3),
+             TrainConfig())
     circ = build_full_circuit(x[0], x[1], params, cfg, form="deferred", final_measure=True)
     sim.run_circuit(circ, "density", noise=noise)
     assert max(arity for arity, noisy in factor_calls if noisy) <= 2
@@ -588,7 +695,7 @@ def test_only_theta4_slot_n_minus_1_reaches_the_readout(n, link, noise):
             moved = ParamSet.from_vector(p.to_vector(), n, link)
             moved.theta4[s] += 1.3
             assert abs(oracle(moved) - e_ref) < 1e-12, (variant, s)
-        g = gradient(BatchEvaluator(x, x, cfg), p, [1.0, -1.0, 1.0], TrainConfig())
+        g = gradient(BatchEvaluator(x, x, cfg), p.to_vector(), [1.0, -1.0, 1.0], TrainConfig())
         assert np.all(g[6 * n:][others] == 0), variant
         assert g[7 * n - 1] != 0, variant
 

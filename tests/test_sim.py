@@ -341,6 +341,13 @@ NOISE_SETS = [(), (NoiseChannel("bit-flip", 0.15),), (NoiseChannel("amplitude-da
               (NoiseChannel("bit-flip", 0.1), NoiseChannel("amplitude-damping", 0.3))]
 
 
+def _channels(layout, angles, q, noise):
+    """The superoperators (K, 4^q, 4^q) of a noisy fragment, one per row of
+    ``angles``: ``apply_noisy_layout`` on the 4^q basis vectors, transposed."""
+    basis = np.eye(4**q, dtype=complex)[None]
+    return sim.apply_noisy_layout(basis, layout, angles, q, noise).transpose(0, 2, 1)
+
+
 def _wide_arities(layout):
     return {len(coords) for _, coords, _ in layout if len(coords) > sim._FOLDED_ARITY}
 
@@ -356,7 +363,7 @@ def test_layout_channels_match_lifted_kraus_reference(q):
             layout = _random_layout(rng, q, 6)
             wide |= _wide_arities(layout)
             angles = rng.uniform(0, 2 * np.pi, size=(2, 3))
-            got = sim.layout_channels(layout, angles, q, noise)
+            got = _channels(layout, angles, q, noise)
             assert got.shape == (2, 4**q, 4**q)
             for k, row in enumerate(angles):
                 ref = _lifted_channel(layout, row, q, noise)
@@ -391,10 +398,67 @@ def test_noisy_layout_adjoint_is_heisenberg_picture(q):
     assert wide == set(range(3, q + 1))
 
 
+def _derivative_layout(rng, q):
+    """A fragment whose slots 0..2 each drive one rotation on at most two
+    qubits, between fixed gates; slot 3 drives none."""
+    kinds = ["RX", "RY", "RZ"] + (["CRY"] if q >= 2 else [])
+    layout = [("H", (q - 1,), None)]
+    for slot in rng.permutation(3):
+        kind = str(rng.choice(kinds))
+        size = 2 if kind == "CRY" else 1
+        coords = tuple(int(c) for c in rng.choice(q, size=size, replace=False))
+        layout += [(kind, coords, int(slot)), ("X", (int(rng.integers(q)),), None)]
+    return tuple(layout)
+
+
+@pytest.mark.parametrize("q", (1, 2, 3))
+def test_layout_derivative_rows_match_richardson_differences(q):
+    # each row is followed by its derivative in each of the 4 columns; the
+    # column that drives no gate reads exactly 0
+    rng = np.random.default_rng(140 + q)
+    h = 1e-3
+    shifts = np.eye(4)
+
+    def richardson(build, angles):
+        def central(step):
+            d = (build((angles[:, None] + step * shifts).reshape(-1, 4))
+                 - build((angles[:, None] - step * shifts).reshape(-1, 4))) / (2 * step)
+            return d.reshape((len(angles), 4) + d.shape[1:])
+        return (4 * central(h / 2) - central(h)) / 3
+
+    for noise in [None] + NOISE_SETS:
+        layout = _derivative_layout(rng, q)
+        angles = rng.uniform(0, 2 * np.pi, size=(2, 4))
+        if noise is None:
+            def build(rows, derivatives=False):
+                return sim.layout_unitaries(layout, rows, q, derivatives)
+        else:
+            def build(rows, derivatives=False):
+                basis = np.eye(4**q, dtype=complex)[None]
+                return sim.apply_noisy_layout(basis, layout, rows, q, noise,
+                                              derivatives=derivatives)
+        got = build(angles, True)
+        got = got.reshape((2, 5) + got.shape[1:])
+        assert np.max(np.abs(got[:, 0] - build(angles))) < 1e-14, noise
+        assert np.max(np.abs(got[:, 1:] - richardson(build, angles))) < 1e-10, noise
+        assert np.all(got[:, 4] == 0.0), noise
+
+
+def test_derivative_rows_need_each_slot_on_one_gate():
+    layout = (("RY", (0,), 0), ("RZ", (0,), 0))
+    with pytest.raises(ValueError, match="at most one"):
+        sim.layout_unitaries(layout, np.zeros((1, 1)), 1, derivatives=True)
+    # the wide MCRY-open gate at q = 3 applies as two rotation steps, U and U*
+    wide = (("MCRY-open", (0, 1, 2), 0),)
+    with pytest.raises(ValueError, match="at most one"):
+        sim.apply_noisy_layout(np.ones((1, 1, 64), dtype=complex), wide, np.zeros((1, 1)), 3,
+                               NOISE_SETS[1], derivatives=True)
+
+
 # --- noisy layouts as products of cached factors (q <= 2) ---------------------
 
 def _assert_channels_match_lifted(layout, angles, q, noise, rng):
-    got = sim.layout_channels(layout, angles, q, noise)
+    got = _channels(layout, angles, q, noise)
     assert got.shape == (len(angles), 4**q, 4**q)
     vecs = rng.normal(size=(len(angles), 3, 4**q)) + 1j * rng.normal(size=(len(angles), 3, 4**q))
     forward = sim.apply_noisy_layout(vecs, layout, angles, q, noise)
@@ -436,10 +500,10 @@ def test_layout_channels_results_do_not_alias_the_cache(q):
     rng = np.random.default_rng(120 + q)
     angles = rng.uniform(0, 2 * np.pi, size=(2, 3))
     for layout in (_random_layout(rng, q, 4), (("H", (0,), None), ("X", (q - 1,), None))):
-        first = sim.layout_channels(layout, angles, q, NOISE_SETS[3])
+        first = _channels(layout, angles, q, NOISE_SETS[3])
         expected = first.copy()
         first[...] = 0.0
-        assert np.array_equal(sim.layout_channels(layout, angles, q, NOISE_SETS[3]), expected)
+        assert np.array_equal(_channels(layout, angles, q, NOISE_SETS[3]), expected)
 
 
 # --- analytic layouts as products of cached factors ---------------------------

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from qkattn.ansatz import LINK_MODES, ParamSet, param_slot_kinds
+from qkattn import ansatz
+from qkattn.ansatz import LINK_MODES, ParamSet
 from qkattn.model import BatchEvaluator, ModelConfig
 from qkattn.sim import NoiseChannel
 from qkattn.train import (GRADIENT_METHODS, RunRecord, TrainConfig, accuracy,
                           gradient, gradient_check, loss, nesterov_step,
                           predictions_from_e, train_loop)
+from test_model import FOUR_TERM_RULE
 
 
 def separable_data(rng, count=24):
@@ -101,7 +103,7 @@ def test_gradient_zero_at_exact_fit():
     e, _ = ev.evaluate(p)
     y = e.copy()  # not valid labels, so call gradient internals directly
     tc = TrainConfig()
-    g = gradient(ev, p, y, tc)
+    g = gradient(ev, p.to_vector(), y, tc)
     assert np.max(np.abs(g)) < 1e-12
 
 
@@ -112,33 +114,33 @@ def test_gradient_batch_duplication_invariance():
     y = np.array([-1.0, 1.0, 1.0, -1.0])
     p = cfg.random_params(rng)
     tc = TrainConfig()
-    g1 = gradient(BatchEvaluator(x, x, cfg), p, y, tc)
+    g1 = gradient(BatchEvaluator(x, x, cfg), p.to_vector(), y, tc)
     xx = np.vstack([x, x])
-    g2 = gradient(BatchEvaluator(xx, xx, cfg), p, np.concatenate([y, y]), tc)
+    g2 = gradient(BatchEvaluator(xx, xx, cfg), p.to_vector(), np.concatenate([y, y]), tc)
     assert np.allclose(g1, g2, atol=1e-13)
 
 
-def slotwise_gradient(evaluator, params, labels, config, idx=None, shift=np.pi / 2):
-    """Reference: two one-parameter-set evaluate calls per slot."""
+def slotwise_gradient(evaluator, theta, labels, config, idx=None):
+    """Reference: one-parameter-set evaluate calls per slot, combined by
+    the four-term shift rule for the exact method and as central
+    differences at ``fd_step`` for finite differences."""
     mcfg = evaluator.config
-    theta = params.to_vector()
-    kinds = param_slot_kinds(mcfg.ansatz, mcfg.link_mode, mcfg.n)
+    rule = FOUR_TERM_RULE
     if config.gradient_method == "finite-difference":
-        kinds = ["fd"] * len(kinds)
+        rule = ((config.fd_step, 1.0 / (2.0 * config.fd_step)),)
 
     def e_at(vec):
         return evaluator.evaluate(ParamSet.from_vector(vec, mcfg.n, mcfg.link_mode), idx=idx)[0]
 
     chain = -2.0 * (np.asarray(labels, dtype=float) - e_at(theta))
-    grad = np.empty(theta.size)
-    for k, kind in enumerate(kinds):
-        delta = shift if kind == "shift" else config.fd_step
-        plus, minus = theta.copy(), theta.copy()
-        plus[k] += delta
-        minus[k] -= delta
-        scale = 2.0 if kind == "shift" else 2.0 * config.fd_step
-        grad[k] = np.mean(chain * (e_at(plus) - e_at(minus)) / scale)
-    return grad, np.array(kinds) == "shift"
+    grad = np.zeros(theta.size)
+    for k in range(theta.size):
+        for shift, weight in rule:
+            plus, minus = theta.copy(), theta.copy()
+            plus[k] += shift
+            minus[k] -= shift
+            grad[k] += weight * np.mean(chain * (e_at(plus) - e_at(minus)))
+    return grad
 
 
 @pytest.mark.parametrize("execution", ("analytic", "density"))
@@ -154,16 +156,14 @@ def test_stacked_gradient_matches_slotwise_reference(execution):
             else:
                 x = rng.uniform(0, np.pi, size=(4, 4))
             ev = BatchEvaluator(x, x, cfg)
-            p = cfg.random_params(rng)
+            theta = cfg.random_params(rng).to_vector()
             idx = np.array([1, 3, 1])
             y = np.array([1.0, -1.0, 1.0])
-            for method in GRADIENT_METHODS:
+            for method, bound in zip(GRADIENT_METHODS, (1e-12, 1e-9)):
                 tc = TrainConfig(gradient_method=method)
-                g = gradient(ev, p, y, tc, idx=idx)
-                ref, is_shift = slotwise_gradient(ev, p, y, tc, idx=idx)
-                err = np.abs(g - ref)
-                assert np.all(err[is_shift] < 1e-12), (variant, link, method)
-                assert np.all(err[~is_shift] < 1e-9), (variant, link, method)
+                g = gradient(ev, theta, y, tc, idx=idx)
+                ref = slotwise_gradient(ev, theta, y, tc, idx=idx)
+                assert np.max(np.abs(g - ref)) < bound, (variant, link, method)
 
 
 def test_gradient_shift_matches_finite_difference():
@@ -174,9 +174,17 @@ def test_gradient_shift_matches_finite_difference():
             assert report["worst_rel_error"] < 1e-4, report
 
 
-def test_gradient_check_detects_bad_shift():
+def test_gradient_check_detects_bad_shift(monkeypatch):
+    # a deliberately wrong derivative: every dE scaled by 1.1
+    exact = BatchEvaluator.derivatives
+
+    def scaled(*args, **kwargs):
+        e, de = exact(*args, **kwargs)
+        return e, 1.1 * de
+
+    monkeypatch.setattr(BatchEvaluator, "derivatives", scaled)
     cfg = ModelConfig(n=2, encoder="angle", ansatz="qaoa")
-    report = gradient_check(cfg, trials=3, seed=4, shift=np.pi / 2 * 1.1)
+    report = gradient_check(cfg, trials=3, seed=4)
     assert report["worst_rel_error"] > 1e-4
     assert report["worst_slot"].startswith("theta")
 
@@ -189,7 +197,7 @@ def test_gradient_rejects_shots_mode():
                       execution="shots", shots=10)
     ev.config = bad
     with pytest.raises(ValueError):
-        gradient(ev, cfg.random_params(rng), [1.0], TrainConfig())
+        gradient(ev, cfg.random_params(rng).to_vector(), [1.0], TrainConfig())
 
 
 def test_train_loop_determinism():
@@ -308,9 +316,7 @@ def reference_train_loop(model_config, train_x, train_y, config, test_x=None, te
             order, cursor = shuffle_rng.permutation(train_y.size), 0
         idx = order[cursor: cursor + config.batch_size]
         cursor += config.batch_size
-        lookahead = ParamSet.from_vector(theta - config.momentum * acc, model_config.n,
-                                         model_config.link_mode)
-        g = gradient(train_eval, lookahead, train_y[idx], config, idx=idx)
+        g = gradient(train_eval, theta - config.momentum * acc, train_y[idx], config, idx=idx)
         theta, acc = nesterov_step(theta, acc, g, config.learning_rate, config.momentum)
         history.append(metrics(ParamSet.from_vector(theta, model_config.n,
                                                     model_config.link_mode)))
@@ -345,7 +351,7 @@ def test_train_loop_matches_two_evaluator_reference(execution, with_test):
 @pytest.mark.parametrize("with_test", (False, True))
 def test_train_loop_builds_one_evaluator_and_calls_it_twice_per_step(monkeypatch, steps,
                                                                       with_test):
-    counts = {"__init__": 0, "evaluate_stack": 0}
+    counts = {"__init__": 0, "evaluate_stack": 0, "derivatives": 0}
     for name in counts:
         original = getattr(BatchEvaluator, name)
 
@@ -360,4 +366,27 @@ def test_train_loop_builds_one_evaluator_and_calls_it_twice_per_step(monkeypatch
     cfg = ModelConfig(n=2, encoder="amplitude", ansatz="hea")
     train_loop(cfg, x, y, TrainConfig(steps=steps, batch_size=5), **test)
     # the initial metrics, then per step the gradient and the metrics
-    assert counts == {"__init__": 1, "evaluate_stack": 2 * steps + 1}
+    assert counts == {"__init__": 1, "evaluate_stack": steps + 1, "derivatives": steps}
+
+
+def test_train_loop_builds_parameter_sets_independently_of_steps(monkeypatch):
+    # θ stays a flat vector through the loop: the random initial ParamSet
+    # and the record's are the only ones, whatever the step count
+    rng = np.random.default_rng(15)
+    x, y = separable_data(rng, count=12)
+    cfg = ModelConfig(n=2, encoder="amplitude", ansatz="hea")
+    built = []
+    original = ParamSet.__post_init__
+
+    def counted(self):
+        built.append(1)
+        original(self)
+
+    monkeypatch.setattr(ansatz.ParamSet, "__post_init__", counted)
+    sizes = []
+    for steps in (0, 1, 6):
+        built.clear()
+        rec = train_loop(cfg, x, y, TrainConfig(steps=steps, batch_size=5))
+        assert rec.steps == steps and isinstance(rec.params, ParamSet)
+        sizes.append(len(built))
+    assert sizes == [2, 2, 2]
