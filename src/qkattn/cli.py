@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import functools
 import json
 import os
@@ -31,7 +32,7 @@ from .train import RunRecord, TrainConfig, gradient_check, train_loop
 
 _MODEL_KEYS = {"n", "encoder", "ansatz", "link_mode", "execution", "shots"}
 _TRAIN_KEYS = {"learning_rate", "momentum", "batch_size", "steps",
-               "gradient_method", "fd_step", "surrogate"}
+               "gradient_method", "surrogate"}
 _DATA_KEYS = {"source", "kind", "count", "d", "images", "labels",
               "classes", "per_class_total", "per_class_train", "pca_d"}
 _TOP_KEYS = {"seed", "variant", "model", "train", "data"}
@@ -101,6 +102,13 @@ def model_config_from(resolved: dict, **overrides) -> ModelConfig:
         return ModelConfig(**{**resolved["model"], **overrides})
     except (ValueError, TypeError) as exc:
         raise CliError(f"invalid model config: {exc}") from exc
+
+
+def _exact_model(mcfg: ModelConfig) -> ModelConfig:
+    """``mcfg``, refused when it samples shots: training needs the exact E."""
+    if mcfg.shots:
+        raise CliError(f"model.shots is {mcfg.shots}, but training needs the exact E; set it to 0")
+    return mcfg
 
 
 def train_config_from(resolved: dict) -> TrainConfig:
@@ -229,10 +237,7 @@ def load_params(path: str, mcfg: ModelConfig) -> ParamSet:
 
 def cmd_train(args) -> int:
     resolved = load_config(args.config, args.seed, args.variant)
-    mcfg = model_config_from(resolved)
-    if mcfg.execution == "shots":
-        raise CliError("model.execution 'shots' cannot train: gradients need "
-                       "'analytic' or 'density' execution")
+    mcfg = _exact_model(model_config_from(resolved))
     tcfg = train_config_from(resolved)
     split = load_dataset(resolved, mcfg)
     record = train_loop(mcfg, split.train_x, split.train_y, tcfg,
@@ -241,11 +246,8 @@ def cmd_train(args) -> int:
         "variant": mcfg.variant,
         "parameter_count": mcfg.parameter_count,
         "steps": record.steps,
-        "initial": {"loss": record.initial.loss, "train_acc": record.initial.train_acc,
-                    "test_acc": record.initial.test_acc},
-        "final": {"loss": record.loss[-1] if record.steps else record.initial.loss,
-                  "train_acc": record.train_acc[-1] if record.steps else record.initial.train_acc,
-                  "test_acc": record.test_acc[-1] if record.steps else record.initial.test_acc},
+        "initial": dataclasses.asdict(record.initial),
+        "final": dataclasses.asdict(record.final),
     }
     _flush_outputs(args.out, {
         "metrics.csv": _metrics_csv(record),
@@ -309,10 +311,8 @@ def _sweep_job(payload) -> tuple[float, int, float, float, float]:
     split = load_dataset(resolved, mcfg)
     record = train_loop(mcfg, split.train_x, split.train_y, tcfg,
                         test_x=split.test_x, test_y=split.test_y)
-    final = record.steps - 1
-    if record.steps:
-        return (p, seed, record.train_acc[final], record.test_acc[final], record.loss[final])
-    return (p, seed, record.initial.train_acc, record.initial.test_acc, record.initial.loss)
+    final = record.final
+    return (p, seed, final.train_acc, final.test_acc, final.loss)
 
 
 def thread_budget() -> int:
@@ -328,6 +328,7 @@ def thread_budget() -> int:
 
 def cmd_noise_sweep(args) -> int:
     resolved = load_config(args.config, args.seed, args.variant)
+    _exact_model(model_config_from(resolved))
     try:
         probs = [float(tok) for tok in args.probs.split(",") if tok.strip()]
         seeds = [int(tok) for tok in args.seeds.split(",") if tok.strip()]
@@ -370,9 +371,7 @@ def cmd_noise_sweep(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     resolved = load_config(args.config, args.seed, args.variant)
-    if args.trials < 1:
-        raise CliError("trials must be at least 1")
-    mcfg = model_config_from(resolved, execution="analytic", noise=())
+    mcfg = dataclasses.replace(model_config_from(resolved), execution="analytic", shots=0, noise=())
     report = gradient_check(mcfg, args.trials, resolved["seed"])
     _flush_outputs(args.out, {
         "gradcheck.json": json.dumps(report, indent=2) + "\n",
@@ -432,10 +431,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -42,10 +42,10 @@ noise, on each of its qubits, as ``sim.run_circuit`` places it
 U†(θ2)U(θ1) to the noisy encoded ρ_i and reads each outcome's projector
 carried back (Heisenberg picture) through the channel of U_φ†(w_j);
 register 2 carries the four readouts backwards through the channel of
-U(θ3) and reads them on the noisy encoded ρ_j.  Either way the link angle enters only when E is combined,
-as cos θ4_{n−1} and sin θ4_{n−1}; no fragment is simulated for it.  The
-test suite checks both modes against the full circuit, whose literal
-link is the real 2n-qubit unitary.
+U(θ3) and reads them on the noisy encoded ρ_j.  Either way the link
+angle enters only when E is combined, as cos θ4_{n−1} and sin θ4_{n−1};
+no fragment is simulated for it.  The test suite checks both modes
+against the full circuit, whose literal link is the real 2n-qubit unitary.
 
 Derivatives are exact: every ansatz slot drives one gate on at most two
 qubits, so the derivative of U(θ) or of its noisy channel in a slot is
@@ -54,9 +54,9 @@ differentiated (``sim``'s ``derivatives`` flag).  A derivative row of a
 density register is already the derivative of what it reads; an
 analytic one, ψk, gives 2·Re(ψ0*·ψk).
 
-Shots mode evaluates the same analytic closed form and then estimates E
-from ``shots`` readouts.  The readout is one ±1 bit whose mean is E, so
-the mean of ``shots`` readouts is 2·Binomial(shots, (1 + E)/2)/shots − 1,
+A positive ``shots`` count estimates E from that many readouts, in either
+mode, noisy density included.  The readout is one ±1 bit whose mean is E,
+so the mean of ``shots`` readouts is 2·Binomial(shots, (1 + E)/2)/shots − 1,
 and ``forward`` draws it once.  The circuit-level functions below
 (``build_register1``, ``build_full_circuit``, ``qksas``) build the same
 model gate by gate for ``sim.run_circuit``, the reference that the tests
@@ -79,7 +79,7 @@ from .sim import Circuit, NoiseChannel
 VARIANTS = ("AmHE", "AnHE", "AmQAOA", "AnQAOA")
 _ENCODER_TAG = {"Am": "amplitude", "An": "angle"}
 _ANSATZ_TAG = {"HE": "hea", "QAOA": "qaoa"}
-EXECUTION_MODES = ("analytic", "shots", "density")
+EXECUTION_MODES = ("analytic", "density")
 # each register holds at most 2^n ≤ 16 amplitudes
 MAX_QUBITS = 4
 
@@ -109,12 +109,12 @@ class ModelConfig:
         if self.link_mode not in _ansatz.LINK_MODES:
             raise ValueError(f"unknown link mode {self.link_mode!r}")
         if self.execution not in EXECUTION_MODES:
-            raise ValueError(f"unknown execution mode {self.execution!r}")
-        # shots mode's binomial draw takes counts up to 2^63 − 1 (a C long)
+            hint = ("; sample with 'shots' > 0 under 'analytic' or 'density'"
+                    if self.execution == "shots" else "")
+            raise ValueError(f"unknown execution mode {self.execution!r}{hint}")
+        # forward's binomial draw takes counts up to 2^63 − 1 (a C long)
         if not 0 <= self.shots < 2**63:
             raise ValueError(f"'shots' must lie in 0..2**63 - 1, got {self.shots}")
-        if self.execution == "shots" and self.shots < 1:
-            raise ValueError("shots mode needs a positive shot count")
         if self.noise and self.execution != "density":
             raise ValueError("noise channels require density execution")
 
@@ -126,11 +126,9 @@ class ModelConfig:
 
     @classmethod
     def from_variant(cls, variant: str, **kwargs) -> "ModelConfig":
-        for tag_e, enc in _ENCODER_TAG.items():
-            for tag_a, anz in _ANSATZ_TAG.items():
-                if variant == tag_e + tag_a:
-                    return cls(encoder=enc, ansatz=anz, **kwargs)
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        return cls(encoder=_ENCODER_TAG[variant[:2]], ansatz=_ANSATZ_TAG[variant[2:]], **kwargs)
 
     @property
     def feature_dim(self) -> int:
@@ -310,15 +308,15 @@ class BatchEvaluator:
     and E is exactly constant in the θ4 slots it does not read;
     ``evaluate`` is the K = 1 case.  ``derivatives`` gives E and its
     exact derivative in every slot at one parameter set.
-    Analytic mode, which also gives shots mode its exact E, keeps φ_i,
-    φ_j and U_φ(w_j)† and per call builds U(θ1), U(θ2) and U(θ3) in one
-    stacked ``sim.layout_unitaries`` call.  Density mode keeps the noisy
-    encoded states ρ_i, ρ_j and, per sample, the 2^n register-1 outcome
-    projectors pulled back through the noisy channel of U_φ(w_j)†; per
-    call ``sim.apply_noisy_layout`` applies the register-1 channel of
-    U†(θ2)U(θ1) to ρ_i, or to the 4^n vec basis vectors when they are
-    fewer than the batch's states, and carries the four readouts
-    backwards through the channel of θ3.
+    E is exact in both modes (``forward`` samples ``shots`` on top of it).
+    Analytic mode keeps φ_i, φ_j and U_φ(w_j)† and per call builds U(θ1),
+    U(θ2) and U(θ3) in one stacked ``sim.layout_unitaries`` call.
+    Density mode keeps the noisy encoded states ρ_i, ρ_j and, per sample,
+    the 2^n register-1 outcome projectors pulled back through the noisy
+    channel of U_φ(w_j)†; per call ``sim.apply_noisy_layout`` applies the
+    register-1 channel of U†(θ2)U(θ1) to ρ_i, or to the 4^n vec basis
+    vectors when they are fewer than the batch's states, and carries the
+    four readouts backwards through the channel of θ3.
     """
 
     def __init__(self, wi, wj, config: ModelConfig):
@@ -481,14 +479,14 @@ def qksas(w_i, w_j, theta1, theta2, config: ModelConfig) -> QksasRecord:
 def forward(w_i, w_j, params: ParamSet, config: ModelConfig,
             rng: np.random.Generator | None = None) -> tuple[float, QksasRecord]:
     """Classifier expectation E ∈ [−1, 1] plus the attention record, from
-    a one-pair ``BatchEvaluator``.  Shots mode returns the mean of
-    ``config.shots`` ±1 readouts instead, drawn from ``rng`` as one
-    binomial count of the readouts that read +1."""
-    if config.execution == "shots" and rng is None:
-        raise ValueError("shots mode needs an rng")
+    a one-pair ``BatchEvaluator``.  A positive ``config.shots`` returns
+    the mean of that many ±1 readouts instead, drawn from ``rng`` as one
+    binomial count of the readouts that read +1; the record stays exact."""
+    if config.shots and rng is None:
+        raise ValueError("sampling 'shots' needs an rng")
     e_val, probs = BatchEvaluator([w_i], [w_j], config).evaluate(params)
     e_val = float(e_val[0])
-    if config.execution == "shots":
+    if config.shots:
         plus = rng.binomial(config.shots, np.clip((1.0 + e_val) / 2.0, 0.0, 1.0))
         e_val = 2.0 * plus / config.shots - 1.0
     return e_val, QksasRecord(probs[0])

@@ -31,8 +31,8 @@ from .model import BatchEvaluator, ModelConfig
 
 # "parameter-shift", the name configs use, is the exact derivative
 GRADIENT_METHODS = ("parameter-shift", "finite-difference")
-# gradient_check's central-difference step: at 1e-3 the truncation error
-# on the HE CRY slots reached 1.3e-3 relative, at 1e-5 round-off 7.1e-5
+# the step of every central difference: at 1e-3 the truncation error on
+# the HE CRY slots reached 1.3e-3 relative, at 1e-5 round-off 7.1e-5
 _REFERENCE_STEP = 1e-4
 
 
@@ -44,7 +44,6 @@ class TrainConfig:
     steps: int = 120
     seed: int = 0
     gradient_method: str = "parameter-shift"
-    fd_step: float = 1e-3
     surrogate: bool = True
 
     def __post_init__(self):
@@ -52,7 +51,7 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name!r} must be an integer, got {value!r}")
-        for name in ("learning_rate", "momentum", "fd_step"):
+        for name in ("learning_rate", "momentum"):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not math.isfinite(value)):
@@ -67,8 +66,6 @@ class TrainConfig:
             raise ValueError("step budget cannot be negative")
         if self.gradient_method not in GRADIENT_METHODS:
             raise ValueError(f"unknown gradient method {self.gradient_method!r}")
-        if self.fd_step <= 0:
-            raise ValueError("finite-difference step must be positive")
 
 
 @dataclasses.dataclass
@@ -95,6 +92,12 @@ class RunRecord:
     @property
     def steps(self) -> int:
         return len(self.loss)
+
+    @property
+    def final(self) -> StepMetrics:
+        """The last step's metrics, or ``initial`` before any step."""
+        return (StepMetrics(self.loss[-1], self.train_acc[-1], self.test_acc[-1])
+                if self.steps else self.initial)
 
 
 def loss(e_values, labels, surrogate: bool = True) -> float:
@@ -125,16 +128,17 @@ def gradient(evaluator: BatchEvaluator, theta, labels, config: TrainConfig,
              idx=None) -> np.ndarray:
     """Gradient of the surrogate loss over one batch at the flat parameter
     vector ``theta``: exact (``evaluator.derivatives``) by default, or
-    central differences at ``config.fd_step``, all 2P+1 parameter sets in
-    one ``evaluate_stack`` call.  Deterministic execution modes only."""
-    if evaluator.config.execution == "shots":
-        raise ValueError("gradients need a deterministic execution mode")
+    central differences at ``_REFERENCE_STEP``, all 2P+1 parameter sets in
+    one ``evaluate_stack`` call.  Both need the exact E, so a model that
+    samples ``shots`` is refused."""
+    if evaluator.config.shots:
+        raise ValueError("gradients need the exact E; set 'shots' to 0")
     y = np.asarray(labels, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if config.gradient_method == "finite-difference":
-        steps = np.diag(np.full(theta.size, config.fd_step))
+        steps = np.diag(np.full(theta.size, _REFERENCE_STEP))
         e, _ = evaluator.evaluate_stack(np.vstack([theta, theta + steps, theta - steps]), idx=idx)
-        e_base, de = e[0], (e[1: theta.size + 1] - e[theta.size + 1:]) / (2 * config.fd_step)
+        e_base, de = e[0], (e[1: theta.size + 1] - e[theta.size + 1:]) / (2 * _REFERENCE_STEP)
     else:
         e_base, de = evaluator.derivatives(theta, idx=idx)
     if not np.isfinite(np.mean((y - e_base) ** 2)):
@@ -267,7 +271,7 @@ def gradient_check(model_config: ModelConfig, trials: int, seed: int) -> dict:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
     cfg_exact = TrainConfig()
-    cfg_fd = TrainConfig(gradient_method="finite-difference", fd_step=_REFERENCE_STEP)
+    cfg_fd = TrainConfig(gradient_method="finite-difference")
     names = ParamSet.zeros(model_config.n, model_config.link_mode).slot_names()
     per_slot = np.zeros(len(names))
     for _ in range(trials):

@@ -9,6 +9,7 @@ import pytest
 from qkattn import cli
 from qkattn.cli import main
 from qkattn.model import BatchEvaluator, ModelConfig, qksas
+from qkattn.train import train_loop
 from test_data import write_idx_pair
 
 
@@ -116,11 +117,11 @@ def test_qksas_rows_normalized(tmp_path):
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("link_mode", ["all-zeros-canonical", "per-qubit-literal"])
-@pytest.mark.parametrize("execution", ["analytic", "density", "shots"])
-def test_qksas_matches_per_index_oracle(tmp_path, execution, link_mode, n):
-    model_spec = {"n": n, "execution": execution, "link_mode": link_mode}
-    if execution == "shots":
-        model_spec["shots"] = 50
+# a positive shot count leaves the exported distributions exact
+@pytest.mark.parametrize("execution, shots", [("analytic", 0), ("density", 0), ("analytic", 50)],
+                         ids=["analytic", "density", "shots"])
+def test_qksas_matches_per_index_oracle(tmp_path, execution, shots, link_mode, n):
+    model_spec = {"n": n, "execution": execution, "link_mode": link_mode, "shots": shots}
     cfg = write_config(tmp_path, model=model_spec)
     mcfg = ModelConfig(**model_spec)
     params = mcfg.random_params(np.random.default_rng(n))
@@ -259,8 +260,8 @@ def test_variant_flag(tmp_path):
     ({"train": {"learning_rate": float("inf")}}, "learning_rate"),
     ({"train": {"learning_rate": True}}, "learning_rate"),
     ({"train": {"momentum": float("nan")}}, "momentum"),
-    ({"train": {"fd_step": float("nan")}}, "fd_step"),
-    ({"train": {"fd_step": "0.001"}}, "fd_step"),
+    ({"train": {"momentum": float("inf")}}, "momentum"),
+    ({"train": {"momentum": "0.9"}}, "momentum"),
     ({"model": {"shots": -5}}, "shots"),
     ({"model": {"shots": 10**30}}, "shots"),
 ])
@@ -335,16 +336,82 @@ def test_idx_classes_must_be_two_distinct_integers(tmp_path, capsys, monkeypatch
 
 
 def test_train_refuses_shots_execution_before_loading_data(tmp_path, capsys, monkeypatch):
-    cfg = write_config(tmp_path, model={"execution": "shots", "shots": 100})
+    # train and noise-sweep need the exact E under either execution mode
     out = os.path.join(str(tmp_path), "run")
     loads = []
     monkeypatch.setattr(cli, "load_dataset", lambda *args: loads.append(args))
-    assert main(["train", "--config", cfg, "--out", out]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.strip().count("\n") == 0
-    assert "model.execution" in err
+    for execution in ("analytic", "density"):
+        cfg = write_config(tmp_path, model={"execution": execution, "shots": 100})
+        for command in (["train"], ["noise-sweep", "--channel", "bit-flip",
+                                    "--probs", "0.1", "--seeds", "1"]):
+            assert main(command + ["--config", cfg, "--out", out]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.strip().count("\n") == 0
+            assert "model.shots" in err
     assert not loads
     assert not os.path.exists(out)
+
+
+def test_shots_execution_mode_is_a_one_line_hint(tmp_path, capsys):
+    cfg = write_config(tmp_path, model={"execution": "shots", "shots": 100})
+    out = os.path.join(str(tmp_path), "run")
+    for command in (["train"], ["qksas"], ["noise-sweep", "--channel", "bit-flip"],
+                    ["gradcheck"]):
+        assert main(command + ["--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.strip().count("\n") == 0
+        assert err.startswith("error:") and err.rstrip().endswith(
+            "unknown execution mode 'shots'; sample with 'shots' > 0 under 'analytic' or 'density'")
+    assert not os.path.exists(out)
+
+
+def test_fd_step_is_an_unknown_train_key(tmp_path, capsys):
+    # every central difference uses one fixed step; the key is gone
+    cfg = write_config(tmp_path, train={"fd_step": 1e-3})
+    out = os.path.join(str(tmp_path), "run")
+    assert main(["train", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == "error: unknown config key(s) in section 'train': fd_step"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("steps", [0, 3])
+def test_final_metrics_keep_their_file_format(tmp_path, steps):
+    # summary.json and sweep.csv, byte for byte, in their fixed field order
+    # and number format: the last step's metrics, or the initial ones at 0 steps
+    def last(values, initial):
+        return values[-1] if steps else initial
+
+    cfg = write_config(tmp_path, train={"steps": steps})
+    resolved = cli.load_config(cfg)
+    out = os.path.join(str(tmp_path), "run")
+    assert main(["train", "--config", cfg, "--out", out]) == 0
+    mcfg = cli.model_config_from(resolved)
+    split = cli.load_dataset(resolved, mcfg)
+    record = train_loop(mcfg, split.train_x, split.train_y, cli.train_config_from(resolved),
+                        test_x=split.test_x, test_y=split.test_y)
+    init = record.initial
+    summary = {
+        "variant": "AmHE", "parameter_count": 14, "steps": steps,
+        "initial": {"loss": init.loss, "train_acc": init.train_acc, "test_acc": init.test_acc},
+        "final": {"loss": last(record.loss, init.loss),
+                  "train_acc": last(record.train_acc, init.train_acc),
+                  "test_acc": last(record.test_acc, init.test_acc)},
+    }
+    assert read(os.path.join(out, "summary.json")) == json.dumps(summary, indent=2) + "\n"
+
+    sweep = os.path.join(str(tmp_path), "sweep")
+    assert main(["noise-sweep", "--config", cfg, "--out", sweep, "--channel", "bit-flip",
+                 "--probs", "0.1", "--seeds", "3"]) == 0
+    noise = (cli.NoiseChannel("bit-flip", 0.1),)
+    mcfg = cli.model_config_from(resolved, execution="density", noise=noise)
+    record = train_loop(mcfg, split.train_x, split.train_y, cli.train_config_from(resolved),
+                        test_x=split.test_x, test_y=split.test_y)
+    init = record.initial
+    row = ",".join(["0.1", "3"] + [f"{v:.12g}" for v in (last(record.train_acc, init.train_acc),
+                                                         last(record.test_acc, init.test_acc),
+                                                         last(record.loss, init.loss))])
+    assert read(os.path.join(sweep, "sweep.csv")) == f"p,seed,train_acc,test_acc,loss\n{row}\n"
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -34,15 +35,18 @@ def test_config_validation_and_variants():
     assert ModelConfig(n=2).parameter_count == 14
     assert ModelConfig(n=2, link_mode="per-qubit-literal").parameter_count == 16
     assert ModelConfig(n=3, encoder="angle").feature_dim == 9
-    with pytest.raises(ValueError):
-        ModelConfig(execution="shots")  # needs a shot count
+    # shots is a sample count under either mode, not a mode of its own
+    with pytest.raises(ValueError, match="sample with 'shots' > 0 under 'analytic' or 'density'"):
+        ModelConfig(execution="shots", shots=10)
     with pytest.raises(ValueError, match="'shots'"):
         ModelConfig(shots=-1)
-    # shots mode's binomial draw takes at most 2^63 − 1
-    assert ModelConfig(execution="shots", shots=2**63 - 1).shots == 2**63 - 1
+    # forward's binomial draw takes at most 2^63 − 1
+    assert ModelConfig(shots=2**63 - 1).shots == 2**63 - 1
     for shots in (2**63, 10**30):
         with pytest.raises(ValueError, match="'shots'"):
-            ModelConfig(execution="shots", shots=shots)
+            ModelConfig(execution="density", shots=shots)
+    noisy = ModelConfig(execution="density", shots=5, noise=(sim.NoiseChannel("bit-flip", 0.1),))
+    assert noisy.shots == 5
     with pytest.raises(ValueError):
         ModelConfig(noise=(sim.NoiseChannel("bit-flip", 0.1),))  # needs density
     with pytest.raises(ValueError):
@@ -716,8 +720,7 @@ def test_shots_mode_agrees_within_three_standard_errors():
     rng = np.random.default_rng(11)
     shots = 100_000
     cfg = ModelConfig(n=2, encoder="angle", ansatz="hea")
-    scfg = ModelConfig(n=2, encoder="angle", ansatz="hea",
-                       execution="shots", shots=shots)
+    scfg = ModelConfig(n=2, encoder="angle", ansatz="hea", shots=shots)
     wi = rng.uniform(0, np.pi, size=4)
     wj = rng.uniform(0, np.pi, size=4)
     p = cfg.random_params(rng)
@@ -737,32 +740,35 @@ def forbid(monkeypatch, owner, name):
 def test_shots_mode_without_rng_fails_before_simulating(monkeypatch):
     forbid(monkeypatch, sim, "run_circuit")
     forbid(monkeypatch, BatchEvaluator, "__init__")
-    scfg = ModelConfig(n=2, encoder="angle", ansatz="hea", execution="shots", shots=10)
+    scfg = ModelConfig(n=2, encoder="angle", ansatz="hea", shots=10)
     rng = np.random.default_rng(14)
     p = scfg.random_params(rng)
     with pytest.raises(ValueError, match="needs an rng"):
         forward(rng.uniform(0, np.pi, size=4), rng.uniform(0, np.pi, size=4), p, scfg)
 
 
+# every way to run: analytic, then noisy density under each noise set
+EXECUTIONS = [("analytic", ())] + [("density", noise) for noise in NOISE_SETS.values()]
+
+
 @pytest.mark.parametrize("link_mode", LINK_MODES)
 def test_shots_forward_is_one_binomial_draw_on_the_evaluator(monkeypatch, link_mode):
-    # no oracle run: E comes from the evaluator, then one draw of the
-    # number of +1 readouts among the shots
+    # no oracle run: E comes from the evaluator of the same execution,
+    # then one draw of the number of +1 readouts among the shots
     forbid(monkeypatch, sim, "run_circuit")
     rng = np.random.default_rng(16)
     shots = 1000
-    for n in (1, 2, 3):
-        for variant in VARIANTS:
-            cfg = ModelConfig.from_variant(variant, n=n, link_mode=link_mode)
-            scfg = ModelConfig.from_variant(variant, n=n, link_mode=link_mode,
-                                            execution="shots", shots=shots)
-            wi, wj = random_features(cfg, rng), random_features(cfg, rng)
-            p = cfg.random_params(rng)
-            e, probs = BatchEvaluator([wi], [wj], cfg).evaluate(p)
-            plus = np.random.default_rng(n).binomial(shots, (1.0 + e[0]) / 2.0)
-            es, rec = forward(wi, wj, p, scfg, rng=np.random.default_rng(n))
-            assert es == 2.0 * plus / shots - 1.0
-            assert np.array_equal(rec.distribution, probs[0])
+    for n, variant, (execution, noise) in itertools.product((1, 2, 3), VARIANTS, EXECUTIONS):
+        cfg = ModelConfig.from_variant(variant, n=n, link_mode=link_mode,
+                                       execution=execution, noise=noise)
+        scfg = dataclasses.replace(cfg, shots=shots)
+        wi, wj = random_features(cfg, rng), random_features(cfg, rng)
+        p = cfg.random_params(rng)
+        e, probs = BatchEvaluator([wi], [wj], cfg).evaluate(p)
+        plus = np.random.default_rng(n).binomial(shots, (1.0 + e[0]) / 2.0)
+        es, rec = forward(wi, wj, p, scfg, rng=np.random.default_rng(n))
+        assert es == 2.0 * plus / shots - 1.0, (variant, n, execution, noise)
+        assert np.array_equal(rec.distribution, probs[0])
 
 
 def oracle_shots(w_i, w_j, params, config, rng):
@@ -772,7 +778,7 @@ def oracle_shots(w_i, w_j, params, config, rng):
     reads 0 (Z = +1) under the distribution it samples."""
     circ = build_full_circuit(w_i, w_j, params, config, form="conditional",
                               final_measure=True)
-    bits = sim.run_circuit(circ, "density").bits
+    bits = sim.run_circuit(circ, "density", noise=config.noise).bits
     patterns = list(bits)
     weights = np.clip([bits[b] for b in patterns], 0, None)
     weights = weights / weights.sum()
@@ -784,20 +790,23 @@ def oracle_shots(w_i, w_j, params, config, rng):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_oracle_sampler_has_the_binomial_readout_distribution(n):
     # the full-circuit sampler reads 0 with probability (1 + E)/2, so the
-    # mean of its readouts has the distribution of the single draw
+    # mean of its readouts has the distribution of the single draw; with
+    # noise (at n ≤ 2) the oracle's noisy circuit against the density E
     rng = np.random.default_rng(17)
     shots = 4000
-    for link_mode in LINK_MODES:
-        for variant in VARIANTS:
-            cfg = ModelConfig.from_variant(variant, n=n, link_mode=link_mode,
-                                           execution="shots", shots=shots)
-            wi, wj = random_features(cfg, rng), random_features(cfg, rng)
-            p = cfg.random_params(rng)
-            e = BatchEvaluator([wi], [wj], cfg).evaluate(p)[0][0]
-            mean, p_plus = oracle_shots(wi, wj, p, cfg, rng)
-            assert abs(p_plus - (1.0 + e) / 2.0) < 1e-12, (variant, link_mode)
-            se = np.sqrt(max(1.0 - e**2, 1e-6) / shots)
-            assert abs(mean - e) < 5 * se, (variant, link_mode)
+    executions = EXECUTIONS if n <= 2 else EXECUTIONS[:1]
+    for link_mode, variant, (execution, noise) in itertools.product(LINK_MODES, VARIANTS,
+                                                                     executions):
+        cfg = ModelConfig.from_variant(variant, n=n, link_mode=link_mode,
+                                       execution=execution, noise=noise, shots=shots)
+        wi, wj = random_features(cfg, rng), random_features(cfg, rng)
+        p = cfg.random_params(rng)
+        e = BatchEvaluator([wi], [wj], cfg).evaluate(p)[0][0]
+        mean, p_plus = oracle_shots(wi, wj, p, cfg, rng)
+        bound = 1e-12 if execution == "analytic" else 1e-10
+        assert abs(p_plus - (1.0 + e) / 2.0) < bound, (variant, link_mode, noise)
+        se = np.sqrt(max(1.0 - e**2, 1e-6) / shots)
+        assert abs(mean - e) < 5 * se, (variant, link_mode, noise)
 
 
 def test_cli_qksas_runs_one_evaluator(monkeypatch, tmp_path):
@@ -812,7 +821,7 @@ def test_cli_qksas_runs_one_evaluator(monkeypatch, tmp_path):
 
     monkeypatch.setattr(BatchEvaluator, "__init__", counting_init)
     config = tmp_path / "config.json"
-    config.write_text('{"seed": 2, "model": {"n": 2, "execution": "shots", "shots": 10},'
+    config.write_text('{"seed": 2, "model": {"n": 2, "shots": 10},'
                       ' "data": {"count": 24}}')
     assert cli.main(["qksas", "--config", str(config), "--out", str(tmp_path / "q"),
                      "--indices", "0,3,0"]) == 0

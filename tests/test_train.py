@@ -5,9 +5,9 @@ from qkattn import ansatz
 from qkattn.ansatz import LINK_MODES, ParamSet
 from qkattn.model import BatchEvaluator, ModelConfig
 from qkattn.sim import NoiseChannel
-from qkattn.train import (GRADIENT_METHODS, RunRecord, TrainConfig, accuracy,
-                          gradient, gradient_check, loss, nesterov_step,
-                          predictions_from_e, train_loop)
+from qkattn.train import (_REFERENCE_STEP, GRADIENT_METHODS, RunRecord, TrainConfig,
+                          StepMetrics, accuracy, gradient, gradient_check, loss,
+                          nesterov_step, predictions_from_e, train_loop)
 from test_model import FOUR_TERM_RULE
 
 
@@ -86,7 +86,7 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(gradient_method="spsa")
     # non-finite, boolean or non-numeric optimizer settings name their key
-    for key in ("learning_rate", "momentum", "fd_step"):
+    for key in ("learning_rate", "momentum"):
         for value in (float("nan"), float("inf"), -float("inf"), True, "0.1", None):
             with pytest.raises(ValueError, match=repr(key)):
                 TrainConfig(**{key: value})
@@ -123,11 +123,11 @@ def test_gradient_batch_duplication_invariance():
 def slotwise_gradient(evaluator, theta, labels, config, idx=None):
     """Reference: one-parameter-set evaluate calls per slot, combined by
     the four-term shift rule for the exact method and as central
-    differences at ``fd_step`` for finite differences."""
+    differences at ``_REFERENCE_STEP`` for finite differences."""
     mcfg = evaluator.config
     rule = FOUR_TERM_RULE
     if config.gradient_method == "finite-difference":
-        rule = ((config.fd_step, 1.0 / (2.0 * config.fd_step)),)
+        rule = ((_REFERENCE_STEP, 1.0 / (2.0 * _REFERENCE_STEP)),)
 
     def e_at(vec):
         return evaluator.evaluate(ParamSet.from_vector(vec, mcfg.n, mcfg.link_mode), idx=idx)[0]
@@ -190,14 +190,16 @@ def test_gradient_check_detects_bad_shift(monkeypatch):
 
 
 def test_gradient_rejects_shots_mode():
-    cfg = ModelConfig(n=1, encoder="angle", ansatz="qaoa")
+    # a positive shot count under either execution mode
     rng = np.random.default_rng(5)
-    ev = BatchEvaluator([[0.3]], [[0.3]], cfg)
-    bad = ModelConfig(n=1, encoder="angle", ansatz="qaoa",
-                      execution="shots", shots=10)
-    ev.config = bad
-    with pytest.raises(ValueError):
-        gradient(ev, cfg.random_params(rng).to_vector(), [1.0], TrainConfig())
+    for execution, noise in (("analytic", ()), ("density", (NoiseChannel("bit-flip", 0.1),))):
+        cfg = ModelConfig(n=1, encoder="angle", ansatz="qaoa", execution=execution,
+                          noise=noise, shots=10)
+        ev = BatchEvaluator([[0.3]], [[0.3]], cfg)
+        for method in GRADIENT_METHODS:
+            with pytest.raises(ValueError, match="'shots'"):
+                gradient(ev, cfg.random_params(rng).to_vector(), [1.0],
+                         TrainConfig(gradient_method=method))
 
 
 def test_train_loop_determinism():
@@ -247,6 +249,9 @@ def test_run_record_lengths():
     assert isinstance(rec, RunRecord)
     assert len(rec.loss) == len(rec.train_acc) == len(rec.test_acc) == steps
     assert all(0.0 <= a <= 1.0 for a in rec.train_acc + rec.test_acc)
+    assert rec.final == StepMetrics(rec.loss[-1], rec.train_acc[-1], rec.test_acc[-1])
+    rec = train_loop(cfg, x[:, :1], y, TrainConfig(steps=0))
+    assert rec.steps == 0 and rec.final == rec.initial
 
 
 @pytest.mark.parametrize("test_x, test_y, message", [
