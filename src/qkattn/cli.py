@@ -31,8 +31,7 @@ from .sim import NoiseChannel
 from .train import RunRecord, TrainConfig, gradient_check, train_loop
 
 _MODEL_KEYS = {"n", "encoder", "ansatz", "link_mode", "execution", "shots"}
-_TRAIN_KEYS = {"learning_rate", "momentum", "batch_size", "steps",
-               "gradient_method", "surrogate"}
+_TRAIN_KEYS = {"learning_rate", "momentum", "batch_size", "steps"}
 _DATA_KEYS = {"source", "kind", "count", "d", "images", "labels",
               "classes", "per_class_total", "per_class_train", "pca_d"}
 _TOP_KEYS = {"seed", "variant", "model", "train", "data"}
@@ -94,6 +93,9 @@ def load_config(path: str, seed_override: int | None = None,
         resolved["model"]["ansatz"] = probe.ansatz
     if seed_override is not None:
         resolved["seed"] = int(seed_override)
+    if resolved["seed"] < 0:
+        where = "--seed" if seed_override is not None else "config key 'seed'"
+        raise CliError(f"{where} must be non-negative, got {resolved['seed']}")
     return resolved
 
 
@@ -336,6 +338,8 @@ def cmd_noise_sweep(args) -> int:
         raise CliError(f"bad probability or seed list: {exc}") from exc
     if not probs or not seeds:
         raise CliError("need at least one probability and one seed")
+    if any(s < 0 for s in seeds):
+        raise CliError(f"--seeds must be non-negative, got {min(seeds)}")
     if any(not 0.0 <= p <= 1.0 for p in probs):
         raise CliError("channel probabilities must lie in [0, 1]")
     if args.channel not in ("bit-flip", "amplitude-damping"):

@@ -80,8 +80,9 @@ def make_split(images, labels, classes: tuple[int, int] = (0, 1),
     """
     if classes[0] == classes[1]:
         raise ValueError(f"the two classes must differ, got {classes[0]!r} twice")
-    if per_class_train >= per_class_total:
-        raise ValueError("per-class train count must leave test samples")
+    if not 1 <= per_class_train < per_class_total:
+        raise ValueError(f"'per_class_train' must be at least 1 and below 'per_class_total' "
+                         f"({per_class_total}), got {per_class_train}")
     images = np.asarray(images)
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)

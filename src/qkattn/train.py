@@ -1,16 +1,16 @@
 """Hybrid training loop: squared loss, circuit gradients, Nesterov momentum.
 
 The label head is sgn(E), whose loss has zero gradient almost everywhere,
-so optimization runs on the smooth surrogate (1/m)Σ(y − E)² by default;
-the sign-based literal loss stays available as a metric.  Each sample's
-feature vector is fed to both model inputs (the token attends to itself).
+so optimization runs on, and every run records, the smooth surrogate
+(1/m)Σ(y − E)²; the sign loss (1/m)Σ(y − sgn E)² would only restate
+accuracy, as 4·(1 − train_acc) for ±1 labels.  Each sample's feature
+vector is fed to both model inputs (the token attends to itself).
 
 Gradients of E are exact in every slot: ``BatchEvaluator.derivatives``
 runs each register once on its parameter row and that row's derivative
 rows, built from the same cached rotation factors, and the squared loss
 contributes through the chain rule dL/dθ = mean(−2(y − E)·dE/dθ).
-Central finite differences remain as an explicit ``gradient_method`` and
-as ``gradient_check``'s reference.
+Central finite differences survive only as ``gradient_check``'s reference.
 
 ``train_loop`` keeps the parameters as one flat vector, builds one
 evaluator over the train samples followed by the test samples, and makes
@@ -29,8 +29,6 @@ import numpy as np
 from .ansatz import ParamSet
 from .model import BatchEvaluator, ModelConfig
 
-# "parameter-shift", the name configs use, is the exact derivative
-GRADIENT_METHODS = ("parameter-shift", "finite-difference")
 # the step of every central difference: at 1e-3 the truncation error on
 # the HE CRY slots reached 1.3e-3 relative, at 1e-5 round-off 7.1e-5
 _REFERENCE_STEP = 1e-4
@@ -43,8 +41,6 @@ class TrainConfig:
     batch_size: int = 30
     steps: int = 120
     seed: int = 0
-    gradient_method: str = "parameter-shift"
-    surrogate: bool = True
 
     def __post_init__(self):
         for name in ("batch_size", "steps"):
@@ -64,8 +60,6 @@ class TrainConfig:
             raise ValueError("batch size must be at least 1")
         if self.steps < 0:
             raise ValueError("step budget cannot be negative")
-        if self.gradient_method not in GRADIENT_METHODS:
-            raise ValueError(f"unknown gradient method {self.gradient_method!r}")
 
 
 @dataclasses.dataclass
@@ -100,15 +94,13 @@ class RunRecord:
                 if self.steps else self.initial)
 
 
-def loss(e_values, labels, surrogate: bool = True) -> float:
+def loss(e_values, labels) -> float:
     e = np.asarray(e_values, dtype=float)
     y = np.asarray(labels, dtype=float)
     if e.shape != y.shape:
         raise ValueError("expectation and label counts differ")
     if not np.all(np.abs(y) == 1.0):
         raise ValueError("labels must be -1 or +1")
-    if not surrogate:
-        e = np.where(e < 0, -1.0, 1.0)
     return float(np.mean((y - e) ** 2))
 
 
@@ -124,26 +116,21 @@ def predictions_from_e(e_values) -> np.ndarray:
     return np.where(np.asarray(e_values, dtype=float) < 0, -1, 1)
 
 
-def gradient(evaluator: BatchEvaluator, theta, labels, config: TrainConfig,
-             idx=None) -> np.ndarray:
-    """Gradient of the surrogate loss over one batch at the flat parameter
-    vector ``theta``: exact (``evaluator.derivatives``) by default, or
-    central differences at ``_REFERENCE_STEP``, all 2P+1 parameter sets in
-    one ``evaluate_stack`` call.  Both need the exact E, so a model that
-    samples ``shots`` is refused."""
+def _chain_rule(labels, e_values, de) -> np.ndarray:
+    """The surrogate loss's dL/dθ = mean(−2(y − E)·dE/dθ), one row of ``de`` per slot."""
+    y = np.asarray(labels, dtype=float)
+    if not np.isfinite(np.mean((y - e_values) ** 2)):
+        raise ValueError("loss is not finite")
+    return np.mean(-2.0 * (y - e_values) * de, axis=1)
+
+
+def gradient(evaluator: BatchEvaluator, theta, labels, idx=None) -> np.ndarray:
+    """Exact gradient of the surrogate loss over one batch at the flat vector
+    ``theta``; a model that samples ``shots`` has no exact E and is refused."""
     if evaluator.config.shots:
         raise ValueError("gradients need the exact E; set 'shots' to 0")
-    y = np.asarray(labels, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if config.gradient_method == "finite-difference":
-        steps = np.diag(np.full(theta.size, _REFERENCE_STEP))
-        e, _ = evaluator.evaluate_stack(np.vstack([theta, theta + steps, theta - steps]), idx=idx)
-        e_base, de = e[0], (e[1: theta.size + 1] - e[theta.size + 1:]) / (2 * _REFERENCE_STEP)
-    else:
-        e_base, de = evaluator.derivatives(theta, idx=idx)
-    if not np.isfinite(np.mean((y - e_base) ** 2)):
-        raise ValueError("loss is not finite")
-    return np.mean(-2.0 * (y - e_base) * de, axis=1)
+    e_values, de = evaluator.derivatives(theta, idx=idx)
+    return _chain_rule(labels, e_values, de)
 
 
 def nesterov_step(theta: np.ndarray, accumulator: np.ndarray,
@@ -160,14 +147,14 @@ def nesterov_step(theta: np.ndarray, accumulator: np.ndarray,
 
 
 def _metrics(evaluator: BatchEvaluator, theta: np.ndarray, train_y: np.ndarray,
-             test_y: np.ndarray | None, surrogate: bool) -> StepMetrics:
+             test_y: np.ndarray | None) -> StepMetrics:
     """Metrics of the flat parameter vector ``theta`` from one evaluation
     over the train samples followed by the test samples."""
     e_values = evaluator.evaluate_stack(theta[None])[0][0]
     m = train_y.size
     predictions = predictions_from_e(e_values)
     test_acc = float("nan") if test_y is None else accuracy(predictions[m:], test_y)
-    return StepMetrics(loss(e_values[:m], train_y, surrogate),
+    return StepMetrics(loss(e_values[:m], train_y),
                        accuracy(predictions[:m], train_y), test_acc)
 
 
@@ -229,7 +216,7 @@ def train_loop(model_config: ModelConfig, train_x, train_y, config: TrainConfig,
     x = train_x if test_x is None else np.vstack([train_x, test_x])
     evaluator = BatchEvaluator(x, x, model_config)
 
-    initial = _metrics(evaluator, theta, train_y, test_y, config.surrogate)
+    initial = _metrics(evaluator, theta, train_y, test_y)
     losses: list[float] = []
     train_accs: list[float] = []
     test_accs: list[float] = []
@@ -246,16 +233,25 @@ def train_loop(model_config: ModelConfig, train_x, train_y, config: TrainConfig,
         idx = order[cursor: cursor + config.batch_size]
         cursor += config.batch_size
 
-        g = gradient(evaluator, theta - config.momentum * acc, train_y[idx], config, idx=idx)
+        g = gradient(evaluator, theta - config.momentum * acc, train_y[idx], idx=idx)
         theta, acc = nesterov_step(theta, acc, g, config.learning_rate, config.momentum)
 
-        m = _metrics(evaluator, theta, train_y, test_y, config.surrogate)
+        m = _metrics(evaluator, theta, train_y, test_y)
         losses.append(m.loss)
         train_accs.append(m.train_acc)
         test_accs.append(m.test_acc)
 
     return RunRecord(initial, losses, train_accs, test_accs,
                      ParamSet.from_vector(theta, model_config.n, model_config.link_mode))
+
+
+def _reference_gradient(evaluator: BatchEvaluator, theta: np.ndarray, labels) -> np.ndarray:
+    """Central differences at ``_REFERENCE_STEP``: the 2P+1 rows
+    [θ; θ + hI; θ − hI] in one ``evaluate_stack`` call."""
+    steps = np.diag(np.full(theta.size, _REFERENCE_STEP))
+    e, _ = evaluator.evaluate_stack(np.vstack([theta, theta + steps, theta - steps]))
+    de = (e[1: theta.size + 1] - e[theta.size + 1:]) / (2 * _REFERENCE_STEP)
+    return _chain_rule(labels, e[0], de)
 
 
 def gradient_check(model_config: ModelConfig, trials: int, seed: int) -> dict:
@@ -270,8 +266,6 @@ def gradient_check(model_config: ModelConfig, trials: int, seed: int) -> dict:
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
-    cfg_exact = TrainConfig()
-    cfg_fd = TrainConfig(gradient_method="finite-difference")
     names = ParamSet.zeros(model_config.n, model_config.link_mode).slot_names()
     per_slot = np.zeros(len(names))
     for _ in range(trials):
@@ -284,8 +278,8 @@ def gradient_check(model_config: ModelConfig, trials: int, seed: int) -> dict:
         y = np.where(rng.random(batch) < 0.5, -1.0, 1.0)
         theta = model_config.random_params(rng).to_vector()
         ev = BatchEvaluator(x, x, model_config)
-        g_exact = gradient(ev, theta, y, cfg_exact)
-        g_fd = gradient(ev, theta, y, cfg_fd)
+        g_exact = gradient(ev, theta, y)
+        g_fd = _reference_gradient(ev, theta, y)
         rel = np.abs(g_exact - g_fd) / np.maximum(np.abs(g_fd), 1e-6)
         per_slot = np.maximum(per_slot, rel)
     worst_slot = int(np.argmax(per_slot))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +265,7 @@ def test_variant_flag(tmp_path):
     ({"train": {"momentum": "0.9"}}, "momentum"),
     ({"model": {"shots": -5}}, "shots"),
     ({"model": {"shots": 10**30}}, "shots"),
+    ({"seed": -1}, "seed"),
 ])
 def test_malformed_config_value_is_one_line_error(tmp_path, capsys, overrides, key):
     cfg = write_config(tmp_path, **overrides)
@@ -301,14 +303,14 @@ def test_malformed_params_file_is_one_line_error(tmp_path, capsys, payload):
     assert not os.path.exists(out)
 
 
-def write_idx_config(tmp_path, classes):
+def write_idx_config(tmp_path, classes, per_class_train=4):
     rng = np.random.default_rng(4)
     images = rng.integers(0, 256, size=(40, 784), dtype=np.uint8)
     labels = np.tile([0, 1, 2, 3], 10).astype(np.uint8)
     ip, lp = write_idx_pair(str(tmp_path), images, labels)
     return write_config(tmp_path, data={"source": "idx", "images": ip, "labels": lp,
                                         "classes": classes, "per_class_total": 6,
-                                        "per_class_train": 4, "pca_d": 4})
+                                        "per_class_train": per_class_train, "pca_d": 4})
 
 
 def test_idx_class_pair_trains(tmp_path):
@@ -332,6 +334,43 @@ def test_idx_classes_must_be_two_distinct_integers(tmp_path, capsys, monkeypatch
     assert err.startswith("error:") and err.strip().count("\n") == 0
     assert "'classes'" in err
     assert not reads
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("per_class_train", [0, -3, 6])
+def test_per_class_train_must_leave_train_and_test_samples(tmp_path, capsys,
+                                                          per_class_train):
+    # refused by name, before an empty or negative split reaches numpy
+    cfg = write_idx_config(tmp_path, [0, 1], per_class_train)
+    out = os.path.join(str(tmp_path), "run")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--config", cfg, "--out", out]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.strip() == (f"error: 'per_class_train' must be at least 1 and below "
+                           f"'per_class_total' (6), got {per_class_train}")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["train", "--seed", "-2"], "--seed"),
+    (["qksas", "--seed", "-2"], "--seed"),
+    (["gradcheck", "--seed", "-2"], "--seed"),
+    (["noise-sweep", "--channel", "bit-flip", "--seeds", "1,-2"], "--seeds"),
+], ids=["train", "qksas", "gradcheck", "noise-sweep"])
+def test_negative_seed_flag_is_refused_before_loading_data(tmp_path, capsys, monkeypatch,
+                                                           argv, flag):
+    # a negative config seed is one of the malformed config values above
+    cfg = write_config(tmp_path)
+    out = os.path.join(str(tmp_path), "run")
+    calls = []
+    monkeypatch.setattr(cli, "load_dataset", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "gradient_check", lambda *args: calls.append(args))
+    assert main(argv + ["--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == f"error: {flag} must be non-negative, got -2"
+    assert not calls
     assert not os.path.exists(out)
 
 
@@ -365,13 +404,18 @@ def test_shots_execution_mode_is_a_one_line_hint(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
-def test_fd_step_is_an_unknown_train_key(tmp_path, capsys):
-    # every central difference uses one fixed step; the key is gone
-    cfg = write_config(tmp_path, train={"fd_step": 1e-3})
+@pytest.mark.parametrize("key, value", [("fd_step", 1e-3),
+                                        ("gradient_method", "finite-difference"),
+                                        ("surrogate", False)],
+                         ids=["fd_step", "gradient_method", "surrogate"])
+def test_removed_train_key_is_unknown(tmp_path, capsys, key, value):
+    # training has one objective and one exact gradient rule, and every
+    # central difference uses one fixed step: nothing selects them
+    cfg = write_config(tmp_path, train={key: value})
     out = os.path.join(str(tmp_path), "run")
     assert main(["train", "--config", cfg, "--out", out]) == 2
     err = capsys.readouterr().err
-    assert err.strip() == "error: unknown config key(s) in section 'train': fd_step"
+    assert err.strip() == f"error: unknown config key(s) in section 'train': {key}"
     assert not os.path.exists(out)
 
 

@@ -11,7 +11,7 @@ from qkattn.ansatz import LINK_MODES
 from qkattn.model import (VARIANTS, BatchEvaluator, ModelConfig, build_full_circuit,
                           build_register1, build_register2, forward, predict,
                           qksas)
-from qkattn.train import TrainConfig, gradient
+from qkattn.train import gradient
 
 
 def random_features(cfg, rng):
@@ -496,7 +496,7 @@ def test_derivatives_match_shift_rule_and_richardson_differences(n, mode):
         assert de.shape == (theta.size, 3)
         assert np.max(np.abs(e - ev.evaluate_stack(theta[None], idx)[0][0])) < 1e-13
         y = np.array([1.0, -1.0, -1.0])
-        g = gradient(ev, theta, y, TrainConfig(), idx)
+        g = gradient(ev, theta, y, idx)
         for ref in (stack_derivatives(ev, theta, FOUR_TERM_RULE, idx),
                     richardson_derivatives(ev, theta, idx)):
             assert np.max(np.abs(de - ref)) < 1e-10, (variant, link)
@@ -647,8 +647,7 @@ def test_wide_gates_build_no_dense_superoperator(monkeypatch):
     rng = np.random.default_rng(90)
     x = np.array([random_features(cfg, rng) for _ in range(6)])
     params = cfg.random_params(rng)
-    gradient(BatchEvaluator(x, x, cfg), params.to_vector(), np.array([1.0, -1.0] * 3),
-             TrainConfig())
+    gradient(BatchEvaluator(x, x, cfg), params.to_vector(), np.array([1.0, -1.0] * 3))
     circ = build_full_circuit(x[0], x[1], params, cfg, form="deferred", final_measure=True)
     sim.run_circuit(circ, "density", noise=noise)
     assert max(arity for arity, noisy in factor_calls if noisy) <= 2
@@ -699,7 +698,7 @@ def test_only_theta4_slot_n_minus_1_reaches_the_readout(n, link, noise):
             moved = ParamSet.from_vector(p.to_vector(), n, link)
             moved.theta4[s] += 1.3
             assert abs(oracle(moved) - e_ref) < 1e-12, (variant, s)
-        g = gradient(BatchEvaluator(x, x, cfg), p.to_vector(), [1.0, -1.0, 1.0], TrainConfig())
+        g = gradient(BatchEvaluator(x, x, cfg), p.to_vector(), [1.0, -1.0, 1.0])
         assert np.all(g[6 * n:][others] == 0), variant
         assert g[7 * n - 1] != 0, variant
 

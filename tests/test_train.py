@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,10 @@ from qkattn import ansatz
 from qkattn.ansatz import LINK_MODES, ParamSet
 from qkattn.model import BatchEvaluator, ModelConfig
 from qkattn.sim import NoiseChannel
-from qkattn.train import (_REFERENCE_STEP, GRADIENT_METHODS, RunRecord, TrainConfig,
-                          StepMetrics, accuracy, gradient, gradient_check, loss,
+from qkattn.train import (_REFERENCE_STEP, RunRecord, TrainConfig, StepMetrics,
+                          _reference_gradient, accuracy, gradient, gradient_check, loss,
                           nesterov_step, predictions_from_e, train_loop)
-from test_model import FOUR_TERM_RULE
+from test_model import FOUR_TERM_RULE, NOISE_SETS
 
 
 def separable_data(rng, count=24):
@@ -25,8 +27,9 @@ def separable_data(rng, count=24):
 def test_loss_examples():
     assert loss([1.0, -1.0], [1.0, -1.0]) == 0.0
     assert loss([0.5], [1.0]) == 0.25
-    assert loss([0.5], [1.0], surrogate=False) == 0.0
-    assert loss([-0.5], [1.0], surrogate=False) == 4.0
+    # the sign loss is the loss of the predictions: 4·(1 − accuracy)
+    e, y = np.array([0.5, -0.5, 0.2, -0.1]), np.array([1.0, 1.0, -1.0, -1.0])
+    assert loss(predictions_from_e(e), y) == 4 * (1 - accuracy(predictions_from_e(e), y)) == 2.0
     with pytest.raises(ValueError):
         loss([0.5, 0.2], [1.0])
     with pytest.raises(ValueError):
@@ -38,8 +41,8 @@ def test_surrogate_literal_consistency():
     margin = 0.3
     y = np.where(rng.random(20) < 0.5, -1.0, 1.0)
     e = y * rng.uniform(margin, 1.0, size=20)
-    assert loss(e, y, surrogate=False) == 0.0
-    assert loss(e, y, surrogate=True) <= (1 - margin) ** 2 + 1e-12
+    assert loss(predictions_from_e(e), y) == 0.0
+    assert loss(e, y) <= (1 - margin) ** 2 + 1e-12
 
 
 def test_accuracy():
@@ -83,8 +86,9 @@ def test_train_config_validation():
         TrainConfig(momentum=1.0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
-    with pytest.raises(ValueError):
-        TrainConfig(gradient_method="spsa")
+    # one objective and one gradient rule: nothing selects either
+    assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+        "learning_rate", "momentum", "batch_size", "steps", "seed"]
     # non-finite, boolean or non-numeric optimizer settings name their key
     for key in ("learning_rate", "momentum"):
         for value in (float("nan"), float("inf"), -float("inf"), True, "0.1", None):
@@ -102,8 +106,7 @@ def test_gradient_zero_at_exact_fit():
     ev = BatchEvaluator(x, x, cfg)
     e, _ = ev.evaluate(p)
     y = e.copy()  # not valid labels, so call gradient internals directly
-    tc = TrainConfig()
-    g = gradient(ev, p.to_vector(), y, tc)
+    g = gradient(ev, p.to_vector(), y)
     assert np.max(np.abs(g)) < 1e-12
 
 
@@ -113,21 +116,20 @@ def test_gradient_batch_duplication_invariance():
     x = rng.uniform(0, np.pi, size=(4, 4))
     y = np.array([-1.0, 1.0, 1.0, -1.0])
     p = cfg.random_params(rng)
-    tc = TrainConfig()
-    g1 = gradient(BatchEvaluator(x, x, cfg), p.to_vector(), y, tc)
+    g1 = gradient(BatchEvaluator(x, x, cfg), p.to_vector(), y)
     xx = np.vstack([x, x])
-    g2 = gradient(BatchEvaluator(xx, xx, cfg), p.to_vector(), np.concatenate([y, y]), tc)
+    g2 = gradient(BatchEvaluator(xx, xx, cfg), p.to_vector(), np.concatenate([y, y]))
     assert np.allclose(g1, g2, atol=1e-13)
 
 
-def slotwise_gradient(evaluator, theta, labels, config, idx=None):
+CENTRAL_DIFFERENCE = ((_REFERENCE_STEP, 1.0 / (2.0 * _REFERENCE_STEP)),)
+
+
+def slotwise_gradient(evaluator, theta, labels, rule, idx=None):
     """Reference: one-parameter-set evaluate calls per slot, combined by
-    the four-term shift rule for the exact method and as central
-    differences at ``_REFERENCE_STEP`` for finite differences."""
+    ``rule``, pairs of (shift, weight): ``FOUR_TERM_RULE`` for the exact
+    gradient, ``CENTRAL_DIFFERENCE`` for ``gradient_check``'s reference."""
     mcfg = evaluator.config
-    rule = FOUR_TERM_RULE
-    if config.gradient_method == "finite-difference":
-        rule = ((_REFERENCE_STEP, 1.0 / (2.0 * _REFERENCE_STEP)),)
 
     def e_at(vec):
         return evaluator.evaluate(ParamSet.from_vector(vec, mcfg.n, mcfg.link_mode), idx=idx)[0]
@@ -159,11 +161,13 @@ def test_stacked_gradient_matches_slotwise_reference(execution):
             theta = cfg.random_params(rng).to_vector()
             idx = np.array([1, 3, 1])
             y = np.array([1.0, -1.0, 1.0])
-            for method, bound in zip(GRADIENT_METHODS, (1e-12, 1e-9)):
-                tc = TrainConfig(gradient_method=method)
-                g = gradient(ev, theta, y, tc, idx=idx)
-                ref = slotwise_gradient(ev, theta, y, tc, idx=idx)
-                assert np.max(np.abs(g - ref)) < bound, (variant, link, method)
+            g = gradient(ev, theta, y, idx=idx)
+            ref = slotwise_gradient(ev, theta, y, FOUR_TERM_RULE, idx=idx)
+            assert np.max(np.abs(g - ref)) < 1e-12, (variant, link)
+            # gradient_check's reference holds only the batch's samples
+            g = _reference_gradient(BatchEvaluator(x[idx], x[idx], cfg), theta, y)
+            ref = slotwise_gradient(ev, theta, y, CENTRAL_DIFFERENCE, idx=idx)
+            assert np.max(np.abs(g - ref)) < 1e-9, (variant, link)
 
 
 def test_gradient_shift_matches_finite_difference():
@@ -172,6 +176,17 @@ def test_gradient_shift_matches_finite_difference():
             cfg = ModelConfig(n=2, encoder=enc, ansatz=anz)
             report = gradient_check(cfg, trials=5, seed=3)
             assert report["worst_rel_error"] < 1e-4, report
+
+
+@pytest.mark.parametrize("noise", list(NOISE_SETS))
+@pytest.mark.parametrize("n", (1, 2))
+@pytest.mark.parametrize("link", LINK_MODES)
+def test_gradient_check_passes_in_density_mode(noise, n, link):
+    for variant in ("AmHE", "AnHE", "AmQAOA", "AnQAOA"):
+        cfg = ModelConfig.from_variant(variant, n=n, link_mode=link, execution="density",
+                                       noise=NOISE_SETS[noise])
+        report = gradient_check(cfg, trials=3, seed=7 + n)
+        assert report["worst_rel_error"] < 1e-4, (variant, report)
 
 
 def test_gradient_check_detects_bad_shift(monkeypatch):
@@ -196,10 +211,8 @@ def test_gradient_rejects_shots_mode():
         cfg = ModelConfig(n=1, encoder="angle", ansatz="qaoa", execution=execution,
                           noise=noise, shots=10)
         ev = BatchEvaluator([[0.3]], [[0.3]], cfg)
-        for method in GRADIENT_METHODS:
-            with pytest.raises(ValueError, match="'shots'"):
-                gradient(ev, cfg.random_params(rng).to_vector(), [1.0],
-                         TrainConfig(gradient_method=method))
+        with pytest.raises(ValueError, match="'shots'"):
+            gradient(ev, cfg.random_params(rng).to_vector(), [1.0])
 
 
 def test_train_loop_determinism():
@@ -310,7 +323,7 @@ def reference_train_loop(model_config, train_x, train_y, config, test_x=None, te
         test_acc = float("nan")
         if test_eval is not None:
             test_acc = accuracy(predictions_from_e(test_eval.evaluate(p)[0]), test_y)
-        return (loss(e_train, train_y, config.surrogate),
+        return (loss(e_train, train_y),
                 accuracy(predictions_from_e(e_train), train_y), test_acc)
 
     history = [metrics(params)]
@@ -321,7 +334,7 @@ def reference_train_loop(model_config, train_x, train_y, config, test_x=None, te
             order, cursor = shuffle_rng.permutation(train_y.size), 0
         idx = order[cursor: cursor + config.batch_size]
         cursor += config.batch_size
-        g = gradient(train_eval, theta - config.momentum * acc, train_y[idx], config, idx=idx)
+        g = gradient(train_eval, theta - config.momentum * acc, train_y[idx], idx=idx)
         theta, acc = nesterov_step(theta, acc, g, config.learning_rate, config.momentum)
         history.append(metrics(ParamSet.from_vector(theta, model_config.n,
                                                     model_config.link_mode)))
