@@ -31,7 +31,8 @@ LINK_MODES = ("all-zeros-canonical", "per-qubit-literal")
 LINK_FORMS = ("conditional", "deferred")
 
 
-def _check_params(theta, count: int) -> np.ndarray:
+def check_params(theta, count: int) -> np.ndarray:
+    """``theta`` as a flat array of ``count`` finite angles."""
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if theta.size != count:
         raise ValueError(f"expected {count} parameters, got {theta.size}")
@@ -65,7 +66,7 @@ def ansatz_layout(kind: str, n: int) -> tuple:
 
 def build_ansatz(kind: str, n: int, theta) -> Circuit:
     layout = ansatz_layout(kind, n)
-    return Circuit.from_layout(n, layout, _check_params(theta, 2 * n))
+    return Circuit.from_layout(n, layout, check_params(theta, 2 * n))
 
 
 def link_slot_count(mode: str, n: int) -> int:
@@ -84,7 +85,7 @@ def build_link(mode: str, n: int, theta4, form: str = "conditional") -> Circuit:
     (open-controlled RY on all register-1 qubits).  Literal mode is a
     pure unitary under either form.
     """
-    theta4 = _check_params(theta4, link_slot_count(mode, n))
+    theta4 = check_params(theta4, link_slot_count(mode, n))
     if form not in LINK_FORMS:
         raise ValueError(f"unknown link form {form!r}")
     if mode == "per-qubit-literal":

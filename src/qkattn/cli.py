@@ -338,6 +338,11 @@ def cmd_noise_sweep(args) -> int:
         raise CliError(f"bad probability or seed list: {exc}") from exc
     if not probs or not seeds:
         raise CliError("need at least one probability and one seed")
+    # compared as numbers, so 0.1 and 0.10 are one entry
+    for flag, values in (("--probs", probs), ("--seeds", seeds)):
+        for k, value in enumerate(values):
+            if value in values[:k]:
+                raise CliError(f"{flag} lists {value} more than once")
     if any(s < 0 for s in seeds):
         raise CliError(f"--seeds must be non-negative, got {min(seeds)}")
     if any(not 0.0 <= p <= 1.0 for p in probs):

@@ -60,7 +60,13 @@ so the mean of ``shots`` readouts is 2·Binomial(shots, (1 + E)/2)/shots − 1,
 and ``forward`` draws it once.  The circuit-level functions below
 (``build_register1``, ``build_full_circuit``, ``qksas``) build the same
 model gate by gate for ``sim.run_circuit``, the reference that the tests
-and the benchmark's oracle checks compare the evaluator against.
+and the benchmark's oracle checks compare the evaluator against.  The
+full circuit is built in one pass per fragment (``Circuit.add_layout``):
+each encoder or ansatz layout is turned into gates straight from its
+angle row at its qubit offset, an adjoint fragment (U†(θ2), U_φ†(w_j))
+as the layout reversed on negated angles, so no fragment is built twice
+and each gate is checked once.  w_j's encoder angles are computed once
+for both registers.
 """
 from __future__ import annotations
 
@@ -162,24 +168,40 @@ class QksasRecord:
 
 # --- circuit assembly ---------------------------------------------------
 
+def _encoder_row(values, config: ModelConfig) -> np.ndarray:
+    """The encoder's angle row for one feature vector."""
+    rows = np.asarray(values, dtype=float).reshape(1, -1)
+    return _encoding.encoder_angles(config.encoder, rows, config.n)[0]
+
+
+def _add_register1(circ: Circuit, enc_i, enc_j, theta1, theta2, config: ModelConfig) -> Circuit:
+    """Append U_φ†(w_j) U†(θ2) U(θ1) U_φ(w_i) on qubits 0..n-1, from the
+    encoder angle rows of w_i and w_j."""
+    n = config.n
+    encoder = _encoding.encoder_layout(config.encoder, n)
+    ansatz = _ansatz.ansatz_layout(config.ansatz, n)
+    theta1, theta2 = (_ansatz.check_params(t, 2 * n) for t in (theta1, theta2))
+    circ.add_layout(encoder, enc_i).add_layout(ansatz, theta1)
+    return circ.add_layout(ansatz, theta2, adjoint=True).add_layout(encoder, enc_j, adjoint=True)
+
+
+def _add_register2(circ: Circuit, enc_j, theta3, config: ModelConfig, offset: int = 0) -> Circuit:
+    """Append U(θ3) U_φ(w_j) on qubits offset..offset+n-1."""
+    n = config.n
+    theta3 = _ansatz.check_params(theta3, 2 * n)
+    circ.add_layout(_encoding.encoder_layout(config.encoder, n), enc_j, offset)
+    return circ.add_layout(_ansatz.ansatz_layout(config.ansatz, n), theta3, offset)
+
+
 def build_register1(w_i, w_j, theta1, theta2, config: ModelConfig) -> Circuit:
     """Kernel fragment on qubits 0..n-1: U_φ†(w_j) U†(θ2) U(θ1) U_φ(w_i)."""
-    n = config.n
-    circ = Circuit(n)
-    circ.extend(_encoding.encode(config.encoder, w_i, n))
-    circ.extend(_ansatz.build_ansatz(config.ansatz, n, theta1))
-    circ.extend(_ansatz.build_ansatz(config.ansatz, n, theta2).adjoint())
-    circ.extend(_encoding.encode(config.encoder, w_j, n).adjoint())
-    return circ
+    return _add_register1(Circuit(config.n), _encoder_row(w_i, config),
+                          _encoder_row(w_j, config), theta1, theta2, config)
 
 
 def build_register2(w_j, theta3, config: ModelConfig) -> Circuit:
     """Value-state fragment on its own n qubits: U(θ3) U_φ(w_j)."""
-    n = config.n
-    circ = Circuit(n)
-    circ.extend(_encoding.encode(config.encoder, w_j, n))
-    circ.extend(_ansatz.build_ansatz(config.ansatz, n, theta3))
-    return circ
+    return _add_register2(Circuit(config.n), _encoder_row(w_j, config), theta3, config)
 
 
 def build_full_circuit(w_i, w_j, params: ParamSet, config: ModelConfig,
@@ -196,8 +218,9 @@ def build_full_circuit(w_i, w_j, params: ParamSet, config: ModelConfig,
     n = config.n
     clbits = n + 1 if final_measure else n
     circ = Circuit(2 * n, clbits=clbits)
-    circ.extend(build_register1(w_i, w_j, params.theta1, params.theta2, config))
-    circ.extend(build_register2(w_j, params.theta3, config).shifted(n, 2 * n, clbits))
+    enc_i, enc_j = _encoder_row(w_i, config), _encoder_row(w_j, config)
+    _add_register1(circ, enc_i, enc_j, params.theta1, params.theta2, config)
+    _add_register2(circ, enc_j, params.theta3, config, offset=n)
     canonical = config.link_mode == "all-zeros-canonical"
     if canonical and form == "conditional":
         circ.measure(tuple(range(n)), tuple(range(n)))

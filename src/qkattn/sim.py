@@ -15,11 +15,13 @@ qubits is one superoperator N^{⊗m}·(U ⊗ U*) built from ``gate_matrix``
 and the noise channels, composed from ``NoiseChannel.kraus`` into one
 4 × 4 superoperator N per qubit; a wider gate applies U on its row axes,
 U* on its column axes, then N on each of its qubits, so no 4^m × 4^m
-operator is formed for it.  Only one label operator per measurement is
-lifted, to the measured group's space (``expand_matrix``).  The batched
-layout builders (``layout_unitaries``, ``apply_noisy_layout``) are the
-fast paths checked against it; the oracle uses none of their compiled
-factors or caches.  At q ≥ 3 the noisy builder walks a per-gate plan
+operator is formed for it.  N, its folds N^{⊗m} and the superoperators
+of the unparameterized gates are built once per noise model, in
+read-only caches of the oracle's own.  Only one label operator per
+measurement is lifted, to the measured group's space (``expand_matrix``).
+The batched layout builders (``layout_unitaries``, ``apply_noisy_layout``)
+are the fast paths checked against it; the oracle uses none of their
+compiled factors or caches.  At q ≥ 3 the noisy builder walks a per-gate plan
 compiled once per layout, register size and noise (``_layout_plan``),
 which places noise by the same rule.  Both builders also give exact
 derivatives in the angles (``_coefficients``).
@@ -148,6 +150,8 @@ class Condition:
     pattern: tuple[int, ...]
 
     def __post_init__(self):
+        if not self.bits:
+            raise ValueError("condition needs at least one classical bit")
         if len(self.bits) != len(self.pattern):
             raise ValueError("condition bits and pattern differ in length")
         if len(set(self.bits)) != len(self.bits):
@@ -223,6 +227,13 @@ CircuitOp = Union[GateOp, Measure]
 Layout = Sequence[tuple[str, tuple[int, ...], Union[int, None]]]
 
 
+def _check_range(what: str, values: tuple[int, ...], size: int) -> None:
+    """Refuse indices outside 0..size − 1, naming that range."""
+    if min(values) < 0 or max(values) >= size:
+        valid = f"0..{size - 1}" if size else "none"
+        raise ValueError(f"{what} {values} out of range (valid: {valid})")
+
+
 class Circuit:
     """Ordered gate/measurement sequence on ``qubits`` qubits."""
 
@@ -236,22 +247,33 @@ class Circuit:
     @classmethod
     def from_layout(cls, qubits: int, layout: Layout, angles) -> "Circuit":
         """One instance of a fixed-structure fragment."""
-        circ = cls(qubits)
-        for kind, coords, slot in layout:
-            circ.gate(kind, coords, None if slot is None else float(angles[slot]))
-        return circ
+        return cls(qubits).add_layout(layout, angles)
+
+    def add_layout(self, layout: Layout, angles, offset: int = 0,
+                   adjoint: bool = False) -> "Circuit":
+        """Append one instance of a fixed-structure fragment, the gate of
+        slot s at angle ``angles[s]`` and every coordinate moved up by
+        ``offset``.  ``adjoint`` appends the fragment's adjoint instead:
+        the gates in reverse order on negated angles, as
+        ``Circuit.adjoint`` makes them (every unparameterized gate kind is
+        self-inverse)."""
+        for kind, coords, slot in (reversed(layout) if adjoint else layout):
+            if offset:
+                coords = tuple(c + offset for c in coords)
+            angle = None if slot is None else float(angles[slot])
+            if adjoint and angle is not None:
+                angle = -angle
+            self.add(GateOp(kind, coords, angle))
+        return self
 
     def add(self, op: CircuitOp) -> "Circuit":
         if isinstance(op, Measure):
-            if max(op.qubits) >= self.qubits:
-                raise ValueError("measurement targets a qubit out of range")
-            if max(op.clbits) >= self.clbits:
-                raise ValueError("measurement writes a classical bit out of range")
+            _check_range("measurement qubits", op.qubits, self.qubits)
+            _check_range("measurement classical bits", op.clbits, self.clbits)
         else:
-            if max(op.coords) >= self.qubits:
-                raise ValueError("gate coordinate out of range")
-            if op.condition is not None and max(op.condition.bits) >= self.clbits:
-                raise ValueError("condition references a classical bit out of range")
+            _check_range("gate coordinates", op.coords, self.qubits)
+            if op.condition is not None:
+                _check_range("condition classical bits", op.condition.bits, self.clbits)
         self.ops.append(op)
         return self
 
@@ -263,10 +285,11 @@ class Circuit:
         return self.add(Measure(tuple(qubits), tuple(clbits)))
 
     def extend(self, other: "Circuit") -> "Circuit":
+        """Append ``other``'s ops; ``add`` checked them against a circuit
+        no wider than this one, so they are not checked again."""
         if other.qubits > self.qubits or other.clbits > self.clbits:
             raise ValueError("fragment does not fit this circuit")
-        for op in other.ops:
-            self.add(op)
+        self.ops.extend(other.ops)
         return self
 
     def adjoint(self) -> "Circuit":
@@ -732,6 +755,47 @@ def _superop(u: np.ndarray) -> np.ndarray:
     return (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(d * d, d * d)
 
 
+# The density oracle's own caches, built from NoiseChannel.kraus and
+# gate_matrix alone, so the checks against it share no fast-path factors.
+
+@functools.lru_cache(maxsize=64)
+def _oracle_folds(noise: tuple[NoiseChannel, ...]) -> tuple[np.ndarray, ...]:
+    """N^{⊗m} on a gate's local vec space (row bits high) for m = 1 ..
+    ``_FOLDED_ARITY``, where N = Σ K ⊗ K* over the Kraus operators of each
+    channel of ``noise``, composed in order; () without noise."""
+    if not noise:
+        return ()
+    one = np.eye(4, dtype=complex)
+    for ch in noise:
+        one = sum(_superop(k) for k in ch.kraus()) @ one
+    folds = []
+    for m in range(1, _FOLDED_ARITY + 1):
+        # the kron of m copies has each qubit's (row, column) bits
+        # adjacent; move the row bits high
+        pairs = functools.reduce(np.kron, [one] * m)
+        perm = [*range(0, 2 * m, 2), *range(1, 2 * m, 2)]
+        fold = pairs.reshape((2,) * (4 * m)).transpose(
+            perm + [2 * m + a for a in perm]).reshape(4**m, 4**m)
+        fold.flags.writeable = False
+        folds.append(fold)
+    return tuple(folds)
+
+
+def _folded(u: np.ndarray, folds: tuple[np.ndarray, ...]) -> np.ndarray:
+    """N^{⊗m}·(U ⊗ U*) of a gate U on m ≤ ``_FOLDED_ARITY`` qubits, given
+    ``_oracle_folds``."""
+    sop = _superop(u)
+    return folds[len(u).bit_length() - 2] @ sop if folds else sop
+
+
+@functools.lru_cache(maxsize=64)
+def _oracle_fixed(kind: str, arity: int, noise: tuple[NoiseChannel, ...]) -> np.ndarray:
+    """``_folded`` of an unparameterized gate, read-only."""
+    out = _folded(gate_matrix(kind, qubits=arity), _oracle_folds(noise))
+    out.flags.writeable = False
+    return out
+
+
 def _apply_local(rho: np.ndarray, mat: np.ndarray, coords: tuple[int, ...], q: int,
                  sides: tuple[int, ...] = (0, 1)) -> np.ndarray:
     """Apply a local operator to the axes of ``coords`` on the given sides
@@ -810,7 +874,7 @@ def _group_plan(q: int, sites: tuple) -> tuple[tuple, tuple[int, ...]]:
     return tuple(steps), tuple(axes[a] for a in perm)
 
 
-def _run_density(circuit: Circuit, noise: Sequence[NoiseChannel]) -> RunResult:
+def _run_density(circuit: Circuit, noise: tuple[NoiseChannel, ...]) -> RunResult:
     """Exact branch-resolved evolution, one classical bit pattern per
     branch.  A branch's unnormalized density is a product of factors, one
     per qubit group: a (2,)·2m tensor (row bits, then column bits) over the
@@ -822,9 +886,11 @@ def _run_density(circuit: Circuit, noise: Sequence[NoiseChannel]) -> RunResult:
     (``_apply_local``), never lifted to the full space, and is followed by
     the channels of ``noise``, composed once into one 4 × 4 superoperator
     N = Σ K ⊗ K*, on each of its qubits.  A gate on m ≤ ``_FOLDED_ARITY``
-    qubits is one application of N^{⊗m}·(U ⊗ U*); unparameterized gates
-    build theirs once per run.  A wider gate applies U on its row axes, U*
-    on its column axes, then N on each of its qubits.  A measurement lifts one label operator, diag(0, …,
+    qubits is one application of N^{⊗m}·(U ⊗ U*).  N and N^{⊗m} are built
+    once per noise model (``_oracle_folds``), and so is the superoperator
+    of each unparameterized gate (``_oracle_fixed``).  A wider gate
+    applies U on its row axes, U* on its column axes, then N on each of
+    its qubits.  A measurement lifts one label operator, diag(0, …,
     2^m − 1), on its group to read each basis index's outcome, and splits
     every branch by outcome, dropping outcomes of weight ≤ 1e-15: an
     outcome's weight is its share of the group's trace times the traces
@@ -833,25 +899,7 @@ def _run_density(circuit: Circuit, noise: Sequence[NoiseChannel]) -> RunResult:
     """
     q = circuit.qubits
     dim = 2**q
-    one = np.eye(4, dtype=complex)
-    for ch in noise:
-        one = sum(_superop(k) for k in ch.kraus()) @ one
-    # N^{⊗m} on a gate's local vec space: the kron of m copies has each
-    # qubit's (row, column) bits adjacent; move the row bits high
-    folds: dict[int, np.ndarray] = {}
-    if noise:
-        for m in range(1, _FOLDED_ARITY + 1):
-            pairs = functools.reduce(np.kron, [one] * m)
-            perm = [*range(0, 2 * m, 2), *range(1, 2 * m, 2)]
-            folds[m] = pairs.reshape((2,) * (4 * m)).transpose(
-                perm + [2 * m + a for a in perm]).reshape(4**m, 4**m)
-    fixed: dict[str, np.ndarray] = {}
-
-    def superop(op: GateOp) -> np.ndarray:
-        sop = _superop(op.matrix())
-        fold = folds.get(len(op.coords))
-        return sop if fold is None else fold @ sop
-
+    folds = _oracle_folds(noise)
     steps, perm = _group_plan(q, tuple(
         (op.qubits, op.clbits) if isinstance(op, Measure) else (op.coords, ())
         for op in circuit.ops))
@@ -902,13 +950,11 @@ def _run_density(circuit: Circuit, noise: Sequence[NoiseChannel]) -> RunResult:
             u = op.matrix()
             local_ops = [(u, local, (0,)), (u.conj(), local, (1,))]
             if noise:
-                local_ops += [(one, (c,), (0, 1)) for c in local]
+                local_ops += [(folds[0], (c,), (0, 1)) for c in local]
         elif op.angle is not None:
-            local_ops = [(superop(op), local, (0, 1))]
+            local_ops = [(_folded(op.matrix(), folds), local, (0, 1))]
         else:
-            if op.kind not in fixed:
-                fixed[op.kind] = superop(op)
-            local_ops = [(fixed[op.kind], local, (0, 1))]
+            local_ops = [(_oracle_fixed(op.kind, len(op.coords), noise), local, (0, 1))]
         for key, factors in branches.items():
             if op.condition is not None and not op.condition.holds(key):
                 continue
@@ -942,7 +988,9 @@ def run_circuit(circuit: Circuit, mode: str = "pure",
     and each gate applied on its own row and column axes of its group's
     factor and followed by ``noise``, composed into one single-qubit
     superoperator, on each of its qubits, as ``apply_noisy_layout``
-    places it; see ``_run_density``).
+    places it; see ``_run_density``).  The noise superoperators, and the
+    superoperators of unparameterized gates, are built once per noise
+    model and cached.
     """
     circuit.validate()
     if isinstance(noise, NoiseChannel):

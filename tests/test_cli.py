@@ -222,12 +222,27 @@ def test_noise_sweep_process_pool_matches_serial(tmp_path, monkeypatch):
     assert outputs["2"] == outputs["1"]
 
 
-def test_noise_sweep_validation(tmp_path, capsys):
+def test_noise_sweep_validation(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path)
     assert main(["noise-sweep", "--config", cfg, "--out", str(tmp_path),
                  "--channel", "dephasing", "--probs", "0", "--seeds", "1"]) != 0
     assert main(["noise-sweep", "--config", cfg, "--out", str(tmp_path),
                  "--channel", "bit-flip", "--probs", "1.5", "--seeds", "1"]) != 0
+    # a repeated entry would train the same job twice; entries are
+    # compared after parsing
+    capsys.readouterr()
+    loads = []
+    monkeypatch.setattr(cli, "load_dataset", lambda *args: loads.append(args))
+    for probs, seeds, line in [("0.1", "1,1", "--seeds lists 1 more than once"),
+                               ("0.1,0.10", "1", "--probs lists 0.1 more than once"),
+                               ("0,0.3,0", "2,1", "--probs lists 0.0 more than once"),
+                               ("0.5", "3,03", "--seeds lists 3 more than once")]:
+        out = os.path.join(str(tmp_path), "repeat")
+        assert main(["noise-sweep", "--config", cfg, "--out", out, "--channel", "bit-flip",
+                     "--probs", probs, "--seeds", seeds]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {line}"
+        assert not loads
+        assert not os.path.exists(out)
 
 
 def test_variant_flag(tmp_path):

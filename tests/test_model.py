@@ -7,7 +7,7 @@ import pytest
 
 from qkattn import cli, encoding, model, sim
 from qkattn.ansatz import ParamSet
-from qkattn.ansatz import LINK_MODES
+from qkattn.ansatz import LINK_FORMS, LINK_MODES, build_ansatz, build_link
 from qkattn.model import (VARIANTS, BatchEvaluator, ModelConfig, build_full_circuit,
                           build_register1, build_register2, forward, predict,
                           qksas)
@@ -120,6 +120,61 @@ def test_register2_locality():
     cfg = ModelConfig(n=2, encoder="angle", ansatz="hea")
     circ = build_register2([0.4, 0.2, 0.9, 0.1], np.ones(4), cfg).shifted(2, 4)
     assert all(min(op.coords) >= 2 for op in circ.ops)
+
+
+def _op_key(op):
+    """An op's kind, coordinates, condition and bit-exact angle."""
+    if isinstance(op, sim.Measure):
+        return ("measure", op.qubits, op.clbits)
+    cond = None if op.condition is None else (op.condition.bits, op.condition.pattern)
+    return (op.kind, op.coords, cond, None if op.angle is None else float(op.angle).hex())
+
+
+def _fragment_reference(wi, wj, p, cfg, form, final_measure):
+    """build_full_circuit assembled fragment by fragment: each encoder and
+    ansatz built on its own, the adjoints by Circuit.adjoint, register 2
+    moved up by Circuit.shifted, then the link and the measurements."""
+    n = cfg.n
+    reg1 = sim.Circuit(n)
+    reg1.extend(encoding.encode(cfg.encoder, wi, n))
+    reg1.extend(build_ansatz(cfg.ansatz, n, p.theta1))
+    reg1.extend(build_ansatz(cfg.ansatz, n, p.theta2).adjoint())
+    reg1.extend(encoding.encode(cfg.encoder, wj, n).adjoint())
+    assert [_op_key(op) for op in build_register1(wi, wj, p.theta1, p.theta2, cfg).ops] == [
+        _op_key(op) for op in reg1.ops]
+    reg2 = sim.Circuit(n)
+    reg2.extend(encoding.encode(cfg.encoder, wj, n))
+    reg2.extend(build_ansatz(cfg.ansatz, n, p.theta3))
+    assert [_op_key(op) for op in build_register2(wj, p.theta3, cfg).ops] == [
+        _op_key(op) for op in reg2.ops]
+    clbits = n + 1 if final_measure else n
+    circ = sim.Circuit(2 * n, clbits=clbits)
+    circ.extend(reg1).extend(reg2.shifted(n, 2 * n, clbits))
+    canonical = cfg.link_mode == "all-zeros-canonical"
+    if canonical and form == "conditional":
+        circ.measure(range(n), range(n))
+    circ.extend(build_link(cfg.link_mode, n, p.theta4, form=form))
+    if final_measure:
+        if canonical and form == "deferred":
+            circ.measure(range(n), range(n))
+        circ.measure((2 * n - 1,), (n,))
+    return circ
+
+
+def test_full_circuit_equals_its_fragments_built_one_by_one():
+    rng = np.random.default_rng(61)
+    for n, variant, link in itertools.product(range(1, 5), VARIANTS, LINK_MODES):
+        cfg = ModelConfig.from_variant(variant, n=n, link_mode=link)
+        wi, wj = random_features(cfg, rng), random_features(cfg, rng)
+        # a short w_j pads with zero angles, whose adjoints are −0.0
+        wj = wj[: max(1, wj.size - 2)]
+        p = cfg.random_params(rng)
+        for form, final_measure in itertools.product(LINK_FORMS, (False, True)):
+            got = build_full_circuit(wi, wj, p, cfg, form=form, final_measure=final_measure)
+            ref = _fragment_reference(wi, wj, p, cfg, form, final_measure)
+            assert (got.qubits, got.clbits) == (ref.qubits, ref.clbits)
+            assert [_op_key(op) for op in got.ops] == [_op_key(op) for op in ref.ops], (
+                n, variant, link, form, final_measure)
 
 
 def test_forward_theta4_zero_is_identity_link():

@@ -296,6 +296,31 @@ def test_circuit_validation():
         GateOp("CNOT", (0, 0))
 
 
+@pytest.mark.parametrize("build, message", [
+    # was accepted, the outcome written into bit 1
+    (lambda: Circuit(2, clbits=2).gate("H", (0,)).measure((0,), (-1,)),
+     r"measurement classical bits \(-1,\) out of range \(valid: 0\.\.1\)"),
+    # was accepted, then failed in density mode with a bare StopIteration
+    (lambda: Circuit(2, clbits=1).measure((-1,), (0,)),
+     r"measurement qubits \(-1,\) out of range \(valid: 0\.\.1\)"),
+    (lambda: Circuit(2).gate("H", (-1,)),
+     r"gate coordinates \(-1,\) out of range \(valid: 0\.\.1\)"),
+    (lambda: Circuit(3).gate("CNOT", (0, -2)),
+     r"gate coordinates \(0, -2\) out of range \(valid: 0\.\.2\)"),
+    (lambda: Circuit(2, clbits=1).gate("X", (0,), condition=Condition((-1,), (1,))),
+     r"condition classical bits \(-1,\) out of range \(valid: 0\.\.0\)"),
+    (lambda: Circuit(2).measure((0,), (0,)),
+     r"measurement classical bits \(0,\) out of range \(valid: none\)"),
+    (lambda: Circuit(2).add_layout((("RY", (0,), 0),), [0.3], offset=-1),
+     r"gate coordinates \(-1,\) out of range \(valid: 0\.\.1\)"),
+    # was a bare "max() arg is an empty sequence" from Circuit.add
+    (lambda: Condition((), ()), "condition needs at least one classical bit"),
+])
+def test_negative_and_overflowing_coordinates_are_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_shifted_fragment():
     circ = Circuit(1).gate("H", (0,)).gate("RY", (0,), 0.4)
     moved = circ.shifted(2, 3)
@@ -659,6 +684,36 @@ def test_density_oracle_matches_lifted_kraus_reference(noise):
             assert len(got.measurement_probs) == len(probs)
             for a, b in zip(got.measurement_probs, probs):
                 assert np.max(np.abs(a - b)) < 1e-12, (q, noise)
+
+
+def test_density_oracle_caches_are_keyed_by_channel_strength():
+    # the oracle builds its noise superoperators once per noise model; a
+    # cache key that dropped the strength would replay the first one
+    circ = _noisy_branching_circuit()
+    for channels in NOISE_SETS[1:]:
+        for scale in (1.0, 2.0, 1.0):
+            noise = tuple(NoiseChannel(ch.kind, scale * ch.strength) for ch in channels)
+            got = run_circuit(circ, "density", noise=noise)
+            mat, weights, probs = _lifted_density_run(circ, noise)
+            assert np.max(np.abs(got.state.mat - mat)) < 1e-12, noise
+            assert max(abs(got.bits[k] - w) for k, w in weights.items()) < 1e-12
+            for a, b in zip(got.measurement_probs, probs, strict=True):
+                assert np.max(np.abs(a - b)) < 1e-12
+    weak, strong = ((NoiseChannel("bit-flip", p),) for p in (0.15, 0.4))
+    assert not np.array_equal(sim._oracle_folds(weak)[0], sim._oracle_folds(strong)[0])
+    assert not np.array_equal(sim._oracle_fixed("CNOT", 2, weak),
+                              sim._oracle_fixed("CNOT", 2, strong))
+
+
+def test_density_oracle_caches_are_read_only():
+    noise = NOISE_SETS[3]
+    for arr in (*sim._oracle_folds(noise),
+                sim._oracle_fixed("H", 1, noise), sim._oracle_fixed("CNOT", 2, ()),
+                sim._oracle_fixed("X", 1, NOISE_SETS[1])):
+        before = arr.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 7.0
+        assert np.array_equal(arr, before)
 
 
 def _noisy_branching_circuit():
