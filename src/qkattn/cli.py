@@ -183,9 +183,12 @@ def _write_atomic(path: str, content: str) -> None:
 
 
 def _flush_outputs(out_dir: str, files: dict[str, str]) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    for name, content in files.items():
-        _write_atomic(os.path.join(out_dir, name), content)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, content in files.items():
+            _write_atomic(os.path.join(out_dir, name), content)
+    except OSError as exc:
+        raise CliError(f"cannot write outputs to {out_dir}: {exc.strerror or exc}") from exc
 
 
 def _fmt(value: float) -> str:
@@ -305,12 +308,11 @@ def cmd_qksas(args) -> int:
 
 
 def _sweep_job(payload) -> tuple[float, int, float, float, float]:
-    resolved, channel, p, seed = payload
+    resolved, channel, p, seed, split = payload
     resolved = dict(resolved, seed=seed)
     noise = (NoiseChannel(channel, p),)
     mcfg = model_config_from(resolved, execution="density", noise=noise)
     tcfg = train_config_from(resolved)
-    split = load_dataset(resolved, mcfg)
     record = train_loop(mcfg, split.train_x, split.train_y, tcfg,
                         test_x=split.test_x, test_y=split.test_y)
     final = record.final
@@ -330,7 +332,7 @@ def thread_budget() -> int:
 
 def cmd_noise_sweep(args) -> int:
     resolved = load_config(args.config, args.seed, args.variant)
-    _exact_model(model_config_from(resolved))
+    mcfg = _exact_model(model_config_from(resolved))
     try:
         probs = [float(tok) for tok in args.probs.split(",") if tok.strip()]
         seeds = [int(tok) for tok in args.seeds.split(",") if tok.strip()]
@@ -350,7 +352,9 @@ def cmd_noise_sweep(args) -> int:
     if args.channel not in ("bit-flip", "amplitude-damping"):
         raise CliError(f"unknown channel {args.channel!r}")
 
-    jobs = [(resolved, args.channel, p, s) for p in probs for s in seeds]
+    # each seed's split, loaded once and shared by that seed's jobs
+    splits = {s: load_dataset(dict(resolved, seed=s), mcfg) for s in seeds}
+    jobs = [(resolved, args.channel, p, s, splits[s]) for p in probs for s in seeds]
     workers = min(thread_budget(), len(jobs))
     if workers > 1:
         # spawn, not fork: forking a process whose BLAS already runs
@@ -439,6 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise CliError(f"--out {args.out} exists and is not a directory")
         return args.func(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,10 +21,15 @@ read-only caches of the oracle's own.  Only one label operator per
 measurement is lifted, to the measured group's space (``expand_matrix``).
 The batched layout builders (``layout_unitaries``, ``apply_noisy_layout``)
 are the fast paths checked against it; the oracle uses none of their
-compiled factors or caches.  At q ≥ 3 the noisy builder walks a per-gate plan
-compiled once per layout, register size and noise (``_layout_plan``),
-which places noise by the same rule.  Both builders also give exact
-derivatives in the angles (``_coefficients``).
+compiled factors or caches.  The noisy builder walks, at every register
+size, the steps that a layout compiles into once per register size and
+noise (``_layout_plan``), placing noise by the same rule: one full-space
+step per rotation at q ≤ 2, one step on at most two qubits per rotation at
+q ≥ 3, the fixed gates folded into both.  In both builders every
+rotation's matrices come from a batched product of real coefficients with
+the real view of cached factors (``_products``), one product per shape of
+factors, real throughout for a layout whose factors are real.  Both also
+give exact derivatives in the angles (``_coefficients``).
 
 Basis ordering is little-endian throughout: qubit 0 is the least
 significant bit of a basis index.  For two-qubit gates the first
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from math import cos, sin, sqrt
 from typing import Sequence, Union
 
@@ -465,10 +471,18 @@ def _gate_factors(kind: str, arity: int, rotation: bool,
     return m
 
 
-@functools.lru_cache(maxsize=64)
-def _layout_factors(layout: tuple, q: int, noise: tuple[NoiseChannel, ...] | None
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A layout compiled into full-space factors, for ``_layout_product``.
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` made read-only for a cache, and real when its imaginary part
+    is exactly 0, so that products with it stay real."""
+    if np.iscomplexobj(arr) and not arr.imag.any():
+        arr = arr.real.copy()
+    arr.flags.writeable = False
+    return arr
+
+
+def _fold_layout(layout: Layout, q: int, noise: tuple[NoiseChannel, ...] | None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A layout compiled into full-space factors, one per rotation.
 
     ``noise`` None compiles unitaries on 2^q amplitudes; otherwise noisy
     superoperators on 4^q vec entries, every gate fused with its noise
@@ -503,30 +517,34 @@ def _layout_factors(layout: tuple, q: int, noise: tuple[NoiseChannel, ...] | Non
         factors[-1] = tail @ factors[-1]
     terms = 3 if noise is None else len(_PAIR_BASIS)
     factors = np.array(factors, dtype=complex).reshape(len(slots), terms, dim * dim)
-    out = (np.array(slots, dtype=np.intp), factors, tail)
-    for arr in out:
-        arr.flags.writeable = False
-    return out
+    return np.array(slots, dtype=np.intp), factors, tail
 
 
-def _layout_product(layout: Layout, angles: np.ndarray, q: int,
-                    noise: tuple[NoiseChannel, ...] | None,
-                    derivatives: bool = False) -> np.ndarray:
-    """The fragment (unitary or, with ``noise`` not None, superoperator)
-    for each row of ``angles``, and with ``derivatives`` its derivative
-    rows (``_coefficients``): every rotation of every row from one
-    batched product of coefficients and cached factors, then R − 1
-    batched matmuls."""
-    slots, factors, tail = _layout_factors(tuple(layout), q, noise)
-    dim = len(tail)
-    coef = _coefficients(angles, slots, noise is not None, derivatives)
-    if not slots.size:
-        return np.broadcast_to(tail, (len(angles), dim, dim)).copy()
-    gates = (coef @ factors).reshape(slots.size, coef.shape[1], dim, dim)
-    u = gates[0]
-    for gate in gates[1:]:
-        u = gate @ u
-    return u
+@functools.lru_cache(maxsize=128)
+def _layout_factors(layout: tuple, q: int, noise: tuple[NoiseChannel, ...] | None = None
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_fold_layout`` cached read-only: a layout's unitary factors, and
+    the noisy factors of each group of a q ≥ 3 walk, since the same
+    groups recur on other qubits and in other layouts."""
+    return tuple(_frozen(arr) for arr in _fold_layout(layout, q, noise))
+
+
+def _products(coef: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """coef (R, K, terms) @ factors (R, terms, W): the K values of each of
+    R rotations in one batched product.  The coefficients are real, so a
+    complex factor array is multiplied through its real view, and a real
+    one gives a real product."""
+    if np.iscomplexobj(factors):
+        return (coef @ factors.view(float)).view(complex)
+    return coef @ factors
+
+
+def _left(m: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """m @ t, a real m applied to a contiguous complex t through t's real
+    view, as one real product."""
+    if np.iscomplexobj(t) and not np.iscomplexobj(m) and t.flags.c_contiguous:
+        return (m @ t.view(float)).view(complex)
+    return m @ t
 
 
 def layout_unitaries(layout: Layout, angles: np.ndarray, q: int,
@@ -536,12 +554,23 @@ def layout_unitaries(layout: Layout, angles: np.ndarray, q: int,
 
     The layout is compiled once into cached full-space factors, R(θ) =
     M0 + c·M1 + s·M2 per rotation with c, s = cos(θ/2), sin(θ/2); a call
-    evaluates every rotation of every row in one batched product and
-    multiplies the R gates together, R − 1 batched matmuls in all.
-    ``derivatives`` follows each unitary with its derivative in each
-    column of ``angles`` (``_coefficients``).
+    evaluates every rotation of every row in one batched product
+    (``_products``) and multiplies the R gates together, R − 1 batched
+    matmuls in all.  A layout whose factors are all real (RY, CRY,
+    MCRY-open and fixed gates) gives real unitaries.  ``derivatives``
+    follows each unitary with its derivative in each column of
+    ``angles`` (``_coefficients``).
     """
-    return _layout_product(layout, angles, q, None, derivatives)
+    slots, factors, tail = _layout_factors(tuple(layout), q)
+    dim = len(tail)
+    if not slots.size:
+        return np.broadcast_to(tail, (len(angles), dim, dim)).copy()
+    coef = _coefficients(angles, slots, False, derivatives)
+    gates = _products(coef, factors).reshape(slots.size, -1, dim, dim)
+    u = gates[0]
+    for gate in gates[1:]:
+        u = gate @ u
+    return u
 
 
 @functools.lru_cache(maxsize=256)
@@ -563,19 +592,21 @@ def _noise_superop(noise: tuple[NoiseChannel, ...], arity: int) -> np.ndarray:
 
 
 # Gates on at most this many qubits carry the noise folded into their
-# superoperator, N^{⊗m}·(U ⊗ U*), at most 16 × 16.  Wider gates (the
+# superoperator, N^{⊗m}·(U ⊗ U*), at most 16 × 16, and so do the steps
+# that ``apply_noisy_layout`` walks at q ≥ 3.  Wider gates (the
 # MCRY-open gates) apply U on their row axes, U* on their column axes,
 # then the 4 × 4 channel on each of their qubits: folding would cost a
 # 4^m × 4^m superoperator per gate, 256 × 256 at arity 4 and 4096 × 4096
 # at arity 6.  Both engines follow this rule: the oracle
-# (``_run_density``) and ``apply_noisy_layout``'s per-gate plans.
+# (``_run_density``) and ``apply_noisy_layout``'s walks.
 _FOLDED_ARITY = 2
 
-# Registers with at most this many vec(ρ) entries (q ≤ 2) build a noisy
-# fragment as one product of cached full-space factors, like
-# layout_unitaries.  At q = 3 the 64 × 64 products ran 2.4–5.3× slower than
-# the per-gate plan in a one-pair forward and 1.7–4× slower in a 30-sample
-# gradient, and at q = 4 one rotation's factors would take 5 MB.
+# Registers with at most this many vec(ρ) entries (q ≤ 2) walk one
+# full-space step per rotation, every fixed gate folded in, as
+# layout_unitaries multiplies them.  At q = 3 the 64 × 64 products ran
+# 2.4–5.3× slower than per-gate steps in a one-pair forward and 1.7–4×
+# slower in a 30-sample gradient, and at q = 4 one rotation's factors
+# would take 5 MB.
 _FACTORED_VEC_DIM = 16
 
 
@@ -591,49 +622,126 @@ def _density_axes(coords: tuple[int, ...], q: int, sides: tuple[int, ...] = (0, 
     return tuple(perm), tuple(np.argsort(perm))
 
 
+def _walk_groups(layout: tuple) -> list[tuple[tuple[int, ...], list]]:
+    """The gates of a layout grouped into the steps of a q ≥ 3 walk, as
+    (qubits, gates) in order.
+
+    A gate wider than ``_FOLDED_ARITY`` is a group of its own.  Every
+    other group holds at most one rotation on at most two qubits: a run
+    of fixed gates joins the next rotation when their qubits fit in two,
+    a fixed gate inside the last group's qubits joins that group, and a
+    run that fits neither joins the last group if their qubits fit in
+    two, else stands alone.  So H goes into its qubit's RY or RZ, and
+    CNOT·RZ·CNOT is one group on (c, f).
+    """
+    groups: list[tuple[tuple[int, ...], list]] = []
+    run = None  # fixed gates since the last group, (qubits, gates)
+
+    def union(*qubits):
+        return tuple(sorted(set().union(*qubits)))
+
+    def place_run():
+        if run is None:
+            return
+        if groups and len(union(groups[-1][0], run[0])) <= _FOLDED_ARITY:
+            groups[-1] = (union(groups[-1][0], run[0]), groups[-1][1] + run[1])
+        else:
+            groups.append(run)
+
+    for gate in layout:
+        coords, rotation = gate[1], gate[2] is not None
+        if run is not None and len(union(run[0], coords)) <= _FOLDED_ARITY:
+            run = (union(run[0], coords), run[1] + [gate])
+            if rotation:
+                groups.append(run)
+                run = None
+            continue
+        place_run()
+        run = None
+        if len(coords) > _FOLDED_ARITY or rotation:
+            groups.append((tuple(coords), [gate]))
+        elif groups and len(groups[-1][0]) <= _FOLDED_ARITY and set(coords) <= set(groups[-1][0]):
+            groups[-1][1].append(gate)
+        else:
+            run = (tuple(coords), [gate])
+    place_run()
+    return groups
+
+
 @functools.lru_cache(maxsize=64)
 def _layout_plan(layout: tuple, q: int, noise: tuple[NoiseChannel, ...]) -> tuple:
-    """A noisy layout compiled into per-gate steps for ``apply_noisy_layout``
-    at q > 2, under the ``_FOLDED_ARITY`` rule.
+    """A noisy layout compiled into the steps that ``apply_noisy_layout``
+    walks, under the ``_FOLDED_ARITY`` rule.
 
-    Returns (slots, steps): the angle slot of each rotation step, and per
-    step (rotation index or None, factors, d, perm, inverse) for an
-    operator on d local entries.  A rotation's factors are (3 or 5, d²),
-    its matrix at θ being coefficients(θ/2) @ factors; a fixed operator's
-    are its matrix (1, d, d).  ``perm`` brings the stack's row axis, then
-    the operator's axes, to the front of a (K, B) + (2,)·2q stack.  A gate
-    on at most two qubits is one step, N^{⊗m}·(U ⊗ U*) on its row and
-    column axes; a wider one is U on its row axes, U* on its column axes,
-    then the 4 × 4 channel on each of its qubits.
+    At q ≤ 2 the steps are ``_fold_layout``'s full-space factors, one per
+    rotation, every fixed gate folded into the next rotation and the
+    tail into the last.  At q ≥ 3 they are the groups of
+    ``_walk_groups``, each folded the same way on its own at most two
+    qubits into one operator N^{⊗m}·(U ⊗ U*) per gate, multiplied out;
+    a wider gate is U on its row axes, U* on its column axes, then the
+    4 × 4 channel on each of its qubits.
+
+    Returns (slots, groups, steps): the angle slot of each rotation step
+    (R,); per shape of rotation factors, the indices of its rotations
+    and their factors stacked (R_g, 3 or 5, d²), read-only and real when
+    exactly real, a rotation's matrix at θ being coefficients(θ/2) @
+    factors; and per step ((group, row) or None, fixed matrix or None,
+    d, perm, inverse) for an operator on d local entries.  ``perm`` brings
+    the stack's row axis, then the operator's axes, to the front of a
+    (K, B) + (2,)·2q stack; it is None for an operator on the whole
+    register.
     """
-    slots, steps = [], []
+    slots, steps, shapes = [], [], {}
 
     def step(slot, factors, coords, sides):
         axes, _ = _density_axes(coords, q, sides)
         k = len(sides) * len(coords)
         # the stack's row axis, the operator's axes, then B and the rest
         perm = (0, *(2 + a for a in axes[:k]), 1, *(2 + a for a in axes[k:]))
-        if slot is not None:
-            factors = factors.reshape(len(factors), -1)
-            slots.append(slot)
-        factors.flags.writeable = False
-        steps.append((None if slot is None else len(slots) - 1, factors, 2**k, perm,
-                      tuple(np.argsort(perm).tolist())))
+        inverse = tuple(sorted(range(len(perm)), key=perm.__getitem__))
+        if k == 2 * q:  # the whole register, whose axes are in order
+            perm = inverse = None
+        if slot is None:
+            steps.append((None, _frozen(factors.reshape(1, 2**k, 2**k)), 2**k, perm, inverse))
+            return
+        factors = factors.reshape(len(factors), -1)
+        rows = shapes.setdefault(factors.shape, [])
+        steps.append(((list(shapes).index(factors.shape), len(rows)), None, 2**k, perm, inverse))
+        rows.append((len(slots), factors))
+        slots.append(slot)
 
-    for kind, coords, slot in layout:
-        rotation = slot is not None
-        if len(coords) <= _FOLDED_ARITY:
-            step(slot, _gate_factors(kind, len(coords), rotation, noise), coords, (0, 1))
+    whole = 4**q <= _FACTORED_VEC_DIM
+    for coords, gates in [(tuple(range(q)), layout)] if whole else _walk_groups(layout):
+        if len(coords) > _FOLDED_ARITY:
+            (kind, _, slot), = gates
+            u = _gate_factors(kind, len(coords), slot is not None, None)
+            step(slot, u, coords, (0,))
+            step(slot, u.conj(), coords, (1,))
+            if noise:
+                for c in coords:
+                    step(None, _noise_superop(noise, 1), (c,), (0, 1))
             continue
-        u = _gate_factors(kind, len(coords), rotation, None)
-        step(slot, u, coords, (0,))
-        step(slot, u.conj(), coords, (1,))
-        if noise:
-            for c in coords:
-                step(None, _noise_superop(noise, 1)[None], (c,), (0, 1))
-    slots = np.array(slots, dtype=np.intp)
-    slots.flags.writeable = False
-    return slots, tuple(steps)
+        if whole:
+            _, factors, tail = _fold_layout(layout, q, noise)
+        elif len(gates) == 1:  # one gate, on its own qubits in order
+            (kind, _, slot), = gates
+            factors = _gate_factors(kind, len(coords), slot is not None, noise)
+            factors, tail = (factors[None], None) if slot is not None else ((), factors[0])
+        else:
+            # on the group's own qubits, every slot 0
+            _, factors, tail = _layout_factors(tuple(
+                (kind, tuple(coords.index(c) for c in cs), None if slot is None else 0)
+                for kind, cs, slot in gates), len(coords), noise)
+        for slot, f in zip([slot for *_, slot in gates if slot is not None], factors):
+            step(slot, f, coords, (0, 1))
+        if not len(factors):
+            step(None, tail, coords, (0, 1))
+    # a group of every rotation takes every coefficient row, a view
+    groups = tuple((slice(None) if len(rows) == len(slots) else
+                    np.array([r for r, _ in rows], dtype=np.intp),
+                    _frozen(np.array([f for _, f in rows])), math.isqrt(width))
+                   for (_, width), rows in shapes.items())
+    return _frozen(np.array(slots, dtype=np.intp)), groups, tuple(steps)
 
 
 def apply_noisy_layout(vecs: np.ndarray, layout: Layout, angles: np.ndarray, q: int,
@@ -645,38 +753,48 @@ def apply_noisy_layout(vecs: np.ndarray, layout: Layout, angles: np.ndarray, q: 
     Every gate is followed by each channel of ``noise`` on each of its
     qubits.  Row k of ``angles`` drives the gates applied to vecs[k]; a
     one-row stack is shared by every row.  Run on the 4^q basis vectors,
-    row k is the fragment's superoperator S transposed.  At q ≤ 2 S is one
-    product of cached full-space factors applied as vecs @ Sᵀ.  Larger
-    registers walk the layout's cached per-gate plan (``_layout_plan``):
-    one small product of coefficients and factors per rotation, then one
-    transpose, matmul and inverse transpose of the stack per step.
-    ``adjoint`` applies the adjoint map instead (S†, or the steps'
+    row k is the fragment's superoperator S transposed.  At every
+    register size the call walks the steps that the layout compiled into
+    once (``_layout_plan``) over the stack, in order: at q ≤ 2 one
+    full-space step per rotation, at q ≥ 3 one step on at most two qubits
+    per rotation, the fixed gates folded into both, and U, U* and the
+    per-qubit channels of each wider gate.  No call multiplies two
+    operators together: on the 4^q basis the walk costs what the product
+    S would.  Every rotation step's matrices come from one batched
+    product of the real coefficients with the real view of the cached
+    factors of its shape (``_products``; at q ≤ 2 every rotation has one
+    shape), which stays real for a layout whose factors are all real:
+    the amplitude encoders, their reversed layouts and the link RY.  A
+    step on the whole register is one matmul on the right of the stack;
+    any other is one transpose, one matmul on the left (a real matrix
+    through the stack's real view, ``_left``) and the inverse transpose.
+    ``adjoint`` applies the adjoint map instead (S†: the steps'
     matrices conjugate-transposed in reverse order), which carries
     vectorised observables backwards: Tr(O·Λ(ρ)) = Tr(Λ†(O)·ρ).
     ``derivatives`` follows each row with the fragment's derivative in
     each column of ``angles`` (``_coefficients``); it needs every slot to
     drive at most one gate on at most ``_FOLDED_ARITY`` qubits.
     """
-    noise = tuple(noise)
-    if 4**q <= _FACTORED_VEC_DIM:
-        s = _layout_product(layout, angles, q, noise, derivatives)
-        return vecs @ (s.conj() if adjoint else s.transpose(0, 2, 1))
-    slots, steps = _layout_plan(tuple(layout), q, noise)
+    slots, groups, steps = _layout_plan(tuple(layout), q, tuple(noise))
     coef = _coefficients(angles, slots, True, derivatives)
+    mats = [_products(coef[at, :, : factors.shape[1]], factors).reshape(len(factors), -1, d, d)
+            for at, factors, d in groups]
+    if not slots.size:
+        vecs = np.broadcast_to(vecs, (len(angles),) + vecs.shape[1:])
     size = vecs.shape[1] * 4**q  # entries per row, also of an empty stack
-    t = vecs.reshape(vecs.shape[:2] + (2,) * (2 * q))
-    for rotation, factors, d, perm, inverse in (reversed(steps) if adjoint else steps):
-        if rotation is None:
-            mats = factors
-        else:
-            mats = (coef[rotation, :, : len(factors)] @ factors).reshape(-1, d, d)
+    t = vecs
+    for rotation, fixed, d, perm, inverse in (reversed(steps) if adjoint else steps):
+        m = fixed if rotation is None else mats[rotation[0]][rotation[1]]
+        if perm is None:
+            # on row vectors: v @ Mᵀ, and for the adjoint v @ M* = (M† vᵀ)ᵀ
+            t = t @ (m.conj() if adjoint else m.swapaxes(1, 2))
+            continue
         if adjoint:
-            mats = mats.conj().transpose(0, 2, 1)
-        t = t.transpose(perm)
-        moved = t.shape
-        t = mats @ t.reshape(moved[0], d, size // d)
-        t = t.reshape(t.shape[:1] + moved[1:]).transpose(inverse)
-    return t.reshape(t.shape[:1] + vecs.shape[1:])
+            m = m.conj().swapaxes(1, 2)
+        moved = t.reshape(t.shape[:2] + (2,) * (2 * q)).transpose(perm)
+        out = _left(m, moved.reshape(len(moved), d, size // d))
+        t = out.reshape(out.shape[:1] + moved.shape[1:]).transpose(inverse)
+    return t if t.ndim == 3 else t.reshape(t.shape[:1] + vecs.shape[1:])
 
 
 def expand_matrix(u: np.ndarray, coords: Sequence[int], q: int) -> np.ndarray:

@@ -94,13 +94,20 @@ class RunRecord:
                 if self.steps else self.initial)
 
 
-def loss(e_values, labels) -> float:
+def _checked(e_values, labels) -> tuple[np.ndarray, np.ndarray]:
+    """E and the labels as float arrays, refused unless there is one ±1
+    label per expectation."""
     e = np.asarray(e_values, dtype=float)
     y = np.asarray(labels, dtype=float)
     if e.shape != y.shape:
         raise ValueError("expectation and label counts differ")
     if not np.all(np.abs(y) == 1.0):
         raise ValueError("labels must be -1 or +1")
+    return e, y
+
+
+def loss(e_values, labels) -> float:
+    e, y = _checked(e_values, labels)
     return float(np.mean((y - e) ** 2))
 
 
@@ -126,11 +133,13 @@ def _chain_rule(labels, e_values, de) -> np.ndarray:
 
 def gradient(evaluator: BatchEvaluator, theta, labels, idx=None) -> np.ndarray:
     """Exact gradient of the surrogate loss over one batch at the flat vector
-    ``theta``; a model that samples ``shots`` has no exact E and is refused."""
+    ``theta``; a model that samples ``shots`` has no exact E and is refused,
+    and the labels are checked as ``loss`` checks them."""
     if evaluator.config.shots:
         raise ValueError("gradients need the exact E; set 'shots' to 0")
     e_values, de = evaluator.derivatives(theta, idx=idx)
-    return _chain_rule(labels, e_values, de)
+    e_values, y = _checked(e_values, labels)
+    return _chain_rule(y, e_values, de)
 
 
 def nesterov_step(theta: np.ndarray, accumulator: np.ndarray,
@@ -166,6 +175,8 @@ def _check_test_set(train_x: np.ndarray, test_x, test_y):
         return None, None
     test_x = np.atleast_2d(np.asarray(test_x, dtype=float))
     test_y = np.asarray(test_y, dtype=float)
+    if test_x.shape[0] == 0:
+        raise ValueError("test set is empty")
     if test_x.shape[0] != test_y.size:
         raise ValueError("test feature and label counts differ")
     if test_x.shape[1] != train_x.shape[1]:

@@ -208,16 +208,22 @@ def test_noise_sweep_row_cardinality(tmp_path):
 
 
 def test_noise_sweep_process_pool_matches_serial(tmp_path, monkeypatch):
-    # two spawned workers must write the same bytes as the in-process loop
+    # two spawned workers must write the same bytes as the in-process loop,
+    # and either way each seed's split is loaded once, for all its jobs
     cfg = write_config(tmp_path, model={"n": 1}, train={"steps": 2, "batch_size": 10},
                        data={"d": 2})
+    load_dataset = cli.load_dataset
     outputs = {}
     for threads in ("1", "2"):
         monkeypatch.setenv("QKATTN_THREADS", threads)
+        seeds = []
+        monkeypatch.setattr(cli, "load_dataset", lambda resolved, model: (
+            seeds.append(resolved["seed"]), load_dataset(resolved, model))[1])
         out = os.path.join(str(tmp_path), f"threads{threads}")
         assert main(["noise-sweep", "--config", cfg, "--out", out,
                      "--channel", "bit-flip", "--probs", "0.1,0.3", "--seeds", "1,2"]) == 0
         outputs[threads] = read(os.path.join(out, "sweep.csv"))
+        assert seeds == [1, 2]
     assert len(outputs["1"].strip().split("\n")) == 5
     assert outputs["2"] == outputs["1"]
 
@@ -387,6 +393,42 @@ def test_negative_seed_flag_is_refused_before_loading_data(tmp_path, capsys, mon
     assert err.strip() == f"error: {flag} must be non-negative, got -2"
     assert not calls
     assert not os.path.exists(out)
+
+
+COMMANDS = {"train": ["train"], "qksas": ["qksas"],
+            "noise-sweep": ["noise-sweep", "--channel", "bit-flip", "--probs", "0.1",
+                            "--seeds", "3"],
+            "gradcheck": ["gradcheck", "--trials", "2"]}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_out_path_that_is_a_file_is_refused_before_loading_data(tmp_path, capsys, monkeypatch,
+                                                                command):
+    cfg = write_config(tmp_path, train={"steps": 1})
+    out = os.path.join(str(tmp_path), "taken")
+    with open(out, "w") as fh:
+        fh.write("kept")
+    calls = []
+    monkeypatch.setattr(cli, "load_dataset", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "gradient_check", lambda *args: calls.append(args))
+    assert main(COMMANDS[command] + ["--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: --out {out} exists and is not a directory\n"
+    assert not calls
+    assert read(out) == "kept"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_output_write_failure_is_one_line_error(tmp_path, capsys, command):
+    # the parent of --out is a file, so creating the directory fails
+    cfg = write_config(tmp_path, train={"steps": 1})
+    parent = os.path.join(str(tmp_path), "file")
+    with open(parent, "w") as fh:
+        fh.write("kept")
+    out = os.path.join(parent, "run")
+    assert main(COMMANDS[command] + ["--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write outputs to {out}: Not a directory\n"
+    assert read(parent) == "kept"
 
 
 def test_train_refuses_shots_execution_before_loading_data(tmp_path, capsys, monkeypatch):

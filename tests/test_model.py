@@ -562,8 +562,8 @@ def test_derivatives_match_shift_rule_and_richardson_differences(n, mode):
 
 
 def test_density_derivatives_on_the_vec_basis_at_n3():
-    # 64 samples reach the 4^n vec basis vectors: register 1 runs the
-    # per-gate plan on the basis instead of the states
+    # 64 samples reach the 4^n vec basis vectors: register 1 walks its
+    # two-qubit steps on the basis instead of the states
     rng = np.random.default_rng(130)
     for variant in ("AmHE", "AnQAOA"):
         cfg = ModelConfig.from_variant(variant, n=3, execution="density",
@@ -644,7 +644,7 @@ def test_cached_readouts_are_the_link_carried_back_in_closed_form(n):
 
 @pytest.mark.parametrize("execution", ("analytic", "density"))
 def test_empty_stack_returns_empty_arrays(execution):
-    # n = 3 runs density mode's per-gate plans on the empty stack
+    # n = 3 walks density mode's two-qubit steps on the empty stack
     for n in (2, 3):
         cfg = ModelConfig(n=n, execution=execution)
         x = np.random.default_rng(80).uniform(-1, 1, size=(3, 2**n))
@@ -697,6 +697,7 @@ def test_wide_gates_build_no_dense_superoperator(monkeypatch):
     monkeypatch.setattr(sim, "_gate_factors", spy_factors)
     monkeypatch.setattr(sim, "_superop", spy_superop)
     sim._layout_plan.cache_clear()
+    sim._layout_factors.cache_clear()
     noise = NOISE_SETS["both"]
     cfg = ModelConfig.from_variant("AmHE", n=4, execution="density", noise=noise)
     rng = np.random.default_rng(90)
@@ -718,6 +719,7 @@ def test_noisy_n4_amplitude_evaluator_builds_in_little_memory():
     rng = np.random.default_rng(91)
     x = np.array([random_features(cfg, rng) for _ in range(30)])
     sim._gate_factors.cache_clear()
+    sim._layout_factors.cache_clear()
     sim._layout_plan.cache_clear()
     tracemalloc.start()
     try:

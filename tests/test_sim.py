@@ -4,8 +4,8 @@ shared code with the simulator's embedding)."""
 import numpy as np
 import pytest
 
-from qkattn import sim
-from qkattn.model import ModelConfig, build_full_circuit
+from qkattn import ansatz, encoding, sim
+from qkattn.model import ModelConfig, _reversed_layout, build_full_circuit
 from qkattn.sim import (Circuit, Condition, GateOp, Measure, NoiseChannel,
                         StateVector, expand_matrix, expectation_z,
                         gate_matrix, outcome_probabilities, run_circuit)
@@ -529,6 +529,96 @@ def test_layout_channels_results_do_not_alias_the_cache(q):
         expected = first.copy()
         first[...] = 0.0
         assert np.array_equal(_channels(layout, angles, q, NOISE_SETS[3]), expected)
+
+
+# --- the walk over a stack ----------------------------------------------------
+
+# (shift, weight) pairs of the four-term rule, exact for every rotation
+# kind here: d/dθ f = Σ weight·(f(θ + shift) − f(θ − shift))
+FOUR_TERM_RULE = ((np.pi / 2, (np.sqrt(2) + 1) / (4 * np.sqrt(2))),
+                  (3 * np.pi / 2, -(np.sqrt(2) - 1) / (4 * np.sqrt(2))))
+
+
+@pytest.mark.parametrize("q", (1, 2))
+@pytest.mark.parametrize("noise", NOISE_SETS)
+def test_walk_on_small_stacks_matches_lifted_kraus_reference(q, noise):
+    # stacks of 1 and 3 vectors, row by row and shared, forward and
+    # adjoint, and a shared one-row stack with derivative rows
+    rng = np.random.default_rng(150 + q)
+    fixed = (("H", (0,), None), ("X", (q - 1,), None))
+    layout = fixed + _derivative_layout(rng, q) + fixed[::-1]
+    angles = rng.uniform(0, 2 * np.pi, size=(2, 4))
+    refs = [_lifted_channel(layout, row, q, noise) for row in angles]
+    for count in (1, 3):
+        vecs = rng.normal(size=(2, count, 4**q)) + 1j * rng.normal(size=(2, count, 4**q))
+        for stack in (vecs, vecs[:1]):
+            forward = sim.apply_noisy_layout(stack, layout, angles, q, noise)
+            backward = sim.apply_noisy_layout(stack, layout, angles, q, noise, adjoint=True)
+            assert forward.shape == backward.shape == (2, count, 4**q)
+            for k, ref in enumerate(refs):
+                v = stack[k % len(stack)]
+                assert np.max(np.abs(forward[k] - v @ ref.T)) < 1e-12
+                assert np.max(np.abs(backward[k] - v @ ref.conj())) < 1e-12
+        shared = vecs[:1]
+        got = sim.apply_noisy_layout(shared, layout, angles, q, noise, derivatives=True)
+        got = got.reshape(2, 5, count, 4**q)
+        for k, row in enumerate(angles):
+            assert np.max(np.abs(got[k, 0] - shared[0] @ refs[k].T)) < 1e-12
+            for j in range(4):
+                step = np.eye(4)[j]
+                ref = sum(weight * (_lifted_channel(layout, row + shift * step, q, noise)
+                                    - _lifted_channel(layout, row - shift * step, q, noise))
+                          for shift, weight in FOUR_TERM_RULE)
+                assert np.max(np.abs(got[k, 1 + j] - shared[0] @ ref.T)) < 1e-12, j
+
+
+def test_cached_walk_factors_are_real_read_only_and_not_aliased():
+    # the amplitude encoders, their reversed layouts and the link RY have
+    # real factors under both channels; the RZ steps of an ansatz are complex
+    rng = np.random.default_rng(160)
+    for q in (1, 2, 3, 4):
+        encoder = encoding.encoder_layout("amplitude", q)
+        for noise in NOISE_SETS[1:3]:
+            for layout in (encoder, _reversed_layout(encoder), (("RY", (q - 1,), 0),)):
+                slots, groups, steps = sim._layout_plan(layout, q, noise)
+                assert not slots.flags.writeable
+                for _, factors, _ in groups:
+                    assert factors.dtype == float and not factors.flags.writeable
+                for _, fixed, *_ in steps:
+                    assert fixed is None or not fixed.flags.writeable
+            _, groups, _ = sim._layout_plan(ansatz.ansatz_layout("hea", q), q, noise)
+            assert any(factors.dtype == complex for _, factors, _ in groups)
+        _, factors, tail = sim._layout_factors(encoder, q)
+        assert factors.dtype == float
+        assert not factors.flags.writeable and not tail.flags.writeable
+        angles = rng.uniform(0, 2 * np.pi, size=(2, 2**q - 1))
+        for build in (lambda: sim.layout_unitaries(encoder, angles, q),
+                      lambda: sim.apply_noisy_layout(np.eye(4**q)[None], encoder, angles, q,
+                                                     NOISE_SETS[1])):
+            first = build()
+            assert first.dtype == float
+            expected = first.copy()
+            first[...] = 0.0
+            assert np.array_equal(build(), expected)
+
+
+@pytest.mark.parametrize("q, counts", [
+    (3, {"qaoa": 6, "hea": 6}),  # one step per gate: 15 and 9
+    (4, {"qaoa": 8, "hea": 8}),  # one step per gate: 20 and 12
+])
+def test_walk_folds_fixed_gates_into_rotation_steps(q, counts):
+    # H folds into its qubit's rotation and CNOT·RZ·CNOT is one step on
+    # (c, f): every step is one rotation on at most two qubits
+    for kind, count in counts.items():
+        layout = ansatz.ansatz_layout(kind, q)
+        mid = layout + _reversed_layout(layout, 2 * q)
+        for name, fragment, expected in (("ansatz", layout, count),
+                                         ("reversed", _reversed_layout(layout), count),
+                                         ("mid", mid, 2 * count)):
+            for noise in ((), NOISE_SETS[1]):
+                slots, _, steps = sim._layout_plan(fragment, q, noise)
+                assert len(steps) == slots.size == expected, (kind, name)
+                assert all(d <= 16 for _, _, d, _, _ in steps)
 
 
 # --- analytic layouts as products of cached factors ---------------------------

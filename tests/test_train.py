@@ -8,7 +8,7 @@ from qkattn.ansatz import LINK_MODES, ParamSet
 from qkattn.model import BatchEvaluator, ModelConfig
 from qkattn.sim import NoiseChannel
 from qkattn.train import (_REFERENCE_STEP, RunRecord, TrainConfig, StepMetrics,
-                          _reference_gradient, accuracy, gradient, gradient_check, loss,
+                          _chain_rule, _reference_gradient, accuracy, gradient, gradient_check, loss,
                           nesterov_step, predictions_from_e, train_loop)
 from test_model import FOUR_TERM_RULE, NOISE_SETS
 
@@ -104,10 +104,26 @@ def test_gradient_zero_at_exact_fit():
     x = rng.uniform(0, np.pi, size=(3, 1))
     p = cfg.random_params(rng)
     ev = BatchEvaluator(x, x, cfg)
-    e, _ = ev.evaluate(p)
+    e, de = ev.derivatives(p.to_vector())
     y = e.copy()  # not valid labels, so call gradient internals directly
-    g = gradient(ev, p.to_vector(), y)
+    g = _chain_rule(y, e, de)
     assert np.max(np.abs(g)) < 1e-12
+
+
+@pytest.mark.parametrize("labels, message", [
+    ([1.0, -1.0, 1.0], "expectation and label counts differ"),
+    ([1.0, -1.0, 1.0, 0.5], "labels must be -1 or \\+1"),
+])
+def test_gradient_checks_labels_as_loss_does(labels, message):
+    rng = np.random.default_rng(2)
+    cfg = ModelConfig(n=1, encoder="angle", ansatz="qaoa")
+    ev = BatchEvaluator(rng.uniform(0, np.pi, size=(4, 1)), rng.uniform(0, np.pi, size=(4, 1)),
+                        cfg)
+    theta = cfg.random_params(rng).to_vector()
+    for check in (lambda: loss(np.zeros(4), labels), lambda: gradient(ev, theta, labels)):
+        with pytest.raises(ValueError, match=message) as err:
+            check()
+        assert "\n" not in str(err.value)
 
 
 def test_gradient_batch_duplication_invariance():
@@ -273,6 +289,7 @@ def test_run_record_lengths():
     (np.zeros((3, 4)), np.ones(2), "counts differ"),
     (np.zeros((2, 3)), np.ones(2), "features"),
     (np.zeros((2, 4)), np.array([1.0, 0.0]), "labels"),
+    (np.zeros((0, 4)), np.zeros(0), "^test set is empty$"),
 ])
 def test_train_loop_checks_test_set_before_building(monkeypatch, test_x, test_y, message):
     rng = np.random.default_rng(12)
