@@ -42,10 +42,17 @@ noise, on each of its qubits, as ``sim.run_circuit`` places it
 U†(θ2)U(θ1) to the noisy encoded ρ_i and reads each outcome's projector
 carried back (Heisenberg picture) through the channel of U_φ†(w_j);
 register 2 carries the four readouts backwards through the channel of
-U(θ3) and reads them on the noisy encoded ρ_j.  Either way the link
-angle enters only when E is combined, as cos θ4_{n−1} and sin θ4_{n−1};
-no fragment is simulated for it.  The test suite checks both modes
-against the full circuit, whose literal link is the real 2n-qubit unitary.
+U(θ3) and reads them on the noisy encoded ρ_j.  Every state, projector
+and readout is held in the basis that the walk runs in
+(``sim.to_walk_basis``): at n ≤ 2 the real Pauli coordinates
+Tr(P ρ)/2^{n/2}, so every walk step and every product that reads a
+probability or a readout is real, and at n ≥ 3 the complex vec(ρ).
+The fixed ones, the zero state, the projectors and the readouts, are
+converted once per n (``_walk_constants``, ``_link_readouts``).  In
+both modes the link angle enters only when E is combined, as
+cos θ4_{n−1} and sin θ4_{n−1}; no fragment is simulated for it.  The
+test suite checks both modes against the full circuit, whose literal
+link is the real 2n-qubit unitary.
 
 Derivatives are exact: every ansatz slot drives one gate on at most two
 qubits, so the derivative of U(θ) or of its noisy channel in a slot is
@@ -275,10 +282,29 @@ _FIRED_ANGLES = np.array([[0.0], [np.pi / 2], [np.pi]])
 _FIRED_MIX = np.array([[1.0, 0.5, 0.5, -0.5], [0.0, 0.0, 0.0, 1.0], [0.0, 0.5, -0.5, -0.5]])
 
 
+@functools.lru_cache(maxsize=16)
+def _walk_constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Density mode's fixed vectors, read-only, in the basis that
+    ``sim.apply_noisy_layout`` walks (``sim.to_walk_basis``): real at
+    n ≤ 2, vec(·) at n ≥ 3.  Returns the zero state |0⟩⟨0| (1, 1, 4^n),
+    the 2^n outcome projectors |o⟩⟨o| (2^n, 4^n) and the identity on the
+    4^n entries of that basis, whose rows run a fragment on the basis."""
+    dim = 2**n
+    # vec(|o⟩⟨o|) = e_{o(2^n + 1)}, so |0⟩⟨0| is e_0
+    vec = np.eye(dim * dim, dtype=complex)
+    zero, proj = (_sim.to_walk_basis(v, n) for v in (vec[:1], vec[:: dim + 1]))
+    out = zero[None], proj, np.eye(dim * dim, dtype=zero.dtype)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 @functools.lru_cache(maxsize=64)
 def _link_readouts(n: int, link_mode: str, noise: tuple[NoiseChannel, ...]) -> np.ndarray:
     """The four register-2 readout observables [idle, B, C, S], each a
-    2^n × 2^n matrix, for ``link_mode`` under ``noise`` (() for none).
+    2^n × 2^n matrix given as a (4, 4^n) row of vectors in the basis of
+    ``sim.to_walk_basis``, for ``link_mode`` under ``noise`` (() for
+    none).
 
     Z on readout qubit n−1, carried back through the link gate RY(θ) and
     its noise, is B + cos θ·C + sin θ·S: RY(θ)'s entries are affine in
@@ -289,13 +315,13 @@ def _link_readouts(n: int, link_mode: str, noise: tuple[NoiseChannel, ...]) -> n
     noise reaches the readout on both branches, the fired readout at
     θ = 0.
     """
-    dim = 2**n
-    z = np.diag(1.0 - 2.0 * (np.arange(dim) >> (n - 1))).astype(complex)
-    fired = _sim.apply_noisy_layout(z.reshape(1, 1, -1), (("RY", (n - 1,), 0),),
-                                    _FIRED_ANGLES, n, noise, adjoint=True).reshape(3, dim, dim)
+    z = np.diag(1.0 - 2.0 * (np.arange(2**n) >> (n - 1))).astype(complex)
+    z = _sim.to_walk_basis(z.reshape(1, 1, -1), n)
+    fired = _sim.apply_noisy_layout(z, (("RY", (n - 1,), 0),), _FIRED_ANGLES, n, noise,
+                                    adjoint=True)[:, 0]
     out = np.tensordot(_FIRED_MIX, fired, axes=(0, 0))
     if link_mode != "per-qubit-literal":
-        out[0] = z
+        out[0] = z[0, 0]
     out.flags.writeable = False
     return out
 
@@ -336,10 +362,11 @@ class BatchEvaluator:
     U(θ2) and U(θ3) in one stacked ``sim.layout_unitaries`` call.
     Density mode keeps the noisy encoded states ρ_i, ρ_j and, per sample,
     the 2^n register-1 outcome projectors pulled back through the noisy
-    channel of U_φ(w_j)†; per call ``sim.apply_noisy_layout`` applies the
-    register-1 channel of U†(θ2)U(θ1) to ρ_i, or to the 4^n vec basis
-    vectors when they are fewer than the batch's states, and carries the
-    four readouts backwards through the channel of θ3.
+    channel of U_φ(w_j)†, all in the walk's basis (real at n ≤ 2); per
+    call ``sim.apply_noisy_layout`` applies the register-1 channel of
+    U†(θ2)U(θ1) to ρ_i, or to the 4^n basis vectors when they are fewer
+    than the batch's states, and carries the four readouts backwards
+    through the channel of θ3.
     """
 
     def __init__(self, wi, wj, config: ModelConfig):
@@ -369,22 +396,21 @@ class BatchEvaluator:
             self._bases, self._weights = _readout_bases(n)
             return
         noise = config.noise
-        zero = np.zeros((len(angles), 1, 4**n), dtype=complex)
-        zero[:, 0, 0] = 1.0
+        zero, proj, self._basis = _walk_constants(n)
         rho = _sim.apply_noisy_layout(zero, layout, angles, n, noise)[:, 0]
-        self._rho_i, self._rho_j = rho[: self.count], rho[at_j:]
-        # the 2^n outcome projectors, vec(|o⟩⟨o|) = e_{o(2^n + 1)}, carried
-        # back through the channel of U_φ†(w_j) and conjugated, so that
-        # probs = p_j · vec(σ)
-        proj = np.eye(4**n, dtype=complex)[:: 2**n + 1]
+        self._rho_i = rho[: self.count]
+        # the 2^n outcome projectors carried back through the channel of
+        # U_φ†(w_j), so that probs = p_j · σ, and the readouts are read as
+        # ρ_j · O: Tr(A·B) = a* · b for Hermitian A, B, where a* = a in
+        # the real basis of n ≤ 2
         proj = np.broadcast_to(proj, (self.count,) + proj.shape)
         self._p_j = _sim.apply_noisy_layout(proj, _reversed_layout(layout),
-                                            -angles[at_j:], n, noise,
-                                            adjoint=True).conj()
+                                            -angles[at_j:], n, noise, adjoint=True).conj()
+        self._rho_j = rho[at_j:].conj()
         # U(θ1) then U†(θ2), driven by the angle row [θ1, −θ2]
         self._mid = self._ansatz + _reversed_layout(self._ansatz, 2 * n)
-        # vec(O) of each readout, (1, 4, 4^n)
-        self._readouts = _link_readouts(n, config.link_mode, noise).reshape(1, 4, -1)
+        # each readout O, (1, 4, 4^n)
+        self._readouts = _link_readouts(n, config.link_mode, noise)[None]
 
     def evaluate(self, params: ParamSet, idx=None) -> tuple[np.ndarray, np.ndarray]:
         """Return (E, register-1 outcome distributions) for the batch
@@ -461,28 +487,27 @@ class BatchEvaluator:
             # the link gate's three fixed rotations of ψ = U(θ3)φ_j
             psi2 = (phi_j @ u3.transpose(0, 2, 1)) @ self._bases
             return _squared(psi1, derivatives), _squared(psi2, derivatives) @ self._weights
-        # vec(ρ)[c + dim·r] = ρ[r, c]: the diagonal is every (dim+1)-th
-        # entry, and Tr(O·ρ) = vec(O)ᴴ vec(ρ) for Hermitian O
+        # every product is real at n ≤ 2; .real keeps the real part of the
+        # complex products of n ≥ 3, whose imaginary part is zero
         rho_i, rho_j, p_j = self._rho_i, self._rho_j, self._p_j
         if idx is not None:
             rho_i, rho_j, p_j = rho_i[idx], rho_j[idx], p_j[idx]
         mid = np.hstack([rows1[:, : 2 * n], -rows1[:, 2 * n:]])
         # (K1, batch, 4^n): register 1 after U†(θ2)U(θ1).  With fewer
-        # states than vec basis vectors, the gates act on the states;
+        # states than basis vectors, the gates act on the states;
         # otherwise they act on the basis, which gives the channel.
         states = len(rho_i) < dim * dim
-        vecs = rho_i[None] if states else np.eye(dim * dim, dtype=complex)[None]
-        sigma = _sim.apply_noisy_layout(vecs, self._mid, mid, n, cfg.noise,
-                                        derivatives=derivatives)
+        sigma = _sim.apply_noisy_layout(rho_i[None] if states else self._basis[None], self._mid,
+                                        mid, n, cfg.noise, derivatives=derivatives)
         if not states:
             sigma = rho_i @ sigma
-        probs = (p_j @ sigma.transpose(1, 2, 0)).transpose(2, 0, 1).real.copy()
+        probs = (p_j @ sigma.transpose(1, 2, 0)).transpose(2, 0, 1).real
         if derivatives:  # _mid runs on −θ2
             probs[1 + 2 * n:] *= -1.0
         # the readouts carried back through the channel of θ3, read on ρ_j
         obs = _sim.apply_noisy_layout(self._readouts, self._ansatz, rows2, n, cfg.noise,
                                       adjoint=True, derivatives=derivatives)
-        return probs, (rho_j @ obs.conj().transpose(0, 2, 1)).real
+        return probs, (rho_j @ obs.transpose(0, 2, 1)).real
 
 
 # --- single-pair operations ----------------------------------------------

@@ -25,11 +25,18 @@ compiled factors or caches.  The noisy builder walks, at every register
 size, the steps that a layout compiles into once per register size and
 noise (``_layout_plan``), placing noise by the same rule: one full-space
 step per rotation at q ≤ 2, one step on at most two qubits per rotation at
-q ≥ 3, the fixed gates folded into both.  In both builders every
-rotation's matrices come from a batched product of real coefficients with
-the real view of cached factors (``_products``), one product per shape of
-factors, real throughout for a layout whose factors are real.  Both also
-give exact derivatives in the angles (``_coefficients``).
+q ≥ 3, the fixed gates folded into both.  At q ≤ 2 the walk's stack holds
+each ρ in the Pauli basis, T·vec(ρ) = Tr(P ρ)/2^{q/2} over the Pauli
+strings P (``_pauli_basis``), where a Hermitian ρ is a real vector and
+every noisy step a real matrix, its Pauli transfer matrix; at q ≥ 3 it
+holds vec(ρ), because a wide gate's steps act on the row and the column
+axes apart.  ``to_walk_basis`` converts vec(ρ) into the walk's basis; the
+oracle keeps the computational basis.  In both builders every rotation's
+matrices come from a batched product of real coefficients with the real
+view of cached factors (``_products``), one product per shape of factors,
+real throughout for a layout whose factors are real, as every noisy
+layout's are at q ≤ 2.  Both also give exact derivatives in the angles
+(``_coefficients``).
 
 Basis ordering is little-endian throughout: qubit 0 is the least
 significant bit of a basis index.  For two-qubit gates the first
@@ -393,7 +400,13 @@ def _apply_stack(states: np.ndarray, mats: np.ndarray, coords: Sequence[int], q:
     t = states.reshape(lead + (2,) * q).transpose(perm)
     moved = t.shape
     t = mats @ t.reshape(lead[0], 2 ** len(coords), -1)
-    return t.reshape(moved).transpose(np.argsort(perm)).reshape(lead + (2**q,))
+    return t.reshape(moved).transpose(_inverse(perm)).reshape(lead + (2**q,))
+
+
+def _inverse(perm: Sequence[int]) -> tuple[int, ...]:
+    """The inverse of a permutation, in Python: ``np.argsort`` on a list
+    costs about 5 µs through numpy's fallback for non-arrays."""
+    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
 
 
 # b_i·b_j for b = [1, c, s] (column 3i + j) in the basis [1, c, s, cs, s²]
@@ -609,6 +622,57 @@ _FOLDED_ARITY = 2
 # would take 5 MB.
 _FACTORED_VEC_DIM = 16
 
+# Row p of T_1: vec(Pᵀ)/√2 for P = I, X, Y, Z, so that T_1·vec(ρ) =
+# Tr(P ρ)/√2.  The Paulis are orthonormal under Tr(A†B)/2, so T_1 is unitary.
+_PAULI_ROWS = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]]) * _SQRT2_INV
+
+
+@functools.lru_cache(maxsize=4)
+def _pauli_basis(q: int) -> np.ndarray:
+    """The unitary T_q on vec(ρ) (4^q × 4^q, read-only) with T·vec(ρ) =
+    Tr(P ρ)/2^{q/2} over the Pauli strings P on q qubits.
+
+    T_q is T_1 on each qubit's (column bit, row bit) pair of the vec
+    index, in place: qubit k's Pauli index takes bit k and bit q + k, so
+    a local operator on some qubits' pairs keeps its axes in either
+    basis.  A Hermitian ρ has a real T·vec(ρ), and a map that preserves
+    Hermiticity, as every noisy gate does, has a real T S T†: its Pauli
+    transfer matrix.
+    """
+    rows = np.eye(4**q, dtype=complex)[None]
+    for k in range(q):
+        rows = _apply_stack(rows, _PAULI_ROWS[None], (k, q + k), 2 * q)
+    # row b of the evolved basis is T e_b
+    out = rows[0].T.copy()
+    out.flags.writeable = False
+    return out
+
+
+def _real(arr: np.ndarray) -> np.ndarray:
+    """The real part of ``arr`` as a new array, refused unless the
+    imaginary part is below 1e-13 (relative to the largest real part, if
+    that exceeds 1), as it is in the Pauli basis for Hermitian matrices and
+    for maps that preserve Hermiticity."""
+    if arr.size and np.abs(arr.imag).max() >= 1e-13 * max(1.0, np.abs(arr.real).max()):
+        raise ValueError("not real in the Pauli basis: a matrix is not Hermitian "
+                         "or a map does not preserve Hermiticity")
+    return arr.real.copy()
+
+
+def to_walk_basis(vecs: np.ndarray, q: int) -> np.ndarray:
+    """vec(ρ) of Hermitian matrices ρ (…, 4^q) in the basis that
+    ``apply_noisy_layout`` walks at register size q.
+
+    At q ≤ 2 (4^q ≤ ``_FACTORED_VEC_DIM``) that is the real T_q·vec(ρ)
+    of ``_pauli_basis``, in which every step of the walk is real.  At
+    q ≥ 3 it is vec(ρ) itself, and ``vecs`` is returned as it is, not
+    copied: a wide gate's step applies U on the row axes and U* on the
+    column axes, which needs each qubit's row and column bit.
+    """
+    if 4**q > _FACTORED_VEC_DIM:
+        return vecs
+    return _real(vecs @ _pauli_basis(q).T)
+
 
 @functools.lru_cache(maxsize=1024)
 def _density_axes(coords: tuple[int, ...], q: int, sides: tuple[int, ...] = (0, 1)
@@ -619,7 +683,7 @@ def _density_axes(coords: tuple[int, ...], q: int, sides: tuple[int, ...] = (0, 
     rows = _coord_axes(coords, q)
     front = [side * q + a for side in sides for a in rows]
     perm = front + [a for a in range(2 * q) if a not in front]
-    return tuple(perm), tuple(np.argsort(perm))
+    return tuple(perm), _inverse(perm)
 
 
 def _walk_groups(layout: tuple) -> list[tuple[tuple[int, ...], list]]:
@@ -675,7 +739,9 @@ def _layout_plan(layout: tuple, q: int, noise: tuple[NoiseChannel, ...]) -> tupl
 
     At q ≤ 2 the steps are ``_fold_layout``'s full-space factors, one per
     rotation, every fixed gate folded into the next rotation and the
-    tail into the last.  At q ≥ 3 they are the groups of
+    tail into the last, conjugated here into the Pauli basis that the
+    walk runs in at these sizes, T F T† (``_pauli_basis``): each is real
+    there, which ``_real`` checks.  At q ≥ 3 they are the groups of
     ``_walk_groups``, each folded the same way on its own at most two
     qubits into one operator N^{⊗m}·(U ⊗ U*) per gate, multiplied out;
     a wider gate is U on its row axes, U* on its column axes, then the
@@ -698,7 +764,7 @@ def _layout_plan(layout: tuple, q: int, noise: tuple[NoiseChannel, ...]) -> tupl
         k = len(sides) * len(coords)
         # the stack's row axis, the operator's axes, then B and the rest
         perm = (0, *(2 + a for a in axes[:k]), 1, *(2 + a for a in axes[k:]))
-        inverse = tuple(sorted(range(len(perm)), key=perm.__getitem__))
+        inverse = _inverse(perm)
         if k == 2 * q:  # the whole register, whose axes are in order
             perm = inverse = None
         if slot is None:
@@ -723,6 +789,11 @@ def _layout_plan(layout: tuple, q: int, noise: tuple[NoiseChannel, ...]) -> tupl
             continue
         if whole:
             _, factors, tail = _fold_layout(layout, q, noise)
+            t = _pauli_basis(q)
+            if len(factors):
+                factors = _real(t @ factors.reshape(factors.shape[:2] + t.shape) @ t.conj().T)
+            else:  # the tail is folded into the last rotation, if any
+                tail = _real(t @ tail @ t.conj().T)
         elif len(gates) == 1:  # one gate, on its own qubits in order
             (kind, _, slot), = gates
             factors = _gate_factors(kind, len(coords), slot is not None, noise)
@@ -747,15 +818,17 @@ def _layout_plan(layout: tuple, q: int, noise: tuple[NoiseChannel, ...]) -> tupl
 def apply_noisy_layout(vecs: np.ndarray, layout: Layout, angles: np.ndarray, q: int,
                        noise: Sequence[NoiseChannel] = (), adjoint: bool = False,
                        derivatives: bool = False) -> np.ndarray:
-    """Run a fixed-structure fragment on a (K, B, 4^q) stack of vectorised
-    density matrices, vec(ρ)[c + 2^q r] = ρ[r, c].
+    """Run a fixed-structure fragment on a (K, B, 4^q) stack of density
+    matrices in the walk's basis (``to_walk_basis``): at q ≤ 2 the real
+    Pauli coordinates T·vec(ρ), at q ≥ 3 vec(ρ)[c + 2^q r] = ρ[r, c].
 
     Every gate is followed by each channel of ``noise`` on each of its
     qubits.  Row k of ``angles`` drives the gates applied to vecs[k]; a
     one-row stack is shared by every row.  Run on the 4^q basis vectors,
-    row k is the fragment's superoperator S transposed.  At every
-    register size the call walks the steps that the layout compiled into
-    once (``_layout_plan``) over the stack, in order: at q ≤ 2 one
+    row k is the fragment's superoperator S in that basis transposed: its
+    real Pauli transfer matrix T S T† at q ≤ 2.  At every register size
+    the call walks the steps that the layout compiled into once
+    (``_layout_plan``) over the stack, in order: at q ≤ 2 one
     full-space step per rotation, at q ≥ 3 one step on at most two qubits
     per rotation, the fixed gates folded into both, and U, U* and the
     per-qubit channels of each wider gate.  No call multiplies two
@@ -764,10 +837,11 @@ def apply_noisy_layout(vecs: np.ndarray, layout: Layout, angles: np.ndarray, q: 
     product of the real coefficients with the real view of the cached
     factors of its shape (``_products``; at q ≤ 2 every rotation has one
     shape), which stays real for a layout whose factors are all real:
-    the amplitude encoders, their reversed layouts and the link RY.  A
-    step on the whole register is one matmul on the right of the stack;
-    any other is one transpose, one matmul on the left (a real matrix
-    through the stack's real view, ``_left``) and the inverse transpose.
+    every layout at q ≤ 2, and at q ≥ 3 the amplitude encoders, their
+    reversed layouts and the link RY.  A step on the whole register is
+    one matmul on the right of the stack; any other is one transpose, one
+    matmul on the left (a real matrix through the stack's real view,
+    ``_left``) and the inverse transpose.
     ``adjoint`` applies the adjoint map instead (S†: the steps'
     matrices conjugate-transposed in reverse order), which carries
     vectorised observables backwards: Tr(O·Λ(ρ)) = Tr(Λ†(O)·ρ).

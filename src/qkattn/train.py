@@ -96,11 +96,13 @@ class RunRecord:
 
 def _checked(e_values, labels) -> tuple[np.ndarray, np.ndarray]:
     """E and the labels as float arrays, refused unless there is one ±1
-    label per expectation."""
+    label per expectation and the batch is not empty."""
     e = np.asarray(e_values, dtype=float)
     y = np.asarray(labels, dtype=float)
     if e.shape != y.shape:
         raise ValueError("expectation and label counts differ")
+    if not y.size:
+        raise ValueError("no samples to score: the batch is empty")
     if not np.all(np.abs(y) == 1.0):
         raise ValueError("labels must be -1 or +1")
     return e, y
@@ -116,6 +118,8 @@ def accuracy(predictions, labels) -> float:
     y = np.asarray(labels)
     if p.shape != y.shape:
         raise ValueError("prediction and label counts differ")
+    if not y.size:
+        raise ValueError("no samples to score: the batch is empty")
     return float(np.mean(p == y))
 
 

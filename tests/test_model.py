@@ -606,40 +606,77 @@ def test_closed_form_link_angle_matches_full_circuit(n):
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
 def test_cached_readouts_are_the_link_carried_back_in_closed_form(n):
     # B + cos θ·C + sin θ·S is Z carried back through the link gate (and its
-    # noise) at θ; idle is Z, or the literal CRY's noise alone
+    # noise) at θ; idle is Z, or the literal CRY's noise alone.  Both sides
+    # are in the basis the walk runs in (sim.to_walk_basis)
     rng = np.random.default_rng(110 + n)
     dim = 2**n
     z = np.diag(1.0 - 2.0 * (np.arange(dim) >> (n - 1))).astype(complex)
+    z_walk = sim.to_walk_basis(z.reshape(-1), n)
     link_gate = (("RY", (n - 1,), 0),)
     angles = np.concatenate([[0.0], rng.uniform(-2 * np.pi, 2 * np.pi, 5)])[:, None]
     for noise, link in itertools.product([()] + list(NOISE_SETS.values()), LINK_MODES):
         idle, b, c, s = model._link_readouts(n, link, noise)
-        fired = b + np.cos(angles)[:, :, None] * c + np.sin(angles)[:, :, None] * s
-        ref = sim.apply_noisy_layout(np.broadcast_to(z.reshape(1, 1, -1), (len(angles), 1, dim**2)),
-                                     link_gate, angles, n, noise, adjoint=True)
-        assert np.max(np.abs(fired - ref.reshape(fired.shape))) < 1e-14, (link, noise)
+        fired = b + np.cos(angles) * c + np.sin(angles) * s
+        ref = sim.apply_noisy_layout(np.broadcast_to(z_walk, (len(angles), 1, dim**2)),
+                                     link_gate, angles, n, noise, adjoint=True)[:, 0]
+        assert np.max(np.abs(fired - ref)) < 1e-14, (link, noise)
         if not noise:
             u = sim.layout_unitaries(link_gate, angles, n)
-            assert np.max(np.abs(fired - model._adjoint(u) @ z @ u)) < 1e-14, link
-        expected_idle = ref[0, 0].reshape(dim, dim) if link == "per-qubit-literal" else z
+            conjugated = (model._adjoint(u) @ z @ u).reshape(len(angles), -1)
+            assert np.max(np.abs(fired - sim.to_walk_basis(conjugated, n))) < 1e-14, link
+        expected_idle = ref[0] if link == "per-qubit-literal" else z_walk
         assert np.max(np.abs(idle - expected_idle)) < 1e-14, (link, noise)
-    # analytic mode reads the noiseless readouts in measurement form
+    # analytic mode reads the noiseless readouts in measurement form: ⟨ψ|O|ψ⟩
+    # is Tr(O·ψψ†) = vec(O)ᴴ vec(ψψ†) in either basis
     psi = rng.normal(size=(5, dim)) + 1j * rng.normal(size=(5, dim))
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    pure = sim.to_walk_basis((psi[:, :, None] * psi.conj()[:, None, :]).reshape(5, -1), n)
     bases, weights = model._readout_bases(n)
     for link in LINK_MODES:
-        ref = np.einsum("ka,mab,kb->km", psi.conj(), model._link_readouts(n, link, ()), psi).real
+        ref = (pure @ model._link_readouts(n, link, ()).conj().T).real
         assert np.max(np.abs((np.abs(psi @ bases) ** 2) @ weights - ref)) < 1e-14, link
     # cached per (n, link, noise): once built, a one-pair forward, which
-    # builds its own evaluator, does not build them again
+    # builds its own evaluator, does not build them again, nor convert the
+    # zero state and the projectors into the walk's basis
     for execution, noise in (("analytic", ()), ("density", NOISE_SETS["both"])):
         cfg = ModelConfig(n=n, execution=execution, noise=noise)
         w = random_features(cfg, rng)
         forward(w, w, cfg.random_params(rng), cfg)
-        caches = (model._link_readouts, model._readout_bases)
+        caches = (model._link_readouts, model._readout_bases, model._walk_constants)
         misses = [f.cache_info().misses for f in caches]
         forward(w, w, cfg.random_params(rng), cfg)
         assert [f.cache_info().misses for f in caches] == misses, execution
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_density_walk_is_real_at_n_up_to_2(monkeypatch, n):
+    # at n <= 2 every cached vector and every walk output is float64, so
+    # every product of them is real; n = 3 walks the complex vec(ρ).  16
+    # samples reach the basis path at n <= 2, a sub-batch the states
+    dtype = float if n <= 2 else complex
+    rng = np.random.default_rng(140 + n)
+    for variant in VARIANTS:
+        cfg = ModelConfig.from_variant(variant, n=n, execution="density",
+                                       noise=NOISE_SETS["both"])
+        x = np.array([random_features(cfg, rng) for _ in range(16)])
+        outputs = []
+
+        def spy(*args, _f=sim.apply_noisy_layout, **kwargs):
+            out = _f(*args, **kwargs)
+            outputs.append(out.dtype)
+            return out
+
+        monkeypatch.setattr(sim, "apply_noisy_layout", spy)
+        ev = BatchEvaluator(x, x, cfg)
+        theta = cfg.random_params(rng).to_vector()
+        ev.evaluate_stack(gradient_stack(theta))
+        ev.derivatives(theta)
+        ev.derivatives(theta, np.arange(3))
+        monkeypatch.undo()
+        assert outputs and set(outputs) == {np.dtype(dtype)}, variant
+        for arr in (ev._rho_i, ev._rho_j, ev._p_j, ev._readouts, ev._basis,
+                    *model._walk_constants(n)):
+            assert arr.dtype == dtype, variant
 
 
 @pytest.mark.parametrize("execution", ("analytic", "density"))

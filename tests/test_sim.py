@@ -366,9 +366,67 @@ NOISE_SETS = [(), (NoiseChannel("bit-flip", 0.15),), (NoiseChannel("amplitude-da
               (NoiseChannel("bit-flip", 0.1), NoiseChannel("amplitude-damping", 0.3))]
 
 
+def _walk_channel(ref, q):
+    """A superoperator S on vec(ρ) (…, 4^q, 4^q) in the basis that
+    ``apply_noisy_layout`` walks: T S T† at q ≤ 2, where the walk carries
+    T·vec(ρ) (``sim.to_walk_basis``), and S itself at q ≥ 3."""
+    if 4**q > sim._FACTORED_VEC_DIM:
+        return ref
+    t = sim._pauli_basis(q)
+    return t @ ref @ t.conj().T
+
+
+PAULIS = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
+
+
+@pytest.mark.parametrize("q", (1, 2))
+def test_pauli_basis_is_unitary_and_reads_pauli_expectations(q):
+    # entry p of T·vec(ρ) is Tr(P ρ)/2^{q/2}, P the Pauli string whose
+    # qubit k takes index bit k + 2·bit (q + k) of p; real for Hermitian ρ
+    t = sim._pauli_basis(q)
+    assert np.max(np.abs(t @ t.conj().T - np.eye(4**q))) < 1e-15
+    assert not t.flags.writeable
+    rng = np.random.default_rng(40 + q)
+    dim = 2**q
+    a = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+    herm = a + a.conj().transpose(0, 2, 1)
+    got = sim.to_walk_basis(herm.reshape(3, -1), q)
+    assert got.dtype == float and got.shape == (3, 4**q)
+    for p in range(4**q):
+        string = np.eye(1)
+        for k in range(q):
+            string = np.kron(PAULIS[(p >> k & 1) + 2 * (p >> (q + k) & 1)], string)
+        ref = np.trace(string @ herm, axis1=1, axis2=2) / np.sqrt(dim)
+        assert np.max(np.abs(got[:, p] - ref)) < 1e-14, p
+    with pytest.raises(ValueError, match="not real in the Pauli basis"):
+        sim.to_walk_basis(a.reshape(3, -1), q)
+
+
+def test_walk_basis_keeps_vec_at_q3_and_above():
+    # wide gates need each qubit's row and column bit: q >= 3 walks vec(ρ)
+    for q in (3, 4):
+        vecs = np.zeros((2, 1, 4**q), dtype=complex)
+        assert sim.to_walk_basis(vecs, q) is vecs
+
+
+@pytest.mark.parametrize("coords", [(0,), (1,), (0, 1), (1, 0)])
+def test_local_superoperator_in_pauli_basis_is_the_full_conjugation(coords):
+    # T_q is T_1 on each qubit's (column, row) bit pair in place, so a local
+    # superoperator conjugated by its own qubits' T and then lifted is the
+    # lifted one conjugated by T_q
+    q, m = 2, len(coords)
+    rng = np.random.default_rng(50 + len(coords) + coords[0])
+    local = rng.normal(size=(4**m, 4**m)) + 1j * rng.normal(size=(4**m, 4**m))
+    pairs = tuple(coords) + tuple(c + q for c in coords)  # column bits, then row bits
+    lifted = expand_matrix(_walk_channel(local, m), pairs, 2 * q)
+    ref = _walk_channel(expand_matrix(local, pairs, 2 * q), q)
+    assert np.max(np.abs(lifted - ref)) < 1e-13
+
+
 def _channels(layout, angles, q, noise):
     """The superoperators (K, 4^q, 4^q) of a noisy fragment, one per row of
-    ``angles``: ``apply_noisy_layout`` on the 4^q basis vectors, transposed."""
+    ``angles``, in the walk's basis: ``apply_noisy_layout`` on the 4^q
+    basis vectors, transposed."""
     basis = np.eye(4**q, dtype=complex)[None]
     return sim.apply_noisy_layout(basis, layout, angles, q, noise).transpose(0, 2, 1)
 
@@ -391,7 +449,7 @@ def test_layout_channels_match_lifted_kraus_reference(q):
             got = _channels(layout, angles, q, noise)
             assert got.shape == (2, 4**q, 4**q)
             for k, row in enumerate(angles):
-                ref = _lifted_channel(layout, row, q, noise)
+                ref = _walk_channel(_lifted_channel(layout, row, q, noise), q)
                 assert np.max(np.abs(got[k] - ref)) < 1e-12, (layout, noise)
     assert wide == set(range(3, q + 1))
 
@@ -412,14 +470,16 @@ def test_noisy_layout_adjoint_is_heisenberg_picture(q):
         rho /= np.trace(rho, axis1=1, axis2=2)[:, None, None]
         b = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
         obs = b + b.conj().transpose(0, 2, 1)
-        out = sim.apply_noisy_layout(rho.reshape(2, 1, -1), layout, angles, q, noise)
-        back = sim.apply_noisy_layout(obs.reshape(2, 1, -1), layout, angles, q, noise,
-                                      adjoint=True)
+        rho, obs = (sim.to_walk_basis(m.reshape(2, 1, -1), q) for m in (rho, obs))
+        eye = sim.to_walk_basis(np.eye(dim).reshape(-1), q)
+        out = sim.apply_noisy_layout(rho, layout, angles, q, noise)
+        back = sim.apply_noisy_layout(obs, layout, angles, q, noise, adjoint=True)
+        # Tr(A·B) = vec(A)ᴴ vec(B) for Hermitian A, in either basis: T is unitary
         for k in range(2):
-            forward = np.trace(obs[k] @ out[k, 0].reshape(dim, dim))
-            heisenberg = np.trace(back[k, 0].reshape(dim, dim) @ rho[k])
+            forward = np.vdot(obs[k, 0], out[k, 0])
+            heisenberg = np.vdot(back[k, 0], rho[k, 0])
             assert abs(forward - heisenberg) < 1e-12
-            assert abs(np.trace(out[k, 0].reshape(dim, dim)) - 1.0) < 1e-12
+            assert abs(np.vdot(eye, out[k, 0]) - 1.0) < 1e-12
     assert wide == set(range(3, q + 1))
 
 
@@ -489,7 +549,7 @@ def _assert_channels_match_lifted(layout, angles, q, noise, rng):
     forward = sim.apply_noisy_layout(vecs, layout, angles, q, noise)
     backward = sim.apply_noisy_layout(vecs, layout, angles, q, noise, adjoint=True)
     for k, row in enumerate(angles):
-        ref = _lifted_channel(layout, row, q, noise)
+        ref = _walk_channel(_lifted_channel(layout, row, q, noise), q)
         assert np.max(np.abs(got[k] - ref)) < 1e-12, (layout, noise)
         assert np.max(np.abs(forward[k] - vecs[k] @ ref.T)) < 1e-12, (layout, noise)
         assert np.max(np.abs(backward[k] - vecs[k] @ ref.conj())) < 1e-12, (layout, noise)
@@ -548,7 +608,7 @@ def test_walk_on_small_stacks_matches_lifted_kraus_reference(q, noise):
     fixed = (("H", (0,), None), ("X", (q - 1,), None))
     layout = fixed + _derivative_layout(rng, q) + fixed[::-1]
     angles = rng.uniform(0, 2 * np.pi, size=(2, 4))
-    refs = [_lifted_channel(layout, row, q, noise) for row in angles]
+    refs = [_walk_channel(_lifted_channel(layout, row, q, noise), q) for row in angles]
     for count in (1, 3):
         vecs = rng.normal(size=(2, count, 4**q)) + 1j * rng.normal(size=(2, count, 4**q))
         for stack in (vecs, vecs[:1]):
@@ -569,12 +629,14 @@ def test_walk_on_small_stacks_matches_lifted_kraus_reference(q, noise):
                 ref = sum(weight * (_lifted_channel(layout, row + shift * step, q, noise)
                                     - _lifted_channel(layout, row - shift * step, q, noise))
                           for shift, weight in FOUR_TERM_RULE)
+                ref = _walk_channel(ref, q)
                 assert np.max(np.abs(got[k, 1 + j] - shared[0] @ ref.T)) < 1e-12, j
 
 
 def test_cached_walk_factors_are_real_read_only_and_not_aliased():
     # the amplitude encoders, their reversed layouts and the link RY have
-    # real factors under both channels; the RZ steps of an ansatz are complex
+    # real factors under both channels; the RZ steps of an ansatz are
+    # complex at q >= 3 and real in the Pauli basis of q <= 2
     rng = np.random.default_rng(160)
     for q in (1, 2, 3, 4):
         encoder = encoding.encoder_layout("amplitude", q)
@@ -586,8 +648,12 @@ def test_cached_walk_factors_are_real_read_only_and_not_aliased():
                     assert factors.dtype == float and not factors.flags.writeable
                 for _, fixed, *_ in steps:
                     assert fixed is None or not fixed.flags.writeable
-            _, groups, _ = sim._layout_plan(ansatz.ansatz_layout("hea", q), q, noise)
-            assert any(factors.dtype == complex for _, factors, _ in groups)
+            _, groups, steps = sim._layout_plan(ansatz.ansatz_layout("hea", q), q, noise)
+            if q <= 2:
+                assert all(factors.dtype == float for _, factors, _ in groups)
+                assert all(fixed is None or fixed.dtype == float for _, fixed, *_ in steps)
+            else:
+                assert any(factors.dtype == complex for _, factors, _ in groups)
         _, factors, tail = sim._layout_factors(encoder, q)
         assert factors.dtype == float
         assert not factors.flags.writeable and not tail.flags.writeable

@@ -126,6 +126,20 @@ def test_gradient_checks_labels_as_loss_does(labels, message):
         assert "\n" not in str(err.value)
 
 
+def test_empty_batch_is_refused():
+    # before, gradient warned "Mean of empty slice" and then refused a
+    # non-finite loss, and loss and accuracy returned nan with that warning
+    rng = np.random.default_rng(3)
+    cfg = ModelConfig(n=1, encoder="angle", ansatz="qaoa")
+    x = rng.uniform(0, np.pi, size=(4, 1))
+    ev = BatchEvaluator(x, x, cfg)
+    theta = cfg.random_params(rng).to_vector()
+    for check in (lambda: gradient(ev, theta, [], idx=[]),
+                  lambda: loss([], []), lambda: accuracy([], [])):
+        with pytest.raises(ValueError, match="^no samples to score: the batch is empty$"):
+            check()
+
+
 def test_gradient_batch_duplication_invariance():
     rng = np.random.default_rng(2)
     cfg = ModelConfig(n=2, encoder="angle", ansatz="hea")
