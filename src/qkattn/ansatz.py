@@ -143,6 +143,17 @@ class ParamSet:
     def to_vector(self) -> np.ndarray:
         return np.concatenate([self.theta1, self.theta2, self.theta3, self.theta4])
 
+    def checked_vector(self, n: int, link_mode: str) -> np.ndarray:
+        """``to_vector``, refused unless θ1, θ2 and θ3 hold 2n angles each
+        and θ4 the link's slots."""
+        sizes = (2 * n, 2 * n, 2 * n, link_slot_count(link_mode, n))
+        for name, size in zip(("theta1", "theta2", "theta3", "theta4"), sizes):
+            got = getattr(self, name).size
+            if got != size:
+                raise ValueError(f"{name} has {got} parameters, expected {size} at n={n} "
+                                 f"with the {link_mode} link")
+        return self.to_vector()
+
     @classmethod
     def from_vector(cls, vec, n: int, link_mode: str) -> "ParamSet":
         vec = np.asarray(vec, dtype=float).reshape(-1)

@@ -356,7 +356,10 @@ class BatchEvaluator:
     θ3), so rows that differ only in θ4 share both registers bit for bit
     and E is exactly constant in the θ4 slots it does not read;
     ``evaluate`` is the K = 1 case.  ``derivatives`` gives E and its
-    exact derivative in every slot at one parameter set.
+    exact derivative in every slot at one parameter set, and
+    ``step_values`` gives those on a batch together with E at a second
+    parameter set on every sample, in one pass whose coefficients,
+    unitary product and walks serve both sets.
     E is exact in both modes (``forward`` samples ``shots`` on top of it).
     Analytic mode keeps φ_i, φ_j and U_φ(w_j)† and per call builds U(θ1),
     U(θ2) and U(θ3) in one stacked ``sim.layout_unitaries`` call.
@@ -414,8 +417,10 @@ class BatchEvaluator:
 
     def evaluate(self, params: ParamSet, idx=None) -> tuple[np.ndarray, np.ndarray]:
         """Return (E, register-1 outcome distributions) for the batch
-        (or the sub-batch selected by ``idx``)."""
-        e_val, probs = self.evaluate_stack(params.to_vector()[None], idx)
+        (or the sub-batch selected by ``idx``); each block of ``params``
+        must have its size for the model's n and link."""
+        theta = params.checked_vector(self.config.n, self.config.link_mode)
+        e_val, probs = self.evaluate_stack(theta[None], idx)
         return e_val[0], probs[0]
 
     def _rows(self, thetas) -> np.ndarray:
@@ -435,11 +440,10 @@ class BatchEvaluator:
         n = self.config.n
         rows1, at1 = _distinct_rows(thetas[:, : 4 * n])
         rows2, at2 = _distinct_rows(thetas[:, 4 * n: 6 * n])
-        probs, reads = self._registers(rows1, rows2, idx)
-        fire = (probs @ self._fire)[at1]
-        idle, b, c, s = reads[at2].transpose(2, 0, 1)
+        (probs, reads), = self._registers(rows1, rows2, idx)
         link = thetas[:, 7 * n - 1, None]
-        e_val = fire * (b + np.cos(link) * c + np.sin(link) * s) + (1.0 - fire) * idle
+        fire = (probs @ self._fire)[at1]
+        e_val, _ = self._combined(fire, reads[at2], np.cos(link), np.sin(link))
         return e_val, probs[at1]
 
     def derivatives(self, theta, idx=None) -> tuple[np.ndarray, np.ndarray]:
@@ -451,63 +455,130 @@ class BatchEvaluator:
         exactly 0 in the other θ4 slots and in slots that drive no gate."""
         theta = self._rows(np.reshape(theta, (1, -1)))[0]
         n = self.config.n
-        probs, reads = self._registers(theta[None, : 4 * n], theta[None, 4 * n: 6 * n], idx,
-                                       derivatives=True)
-        fire = probs @ self._fire
-        idle, b, c, s = reads.transpose(2, 0, 1)
-        cos, sin = np.cos(theta[7 * n - 1]), np.sin(theta[7 * n - 1])
-        t = b + cos * c + sin * s
-        de = np.zeros((theta.size, fire.shape[1]))
-        de[: 4 * n] = fire[1:] * (t[0] - idle[0])
-        de[4 * n: 6 * n] = fire[0] * t[1:] + (1.0 - fire[0]) * idle[1:]
-        de[7 * n - 1] = fire[0] * (cos * s[0] - sin * c[0])
-        return fire[0] * t[0] + (1.0 - fire[0]) * idle[0], de
+        look, = self._registers(theta[None, : 4 * n], theta[None, 4 * n: 6 * n], idx,
+                                derivatives=True)
+        return self._derived(theta, *look)
 
-    def _registers(self, rows1: np.ndarray, rows2: np.ndarray, idx,
-                   derivatives: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def step_values(self, look, at, idx=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One optimizer step's values in one pass: E and dE of
+        ``derivatives(look, idx)``, and E at the flat vector ``at`` on
+        every sample, as ``evaluate_stack(at[None])`` gives it.  What does
+        not depend on the samples runs once for both vectors: the
+        coefficients and the unitary product, or the readout walk and,
+        when both sample sets take it, the register-1 walk on the 4^n
+        basis.  Only ``idx``'s samples meet the derivative rows."""
+        look, at = self._rows(np.vstack([np.reshape(look, (1, -1)), np.reshape(at, (1, -1))]))
+        n = self.config.n
+        grad, full = self._registers(look[None, : 4 * n], look[None, 4 * n: 6 * n], idx,
+                                     derivatives=True, at=at)
+        e_val, de = self._derived(look, *grad)
+        probs, reads = full
+        link = at[7 * n - 1]
+        e_at, _ = self._combined(probs @ self._fire, reads, np.cos(link), np.sin(link))
+        return e_val, de, e_at[0]
+
+    @staticmethod
+    def _combined(fire, reads, cos, sin) -> tuple[np.ndarray, np.ndarray]:
+        """E = f·T + (1 − f)·idle and T = B + cos θ·C + sin θ·S, from the
+        firing probabilities ``fire`` and the readouts [idle, B, C, S] on
+        the last axis of ``reads``."""
+        idle, b, c, s = reads.transpose(2, 0, 1)
+        t = b + cos * c + sin * s
+        return fire * t + (1.0 - fire) * idle, t
+
+    def _derived(self, theta, probs, reads) -> tuple[np.ndarray, np.ndarray]:
+        """``derivatives``' E and dE from the registers' rows at ``theta``
+        and their derivative rows."""
+        n = self.config.n
+        fire = probs @ self._fire
+        cos, sin = np.cos(theta[7 * n - 1]), np.sin(theta[7 * n - 1])
+        # E, then its derivatives in θ3, from f and every register-2 row
+        e_val, t = self._combined(fire[0], reads, cos, sin)
+        idle, _, c, s = reads[0].T
+        de = np.zeros((theta.size, fire.shape[1]))
+        de[: 4 * n] = fire[1:] * (t[0] - idle)
+        de[4 * n: 6 * n] = e_val[1:]
+        de[7 * n - 1] = fire[0] * (cos * s - sin * c)
+        return e_val[0], de
+
+    def _registers(self, rows1: np.ndarray, rows2: np.ndarray, idx, derivatives: bool = False,
+                   at: np.ndarray | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
         """The register-1 distributions (K1, batch, 2^n) at ``rows1`` of
         [θ1, θ2] and the readouts [idle, B, C, S] (K2, batch, 4) at
-        ``rows2`` of θ3; with ``derivatives``, at one row each, then the
-        derivative in each column: 1 + 4n distributions, 1 + 2n readouts."""
+        ``rows2`` of θ3, on the samples ``idx``; with ``derivatives``, at
+        one row each, then the derivative in each column: 1 + 4n
+        distributions, 1 + 2n readouts.  With ``at``, a flat parameter
+        vector, a second pair follows: its one row of each on every
+        sample.  Both pairs share the coefficients and the unitary
+        product, or the readout walk and, when both sample sets take it,
+        register 1's walk on the basis."""
         cfg = self.config
         n, dim = cfg.n, 2**cfg.n
+        # (rows of [θ1, θ2], rows of θ3, samples); only the first part has
+        # derivative rows, one row each
+        parts = [(rows1, rows2, idx)]
+        if at is not None:
+            parts.append((at[None, : 4 * n], at[None, 4 * n: 6 * n], None))
         if cfg.execution != "density":
-            phi_i, phi_j, v_j = self._phi_i, self._phi_j, self._v_j
-            if idx is not None:
-                phi_i, phi_j, v_j = phi_i[idx], phi_j[idx], v_j[idx]
-            u = _sim.layout_unitaries(self._ansatz, np.vstack([rows1[:, : 2 * n],
-                                                               rows1[:, 2 * n:], rows2]),
-                                      n, derivatives)
-            k = len(u) // 3 if derivatives else len(rows1)
-            u1, u2, u3 = u[:k], u[k: 2 * k], u[2 * k:]
-            a = (np.concatenate([_adjoint(u2[:1]) @ u1, _adjoint(u2[1:]) @ u1[:1]])
-                 if derivatives else _adjoint(u2) @ u1)
-            # (rows, batch, dim): A φ_i, then U_φ(w_j)† of each sample
-            psi1 = (v_j @ (phi_i @ a.transpose(0, 2, 1)).transpose(1, 2, 0)).transpose(2, 0, 1)
-            # the link gate's three fixed rotations of ψ = U(θ3)φ_j
-            psi2 = (phi_j @ u3.transpose(0, 2, 1)) @ self._bases
-            return _squared(psi1, derivatives), _squared(psi2, derivatives) @ self._weights
+            # U(θ1), U(θ2) and U(θ3) of each part in one product, derivative
+            # rows first
+            u = _sim.layout_unitaries(self._ansatz, np.vstack(
+                [b for r1, r2, _ in parts for b in (r1[:, : 2 * n], r1[:, 2 * n:], r2)]),
+                n, 3 * derivatives)
+            k1, k2 = (1 + 2 * n,) * 2 if derivatives else (len(rows1), len(rows2))
+            out = [self._pure(u[:k1], u[k1: 2 * k1], u[2 * k1: 2 * k1 + k2], idx, derivatives)]
+            if at is not None:
+                out.append(self._pure(u[-3:-2], u[-2:-1], u[-1:], None, False))
+            return out
         # every product is real at n ≤ 2; .real keeps the real part of the
         # complex products of n ≥ 3, whose imaginary part is zero
-        rho_i, rho_j, p_j = self._rho_i, self._rho_j, self._p_j
-        if idx is not None:
-            rho_i, rho_j, p_j = rho_i[idx], rho_j[idx], p_j[idx]
-        mid = np.hstack([rows1[:, : 2 * n], -rows1[:, 2 * n:]])
-        # (K1, batch, 4^n): register 1 after U†(θ2)U(θ1).  With fewer
-        # states than basis vectors, the gates act on the states;
-        # otherwise they act on the basis, which gives the channel.
-        states = len(rho_i) < dim * dim
-        sigma = _sim.apply_noisy_layout(rho_i[None] if states else self._basis[None], self._mid,
-                                        mid, n, cfg.noise, derivatives=derivatives)
-        if not states:
-            sigma = rho_i @ sigma
-        probs = (p_j @ sigma.transpose(1, 2, 0)).transpose(2, 0, 1).real
-        if derivatives:  # _mid runs on −θ2
-            probs[1 + 2 * n:] *= -1.0
+        picks = [(self._rho_i, self._rho_j, self._p_j) if sel is None else
+                 (self._rho_i[sel], self._rho_j[sel], self._p_j[sel]) for *_, sel in parts]
+        # (K1, batch, 4^n): register 1 after U†(θ2)U(θ1), driven by
+        # [θ1, −θ2].  With fewer states than basis vectors, the gates act
+        # on the states; otherwise they act on the basis, which gives the
+        # channel, in one walk for both parts when both take it.
+        mids = [np.hstack([r1[:, : 2 * n], -r1[:, 2 * n:]]) for r1, _, _ in parts]
+        on_basis = [len(rho_i) >= dim * dim for rho_i, _, _ in picks]
+        if all(on_basis):
+            sigma = _sim.apply_noisy_layout(self._basis[None], self._mid, np.vstack(mids), n,
+                                            cfg.noise, derivatives=int(derivatives))
+            split = len(rows1) * (1 + 4 * n) if derivatives else len(rows1)
+            sigma = sigma[:split], sigma[split:]
+        else:
+            sigma = [_sim.apply_noisy_layout(self._basis[None] if basis else rho_i[None],
+                                             self._mid, mid, n, cfg.noise,
+                                             derivatives=derivatives and not k)
+                     for k, (mid, basis, (rho_i, _, _)) in enumerate(zip(mids, on_basis, picks))]
         # the readouts carried back through the channel of θ3, read on ρ_j
-        obs = _sim.apply_noisy_layout(self._readouts, self._ansatz, rows2, n, cfg.noise,
-                                      adjoint=True, derivatives=derivatives)
-        return probs, (rho_j @ obs.transpose(0, 2, 1)).real
+        obs = _sim.apply_noisy_layout(self._readouts, self._ansatz,
+                                      np.vstack([r2 for _, r2, _ in parts]), n, cfg.noise,
+                                      adjoint=True, derivatives=int(derivatives))
+        split = len(rows2) * (1 + 2 * n) if derivatives else len(rows2)
+        obs = obs[:split], obs[split:]
+        out = []
+        for k, ((rho_i, rho_j, p_j), basis) in enumerate(zip(picks, on_basis)):
+            s = rho_i @ sigma[k] if basis else sigma[k]
+            probs = (p_j @ s.transpose(1, 2, 0)).transpose(2, 0, 1).real
+            if derivatives and not k:  # _mid runs on −θ2
+                probs[1 + 2 * n:] *= -1.0
+            out.append((probs, (rho_j @ obs[k].transpose(0, 2, 1)).real))
+        return out
+
+    def _pure(self, u1, u2, u3, idx, derivatives: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Analytic mode's registers from U(θ1), U(θ2) and U(θ3), row by
+        row or, with ``derivatives``, one row followed by its derivative
+        rows each."""
+        phi_i, phi_j, v_j = self._phi_i, self._phi_j, self._v_j
+        if idx is not None:
+            phi_i, phi_j, v_j = phi_i[idx], phi_j[idx], v_j[idx]
+        a = (np.concatenate([_adjoint(u2[:1]) @ u1, _adjoint(u2[1:]) @ u1[:1]])
+             if derivatives else _adjoint(u2) @ u1)
+        # (rows, batch, dim): A φ_i, then U_φ(w_j)† of each sample
+        psi1 = (v_j @ (phi_i @ a.transpose(0, 2, 1)).transpose(1, 2, 0)).transpose(2, 0, 1)
+        # the link gate's three fixed rotations of ψ = U(θ3)φ_j
+        psi2 = (phi_j @ u3.transpose(0, 2, 1)) @ self._bases
+        return _squared(psi1, derivatives), _squared(psi2, derivatives) @ self._weights
 
 
 # --- single-pair operations ----------------------------------------------

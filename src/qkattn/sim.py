@@ -35,8 +35,9 @@ oracle keeps the computational basis.  In both builders every rotation's
 matrices come from a batched product of real coefficients with the real
 view of cached factors (``_products``), one product per shape of factors,
 real throughout for a layout whose factors are real, as every noisy
-layout's are at q ≤ 2.  Both also give exact derivatives in the angles
-(``_coefficients``).
+layout's are at q ≤ 2.  Both also give exact derivatives in the angles,
+for every row or for the first few, whose coefficient rows are one
+product with a cached map (``_coefficients``).
 
 Basis ordering is little-endian throughout: qubit 0 is the least
 significant bit of a basis index.  For two-qubit gates the first
@@ -424,34 +425,58 @@ _BASIS_DERIVATIVE = np.array([[0, 0, 0, 0.5, 0], [0, 0, 0.5, 0, 0], [0, -0.5, 0,
 
 
 def _coefficients(angles: np.ndarray, slots: np.ndarray, channel: bool,
-                  derivatives: bool = False) -> np.ndarray:
+                  derivatives: bool | int = False) -> np.ndarray:
     """The coefficient basis of R rotations, rotation r driven by column
     slots[r] of ``angles`` (K, P), as (R, K, terms): [1, c, s] for a
     unitary, [1, c, s, cs, s²] for a superoperator, c, s = cos, sin(θ/2).
 
-    ``derivatives`` follows each row with one row per column j, in which
-    the rotation that j drives has its basis' θ-derivative
-    (``_BASIS_DERIVATIVE``): every factor is affine in the basis, so that
-    row's product is the fragment's derivative in θ_j, as long as no
-    column drives two rotations.  A column that drives none zeroes its
-    row's first rotation, so its derivative is 0.
+    ``derivatives`` follows each of the first ``derivatives`` rows (every
+    row for True) with one row per column j, in which the rotation that j
+    drives has its basis' θ-derivative (``_BASIS_DERIVATIVE``): every
+    factor is affine in the basis, so that row's product is the
+    fragment's derivative in θ_j, as long as no column drives two
+    rotations.  A column that drives none zeroes its row's first
+    rotation, so its derivative is 0.  The derivative rows are one
+    product of the rows with the cached map of ``_expansion``; the rows
+    after the first ``derivatives`` follow them as they are.
     """
     half = angles[:, slots].T / 2
     c, s = np.cos(half), np.sin(half)
-    coef = np.stack([np.ones_like(c), c, s] + ([c * s, s * s] if channel else []), axis=-1)
-    if not derivatives:
+    coef = np.empty(c.shape + (5 if channel else 3,))
+    coef[..., 0] = 1.0
+    coef[..., 1] = c
+    coef[..., 2] = s
+    if channel:
+        np.multiply(c, s, out=coef[..., 3])
+        np.multiply(s, s, out=coef[..., 4])
+    lead = len(angles) if derivatives is True else int(derivatives)
+    if not lead:
         return coef
-    driven = set(slots.tolist())
-    if not driven or len(driven) < slots.size:
-        raise ValueError("derivative rows need rotations, each slot driving at most one")
-    width = angles.shape[1]
     terms = coef.shape[-1]
-    out = np.repeat(coef[:, :, None], 1 + width, axis=2)
-    out[np.arange(slots.size), :, 1 + slots] = coef @ _BASIS_DERIVATIVE[:terms, :terms]
-    undriven = [1 + j for j in range(width) if j not in driven]
-    if undriven:
-        out[0, :, undriven] = 0.0
-    return out.reshape(slots.size, -1, terms)
+    rows = coef[:, :lead] @ _expansion(tuple(slots.tolist()), angles.shape[1], terms)
+    rows = rows.reshape(slots.size, -1, terms)
+    return rows if lead == len(angles) else np.concatenate([rows, coef[:, lead:]], axis=1)
+
+
+@functools.lru_cache(maxsize=256)
+def _expansion(slots: tuple[int, ...], width: int, terms: int) -> np.ndarray:
+    """The map, read-only, from each rotation's coefficient row to that
+    row followed by its ``width`` derivative rows, (R, terms, (1 + width)
+    · terms) for the rotations driven by ``slots``: in rotation r's
+    matrix every block is the identity, except ``_BASIS_DERIVATIVE`` in
+    block 1 + slots[r] and, in the first rotation's, 0 in the block of
+    each column that drives no rotation."""
+    driven = set(slots)
+    if not driven or len(driven) < len(slots):
+        raise ValueError("derivative rows need rotations, each slot driving at most one")
+    out = np.zeros((len(slots), terms, 1 + width, terms))
+    out[...] = np.eye(terms)[:, None]
+    for r, j in enumerate(slots):
+        out[r, :, 1 + j] = _BASIS_DERIVATIVE[:terms, :terms]
+    out[0, :, [1 + j for j in range(width) if j not in driven]] = 0.0
+    out = out.reshape(len(slots), terms, -1)
+    out.flags.writeable = False
+    return out
 
 
 @functools.lru_cache(maxsize=256)
@@ -561,7 +586,7 @@ def _left(m: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def layout_unitaries(layout: Layout, angles: np.ndarray, q: int,
-                     derivatives: bool = False) -> np.ndarray:
+                     derivatives: bool | int = False) -> np.ndarray:
     """Unitaries (K, 2^q, 2^q) of a fixed-structure fragment, one per
     row of ``angles``.
 
@@ -571,8 +596,8 @@ def layout_unitaries(layout: Layout, angles: np.ndarray, q: int,
     (``_products``) and multiplies the R gates together, R − 1 batched
     matmuls in all.  A layout whose factors are all real (RY, CRY,
     MCRY-open and fixed gates) gives real unitaries.  ``derivatives``
-    follows each unitary with its derivative in each column of
-    ``angles`` (``_coefficients``).
+    follows each unitary, or each of the first ``derivatives`` (a count),
+    with its derivative in each column of ``angles`` (``_coefficients``).
     """
     slots, factors, tail = _layout_factors(tuple(layout), q)
     dim = len(tail)
@@ -817,7 +842,7 @@ def _layout_plan(layout: tuple, q: int, noise: tuple[NoiseChannel, ...]) -> tupl
 
 def apply_noisy_layout(vecs: np.ndarray, layout: Layout, angles: np.ndarray, q: int,
                        noise: Sequence[NoiseChannel] = (), adjoint: bool = False,
-                       derivatives: bool = False) -> np.ndarray:
+                       derivatives: bool | int = False) -> np.ndarray:
     """Run a fixed-structure fragment on a (K, B, 4^q) stack of density
     matrices in the walk's basis (``to_walk_basis``): at q ≤ 2 the real
     Pauli coordinates T·vec(ρ), at q ≥ 3 vec(ρ)[c + 2^q r] = ρ[r, c].
@@ -845,8 +870,9 @@ def apply_noisy_layout(vecs: np.ndarray, layout: Layout, angles: np.ndarray, q: 
     ``adjoint`` applies the adjoint map instead (S†: the steps'
     matrices conjugate-transposed in reverse order), which carries
     vectorised observables backwards: Tr(O·Λ(ρ)) = Tr(Λ†(O)·ρ).
-    ``derivatives`` follows each row with the fragment's derivative in
-    each column of ``angles`` (``_coefficients``); it needs every slot to
+    ``derivatives`` follows each row, or each of the first
+    ``derivatives`` (a count), with the fragment's derivative in each
+    column of ``angles`` (``_coefficients``); it needs every slot to
     drive at most one gate on at most ``_FOLDED_ARITY`` qubits.
     """
     slots, groups, steps = _layout_plan(tuple(layout), q, tuple(noise))

@@ -14,9 +14,10 @@ Central finite differences survive only as ``gradient_check``'s reference.
 
 ``train_loop`` keeps the parameters as one flat vector, builds one
 evaluator over the train samples followed by the test samples, and makes
-two calls to it per optimizer step: the gradient on the batch's samples
-only, then the updated parameters on every sample for the train and test
-metrics.
+one pass over it per optimizer step: E and dE at the Nesterov lookahead
+on the batch's samples only, for the gradient, and E at the current
+parameters on every sample, for the train and test metrics of the update
+before.
 """
 from __future__ import annotations
 
@@ -135,12 +136,17 @@ def _chain_rule(labels, e_values, de) -> np.ndarray:
     return np.mean(-2.0 * (y - e_values) * de, axis=1)
 
 
+def _check_exact(model_config: ModelConfig) -> None:
+    """Refuse a model that samples ``shots``: it has no exact E to differentiate."""
+    if model_config.shots:
+        raise ValueError("gradients need the exact E; set 'shots' to 0")
+
+
 def gradient(evaluator: BatchEvaluator, theta, labels, idx=None) -> np.ndarray:
     """Exact gradient of the surrogate loss over one batch at the flat vector
     ``theta``; a model that samples ``shots`` has no exact E and is refused,
     and the labels are checked as ``loss`` checks them."""
-    if evaluator.config.shots:
-        raise ValueError("gradients need the exact E; set 'shots' to 0")
+    _check_exact(evaluator.config)
     e_values, de = evaluator.derivatives(theta, idx=idx)
     e_values, y = _checked(e_values, labels)
     return _chain_rule(y, e_values, de)
@@ -159,11 +165,9 @@ def nesterov_step(theta: np.ndarray, accumulator: np.ndarray,
     return theta - new_acc, new_acc
 
 
-def _metrics(evaluator: BatchEvaluator, theta: np.ndarray, train_y: np.ndarray,
+def _metrics(e_values: np.ndarray, train_y: np.ndarray,
              test_y: np.ndarray | None) -> StepMetrics:
-    """Metrics of the flat parameter vector ``theta`` from one evaluation
-    over the train samples followed by the test samples."""
-    e_values = evaluator.evaluate_stack(theta[None])[0][0]
+    """Metrics from E on the train samples followed by the test samples."""
     m = train_y.size
     predictions = predictions_from_e(e_values)
     test_acc = float("nan") if test_y is None else accuracy(predictions[m:], test_y)
@@ -201,13 +205,16 @@ def train_loop(model_config: ModelConfig, train_x, train_y, config: TrainConfig,
     are recorded after every update.  Fully deterministic given the seed.
 
     One evaluator holds the train samples followed by the test samples.
-    Each step takes the ``gradient`` at the Nesterov lookahead θ − γ·a on
-    the batch's samples only, then evaluates the updated θ on every
-    sample, whose train and test columns give the step's metrics: with
-    the initial metrics, ``2·steps + 1`` evaluator calls in all.  The
-    gradient stays on the batch because the full sets can be many times
-    larger (1000 + 100 samples against a batch of 30 in the image runs).
-    θ stays a flat vector; the one ``ParamSet`` is built for the record.
+    Each step makes one pass over it (``BatchEvaluator.step_values``),
+    which takes E and dE at the Nesterov lookahead θ − γ·a on the batch's
+    samples, for the gradient, and E at the current θ on every sample,
+    whose train and test columns give the metrics of the update before
+    (at step 0, the initial metrics; there a = 0 and the lookahead is θ
+    itself).  The last update's metrics come from one evaluation alone:
+    ``steps + 1`` evaluator calls in all.  The derivative rows stay on the
+    batch because the full sets can be many times larger (1000 + 100
+    samples against a batch of 30 in the image runs).  θ stays a flat
+    vector; the one ``ParamSet`` is built for the record.
     """
     train_x = np.atleast_2d(np.asarray(train_x, dtype=float))
     train_y = np.asarray(train_y, dtype=float)
@@ -226,16 +233,14 @@ def train_loop(model_config: ModelConfig, train_x, train_y, config: TrainConfig,
     init_rng, shuffle_rng = (np.random.default_rng(s) for s in seq.spawn(2))
     if initial_params is None:
         initial_params = model_config.random_params(init_rng)
-    theta = initial_params.to_vector()
+    theta = initial_params.checked_vector(model_config.n, model_config.link_mode)
+    if config.steps:
+        _check_exact(model_config)
 
     x = train_x if test_x is None else np.vstack([train_x, test_x])
     evaluator = BatchEvaluator(x, x, model_config)
 
-    initial = _metrics(evaluator, theta, train_y, test_y)
-    losses: list[float] = []
-    train_accs: list[float] = []
-    test_accs: list[float] = []
-
+    history: list[StepMetrics] = []
     acc = np.zeros_like(theta)
     count = train_x.shape[0]
     order: np.ndarray = np.empty(0, dtype=np.intp)
@@ -248,15 +253,15 @@ def train_loop(model_config: ModelConfig, train_x, train_y, config: TrainConfig,
         idx = order[cursor: cursor + config.batch_size]
         cursor += config.batch_size
 
-        g = gradient(evaluator, theta - config.momentum * acc, train_y[idx], idx=idx)
+        e_values, de, e_theta = evaluator.step_values(theta - config.momentum * acc, theta, idx)
+        history.append(_metrics(e_theta, train_y, test_y))
+        g = _chain_rule(train_y[idx], e_values, de)
         theta, acc = nesterov_step(theta, acc, g, config.learning_rate, config.momentum)
+    history.append(_metrics(evaluator.evaluate_stack(theta[None])[0][0], train_y, test_y))
 
-        m = _metrics(evaluator, theta, train_y, test_y)
-        losses.append(m.loss)
-        train_accs.append(m.train_acc)
-        test_accs.append(m.test_acc)
-
-    return RunRecord(initial, losses, train_accs, test_accs,
+    initial, *steps = history
+    return RunRecord(initial, [m.loss for m in steps], [m.train_acc for m in steps],
+                     [m.test_acc for m in steps],
                      ParamSet.from_vector(theta, model_config.n, model_config.link_mode))
 
 

@@ -577,6 +577,44 @@ def test_density_derivatives_on_the_vec_basis_at_n3():
         assert np.max(np.abs(de - richardson_derivatives(ev, theta))) < 1e-10, variant
 
 
+@pytest.mark.parametrize("execution", ("analytic", "density"))
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_step_pass_matches_derivatives_and_evaluation(monkeypatch, n, execution):
+    # one pass gives derivatives(look, idx) and E at another vector on every
+    # sample.  Batches of 3 take the states path; the whole shuffled set
+    # takes the basis path when it holds at least 4^n samples, so at n = 3
+    # the 70-sample evaluator walks register 1 twice, then once, and the
+    # 10-sample one walks the states for both
+    rng = np.random.default_rng(150 + n)
+    noise = NOISE_SETS["bit-flip"] if execution == "density" else ()
+    calls = []
+    for name in ("layout_unitaries", "apply_noisy_layout"):
+        def spy(*args, _f=getattr(sim, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(sim, name, spy)
+    for variant, link in itertools.product(("AmHE", "AnQAOA"), LINK_MODES):
+        cfg = ModelConfig.from_variant(variant, n=n, link_mode=link,
+                                       execution=execution, noise=noise)
+        x = np.array([random_features(cfg, rng) for _ in range(70)])
+        for count in (10, 70):
+            ev = BatchEvaluator(x[:count], x[:count], cfg)
+            for idx in (rng.permutation(count)[:3], rng.permutation(count)):
+                look, at = (cfg.random_params(rng).to_vector() for _ in range(2))
+                calls.clear()
+                e, de, e_at = ev.step_values(look, at, idx)
+                on_basis = len(idx) >= 4**n
+                expected = (["layout_unitaries"] if execution == "analytic" else
+                            ["apply_noisy_layout"] * (2 if on_basis else 3))
+                assert calls == expected, (variant, link, count, len(idx))
+                e_ref, de_ref = ev.derivatives(look, idx)
+                e_at_ref = ev.evaluate_stack(at[None])[0][0]
+                assert e.shape == (len(idx),) and e_at.shape == (count,)
+                assert np.max(np.abs(e - e_ref)) < 1e-12, (variant, link, count, len(idx))
+                assert np.max(np.abs(de - de_ref)) < 1e-12, (variant, link, count, len(idx))
+                assert np.max(np.abs(e_at - e_at_ref)) < 1e-12, (variant, link, count, len(idx))
+
+
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_closed_form_link_angle_matches_full_circuit(n):
     # E is read in closed form in θ4_{n−1}; sweep it over the quarter

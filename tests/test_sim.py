@@ -529,6 +529,42 @@ def test_layout_derivative_rows_match_richardson_differences(q):
         assert np.all(got[:, 4] == 0.0), noise
 
 
+def _repeated_coefficient_rows(angles, slots, channel):
+    """Derivative coefficient rows built by repeating each row and writing
+    the derivative blocks in place: the construction that the cached map
+    of ``sim._expansion`` replaced."""
+    half = angles[:, slots].T / 2
+    c, s = np.cos(half), np.sin(half)
+    coef = np.stack([np.ones_like(c), c, s] + ([c * s, s * s] if channel else []), axis=-1)
+    width, terms = angles.shape[1], coef.shape[-1]
+    out = np.repeat(coef[:, :, None], 1 + width, axis=2)
+    out[np.arange(slots.size), :, 1 + slots] = coef @ sim._BASIS_DERIVATIVE[:terms, :terms]
+    undriven = [1 + j for j in range(width) if j not in set(slots.tolist())]
+    out[0, :, undriven] = 0.0
+    return out.reshape(slots.size, -1, terms)
+
+
+@pytest.mark.parametrize("channel", (False, True))
+def test_derivative_coefficient_rows_are_one_product_with_a_cached_map(channel):
+    # three rotations over five columns, of which 1 and 4 drive none; every
+    # row or the first `lead` rows get derivative rows, the rest follow
+    rng = np.random.default_rng(145)
+    slots = np.array([3, 0, 2])
+    for k in (1, 2, 4):
+        angles = rng.uniform(-2 * np.pi, 2 * np.pi, size=(k, 5))
+        ref = _repeated_coefficient_rows(angles, slots, channel)
+        got = sim._coefficients(angles, slots, channel, True)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        assert np.all(got.reshape(3, k, 6, -1)[0, :, [2, 5]] == 0.0)
+        plain = sim._coefficients(angles, slots, channel)
+        for lead in range(1, k):
+            got = sim._coefficients(angles, slots, channel, lead)
+            assert np.array_equal(got[:, : 6 * lead], ref[:, : 6 * lead])
+            assert np.array_equal(got[:, 6 * lead:], plain[:, lead:])
+    assert sim._expansion(tuple(slots), 5, 5 if channel else 3) is sim._expansion(
+        tuple(slots), 5, 5 if channel else 3)
+
+
 def test_derivative_rows_need_each_slot_on_one_gate():
     layout = (("RY", (0,), 0), ("RZ", (0,), 0))
     with pytest.raises(ValueError, match="at most one"):
@@ -657,6 +693,11 @@ def test_cached_walk_factors_are_real_read_only_and_not_aliased():
         _, factors, tail = sim._layout_factors(encoder, q)
         assert factors.dtype == float
         assert not factors.flags.writeable and not tail.flags.writeable
+        # the derivative rows' map, here of the HE ansatz's rotations
+        hea = ansatz.ansatz_layout("hea", q)
+        for slots, terms in ((sim._layout_factors(hea, q)[0], 3),
+                             (sim._layout_plan(hea, q, NOISE_SETS[1])[0], 5)):
+            assert not sim._expansion(tuple(slots.tolist()), 2 * q, terms).flags.writeable
         angles = rng.uniform(0, 2 * np.pi, size=(2, 2**q - 1))
         for build in (lambda: sim.layout_unitaries(encoder, angles, q),
                       lambda: sim.apply_noisy_layout(np.eye(4**q)[None], encoder, angles, q,

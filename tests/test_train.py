@@ -5,7 +5,7 @@ import pytest
 
 from qkattn import ansatz
 from qkattn.ansatz import LINK_MODES, ParamSet
-from qkattn.model import BatchEvaluator, ModelConfig
+from qkattn.model import BatchEvaluator, ModelConfig, forward
 from qkattn.sim import NoiseChannel
 from qkattn.train import (_REFERENCE_STEP, RunRecord, TrainConfig, StepMetrics,
                           _chain_rule, _reference_gradient, accuracy, gradient, gradient_check, loss,
@@ -243,6 +243,11 @@ def test_gradient_rejects_shots_mode():
         ev = BatchEvaluator([[0.3]], [[0.3]], cfg)
         with pytest.raises(ValueError, match="'shots'"):
             gradient(ev, cfg.random_params(rng).to_vector(), [1.0])
+        # train_loop refuses it too, unless it takes no step
+        x, y = np.array([[0.3], [2.1]]), np.array([1.0, -1.0])
+        with pytest.raises(ValueError, match="'shots'"):
+            train_loop(cfg, x, y, TrainConfig(steps=1, batch_size=2))
+        assert train_loop(cfg, x, y, TrainConfig(steps=0)).steps == 0
 
 
 def test_train_loop_determinism():
@@ -398,14 +403,17 @@ def test_train_loop_matches_two_evaluator_reference(execution, with_test):
 
 @pytest.mark.parametrize("steps", (0, 3))
 @pytest.mark.parametrize("with_test", (False, True))
-def test_train_loop_builds_one_evaluator_and_calls_it_twice_per_step(monkeypatch, steps,
+def test_train_loop_builds_one_evaluator_and_makes_one_pass_per_step(monkeypatch, steps,
                                                                       with_test):
-    counts = {"__init__": 0, "evaluate_stack": 0, "derivatives": 0}
+    counts = {"__init__": 0, "step_values": 0, "evaluate_stack": 0, "derivatives": 0}
+    passes = []
     for name in counts:
         original = getattr(BatchEvaluator, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
             counts[_name] += 1
+            if _name == "step_values":
+                passes.append(args[1:3])
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(BatchEvaluator, name, counted)
@@ -413,9 +421,35 @@ def test_train_loop_builds_one_evaluator_and_calls_it_twice_per_step(monkeypatch
     x, y = separable_data(rng, count=12)
     test = dict(test_x=x[:4], test_y=y[:4]) if with_test else {}
     cfg = ModelConfig(n=2, encoder="amplitude", ansatz="hea")
-    train_loop(cfg, x, y, TrainConfig(steps=steps, batch_size=5), **test)
-    # the initial metrics, then per step the gradient and the metrics
-    assert counts == {"__init__": 1, "evaluate_stack": steps + 1, "derivatives": steps}
+    rec = train_loop(cfg, x, y, TrainConfig(steps=steps, batch_size=5), **test)
+    # one pass per step, the first at θ0 for both the lookahead and the
+    # initial metrics; then one evaluation for the last step's metrics
+    assert counts == {"__init__": 1, "step_values": steps, "evaluate_stack": 1,
+                      "derivatives": 0}
+    if steps:
+        look, at = passes[0]
+        assert np.array_equal(look, at)
+    assert rec.steps == steps
+
+
+@pytest.mark.parametrize("link, blocks, message", [
+    ("all-zeros-canonical", (5, 3, 4, 2), "theta1 has 5 parameters, expected 4"),
+    ("all-zeros-canonical", (4, 4, 4, 3), "theta4 has 3 parameters, expected 2"),
+    ("per-qubit-literal", (4, 4, 5, 3), "theta3 has 5 parameters, expected 4"),
+])
+def test_parameter_blocks_are_checked_one_by_one(link, blocks, message):
+    # at n = 2 the blocks hold 4, 4, 4 and the link's 2 or 4 angles; a set
+    # whose total is right but whose blocks are not is refused by name
+    rng = np.random.default_rng(16)
+    cfg = ModelConfig(n=2, link_mode=link)
+    p = ParamSet(*(rng.uniform(0, 2 * np.pi, size=k) for k in blocks))
+    x, y = separable_data(rng, count=12)
+    with pytest.raises(ValueError, match=message):
+        forward(x[0], x[0], p, cfg)
+    with pytest.raises(ValueError, match=message):
+        BatchEvaluator(x, x, cfg).evaluate(p)
+    with pytest.raises(ValueError, match=message):
+        train_loop(cfg, x, y, TrainConfig(steps=2, batch_size=5), initial_params=p)
 
 
 def test_train_loop_builds_parameter_sets_independently_of_steps(monkeypatch):
