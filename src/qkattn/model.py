@@ -34,7 +34,13 @@ the register-1 distribution is |U_φ(w_j)† A φ_i|², and register 2 reads
 the Z readouts of the link gate's three fixed rotations of ψ
 (``_readout_bases``).  U(θ1), U(θ2) and U(θ3) come from one stacked
 ``sim.layout_unitaries`` call, a short product of the ansatz's cached
-full-space rotation factors.
+full-space rotation factors.  E needs only the firing probability f, the
+mass of the outcomes on which the link fires, and each fired amplitude
+ψ_o = ⟨o|U_φ(w_j)† A φ_i⟩ is linear in A: ψ_o = F_o · vec(A) for the
+per-sample form F_o[x·2^n + y] = U_φ(w_j)†[o, x]·φ_i[y], which is
+conj(φ_j) ⊗ φ_i for the canonical link's one outcome.  So gradients and
+training steps read f as one product of every A with the cached forms of
+the fired outcomes, and only ``evaluate_stack`` builds distributions.
 Density mode is the same closed form on vectorised density matrices:
 every fragment is a noisy channel in which each gate is followed by its
 noise, on each of its qubits, as ``sim.run_circuit`` places it
@@ -42,7 +48,8 @@ noise, on each of its qubits, as ``sim.run_circuit`` places it
 U†(θ2)U(θ1) to the noisy encoded ρ_i and reads each outcome's projector
 carried back (Heisenberg picture) through the channel of U_φ†(w_j);
 register 2 carries the four readouts backwards through the channel of
-U(θ3) and reads them on the noisy encoded ρ_j.  Every state, projector
+U(θ3) and reads them on the noisy encoded ρ_j; f reads one row, the
+fired projectors carried back and summed.  Every state, projector
 and readout is held in the basis that the walk runs in
 (``sim.to_walk_basis``): at n ≤ 2 the real Pauli coordinates
 Tr(P ρ)/2^{n/2}, so every walk step and every product that reads a
@@ -361,15 +368,20 @@ class BatchEvaluator:
     parameter set on every sample, in one pass whose coefficients,
     unitary product and walks serve both sets.
     E is exact in both modes (``forward`` samples ``shots`` on top of it).
-    Analytic mode keeps φ_i, φ_j and U_φ(w_j)† and per call builds U(θ1),
-    U(θ2) and U(θ3) in one stacked ``sim.layout_unitaries`` call.
+    ``derivatives`` and ``step_values`` read register 1's firing
+    probability alone; ``evaluate_stack`` also returns the distributions.
+    Analytic mode keeps φ_i, φ_j, U_φ(w_j)† and, per sample, the read-only
+    forms of the fired outcomes, (count, fired outcomes·4^n) with one
+    outcome for the canonical link and 2^(n−1) for the literal one; per
+    call it builds U(θ1), U(θ2) and U(θ3) in one stacked
+    ``sim.layout_unitaries`` call.
     Density mode keeps the noisy encoded states ρ_i, ρ_j and, per sample,
     the 2^n register-1 outcome projectors pulled back through the noisy
-    channel of U_φ(w_j)†, all in the walk's basis (real at n ≤ 2); per
-    call ``sim.apply_noisy_layout`` applies the register-1 channel of
-    U†(θ2)U(θ1) to ρ_i, or to the 4^n basis vectors when they are fewer
-    than the batch's states, and carries the four readouts backwards
-    through the channel of θ3.
+    channel of U_φ(w_j)† and their fired sum (count, 4^n), all in the
+    walk's basis (real at n ≤ 2); per call ``sim.apply_noisy_layout``
+    applies the register-1 channel of U†(θ2)U(θ1) to ρ_i, or to the 4^n
+    basis vectors when they are fewer than the batch's states, and
+    carries the four readouts backwards through the channel of θ3.
     """
 
     def __init__(self, wi, wj, config: ModelConfig):
@@ -380,11 +392,12 @@ class BatchEvaluator:
         if wi.shape != wj.shape:
             raise ValueError("w_i and w_j batches must have matching shapes")
         self.count = wi.shape[0]
-        # bit n−1 of each basis index: the literal CRY's control qubit in
-        # register 1.  0/1 weights of the register-1 outcomes on which the
-        # link fires: all zeros, or (literal) the control reading 1
-        bit = (np.arange(2**n) >> (n - 1)).astype(float)
-        self._fire = bit if config.link_mode == "per-qubit-literal" else np.eye(2**n)[0]
+        # the register-1 outcomes on which the link fires, as a range of
+        # basis indices and as 0/1 weights: all zeros, or (literal) those
+        # whose bit n−1, the literal CRY's control qubit, reads 1
+        fired = slice(2 ** (n - 1), None) if config.link_mode == "per-qubit-literal" else slice(1)
+        self._fire = np.zeros(2**n)
+        self._fire[fired] = 1.0
         self._ansatz = _ansatz.ansatz_layout(config.ansatz, n)
         enc = config.encoder
         layout = _encoding.encoder_layout(enc, n)
@@ -396,6 +409,12 @@ class BatchEvaluator:
             self._phi_i = u_enc[: self.count, :, 0]
             self._phi_j = u_enc[at_j:, :, 0]
             self._v_j = _adjoint(u_enc[at_j:])
+            # the firing probability's forms, F[b, o, x·2^n + y] =
+            # U_φ(w_j)†[b][o, x]·φ_i[b][y] on the fired outcomes o only, so
+            # that ψ_o = F[b, o] · vec(A); samples first, so idx gathers rows
+            forms = self._v_j[:, fired, :, None] * self._phi_i[:, None, None]
+            self._forms = forms.reshape(self.count, -1)
+            self._forms.flags.writeable = False
             self._bases, self._weights = _readout_bases(n)
             return
         noise = config.noise
@@ -409,6 +428,9 @@ class BatchEvaluator:
         proj = np.broadcast_to(proj, (self.count,) + proj.shape)
         self._p_j = _sim.apply_noisy_layout(proj, _reversed_layout(layout),
                                             -angles[at_j:], n, noise, adjoint=True).conj()
+        # the fired projectors folded into one row, which reads f
+        self._p_fire = self._fire @ self._p_j
+        self._p_fire.flags.writeable = False
         self._rho_j = rho[at_j:].conj()
         # U(θ1) then U†(θ2), driven by the angle row [θ1, −θ2]
         self._mid = self._ansatz + _reversed_layout(self._ansatz, 2 * n)
@@ -456,7 +478,7 @@ class BatchEvaluator:
         theta = self._rows(np.reshape(theta, (1, -1)))[0]
         n = self.config.n
         look, = self._registers(theta[None, : 4 * n], theta[None, 4 * n: 6 * n], idx,
-                                derivatives=True)
+                                derivatives=True, fired=True)
         return self._derived(theta, *look)
 
     def step_values(self, look, at, idx=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -469,12 +491,11 @@ class BatchEvaluator:
         basis.  Only ``idx``'s samples meet the derivative rows."""
         look, at = self._rows(np.vstack([np.reshape(look, (1, -1)), np.reshape(at, (1, -1))]))
         n = self.config.n
-        grad, full = self._registers(look[None, : 4 * n], look[None, 4 * n: 6 * n], idx,
-                                     derivatives=True, at=at)
+        grad, (fire, reads) = self._registers(look[None, : 4 * n], look[None, 4 * n: 6 * n],
+                                              idx, derivatives=True, at=at, fired=True)
         e_val, de = self._derived(look, *grad)
-        probs, reads = full
         link = at[7 * n - 1]
-        e_at, _ = self._combined(probs @ self._fire, reads, np.cos(link), np.sin(link))
+        e_at, _ = self._combined(fire, reads, np.cos(link), np.sin(link))
         return e_val, de, e_at[0]
 
     @staticmethod
@@ -486,11 +507,10 @@ class BatchEvaluator:
         t = b + cos * c + sin * s
         return fire * t + (1.0 - fire) * idle, t
 
-    def _derived(self, theta, probs, reads) -> tuple[np.ndarray, np.ndarray]:
+    def _derived(self, theta, fire, reads) -> tuple[np.ndarray, np.ndarray]:
         """``derivatives``' E and dE from the registers' rows at ``theta``
         and their derivative rows."""
         n = self.config.n
-        fire = probs @ self._fire
         cos, sin = np.cos(theta[7 * n - 1]), np.sin(theta[7 * n - 1])
         # E, then its derivatives in θ3, from f and every register-2 row
         e_val, t = self._combined(fire[0], reads, cos, sin)
@@ -502,12 +522,14 @@ class BatchEvaluator:
         return e_val[0], de
 
     def _registers(self, rows1: np.ndarray, rows2: np.ndarray, idx, derivatives: bool = False,
-                   at: np.ndarray | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+                   at: np.ndarray | None = None,
+                   fired: bool = False) -> list[tuple[np.ndarray, np.ndarray]]:
         """The register-1 distributions (K1, batch, 2^n) at ``rows1`` of
-        [θ1, θ2] and the readouts [idle, B, C, S] (K2, batch, 4) at
+        [θ1, θ2], or with ``fired`` only their firing probabilities
+        (K1, batch), and the readouts [idle, B, C, S] (K2, batch, 4) at
         ``rows2`` of θ3, on the samples ``idx``; with ``derivatives``, at
         one row each, then the derivative in each column: 1 + 4n
-        distributions, 1 + 2n readouts.  With ``at``, a flat parameter
+        register-1 rows, 1 + 2n readouts.  With ``at``, a flat parameter
         vector, a second pair follows: its one row of each on every
         sample.  Both pairs share the coefficients and the unitary
         product, or the readout walk and, when both sample sets take it,
@@ -526,14 +548,16 @@ class BatchEvaluator:
                 [b for r1, r2, _ in parts for b in (r1[:, : 2 * n], r1[:, 2 * n:], r2)]),
                 n, 3 * derivatives)
             k1, k2 = (1 + 2 * n,) * 2 if derivatives else (len(rows1), len(rows2))
-            out = [self._pure(u[:k1], u[k1: 2 * k1], u[2 * k1: 2 * k1 + k2], idx, derivatives)]
+            out = [self._pure(u[:k1], u[k1: 2 * k1], u[2 * k1: 2 * k1 + k2], idx, derivatives,
+                              fired)]
             if at is not None:
-                out.append(self._pure(u[-3:-2], u[-2:-1], u[-1:], None, False))
+                out.append(self._pure(u[-3:-2], u[-2:-1], u[-1:], None, False, fired))
             return out
         # every product is real at n ≤ 2; .real keeps the real part of the
         # complex products of n ≥ 3, whose imaginary part is zero
-        picks = [(self._rho_i, self._rho_j, self._p_j) if sel is None else
-                 (self._rho_i[sel], self._rho_j[sel], self._p_j[sel]) for *_, sel in parts]
+        p_read = self._p_fire if fired else self._p_j
+        picks = [(self._rho_i, self._rho_j, p_read) if sel is None else
+                 (self._rho_i[sel], self._rho_j[sel], p_read[sel]) for *_, sel in parts]
         # (K1, batch, 4^n): register 1 after U†(θ2)U(θ1), driven by
         # [θ1, −θ2].  With fewer states than basis vectors, the gates act
         # on the states; otherwise they act on the basis, which gives the
@@ -558,27 +582,44 @@ class BatchEvaluator:
         obs = obs[:split], obs[split:]
         out = []
         for k, ((rho_i, rho_j, p_j), basis) in enumerate(zip(picks, on_basis)):
-            s = rho_i @ sigma[k] if basis else sigma[k]
-            probs = (p_j @ s.transpose(1, 2, 0)).transpose(2, 0, 1).real
+            s = (rho_i @ sigma[k] if basis else sigma[k]).transpose(1, 2, 0)
+            # (K, batch) firing probabilities, or (K, batch, 2^n) distributions
+            probs = ((p_j[:, None] @ s)[:, 0].T if fired else
+                     (p_j @ s).transpose(2, 0, 1)).real
             if derivatives and not k:  # _mid runs on −θ2
                 probs[1 + 2 * n:] *= -1.0
             out.append((probs, (rho_j @ obs[k].transpose(0, 2, 1)).real))
         return out
 
-    def _pure(self, u1, u2, u3, idx, derivatives: bool) -> tuple[np.ndarray, np.ndarray]:
+    def _pure(self, u1, u2, u3, idx, derivatives: bool,
+              fired: bool) -> tuple[np.ndarray, np.ndarray]:
         """Analytic mode's registers from U(θ1), U(θ2) and U(θ3), row by
         row or, with ``derivatives``, one row followed by its derivative
-        rows each."""
-        phi_i, phi_j, v_j = self._phi_i, self._phi_j, self._v_j
-        if idx is not None:
-            phi_i, phi_j, v_j = phi_i[idx], phi_j[idx], v_j[idx]
+        rows each.  Register 1 gives the distributions |U_φ(w_j)† A φ_i|²
+        or, with ``fired``, f = Σ_o |F_o · vec(A)|² over the fired
+        outcomes' forms, each derivative row Σ_o 2·Re(ψ_o0*·ψ_ok)."""
+        phi_j = self._phi_j if idx is None else self._phi_j[idx]
         a = (np.concatenate([_adjoint(u2[:1]) @ u1, _adjoint(u2[1:]) @ u1[:1]])
              if derivatives else _adjoint(u2) @ u1)
-        # (rows, batch, dim): A φ_i, then U_φ(w_j)† of each sample
-        psi1 = (v_j @ (phi_i @ a.transpose(0, 2, 1)).transpose(1, 2, 0)).transpose(2, 0, 1)
+        if fired:
+            forms = self._forms if idx is None else self._forms[idx]
+            outcomes = forms.shape[1] // a[0].size
+            # (batch·outcomes, rows): every row of A on every form in one
+            # product, through the real view of a complex A when the forms
+            # are real
+            psi1 = _sim._left(forms.reshape(-1, a[0].size),
+                              np.ascontiguousarray(a.reshape(len(a), -1).T))
+            reg1 = _squared(psi1.T, derivatives).reshape(len(a), len(forms), outcomes).sum(axis=2)
+        else:
+            phi_i, v_j = self._phi_i, self._v_j
+            if idx is not None:
+                phi_i, v_j = phi_i[idx], v_j[idx]
+            # (rows, batch, dim): A φ_i, then U_φ(w_j)† of each sample
+            psi1 = (v_j @ (phi_i @ a.transpose(0, 2, 1)).transpose(1, 2, 0)).transpose(2, 0, 1)
+            reg1 = _squared(psi1, derivatives)
         # the link gate's three fixed rotations of ψ = U(θ3)φ_j
         psi2 = (phi_j @ u3.transpose(0, 2, 1)) @ self._bases
-        return _squared(psi1, derivatives), _squared(psi2, derivatives) @ self._weights
+        return reg1, _squared(psi2, derivatives) @ self._weights
 
 
 # --- single-pair operations ----------------------------------------------

@@ -165,14 +165,16 @@ def nesterov_step(theta: np.ndarray, accumulator: np.ndarray,
     return theta - new_acc, new_acc
 
 
-def _metrics(e_values: np.ndarray, train_y: np.ndarray,
-             test_y: np.ndarray | None) -> StepMetrics:
-    """Metrics from E on the train samples followed by the test samples."""
-    m = train_y.size
-    predictions = predictions_from_e(e_values)
-    test_acc = float("nan") if test_y is None else accuracy(predictions[m:], test_y)
-    return StepMetrics(loss(e_values[:m], train_y),
-                       accuracy(predictions[:m], train_y), test_acc)
+def _metrics(e_values: np.ndarray, labels: np.ndarray, m: int) -> StepMetrics:
+    """Metrics from E on the m train samples followed by the test
+    samples, against their checked ±1 ``labels`` in the same order, in
+    one pass: a prediction sgn(E) is right when E < 0 exactly when its
+    label is −1."""
+    hits = (e_values < 0) == (labels < 0)
+    tests = hits.size - m
+    test_acc = float(np.count_nonzero(hits[m:]) / tests) if tests else float("nan")
+    return StepMetrics(float(np.mean((labels[:m] - e_values[:m]) ** 2)),
+                       float(np.count_nonzero(hits[:m]) / m), test_acc)
 
 
 def _check_test_set(train_x: np.ndarray, test_x, test_y):
@@ -183,6 +185,8 @@ def _check_test_set(train_x: np.ndarray, test_x, test_y):
         return None, None
     test_x = np.atleast_2d(np.asarray(test_x, dtype=float))
     test_y = np.asarray(test_y, dtype=float)
+    if test_y.ndim != 1:
+        raise ValueError(f"test labels must be a 1-D array, got shape {test_y.shape}")
     if test_x.shape[0] == 0:
         raise ValueError("test set is empty")
     if test_x.shape[0] != test_y.size:
@@ -218,6 +222,8 @@ def train_loop(model_config: ModelConfig, train_x, train_y, config: TrainConfig,
     """
     train_x = np.atleast_2d(np.asarray(train_x, dtype=float))
     train_y = np.asarray(train_y, dtype=float)
+    if train_y.ndim != 1:
+        raise ValueError(f"labels must be a 1-D array, got shape {train_y.shape}")
     if train_x.shape[0] != train_y.size:
         raise ValueError("feature and label counts differ")
     if train_x.shape[0] == 0:
@@ -237,7 +243,8 @@ def train_loop(model_config: ModelConfig, train_x, train_y, config: TrainConfig,
     if config.steps:
         _check_exact(model_config)
 
-    x = train_x if test_x is None else np.vstack([train_x, test_x])
+    x, labels = ((train_x, train_y) if test_x is None else
+                 (np.vstack([train_x, test_x]), np.concatenate([train_y, test_y])))
     evaluator = BatchEvaluator(x, x, model_config)
 
     history: list[StepMetrics] = []
@@ -254,10 +261,10 @@ def train_loop(model_config: ModelConfig, train_x, train_y, config: TrainConfig,
         cursor += config.batch_size
 
         e_values, de, e_theta = evaluator.step_values(theta - config.momentum * acc, theta, idx)
-        history.append(_metrics(e_theta, train_y, test_y))
+        history.append(_metrics(e_theta, labels, count))
         g = _chain_rule(train_y[idx], e_values, de)
         theta, acc = nesterov_step(theta, acc, g, config.learning_rate, config.momentum)
-    history.append(_metrics(evaluator.evaluate_stack(theta[None])[0][0], train_y, test_y))
+    history.append(_metrics(evaluator.evaluate_stack(theta[None])[0][0], labels, count))
 
     initial, *steps = history
     return RunRecord(initial, [m.loss for m in steps], [m.train_acc for m in steps],

@@ -615,6 +615,65 @@ def test_step_pass_matches_derivatives_and_evaluation(monkeypatch, n, execution)
                 assert np.max(np.abs(e_at - e_at_ref)) < 1e-12, (variant, link, count, len(idx))
 
 
+@pytest.mark.parametrize("execution", ("analytic", "density"))
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_fired_path_matches_the_distributions(n, execution):
+    # derivatives and step_values read register 1's firing probability f
+    # alone: one product on the cached per-sample forms, or one folded row
+    # of the pulled-back projectors.  f must be the fired mass of the
+    # distributions on plain rows and derivative rows alike, for a batch
+    # below 4^n, one of at least 4^n and the whole set.  At n = 4 the
+    # whole set is the batch of at least 4^n and density mode runs without
+    # noise: a noisy AmHE build over 258 samples takes about 0.6 s, and
+    # each walk on the 256 basis vectors about 0.1 s.  AmHE's forms are
+    # real and its A complex; AnQAOA's forms are complex
+    rng = np.random.default_rng(170 + n)
+    noise = NOISE_SETS["bit-flip"] if execution == "density" and n < 4 else ()
+    for variant, link in itertools.product(("AmHE", "AnQAOA"), LINK_MODES):
+        cfg = ModelConfig.from_variant(variant, n=n, link_mode=link,
+                                       execution=execution, noise=noise)
+        x = np.array([random_features(cfg, rng) for _ in range(4**n + 2)])
+        ev = BatchEvaluator(x, x, cfg)
+        if execution == "analytic":
+            assert np.iscomplexobj(ev._forms) == (variant == "AnQAOA"), (variant, link)
+        thetas = np.array([cfg.random_params(rng).to_vector() for _ in range(2)])
+        batches = [rng.permutation(len(x))[:3], rng.permutation(len(x))[: 4**n], None]
+        for idx in batches[::2] if n == 4 else batches:
+            e, _ = ev.derivatives(thetas[0], idx)
+            e_ref = ev.evaluate_stack(thetas[:1], idx)[0][0]
+            assert np.max(np.abs(e - e_ref)) < 1e-13, (variant, link, idx is None)
+            for derivatives, rows in ((False, thetas), (True, thetas[:1])):
+                args = rows[:, : 4 * n], rows[:, 4 * n: 6 * n], idx, derivatives
+                (fire, reads), = ev._registers(*args, fired=True)
+                (probs, reads_ref), = ev._registers(*args)
+                assert fire.shape == probs.shape[:2]
+                assert np.max(np.abs(fire - probs @ ev._fire)) < 1e-13, (variant, link)
+                assert np.array_equal(reads, reads_ref)
+
+
+@pytest.mark.parametrize("link", LINK_MODES)
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_fired_forms_cover_only_the_fired_outcomes(n, link):
+    # analytic mode caches one read-only form per sample on the fired
+    # outcomes only: one for the canonical link, as many entries as
+    # U_φ(w_j)†, and 2^(n−1) for the literal link, never all 2^n outcomes
+    # (count·8^n entries); density mode keeps one folded row per sample
+    rng = np.random.default_rng(190 + n)
+    fired = 2 ** (n - 1) if link == "per-qubit-literal" else 1
+    for execution in ("analytic", "density"):
+        cfg = ModelConfig.from_variant("AnHE", n=n, link_mode=link, execution=execution)
+        x = np.array([random_features(cfg, rng) for _ in range(5)])
+        ev = BatchEvaluator(x, x, cfg)
+        if execution == "analytic":
+            assert ev._forms.shape == (5, fired * 4**n)
+            assert not ev._forms.flags.writeable
+            if link != "per-qubit-literal":
+                assert ev._forms.nbytes == ev._v_j.nbytes
+        else:
+            assert ev._p_fire.shape == (5, 4**n)
+            assert not ev._p_fire.flags.writeable
+
+
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_closed_form_link_angle_matches_full_circuit(n):
     # E is read in closed form in θ4_{n−1}; sweep it over the quarter

@@ -334,14 +334,18 @@ def test_train_loop_checks_labels_before_building(monkeypatch):
 
 
 @pytest.mark.parametrize("column", ["train", "test"])
-def test_train_loop_rejects_column_vector_labels(column):
+def test_train_loop_rejects_column_vector_labels(monkeypatch, column):
+    # refused up front, before the evaluator is built or any pass runs
     rng = np.random.default_rng(13)
     x, y = separable_data(rng, count=8)
     train_y, test_y = (y[:, None], y[:4]) if column == "train" else (y, y[:4, None])
+    built = []
+    monkeypatch.setattr(BatchEvaluator, "__init__", lambda *args: built.append(args))
     cfg = ModelConfig(n=1, encoder="angle", ansatz="qaoa")
-    with pytest.raises(ValueError, match="counts differ"):
+    with pytest.raises(ValueError, match="labels must be a 1-D array, got shape \\((8|4), 1\\)$"):
         train_loop(cfg, x[:, :1], train_y, TrainConfig(steps=2, batch_size=1),
                    test_x=x[:4, :1], test_y=test_y)
+    assert built == []
 
 
 def reference_train_loop(model_config, train_x, train_y, config, test_x=None, test_y=None):
