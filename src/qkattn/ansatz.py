@@ -64,11 +64,6 @@ def ansatz_layout(kind: str, n: int) -> tuple:
     return tuple(layout)
 
 
-def build_ansatz(kind: str, n: int, theta) -> Circuit:
-    layout = ansatz_layout(kind, n)
-    return Circuit.from_layout(n, layout, check_params(theta, 2 * n))
-
-
 def link_slot_count(mode: str, n: int) -> int:
     if mode == "all-zeros-canonical":
         return n

@@ -12,8 +12,6 @@ import functools
 
 import numpy as np
 
-from .sim import Circuit
-
 ENCODER_KINDS = ("amplitude", "angle")
 
 
@@ -36,11 +34,6 @@ def _normalized_rows(features, n: int) -> np.ndarray:
     if not norm.all():
         raise ValueError("cannot amplitude-encode the zero vector")
     return x / norm
-
-
-def normalized_amplitudes(values, n: int) -> np.ndarray:
-    """Zero-padded, unit-norm amplitude vector of length 2^n."""
-    return _normalized_rows(np.asarray(values, dtype=float).reshape(1, -1), n)[0]
 
 
 def _tree_angles(amps: np.ndarray, n: int) -> list[np.ndarray]:
@@ -105,13 +98,6 @@ def encoder_angles(kind: str, features, n: int) -> np.ndarray:
     if kind == "angle":
         return _feature_rows(features, n * n, f"the n²={n * n} angle slots")
     raise ValueError(f"unknown encoder kind {kind!r}")
-
-
-def encode(kind: str, values, n: int) -> Circuit:
-    """Circuit fragment preparing the encoded feature vector from |0...0⟩."""
-    layout = encoder_layout(kind, n)
-    rows = np.asarray(values, dtype=float).reshape(1, -1)
-    return Circuit.from_layout(n, layout, encoder_angles(kind, rows, n)[0])
 
 
 def feature_capacity(kind: str, n: int) -> int:

@@ -71,16 +71,16 @@ analytic one, ψk, gives 2·Re(ψ0*·ψk).
 A positive ``shots`` count estimates E from that many readouts, in either
 mode, noisy density included.  The readout is one ±1 bit whose mean is E,
 so the mean of ``shots`` readouts is 2·Binomial(shots, (1 + E)/2)/shots − 1,
-and ``forward`` draws it once.  The circuit-level functions below
-(``build_register1``, ``build_full_circuit``, ``qksas``) build the same
+and ``forward`` draws it once.  ``build_full_circuit`` builds the same
 model gate by gate for ``sim.run_circuit``, the reference that the tests
-and the benchmark's oracle checks compare the evaluator against.  The
-full circuit is built in one pass per fragment (``Circuit.add_layout``):
-each encoder or ansatz layout is turned into gates straight from its
-angle row at its qubit offset, an adjoint fragment (U†(θ2), U_φ†(w_j))
-as the layout reversed on negated angles, so no fragment is built twice
-and each gate is checked once.  w_j's encoder angles are computed once
-for both registers.
+and the benchmark's oracle checks compare the evaluator against; its
+conditional form's mid-circuit measurement records register 1's
+distribution.  It is built in one pass per fragment
+(``Circuit.add_layout``): each encoder or ansatz layout is turned into
+gates straight from its angle row at its qubit offset, an adjoint
+fragment (U†(θ2), U_φ†(w_j)) as the layout reversed on negated angles,
+so no fragment is built twice and each gate is checked once.  w_j's
+encoder angles are computed once for both registers.
 """
 from __future__ import annotations
 
@@ -182,45 +182,10 @@ class QksasRecord:
 
 # --- circuit assembly ---------------------------------------------------
 
-def _encoder_row(values, config: ModelConfig) -> np.ndarray:
-    """The encoder's angle row for one feature vector."""
-    rows = np.asarray(values, dtype=float).reshape(1, -1)
-    return _encoding.encoder_angles(config.encoder, rows, config.n)[0]
-
-
-def _add_register1(circ: Circuit, enc_i, enc_j, theta1, theta2, config: ModelConfig) -> Circuit:
-    """Append U_φ†(w_j) U†(θ2) U(θ1) U_φ(w_i) on qubits 0..n-1, from the
-    encoder angle rows of w_i and w_j."""
-    n = config.n
-    encoder = _encoding.encoder_layout(config.encoder, n)
-    ansatz = _ansatz.ansatz_layout(config.ansatz, n)
-    theta1, theta2 = (_ansatz.check_params(t, 2 * n) for t in (theta1, theta2))
-    circ.add_layout(encoder, enc_i).add_layout(ansatz, theta1)
-    return circ.add_layout(ansatz, theta2, adjoint=True).add_layout(encoder, enc_j, adjoint=True)
-
-
-def _add_register2(circ: Circuit, enc_j, theta3, config: ModelConfig, offset: int = 0) -> Circuit:
-    """Append U(θ3) U_φ(w_j) on qubits offset..offset+n-1."""
-    n = config.n
-    theta3 = _ansatz.check_params(theta3, 2 * n)
-    circ.add_layout(_encoding.encoder_layout(config.encoder, n), enc_j, offset)
-    return circ.add_layout(_ansatz.ansatz_layout(config.ansatz, n), theta3, offset)
-
-
-def build_register1(w_i, w_j, theta1, theta2, config: ModelConfig) -> Circuit:
-    """Kernel fragment on qubits 0..n-1: U_φ†(w_j) U†(θ2) U(θ1) U_φ(w_i)."""
-    return _add_register1(Circuit(config.n), _encoder_row(w_i, config),
-                          _encoder_row(w_j, config), theta1, theta2, config)
-
-
-def build_register2(w_j, theta3, config: ModelConfig) -> Circuit:
-    """Value-state fragment on its own n qubits: U(θ3) U_φ(w_j)."""
-    return _add_register2(Circuit(config.n), _encoder_row(w_j, config), theta3, config)
-
-
 def build_full_circuit(w_i, w_j, params: ParamSet, config: ModelConfig,
                        form: str = "conditional", final_measure: bool = False) -> Circuit:
-    """The complete 2n-qubit circuit.
+    """The complete 2n-qubit circuit: U_φ†(w_j) U†(θ2) U(θ1) U_φ(w_i) on
+    qubits 0..n-1, U(θ3) U_φ(w_j) on qubits n..2n-1, then the link.
 
     ``form`` selects how the link is realized for the canonical mode:
     "conditional" measures register 1 mid-circuit and classically
@@ -230,11 +195,17 @@ def build_full_circuit(w_i, w_j, params: ParamSet, config: ModelConfig,
     classical bit n.
     """
     n = config.n
-    clbits = n + 1 if final_measure else n
-    circ = Circuit(2 * n, clbits=clbits)
-    enc_i, enc_j = _encoder_row(w_i, config), _encoder_row(w_j, config)
-    _add_register1(circ, enc_i, enc_j, params.theta1, params.theta2, config)
-    _add_register2(circ, enc_j, params.theta3, config, offset=n)
+    encoder = _encoding.encoder_layout(config.encoder, n)
+    ansatz = _ansatz.ansatz_layout(config.ansatz, n)
+    enc_i, enc_j = (_encoding.encoder_angles(config.encoder,
+                                             np.asarray(w, dtype=float).reshape(1, -1), n)[0]
+                    for w in (w_i, w_j))
+    theta1, theta2, theta3 = (_ansatz.check_params(t, 2 * n)
+                              for t in (params.theta1, params.theta2, params.theta3))
+    circ = Circuit(2 * n, clbits=n + 1 if final_measure else n)
+    circ.add_layout(encoder, enc_i).add_layout(ansatz, theta1)
+    circ.add_layout(ansatz, theta2, adjoint=True).add_layout(encoder, enc_j, adjoint=True)
+    circ.add_layout(encoder, enc_j, n).add_layout(ansatz, theta3, n)
     canonical = config.link_mode == "all-zeros-canonical"
     if canonical and form == "conditional":
         circ.measure(tuple(range(n)), tuple(range(n)))
@@ -478,7 +449,7 @@ class BatchEvaluator:
         theta = self._rows(np.reshape(theta, (1, -1)))[0]
         n = self.config.n
         look, = self._registers(theta[None, : 4 * n], theta[None, 4 * n: 6 * n], idx,
-                                derivatives=True, fired=True)
+                                derivatives=True)
         return self._derived(theta, *look)
 
     def step_values(self, look, at, idx=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -492,7 +463,7 @@ class BatchEvaluator:
         look, at = self._rows(np.vstack([np.reshape(look, (1, -1)), np.reshape(at, (1, -1))]))
         n = self.config.n
         grad, (fire, reads) = self._registers(look[None, : 4 * n], look[None, 4 * n: 6 * n],
-                                              idx, derivatives=True, at=at, fired=True)
+                                              idx, derivatives=True, at=at)
         e_val, de = self._derived(look, *grad)
         link = at[7 * n - 1]
         e_at, _ = self._combined(fire, reads, np.cos(link), np.sin(link))
@@ -522,18 +493,18 @@ class BatchEvaluator:
         return e_val[0], de
 
     def _registers(self, rows1: np.ndarray, rows2: np.ndarray, idx, derivatives: bool = False,
-                   at: np.ndarray | None = None,
-                   fired: bool = False) -> list[tuple[np.ndarray, np.ndarray]]:
+                   at: np.ndarray | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
         """The register-1 distributions (K1, batch, 2^n) at ``rows1`` of
-        [θ1, θ2], or with ``fired`` only their firing probabilities
-        (K1, batch), and the readouts [idle, B, C, S] (K2, batch, 4) at
-        ``rows2`` of θ3, on the samples ``idx``; with ``derivatives``, at
-        one row each, then the derivative in each column: 1 + 4n
-        register-1 rows, 1 + 2n readouts.  With ``at``, a flat parameter
-        vector, a second pair follows: its one row of each on every
-        sample.  Both pairs share the coefficients and the unitary
-        product, or the readout walk and, when both sample sets take it,
-        register 1's walk on the basis."""
+        [θ1, θ2] and the readouts [idle, B, C, S] (K2, batch, 4) at
+        ``rows2`` of θ3, on the samples ``idx``.  With ``derivatives``,
+        register 1 gives only its firing probabilities (K1, batch), and
+        each register runs at one row, then the derivative in each
+        column: 1 + 4n register-1 rows, 1 + 2n readouts.  With ``at``, a
+        flat parameter vector, a second pair follows: its one row of each
+        on every sample, register 1 as firing probabilities too.  Both
+        pairs share the coefficients and the unitary product, or the
+        readout walk and, when both sample sets take it, register 1's
+        walk on the basis."""
         cfg = self.config
         n, dim = cfg.n, 2**cfg.n
         # (rows of [θ1, θ2], rows of θ3, samples); only the first part has
@@ -549,13 +520,13 @@ class BatchEvaluator:
                 n, 3 * derivatives)
             k1, k2 = (1 + 2 * n,) * 2 if derivatives else (len(rows1), len(rows2))
             out = [self._pure(u[:k1], u[k1: 2 * k1], u[2 * k1: 2 * k1 + k2], idx, derivatives,
-                              fired)]
+                              derivatives)]
             if at is not None:
-                out.append(self._pure(u[-3:-2], u[-2:-1], u[-1:], None, False, fired))
+                out.append(self._pure(u[-3:-2], u[-2:-1], u[-1:], None, False, derivatives))
             return out
         # every product is real at n ≤ 2; .real keeps the real part of the
         # complex products of n ≥ 3, whose imaginary part is zero
-        p_read = self._p_fire if fired else self._p_j
+        p_read = self._p_fire if derivatives else self._p_j
         picks = [(self._rho_i, self._rho_j, p_read) if sel is None else
                  (self._rho_i[sel], self._rho_j[sel], p_read[sel]) for *_, sel in parts]
         # (K1, batch, 4^n): register 1 after U†(θ2)U(θ1), driven by
@@ -572,7 +543,7 @@ class BatchEvaluator:
         else:
             sigma = [_sim.apply_noisy_layout(self._basis[None] if basis else rho_i[None],
                                              self._mid, mid, n, cfg.noise,
-                                             derivatives=derivatives and not k)
+                                             derivatives=int(derivatives and not k))
                      for k, (mid, basis, (rho_i, _, _)) in enumerate(zip(mids, on_basis, picks))]
         # the readouts carried back through the channel of θ3, read on ρ_j
         obs = _sim.apply_noisy_layout(self._readouts, self._ansatz,
@@ -584,7 +555,7 @@ class BatchEvaluator:
         for k, ((rho_i, rho_j, p_j), basis) in enumerate(zip(picks, on_basis)):
             s = (rho_i @ sigma[k] if basis else sigma[k]).transpose(1, 2, 0)
             # (K, batch) firing probabilities, or (K, batch, 2^n) distributions
-            probs = ((p_j[:, None] @ s)[:, 0].T if fired else
+            probs = ((p_j[:, None] @ s)[:, 0].T if derivatives else
                      (p_j @ s).transpose(2, 0, 1)).real
             if derivatives and not k:  # _mid runs on −θ2
                 probs[1 + 2 * n:] *= -1.0
@@ -624,18 +595,6 @@ class BatchEvaluator:
 
 # --- single-pair operations ----------------------------------------------
 
-def qksas(w_i, w_j, theta1, theta2, config: ModelConfig) -> QksasRecord:
-    """Register-1 outcome distribution via direct circuit simulation."""
-    circ = build_register1(w_i, w_j, theta1, theta2, config)
-    if config.execution == "density":
-        result = _sim.run_circuit(circ, "density", noise=config.noise)
-        dist = np.diagonal(result.state.mat).real.copy()
-    else:
-        result = _sim.run_circuit(circ, "pure")
-        dist = _sim.outcome_probabilities(result.state, tuple(range(config.n)))
-    return QksasRecord(dist)
-
-
 def forward(w_i, w_j, params: ParamSet, config: ModelConfig,
             rng: np.random.Generator | None = None) -> tuple[float, QksasRecord]:
     """Classifier expectation E ∈ [−1, 1] plus the attention record, from
@@ -650,10 +609,3 @@ def forward(w_i, w_j, params: ParamSet, config: ModelConfig,
         plus = rng.binomial(config.shots, np.clip((1.0 + e_val) / 2.0, 0.0, 1.0))
         e_val = 2.0 * plus / config.shots - 1.0
     return e_val, QksasRecord(probs[0])
-
-
-def predict(e_value: float) -> int:
-    """Sign of the expectation; the tie E = 0 maps to +1."""
-    if not np.isfinite(e_value):
-        raise ValueError("expectation must be finite")
-    return -1 if e_value < 0 else 1

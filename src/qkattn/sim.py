@@ -3,8 +3,9 @@
 Two exact engines: pure statevector evolution of measurement-free
 circuits, and density-matrix evolution with Kraus noise channels,
 resolved over every classical branch of mid-circuit measurements and
-classically conditioned gates.  Outcome distributions and Z
-expectations are read from either state.
+classically conditioned gates.  A density run records the outcome
+distribution of each measurement (``RunResult.measurement_probs``), and
+``expectation_z`` reads ⟨Z⟩ from either state.
 
 ``run_circuit`` is the gate-by-gate oracle.  Its density mode keeps each
 classical branch's ρ as a product of factors, one per group of qubits
@@ -35,9 +36,9 @@ oracle keeps the computational basis.  In both builders every rotation's
 matrices come from a batched product of real coefficients with the real
 view of cached factors (``_products``), one product per shape of factors,
 real throughout for a layout whose factors are real, as every noisy
-layout's are at q ≤ 2.  Both also give exact derivatives in the angles,
-for every row or for the first few, whose coefficient rows are one
-product with a cached map (``_coefficients``).
+layout's are at q ≤ 2.  Both also give exact derivatives in the angles
+for the first few rows, whose coefficient rows are one product with a
+cached map (``_coefficients``).
 
 Basis ordering is little-endian throughout: qubit 0 is the least
 significant bit of a basis index.  For two-qubit gates the first
@@ -207,12 +208,6 @@ class GateOp:
     def matrix(self) -> np.ndarray:
         return gate_matrix(self.kind, self.angle, qubits=len(self.coords))
 
-    def adjoint(self) -> "GateOp":
-        if self.condition is not None:
-            raise ValueError("cannot take the adjoint of a conditioned gate")
-        angle = -self.angle if self.angle is not None else None
-        return GateOp(self.kind, self.coords, angle)
-
 
 @dataclasses.dataclass(frozen=True)
 class Measure:
@@ -258,19 +253,13 @@ class Circuit:
         self.clbits = clbits
         self.ops: list[CircuitOp] = []
 
-    @classmethod
-    def from_layout(cls, qubits: int, layout: Layout, angles) -> "Circuit":
-        """One instance of a fixed-structure fragment."""
-        return cls(qubits).add_layout(layout, angles)
-
     def add_layout(self, layout: Layout, angles, offset: int = 0,
                    adjoint: bool = False) -> "Circuit":
         """Append one instance of a fixed-structure fragment, the gate of
         slot s at angle ``angles[s]`` and every coordinate moved up by
         ``offset``.  ``adjoint`` appends the fragment's adjoint instead:
-        the gates in reverse order on negated angles, as
-        ``Circuit.adjoint`` makes them (every unparameterized gate kind is
-        self-inverse)."""
+        the gates in reverse order on negated angles (every
+        unparameterized gate kind is self-inverse)."""
         for kind, coords, slot in (reversed(layout) if adjoint else layout):
             if offset:
                 coords = tuple(c + offset for c in coords)
@@ -305,28 +294,6 @@ class Circuit:
             raise ValueError("fragment does not fit this circuit")
         self.ops.extend(other.ops)
         return self
-
-    def adjoint(self) -> "Circuit":
-        """Reverse gate order and negate rotation angles.
-
-        Only defined for purely unitary fragments.
-        """
-        if any(isinstance(op, Measure) for op in self.ops):
-            raise ValueError("cannot take the adjoint of a circuit with measurements")
-        out = Circuit(self.qubits, self.clbits)
-        for op in reversed(self.ops):
-            out.add(op.adjoint())
-        return out
-
-    def shifted(self, offset: int, qubits: int, clbits: int | None = None) -> "Circuit":
-        """The same fragment with every qubit coordinate moved up by ``offset``."""
-        out = Circuit(qubits, self.clbits if clbits is None else clbits)
-        for op in self.ops:
-            if isinstance(op, Measure):
-                out.measure(tuple(c + offset for c in op.qubits), op.clbits)
-            else:
-                out.gate(op.kind, tuple(c + offset for c in op.coords), op.angle, op.condition)
-        return out
 
     def validate(self) -> None:
         """Check that every condition reads classical bits written by an
@@ -425,13 +392,13 @@ _BASIS_DERIVATIVE = np.array([[0, 0, 0, 0.5, 0], [0, 0, 0.5, 0, 0], [0, -0.5, 0,
 
 
 def _coefficients(angles: np.ndarray, slots: np.ndarray, channel: bool,
-                  derivatives: bool | int = False) -> np.ndarray:
+                  derivatives: int = 0) -> np.ndarray:
     """The coefficient basis of R rotations, rotation r driven by column
     slots[r] of ``angles`` (K, P), as (R, K, terms): [1, c, s] for a
     unitary, [1, c, s, cs, s²] for a superoperator, c, s = cos, sin(θ/2).
 
-    ``derivatives`` follows each of the first ``derivatives`` rows (every
-    row for True) with one row per column j, in which the rotation that j
+    ``derivatives`` follows each of the first ``derivatives`` rows with
+    one row per column j, in which the rotation that j
     drives has its basis' θ-derivative (``_BASIS_DERIVATIVE``): every
     factor is affine in the basis, so that row's product is the
     fragment's derivative in θ_j, as long as no column drives two
@@ -449,13 +416,13 @@ def _coefficients(angles: np.ndarray, slots: np.ndarray, channel: bool,
     if channel:
         np.multiply(c, s, out=coef[..., 3])
         np.multiply(s, s, out=coef[..., 4])
-    lead = len(angles) if derivatives is True else int(derivatives)
-    if not lead:
+    if not derivatives:
         return coef
     terms = coef.shape[-1]
-    rows = coef[:, :lead] @ _expansion(tuple(slots.tolist()), angles.shape[1], terms)
+    rows = coef[:, :derivatives] @ _expansion(tuple(slots.tolist()), angles.shape[1], terms)
     rows = rows.reshape(slots.size, -1, terms)
-    return rows if lead == len(angles) else np.concatenate([rows, coef[:, lead:]], axis=1)
+    return rows if derivatives == len(angles) else np.concatenate(
+        [rows, coef[:, derivatives:]], axis=1)
 
 
 @functools.lru_cache(maxsize=256)
@@ -586,7 +553,7 @@ def _left(m: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def layout_unitaries(layout: Layout, angles: np.ndarray, q: int,
-                     derivatives: bool | int = False) -> np.ndarray:
+                     derivatives: int = 0) -> np.ndarray:
     """Unitaries (K, 2^q, 2^q) of a fixed-structure fragment, one per
     row of ``angles``.
 
@@ -596,8 +563,8 @@ def layout_unitaries(layout: Layout, angles: np.ndarray, q: int,
     (``_products``) and multiplies the R gates together, R − 1 batched
     matmuls in all.  A layout whose factors are all real (RY, CRY,
     MCRY-open and fixed gates) gives real unitaries.  ``derivatives``
-    follows each unitary, or each of the first ``derivatives`` (a count),
-    with its derivative in each column of ``angles`` (``_coefficients``).
+    follows each of the first ``derivatives`` unitaries with its
+    derivative in each column of ``angles`` (``_coefficients``).
     """
     slots, factors, tail = _layout_factors(tuple(layout), q)
     dim = len(tail)
@@ -842,7 +809,7 @@ def _layout_plan(layout: tuple, q: int, noise: tuple[NoiseChannel, ...]) -> tupl
 
 def apply_noisy_layout(vecs: np.ndarray, layout: Layout, angles: np.ndarray, q: int,
                        noise: Sequence[NoiseChannel] = (), adjoint: bool = False,
-                       derivatives: bool | int = False) -> np.ndarray:
+                       derivatives: int = 0) -> np.ndarray:
     """Run a fixed-structure fragment on a (K, B, 4^q) stack of density
     matrices in the walk's basis (``to_walk_basis``): at q ≤ 2 the real
     Pauli coordinates T·vec(ρ), at q ≥ 3 vec(ρ)[c + 2^q r] = ρ[r, c].
@@ -870,9 +837,9 @@ def apply_noisy_layout(vecs: np.ndarray, layout: Layout, angles: np.ndarray, q: 
     ``adjoint`` applies the adjoint map instead (S†: the steps'
     matrices conjugate-transposed in reverse order), which carries
     vectorised observables backwards: Tr(O·Λ(ρ)) = Tr(Λ†(O)·ρ).
-    ``derivatives`` follows each row, or each of the first
-    ``derivatives`` (a count), with the fragment's derivative in each
-    column of ``angles`` (``_coefficients``); it needs every slot to
+    ``derivatives`` follows each of the first ``derivatives`` rows with
+    the fragment's derivative in each column of ``angles``
+    (``_coefficients``); it needs every slot to
     drive at most one gate on at most ``_FOLDED_ARITY`` qubits.
     """
     slots, groups, steps = _layout_plan(tuple(layout), q, tuple(noise))
@@ -909,26 +876,6 @@ def expand_matrix(u: np.ndarray, coords: Sequence[int], q: int) -> np.ndarray:
     rest = idx & ~mask
     full = u[sub[:, None], sub[None, :]] * (rest[:, None] == rest[None, :])
     return np.ascontiguousarray(full)
-
-
-def outcome_probabilities(state: StateVector, measured: Sequence[int]) -> np.ndarray:
-    """Distribution over the 2^|measured| outcomes of the listed qubits.
-
-    Outcome index k has bit i equal to the value of ``measured[i]``.
-    """
-    measured = tuple(measured)
-    if not measured:
-        raise ValueError("empty measurement subset")
-    if len(set(measured)) != len(measured):
-        raise ValueError("measured qubits must be distinct")
-    if max(measured) >= state.qubits:
-        raise ValueError("measured qubit out of range")
-    q = state.qubits
-    t = (np.abs(state.amps) ** 2).reshape((2,) * q)
-    front = _coord_axes(measured, q)
-    rest = [a for a in range(q) if a not in front]
-    p = np.transpose(t, front + rest).reshape(2 ** len(measured), -1).sum(axis=1)
-    return p
 
 
 def expectation_z(state: StateVector | DensityMatrix, qubit: int) -> float:

@@ -109,25 +109,6 @@ def _checked(e_values, labels) -> tuple[np.ndarray, np.ndarray]:
     return e, y
 
 
-def loss(e_values, labels) -> float:
-    e, y = _checked(e_values, labels)
-    return float(np.mean((y - e) ** 2))
-
-
-def accuracy(predictions, labels) -> float:
-    p = np.asarray(predictions)
-    y = np.asarray(labels)
-    if p.shape != y.shape:
-        raise ValueError("prediction and label counts differ")
-    if not y.size:
-        raise ValueError("no samples to score: the batch is empty")
-    return float(np.mean(p == y))
-
-
-def predictions_from_e(e_values) -> np.ndarray:
-    return np.where(np.asarray(e_values, dtype=float) < 0, -1, 1)
-
-
 def _chain_rule(labels, e_values, de) -> np.ndarray:
     """The surrogate loss's dL/dθ = mean(−2(y − E)·dE/dθ), one row of ``de`` per slot."""
     y = np.asarray(labels, dtype=float)
@@ -145,7 +126,7 @@ def _check_exact(model_config: ModelConfig) -> None:
 def gradient(evaluator: BatchEvaluator, theta, labels, idx=None) -> np.ndarray:
     """Exact gradient of the surrogate loss over one batch at the flat vector
     ``theta``; a model that samples ``shots`` has no exact E and is refused,
-    and the labels are checked as ``loss`` checks them."""
+    and so are labels that are not one ±1 label per sample of the batch."""
     _check_exact(evaluator.config)
     e_values, de = evaluator.derivatives(theta, idx=idx)
     e_values, y = _checked(e_values, labels)
@@ -177,25 +158,34 @@ def _metrics(e_values: np.ndarray, labels: np.ndarray, m: int) -> StepMetrics:
                        float(np.count_nonzero(hits[:m]) / m), test_acc)
 
 
+def _labelled_set(x, y, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The "training" or "test" set (``what``) as float arrays, refused
+    unless its labels are 1-D, one per sample and ±1, and it is not
+    empty."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.asarray(y, dtype=float)
+    prefix = "test " if what == "test" else ""
+    if y.ndim != 1:
+        raise ValueError(f"{prefix}labels must be a 1-D array, got shape {y.shape}")
+    if x.shape[0] != y.size:
+        raise ValueError(f"{prefix}feature and label counts differ")
+    if x.shape[0] == 0:
+        raise ValueError(f"{what} set is empty")
+    if not np.all(np.isin(y, (-1.0, 1.0))):
+        raise ValueError(f"{prefix}labels must be -1 or +1")
+    return x, y
+
+
 def _check_test_set(train_x: np.ndarray, test_x, test_y):
     """The test set as arrays, or (None, None) without one."""
     if (test_x is None) != (test_y is None):
         raise ValueError("test_x and test_y must be given together")
     if test_x is None:
         return None, None
-    test_x = np.atleast_2d(np.asarray(test_x, dtype=float))
-    test_y = np.asarray(test_y, dtype=float)
-    if test_y.ndim != 1:
-        raise ValueError(f"test labels must be a 1-D array, got shape {test_y.shape}")
-    if test_x.shape[0] == 0:
-        raise ValueError("test set is empty")
-    if test_x.shape[0] != test_y.size:
-        raise ValueError("test feature and label counts differ")
+    test_x, test_y = _labelled_set(test_x, test_y, "test")
     if test_x.shape[1] != train_x.shape[1]:
         raise ValueError(f"test samples have {test_x.shape[1]} features, "
                          f"training samples {train_x.shape[1]}")
-    if not np.all(np.isin(test_y, (-1.0, 1.0))):
-        raise ValueError("test labels must be -1 or +1")
     return test_x, test_y
 
 
@@ -220,16 +210,7 @@ def train_loop(model_config: ModelConfig, train_x, train_y, config: TrainConfig,
     samples against a batch of 30 in the image runs).  θ stays a flat
     vector; the one ``ParamSet`` is built for the record.
     """
-    train_x = np.atleast_2d(np.asarray(train_x, dtype=float))
-    train_y = np.asarray(train_y, dtype=float)
-    if train_y.ndim != 1:
-        raise ValueError(f"labels must be a 1-D array, got shape {train_y.shape}")
-    if train_x.shape[0] != train_y.size:
-        raise ValueError("feature and label counts differ")
-    if train_x.shape[0] == 0:
-        raise ValueError("training set is empty")
-    if not np.all(np.isin(train_y, (-1.0, 1.0))):
-        raise ValueError("labels must be -1 or +1")
+    train_x, train_y = _labelled_set(train_x, train_y, "training")
     for label in (-1.0, 1.0):
         if not np.any(train_y == label):
             raise ValueError(f"training set has no samples with label {int(label)}")

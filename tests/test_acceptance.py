@@ -5,6 +5,7 @@ The two image-dataset criteria skip loudly unless QKATTN_MNIST_DIR /
 QKATTN_FASHION_DIR point at directories holding the four standard IDX
 files; this environment cannot download them.
 """
+import dataclasses
 import json
 import os
 import time
@@ -12,11 +13,11 @@ import time
 import numpy as np
 import pytest
 
-from qkattn import sim
+from qkattn import ansatz, encoding, sim
 from qkattn.cli import main as cli_main
 from qkattn.data import (load_idx, make_split, prepare_image_features,
                          scale_features, synthetic_dataset)
-from qkattn.model import BatchEvaluator, ModelConfig, build_full_circuit, qksas
+from qkattn.model import BatchEvaluator, ModelConfig, build_full_circuit, forward
 from qkattn.train import TrainConfig, gradient_check, train_loop
 
 ALL_COMBOS = [("amplitude", "qaoa"), ("amplitude", "hea"),
@@ -67,6 +68,8 @@ def test_criterion_1_deferred_measurement_equivalence():
 
 
 def test_criterion_2_kernel_self_consistency():
+    # p0 as the density oracle records register 1's mid-circuit
+    # measurement in the conditional full circuit, at w_i = w_j, θ1 = θ2
     rng = np.random.default_rng(101)
     start = time.time()
     worst = 0.0
@@ -74,8 +77,10 @@ def test_criterion_2_kernel_self_consistency():
         cfg = ModelConfig(n=2, encoder=enc, ansatz=anz)
         for _ in range(100):
             w = random_features(cfg, rng)
-            theta = rng.uniform(0, 2 * np.pi, size=4)
-            worst = max(worst, abs(qksas(w, w, theta, theta, cfg).p0 - 1.0))
+            p = cfg.random_params(rng)
+            circ = build_full_circuit(w, w, dataclasses.replace(p, theta2=p.theta1), cfg)
+            p0 = sim.run_circuit(circ, "density").measurement_probs[0][0]
+            worst = max(worst, abs(p0 - 1.0))
     elapsed = time.time() - start
     report(2, worst < 1e-10 and elapsed < 10,
            f"400 draws, worst |p0 - 1| = {worst:.3e}, {elapsed:.1f}s")
@@ -252,10 +257,15 @@ def test_criterion_8_property_suites():
         m = sim.gate_matrix(kind, rng.uniform(0, 2 * np.pi))
         if not np.allclose(m @ m.conj().T, np.eye(m.shape[0]), atol=1e-12):
             failures.append(f"unitarity {kind}")
-    from qkattn.encoding import normalized_amplitudes
+    layout = encoding.encoder_layout("amplitude", 2)
     for _ in range(20):
-        v = normalized_amplitudes(rng.normal(size=int(rng.integers(1, 5))), 2)
-        if not np.isclose(np.linalg.norm(v), 1.0, atol=1e-12):
+        v = rng.normal(size=(1, int(rng.integers(1, 5))))
+        circ = sim.Circuit(2).add_layout(layout, encoding.encoder_angles("amplitude", v, 2)[0])
+        amps = sim.run_circuit(circ, "pure").state.amps
+        target = np.zeros(4)
+        target[: v.size] = v[0] / np.linalg.norm(v)
+        if (not np.isclose(np.linalg.norm(amps), 1.0, atol=1e-12)
+                or np.max(np.abs(amps - target)) >= 1e-12):
             failures.append("amplitude normalization")
 
     # channel trace preservation
@@ -265,14 +275,11 @@ def test_criterion_8_property_suites():
         if not np.allclose(total, np.eye(2), atol=1e-12):
             failures.append(f"trace preservation {kind}")
 
-    # adjoint cancellation
-    from qkattn.ansatz import build_ansatz
+    # adjoint cancellation, with the adjoint that build_full_circuit appends
     for kind in ("qaoa", "hea"):
         theta = rng.uniform(0, 2 * np.pi, size=4)
-        circ = build_ansatz(kind, 2, theta)
-        both = sim.Circuit(2)
-        both.extend(circ)
-        both.extend(circ.adjoint())
+        layout = ansatz.ansatz_layout(kind, 2)
+        both = sim.Circuit(2).add_layout(layout, theta).add_layout(layout, theta, adjoint=True)
         amps = sim.run_circuit(both, "pure").state.amps
         if not np.isclose(abs(amps[0]), 1.0, atol=1e-12):
             failures.append(f"adjoint cancellation {kind}")
@@ -280,8 +287,8 @@ def test_criterion_8_property_suites():
     # QKSAS distribution normalization
     for enc, anz in ALL_COMBOS:
         cfg = ModelConfig(n=2, encoder=enc, ansatz=anz)
-        rec = qksas(random_features(cfg, rng), random_features(cfg, rng),
-                    rng.uniform(0, 2 * np.pi, 4), rng.uniform(0, 2 * np.pi, 4), cfg)
+        _, rec = forward(random_features(cfg, rng), random_features(cfg, rng),
+                         cfg.random_params(rng), cfg)
         if not np.isclose(rec.distribution.sum(), 1.0, atol=1e-10):
             failures.append(f"qksas normalization {enc}/{anz}")
         if not np.all(rec.distribution >= -1e-12):

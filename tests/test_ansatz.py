@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from qkattn.ansatz import ParamSet, build_ansatz, build_link, link_slot_count
+from qkattn.ansatz import ParamSet, ansatz_layout, build_link, check_params, link_slot_count
 from qkattn.sim import Circuit, run_circuit
+
+
+def ansatz_circuit(kind, n, theta):
+    """The ansatz fragment U(θ), as ``build_full_circuit`` lays it out."""
+    return Circuit(n).add_layout(ansatz_layout(kind, n), check_params(theta, 2 * n))
 
 
 def gate_tuples(circ):
@@ -10,7 +15,7 @@ def gate_tuples(circ):
 
 
 def test_qaoa_structure_n2():
-    circ = build_ansatz("qaoa", 2, np.arange(4, dtype=float))
+    circ = ansatz_circuit("qaoa", 2, np.arange(4, dtype=float))
     assert gate_tuples(circ) == [
         ("H", (0,)), ("RY", (0,)), ("H", (1,)), ("RY", (1,)),
         ("CNOT", (0, 1)), ("RZ", (1,)), ("CNOT", (0, 1)),
@@ -22,7 +27,7 @@ def test_qaoa_structure_n2():
 
 
 def test_hea_structure_n2():
-    circ = build_ansatz("hea", 2, np.arange(4, dtype=float))
+    circ = ansatz_circuit("hea", 2, np.arange(4, dtype=float))
     assert gate_tuples(circ) == [
         ("H", (0,)), ("RZ", (0,)), ("H", (1,)), ("RZ", (1,)),
         ("CRY", (0, 1)), ("CRY", (1, 0)),
@@ -30,32 +35,32 @@ def test_hea_structure_n2():
 
 
 def test_ring_wraps_n3():
-    circ = build_ansatz("hea", 3, np.zeros(6))
+    circ = ansatz_circuit("hea", 3, np.zeros(6))
     entanglers = [op.coords for op in circ.ops if op.kind == "CRY"]
     assert entanglers == [(0, 1), (1, 2), (2, 0)]
 
 
 def test_n1_degeneracy():
     # self-loop entanglers are dropped; the qaoa RZ survives
-    qaoa = build_ansatz("qaoa", 1, [0.3, 0.4])
+    qaoa = ansatz_circuit("qaoa", 1, [0.3, 0.4])
     assert [op.kind for op in qaoa.ops] == ["H", "RY", "RZ"]
-    hea = build_ansatz("hea", 1, [0.3, 0.4])
+    hea = ansatz_circuit("hea", 1, [0.3, 0.4])
     assert [op.kind for op in hea.ops] == ["H", "RZ"]
 
 
 def test_zero_angles_keep_h_layer():
     # the structural H gates must not be elided at theta = 0
-    amps = run_circuit(build_ansatz("qaoa", 2, np.zeros(4)), "pure").state.amps
+    amps = run_circuit(ansatz_circuit("qaoa", 2, np.zeros(4)), "pure").state.amps
     assert np.allclose(np.abs(amps), 0.5, atol=1e-12)
 
 
 def test_param_count_validation():
-    with pytest.raises(ValueError):
-        build_ansatz("qaoa", 2, np.zeros(3))
-    with pytest.raises(ValueError):
-        build_ansatz("hea", 2, [0.1, np.inf, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        build_ansatz("vqe", 2, np.zeros(4))
+    with pytest.raises(ValueError, match="expected 4 parameters, got 3"):
+        check_params(np.zeros(3), 4)
+    with pytest.raises(ValueError, match="parameters must be finite"):
+        check_params([0.1, np.inf, 0.0, 0.0], 4)
+    with pytest.raises(ValueError, match="unknown ansatz kind 'vqe'"):
+        ansatz_layout("vqe", 2)
 
 
 def test_adjoint_cancels():
@@ -63,10 +68,9 @@ def test_adjoint_cancels():
     for kind in ("qaoa", "hea"):
         for n in (1, 2, 3):
             theta = rng.uniform(0, 2 * np.pi, size=2 * n)
-            circ = build_ansatz(kind, n, theta)
-            both = Circuit(n)
-            both.extend(circ)
-            both.extend(circ.adjoint())
+            # the adjoint that build_full_circuit appends for U†(θ2)
+            layout = ansatz_layout(kind, n)
+            both = Circuit(n).add_layout(layout, theta).add_layout(layout, theta, adjoint=True)
             amps = run_circuit(both, "pure").state.amps
             assert np.isclose(abs(amps[0]), 1.0, atol=1e-12)
 

@@ -9,9 +9,10 @@ import pytest
 
 from qkattn import cli
 from qkattn.cli import main
-from qkattn.model import BatchEvaluator, ModelConfig, qksas
+from qkattn.model import BatchEvaluator, ModelConfig
 from qkattn.train import train_loop
 from test_data import write_idx_pair
+from test_model import register1_oracle
 
 
 def write_config(tmp_path, **overrides):
@@ -139,7 +140,7 @@ def test_qksas_matches_per_index_oracle(tmp_path, execution, shots, link_mode, n
     for row in rows:
         index, *values = row.split(",")
         w = x[int(index)]
-        ref = qksas(w, w, params.theta1, params.theta2, mcfg).distribution
+        ref = register1_oracle(w, w, params, mcfg)
         assert np.max(np.abs(np.array(values, dtype=float) - ref)) < 1e-12
 
 

@@ -7,11 +7,10 @@ import pytest
 
 from qkattn import cli, encoding, model, sim
 from qkattn.ansatz import ParamSet
-from qkattn.ansatz import LINK_FORMS, LINK_MODES, build_ansatz, build_link
-from qkattn.model import (VARIANTS, BatchEvaluator, ModelConfig, build_full_circuit,
-                          build_register1, build_register2, forward, predict,
-                          qksas)
+from qkattn.ansatz import LINK_FORMS, LINK_MODES, ansatz_layout, build_link
+from qkattn.model import VARIANTS, BatchEvaluator, ModelConfig, build_full_circuit, forward
 from qkattn.train import gradient
+from test_encoding import encoder_circuit
 
 
 def random_features(cfg, rng):
@@ -27,6 +26,24 @@ def all_configs(n=2):
     for enc in ("amplitude", "angle"):
         for anz in ("qaoa", "hea"):
             yield ModelConfig(n=n, encoder=enc, ansatz=anz)
+
+
+def register1_oracle(wi, wj, params, cfg):
+    """Register 1's outcome distribution, as the density oracle records the
+    mid-circuit measurement of the conditional full circuit.  Register 1
+    does not depend on the link, so a literal-link model is read through
+    its canonical-link twin."""
+    canonical = dataclasses.replace(cfg, link_mode="all-zeros-canonical")
+    p = ParamSet(params.theta1, params.theta2, params.theta3, params.theta4[: cfg.n])
+    res = sim.run_circuit(build_full_circuit(wi, wj, p, canonical), "density", noise=cfg.noise)
+    return res.measurement_probs[0]
+
+
+def register2_circuit(wj, theta3, cfg):
+    """U(θ3) U_φ(w_j) on its own n qubits, from the layouts that
+    ``build_full_circuit`` fills."""
+    circ = encoder_circuit(cfg.encoder, wj, cfg.n)
+    return circ.add_layout(ansatz_layout(cfg.ansatz, cfg.n), theta3)
 
 
 def test_config_validation_and_variants():
@@ -75,8 +92,8 @@ def test_kernel_self_consistency():
     for cfg in all_configs():
         for _ in range(25):
             w = random_features(cfg, rng)
-            theta = rng.uniform(0, 2 * np.pi, size=2 * cfg.n)
-            rec = qksas(w, w, theta, theta, cfg)
+            p = cfg.random_params(rng)
+            _, rec = forward(w, w, dataclasses.replace(p, theta2=p.theta1), cfg)
             assert abs(rec.p0 - 1.0) < 1e-10
             assert np.isclose(rec.distribution.sum(), 1.0, atol=1e-10)
 
@@ -85,25 +102,26 @@ def test_qksas_symmetry():
     rng = np.random.default_rng(1)
     for cfg in all_configs():
         wi, wj = random_features(cfg, rng), random_features(cfg, rng)
-        t1 = rng.uniform(0, 2 * np.pi, size=2 * cfg.n)
-        t2 = rng.uniform(0, 2 * np.pi, size=2 * cfg.n)
-        a = qksas(wi, wj, t1, t2, cfg)
-        b = qksas(wj, wi, t2, t1, cfg)
+        p = cfg.random_params(rng)
+        _, a = forward(wi, wj, p, cfg)
+        _, b = forward(wj, wi, dataclasses.replace(p, theta1=p.theta2, theta2=p.theta1), cfg)
         assert abs(a.p0 - b.p0) < 1e-12
 
 
 def test_qksas_brute_force_oracle():
-    # p0 equals |<0|U|0>|^2 with U assembled by explicit matrix products
+    # p0 equals |<0|U|0>|^2 with U assembled by explicit matrix products of
+    # the register-1 gates of the full circuit
     rng = np.random.default_rng(2)
     cfg = ModelConfig(n=2, encoder="angle", ansatz="hea")
     wi, wj = random_features(cfg, rng), random_features(cfg, rng)
-    t1 = rng.uniform(0, 2 * np.pi, size=4)
-    t2 = rng.uniform(0, 2 * np.pi, size=4)
-    circ = build_register1(wi, wj, t1, t2, cfg)
+    p = cfg.random_params(rng)
     total = np.eye(4, dtype=complex)
-    for op in circ.ops:
-        total = sim.expand_matrix(op.matrix(), op.coords, 2) @ total
-    rec = qksas(wi, wj, t1, t2, cfg)
+    for op in build_full_circuit(wi, wj, p, cfg).ops:
+        if isinstance(op, sim.Measure):
+            break
+        if max(op.coords) < cfg.n:
+            total = sim.expand_matrix(op.matrix(), op.coords, 2) @ total
+    _, rec = forward(wi, wj, p, cfg)
     assert abs(rec.p0 - abs(total[0, 0]) ** 2) < 1e-12
 
 
@@ -111,15 +129,9 @@ def test_register1_identity_example():
     cfg = ModelConfig(n=2, encoder="angle", ansatz="qaoa")
     rng = np.random.default_rng(3)
     w = random_features(cfg, rng)
-    theta = rng.uniform(0, 2 * np.pi, size=4)
-    state = sim.run_circuit(build_register1(w, w, theta, theta, cfg), "pure").state
-    assert np.isclose(abs(state.amps[0]), 1.0, atol=1e-12)
-
-
-def test_register2_locality():
-    cfg = ModelConfig(n=2, encoder="angle", ansatz="hea")
-    circ = build_register2([0.4, 0.2, 0.9, 0.1], np.ones(4), cfg).shifted(2, 4)
-    assert all(min(op.coords) >= 2 for op in circ.ops)
+    p = cfg.random_params(rng)
+    probs = register1_oracle(w, w, dataclasses.replace(p, theta2=p.theta1), cfg)
+    assert abs(probs[0] - 1.0) < 1e-12
 
 
 def _op_key(op):
@@ -132,24 +144,30 @@ def _op_key(op):
 
 def _fragment_reference(wi, wj, p, cfg, form, final_measure):
     """build_full_circuit assembled fragment by fragment: each encoder and
-    ansatz built on its own, the adjoints by Circuit.adjoint, register 2
-    moved up by Circuit.shifted, then the link and the measurements."""
+    ansatz built on its own from its layout, the adjoints built here as
+    the gates reversed on negated angles and register 2 as its gates with
+    every coordinate moved up by n, then the link and the measurements."""
     n = cfg.n
-    reg1 = sim.Circuit(n)
-    reg1.extend(encoding.encode(cfg.encoder, wi, n))
-    reg1.extend(build_ansatz(cfg.ansatz, n, p.theta1))
-    reg1.extend(build_ansatz(cfg.ansatz, n, p.theta2).adjoint())
-    reg1.extend(encoding.encode(cfg.encoder, wj, n).adjoint())
-    assert [_op_key(op) for op in build_register1(wi, wj, p.theta1, p.theta2, cfg).ops] == [
-        _op_key(op) for op in reg1.ops]
-    reg2 = sim.Circuit(n)
-    reg2.extend(encoding.encode(cfg.encoder, wj, n))
-    reg2.extend(build_ansatz(cfg.ansatz, n, p.theta3))
-    assert [_op_key(op) for op in build_register2(wj, p.theta3, cfg).ops] == [
-        _op_key(op) for op in reg2.ops]
+    anz = ansatz_layout(cfg.ansatz, n)
+
+    def fragment(layout, angles):
+        return sim.Circuit(n).add_layout(layout, angles).ops
+
+    def encoded(w):
+        return encoder_circuit(cfg.encoder, w, n).ops
+
+    def adjoint(ops):
+        return [sim.GateOp(op.kind, op.coords, None if op.angle is None else -op.angle)
+                for op in reversed(ops)]
+
+    reg1 = (encoded(wi) + fragment(anz, p.theta1) + adjoint(fragment(anz, p.theta2))
+            + adjoint(encoded(wj)))
+    reg2 = [sim.GateOp(op.kind, tuple(c + n for c in op.coords), op.angle)
+            for op in encoded(wj) + fragment(anz, p.theta3)]
     clbits = n + 1 if final_measure else n
     circ = sim.Circuit(2 * n, clbits=clbits)
-    circ.extend(reg1).extend(reg2.shifted(n, 2 * n, clbits))
+    for op in reg1 + reg2:
+        circ.add(op)
     canonical = cfg.link_mode == "all-zeros-canonical"
     if canonical and form == "conditional":
         circ.measure(range(n), range(n))
@@ -184,7 +202,7 @@ def test_forward_theta4_zero_is_identity_link():
         p = cfg.random_params(rng)
         p_zero = ParamSet(p.theta1, p.theta2, p.theta3, np.zeros_like(p.theta4))
         e, _ = forward(wi, wj, p_zero, cfg)
-        bare = sim.run_circuit(build_register2(wj, p.theta3, cfg), "pure").state
+        bare = sim.run_circuit(register2_circuit(wj, p.theta3, cfg), "pure").state
         assert abs(e - sim.expectation_z(bare, cfg.n - 1)) < 1e-12
 
 
@@ -198,7 +216,7 @@ def test_forward_p0_one_single_branch():
     e, rec = forward(w, w, p, cfg)
     assert abs(rec.p0 - 1.0) < 1e-10
     # E must equal <Z> of the link-applied register-2 state
-    reg2 = build_register2(w, p.theta3, cfg)
+    reg2 = register2_circuit(w, p.theta3, cfg)
     for c in range(cfg.n):
         reg2.gate("RY", (c,), float(p.theta4[c]))
     linked = sim.run_circuit(reg2, "pure").state
@@ -283,8 +301,8 @@ def test_literal_link_evaluator_matches_full_circuit():
 
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_analytic_evaluator_matches_full_circuit_oracle(n):
-    # E against the full conditional circuit, the distributions against a
-    # measurement of the register-1 circuit; idx repeats a pair
+    # E against the full conditional circuit, the distributions against
+    # its mid-circuit measurement of register 1; idx repeats a pair
     rng = np.random.default_rng(20 + n)
     for variant in VARIANTS:
         for link in LINK_MODES:
@@ -296,10 +314,7 @@ def test_analytic_evaluator_matches_full_circuit_oracle(n):
             for a, b in zip(wi, wj):
                 full = build_full_circuit(a, b, p, cfg, form="conditional")
                 e_ref = sim.expectation_z(sim.run_circuit(full, "density").state, 2 * n - 1)
-                reg1 = sim.Circuit(n, clbits=n)
-                reg1.extend(build_register1(a, b, p.theta1, p.theta2, cfg))
-                reg1.measure(range(n), range(n))
-                oracle.append((e_ref, sim.run_circuit(reg1, "density").measurement_probs[0]))
+                oracle.append((e_ref, register1_oracle(a, b, p, cfg)))
             ev = BatchEvaluator(wi, wj, cfg)
             idx = np.array([2, 0, 2])
             for rows, (e, probs) in ((range(3), ev.evaluate(p)), (idx, ev.evaluate(p, idx=idx))):
@@ -621,12 +636,15 @@ def test_fired_path_matches_the_distributions(n, execution):
     # derivatives and step_values read register 1's firing probability f
     # alone: one product on the cached per-sample forms, or one folded row
     # of the pulled-back projectors.  f must be the fired mass of the
-    # distributions on plain rows and derivative rows alike, for a batch
-    # below 4^n, one of at least 4^n and the whole set.  At n = 4 the
-    # whole set is the batch of at least 4^n and density mode runs without
-    # noise: a noisy AmHE build over 258 samples takes about 0.6 s, and
-    # each walk on the 256 basis vectors about 0.1 s.  AmHE's forms are
-    # real and its A complex; AnQAOA's forms are complex
+    # distributions on a row and, by the four-term rule, on its derivative
+    # rows in θ1 and θ2, for a batch below 4^n, one of at least 4^n and
+    # the whole set; step_values' second row, on every sample, is read
+    # the same way.  At n = 4 the whole set is the batch of at least 4^n
+    # and density mode runs without noise: a noisy AmHE build over 258
+    # samples takes about 0.6 s, and each walk on the 256 basis vectors
+    # about 0.1 s, so there only the small batch takes the derivative
+    # rows.  AmHE's forms are real and its A complex; AnQAOA's forms are
+    # complex
     rng = np.random.default_rng(170 + n)
     noise = NOISE_SETS["bit-flip"] if execution == "density" and n < 4 else ()
     for variant, link in itertools.product(("AmHE", "AnQAOA"), LINK_MODES):
@@ -642,13 +660,22 @@ def test_fired_path_matches_the_distributions(n, execution):
             e, _ = ev.derivatives(thetas[0], idx)
             e_ref = ev.evaluate_stack(thetas[:1], idx)[0][0]
             assert np.max(np.abs(e - e_ref)) < 1e-13, (variant, link, idx is None)
-            for derivatives, rows in ((False, thetas), (True, thetas[:1])):
-                args = rows[:, : 4 * n], rows[:, 4 * n: 6 * n], idx, derivatives
-                (fire, reads), = ev._registers(*args, fired=True)
-                (probs, reads_ref), = ev._registers(*args)
-                assert fire.shape == probs.shape[:2]
-                assert np.max(np.abs(fire - probs @ ev._fire)) < 1e-13, (variant, link)
-                assert np.array_equal(reads, reads_ref)
+            (fire, _), (fire_at, _) = ev._registers(
+                thetas[:1, : 4 * n], thetas[:1, 4 * n: 6 * n], idx, True, at=thetas[1])
+            f_at = ev.evaluate_stack(thetas[1:])[1][0] @ ev._fire
+            assert fire_at.shape == (1, len(x))
+            assert np.max(np.abs(fire_at - f_at)) < 1e-13, (variant, link)
+            steps = np.eye(thetas.shape[1])[: 4 * n]
+            rows = [] if n == 4 and idx is None else [
+                thetas[0] + sign * shift * steps for shift, _ in FOUR_TERM_RULE for sign in (1, -1)]
+            f = ev.evaluate_stack(np.vstack([thetas[:1], *rows]), idx)[1] @ ev._fire
+            assert fire.shape == (1 + 4 * n, f.shape[1])
+            assert np.max(np.abs(fire[0] - f[0])) < 1e-13, (variant, link)
+            if rows:
+                f = f[1:].reshape(len(FOUR_TERM_RULE), 2, 4 * n, -1)
+                df = sum(weight * (f[k, 0] - f[k, 1])
+                         for k, (_, weight) in enumerate(FOUR_TERM_RULE))
+                assert np.max(np.abs(fire[1:] - df)) < 1e-13, (variant, link)
 
 
 @pytest.mark.parametrize("link", LINK_MODES)
@@ -1001,7 +1028,6 @@ def test_oracle_sampler_has_the_binomial_readout_distribution(n):
 
 def test_cli_qksas_runs_one_evaluator(monkeypatch, tmp_path):
     forbid(monkeypatch, sim, "run_circuit")
-    forbid(monkeypatch, model, "qksas")
     built = []
     init = BatchEvaluator.__init__
 
@@ -1034,15 +1060,7 @@ def test_register_locality_wi_perturbation():
 def test_qksas_grid_shape():
     rng = np.random.default_rng(13)
     cfg = ModelConfig(n=2, encoder="angle", ansatz="hea")
-    rec = qksas(rng.uniform(0, np.pi, 4), rng.uniform(0, np.pi, 4),
-                rng.uniform(0, 2 * np.pi, 4), rng.uniform(0, 2 * np.pi, 4), cfg)
+    _, rec = forward(rng.uniform(0, np.pi, 4), rng.uniform(0, np.pi, 4),
+                     cfg.random_params(rng), cfg)
     assert rec.grid().shape == (2, 2)
     assert np.isclose(rec.grid().sum(), 1.0, atol=1e-10)
-
-
-def test_predict():
-    assert predict(0.3) == 1
-    assert predict(-0.0001) == -1
-    assert predict(0.0) == 1
-    with pytest.raises(ValueError):
-        predict(float("nan"))

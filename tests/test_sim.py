@@ -8,7 +8,7 @@ from qkattn import ansatz, encoding, sim
 from qkattn.model import ModelConfig, _reversed_layout, build_full_circuit
 from qkattn.sim import (Circuit, Condition, GateOp, Measure, NoiseChannel,
                         StateVector, expand_matrix, expectation_z,
-                        gate_matrix, outcome_probabilities, run_circuit)
+                        gate_matrix, run_circuit)
 
 
 # --- gate matrices -------------------------------------------------------
@@ -172,17 +172,6 @@ def test_bell_state_preparation():
     assert np.allclose(result.state.amps, np.array([1, 0, 0, 1]) / np.sqrt(2))
 
 
-def test_outcome_probabilities_ordering():
-    # amplitude index 1 means qubit 0 is set
-    state = StateVector(2, np.array([0, 1, 0, 0], dtype=complex))
-    p = outcome_probabilities(state, (0,))
-    assert np.allclose(p, [0, 1])
-    p = outcome_probabilities(state, (1,))
-    assert np.allclose(p, [1, 0])
-    p = outcome_probabilities(state, (0, 1))
-    assert np.allclose(p, [0, 1, 0, 0])
-
-
 def test_expectation_z():
     assert np.isclose(expectation_z(StateVector.zero(2), 0), 1.0)
     minus = StateVector(2, np.array([0, 0, 1, 0], dtype=complex))  # qubit 1 set
@@ -272,13 +261,14 @@ def test_pure_mode_rejects_noise(case):
 
 
 def test_adjoint_cancellation():
+    # a random fragment followed by add_layout's adjoint of it, which
+    # build_full_circuit appends for U†(θ2) and U_φ†(w_j)
     rng = np.random.default_rng(17)
     for _ in range(10):
         q = int(rng.integers(1, 4))
-        circ = _random_circuit(rng, q, 6)
-        both = Circuit(q)
-        both.extend(circ)
-        both.extend(circ.adjoint())
+        layout = _random_layout(rng, q, 6)
+        angles = rng.uniform(0, 2 * np.pi, size=3)
+        both = Circuit(q).add_layout(layout, angles).add_layout(layout, angles, adjoint=True)
         state = run_circuit(both, "pure").state
         assert np.isclose(abs(state.amps[0]), 1.0, atol=1e-12)
 
@@ -319,12 +309,6 @@ def test_circuit_validation():
 def test_negative_and_overflowing_coordinates_are_refused(build, message):
     with pytest.raises(ValueError, match=message):
         build()
-
-
-def test_shifted_fragment():
-    circ = Circuit(1).gate("H", (0,)).gate("RY", (0,), 0.4)
-    moved = circ.shifted(2, 3)
-    assert [op.coords for op in moved.ops] == [(2,), (2,)]
 
 
 # --- noisy layouts as superoperators ----------------------------------------
@@ -515,14 +499,14 @@ def test_layout_derivative_rows_match_richardson_differences(q):
         layout = _derivative_layout(rng, q)
         angles = rng.uniform(0, 2 * np.pi, size=(2, 4))
         if noise is None:
-            def build(rows, derivatives=False):
+            def build(rows, derivatives=0):
                 return sim.layout_unitaries(layout, rows, q, derivatives)
         else:
-            def build(rows, derivatives=False):
+            def build(rows, derivatives=0):
                 basis = np.eye(4**q, dtype=complex)[None]
                 return sim.apply_noisy_layout(basis, layout, rows, q, noise,
                                               derivatives=derivatives)
-        got = build(angles, True)
+        got = build(angles, len(angles))
         got = got.reshape((2, 5) + got.shape[1:])
         assert np.max(np.abs(got[:, 0] - build(angles))) < 1e-14, noise
         assert np.max(np.abs(got[:, 1:] - richardson(build, angles))) < 1e-10, noise
@@ -546,14 +530,15 @@ def _repeated_coefficient_rows(angles, slots, channel):
 
 @pytest.mark.parametrize("channel", (False, True))
 def test_derivative_coefficient_rows_are_one_product_with_a_cached_map(channel):
-    # three rotations over five columns, of which 1 and 4 drive none; every
-    # row or the first `lead` rows get derivative rows, the rest follow
+    # three rotations over five columns, of which 1 and 4 drive none; the
+    # first `lead` rows get derivative rows, all k of them or fewer, and
+    # the rest follow
     rng = np.random.default_rng(145)
     slots = np.array([3, 0, 2])
     for k in (1, 2, 4):
         angles = rng.uniform(-2 * np.pi, 2 * np.pi, size=(k, 5))
         ref = _repeated_coefficient_rows(angles, slots, channel)
-        got = sim._coefficients(angles, slots, channel, True)
+        got = sim._coefficients(angles, slots, channel, k)
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
         assert np.all(got.reshape(3, k, 6, -1)[0, :, [2, 5]] == 0.0)
         plain = sim._coefficients(angles, slots, channel)
@@ -568,12 +553,12 @@ def test_derivative_coefficient_rows_are_one_product_with_a_cached_map(channel):
 def test_derivative_rows_need_each_slot_on_one_gate():
     layout = (("RY", (0,), 0), ("RZ", (0,), 0))
     with pytest.raises(ValueError, match="at most one"):
-        sim.layout_unitaries(layout, np.zeros((1, 1)), 1, derivatives=True)
+        sim.layout_unitaries(layout, np.zeros((1, 1)), 1, derivatives=1)
     # the wide MCRY-open gate at q = 3 applies as two rotation steps, U and U*
     wide = (("MCRY-open", (0, 1, 2), 0),)
     with pytest.raises(ValueError, match="at most one"):
         sim.apply_noisy_layout(np.ones((1, 1, 64), dtype=complex), wide, np.zeros((1, 1)), 3,
-                               NOISE_SETS[1], derivatives=True)
+                               NOISE_SETS[1], derivatives=1)
 
 
 # --- noisy layouts as products of cached factors (q <= 2) ---------------------
@@ -656,7 +641,8 @@ def test_walk_on_small_stacks_matches_lifted_kraus_reference(q, noise):
                 assert np.max(np.abs(forward[k] - v @ ref.T)) < 1e-12
                 assert np.max(np.abs(backward[k] - v @ ref.conj())) < 1e-12
         shared = vecs[:1]
-        got = sim.apply_noisy_layout(shared, layout, angles, q, noise, derivatives=True)
+        got = sim.apply_noisy_layout(shared, layout, angles, q, noise,
+                                     derivatives=len(angles))
         got = got.reshape(2, 5, count, 4**q)
         for k, row in enumerate(angles):
             assert np.max(np.abs(got[k, 0] - shared[0] @ refs[k].T)) < 1e-12

@@ -8,8 +8,8 @@ from qkattn.ansatz import LINK_MODES, ParamSet
 from qkattn.model import BatchEvaluator, ModelConfig, forward
 from qkattn.sim import NoiseChannel
 from qkattn.train import (_REFERENCE_STEP, RunRecord, TrainConfig, StepMetrics,
-                          _chain_rule, _reference_gradient, accuracy, gradient, gradient_check, loss,
-                          nesterov_step, predictions_from_e, train_loop)
+                          _chain_rule, _metrics, _reference_gradient, gradient, gradient_check,
+                          nesterov_step, train_loop)
 from test_model import FOUR_TERM_RULE, NOISE_SETS
 
 
@@ -24,16 +24,23 @@ def separable_data(rng, count=24):
     return x, y
 
 
+def metrics(e_values, labels, m=None):
+    """``train_loop``'s metrics of E against ±1 labels, the first m
+    (all by default) the training samples and the rest the test samples."""
+    e, y = np.asarray(e_values, dtype=float), np.asarray(labels, dtype=float)
+    return _metrics(e, y, y.size if m is None else m)
+
+
+def sign(e_values):
+    return np.where(np.asarray(e_values) < 0, -1.0, 1.0)
+
+
 def test_loss_examples():
-    assert loss([1.0, -1.0], [1.0, -1.0]) == 0.0
-    assert loss([0.5], [1.0]) == 0.25
+    assert metrics([1.0, -1.0], [1.0, -1.0]).loss == 0.0
+    assert metrics([0.5], [1.0]).loss == 0.25
     # the sign loss is the loss of the predictions: 4·(1 − accuracy)
     e, y = np.array([0.5, -0.5, 0.2, -0.1]), np.array([1.0, 1.0, -1.0, -1.0])
-    assert loss(predictions_from_e(e), y) == 4 * (1 - accuracy(predictions_from_e(e), y)) == 2.0
-    with pytest.raises(ValueError):
-        loss([0.5, 0.2], [1.0])
-    with pytest.raises(ValueError):
-        loss([0.5], [2.0])
+    assert metrics(sign(e), y).loss == 4 * (1 - metrics(e, y).train_acc) == 2.0
 
 
 def test_surrogate_literal_consistency():
@@ -41,20 +48,25 @@ def test_surrogate_literal_consistency():
     margin = 0.3
     y = np.where(rng.random(20) < 0.5, -1.0, 1.0)
     e = y * rng.uniform(margin, 1.0, size=20)
-    assert loss(predictions_from_e(e), y) == 0.0
-    assert loss(e, y) <= (1 - margin) ** 2 + 1e-12
+    assert metrics(sign(e), y).loss == 0.0
+    assert metrics(e, y).loss <= (1 - margin) ** 2 + 1e-12
 
 
 def test_accuracy():
-    assert accuracy([1, -1], [1, -1]) == 1.0
-    assert accuracy([1, -1], [-1, 1]) == 0.0
-    assert accuracy([1, 1], [1, -1]) == 0.5
-    with pytest.raises(ValueError):
-        accuracy([1], [1, -1])
+    assert metrics([0.4, -0.2], [1, -1]).train_acc == 1.0
+    assert metrics([0.4, -0.2], [-1, 1]).train_acc == 0.0
+    assert metrics([0.4, 0.2], [1, -1]).train_acc == 0.5
+    # the samples after the first m are the test set, scored apart
+    split = metrics([0.4, -0.2, 0.3, 0.1, -0.5], [1, 1, -1, 1, -1], m=2)
+    assert (split.train_acc, split.test_acc) == (0.5, 2 / 3)
+    assert np.isnan(metrics([0.4], [1]).test_acc)
 
 
 def test_predictions_tie_break():
-    assert list(predictions_from_e([0.0, -0.1, 0.2])) == [1, -1, 1]
+    # a prediction is sgn(E), the tie E = 0 reading +1
+    e = [0.0, -0.1, 0.2, 0.3, -0.0001, 0.0]
+    assert metrics(e, [1, -1, 1, 1, -1, 1]).train_acc == 1.0
+    assert metrics(e, [-1, 1, -1, -1, 1, -1]).train_acc == 0.0
 
 
 def test_nesterov_plain_descent_at_zero_momentum():
@@ -120,24 +132,21 @@ def test_gradient_checks_labels_as_loss_does(labels, message):
     ev = BatchEvaluator(rng.uniform(0, np.pi, size=(4, 1)), rng.uniform(0, np.pi, size=(4, 1)),
                         cfg)
     theta = cfg.random_params(rng).to_vector()
-    for check in (lambda: loss(np.zeros(4), labels), lambda: gradient(ev, theta, labels)):
-        with pytest.raises(ValueError, match=message) as err:
-            check()
-        assert "\n" not in str(err.value)
+    with pytest.raises(ValueError, match=message) as err:
+        gradient(ev, theta, labels)
+    assert "\n" not in str(err.value)
 
 
 def test_empty_batch_is_refused():
     # before, gradient warned "Mean of empty slice" and then refused a
-    # non-finite loss, and loss and accuracy returned nan with that warning
+    # non-finite loss
     rng = np.random.default_rng(3)
     cfg = ModelConfig(n=1, encoder="angle", ansatz="qaoa")
     x = rng.uniform(0, np.pi, size=(4, 1))
     ev = BatchEvaluator(x, x, cfg)
     theta = cfg.random_params(rng).to_vector()
-    for check in (lambda: gradient(ev, theta, [], idx=[]),
-                  lambda: loss([], []), lambda: accuracy([], [])):
-        with pytest.raises(ValueError, match="^no samples to score: the batch is empty$"):
-            check()
+    with pytest.raises(ValueError, match="^no samples to score: the batch is empty$"):
+        gradient(ev, theta, [], idx=[])
 
 
 def test_gradient_batch_duplication_invariance():
@@ -358,15 +367,14 @@ def reference_train_loop(model_config, train_x, train_y, config, test_x=None, te
     train_eval = BatchEvaluator(train_x, train_x, model_config)
     test_eval = None if test_x is None else BatchEvaluator(test_x, test_x, model_config)
 
-    def metrics(p):
+    def scores(p):
         e_train, _ = train_eval.evaluate(p)
         test_acc = float("nan")
         if test_eval is not None:
-            test_acc = accuracy(predictions_from_e(test_eval.evaluate(p)[0]), test_y)
-        return (loss(e_train, train_y),
-                accuracy(predictions_from_e(e_train), train_y), test_acc)
+            test_acc = np.mean(sign(test_eval.evaluate(p)[0]) == test_y)
+        return np.mean((train_y - e_train) ** 2), np.mean(sign(e_train) == train_y), test_acc
 
-    history = [metrics(params)]
+    history = [scores(params)]
     theta, acc = params.to_vector(), np.zeros(model_config.parameter_count)
     order, cursor = np.empty(0, dtype=np.intp), 0
     for _ in range(config.steps):
@@ -376,7 +384,7 @@ def reference_train_loop(model_config, train_x, train_y, config, test_x=None, te
         cursor += config.batch_size
         g = gradient(train_eval, theta - config.momentum * acc, train_y[idx], idx=idx)
         theta, acc = nesterov_step(theta, acc, g, config.learning_rate, config.momentum)
-        history.append(metrics(ParamSet.from_vector(theta, model_config.n,
+        history.append(scores(ParamSet.from_vector(theta, model_config.n,
                                                     model_config.link_mode)))
     return np.array(history), theta
 
