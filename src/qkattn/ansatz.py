@@ -102,6 +102,12 @@ def build_link(mode: str, n: int, theta4, form: str = "conditional") -> Circuit:
     return circ
 
 
+def _random_vector(n: int, link_mode: str, rng: np.random.Generator) -> np.ndarray:
+    """The initial draw: every slot of the flat vector [θ1, θ2, θ3, θ4]
+    uniform on [0, 2π), in one call."""
+    return rng.uniform(0.0, 2.0 * np.pi, size=6 * n + link_slot_count(link_mode, n))
+
+
 @dataclasses.dataclass
 class ParamSet:
     """The four trainable angle vectors: θ1, θ2, θ3 drive the ansatz
@@ -120,11 +126,7 @@ class ParamSet:
 
     @classmethod
     def random(cls, n: int, link_mode: str, rng: np.random.Generator) -> "ParamSet":
-        def draw(k):
-            return rng.uniform(0.0, 2.0 * np.pi, size=k)
-
-        return cls(draw(2 * n), draw(2 * n), draw(2 * n),
-                   draw(link_slot_count(link_mode, n)))
+        return cls.from_vector(_random_vector(n, link_mode, rng), n, link_mode)
 
     @classmethod
     def zeros(cls, n: int, link_mode: str) -> "ParamSet":

@@ -180,14 +180,18 @@ def scale_features(train, test) -> tuple[np.ndarray, np.ndarray]:
 
 
 def synthetic_dataset(kind: str, count: int, d: int, seed: int) -> Split:
-    """Deterministic, balanced synthetic data.
+    """Deterministic synthetic data.
 
     two-gaussians: unit-variance clusters whose means sit 6σ apart along
     two different feature axes, so the classes are trivially separable
     but not mere sign-flips of each other (a sign flip is invisible to
-    amplitude encoding).  xor: four clusters at (±1, ±1) in the first
-    two dimensions with the product-of-signs label, which no linear
-    classifier beats.  Three quarters of the samples go to the train set.
+    amplitude encoding); it is balanced, ``count / 2`` samples per class.
+    xor: four clusters at (±1, ±1) in the first two dimensions with the
+    product-of-signs label, which no linear classifier beats.  Each
+    sample's corner is drawn at random, so xor is balanced only in
+    expectation: at seed 0 with ``count`` 80 its labels split 44/36 (+1/−1),
+    35/25 in the train set.  Three quarters of the samples, shuffled, go
+    to the train set.
     """
     if kind not in SYNTHETIC_KINDS:
         raise ValueError(f"unknown synthetic kind {kind!r}")

@@ -38,9 +38,12 @@ full-space rotation factors.  E needs only the firing probability f, the
 mass of the outcomes on which the link fires, and each fired amplitude
 ψ_o = ⟨o|U_φ(w_j)† A φ_i⟩ is linear in A: ψ_o = F_o · vec(A) for the
 per-sample form F_o[x·2^n + y] = U_φ(w_j)†[o, x]·φ_i[y], which is
-conj(φ_j) ⊗ φ_i for the canonical link's one outcome.  So gradients and
-training steps read f as one product of every A with the cached forms of
-the fired outcomes, and only ``evaluate_stack`` builds distributions.
+conj(φ_j) ⊗ φ_i for the canonical link's one outcome.  So gradients,
+training steps and the E-only evaluations (a run's last metrics and
+``gradient_check``'s reference) read f as one product of every A with
+the cached forms of the fired outcomes, and only ``evaluate`` and
+``evaluate_stack`` build distributions, for ``forward`` and
+``qkattn qksas``.
 Density mode is the same closed form on vectorised density matrices:
 every fragment is a noisy channel in which each gate is followed by its
 noise, on each of its qubits, as ``sim.run_circuit`` places it
@@ -339,8 +342,11 @@ class BatchEvaluator:
     parameter set on every sample, in one pass whose coefficients,
     unitary product and walks serve both sets.
     E is exact in both modes (``forward`` samples ``shots`` on top of it).
-    ``derivatives`` and ``step_values`` read register 1's firing
-    probability alone; ``evaluate_stack`` also returns the distributions.
+    ``derivatives``, ``step_values`` and the E-only evaluation that
+    training and ``gradient_check`` make (``_stack`` with ``fired``) read
+    register 1's firing probability alone; only ``evaluate`` and
+    ``evaluate_stack`` build the distributions, for ``forward`` and
+    ``qkattn qksas``.
     Analytic mode keeps φ_i, φ_j, U_φ(w_j)† and, per sample, the read-only
     forms of the fired outcomes, (count, fired outcomes·4^n) with one
     outcome for the canonical link and 2^(n−1) for the literal one; per
@@ -416,11 +422,12 @@ class BatchEvaluator:
         e_val, probs = self.evaluate_stack(theta[None], idx)
         return e_val[0], probs[0]
 
-    def _rows(self, thetas) -> np.ndarray:
-        """``thetas`` as a checked (K, P) stack of flat parameter vectors."""
+    def _rows(self, thetas, ndim: int = 2) -> np.ndarray:
+        """``thetas`` as a checked (K, P) stack of flat parameter vectors,
+        or with ``ndim`` 1 as one vector (P,)."""
         count = self.config.parameter_count
         thetas = np.asarray(thetas, dtype=float)
-        if thetas.ndim != 2 or thetas.shape[1] != count:
+        if thetas.ndim != ndim or thetas.shape[-1] != count:
             raise ValueError(f"expected rows of {count} parameters, got shape {thetas.shape}")
         if not np.all(np.isfinite(thetas)):
             raise ValueError("parameters must be finite")
@@ -429,15 +436,21 @@ class BatchEvaluator:
     def evaluate_stack(self, thetas, idx=None) -> tuple[np.ndarray, np.ndarray]:
         """``evaluate`` at K flattened parameter vectors (rows of
         ``thetas``): E is (K, batch) and the distributions (K, batch, 2^n)."""
+        return self._stack(thetas, idx)
+
+    def _stack(self, thetas, idx=None, fired: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """``evaluate_stack``, or with ``fired`` E and register 1's firing
+        probabilities (K, batch) alone, the E-only evaluation that builds
+        no distribution."""
         thetas = self._rows(thetas)
         n = self.config.n
         rows1, at1 = _distinct_rows(thetas[:, : 4 * n])
         rows2, at2 = _distinct_rows(thetas[:, 4 * n: 6 * n])
-        (probs, reads), = self._registers(rows1, rows2, idx)
+        (reg1, reads), = self._registers(rows1, rows2, idx, fired=fired)
         link = thetas[:, 7 * n - 1, None]
-        fire = (probs @ self._fire)[at1]
+        fire = (reg1 if fired else reg1 @ self._fire)[at1]
         e_val, _ = self._combined(fire, reads[at2], np.cos(link), np.sin(link))
-        return e_val, probs[at1]
+        return e_val, reg1[at1]
 
     def derivatives(self, theta, idx=None) -> tuple[np.ndarray, np.ndarray]:
         """E (batch,) at one flat parameter vector and its exact derivative
@@ -449,7 +462,7 @@ class BatchEvaluator:
         theta = self._rows(np.reshape(theta, (1, -1)))[0]
         n = self.config.n
         look, = self._registers(theta[None, : 4 * n], theta[None, 4 * n: 6 * n], idx,
-                                derivatives=True)
+                                derivatives=True, fired=True)
         return self._derived(theta, *look)
 
     def step_values(self, look, at, idx=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -459,11 +472,12 @@ class BatchEvaluator:
         not depend on the samples runs once for both vectors: the
         coefficients and the unitary product, or the readout walk and,
         when both sample sets take it, the register-1 walk on the 4^n
-        basis.  Only ``idx``'s samples meet the derivative rows."""
-        look, at = self._rows(np.vstack([np.reshape(look, (1, -1)), np.reshape(at, (1, -1))]))
+        basis.  Only ``idx``'s samples meet the derivative rows.  ``look``
+        and ``at`` must each be one flat vector of finite parameters."""
+        look, at = self._rows(look, 1), self._rows(at, 1)
         n = self.config.n
         grad, (fire, reads) = self._registers(look[None, : 4 * n], look[None, 4 * n: 6 * n],
-                                              idx, derivatives=True, at=at)
+                                              idx, derivatives=True, at=at, fired=True)
         e_val, de = self._derived(look, *grad)
         link = at[7 * n - 1]
         e_at, _ = self._combined(fire, reads, np.cos(link), np.sin(link))
@@ -493,18 +507,18 @@ class BatchEvaluator:
         return e_val[0], de
 
     def _registers(self, rows1: np.ndarray, rows2: np.ndarray, idx, derivatives: bool = False,
-                   at: np.ndarray | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+                   at: np.ndarray | None = None,
+                   fired: bool = False) -> list[tuple[np.ndarray, np.ndarray]]:
         """The register-1 distributions (K1, batch, 2^n) at ``rows1`` of
-        [θ1, θ2] and the readouts [idle, B, C, S] (K2, batch, 4) at
-        ``rows2`` of θ3, on the samples ``idx``.  With ``derivatives``,
-        register 1 gives only its firing probabilities (K1, batch), and
-        each register runs at one row, then the derivative in each
-        column: 1 + 4n register-1 rows, 1 + 2n readouts.  With ``at``, a
-        flat parameter vector, a second pair follows: its one row of each
-        on every sample, register 1 as firing probabilities too.  Both
-        pairs share the coefficients and the unitary product, or the
-        readout walk and, when both sample sets take it, register 1's
-        walk on the basis."""
+        [θ1, θ2], or with ``fired`` only their firing probabilities
+        (K1, batch), and the readouts [idle, B, C, S] (K2, batch, 4) at
+        ``rows2`` of θ3, on the samples ``idx``; with ``derivatives``, at
+        one row each, then the derivative in each column: 1 + 4n
+        register-1 rows, 1 + 2n readouts.  With ``at``, a flat parameter
+        vector, a second pair follows: its one row of each on every
+        sample.  Both pairs share the coefficients and the unitary
+        product, or the readout walk and, when both sample sets take it,
+        register 1's walk on the basis."""
         cfg = self.config
         n, dim = cfg.n, 2**cfg.n
         # (rows of [θ1, θ2], rows of θ3, samples); only the first part has
@@ -520,13 +534,13 @@ class BatchEvaluator:
                 n, 3 * derivatives)
             k1, k2 = (1 + 2 * n,) * 2 if derivatives else (len(rows1), len(rows2))
             out = [self._pure(u[:k1], u[k1: 2 * k1], u[2 * k1: 2 * k1 + k2], idx, derivatives,
-                              derivatives)]
+                              fired)]
             if at is not None:
-                out.append(self._pure(u[-3:-2], u[-2:-1], u[-1:], None, False, derivatives))
+                out.append(self._pure(u[-3:-2], u[-2:-1], u[-1:], None, False, fired))
             return out
         # every product is real at n ≤ 2; .real keeps the real part of the
         # complex products of n ≥ 3, whose imaginary part is zero
-        p_read = self._p_fire if derivatives else self._p_j
+        p_read = self._p_fire if fired else self._p_j
         picks = [(self._rho_i, self._rho_j, p_read) if sel is None else
                  (self._rho_i[sel], self._rho_j[sel], p_read[sel]) for *_, sel in parts]
         # (K1, batch, 4^n): register 1 after U†(θ2)U(θ1), driven by
@@ -555,7 +569,7 @@ class BatchEvaluator:
         for k, ((rho_i, rho_j, p_j), basis) in enumerate(zip(picks, on_basis)):
             s = (rho_i @ sigma[k] if basis else sigma[k]).transpose(1, 2, 0)
             # (K, batch) firing probabilities, or (K, batch, 2^n) distributions
-            probs = ((p_j[:, None] @ s)[:, 0].T if derivatives else
+            probs = ((p_j[:, None] @ s)[:, 0].T if fired else
                      (p_j @ s).transpose(2, 0, 1)).real
             if derivatives and not k:  # _mid runs on −θ2
                 probs[1 + 2 * n:] *= -1.0
@@ -574,12 +588,13 @@ class BatchEvaluator:
              if derivatives else _adjoint(u2) @ u1)
         if fired:
             forms = self._forms if idx is None else self._forms[idx]
-            outcomes = forms.shape[1] // a[0].size
+            size = a.shape[1] * a.shape[2]
+            outcomes = forms.shape[1] // size
             # (batch·outcomes, rows): every row of A on every form in one
             # product, through the real view of a complex A when the forms
             # are real
-            psi1 = _sim._left(forms.reshape(-1, a[0].size),
-                              np.ascontiguousarray(a.reshape(len(a), -1).T))
+            psi1 = _sim._left(forms.reshape(-1, size),
+                              np.ascontiguousarray(a.reshape(len(a), size).T))
             reg1 = _squared(psi1.T, derivatives).reshape(len(a), len(forms), outcomes).sum(axis=2)
         else:
             phi_i, v_j = self._phi_i, self._v_j

@@ -9,15 +9,18 @@ vector is fed to both model inputs (the token attends to itself).
 Gradients of E are exact in every slot: ``BatchEvaluator.derivatives``
 runs each register once on its parameter row and that row's derivative
 rows, built from the same cached rotation factors, and the squared loss
-contributes through the chain rule dL/dθ = mean(−2(y − E)·dE/dθ).
-Central finite differences survive only as ``gradient_check``'s reference.
+contributes through the chain rule dL/dθ = −(2/m)·dE·(y − E), one
+product over the batch of m.  Central finite differences survive only as
+``gradient_check``'s reference.
 
-``train_loop`` keeps the parameters as one flat vector, builds one
-evaluator over the train samples followed by the test samples, and makes
-one pass over it per optimizer step: E and dE at the Nesterov lookahead
-on the batch's samples only, for the gradient, and E at the current
-parameters on every sample, for the train and test metrics of the update
-before.
+``train_loop`` draws the parameters as one flat vector and keeps them
+so, builds one evaluator over the train samples followed by the test
+samples, and makes one pass over it per optimizer step: E and dE at the
+Nesterov lookahead on the batch's samples only, for the gradient, and E
+at the current parameters on every sample, for the train and test
+metrics of the update before.  The last update's metrics, like
+``gradient_check``'s reference, come from an E-only evaluation, which
+reads register 1's firing probability and builds no distribution.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ import numbers
 
 import numpy as np
 
-from .ansatz import ParamSet
+from .ansatz import ParamSet, _random_vector
 from .model import BatchEvaluator, ModelConfig
 
 # the step of every central difference: at 1e-3 the truncation error on
@@ -110,11 +113,13 @@ def _checked(e_values, labels) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chain_rule(labels, e_values, de) -> np.ndarray:
-    """The surrogate loss's dL/dθ = mean(−2(y − E)·dE/dθ), one row of ``de`` per slot."""
-    y = np.asarray(labels, dtype=float)
-    if not np.isfinite(np.mean((y - e_values) ** 2)):
+    """The surrogate loss's dL/dθ = mean(−2(y − E)·dE/dθ), one row of
+    ``de`` per slot, as the one product −(2/m)·dE·r on the residuals
+    r = y − E of the m samples."""
+    r = np.asarray(labels, dtype=float) - e_values
+    if not np.isfinite(r @ r):
         raise ValueError("loss is not finite")
-    return np.mean(-2.0 * (y - e_values) * de, axis=1)
+    return (de @ r) * (-2.0 / r.size)
 
 
 def _check_exact(model_config: ModelConfig) -> None:
@@ -171,7 +176,7 @@ def _labelled_set(x, y, what: str) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"{prefix}feature and label counts differ")
     if x.shape[0] == 0:
         raise ValueError(f"{what} set is empty")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
+    if not np.all(np.abs(y) == 1.0):
         raise ValueError(f"{prefix}labels must be -1 or +1")
     return x, y
 
@@ -204,11 +209,13 @@ def train_loop(model_config: ModelConfig, train_x, train_y, config: TrainConfig,
     samples, for the gradient, and E at the current θ on every sample,
     whose train and test columns give the metrics of the update before
     (at step 0, the initial metrics; there a = 0 and the lookahead is θ
-    itself).  The last update's metrics come from one evaluation alone:
-    ``steps + 1`` evaluator calls in all.  The derivative rows stay on the
-    batch because the full sets can be many times larger (1000 + 100
-    samples against a batch of 30 in the image runs).  θ stays a flat
-    vector; the one ``ParamSet`` is built for the record.
+    itself).  The last update's metrics come from one E-only evaluation,
+    which reads register 1's firing probability and builds no
+    distribution: ``steps + 1`` evaluator calls in all.  The derivative
+    rows stay on the batch because the full sets can be many times larger
+    (1000 + 100 samples against a batch of 30 in the image runs).  θ is
+    drawn as one flat vector, with the values ``ParamSet.random`` gives,
+    and stays one; the run's one ``ParamSet`` is built for the record.
     """
     train_x, train_y = _labelled_set(train_x, train_y, "training")
     for label in (-1.0, 1.0):
@@ -218,9 +225,9 @@ def train_loop(model_config: ModelConfig, train_x, train_y, config: TrainConfig,
 
     seq = np.random.SeedSequence(config.seed)
     init_rng, shuffle_rng = (np.random.default_rng(s) for s in seq.spawn(2))
-    if initial_params is None:
-        initial_params = model_config.random_params(init_rng)
-    theta = initial_params.checked_vector(model_config.n, model_config.link_mode)
+    n, link_mode = model_config.n, model_config.link_mode
+    theta = (_random_vector(n, link_mode, init_rng) if initial_params is None
+             else initial_params.checked_vector(n, link_mode))
     if config.steps:
         _check_exact(model_config)
 
@@ -245,19 +252,18 @@ def train_loop(model_config: ModelConfig, train_x, train_y, config: TrainConfig,
         history.append(_metrics(e_theta, labels, count))
         g = _chain_rule(train_y[idx], e_values, de)
         theta, acc = nesterov_step(theta, acc, g, config.learning_rate, config.momentum)
-    history.append(_metrics(evaluator.evaluate_stack(theta[None])[0][0], labels, count))
+    history.append(_metrics(evaluator._stack(theta[None], fired=True)[0][0], labels, count))
 
     initial, *steps = history
     return RunRecord(initial, [m.loss for m in steps], [m.train_acc for m in steps],
-                     [m.test_acc for m in steps],
-                     ParamSet.from_vector(theta, model_config.n, model_config.link_mode))
+                     [m.test_acc for m in steps], ParamSet.from_vector(theta, n, link_mode))
 
 
 def _reference_gradient(evaluator: BatchEvaluator, theta: np.ndarray, labels) -> np.ndarray:
     """Central differences at ``_REFERENCE_STEP``: the 2P+1 rows
-    [θ; θ + hI; θ − hI] in one ``evaluate_stack`` call."""
+    [θ; θ + hI; θ − hI] in one E-only evaluation."""
     steps = np.diag(np.full(theta.size, _REFERENCE_STEP))
-    e, _ = evaluator.evaluate_stack(np.vstack([theta, theta + steps, theta - steps]))
+    e, _ = evaluator._stack(np.vstack([theta, theta + steps, theta - steps]), fired=True)
     de = (e[1: theta.size + 1] - e[theta.size + 1:]) / (2 * _REFERENCE_STEP)
     return _chain_rule(labels, e[0], de)
 
@@ -284,7 +290,7 @@ def gradient_check(model_config: ModelConfig, trials: int, seed: int) -> dict:
         else:
             x = rng.uniform(0.0, np.pi, size=(batch, model_config.feature_dim))
         y = np.where(rng.random(batch) < 0.5, -1.0, 1.0)
-        theta = model_config.random_params(rng).to_vector()
+        theta = _random_vector(model_config.n, model_config.link_mode, rng)
         ev = BatchEvaluator(x, x, model_config)
         g_exact = gradient(ev, theta, y)
         g_fd = _reference_gradient(ev, theta, y)

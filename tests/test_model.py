@@ -661,7 +661,8 @@ def test_fired_path_matches_the_distributions(n, execution):
             e_ref = ev.evaluate_stack(thetas[:1], idx)[0][0]
             assert np.max(np.abs(e - e_ref)) < 1e-13, (variant, link, idx is None)
             (fire, _), (fire_at, _) = ev._registers(
-                thetas[:1, : 4 * n], thetas[:1, 4 * n: 6 * n], idx, True, at=thetas[1])
+                thetas[:1, : 4 * n], thetas[:1, 4 * n: 6 * n], idx, True, at=thetas[1],
+                fired=True)
             f_at = ev.evaluate_stack(thetas[1:])[1][0] @ ev._fire
             assert fire_at.shape == (1, len(x))
             assert np.max(np.abs(fire_at - f_at)) < 1e-13, (variant, link)
@@ -676,6 +677,62 @@ def test_fired_path_matches_the_distributions(n, execution):
                 df = sum(weight * (f[k, 0] - f[k, 1])
                          for k, (_, weight) in enumerate(FOUR_TERM_RULE))
                 assert np.max(np.abs(fire[1:] - df)) < 1e-13, (variant, link)
+
+
+@pytest.mark.parametrize("execution", ("analytic", "density"))
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_e_only_evaluation_matches_evaluate_stack(n, execution):
+    # the E-only evaluation reads f alone, deduplicates rows as
+    # evaluate_stack does and combines E with the same code: a stack whose
+    # rows repeat, or differ only in θ3 or θ4, gives evaluate_stack's E
+    # and the fired mass of its distributions, on every sample and on an
+    # idx that repeats a sample
+    rng = np.random.default_rng(200 + n)
+    noise = NOISE_SETS["bit-flip"] if execution == "density" else ()
+    for variant, link in itertools.product(("AmHE", "AnQAOA"), LINK_MODES):
+        cfg = ModelConfig.from_variant(variant, n=n, link_mode=link,
+                                       execution=execution, noise=noise)
+        x = np.array([random_features(cfg, rng) for _ in range(5)])
+        ev = BatchEvaluator(x, x, cfg)
+        base, other = (cfg.random_params(rng).to_vector() for _ in range(2))
+        link_only, theta3_only = base.copy(), base.copy()
+        link_only[7 * n - 1] = other[7 * n - 1]
+        theta3_only[4 * n: 6 * n] = other[4 * n: 6 * n]
+        thetas = np.array([base, other, base, link_only, theta3_only])
+        for idx in (None, np.array([3, 0, 3])):
+            e, fire = ev._stack(thetas, idx, fired=True)
+            e_ref, probs = ev.evaluate_stack(thetas, idx)
+            assert e.shape == fire.shape == e_ref.shape == (5, 5 if idx is None else 3)
+            assert np.max(np.abs(e - e_ref)) < 1e-13, (variant, link)
+            assert np.max(np.abs(fire - probs @ ev._fire)) < 1e-13, (variant, link)
+            assert np.array_equal(e[0], e[2]) and np.array_equal(fire[3], fire[0])
+    e, fire = ev._stack(np.zeros((0, cfg.parameter_count)), fired=True)
+    assert e.shape == fire.shape == (0, 5)
+
+
+@pytest.mark.parametrize("execution", ("analytic", "density"))
+def test_step_values_refuses_bad_vectors(execution):
+    # look and at are each checked for length and finiteness, with the
+    # one-line messages of evaluate_stack's row check
+    rng = np.random.default_rng(210)
+    cfg = ModelConfig(n=2, execution=execution)
+    x = np.array([random_features(cfg, rng) for _ in range(4)])
+    ev = BatchEvaluator(x, x, cfg)
+    good = cfg.random_params(rng).to_vector()
+    bad = good.copy()
+    bad[3] = np.inf
+    nan = good.copy()
+    nan[-1] = np.nan
+    cases = [(good[:-1], "expected rows of 14 parameters, got shape \\(13,\\)$"),
+             (np.append(good, 0.0), "expected rows of 14 parameters, got shape \\(15,\\)$"),
+             (bad, "^parameters must be finite$"), (nan, "^parameters must be finite$")]
+    for vec, message in cases:
+        for look, at in ((vec, good), (good, vec)):
+            with pytest.raises(ValueError, match=message) as err:
+                ev.step_values(look, at, [0, 2])
+            assert "\n" not in str(err.value)
+    with pytest.raises(ValueError, match="expected rows of 14 parameters, got shape \\(1, 14\\)$"):
+        ev.step_values(good[None], good, [0, 2])
 
 
 @pytest.mark.parametrize("link", LINK_MODES)

@@ -417,8 +417,9 @@ def test_train_loop_matches_two_evaluator_reference(execution, with_test):
 @pytest.mark.parametrize("with_test", (False, True))
 def test_train_loop_builds_one_evaluator_and_makes_one_pass_per_step(monkeypatch, steps,
                                                                       with_test):
-    counts = {"__init__": 0, "step_values": 0, "evaluate_stack": 0, "derivatives": 0}
-    passes = []
+    counts = {"__init__": 0, "step_values": 0, "evaluate_stack": 0, "derivatives": 0,
+              "_stack": 0}
+    passes, last = [], []
     for name in counts:
         original = getattr(BatchEvaluator, name)
 
@@ -426,6 +427,8 @@ def test_train_loop_builds_one_evaluator_and_makes_one_pass_per_step(monkeypatch
             counts[_name] += 1
             if _name == "step_values":
                 passes.append(args[1:3])
+            if _name == "_stack":
+                last.append((args[1], kwargs))
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(BatchEvaluator, name, counted)
@@ -435,13 +438,105 @@ def test_train_loop_builds_one_evaluator_and_makes_one_pass_per_step(monkeypatch
     cfg = ModelConfig(n=2, encoder="amplitude", ansatz="hea")
     rec = train_loop(cfg, x, y, TrainConfig(steps=steps, batch_size=5), **test)
     # one pass per step, the first at θ0 for both the lookahead and the
-    # initial metrics; then one evaluation for the last step's metrics
-    assert counts == {"__init__": 1, "step_values": steps, "evaluate_stack": 1,
-                      "derivatives": 0}
+    # initial metrics; then one E-only evaluation, at the final θ, for the
+    # last step's metrics
+    assert counts == {"__init__": 1, "step_values": steps, "evaluate_stack": 0,
+                      "derivatives": 0, "_stack": 1}
     if steps:
         look, at = passes[0]
         assert np.array_equal(look, at)
+    (thetas, kwargs), = last
+    assert kwargs == {"fired": True}
+    assert np.array_equal(thetas, rec.params.to_vector()[None])
     assert rec.steps == steps
+
+
+class _Unread:
+    """Stands in for an array that only the distributions read; any use
+    of it fails the test."""
+
+    __array_ufunc__ = None
+
+    def __init__(self, name):
+        self.name = name
+
+    def _read(self, *args, **kwargs):
+        raise AssertionError(f"{self.name} was read: a distribution was built")
+
+    __getitem__ = __matmul__ = __rmatmul__ = __array__ = _read
+
+
+@pytest.mark.parametrize("execution", ("analytic", "density"))
+def test_training_and_gradient_check_build_no_distribution(monkeypatch, execution):
+    # training and gradient_check read E alone, so register 1's firing
+    # probability is all they need.  The arrays only the distributions
+    # read are replaced after each evaluator is built: analytic mode's
+    # φ_i and U_φ(w_j)† of _pure's distribution branch, and density mode's
+    # pulled-back projectors _p_j
+    built = []
+    original = BatchEvaluator.__init__
+
+    def unread(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        names = ("_phi_i", "_v_j") if execution == "analytic" else ("_p_j",)
+        for name in names:
+            setattr(self, name, _Unread(name))
+        built.append(self)
+
+    monkeypatch.setattr(BatchEvaluator, "__init__", unread)
+    rng = np.random.default_rng(17)
+    x, y = separable_data(rng, count=12)
+    noise = (NoiseChannel("bit-flip", 0.05),) if execution == "density" else ()
+    for variant, link in ((v, lk) for v in ("AmHE", "AnQAOA") for lk in LINK_MODES):
+        cfg = ModelConfig.from_variant(variant, n=2, link_mode=link, execution=execution,
+                                       noise=noise)
+        for steps in (0, 3):
+            rec = train_loop(cfg, x, y, TrainConfig(steps=steps, batch_size=5),
+                             test_x=x[:4], test_y=y[:4])
+            assert rec.steps == steps
+        assert gradient_check(cfg, trials=2, seed=5)["worst_rel_error"] < 1e-4
+    assert len(built) == 4 * (2 + 2)
+    with pytest.raises(AssertionError, match="a distribution was built"):
+        built[-1].evaluate_stack(np.zeros((1, cfg.parameter_count)))
+
+
+@pytest.mark.parametrize("link", LINK_MODES)
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_train_loop_draws_the_initial_parameters_as_param_set_random(n, link):
+    # one flat draw of every slot gives the values of ParamSet.random,
+    # which draws them the same way, and of the four block draws it once
+    # made: Generator.uniform fills its output in order
+    cfg = ModelConfig(n=n, encoder="angle", link_mode=link)
+    rng = np.random.default_rng(18 + n)
+    x = rng.uniform(0, np.pi, size=(6, cfg.feature_dim))
+    y = np.array([1.0, -1.0] * 3)
+    for seed in (0, 11):
+        rec = train_loop(cfg, x, y, TrainConfig(steps=0, seed=seed))
+        init_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
+        expected = ParamSet.random(n, link, init_rng).to_vector()
+        assert np.array_equal(rec.params.to_vector(), expected), seed
+        blocks = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
+        by_block = [blocks.uniform(0.0, 2.0 * np.pi, size=k)
+                    for k in (2 * n, 2 * n, 2 * n, ansatz.link_slot_count(link, n))]
+        assert np.array_equal(np.concatenate(by_block), expected), seed
+
+
+def test_chain_rule_is_the_mean_form():
+    # −(2/m)·dE·(y − E) is mean(−2(y − E)·dE) summed in another order
+    rng = np.random.default_rng(19)
+    for m, p in ((1, 7), (5, 14), (30, 16)):
+        y = np.where(rng.random(m) < 0.5, -1.0, 1.0)
+        e = rng.uniform(-1.0, 1.0, size=m)
+        de = rng.normal(size=(p, m))
+        g = _chain_rule(y, e, de)
+        ref = np.mean(-2.0 * (y - e) * de, axis=1)
+        assert g.shape == (p,)
+        assert np.max(np.abs(g - ref)) <= 1e-14 * np.max(np.abs(ref))
+        for bad in (np.nan, np.inf, -np.inf):
+            e_bad = e.copy()
+            e_bad[-1] = bad
+            with pytest.raises(ValueError, match="^loss is not finite$"):
+                _chain_rule(y, e_bad, de)
 
 
 @pytest.mark.parametrize("link, blocks, message", [
@@ -465,8 +560,8 @@ def test_parameter_blocks_are_checked_one_by_one(link, blocks, message):
 
 
 def test_train_loop_builds_parameter_sets_independently_of_steps(monkeypatch):
-    # θ stays a flat vector through the loop: the random initial ParamSet
-    # and the record's are the only ones, whatever the step count
+    # θ is drawn as a flat vector and stays one through the loop: the
+    # record's ParamSet is the only one, whatever the step count
     rng = np.random.default_rng(15)
     x, y = separable_data(rng, count=12)
     cfg = ModelConfig(n=2, encoder="amplitude", ansatz="hea")
@@ -484,4 +579,4 @@ def test_train_loop_builds_parameter_sets_independently_of_steps(monkeypatch):
         rec = train_loop(cfg, x, y, TrainConfig(steps=steps, batch_size=5))
         assert rec.steps == steps and isinstance(rec.params, ParamSet)
         sizes.append(len(built))
-    assert sizes == [2, 2, 2]
+    assert sizes == [1, 1, 1]
