@@ -446,8 +446,8 @@ def main(argv=None) -> int:
         if os.path.exists(args.out) and not os.path.isdir(args.out):
             raise CliError(f"--out {args.out} exists and is not a directory")
         return args.func(args)
-    except (CliError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CliError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

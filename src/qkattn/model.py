@@ -53,10 +53,10 @@ carried back (Heisenberg picture) through the channel of U_φ†(w_j);
 register 2 carries the four readouts backwards through the channel of
 U(θ3) and reads them on the noisy encoded ρ_j; f reads one row, the
 fired projectors carried back and summed.  Every state, projector
-and readout is held in the basis that the walk runs in
-(``sim.to_walk_basis``): at n ≤ 2 the real Pauli coordinates
-Tr(P ρ)/2^{n/2}, so every walk step and every product that reads a
-probability or a readout is real, and at n ≥ 3 the complex vec(ρ).
+and readout is held in the basis that the walk takes and returns at
+every n (``sim.to_walk_basis``), the real Pauli coordinates
+Tr(P ρ)/2^{n/2}, so every walk output and every product that reads a
+probability or a readout is real.
 The fixed ones, the zero state, the projectors and the readouts, are
 converted once per n (``_walk_constants``, ``_link_readouts``).  In
 both modes the link angle enters only when E is combined, as
@@ -138,6 +138,10 @@ class ModelConfig:
         # forward's binomial draw takes counts up to 2^63 − 1 (a C long)
         if not 0 <= self.shots < 2**63:
             raise ValueError(f"'shots' must lie in 0..2**63 - 1, got {self.shots}")
+        if not (isinstance(self.noise, (list, tuple))
+                and all(isinstance(ch, NoiseChannel) for ch in self.noise)):
+            raise ValueError(f"'noise' must be a sequence of NoiseChannel, got {self.noise!r}")
+        object.__setattr__(self, "noise", tuple(self.noise))
         if self.noise and self.execution != "density":
             raise ValueError("noise channels require density execution")
 
@@ -266,15 +270,15 @@ _FIRED_MIX = np.array([[1.0, 0.5, 0.5, -0.5], [0.0, 0.0, 0.0, 1.0], [0.0, 0.5, -
 @functools.lru_cache(maxsize=16)
 def _walk_constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Density mode's fixed vectors, read-only, in the basis that
-    ``sim.apply_noisy_layout`` walks (``sim.to_walk_basis``): real at
-    n ≤ 2, vec(·) at n ≥ 3.  Returns the zero state |0⟩⟨0| (1, 1, 4^n),
+    ``sim.apply_noisy_layout`` walks (``sim.to_walk_basis``), the real
+    Pauli coordinates.  Returns the zero state |0⟩⟨0| (1, 1, 4^n),
     the 2^n outcome projectors |o⟩⟨o| (2^n, 4^n) and the identity on the
     4^n entries of that basis, whose rows run a fragment on the basis."""
     dim = 2**n
     # vec(|o⟩⟨o|) = e_{o(2^n + 1)}, so |0⟩⟨0| is e_0
     vec = np.eye(dim * dim, dtype=complex)
     zero, proj = (_sim.to_walk_basis(v, n) for v in (vec[:1], vec[:: dim + 1]))
-    out = zero[None], proj, np.eye(dim * dim, dtype=zero.dtype)
+    out = zero[None], proj, np.eye(dim * dim)
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -355,7 +359,7 @@ class BatchEvaluator:
     Density mode keeps the noisy encoded states ρ_i, ρ_j and, per sample,
     the 2^n register-1 outcome projectors pulled back through the noisy
     channel of U_φ(w_j)† and their fired sum (count, 4^n), all in the
-    walk's basis (real at n ≤ 2); per call ``sim.apply_noisy_layout``
+    walk's real Pauli basis; per call ``sim.apply_noisy_layout``
     applies the register-1 channel of U†(θ2)U(θ1) to ρ_i, or to the 4^n
     basis vectors when they are fewer than the batch's states, and
     carries the four readouts backwards through the channel of θ3.
@@ -400,15 +404,13 @@ class BatchEvaluator:
         self._rho_i = rho[: self.count]
         # the 2^n outcome projectors carried back through the channel of
         # U_φ†(w_j), so that probs = p_j · σ, and the readouts are read as
-        # ρ_j · O: Tr(A·B) = a* · b for Hermitian A, B, where a* = a in
-        # the real basis of n ≤ 2
-        proj = np.broadcast_to(proj, (self.count,) + proj.shape)
-        self._p_j = _sim.apply_noisy_layout(proj, _reversed_layout(layout),
-                                            -angles[at_j:], n, noise, adjoint=True).conj()
+        # ρ_j · O: Tr(A·B) = a · b for Hermitian A, B in the real basis
+        self._p_j = _sim.apply_noisy_layout(proj[None], _reversed_layout(layout),
+                                            -angles[at_j:], n, noise, adjoint=True)
         # the fired projectors folded into one row, which reads f
         self._p_fire = self._fire @ self._p_j
         self._p_fire.flags.writeable = False
-        self._rho_j = rho[at_j:].conj()
+        self._rho_j = rho[at_j:]
         # U(θ1) then U†(θ2), driven by the angle row [θ1, −θ2]
         self._mid = self._ansatz + _reversed_layout(self._ansatz, 2 * n)
         # each readout O, (1, 4, 4^n)
@@ -538,8 +540,6 @@ class BatchEvaluator:
             if at is not None:
                 out.append(self._pure(u[-3:-2], u[-2:-1], u[-1:], None, False, fired))
             return out
-        # every product is real at n ≤ 2; .real keeps the real part of the
-        # complex products of n ≥ 3, whose imaginary part is zero
         p_read = self._p_fire if fired else self._p_j
         picks = [(self._rho_i, self._rho_j, p_read) if sel is None else
                  (self._rho_i[sel], self._rho_j[sel], p_read[sel]) for *_, sel in parts]
@@ -569,11 +569,10 @@ class BatchEvaluator:
         for k, ((rho_i, rho_j, p_j), basis) in enumerate(zip(picks, on_basis)):
             s = (rho_i @ sigma[k] if basis else sigma[k]).transpose(1, 2, 0)
             # (K, batch) firing probabilities, or (K, batch, 2^n) distributions
-            probs = ((p_j[:, None] @ s)[:, 0].T if fired else
-                     (p_j @ s).transpose(2, 0, 1)).real
+            probs = (p_j[:, None] @ s)[:, 0].T if fired else (p_j @ s).transpose(2, 0, 1)
             if derivatives and not k:  # _mid runs on −θ2
                 probs[1 + 2 * n:] *= -1.0
-            out.append((probs, (rho_j @ obs[k].transpose(0, 2, 1)).real))
+            out.append((probs, rho_j @ obs[k].transpose(0, 2, 1)))
         return out
 
     def _pure(self, u1, u2, u3, idx, derivatives: bool,

@@ -26,17 +26,20 @@ compiled factors or caches.  The noisy builder walks, at every register
 size, the steps that a layout compiles into once per register size and
 noise (``_layout_plan``), placing noise by the same rule: one full-space
 step per rotation at q ≤ 2, one step on at most two qubits per rotation at
-q ≥ 3, the fixed gates folded into both.  At q ≤ 2 the walk's stack holds
-each ρ in the Pauli basis, T·vec(ρ) = Tr(P ρ)/2^{q/2} over the Pauli
-strings P (``_pauli_basis``), where a Hermitian ρ is a real vector and
-every noisy step a real matrix, its Pauli transfer matrix; at q ≥ 3 it
-holds vec(ρ), because a wide gate's steps act on the row and the column
-axes apart.  ``to_walk_basis`` converts vec(ρ) into the walk's basis; the
-oracle keeps the computational basis.  In both builders every rotation's
-matrices come from a batched product of real coefficients with the real
-view of cached factors (``_products``), one product per shape of factors,
-real throughout for a layout whose factors are real, as every noisy
-layout's are at q ≤ 2.  Both also give exact derivatives in the angles
+q ≥ 3, the fixed gates folded into both.  At every register size the
+walk's stack holds each ρ in the Pauli basis, T·vec(ρ) = Tr(P ρ)/2^{q/2}
+over the Pauli strings P (``_pauli_basis``), where a Hermitian ρ is a real
+vector and every folded step a real matrix, its Pauli transfer matrix;
+``to_walk_basis`` converts vec(ρ) into it, and the oracle keeps the
+computational basis.  vec(ρ) survives only inside the walk of a layout
+with a gate wider than ``_FOLDED_ARITY`` (the amplitude encoder and its
+reversal at q ≥ 3), whose steps U on the row axes and U* on the column
+axes are not real maps: that walk converts each qubit into vec(ρ) first
+and back last.  In both builders every rotation's matrices come from a
+batched product of real coefficients with the real view of cached factors
+(``_products``), one product per shape of factors, real throughout for a
+layout whose factors are real, as every noisy layout's are without a wide
+gate.  Both also give exact derivatives in the angles
 for the first few rows, whose coefficient rows are one product with a
 cached map (``_coefficients``).
 
@@ -456,7 +459,7 @@ def _gate_factors(kind: str, arity: int, rotation: bool,
     ``noise`` None gives the unitary (d = 2^m) with R(θ) = M0 + c·M1 +
     s·M2.  Otherwise the gate is fused with each channel of ``noise`` on
     each of its qubits into one superoperator N·(R ⊗ R*) (d = 4^m), on
-    the gate's local vec space as in ``apply_noisy_layout``.
+    the gate's local vec space (column bits low, row bits high).
     """
     if rotation:
         m = _rotation_stack(kind, np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]), arity)
@@ -485,9 +488,12 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _fold_layout(layout: Layout, q: int, noise: tuple[NoiseChannel, ...] | None
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A layout compiled into full-space factors, one per rotation.
+@functools.lru_cache(maxsize=128)
+def _layout_factors(layout: tuple, q: int, noise: tuple[NoiseChannel, ...] | None = None
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A layout compiled into full-space factors, one per rotation, cached
+    read-only: the same layouts recur, and so do the groups of a q ≥ 3
+    walk, on other qubits and in other layouts.
 
     ``noise`` None compiles unitaries on 2^q amplitudes; otherwise noisy
     superoperators on 4^q vec entries, every gate fused with its noise
@@ -522,16 +528,7 @@ def _fold_layout(layout: Layout, q: int, noise: tuple[NoiseChannel, ...] | None
         factors[-1] = tail @ factors[-1]
     terms = 3 if noise is None else len(_PAIR_BASIS)
     factors = np.array(factors, dtype=complex).reshape(len(slots), terms, dim * dim)
-    return np.array(slots, dtype=np.intp), factors, tail
-
-
-@functools.lru_cache(maxsize=128)
-def _layout_factors(layout: tuple, q: int, noise: tuple[NoiseChannel, ...] | None = None
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_fold_layout`` cached read-only: a layout's unitary factors, and
-    the noisy factors of each group of a q ≥ 3 walk, since the same
-    groups recur on other qubits and in other layouts."""
-    return tuple(_frozen(arr) for arr in _fold_layout(layout, q, noise))
+    return tuple(_frozen(arr) for arr in (np.array(slots, dtype=np.intp), factors, tail))
 
 
 def _products(coef: np.ndarray, factors: np.ndarray) -> np.ndarray:
@@ -606,9 +603,10 @@ def _noise_superop(noise: tuple[NoiseChannel, ...], arity: int) -> np.ndarray:
 # (``_run_density``) and ``apply_noisy_layout``'s walks.
 _FOLDED_ARITY = 2
 
-# Registers with at most this many vec(ρ) entries (q ≤ 2) walk one
+# Registers with at most this many Pauli coordinates (q ≤ 2) walk one
 # full-space step per rotation, every fixed gate folded in, as
-# layout_unitaries multiplies them.  At q = 3 the 64 × 64 products ran
+# layout_unitaries multiplies them; larger ones walk one step per group of
+# ``_walk_groups``, in the same basis.  At q = 3 the 64 × 64 products ran
 # 2.4–5.3× slower than per-gate steps in a one-pair forward and 1.7–4×
 # slower in a 30-sample gradient, and at q = 4 one rotation's factors
 # would take 5 MB.
@@ -653,16 +651,8 @@ def _real(arr: np.ndarray) -> np.ndarray:
 
 def to_walk_basis(vecs: np.ndarray, q: int) -> np.ndarray:
     """vec(ρ) of Hermitian matrices ρ (…, 4^q) in the basis that
-    ``apply_noisy_layout`` walks at register size q.
-
-    At q ≤ 2 (4^q ≤ ``_FACTORED_VEC_DIM``) that is the real T_q·vec(ρ)
-    of ``_pauli_basis``, in which every step of the walk is real.  At
-    q ≥ 3 it is vec(ρ) itself, and ``vecs`` is returned as it is, not
-    copied: a wide gate's step applies U on the row axes and U* on the
-    column axes, which needs each qubit's row and column bit.
-    """
-    if 4**q > _FACTORED_VEC_DIM:
-        return vecs
+    ``apply_noisy_layout`` walks: the real Pauli coordinates T_q·vec(ρ)
+    of ``_pauli_basis``, at every register size q."""
     return _real(vecs @ _pauli_basis(q).T)
 
 
@@ -729,15 +719,18 @@ def _layout_plan(layout: tuple, q: int, noise: tuple[NoiseChannel, ...]) -> tupl
     """A noisy layout compiled into the steps that ``apply_noisy_layout``
     walks, under the ``_FOLDED_ARITY`` rule.
 
-    At q ≤ 2 the steps are ``_fold_layout``'s full-space factors, one per
-    rotation, every fixed gate folded into the next rotation and the
-    tail into the last, conjugated here into the Pauli basis that the
-    walk runs in at these sizes, T F T† (``_pauli_basis``): each is real
-    there, which ``_real`` checks.  At q ≥ 3 they are the groups of
-    ``_walk_groups``, each folded the same way on its own at most two
-    qubits into one operator N^{⊗m}·(U ⊗ U*) per gate, multiplied out;
-    a wider gate is U on its row axes, U* on its column axes, then the
-    4 × 4 channel on each of its qubits.
+    The groups are the whole register at q ≤ 2 and those of
+    ``_walk_groups`` at q ≥ 3.  ``_layout_factors`` folds each group on
+    its own m qubits into one operator N^{⊗m}·(U ⊗ U*) per gate and one
+    step per rotation, every fixed gate folded into the next rotation and
+    the tail into the last; each step is conjugated into the Pauli basis
+    of those qubits, T_m F T_m† (``_pauli_basis``), where it is real,
+    which ``_real`` checks.  A gate wider than ``_FOLDED_ARITY`` is U on
+    its row axes, U* on its column axes, then the 4 × 4 channel on each
+    of its qubits, steps that are not real maps.  A layout that holds one
+    walks vec(ρ) instead, its groups left as they are, between a fixed
+    step T_1† on each qubit's (column, row) bit pair first and T_1 on
+    each last.
 
     Returns (slots, groups, steps): the angle slot of each rotation step
     (R,); per shape of rotation factors, the indices of its rotations
@@ -769,7 +762,11 @@ def _layout_plan(layout: tuple, q: int, noise: tuple[NoiseChannel, ...]) -> tupl
         slots.append(slot)
 
     whole = 4**q <= _FACTORED_VEC_DIM
-    for coords, gates in [(tuple(range(q)), layout)] if whole else _walk_groups(layout):
+    parts = [(tuple(range(q)), layout)] if whole else _walk_groups(layout)
+    wide = any(len(coords) > _FOLDED_ARITY for coords, _ in parts)
+    for c in range(q if wide else 0):  # into vec(ρ)
+        step(None, _pauli_basis(1).conj().T, (c,), (0, 1))
+    for coords, gates in parts:
         if len(coords) > _FOLDED_ARITY:
             (kind, _, slot), = gates
             u = _gate_factors(kind, len(coords), slot is not None, None)
@@ -779,26 +776,20 @@ def _layout_plan(layout: tuple, q: int, noise: tuple[NoiseChannel, ...]) -> tupl
                 for c in coords:
                     step(None, _noise_superop(noise, 1), (c,), (0, 1))
             continue
-        if whole:
-            _, factors, tail = _fold_layout(layout, q, noise)
-            t = _pauli_basis(q)
-            if len(factors):
-                factors = _real(t @ factors.reshape(factors.shape[:2] + t.shape) @ t.conj().T)
-            else:  # the tail is folded into the last rotation, if any
-                tail = _real(t @ tail @ t.conj().T)
-        elif len(gates) == 1:  # one gate, on its own qubits in order
-            (kind, _, slot), = gates
-            factors = _gate_factors(kind, len(coords), slot is not None, noise)
-            factors, tail = (factors[None], None) if slot is not None else ((), factors[0])
-        else:
-            # on the group's own qubits, every slot 0
-            _, factors, tail = _layout_factors(tuple(
-                (kind, tuple(coords.index(c) for c in cs), None if slot is None else 0)
-                for kind, cs, slot in gates), len(coords), noise)
+        # on the group's own qubits, every slot 0
+        _, factors, tail = _layout_factors(tuple(
+            (kind, tuple(coords.index(c) for c in cs), None if slot is None else 0)
+            for kind, cs, slot in gates), len(coords), noise)
+        if not wide:
+            t = _pauli_basis(len(coords))
+            factors = _real(t @ factors.reshape(factors.shape[:2] + t.shape) @ t.conj().T)
+            tail = _real(t @ tail @ t.conj().T)
         for slot, f in zip([slot for *_, slot in gates if slot is not None], factors):
             step(slot, f, coords, (0, 1))
-        if not len(factors):
+        if not len(factors):  # the tail is folded into the last rotation, if any
             step(None, tail, coords, (0, 1))
+    for c in range(q if wide else 0):  # back to the Pauli basis
+        step(None, _pauli_basis(1), (c,), (0, 1))
     # a group of every rotation takes every coefficient row, a view
     groups = tuple((slice(None) if len(rows) == len(slots) else
                     np.array([r for r, _ in rows], dtype=np.intp),
@@ -811,28 +802,30 @@ def apply_noisy_layout(vecs: np.ndarray, layout: Layout, angles: np.ndarray, q: 
                        noise: Sequence[NoiseChannel] = (), adjoint: bool = False,
                        derivatives: int = 0) -> np.ndarray:
     """Run a fixed-structure fragment on a (K, B, 4^q) stack of density
-    matrices in the walk's basis (``to_walk_basis``): at q ≤ 2 the real
-    Pauli coordinates T·vec(ρ), at q ≥ 3 vec(ρ)[c + 2^q r] = ρ[r, c].
+    matrices given by their real Pauli coordinates T·vec(ρ)
+    (``to_walk_basis``), at every register size.
 
     Every gate is followed by each channel of ``noise`` on each of its
     qubits.  Row k of ``angles`` drives the gates applied to vecs[k]; a
     one-row stack is shared by every row.  Run on the 4^q basis vectors,
     row k is the fragment's superoperator S in that basis transposed: its
-    real Pauli transfer matrix T S T† at q ≤ 2.  At every register size
-    the call walks the steps that the layout compiled into once
+    real Pauli transfer matrix T S T†.  At every register size the call
+    walks the steps that the layout compiled into once
     (``_layout_plan``) over the stack, in order: at q ≤ 2 one
     full-space step per rotation, at q ≥ 3 one step on at most two qubits
     per rotation, the fixed gates folded into both, and U, U* and the
-    per-qubit channels of each wider gate.  No call multiplies two
+    per-qubit channels of each wider gate, which the walk applies to
+    vec(ρ) between a conversion step on each qubit first and last; it
+    returns a real stack real.  No call multiplies two
     operators together: on the 4^q basis the walk costs what the product
     S would.  Every rotation step's matrices come from one batched
     product of the real coefficients with the real view of the cached
     factors of its shape (``_products``; at q ≤ 2 every rotation has one
     shape), which stays real for a layout whose factors are all real:
-    every layout at q ≤ 2, and at q ≥ 3 the amplitude encoders, their
+    every layout without a wide gate, and the amplitude encoders, their
     reversed layouts and the link RY.  A step on the whole register is
     one matmul on the right of the stack; any other is one transpose, one
-    matmul on the left (a real matrix through the stack's real view,
+    matmul on the left (a real matrix through a complex stack's real view,
     ``_left``) and the inverse transpose.
     ``adjoint`` applies the adjoint map instead (S†: the steps'
     matrices conjugate-transposed in reverse order), which carries
@@ -861,7 +854,9 @@ def apply_noisy_layout(vecs: np.ndarray, layout: Layout, angles: np.ndarray, q: 
         moved = t.reshape(t.shape[:2] + (2,) * (2 * q)).transpose(perm)
         out = _left(m, moved.reshape(len(moved), d, size // d))
         t = out.reshape(out.shape[:1] + moved.shape[1:]).transpose(inverse)
-    return t if t.ndim == 3 else t.reshape(t.shape[:1] + vecs.shape[1:])
+    t = t if t.ndim == 3 else t.reshape(t.shape[:1] + vecs.shape[1:])
+    # a wide gate's layout walks vec(ρ) and returns a real input real
+    return _real(t) if np.iscomplexobj(t) and not np.iscomplexobj(vecs) else t
 
 
 def expand_matrix(u: np.ndarray, coords: Sequence[int], q: int) -> np.ndarray:

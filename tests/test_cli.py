@@ -432,6 +432,20 @@ def test_output_write_failure_is_one_line_error(tmp_path, capsys, command):
     assert read(parent) == "kept"
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array", ""])
+def test_memory_error_is_one_line_error(tmp_path, capsys, monkeypatch, message):
+    # a data count too large to allocate, raised here without allocating it
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "synthetic_dataset", exhausted)
+    cfg = write_config(tmp_path, data={"count": 10**12})
+    out = os.path.join(str(tmp_path), "run")
+    assert main(["train", "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {message or 'MemoryError'}\n"
+    assert not os.path.exists(out)
+
+
 def test_train_refuses_shots_execution_before_loading_data(tmp_path, capsys, monkeypatch):
     # train and noise-sweep need the exact E under either execution mode
     out = os.path.join(str(tmp_path), "run")

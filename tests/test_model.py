@@ -70,6 +70,20 @@ def test_config_validation_and_variants():
         ModelConfig.from_variant("AmVQE")
 
 
+def test_config_refuses_malformed_noise():
+    # a list of channels is kept as a hashable tuple; anything but a
+    # sequence of NoiseChannel is refused at once, not deep in sim's caches
+    channel = sim.NoiseChannel("bit-flip", 0.1)
+    cfg = ModelConfig(execution="density", noise=[channel])
+    assert cfg.noise == (channel,) and hash(cfg)
+    rng = np.random.default_rng(12)
+    w = random_features(cfg, rng)
+    assert np.isfinite(forward(w, w, cfg.random_params(rng), cfg)[0])
+    for noise in (channel, ("bit-flip",), [channel, 0.1], "bit-flip", None):
+        with pytest.raises(ValueError, match="'noise' must be a sequence of NoiseChannel"):
+            ModelConfig(execution="density", noise=noise)
+
+
 def test_config_bounds_register_size():
     # 2^n ≤ 16 amplitudes per register
     assert ModelConfig(n=4).feature_dim == 16
@@ -829,12 +843,11 @@ def test_cached_readouts_are_the_link_carried_back_in_closed_form(n):
         assert [f.cache_info().misses for f in caches] == misses, execution
 
 
-@pytest.mark.parametrize("n", (1, 2, 3))
-def test_density_walk_is_real_at_n_up_to_2(monkeypatch, n):
-    # at n <= 2 every cached vector and every walk output is float64, so
-    # every product of them is real; n = 3 walks the complex vec(ρ).  16
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_density_walk_is_real_at_every_n(monkeypatch, n):
+    # every cached vector and every walk output is float64, so every
+    # product of them is real, the amplitude encoder's included.  16
     # samples reach the basis path at n <= 2, a sub-batch the states
-    dtype = float if n <= 2 else complex
     rng = np.random.default_rng(140 + n)
     for variant in VARIANTS:
         cfg = ModelConfig.from_variant(variant, n=n, execution="density",
@@ -854,10 +867,10 @@ def test_density_walk_is_real_at_n_up_to_2(monkeypatch, n):
         ev.derivatives(theta)
         ev.derivatives(theta, np.arange(3))
         monkeypatch.undo()
-        assert outputs and set(outputs) == {np.dtype(dtype)}, variant
+        assert outputs and set(outputs) == {np.dtype(float)}, variant
         for arr in (ev._rho_i, ev._rho_j, ev._p_j, ev._readouts, ev._basis,
                     *model._walk_constants(n)):
-            assert arr.dtype == dtype, variant
+            assert arr.dtype == float, variant
 
 
 @pytest.mark.parametrize("execution", ("analytic", "density"))

@@ -352,10 +352,8 @@ NOISE_SETS = [(), (NoiseChannel("bit-flip", 0.15),), (NoiseChannel("amplitude-da
 
 def _walk_channel(ref, q):
     """A superoperator S on vec(ρ) (…, 4^q, 4^q) in the basis that
-    ``apply_noisy_layout`` walks: T S T† at q ≤ 2, where the walk carries
-    T·vec(ρ) (``sim.to_walk_basis``), and S itself at q ≥ 3."""
-    if 4**q > sim._FACTORED_VEC_DIM:
-        return ref
+    ``apply_noisy_layout`` walks, T S T†, where the walk carries
+    T·vec(ρ) (``sim.to_walk_basis``)."""
     t = sim._pauli_basis(q)
     return t @ ref @ t.conj().T
 
@@ -363,7 +361,7 @@ def _walk_channel(ref, q):
 PAULIS = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
 
 
-@pytest.mark.parametrize("q", (1, 2))
+@pytest.mark.parametrize("q", (1, 2, 3))
 def test_pauli_basis_is_unitary_and_reads_pauli_expectations(q):
     # entry p of T·vec(ρ) is Tr(P ρ)/2^{q/2}, P the Pauli string whose
     # qubit k takes index bit k + 2·bit (q + k) of p; real for Hermitian ρ
@@ -384,13 +382,6 @@ def test_pauli_basis_is_unitary_and_reads_pauli_expectations(q):
         assert np.max(np.abs(got[:, p] - ref)) < 1e-14, p
     with pytest.raises(ValueError, match="not real in the Pauli basis"):
         sim.to_walk_basis(a.reshape(3, -1), q)
-
-
-def test_walk_basis_keeps_vec_at_q3_and_above():
-    # wide gates need each qubit's row and column bit: q >= 3 walks vec(ρ)
-    for q in (3, 4):
-        vecs = np.zeros((2, 1, 4**q), dtype=complex)
-        assert sim.to_walk_basis(vecs, q) is vecs
 
 
 @pytest.mark.parametrize("coords", [(0,), (1,), (0, 1), (1, 0)])
@@ -422,19 +413,23 @@ def _wide_arities(layout):
 @pytest.mark.parametrize("q", (1, 2, 3, 4))
 def test_layout_channels_match_lifted_kraus_reference(q):
     # at q = 4 the layouts hold MCRY-open gates of arity 3 and 4, which
-    # apply U and U* on their own axes instead of one fused superoperator
+    # apply U and U* on their own axes instead of one fused superoperator;
+    # each noise's first layout is also checked without its wide gates, a
+    # walk that never leaves the Pauli basis
     rng = np.random.default_rng(60 + q)
     wide = set()
     for noise in NOISE_SETS:
-        for _ in range(3):
+        for k in range(3):
             layout = _random_layout(rng, q, 6)
             wide |= _wide_arities(layout)
             angles = rng.uniform(0, 2 * np.pi, size=(2, 3))
-            got = _channels(layout, angles, q, noise)
-            assert got.shape == (2, 4**q, 4**q)
-            for k, row in enumerate(angles):
-                ref = _walk_channel(_lifted_channel(layout, row, q, noise), q)
-                assert np.max(np.abs(got[k] - ref)) < 1e-12, (layout, noise)
+            narrow = tuple(g for g in layout if len(g[1]) <= sim._FOLDED_ARITY)
+            for fragment in {layout} if k else {layout, narrow}:
+                got = _channels(fragment, angles, q, noise)
+                assert got.shape == (2, 4**q, 4**q)
+                for k, row in enumerate(angles):
+                    ref = _walk_channel(_lifted_channel(fragment, row, q, noise), q)
+                    assert np.max(np.abs(got[k] - ref)) < 1e-12, (fragment, noise)
     assert wide == set(range(3, q + 1))
 
 
@@ -657,8 +652,8 @@ def test_walk_on_small_stacks_matches_lifted_kraus_reference(q, noise):
 
 def test_cached_walk_factors_are_real_read_only_and_not_aliased():
     # the amplitude encoders, their reversed layouts and the link RY have
-    # real factors under both channels; the RZ steps of an ansatz are
-    # complex at q >= 3 and real in the Pauli basis of q <= 2
+    # real factors under both channels, and so have the ansatzes' RZ steps
+    # in the Pauli basis, at every q
     rng = np.random.default_rng(160)
     for q in (1, 2, 3, 4):
         encoder = encoding.encoder_layout("amplitude", q)
@@ -671,11 +666,8 @@ def test_cached_walk_factors_are_real_read_only_and_not_aliased():
                 for _, fixed, *_ in steps:
                     assert fixed is None or not fixed.flags.writeable
             _, groups, steps = sim._layout_plan(ansatz.ansatz_layout("hea", q), q, noise)
-            if q <= 2:
-                assert all(factors.dtype == float for _, factors, _ in groups)
-                assert all(fixed is None or fixed.dtype == float for _, fixed, *_ in steps)
-            else:
-                assert any(factors.dtype == complex for _, factors, _ in groups)
+            assert all(factors.dtype == float for _, factors, _ in groups)
+            assert all(fixed is None or fixed.dtype == float for _, fixed, *_ in steps)
         _, factors, tail = sim._layout_factors(encoder, q)
         assert factors.dtype == float
         assert not factors.flags.writeable and not tail.flags.writeable
@@ -695,23 +687,59 @@ def test_cached_walk_factors_are_real_read_only_and_not_aliased():
             assert np.array_equal(build(), expected)
 
 
+def _conversions(steps):
+    """The steps of a plan that convert between the Pauli basis and vec(ρ):
+    T_1 or T_1† on one qubit's (column, row) bit pair."""
+    t = sim._pauli_basis(1)
+    return sum(fixed is not None and fixed.shape == (1, 4, 4)
+               and (np.array_equal(fixed[0], t) or np.array_equal(fixed[0], t.conj().T))
+               for _, fixed, *_ in steps)
+
+
 @pytest.mark.parametrize("q, counts", [
-    (3, {"qaoa": 6, "hea": 6}),  # one step per gate: 15 and 9
-    (4, {"qaoa": 8, "hea": 8}),  # one step per gate: 20 and 12
+    (3, {"qaoa": 6, "hea": 6, "amplitude": 33}),  # one step per gate: 15 and 9
+    (4, {"qaoa": 8, "hea": 8, "amplitude": 96}),  # one step per gate: 20 and 12
 ])
 def test_walk_folds_fixed_gates_into_rotation_steps(q, counts):
     # H folds into its qubit's rotation and CNOT·RZ·CNOT is one step on
-    # (c, f): every step is one rotation on at most two qubits
-    for kind, count in counts.items():
+    # (c, f): every step is one rotation on at most two qubits, in the
+    # Pauli basis
+    for kind in ("qaoa", "hea"):
         layout = ansatz.ansatz_layout(kind, q)
         mid = layout + _reversed_layout(layout, 2 * q)
-        for name, fragment, expected in (("ansatz", layout, count),
-                                         ("reversed", _reversed_layout(layout), count),
-                                         ("mid", mid, 2 * count)):
+        for name, fragment, expected in (("ansatz", layout, counts[kind]),
+                                         ("reversed", _reversed_layout(layout), counts[kind]),
+                                         ("mid", mid, 2 * counts[kind])):
             for noise in ((), NOISE_SETS[1]):
                 slots, _, steps = sim._layout_plan(fragment, q, noise)
                 assert len(steps) == slots.size == expected, (kind, name)
                 assert all(d <= 16 for _, _, d, _, _ in steps)
+                assert _conversions(steps) == 0, (kind, name)
+    # the amplitude encoder's wide MCRY-open gates walk vec(ρ), entered and
+    # left through one conversion step on each qubit
+    encoder = encoding.encoder_layout("amplitude", q)
+    for fragment in (encoder, _reversed_layout(encoder)):
+        _, _, steps = sim._layout_plan(fragment, q, NOISE_SETS[1])
+        assert len(steps) == counts["amplitude"]
+        assert _conversions(steps) == _conversions(steps[:q] + steps[-q:]) == 2 * q
+
+
+@pytest.mark.parametrize("q", (1, 2, 3, 4))
+def test_walk_of_a_real_pauli_input_is_real(q):
+    # every layout the model walks returns float64 on real Pauli
+    # coordinates, forward and adjoint, a wide gate's layout included
+    rng = np.random.default_rng(170 + q)
+    encoders = [encoding.encoder_layout(kind, q) for kind in ("amplitude", "angle")]
+    layouts = encoders + [_reversed_layout(encoders[0])] + [
+        ansatz.ansatz_layout(kind, q) for kind in ("hea", "qaoa")] + [(("RY", (q - 1,), 0),)]
+    vecs = rng.normal(size=(1, 2, 4**q))
+    for noise in NOISE_SETS[1:3]:
+        for layout in layouts:
+            angles = rng.uniform(0, 2 * np.pi, size=(2, 1 + max(
+                slot for *_, slot in layout if slot is not None)))
+            for adjoint in (False, True):
+                out = sim.apply_noisy_layout(vecs, layout, angles, q, noise, adjoint=adjoint)
+                assert out.dtype == np.float64 and out.shape == (2, 2, 4**q), (layout, adjoint)
 
 
 # --- analytic layouts as products of cached factors ---------------------------
