@@ -7,8 +7,12 @@ and are always accompanied by the fully resolved config for provenance.
 Errors exit nonzero with a one-line diagnostic and leave no partial
 output files behind.
 
-The environment variable QKATTN_THREADS caps process-level parallelism
-(currently used by the noise sweep).
+The noise sweep trains each seed's channel strengths in lockstep, one
+evaluator and one pass per optimizer step for all of them
+(``train._train_runs``).  The environment variable QKATTN_THREADS caps its
+process-level parallelism: a worker's unit of work is one seed's strengths,
+or, with more workers than seeds, one of ⌈workers / seeds⌉ contiguous
+chunks of them.
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ from .data import (Split, load_idx, make_split, prepare_image_features, scale_fe
                    synthetic_dataset)
 from .model import VARIANTS, BatchEvaluator, ModelConfig, QksasRecord
 from .sim import NoiseChannel
-from .train import RunRecord, TrainConfig, gradient_check, train_loop
+from .train import RunRecord, TrainConfig, _train_runs, gradient_check, train_loop
 
 _MODEL_KEYS = {"n", "encoder", "ansatz", "link_mode", "execution", "shots"}
 _TRAIN_KEYS = {"learning_rate", "momentum", "batch_size", "steps"}
@@ -307,16 +311,17 @@ def cmd_qksas(args) -> int:
     return 0
 
 
-def _sweep_job(payload) -> tuple[float, int, float, float, float]:
-    resolved, channel, p, seed, split = payload
+def _sweep_job(payload) -> list[tuple[float, int, float, float, float]]:
+    """One group of the sweep: strengths ``probs`` of one seed, trained in
+    lockstep (``_train_runs``), one row per strength."""
+    resolved, channel, probs, seed, split = payload
     resolved = dict(resolved, seed=seed)
-    noise = (NoiseChannel(channel, p),)
-    mcfg = model_config_from(resolved, execution="density", noise=noise)
-    tcfg = train_config_from(resolved)
-    record = train_loop(mcfg, split.train_x, split.train_y, tcfg,
-                        test_x=split.test_x, test_y=split.test_y)
-    final = record.final
-    return (p, seed, final.train_acc, final.test_acc, final.loss)
+    mcfgs = [model_config_from(resolved, execution="density", noise=(NoiseChannel(channel, p),))
+             for p in probs]
+    records = _train_runs(mcfgs, split.train_x, split.train_y, train_config_from(resolved),
+                          test_x=split.test_x, test_y=split.test_y)
+    return [(p, seed, r.final.train_acc, r.final.test_acc, r.final.loss)
+            for p, r in zip(probs, records)]
 
 
 def thread_budget() -> int:
@@ -331,7 +336,9 @@ def thread_budget() -> int:
 
 
 def cmd_noise_sweep(args) -> int:
-    resolved = load_config(args.config, args.seed, args.variant)
+    if args.seed is not None:
+        raise CliError("noise-sweep takes its seeds from --seeds, not --seed")
+    resolved = load_config(args.config, None, args.variant)
     mcfg = _exact_model(model_config_from(resolved))
     try:
         probs = [float(tok) for tok in args.probs.split(",") if tok.strip()]
@@ -351,11 +358,17 @@ def cmd_noise_sweep(args) -> int:
         raise CliError("channel probabilities must lie in [0, 1]")
     if args.channel not in ("bit-flip", "amplitude-damping"):
         raise CliError(f"unknown channel {args.channel!r}")
+    threads = thread_budget()
 
-    # each seed's split, loaded once and shared by that seed's jobs
+    # each seed's split, loaded once and shared by that seed's groups
     splits = {s: load_dataset(dict(resolved, seed=s), mcfg) for s in seeds}
-    jobs = [(resolved, args.channel, p, s, splits[s]) for p in probs for s in seeds]
-    workers = min(thread_budget(), len(jobs))
+    # a group trains contiguous strengths of one seed in lockstep: all of
+    # them, or with more workers than seeds ⌈workers / seeds⌉ chunks
+    chunks = min(len(probs), 1 if threads <= len(seeds) else -(-threads // len(seeds)))
+    bounds = [len(probs) * k // chunks for k in range(chunks + 1)]
+    jobs = [(resolved, args.channel, probs[lo:hi], s, splits[s])
+            for s in seeds for lo, hi in zip(bounds, bounds[1:])]
+    workers = min(threads, len(jobs))
     if workers > 1:
         # spawn, not fork: forking a process whose BLAS already runs
         # threads can deadlock the children.  Imported here, as
@@ -365,13 +378,16 @@ def cmd_noise_sweep(args) -> int:
         spawn = multiprocessing.get_context("spawn")
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
                                                     mp_context=spawn) as pool:
-            rows = list(pool.map(_sweep_job, jobs))
+            groups = list(pool.map(_sweep_job, jobs))
     else:
-        rows = [_sweep_job(job) for job in jobs]
+        groups = [_sweep_job(job) for job in jobs]
+    rows = {(p, seed): row for group in groups for p, seed, *row in group}
 
     lines = ["p,seed,train_acc,test_acc,loss"]
-    for p, seed, train_acc, test_acc, loss_v in rows:
-        lines.append(f"{_fmt(p)},{seed},{_fmt(train_acc)},{_fmt(test_acc)},{_fmt(loss_v)}")
+    for p in probs:
+        for seed in seeds:
+            train_acc, test_acc, loss_v = rows[p, seed]
+            lines.append(f"{_fmt(p)},{seed},{_fmt(train_acc)},{_fmt(test_acc)},{_fmt(loss_v)}")
     _flush_outputs(args.out, {
         "sweep.csv": "\n".join(lines) + "\n",
         "resolved_config.json": json.dumps(

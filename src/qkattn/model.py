@@ -58,7 +58,10 @@ every n (``sim.to_walk_basis``), the real Pauli coordinates
 Tr(P ρ)/2^{n/2}, so every walk output and every product that reads a
 probability or a readout is real.
 The fixed ones, the zero state, the projectors and the readouts, are
-converted once per n (``_walk_constants``, ``_link_readouts``).  In
+converted once per n (``_walk_constants``, ``_link_readouts``).  A density
+evaluator holds these per run, on a leading run axis: one run, or R models
+that differ in their noise alone and train in lockstep, each walk serving
+all of them (``BatchEvaluator._lockstep``).  In
 both modes the link angle enters only when E is combined, as
 cos θ4_{n−1} and sin θ4_{n−1}; no fragment is simulated for it.  The
 test suite checks both modes against the full circuit, whose literal
@@ -240,15 +243,19 @@ def _reversed_layout(layout, offset: int = 0) -> tuple:
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
-    """The distinct rows of ``rows`` in first-seen order and each row's
-    index among them; a stack of at most one row passes through."""
-    if len(rows) < 2:
+    """The distinct rows of a stack ``rows`` (R, K, W) of one K-row stack
+    per run, in first-seen order, and each row's index among them: row k
+    repeats an earlier one when it does so in every run.  A stack of at
+    most one row passes through."""
+    if rows.shape[1] < 2:
         return rows, slice(None)
-    raw, width = rows.tobytes(), rows[0].nbytes
+    flat = rows.transpose(1, 0, 2).reshape(rows.shape[1], -1)
+    raw, width = flat.tobytes(), flat[0].nbytes
     labels: dict[bytes, int] = {}
     inverse = np.array([labels.setdefault(raw[at: at + width], len(labels))
                         for at in range(0, len(raw), width)])
-    return np.frombuffer(b"".join(labels)).reshape(len(labels), -1), inverse
+    return np.frombuffer(b"".join(labels)).reshape(len(labels), len(rows), -1).transpose(
+        1, 0, 2), inverse
 
 
 def _squared(amps: np.ndarray, derivatives: bool) -> np.ndarray:
@@ -311,6 +318,15 @@ def _link_readouts(n: int, link_mode: str, noise: tuple[NoiseChannel, ...]) -> n
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _run_readouts(n: int, link_mode: str, noises: tuple) -> np.ndarray:
+    """``_link_readouts`` under each noise model of ``noises``, stacked as
+    (R, 1, 4, 4^n) for R lockstep runs, read-only."""
+    out = np.stack([_link_readouts(n, link_mode, noise) for noise in noises])[:, None]
+    out.flags.writeable = False
+    return out
+
+
 @functools.lru_cache(maxsize=16)
 def _readout_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The noiseless readouts of ``_link_readouts`` in measurement form,
@@ -328,6 +344,22 @@ def _readout_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
     for arr in (bases, weights):
         arr.flags.writeable = False
     return bases, weights
+
+
+def _lockstep_config(configs) -> ModelConfig:
+    """The model that R lockstep runs share: ``configs`` must differ in
+    ``noise`` alone, and several runs need density execution."""
+    configs = list(configs)
+    if not configs:
+        raise ValueError("lockstep needs at least one model config")
+    first = configs[0]
+    if any(dataclasses.replace(c, noise=()) != dataclasses.replace(first, noise=())
+           for c in configs[1:]):
+        raise ValueError("lockstep runs must differ in 'noise' alone")
+    if len(configs) > 1 and first.execution != "density":
+        raise ValueError(f"several runs train in lockstep under density execution only, "
+                         f"not {first.execution!r}")
+    return first
 
 
 class BatchEvaluator:
@@ -359,14 +391,36 @@ class BatchEvaluator:
     Density mode keeps the noisy encoded states ρ_i, ρ_j and, per sample,
     the 2^n register-1 outcome projectors pulled back through the noisy
     channel of U_φ(w_j)† and their fired sum (count, 4^n), all in the
-    walk's real Pauli basis; per call ``sim.apply_noisy_layout``
-    applies the register-1 channel of U†(θ2)U(θ1) to ρ_i, or to the 4^n
-    basis vectors when they are fewer than the batch's states, and
-    carries the four readouts backwards through the channel of θ3.
+    walk's real Pauli basis; per call the walk applies the register-1
+    channel of U†(θ2)U(θ1) to ρ_i, or to the 4^n basis vectors when they
+    are fewer than the batch's states, and carries the four readouts
+    backwards through the channel of θ3.
+
+    Every density array has a leading run axis.  ``_lockstep`` builds one
+    evaluator for R models that differ in their noise alone, each a run
+    with its own ρ_i, ρ_j, projectors and readouts, and ``_stack`` and
+    ``_steps`` take one parameter stack per run: every walk serves all R
+    runs at once (``sim._walk_runs``), and each run's values equal those
+    of its own evaluator bit for bit.  The constructor builds the one-run
+    case, which the public methods read; analytic mode takes one model.
     """
 
     def __init__(self, wi, wj, config: ModelConfig):
+        self._build(wi, wj, config, (config.noise,))
+
+    @classmethod
+    def _lockstep(cls, wi, wj, configs) -> "BatchEvaluator":
+        """One evaluator for the runs of ``configs``, which differ in their
+        noise alone (``_lockstep_config``)."""
+        evaluator = cls.__new__(cls)
+        evaluator._build(wi, wj, _lockstep_config(configs), tuple(c.noise for c in configs))
+        return evaluator
+
+    def _build(self, wi, wj, config: ModelConfig, noises: tuple) -> None:
+        """Encode the pairs for ``config``, one density run under each noise
+        model of ``noises``."""
         self.config = config
+        self._noises = noises
         n = config.n
         wi = np.atleast_2d(np.asarray(wi, dtype=float))
         wj = np.atleast_2d(np.asarray(wj, dtype=float))
@@ -398,23 +452,23 @@ class BatchEvaluator:
             self._forms.flags.writeable = False
             self._bases, self._weights = _readout_bases(n)
             return
-        noise = config.noise
         zero, proj, self._basis = _walk_constants(n)
-        rho = _sim.apply_noisy_layout(zero, layout, angles, n, noise)[:, 0]
-        self._rho_i = rho[: self.count]
+        # (R, samples, 4^n): every run encodes at the same angles
+        rho = _sim._walk_runs(zero[None], layout, angles[None], n, noises)[:, :, 0]
+        self._rho_i = rho[:, : self.count]
         # the 2^n outcome projectors carried back through the channel of
         # U_φ†(w_j), so that probs = p_j · σ, and the readouts are read as
         # ρ_j · O: Tr(A·B) = a · b for Hermitian A, B in the real basis
-        self._p_j = _sim.apply_noisy_layout(proj[None], _reversed_layout(layout),
-                                            -angles[at_j:], n, noise, adjoint=True)
+        self._p_j = _sim._walk_runs(proj[None, None], _reversed_layout(layout),
+                                    -angles[None, at_j:], n, noises, adjoint=True)
         # the fired projectors folded into one row, which reads f
         self._p_fire = self._fire @ self._p_j
         self._p_fire.flags.writeable = False
-        self._rho_j = rho[at_j:]
+        self._rho_j = rho[:, at_j:]
         # U(θ1) then U†(θ2), driven by the angle row [θ1, −θ2]
         self._mid = self._ansatz + _reversed_layout(self._ansatz, 2 * n)
-        # each readout O, (1, 4, 4^n)
-        self._readouts = _link_readouts(n, config.link_mode, noise)[None]
+        # each run's readouts O, (R, 1, 4, 4^n)
+        self._readouts = _run_readouts(n, config.link_mode, noises)
 
     def evaluate(self, params: ParamSet, idx=None) -> tuple[np.ndarray, np.ndarray]:
         """Return (E, register-1 outcome distributions) for the batch
@@ -438,21 +492,23 @@ class BatchEvaluator:
     def evaluate_stack(self, thetas, idx=None) -> tuple[np.ndarray, np.ndarray]:
         """``evaluate`` at K flattened parameter vectors (rows of
         ``thetas``): E is (K, batch) and the distributions (K, batch, 2^n)."""
-        return self._stack(thetas, idx)
+        e_val, probs = self._stack(self._rows(thetas)[None], idx)
+        return e_val[0], probs[0]
 
     def _stack(self, thetas, idx=None, fired: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """``evaluate_stack``, or with ``fired`` E and register 1's firing
-        probabilities (K, batch) alone, the E-only evaluation that builds
-        no distribution."""
-        thetas = self._rows(thetas)
+        """``evaluate_stack`` at one (K, P) stack per run, ``thetas`` (R, K,
+        P), as (R, K, batch) and (R, K, batch, 2^n); or with ``fired`` E
+        and register 1's firing probabilities (R, K, batch) alone, the
+        E-only evaluation that builds no distribution.  The caller checks
+        the rows (``_rows``)."""
         n = self.config.n
-        rows1, at1 = _distinct_rows(thetas[:, : 4 * n])
-        rows2, at2 = _distinct_rows(thetas[:, 4 * n: 6 * n])
+        rows1, at1 = _distinct_rows(thetas[..., : 4 * n])
+        rows2, at2 = _distinct_rows(thetas[..., 4 * n: 6 * n])
         (reg1, reads), = self._registers(rows1, rows2, idx, fired=fired)
-        link = thetas[:, 7 * n - 1, None]
-        fire = (reg1 if fired else reg1 @ self._fire)[at1]
-        e_val, _ = self._combined(fire, reads[at2], np.cos(link), np.sin(link))
-        return e_val, reg1[at1]
+        link = thetas[..., 7 * n - 1, None]
+        fire = (reg1 if fired else reg1 @ self._fire)[:, at1]
+        e_val, _ = self._combined(fire, reads[:, at2], np.cos(link), np.sin(link))
+        return e_val, reg1[:, at1]
 
     def derivatives(self, theta, idx=None) -> tuple[np.ndarray, np.ndarray]:
         """E (batch,) at one flat parameter vector and its exact derivative
@@ -461,11 +517,12 @@ class BatchEvaluator:
         cos θ·C + sin θ·S, dE is df·(T − idle) in θ1 and θ2, f·dT +
         (1 − f)·d idle in θ3, f·(cos θ·S − sin θ·C) in θ = θ4_{n−1}, and
         exactly 0 in the other θ4 slots and in slots that drive no gate."""
-        theta = self._rows(np.reshape(theta, (1, -1)))[0]
+        theta = self._rows(np.reshape(theta, (1, -1)))
         n = self.config.n
-        look, = self._registers(theta[None, : 4 * n], theta[None, 4 * n: 6 * n], idx,
+        look, = self._registers(theta[:, None, : 4 * n], theta[:, None, 4 * n: 6 * n], idx,
                                 derivatives=True, fired=True)
-        return self._derived(theta, *look)
+        e_val, de = self._derived(theta, *look)
+        return e_val[0], de[0]
 
     def step_values(self, look, at, idx=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One optimizer step's values in one pass: E and dE of
@@ -477,102 +534,119 @@ class BatchEvaluator:
         basis.  Only ``idx``'s samples meet the derivative rows.  ``look``
         and ``at`` must each be one flat vector of finite parameters."""
         look, at = self._rows(look, 1), self._rows(at, 1)
+        e_val, de, e_at = self._steps(look[None], at[None], idx)
+        return e_val[0], de[0], e_at[0]
+
+    def _steps(self, looks, ats, idx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``step_values`` for every run in one pass, at one lookahead and
+        one current vector per run, ``looks`` and ``ats`` (R, P): E (R,
+        batch), dE (R, P, batch) and E at ``ats`` (R, count).  The caller
+        checks the vectors (``_rows``)."""
         n = self.config.n
-        grad, (fire, reads) = self._registers(look[None, : 4 * n], look[None, 4 * n: 6 * n],
-                                              idx, derivatives=True, at=at, fired=True)
-        e_val, de = self._derived(look, *grad)
-        link = at[7 * n - 1]
+        grad, (fire, reads) = self._registers(looks[:, None, : 4 * n],
+                                              looks[:, None, 4 * n: 6 * n], idx,
+                                              derivatives=True, at=ats, fired=True)
+        e_val, de = self._derived(looks, *grad)
+        link = ats[:, 7 * n - 1, None, None]
         e_at, _ = self._combined(fire, reads, np.cos(link), np.sin(link))
-        return e_val, de, e_at[0]
+        return e_val, de, e_at[:, 0]
 
     @staticmethod
     def _combined(fire, reads, cos, sin) -> tuple[np.ndarray, np.ndarray]:
         """E = f·T + (1 − f)·idle and T = B + cos θ·C + sin θ·S, from the
         firing probabilities ``fire`` and the readouts [idle, B, C, S] on
-        the last axis of ``reads``."""
-        idle, b, c, s = reads.transpose(2, 0, 1)
+        the last axis of ``reads`` (R, K, batch, 4)."""
+        idle, b, c, s = reads.transpose(3, 0, 1, 2)
         t = b + cos * c + sin * s
         return fire * t + (1.0 - fire) * idle, t
 
     def _derived(self, theta, fire, reads) -> tuple[np.ndarray, np.ndarray]:
-        """``derivatives``' E and dE from the registers' rows at ``theta``
-        and their derivative rows."""
+        """``derivatives``' E (R, batch) and dE (R, P, batch) from each
+        run's registers at its row of ``theta`` (R, P) and their
+        derivative rows."""
         n = self.config.n
-        cos, sin = np.cos(theta[7 * n - 1]), np.sin(theta[7 * n - 1])
+        link = theta[:, 7 * n - 1, None]
+        cos, sin = np.cos(link), np.sin(link)
         # E, then its derivatives in θ3, from f and every register-2 row
-        e_val, t = self._combined(fire[0], reads, cos, sin)
-        idle, _, c, s = reads[0].T
-        de = np.zeros((theta.size, fire.shape[1]))
-        de[: 4 * n] = fire[1:] * (t[0] - idle)
-        de[4 * n: 6 * n] = e_val[1:]
-        de[7 * n - 1] = fire[0] * (cos * s - sin * c)
-        return e_val[0], de
+        e_val, t = self._combined(fire[:, :1], reads, cos[:, None], sin[:, None])
+        idle, _, c, s = reads[:, 0].transpose(2, 0, 1)
+        de = np.zeros(theta.shape + fire.shape[-1:])
+        de[:, : 4 * n] = fire[:, 1:] * (t[:, 0] - idle)[:, None]
+        de[:, 4 * n: 6 * n] = e_val[:, 1:]
+        de[:, 7 * n - 1] = fire[:, 0] * (cos * s - sin * c)
+        return e_val[:, 0], de
 
     def _registers(self, rows1: np.ndarray, rows2: np.ndarray, idx, derivatives: bool = False,
                    at: np.ndarray | None = None,
                    fired: bool = False) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The register-1 distributions (K1, batch, 2^n) at ``rows1`` of
-        [θ1, θ2], or with ``fired`` only their firing probabilities
-        (K1, batch), and the readouts [idle, B, C, S] (K2, batch, 4) at
-        ``rows2`` of θ3, on the samples ``idx``; with ``derivatives``, at
-        one row each, then the derivative in each column: 1 + 4n
-        register-1 rows, 1 + 2n readouts.  With ``at``, a flat parameter
-        vector, a second pair follows: its one row of each on every
-        sample.  Both pairs share the coefficients and the unitary
-        product, or the readout walk and, when both sample sets take it,
-        register 1's walk on the basis."""
+        """Per run, the register-1 distributions (R, K1, batch, 2^n) at
+        ``rows1`` (R, K1, 4n) of [θ1, θ2], or with ``fired`` only their
+        firing probabilities (R, K1, batch), and the readouts [idle, B, C,
+        S] (R, K2, batch, 4) at ``rows2`` (R, K2, 2n) of θ3, on the
+        samples ``idx``; with ``derivatives``, at one row each, then the
+        derivative in each column: 1 + 4n register-1 rows, 1 + 2n
+        readouts.  With ``at``, one flat parameter vector per run (R, P), a
+        second pair follows: its one row of each on every sample.  Both
+        pairs share the coefficients and the unitary product, or the
+        readout walk and, when both sample sets take it, register 1's walk
+        on the basis; every density walk serves all runs."""
         cfg = self.config
         n, dim = cfg.n, 2**cfg.n
         # (rows of [θ1, θ2], rows of θ3, samples); only the first part has
         # derivative rows, one row each
         parts = [(rows1, rows2, idx)]
         if at is not None:
-            parts.append((at[None, : 4 * n], at[None, 4 * n: 6 * n], None))
+            parts.append((at[:, None, : 4 * n], at[:, None, 4 * n: 6 * n], None))
         if cfg.execution != "density":
-            # U(θ1), U(θ2) and U(θ3) of each part in one product, derivative
-            # rows first
+            # the one run's U(θ1), U(θ2) and U(θ3) of each part in one
+            # product, derivative rows first
             u = _sim.layout_unitaries(self._ansatz, np.vstack(
-                [b for r1, r2, _ in parts for b in (r1[:, : 2 * n], r1[:, 2 * n:], r2)]),
+                [b for r1, r2, _ in parts for b in (r1[0, :, : 2 * n], r1[0, :, 2 * n:], r2[0])]),
                 n, 3 * derivatives)
-            k1, k2 = (1 + 2 * n,) * 2 if derivatives else (len(rows1), len(rows2))
+            k1, k2 = (1 + 2 * n,) * 2 if derivatives else (rows1.shape[1], rows2.shape[1])
             out = [self._pure(u[:k1], u[k1: 2 * k1], u[2 * k1: 2 * k1 + k2], idx, derivatives,
                               fired)]
             if at is not None:
                 out.append(self._pure(u[-3:-2], u[-2:-1], u[-1:], None, False, fired))
-            return out
+            return [(reg1[None], reads[None]) for reg1, reads in out]
         p_read = self._p_fire if fired else self._p_j
         picks = [(self._rho_i, self._rho_j, p_read) if sel is None else
-                 (self._rho_i[sel], self._rho_j[sel], p_read[sel]) for *_, sel in parts]
-        # (K1, batch, 4^n): register 1 after U†(θ2)U(θ1), driven by
+                 tuple(np.take(arr, sel, axis=1) for arr in (self._rho_i, self._rho_j, p_read))
+                 for *_, sel in parts]
+        # (R, K1, batch, 4^n): register 1 after U†(θ2)U(θ1), driven by
         # [θ1, −θ2].  With fewer states than basis vectors, the gates act
         # on the states; otherwise they act on the basis, which gives the
         # channel, in one walk for both parts when both take it.
-        mids = [np.hstack([r1[:, : 2 * n], -r1[:, 2 * n:]]) for r1, _, _ in parts]
-        on_basis = [len(rho_i) >= dim * dim for rho_i, _, _ in picks]
+        mids = [np.concatenate([r1[..., : 2 * n], -r1[..., 2 * n:]], axis=-1)
+                for r1, _, _ in parts]
+        on_basis = [rho_i.shape[1] >= dim * dim for rho_i, _, _ in picks]
         if all(on_basis):
-            sigma = _sim.apply_noisy_layout(self._basis[None], self._mid, np.vstack(mids), n,
-                                            cfg.noise, derivatives=int(derivatives))
-            split = len(rows1) * (1 + 4 * n) if derivatives else len(rows1)
-            sigma = sigma[:split], sigma[split:]
+            sigma = _sim._walk_runs(self._basis[None, None], self._mid,
+                                    np.concatenate(mids, axis=1), n, self._noises,
+                                    derivatives=int(derivatives))
+            split = rows1.shape[1] * (1 + 4 * n) if derivatives else rows1.shape[1]
+            sigma = sigma[:, :split], sigma[:, split:]
         else:
-            sigma = [_sim.apply_noisy_layout(self._basis[None] if basis else rho_i[None],
-                                             self._mid, mid, n, cfg.noise,
-                                             derivatives=int(derivatives and not k))
+            sigma = [_sim._walk_runs(self._basis[None, None] if basis else rho_i[:, None],
+                                     self._mid, mid, n, self._noises,
+                                     derivatives=int(derivatives and not k))
                      for k, (mid, basis, (rho_i, _, _)) in enumerate(zip(mids, on_basis, picks))]
         # the readouts carried back through the channel of θ3, read on ρ_j
-        obs = _sim.apply_noisy_layout(self._readouts, self._ansatz,
-                                      np.vstack([r2 for _, r2, _ in parts]), n, cfg.noise,
-                                      adjoint=True, derivatives=int(derivatives))
-        split = len(rows2) * (1 + 2 * n) if derivatives else len(rows2)
-        obs = obs[:split], obs[split:]
+        obs = _sim._walk_runs(self._readouts, self._ansatz,
+                              np.concatenate([r2 for _, r2, _ in parts], axis=1), n,
+                              self._noises, adjoint=True, derivatives=int(derivatives))
+        split = rows2.shape[1] * (1 + 2 * n) if derivatives else rows2.shape[1]
+        obs = obs[:, :split], obs[:, split:]
         out = []
         for k, ((rho_i, rho_j, p_j), basis) in enumerate(zip(picks, on_basis)):
-            s = (rho_i @ sigma[k] if basis else sigma[k]).transpose(1, 2, 0)
-            # (K, batch) firing probabilities, or (K, batch, 2^n) distributions
-            probs = (p_j[:, None] @ s)[:, 0].T if fired else (p_j @ s).transpose(2, 0, 1)
+            s = (rho_i[:, None] @ sigma[k] if basis else sigma[k]).transpose(0, 2, 3, 1)
+            # (R, K, batch) firing probabilities, or (R, K, batch, 2^n)
+            # distributions
+            probs = ((p_j[:, :, None] @ s)[:, :, 0].transpose(0, 2, 1) if fired
+                     else (p_j @ s).transpose(0, 3, 1, 2))
             if derivatives and not k:  # _mid runs on −θ2
-                probs[1 + 2 * n:] *= -1.0
-            out.append((probs, rho_j @ obs[k].transpose(0, 2, 1)))
+                probs[:, 1 + 2 * n:] *= -1.0
+            out.append((probs, rho_j[:, None] @ obs[k].swapaxes(-1, -2)))
         return out
 
     def _pure(self, u1, u2, u3, idx, derivatives: bool,

@@ -41,7 +41,12 @@ batched product of real coefficients with the real view of cached factors
 layout whose factors are real, as every noisy layout's are without a wide
 gate.  Both also give exact derivatives in the angles
 for the first few rows, whose coefficient rows are one product with a
-cached map (``_coefficients``).
+cached map (``_coefficients``).  One noisy walk serves R noise models at
+once (``_walk_runs``), as the noise sweep's lockstep runs need: the runs'
+plans are stacked once (``_run_plan``), and a leading run axis on the
+stack, the angles and the coefficients stays a batch axis of every product,
+whose matrices keep their one-run shapes, so each run's output equals its
+own walk bit for bit; ``apply_noisy_layout`` is the one-run case.
 
 Basis ordering is little-endian throughout: qubit 0 is the least
 significant bit of a basis index.  For two-qubit gates the first
@@ -399,6 +404,8 @@ def _coefficients(angles: np.ndarray, slots: np.ndarray, channel: bool,
     """The coefficient basis of R rotations, rotation r driven by column
     slots[r] of ``angles`` (K, P), as (R, K, terms): [1, c, s] for a
     unitary, [1, c, s, cs, s²] for a superoperator, c, s = cos, sin(θ/2).
+    Angles with a run axis, (runs, K, P) in ``_walk_runs``, give (R, runs,
+    K, terms), and the run axis stays a batch axis of every product.
 
     ``derivatives`` follows each of the first ``derivatives`` rows with
     one row per column j, in which the rotation that j
@@ -410,7 +417,8 @@ def _coefficients(angles: np.ndarray, slots: np.ndarray, channel: bool,
     product of the rows with the cached map of ``_expansion``; the rows
     after the first ``derivatives`` follow them as they are.
     """
-    half = angles[:, slots].T / 2
+    picked = angles[..., slots]
+    half = (picked.T if picked.ndim == 2 else picked.transpose(2, 0, 1)) / 2
     c, s = np.cos(half), np.sin(half)
     coef = np.empty(c.shape + (5 if channel else 3,))
     coef[..., 0] = 1.0
@@ -422,10 +430,11 @@ def _coefficients(angles: np.ndarray, slots: np.ndarray, channel: bool,
     if not derivatives:
         return coef
     terms = coef.shape[-1]
-    rows = coef[:, :derivatives] @ _expansion(tuple(slots.tolist()), angles.shape[1], terms)
-    rows = rows.reshape(slots.size, -1, terms)
-    return rows if derivatives == len(angles) else np.concatenate(
-        [rows, coef[:, derivatives:]], axis=1)
+    expansion = _expansion(tuple(slots.tolist()), angles.shape[-1], terms)
+    rows = coef[..., :derivatives, :] @ (expansion if coef.ndim == 3 else expansion[:, None])
+    rows = rows.reshape(coef.shape[:-2] + (-1, terms))
+    return rows if derivatives == angles.shape[-2] else np.concatenate(
+        [rows, coef[..., derivatives:, :]], axis=-2)
 
 
 @functools.lru_cache(maxsize=256)
@@ -798,12 +807,105 @@ def _layout_plan(layout: tuple, q: int, noise: tuple[NoiseChannel, ...]) -> tupl
     return _frozen(np.array(slots, dtype=np.intp)), groups, tuple(steps)
 
 
+def _structure(plan: tuple) -> tuple:
+    """What a walk of ``plan`` does apart from its matrices: its slots, each
+    rotation group's rows and factor shape, and each step's rotation,
+    fixed shape, size and permutation."""
+    slots, groups, steps = plan
+    return (slots.tolist(),
+            tuple((None if isinstance(at, slice) else at.tolist(), factors.shape, d)
+                  for at, factors, d in groups),
+            tuple((rotation, None if fixed is None else fixed.shape, d, perm)
+                  for rotation, fixed, d, perm, _ in steps))
+
+
+def _shared(arrays: list[np.ndarray], axis: int) -> np.ndarray:
+    """``arrays`` stacked on a new run axis at ``axis``, read-only, or the
+    first with a run axis of 1 when every run has the same one."""
+    if all(np.array_equal(arr, arrays[0]) for arr in arrays[1:]):
+        return np.expand_dims(arrays[0], axis)
+    out = np.stack(arrays, axis=axis)
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _run_plan(layout: tuple, q: int, noises: tuple[tuple[NoiseChannel, ...], ...]) -> tuple:
+    """The plans of ``_layout_plan`` for R noise models, one per run,
+    stacked once on a run axis and cached read-only: each rotation
+    group's factors as (R_g, R, terms, d²) and each fixed step as
+    (R, 1, d, d), with a run axis of 1 where every run has the same
+    matrix, like the conversion steps T_1.  Each permutation takes the
+    run axis first.  Runs walk in lockstep only when their plans share
+    slots and steps: a noise-free plan at q ≥ 3 lacks the per-qubit noise
+    steps of a wide gate, so it cannot join a noisy one."""
+    plans = [_layout_plan(layout, q, noise) for noise in noises]
+    if any(_structure(plan) != _structure(plans[0]) for plan in plans[1:]):
+        raise ValueError("lockstep runs need noise models whose walks take the same steps")
+    slots, groups, steps = plans[0]
+    groups = tuple((at, _shared([plan[1][g][1] for plan in plans], 1), d)
+                   for g, (at, _, d) in enumerate(groups))
+
+    def lead(perm):  # the run axis first, then the permutation
+        return None if perm is None else (0, *(a + 1 for a in perm))
+
+    steps = tuple((rotation,
+                   None if fixed is None else _shared([plan[2][k][1] for plan in plans], 0),
+                   d, lead(perm), lead(inverse))
+                  for k, (rotation, fixed, d, perm, inverse) in enumerate(steps))
+    return slots, groups, steps
+
+
+def _walk_runs(vecs: np.ndarray, layout: Layout, angles: np.ndarray, q: int,
+               noises: tuple[tuple[NoiseChannel, ...], ...], adjoint: bool = False,
+               derivatives: int = 0) -> np.ndarray:
+    """``apply_noisy_layout`` for R runs in one walk, run r under the
+    noise model ``noises[r]``, a tuple of channels: ``vecs`` (R or 1, K or
+    1, B, 4^q) and ``angles`` (R or 1, K, P), where a run axis of 1 is
+    shared by every run, give (R, K, B, 4^q), and the first
+    ``derivatives`` rows of each run are followed by their derivative rows.
+
+    The runs' plans are stacked once (``_run_plan``).  The run axis is a
+    batch axis of every product, whose matrices keep the shapes of a
+    one-run walk, so each run's output equals its own
+    ``apply_noisy_layout`` bit for bit: folding the runs into the rows of
+    one product would let a GEMM round its edge rows differently.
+    """
+    slots, groups, steps = _run_plan(tuple(layout), q, tuple(noises))
+    coef = _coefficients(angles, slots, True, derivatives)
+    mats = []
+    for at, factors, d in groups:
+        m = _products(coef[at, :, :, : factors.shape[2]], factors)
+        mats.append(m.reshape(m.shape[:-1] + (d, d)))
+    if not slots.size:
+        vecs = np.broadcast_to(vecs, vecs.shape[:1] + angles.shape[-2:-1] + vecs.shape[2:])
+    size = vecs.shape[2] * 4**q  # entries per row, also of an empty stack
+    t = vecs
+    for rotation, fixed, d, perm, inverse in (reversed(steps) if adjoint else steps):
+        m = fixed if rotation is None else mats[rotation[0]][rotation[1]]
+        if perm is None:
+            # on row vectors: v @ Mᵀ, and for the adjoint v @ M* = (M† vᵀ)ᵀ
+            t = t @ (m.conj() if adjoint else m.swapaxes(-1, -2))
+            continue
+        if adjoint:
+            m = m.conj().swapaxes(-1, -2)
+        moved = t.reshape(t.shape[:3] + (2,) * (2 * q)).transpose(perm)
+        out = _left(m, moved.reshape(moved.shape[:2] + (d, size // d)))
+        t = out.reshape(out.shape[:2] + moved.shape[2:]).transpose(inverse)
+    t = t if t.ndim == 4 else t.reshape(t.shape[:2] + vecs.shape[2:])
+    if len(t) != len(noises):  # every step and input shared by the runs
+        t = np.repeat(t, len(noises), axis=0)
+    # a wide gate's layout walks vec(ρ) and returns a real input real
+    return _real(t) if np.iscomplexobj(t) and not np.iscomplexobj(vecs) else t
+
+
 def apply_noisy_layout(vecs: np.ndarray, layout: Layout, angles: np.ndarray, q: int,
                        noise: Sequence[NoiseChannel] = (), adjoint: bool = False,
                        derivatives: int = 0) -> np.ndarray:
     """Run a fixed-structure fragment on a (K, B, 4^q) stack of density
     matrices given by their real Pauli coordinates T·vec(ρ)
-    (``to_walk_basis``), at every register size.
+    (``to_walk_basis``), at every register size: the one-run case of
+    ``_walk_runs``.
 
     Every gate is followed by each channel of ``noise`` on each of its
     qubits.  Row k of ``angles`` drives the gates applied to vecs[k]; a
@@ -835,28 +937,8 @@ def apply_noisy_layout(vecs: np.ndarray, layout: Layout, angles: np.ndarray, q: 
     (``_coefficients``); it needs every slot to
     drive at most one gate on at most ``_FOLDED_ARITY`` qubits.
     """
-    slots, groups, steps = _layout_plan(tuple(layout), q, tuple(noise))
-    coef = _coefficients(angles, slots, True, derivatives)
-    mats = [_products(coef[at, :, : factors.shape[1]], factors).reshape(len(factors), -1, d, d)
-            for at, factors, d in groups]
-    if not slots.size:
-        vecs = np.broadcast_to(vecs, (len(angles),) + vecs.shape[1:])
-    size = vecs.shape[1] * 4**q  # entries per row, also of an empty stack
-    t = vecs
-    for rotation, fixed, d, perm, inverse in (reversed(steps) if adjoint else steps):
-        m = fixed if rotation is None else mats[rotation[0]][rotation[1]]
-        if perm is None:
-            # on row vectors: v @ Mᵀ, and for the adjoint v @ M* = (M† vᵀ)ᵀ
-            t = t @ (m.conj() if adjoint else m.swapaxes(1, 2))
-            continue
-        if adjoint:
-            m = m.conj().swapaxes(1, 2)
-        moved = t.reshape(t.shape[:2] + (2,) * (2 * q)).transpose(perm)
-        out = _left(m, moved.reshape(len(moved), d, size // d))
-        t = out.reshape(out.shape[:1] + moved.shape[1:]).transpose(inverse)
-    t = t if t.ndim == 3 else t.reshape(t.shape[:1] + vecs.shape[1:])
-    # a wide gate's layout walks vec(ρ) and returns a real input real
-    return _real(t) if np.iscomplexobj(t) and not np.iscomplexobj(vecs) else t
+    return _walk_runs(vecs[None], layout, angles[None], q, (tuple(noise),), adjoint,
+                      derivatives)[0]
 
 
 def expand_matrix(u: np.ndarray, coords: Sequence[int], q: int) -> np.ndarray:

@@ -21,6 +21,12 @@ at the current parameters on every sample, for the train and test
 metrics of the update before.  The last update's metrics, like
 ``gradient_check``'s reference, come from an E-only evaluation, which
 reads register 1's firing probability and builds no distribution.
+
+``train_loop`` is the one-run case of ``_train_runs``, which trains R
+density models that differ in their noise alone in lockstep, as the noise
+sweep does with one seed's strengths: one evaluator holds a density state
+per run on a leading run axis, every pass serves all runs, and each run's
+record equals its own ``train_loop`` run bit for bit.
 """
 from __future__ import annotations
 
@@ -31,7 +37,7 @@ import numbers
 import numpy as np
 
 from .ansatz import ParamSet, _random_vector
-from .model import BatchEvaluator, ModelConfig
+from .model import BatchEvaluator, ModelConfig, _lockstep_config
 
 # the step of every central difference: at 1e-3 the truncation error on
 # the HE CRY slots reached 1.3e-3 relative, at 1e-5 round-off 7.1e-5
@@ -197,16 +203,18 @@ def _check_test_set(train_x: np.ndarray, test_x, test_y):
 def train_loop(model_config: ModelConfig, train_x, train_y, config: TrainConfig,
                test_x=None, test_y=None,
                initial_params: ParamSet | None = None) -> RunRecord:
-    """Run the optimizer for ``config.steps`` mini-batch updates.
+    """Run the optimizer for ``config.steps`` mini-batch updates: the
+    one-run case of ``_train_runs``.
 
     Batches are drawn without replacement within an epoch and the order
     is reshuffled every epoch.  Metrics over the full train and test sets
     are recorded after every update.  Fully deterministic given the seed.
 
     One evaluator holds the train samples followed by the test samples.
-    Each step makes one pass over it (``BatchEvaluator.step_values``),
-    which takes E and dE at the Nesterov lookahead θ − γ·a on the batch's
-    samples, for the gradient, and E at the current θ on every sample,
+    Each step makes one pass over it (``BatchEvaluator._steps``, the
+    values of ``step_values`` for every run), which takes E and dE at the
+    Nesterov lookahead θ − γ·a on the batch's samples, for the gradient,
+    and E at the current θ on every sample,
     whose train and test columns give the metrics of the update before
     (at step 0, the initial metrics; there a = 0 and the lookahead is θ
     itself).  The last update's metrics come from one E-only evaluation,
@@ -217,6 +225,25 @@ def train_loop(model_config: ModelConfig, train_x, train_y, config: TrainConfig,
     drawn as one flat vector, with the values ``ParamSet.random`` gives,
     and stays one; the run's one ``ParamSet`` is built for the record.
     """
+    return _train_runs([model_config], train_x, train_y, config, test_x, test_y,
+                       initial_params)[0]
+
+
+def _train_runs(model_configs, train_x, train_y, config: TrainConfig, test_x=None,
+                test_y=None, initial_params: ParamSet | None = None) -> list[RunRecord]:
+    """``train_loop`` for R models that differ in their noise alone, in
+    lockstep: one ``RunRecord`` per config, each equal bit for bit to its
+    own ``train_loop`` run.
+
+    The runs share the data, the seed's draws (θ₀ and every batch order)
+    and one evaluator (``BatchEvaluator._lockstep``), whose every pass
+    serves all runs: one ``_steps`` pass per optimizer step and one E-only
+    ``_stack`` evaluation at the end.  Each run's metrics, chain rule and
+    Nesterov update read that run's slice.  Configs that differ in more
+    than their noise, and several runs outside density execution, are
+    refused.
+    """
+    model_config = _lockstep_config(model_configs)
     train_x, train_y = _labelled_set(train_x, train_y, "training")
     for label in (-1.0, 1.0):
         if not np.any(train_y == label):
@@ -233,10 +260,11 @@ def train_loop(model_config: ModelConfig, train_x, train_y, config: TrainConfig,
 
     x, labels = ((train_x, train_y) if test_x is None else
                  (np.vstack([train_x, test_x]), np.concatenate([train_y, test_y])))
-    evaluator = BatchEvaluator(x, x, model_config)
+    evaluator = BatchEvaluator._lockstep(x, x, model_configs)
 
-    history: list[StepMetrics] = []
-    acc = np.zeros_like(theta)
+    histories: list[list[StepMetrics]] = [[] for _ in model_configs]
+    thetas = np.repeat(theta[None], len(histories), axis=0)
+    accs = np.zeros_like(thetas)
     count = train_x.shape[0]
     order: np.ndarray = np.empty(0, dtype=np.intp)
     cursor = 0
@@ -248,22 +276,31 @@ def train_loop(model_config: ModelConfig, train_x, train_y, config: TrainConfig,
         idx = order[cursor: cursor + config.batch_size]
         cursor += config.batch_size
 
-        e_values, de, e_theta = evaluator.step_values(theta - config.momentum * acc, theta, idx)
-        history.append(_metrics(e_theta, labels, count))
-        g = _chain_rule(train_y[idx], e_values, de)
-        theta, acc = nesterov_step(theta, acc, g, config.learning_rate, config.momentum)
-    history.append(_metrics(evaluator._stack(theta[None], fired=True)[0][0], labels, count))
+        e_values, de, e_theta = evaluator._steps(thetas - config.momentum * accs, thetas, idx)
+        # new arrays each step, so no pass's inputs change after it
+        updated, accs_updated = np.empty_like(thetas), np.empty_like(accs)
+        for r, history in enumerate(histories):
+            history.append(_metrics(e_theta[r], labels, count))
+            g = _chain_rule(train_y[idx], e_values[r], de[r])
+            updated[r], accs_updated[r] = nesterov_step(thetas[r], accs[r], g,
+                                                        config.learning_rate, config.momentum)
+        thetas, accs = updated, accs_updated
+    e_final = evaluator._stack(thetas[:, None], fired=True)[0][:, 0]
 
-    initial, *steps = history
-    return RunRecord(initial, [m.loss for m in steps], [m.train_acc for m in steps],
-                     [m.test_acc for m in steps], ParamSet.from_vector(theta, n, link_mode))
+    records = []
+    for history, e_values, theta in zip(histories, e_final, thetas):
+        initial, *steps = history + [_metrics(e_values, labels, count)]
+        records.append(RunRecord(initial, [m.loss for m in steps], [m.train_acc for m in steps],
+                                 [m.test_acc for m in steps],
+                                 ParamSet.from_vector(theta, n, link_mode)))
+    return records
 
 
 def _reference_gradient(evaluator: BatchEvaluator, theta: np.ndarray, labels) -> np.ndarray:
     """Central differences at ``_REFERENCE_STEP``: the 2P+1 rows
     [θ; θ + hI; θ − hI] in one E-only evaluation."""
     steps = np.diag(np.full(theta.size, _REFERENCE_STEP))
-    e, _ = evaluator._stack(np.vstack([theta, theta + steps, theta - steps]), fired=True)
+    e = evaluator._stack(np.vstack([theta, theta + steps, theta - steps])[None], fired=True)[0][0]
     de = (e[1: theta.size + 1] - e[theta.size + 1:]) / (2 * _REFERENCE_STEP)
     return _chain_rule(labels, e[0], de)
 

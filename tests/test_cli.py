@@ -227,6 +227,135 @@ def test_noise_sweep_process_pool_matches_serial(tmp_path, monkeypatch):
         assert seeds == [1, 2]
     assert len(outputs["1"].strip().split("\n")) == 5
     assert outputs["2"] == outputs["1"]
+    # one seed and more workers than seeds: the seed's strengths split into
+    # chunks, each trained in lockstep in its own worker, from one split
+    for threads in ("1", "2"):
+        monkeypatch.setenv("QKATTN_THREADS", threads)
+        seeds = []
+        monkeypatch.setattr(cli, "load_dataset", lambda resolved, model: (
+            seeds.append(resolved["seed"]), load_dataset(resolved, model))[1])
+        out = os.path.join(str(tmp_path), f"one-seed{threads}")
+        assert main(["noise-sweep", "--config", cfg, "--out", out,
+                     "--channel", "amplitude-damping", "--probs", "0.3,0,0.1",
+                     "--seeds", "2"]) == 0
+        outputs[threads] = read(os.path.join(out, "sweep.csv"))
+        assert seeds == [2]
+    assert len(outputs["1"].strip().split("\n")) == 4
+    assert outputs["2"] == outputs["1"]
+
+
+class _SerialPool:
+    """A stand-in for the sweep's process pool that runs its jobs in
+    process and records them."""
+
+    jobs = []
+
+    def __init__(self, max_workers, mp_context):
+        self.workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        jobs = list(jobs)
+        _SerialPool.jobs.append((self.workers, [(probs, seed) for _, _, probs, seed, _ in jobs]))
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("threads, seeds, chunks", [
+    ("2", "1,2", [([0.1, 0.3, 0.0], 1), ([0.1, 0.3, 0.0], 2)]),
+    ("3", "1,2", [([0.1], 1), ([0.3, 0.0], 1), ([0.1], 2), ([0.3, 0.0], 2)]),
+    ("2", "4", [([0.1], 4), ([0.3, 0.0], 4)]),
+    ("8", "4", [([0.1], 4), ([0.3], 4), ([0.0], 4)]),
+])
+def test_noise_sweep_pool_works_on_chunks_of_one_seeds_strengths(tmp_path, monkeypatch,
+                                                                  threads, seeds, chunks):
+    # one chunk per seed when there are at least as many seeds as workers,
+    # else ⌈workers / seeds⌉ contiguous chunks per seed, at most one per
+    # strength; the rows keep their order, strength first, then seed
+    cfg = write_config(tmp_path, model={"n": 1}, train={"steps": 1, "batch_size": 10},
+                       data={"d": 2})
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "jobs", [])
+    outputs = {}
+    for budget in ("1", threads):
+        monkeypatch.setenv("QKATTN_THREADS", budget)
+        out = os.path.join(str(tmp_path), f"threads{budget}")
+        assert main(["noise-sweep", "--config", cfg, "--out", out, "--channel", "bit-flip",
+                     "--probs", "0.1,0.3,0", "--seeds", seeds]) == 0
+        outputs[budget] = read(os.path.join(out, "sweep.csv"))
+    assert _SerialPool.jobs == [(min(int(threads), len(chunks)), chunks)]
+    assert outputs[threads] == outputs["1"]
+    rows = [line.split(",")[:2] for line in outputs["1"].strip().split("\n")[1:]]
+    assert rows == [[p, s] for p in ("0.1", "0.3", "0") for s in seeds.split(",")]
+
+
+def test_noise_sweep_trains_each_seed_in_one_lockstep_group(tmp_path, monkeypatch):
+    # one evaluator per seed, for all its strengths, and the rows that
+    # separate train_loop runs give, byte for byte
+    cfg = write_config(tmp_path, model={"n": 1}, train={"steps": 3, "batch_size": 10},
+                       data={"d": 2})
+    groups = []
+    lockstep = BatchEvaluator._lockstep.__func__
+
+    def spy(cls, wi, wj, configs):
+        groups.append([c.noise[0].strength for c in configs])
+        return lockstep(cls, wi, wj, configs)
+
+    monkeypatch.setattr(BatchEvaluator, "_lockstep", classmethod(spy))
+    out = os.path.join(str(tmp_path), "sweep")
+    assert main(["noise-sweep", "--config", cfg, "--out", out, "--channel", "amplitude-damping",
+                 "--probs", "0.1,0.5,0", "--seeds", "2,1"]) == 0
+    assert groups == [[0.1, 0.5, 0.0]] * 2
+    resolved = cli.load_config(cfg)
+    lines = ["p,seed,train_acc,test_acc,loss"]
+    for p in (0.1, 0.5, 0.0):
+        for seed in (2, 1):
+            seeded = dict(resolved, seed=seed)
+            mcfg = cli.model_config_from(seeded, execution="density",
+                                         noise=(cli.NoiseChannel("amplitude-damping", p),))
+            split = cli.load_dataset(seeded, mcfg)
+            final = train_loop(mcfg, split.train_x, split.train_y, cli.train_config_from(seeded),
+                               test_x=split.test_x, test_y=split.test_y).final
+            lines.append(",".join([f"{p:.12g}", str(seed)] + [
+                f"{v:.12g}" for v in (final.train_acc, final.test_acc, final.loss)]))
+    assert read(os.path.join(out, "sweep.csv")) == "\n".join(lines) + "\n"
+
+
+def test_noise_sweep_refuses_the_seed_flag_before_loading_data(tmp_path, capsys, monkeypatch):
+    # its seeds come from --seeds; --seed was once accepted, ignored and
+    # recorded in resolved_config.json
+    cfg = write_config(tmp_path)
+    out = os.path.join(str(tmp_path), "run")
+    calls = []
+    monkeypatch.setattr(cli, "load_dataset", lambda *args: calls.append(args))
+    assert main(["noise-sweep", "--config", cfg, "--out", out, "--channel", "bit-flip",
+                 "--seed", "3", "--seeds", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: noise-sweep takes its seeds from --seeds, not --seed\n"
+    assert not calls
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("value, message", [
+    ("abc", "QKATTN_THREADS must be an integer, got 'abc'"),
+    ("0", "QKATTN_THREADS must be at least 1"),
+])
+def test_noise_sweep_reads_thread_budget_before_loading_data(tmp_path, capsys, monkeypatch,
+                                                             value, message):
+    cfg = write_config(tmp_path)
+    out = os.path.join(str(tmp_path), "run")
+    calls = []
+    monkeypatch.setattr(cli, "load_dataset", lambda *args: calls.append(args))
+    monkeypatch.setenv("QKATTN_THREADS", value)
+    assert main(["noise-sweep", "--config", cfg, "--out", out, "--channel", "bit-flip",
+                 "--probs", "0.1", "--seeds", "1,2"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not calls
+    assert not os.path.exists(out)
 
 
 def test_noise_sweep_validation(tmp_path, capsys, monkeypatch):

@@ -482,10 +482,11 @@ def test_registers_get_their_distinct_rows(monkeypatch, n, execution):
         x = np.array([random_features(cfg, rng) for _ in range(4)])
         ev = BatchEvaluator(x, x, cfg)
         calls = []
-        # (name, position of the layout argument); the angles follow it
-        for name, at in (("layout_unitaries", 0), ("apply_noisy_layout", 1)):
+        # (name, position of the layout argument); the angles follow it,
+        # with a leading run axis in the density walk
+        for name, at in (("layout_unitaries", 0), ("_walk_runs", 1)):
             def spy(*args, _f=getattr(sim, name), _at=at, **kwargs):
-                calls.append((args[_at], len(args[_at + 1])))
+                calls.append((args[_at], args[_at + 1].shape[-2]))
                 return _f(*args, **kwargs)
             monkeypatch.setattr(sim, name, spy)
         ev.evaluate_stack(gradient_stack(cfg.random_params(rng).to_vector()))
@@ -513,10 +514,11 @@ def test_derivatives_run_each_register_once(monkeypatch, n, execution):
         x = np.array([random_features(cfg, rng) for _ in range(4)])
         ev = BatchEvaluator(x, x, cfg)
         calls = []
-        for name, at in (("layout_unitaries", 0), ("apply_noisy_layout", 1)):
+        # the density walk's angles and output lead with the run axis
+        for name, at in (("layout_unitaries", 0), ("_walk_runs", 1)):
             def spy(*args, _f=getattr(sim, name), _at=at, **kwargs):
                 out = _f(*args, **kwargs)
-                calls.append((args[_at], len(args[_at + 1]), len(out)))
+                calls.append((args[_at], args[_at + 1].shape[-2], out.shape[-3]))
                 return out
             monkeypatch.setattr(sim, name, spy)
         ev.derivatives(cfg.random_params(rng).to_vector())
@@ -617,7 +619,7 @@ def test_step_pass_matches_derivatives_and_evaluation(monkeypatch, n, execution)
     rng = np.random.default_rng(150 + n)
     noise = NOISE_SETS["bit-flip"] if execution == "density" else ()
     calls = []
-    for name in ("layout_unitaries", "apply_noisy_layout"):
+    for name in ("layout_unitaries", "_walk_runs"):
         def spy(*args, _f=getattr(sim, name), _name=name, **kwargs):
             calls.append(_name)
             return _f(*args, **kwargs)
@@ -634,7 +636,7 @@ def test_step_pass_matches_derivatives_and_evaluation(monkeypatch, n, execution)
                 e, de, e_at = ev.step_values(look, at, idx)
                 on_basis = len(idx) >= 4**n
                 expected = (["layout_unitaries"] if execution == "analytic" else
-                            ["apply_noisy_layout"] * (2 if on_basis else 3))
+                            ["_walk_runs"] * (2 if on_basis else 3))
                 assert calls == expected, (variant, link, count, len(idx))
                 e_ref, de_ref = ev.derivatives(look, idx)
                 e_at_ref = ev.evaluate_stack(at[None])[0][0]
@@ -674,9 +676,11 @@ def test_fired_path_matches_the_distributions(n, execution):
             e, _ = ev.derivatives(thetas[0], idx)
             e_ref = ev.evaluate_stack(thetas[:1], idx)[0][0]
             assert np.max(np.abs(e - e_ref)) < 1e-13, (variant, link, idx is None)
+            # one run: the leading axis of _registers' rows and outputs
             (fire, _), (fire_at, _) = ev._registers(
-                thetas[:1, : 4 * n], thetas[:1, 4 * n: 6 * n], idx, True, at=thetas[1],
-                fired=True)
+                thetas[None, :1, : 4 * n], thetas[None, :1, 4 * n: 6 * n], idx, True,
+                at=thetas[1:], fired=True)
+            fire, fire_at = fire[0], fire_at[0]
             f_at = ev.evaluate_stack(thetas[1:])[1][0] @ ev._fire
             assert fire_at.shape == (1, len(x))
             assert np.max(np.abs(fire_at - f_at)) < 1e-13, (variant, link)
@@ -714,14 +718,53 @@ def test_e_only_evaluation_matches_evaluate_stack(n, execution):
         theta3_only[4 * n: 6 * n] = other[4 * n: 6 * n]
         thetas = np.array([base, other, base, link_only, theta3_only])
         for idx in (None, np.array([3, 0, 3])):
-            e, fire = ev._stack(thetas, idx, fired=True)
+            (e, ), (fire, ) = ev._stack(thetas[None], idx, fired=True)
             e_ref, probs = ev.evaluate_stack(thetas, idx)
             assert e.shape == fire.shape == e_ref.shape == (5, 5 if idx is None else 3)
             assert np.max(np.abs(e - e_ref)) < 1e-13, (variant, link)
             assert np.max(np.abs(fire - probs @ ev._fire)) < 1e-13, (variant, link)
             assert np.array_equal(e[0], e[2]) and np.array_equal(fire[3], fire[0])
-    e, fire = ev._stack(np.zeros((0, cfg.parameter_count)), fired=True)
-    assert e.shape == fire.shape == (0, 5)
+    e, fire = ev._stack(np.zeros((1, 0, cfg.parameter_count)), fired=True)
+    assert e.shape == fire.shape == (1, 0, 5)
+
+
+# a zero-strength channel, each channel alone and both in one model
+LOCKSTEP_NOISES = ((sim.NoiseChannel("bit-flip", 0.0),), NOISE_SETS["bit-flip"],
+                   NOISE_SETS["amplitude-damping"], NOISE_SETS["both"])
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_lockstep_evaluator_equals_one_evaluator_per_run(n):
+    # one evaluator for R noise models gives each run's own evaluator's
+    # values bit for bit: the step pass, the E-only evaluation and the
+    # distributions.  A batch below 4^n walks the states and one of 4^n
+    # the basis, beside the step's second row on every sample, so both
+    # register-1 paths run; n = 4 once, on the small batch
+    rng = np.random.default_rng(230 + n)
+    cases = ([("AnQAOA", "per-qubit-literal")] if n == 4 else
+             itertools.product(("AmHE", "AnQAOA"), LINK_MODES))
+    for variant, link in cases:
+        cfgs = [ModelConfig.from_variant(variant, n=n, link_mode=link, execution="density",
+                                         noise=noise) for noise in LOCKSTEP_NOISES]
+        count = 6 if n == 4 else 4**n + 2
+        x = np.array([random_features(cfgs[0], rng) for _ in range(count)])
+        lockstep = BatchEvaluator._lockstep(x, x, cfgs)
+        singles = [BatchEvaluator(x, x, cfg) for cfg in cfgs]
+        looks, ats = (np.array([cfg.random_params(rng).to_vector() for cfg in cfgs])
+                      for _ in range(2))
+        thetas = np.array([[cfg.random_params(rng).to_vector() for _ in range(3)]
+                           for cfg in cfgs])
+        for size in (3,) if n == 4 else (3, 4**n):
+            idx = rng.permutation(count)[:size]
+            got = lockstep._steps(looks, ats, idx)
+            for r, single in enumerate(singles):
+                for value, ref in zip(got, single.step_values(looks[r], ats[r], idx)):
+                    assert np.array_equal(value[r], ref), (variant, link, size, r)
+            for sel, fired in ((idx, True), (None, True), (idx, False)):
+                got = lockstep._stack(thetas, sel, fired)
+                for r, single in enumerate(singles):
+                    for value, ref in zip(got, single._stack(thetas[r][None], sel, fired)):
+                        assert np.array_equal(value[r], ref[0]), (variant, link, size, r)
 
 
 @pytest.mark.parametrize("execution", ("analytic", "density"))
@@ -768,7 +811,7 @@ def test_fired_forms_cover_only_the_fired_outcomes(n, link):
             if link != "per-qubit-literal":
                 assert ev._forms.nbytes == ev._v_j.nbytes
         else:
-            assert ev._p_fire.shape == (5, 4**n)
+            assert ev._p_fire.shape == (1, 5, 4**n)  # one run
             assert not ev._p_fire.flags.writeable
 
 
@@ -855,12 +898,12 @@ def test_density_walk_is_real_at_every_n(monkeypatch, n):
         x = np.array([random_features(cfg, rng) for _ in range(16)])
         outputs = []
 
-        def spy(*args, _f=sim.apply_noisy_layout, **kwargs):
+        def spy(*args, _f=sim._walk_runs, **kwargs):
             out = _f(*args, **kwargs)
             outputs.append(out.dtype)
             return out
 
-        monkeypatch.setattr(sim, "apply_noisy_layout", spy)
+        monkeypatch.setattr(sim, "_walk_runs", spy)
         ev = BatchEvaluator(x, x, cfg)
         theta = cfg.random_params(rng).to_vector()
         ev.evaluate_stack(gradient_stack(theta))
@@ -927,6 +970,7 @@ def test_wide_gates_build_no_dense_superoperator(monkeypatch):
 
     monkeypatch.setattr(sim, "_gate_factors", spy_factors)
     monkeypatch.setattr(sim, "_superop", spy_superop)
+    sim._run_plan.cache_clear()
     sim._layout_plan.cache_clear()
     sim._layout_factors.cache_clear()
     noise = NOISE_SETS["both"]
@@ -952,6 +996,7 @@ def test_noisy_n4_amplitude_evaluator_builds_in_little_memory():
     sim._gate_factors.cache_clear()
     sim._layout_factors.cache_clear()
     sim._layout_plan.cache_clear()
+    sim._run_plan.cache_clear()
     tracemalloc.start()
     try:
         BatchEvaluator(x, x, cfg)

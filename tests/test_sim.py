@@ -333,16 +333,21 @@ def _random_layout(rng, q, extra):
 
 
 def _lifted_channel(layout, row, q, noise):
-    # vec(ρ) = ρ.reshape(-1), so vec(AρB) = (A ⊗ Bᵀ) vec(ρ)
+    # vec(ρ) = ρ.reshape(-1), so vec(AρB) = (A ⊗ Bᵀ) vec(ρ).  Each gate and
+    # the channels on each of its qubits compose on the gate's own vec
+    # space (column bits low, row bits high), which is then lifted once
+    # onto its qubits' column and row bits of vec(ρ)
     total = np.eye(4**q, dtype=complex)
     for kind, coords, slot in layout:
         angle = None if slot is None else row[slot]
-        u = expand_matrix(gate_matrix(kind, angle, qubits=len(coords)), coords, q)
-        total = np.kron(u, u.conj()) @ total
-        for qubit in coords:
+        u = gate_matrix(kind, angle, qubits=len(coords))
+        local = np.kron(u, u.conj())
+        for k in range(len(coords)):
             for ch in noise:
-                lifted = [expand_matrix(k, (qubit,), q) for k in ch.kraus()]
-                total = sum(np.kron(k, k.conj()) for k in lifted) @ total
+                lifted = [expand_matrix(op, (k,), len(coords)) for op in ch.kraus()]
+                local = sum(np.kron(op, op.conj()) for op in lifted) @ local
+        pairs = tuple(coords) + tuple(c + q for c in coords)
+        total = expand_matrix(local, pairs, 2 * q) @ total
     return total
 
 
@@ -740,6 +745,58 @@ def test_walk_of_a_real_pauli_input_is_real(q):
             for adjoint in (False, True):
                 out = sim.apply_noisy_layout(vecs, layout, angles, q, noise, adjoint=adjoint)
                 assert out.dtype == np.float64 and out.shape == (2, 2, 4**q), (layout, adjoint)
+
+
+# bit-flip, amplitude damping, both in one model, and a zero-strength channel
+RUN_NOISES = (NOISE_SETS[1], NOISE_SETS[2], NOISE_SETS[3], (NoiseChannel("bit-flip", 0.0),))
+
+
+@pytest.mark.parametrize("q", (1, 2, 3, 4))
+def test_walk_over_runs_equals_one_walk_per_noise_model(q):
+    # one walk for R noise models gives each run's own apply_noisy_layout
+    # output bit for bit, forward and adjoint, on per-run stacks and on a
+    # shared one-row stack, which takes derivative rows where every slot
+    # drives one narrow gate
+    rng = np.random.default_rng(180 + q)
+    encoders = [encoding.encoder_layout(kind, q) for kind in ("amplitude", "angle")]
+    ansatzes = [ansatz.ansatz_layout(kind, q) for kind in ("hea", "qaoa")]
+    layouts = [(layout, 0) for layout in encoders + [_reversed_layout(encoders[0])]]
+    layouts += [(layout, 1) for layout in ansatzes + [(("RY", (q - 1,), 0),)]]
+    runs = len(RUN_NOISES)
+    for layout, derivative in layouts:
+        width = 1 + max(slot for *_, slot in layout if slot is not None)
+        angles = rng.uniform(0, 2 * np.pi, size=(runs, 2, width))
+        for stack in (rng.normal(size=(runs, 2, 3, 4**q)), rng.normal(size=(1, 1, 3, 4**q))):
+            rows = 2 * derivative if len(stack[0]) == 1 else 0
+            for adjoint in (False, True):
+                got = sim._walk_runs(stack, layout, angles, q, RUN_NOISES, adjoint, rows)
+                assert got.shape == (runs, 2 + rows * width, 3, 4**q)
+                for r, noise in enumerate(RUN_NOISES):
+                    ref = sim.apply_noisy_layout(stack[r % len(stack)], layout, angles[r], q,
+                                                 noise, adjoint, rows)
+                    assert np.array_equal(got[r], ref), (layout, adjoint, r)
+        # angles shared by every run, as an evaluator's encoders take them
+        shared = sim._walk_runs(stack, layout, angles[:1], q, RUN_NOISES)
+        for r, noise in enumerate(RUN_NOISES):
+            assert np.array_equal(shared[r], sim.apply_noisy_layout(stack[0], layout, angles[0],
+                                                                    q, noise)), (layout, r)
+
+
+def test_walk_over_runs_refuses_plans_with_other_steps():
+    # at q >= 3 only a noisy plan follows a wide gate with per-qubit noise
+    # steps, so a noise-free run cannot walk beside a noisy one; at q <= 2
+    # every plan takes one step per rotation, and the walks agree
+    encoder = encoding.encoder_layout("amplitude", 3)
+    angles = np.zeros((2, 1, 7))
+    with pytest.raises(ValueError, match="^lockstep runs need noise models whose walks take "
+                                         "the same steps$"):
+        sim._walk_runs(np.ones((1, 1, 1, 64)), encoder, angles, 3, ((), NOISE_SETS[1]))
+    encoder = encoding.encoder_layout("amplitude", 2)
+    vecs = np.random.default_rng(190).normal(size=(1, 1, 2, 16))
+    got = sim._walk_runs(vecs, encoder, angles[:, :, :3], 2, ((), NOISE_SETS[1]))
+    for r, noise in enumerate(((), NOISE_SETS[1])):
+        assert np.array_equal(got[r], sim.apply_noisy_layout(vecs[0], encoder, angles[r, :, :3],
+                                                             2, noise))
 
 
 # --- analytic layouts as products of cached factors ---------------------------

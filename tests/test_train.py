@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from qkattn.ansatz import LINK_MODES, ParamSet
 from qkattn.model import BatchEvaluator, ModelConfig, forward
 from qkattn.sim import NoiseChannel
 from qkattn.train import (_REFERENCE_STEP, RunRecord, TrainConfig, StepMetrics,
-                          _chain_rule, _metrics, _reference_gradient, gradient, gradient_check,
-                          nesterov_step, train_loop)
+                          _chain_rule, _metrics, _reference_gradient, _train_runs, gradient,
+                          gradient_check, nesterov_step, train_loop)
 from test_model import FOUR_TERM_RULE, NOISE_SETS
 
 
@@ -323,7 +324,7 @@ def test_train_loop_checks_test_set_before_building(monkeypatch, test_x, test_y,
     rng = np.random.default_rng(12)
     x, y = separable_data(rng, count=8)
     built = []
-    monkeypatch.setattr(BatchEvaluator, "__init__", lambda *args: built.append(args))
+    monkeypatch.setattr(BatchEvaluator, "_build", lambda *args: built.append(args))
     cfg = ModelConfig(n=2, encoder="amplitude", ansatz="hea")
     with pytest.raises(ValueError, match=message) as err:
         train_loop(cfg, x, y, TrainConfig(steps=1), test_x=test_x, test_y=test_y)
@@ -336,7 +337,7 @@ def test_train_loop_checks_labels_before_building(monkeypatch):
     x, y = separable_data(rng, count=8)
     y[3] = 0.5
     built = []
-    monkeypatch.setattr(BatchEvaluator, "__init__", lambda *args: built.append(args))
+    monkeypatch.setattr(BatchEvaluator, "_build", lambda *args: built.append(args))
     with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
         train_loop(ModelConfig(n=2), x, y, TrainConfig(steps=1))
     assert built == []
@@ -349,7 +350,7 @@ def test_train_loop_rejects_column_vector_labels(monkeypatch, column):
     x, y = separable_data(rng, count=8)
     train_y, test_y = (y[:, None], y[:4]) if column == "train" else (y, y[:4, None])
     built = []
-    monkeypatch.setattr(BatchEvaluator, "__init__", lambda *args: built.append(args))
+    monkeypatch.setattr(BatchEvaluator, "_build", lambda *args: built.append(args))
     cfg = ModelConfig(n=1, encoder="angle", ansatz="qaoa")
     with pytest.raises(ValueError, match="labels must be a 1-D array, got shape \\((8|4), 1\\)$"):
         train_loop(cfg, x[:, :1], train_y, TrainConfig(steps=2, batch_size=1),
@@ -417,15 +418,17 @@ def test_train_loop_matches_two_evaluator_reference(execution, with_test):
 @pytest.mark.parametrize("with_test", (False, True))
 def test_train_loop_builds_one_evaluator_and_makes_one_pass_per_step(monkeypatch, steps,
                                                                       with_test):
-    counts = {"__init__": 0, "step_values": 0, "evaluate_stack": 0, "derivatives": 0,
-              "_stack": 0}
+    # training builds its evaluator through the lockstep route, whose one
+    # run's passes are _steps calls with a leading run axis
+    counts = {"__init__": 0, "_build": 0, "step_values": 0, "_steps": 0,
+              "evaluate_stack": 0, "derivatives": 0, "_stack": 0}
     passes, last = [], []
     for name in counts:
         original = getattr(BatchEvaluator, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
             counts[_name] += 1
-            if _name == "step_values":
+            if _name == "_steps":
                 passes.append(args[1:3])
             if _name == "_stack":
                 last.append((args[1], kwargs))
@@ -440,15 +443,67 @@ def test_train_loop_builds_one_evaluator_and_makes_one_pass_per_step(monkeypatch
     # one pass per step, the first at θ0 for both the lookahead and the
     # initial metrics; then one E-only evaluation, at the final θ, for the
     # last step's metrics
-    assert counts == {"__init__": 1, "step_values": steps, "evaluate_stack": 0,
-                      "derivatives": 0, "_stack": 1}
+    assert counts == {"__init__": 0, "_build": 1, "step_values": 0, "_steps": steps,
+                      "evaluate_stack": 0, "derivatives": 0, "_stack": 1}
     if steps:
         look, at = passes[0]
         assert np.array_equal(look, at)
     (thetas, kwargs), = last
     assert kwargs == {"fired": True}
-    assert np.array_equal(thetas, rec.params.to_vector()[None])
+    assert np.array_equal(thetas, rec.params.to_vector()[None, None])
     assert rec.steps == steps
+
+
+def history(record):
+    """A run's metrics, initial then per step, as one array (NaN test
+    accuracies without a test set)."""
+    return np.array([dataclasses.astuple(record.initial)]
+                    + list(zip(record.loss, record.train_acc, record.test_acc)))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_lockstep_runs_equal_separate_train_loops(n):
+    # each run of a lockstep group, one per strength, equals its own
+    # train_loop bit for bit: every loss and accuracy and the parameters,
+    # both encoders and ansatzes, both links, either channel, with and
+    # without a test set, before any step and after 7
+    rng = np.random.default_rng(250 + n)
+    for k, (variant, link) in enumerate(itertools.product(("AmHE", "AnQAOA"), LINK_MODES)):
+        channel = ("bit-flip", "amplitude-damping")[k % 2]
+        cfgs = [ModelConfig.from_variant(variant, n=n, link_mode=link, execution="density",
+                                         noise=(NoiseChannel(channel, p),))
+                for p in (0.0, 0.1, 0.3, 1.0)]
+        x = (rng.uniform(-1.0, 1.0, size=(14, cfgs[0].feature_dim)) if variant == "AmHE"
+             else rng.uniform(0.0, np.pi, size=(14, cfgs[0].feature_dim)))
+        y = np.where(np.arange(14) % 2, 1.0, -1.0)
+        for steps, test in ((0, True), (7, False), (7, True)):
+            sets = dict(test_x=x[10:], test_y=y[10:]) if test else {}
+            tc = TrainConfig(steps=steps, batch_size=4, seed=k)
+            records = _train_runs(cfgs, x[:10], y[:10], tc, **sets)
+            assert len(records) == len(cfgs)
+            for cfg, rec in zip(cfgs, records):
+                ref = train_loop(cfg, x[:10], y[:10], tc, **sets)
+                assert rec.steps == ref.steps == steps
+                assert np.array_equal(history(rec), history(ref), equal_nan=True), (cfg, steps)
+                assert np.array_equal(rec.params.to_vector(), ref.params.to_vector()), cfg
+
+
+def test_lockstep_runs_refuse_models_that_differ_beyond_noise(monkeypatch):
+    # refused before the data is checked or an evaluator is built
+    built = []
+    monkeypatch.setattr(BatchEvaluator, "_build", lambda *args: built.append(args))
+    noisy = ModelConfig(n=1, execution="density", noise=(NoiseChannel("bit-flip", 0.1),))
+    cases = [([], "^lockstep needs at least one model config$"),
+             ([noisy, dataclasses.replace(noisy, link_mode="per-qubit-literal")],
+              "^lockstep runs must differ in 'noise' alone$"),
+             ([noisy, dataclasses.replace(noisy, noise=(), execution="analytic")],
+              "^lockstep runs must differ in 'noise' alone$"),
+             ([ModelConfig(n=1), ModelConfig(n=1)],
+              "^several runs train in lockstep under density execution only, not 'analytic'$")]
+    for configs, message in cases:
+        with pytest.raises(ValueError, match=message):
+            _train_runs(configs, np.zeros((2, 2)), np.array([1.0, -1.0, 1.0]), TrainConfig())
+    assert built == []
 
 
 class _Unread:
@@ -474,7 +529,7 @@ def test_training_and_gradient_check_build_no_distribution(monkeypatch, executio
     # φ_i and U_φ(w_j)† of _pure's distribution branch, and density mode's
     # pulled-back projectors _p_j
     built = []
-    original = BatchEvaluator.__init__
+    original = BatchEvaluator._build
 
     def unread(self, *args, **kwargs):
         original(self, *args, **kwargs)
@@ -483,7 +538,7 @@ def test_training_and_gradient_check_build_no_distribution(monkeypatch, executio
             setattr(self, name, _Unread(name))
         built.append(self)
 
-    monkeypatch.setattr(BatchEvaluator, "__init__", unread)
+    monkeypatch.setattr(BatchEvaluator, "_build", unread)
     rng = np.random.default_rng(17)
     x, y = separable_data(rng, count=12)
     noise = (NoiseChannel("bit-flip", 0.05),) if execution == "density" else ()
