@@ -10,9 +10,7 @@ output files behind.
 The noise sweep trains each seed's channel strengths in lockstep, one
 evaluator and one pass per optimizer step for all of them
 (``train._train_runs``).  The environment variable QKATTN_THREADS caps its
-process-level parallelism: a worker's unit of work is one seed's strengths,
-or, with more workers than seeds, one of ⌈workers / seeds⌉ contiguous
-chunks of them.
+process-level parallelism: a worker's unit of work is one seed's group.
 """
 from __future__ import annotations
 
@@ -360,14 +358,9 @@ def cmd_noise_sweep(args) -> int:
         raise CliError(f"unknown channel {args.channel!r}")
     threads = thread_budget()
 
-    # each seed's split, loaded once and shared by that seed's groups
-    splits = {s: load_dataset(dict(resolved, seed=s), mcfg) for s in seeds}
-    # a group trains contiguous strengths of one seed in lockstep: all of
-    # them, or with more workers than seeds ⌈workers / seeds⌉ chunks
-    chunks = min(len(probs), 1 if threads <= len(seeds) else -(-threads // len(seeds)))
-    bounds = [len(probs) * k // chunks for k in range(chunks + 1)]
-    jobs = [(resolved, args.channel, probs[lo:hi], s, splits[s])
-            for s in seeds for lo, hi in zip(bounds, bounds[1:])]
+    # one group per seed, which trains all of its strengths in lockstep
+    jobs = [(resolved, args.channel, probs, s, load_dataset(dict(resolved, seed=s), mcfg))
+            for s in seeds]
     workers = min(threads, len(jobs))
     if workers > 1:
         # spawn, not fork: forking a process whose BLAS already runs

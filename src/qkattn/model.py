@@ -60,8 +60,8 @@ probability or a readout is real.
 The fixed ones, the zero state, the projectors and the readouts, are
 converted once per n (``_walk_constants``, ``_link_readouts``).  A density
 evaluator holds these per run, on a leading run axis: one run, or R models
-that differ in their noise alone and train in lockstep, each walk serving
-all of them (``BatchEvaluator._lockstep``).  In
+that differ in their noise alone and train in lockstep, each walk of a
+pass serving all of them (``BatchEvaluator._lockstep``).  In
 both modes the link angle enters only when E is combined, as
 cos θ4_{n−1} and sin θ4_{n−1}; no fragment is simulated for it.  The
 test suite checks both modes against the full circuit, whose literal
@@ -398,27 +398,33 @@ class BatchEvaluator:
 
     Every density array has a leading run axis.  ``_lockstep`` builds one
     evaluator for R models that differ in their noise alone, each a run
-    with its own ρ_i, ρ_j, projectors and readouts, and ``_stack`` and
-    ``_steps`` take one parameter stack per run: every walk serves all R
-    runs at once (``sim._walk_runs``), and each run's values equal those
-    of its own evaluator bit for bit.  The constructor builds the one-run
+    with its own ρ_i, ρ_j, fired projector row and readouts, and no
+    projectors, so it gives E and no distribution.  ``_stack`` and
+    ``_steps`` take one parameter stack per run: every walk of a pass
+    serves all R runs at once (``sim._walk_runs``), and each run's values
+    equal those of its own evaluator bit for bit.  The encodings walk one
+    run at a time, once per build.  The constructor builds the one-run
     case, which the public methods read; analytic mode takes one model.
     """
 
     def __init__(self, wi, wj, config: ModelConfig):
-        self._build(wi, wj, config, (config.noise,))
+        self._build(wi, wj, config, (config.noise,), distributions=True)
 
     @classmethod
     def _lockstep(cls, wi, wj, configs) -> "BatchEvaluator":
         """One evaluator for the runs of ``configs``, which differ in their
-        noise alone (``_lockstep_config``)."""
+        noise alone (``_lockstep_config``).  It serves training, which
+        reads E alone (``_steps``, ``_stack`` with ``fired``), so it keeps
+        each run's fired projector row and no distribution."""
         evaluator = cls.__new__(cls)
-        evaluator._build(wi, wj, _lockstep_config(configs), tuple(c.noise for c in configs))
+        evaluator._build(wi, wj, _lockstep_config(configs), tuple(c.noise for c in configs),
+                         distributions=False)
         return evaluator
 
-    def _build(self, wi, wj, config: ModelConfig, noises: tuple) -> None:
+    def _build(self, wi, wj, config: ModelConfig, noises: tuple, distributions: bool) -> None:
         """Encode the pairs for ``config``, one density run under each noise
-        model of ``noises``."""
+        model of ``noises``; only with ``distributions`` keep the outcome
+        projectors that ``evaluate`` reads."""
         self.config = config
         self._noises = noises
         n = config.n
@@ -453,16 +459,25 @@ class BatchEvaluator:
             self._bases, self._weights = _readout_bases(n)
             return
         zero, proj, self._basis = _walk_constants(n)
-        # (R, samples, 4^n): every run encodes at the same angles
-        rho = _sim._walk_runs(zero[None], layout, angles[None], n, noises)[:, :, 0]
+        # the encodings walk one run at a time: at n = 4 one walk over five
+        # runs' vec(ρ) stacks outgrew the cache and took 2.4× as long as
+        # five walks, at 4× their peak memory; (R, samples, 4^n)
+        rho = np.stack([_sim.apply_noisy_layout(zero, layout, angles, n, noise)[:, 0]
+                        for noise in noises])
         self._rho_i = rho[:, : self.count]
         # the 2^n outcome projectors carried back through the channel of
         # U_φ†(w_j), so that probs = p_j · σ, and the readouts are read as
-        # ρ_j · O: Tr(A·B) = a · b for Hermitian A, B in the real basis
-        self._p_j = _sim._walk_runs(proj[None, None], _reversed_layout(layout),
-                                    -angles[None, at_j:], n, noises, adjoint=True)
-        # the fired projectors folded into one row, which reads f
-        self._p_fire = self._fire @ self._p_j
+        # ρ_j · O: Tr(A·B) = a · b for Hermitian A, B in the real basis;
+        # each run's fired projectors folded into one row, which reads f
+        kept, fired = [], []
+        for noise in noises:
+            p_j = _sim.apply_noisy_layout(proj[None], _reversed_layout(layout), -angles[at_j:],
+                                          n, noise, adjoint=True)
+            fired.append(self._fire @ p_j)
+            if distributions:
+                kept.append(p_j)
+        self._p_j = np.stack(kept) if distributions else None
+        self._p_fire = np.stack(fired)
         self._p_fire.flags.writeable = False
         self._rho_j = rho[:, at_j:]
         # U(θ1) then U†(θ2), driven by the angle row [θ1, −θ2]

@@ -406,6 +406,9 @@ def _coefficients(angles: np.ndarray, slots: np.ndarray, channel: bool,
     unitary, [1, c, s, cs, s²] for a superoperator, c, s = cos, sin(θ/2).
     Angles with a run axis, (runs, K, P) in ``_walk_runs``, give (R, runs,
     K, terms), and the run axis stays a batch axis of every product.
+    ``layout_unitaries`` keeps the form without one: passing it one run
+    read 1.3% lower train-analytic ``steps_per_s`` and
+    ``gradcheck_trials_per_s`` in 4 of 4 benchmark pairs (2-core Xeon).
 
     ``derivatives`` follows each of the first ``derivatives`` rows with
     one row per column j, in which the rotation that j

@@ -227,8 +227,9 @@ def test_noise_sweep_process_pool_matches_serial(tmp_path, monkeypatch):
         assert seeds == [1, 2]
     assert len(outputs["1"].strip().split("\n")) == 5
     assert outputs["2"] == outputs["1"]
-    # one seed and more workers than seeds: the seed's strengths split into
-    # chunks, each trained in lockstep in its own worker, from one split
+    # one seed and more workers than seeds: the seed's one group trains in
+    # process, from one split, and starts no pool
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", None)
     for threads in ("1", "2"):
         monkeypatch.setenv("QKATTN_THREADS", threads)
         seeds = []
@@ -242,55 +243,6 @@ def test_noise_sweep_process_pool_matches_serial(tmp_path, monkeypatch):
         assert seeds == [2]
     assert len(outputs["1"].strip().split("\n")) == 4
     assert outputs["2"] == outputs["1"]
-
-
-class _SerialPool:
-    """A stand-in for the sweep's process pool that runs its jobs in
-    process and records them."""
-
-    jobs = []
-
-    def __init__(self, max_workers, mp_context):
-        self.workers = max_workers
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        jobs = list(jobs)
-        _SerialPool.jobs.append((self.workers, [(probs, seed) for _, _, probs, seed, _ in jobs]))
-        return map(fn, jobs)
-
-
-@pytest.mark.parametrize("threads, seeds, chunks", [
-    ("2", "1,2", [([0.1, 0.3, 0.0], 1), ([0.1, 0.3, 0.0], 2)]),
-    ("3", "1,2", [([0.1], 1), ([0.3, 0.0], 1), ([0.1], 2), ([0.3, 0.0], 2)]),
-    ("2", "4", [([0.1], 4), ([0.3, 0.0], 4)]),
-    ("8", "4", [([0.1], 4), ([0.3], 4), ([0.0], 4)]),
-])
-def test_noise_sweep_pool_works_on_chunks_of_one_seeds_strengths(tmp_path, monkeypatch,
-                                                                  threads, seeds, chunks):
-    # one chunk per seed when there are at least as many seeds as workers,
-    # else ⌈workers / seeds⌉ contiguous chunks per seed, at most one per
-    # strength; the rows keep their order, strength first, then seed
-    cfg = write_config(tmp_path, model={"n": 1}, train={"steps": 1, "batch_size": 10},
-                       data={"d": 2})
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "jobs", [])
-    outputs = {}
-    for budget in ("1", threads):
-        monkeypatch.setenv("QKATTN_THREADS", budget)
-        out = os.path.join(str(tmp_path), f"threads{budget}")
-        assert main(["noise-sweep", "--config", cfg, "--out", out, "--channel", "bit-flip",
-                     "--probs", "0.1,0.3,0", "--seeds", seeds]) == 0
-        outputs[budget] = read(os.path.join(out, "sweep.csv"))
-    assert _SerialPool.jobs == [(min(int(threads), len(chunks)), chunks)]
-    assert outputs[threads] == outputs["1"]
-    rows = [line.split(",")[:2] for line in outputs["1"].strip().split("\n")[1:]]
-    assert rows == [[p, s] for p in ("0.1", "0.3", "0") for s in seeds.split(",")]
 
 
 def test_noise_sweep_trains_each_seed_in_one_lockstep_group(tmp_path, monkeypatch):

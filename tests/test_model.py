@@ -736,8 +736,9 @@ LOCKSTEP_NOISES = ((sim.NoiseChannel("bit-flip", 0.0),), NOISE_SETS["bit-flip"],
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
 def test_lockstep_evaluator_equals_one_evaluator_per_run(n):
     # one evaluator for R noise models gives each run's own evaluator's
-    # values bit for bit: the step pass, the E-only evaluation and the
-    # distributions.  A batch below 4^n walks the states and one of 4^n
+    # values bit for bit: the step pass and the E-only evaluation, which
+    # are all it serves, so it keeps no outcome projectors, only their
+    # fired rows.  A batch below 4^n walks the states and one of 4^n
     # the basis, beside the step's second row on every sample, so both
     # register-1 paths run; n = 4 once, on the small batch
     rng = np.random.default_rng(230 + n)
@@ -749,6 +750,7 @@ def test_lockstep_evaluator_equals_one_evaluator_per_run(n):
         count = 6 if n == 4 else 4**n + 2
         x = np.array([random_features(cfgs[0], rng) for _ in range(count)])
         lockstep = BatchEvaluator._lockstep(x, x, cfgs)
+        assert lockstep._p_j is None and lockstep._p_fire.shape == (len(cfgs), count, 4**n)
         singles = [BatchEvaluator(x, x, cfg) for cfg in cfgs]
         looks, ats = (np.array([cfg.random_params(rng).to_vector() for cfg in cfgs])
                       for _ in range(2))
@@ -760,10 +762,10 @@ def test_lockstep_evaluator_equals_one_evaluator_per_run(n):
             for r, single in enumerate(singles):
                 for value, ref in zip(got, single.step_values(looks[r], ats[r], idx)):
                     assert np.array_equal(value[r], ref), (variant, link, size, r)
-            for sel, fired in ((idx, True), (None, True), (idx, False)):
-                got = lockstep._stack(thetas, sel, fired)
+            for sel in (idx, None):
+                got = lockstep._stack(thetas, sel, fired=True)
                 for r, single in enumerate(singles):
-                    for value, ref in zip(got, single._stack(thetas[r][None], sel, fired)):
+                    for value, ref in zip(got, single._stack(thetas[r][None], sel, fired=True)):
                         assert np.array_equal(value[r], ref[0]), (variant, link, size, r)
 
 
