@@ -418,10 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="quantum kernel self-attention classifiers")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed_help="override the config seed"):
         p.add_argument("--config", required=True, help="JSON run config")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", type=int, default=None, help=seed_help)
         p.add_argument("--variant", choices=VARIANTS, default=None,
                        help="override encoder/ansatz via a variant name")
 
@@ -436,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_qksas)
 
     p = sub.add_parser("noise-sweep", help="density-mode training across channel strengths")
-    common(p)
+    # parsed only to be refused with one line: the seeds come from --seeds
+    common(p, seed_help=argparse.SUPPRESS)
     p.add_argument("--channel", required=True, help="bit-flip or amplitude-damping")
     p.add_argument("--probs", default="0,0.1,0.3,0.5", help="comma-separated probabilities")
     p.add_argument("--seeds", default="0,1,2", help="comma-separated seeds")

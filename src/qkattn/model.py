@@ -52,7 +52,9 @@ U†(θ2)U(θ1) to the noisy encoded ρ_i and reads each outcome's projector
 carried back (Heisenberg picture) through the channel of U_φ†(w_j);
 register 2 carries the four readouts backwards through the channel of
 U(θ3) and reads them on the noisy encoded ρ_j; f reads one row, the
-fired projectors carried back and summed.  Every state, projector
+fired projectors' sum carried back.  Each sample's projectors, or its
+one fired row, are carried back the first time they are read, so
+training walks the fired row alone.  Every state, projector
 and readout is held in the basis that the walk takes and returns at
 every n (``sim.to_walk_basis``), the real Pauli coordinates
 Tr(P ρ)/2^{n/2}, so every walk output and every product that reads a
@@ -373,14 +375,14 @@ class BatchEvaluator:
     θ3), so rows that differ only in θ4 share both registers bit for bit
     and E is exactly constant in the θ4 slots it does not read;
     ``evaluate`` is the K = 1 case.  ``derivatives`` gives E and its
-    exact derivative in every slot at one parameter set, and
-    ``step_values`` gives those on a batch together with E at a second
+    exact derivative in every slot at one parameter set, and training's
+    ``_steps`` gives those on a batch together with E at a second
     parameter set on every sample, in one pass whose coefficients,
     unitary product and walks serve both sets.
     E is exact in both modes (``forward`` samples ``shots`` on top of it).
-    ``derivatives``, ``step_values`` and the E-only evaluation that
-    training and ``gradient_check`` make (``_stack`` with ``fired``) read
-    register 1's firing probability alone; only ``evaluate`` and
+    ``derivatives``, ``_steps`` and the E-only evaluation that training
+    and ``gradient_check`` make (``_stack`` with ``fired``) read register
+    1's firing probability alone; only ``evaluate`` and
     ``evaluate_stack`` build the distributions, for ``forward`` and
     ``qkattn qksas``.
     Analytic mode keeps φ_i, φ_j, U_φ(w_j)† and, per sample, the read-only
@@ -388,43 +390,41 @@ class BatchEvaluator:
     outcome for the canonical link and 2^(n−1) for the literal one; per
     call it builds U(θ1), U(θ2) and U(θ3) in one stacked
     ``sim.layout_unitaries`` call.
-    Density mode keeps the noisy encoded states ρ_i, ρ_j and, per sample,
-    the 2^n register-1 outcome projectors pulled back through the noisy
-    channel of U_φ(w_j)† and their fired sum (count, 4^n), all in the
-    walk's real Pauli basis; per call the walk applies the register-1
-    channel of U†(θ2)U(θ1) to ρ_i, or to the 4^n basis vectors when they
-    are fewer than the batch's states, and carries the four readouts
-    backwards through the channel of θ3.
+    Density mode keeps the noisy encoded states ρ_i and ρ_j in the walk's
+    real Pauli basis.  Register 1's outcome projectors are carried back
+    through the noisy channel of U_φ(w_j)†, per sample, when first read:
+    all 2^n for the distributions (``_p_j``), or the fired ones' sum as
+    one row for f (``_p_fire``), each walked once and neither derived
+    from the other.  Per call the walk applies the register-1 channel of
+    U†(θ2)U(θ1) to ρ_i, or to the 4^n basis vectors when they are fewer
+    than the batch's states, and carries the four readouts backwards
+    through the channel of θ3.
 
     Every density array has a leading run axis.  ``_lockstep`` builds one
     evaluator for R models that differ in their noise alone, each a run
-    with its own ρ_i, ρ_j, fired projector row and readouts, and no
-    projectors, so it gives E and no distribution.  ``_stack`` and
+    with its own ρ_i, ρ_j, projectors and readouts.  ``_stack`` and
     ``_steps`` take one parameter stack per run: every walk of a pass
     serves all R runs at once (``sim._walk_runs``), and each run's values
-    equal those of its own evaluator bit for bit.  The encodings walk one
-    run at a time, once per build.  The constructor builds the one-run
-    case, which the public methods read; analytic mode takes one model.
+    equal those of its own evaluator bit for bit.  The encodings and the
+    projectors walk one run at a time.  The constructor builds the
+    one-run case, which the public methods read; analytic mode takes one
+    model.
     """
 
     def __init__(self, wi, wj, config: ModelConfig):
-        self._build(wi, wj, config, (config.noise,), distributions=True)
+        self._build(wi, wj, config, (config.noise,))
 
     @classmethod
     def _lockstep(cls, wi, wj, configs) -> "BatchEvaluator":
         """One evaluator for the runs of ``configs``, which differ in their
-        noise alone (``_lockstep_config``).  It serves training, which
-        reads E alone (``_steps``, ``_stack`` with ``fired``), so it keeps
-        each run's fired projector row and no distribution."""
+        noise alone (``_lockstep_config``)."""
         evaluator = cls.__new__(cls)
-        evaluator._build(wi, wj, _lockstep_config(configs), tuple(c.noise for c in configs),
-                         distributions=False)
+        evaluator._build(wi, wj, _lockstep_config(configs), tuple(c.noise for c in configs))
         return evaluator
 
-    def _build(self, wi, wj, config: ModelConfig, noises: tuple, distributions: bool) -> None:
+    def _build(self, wi, wj, config: ModelConfig, noises: tuple) -> None:
         """Encode the pairs for ``config``, one density run under each noise
-        model of ``noises``; only with ``distributions`` keep the outcome
-        projectors that ``evaluate`` reads."""
+        model of ``noises``."""
         self.config = config
         self._noises = noises
         n = config.n
@@ -458,32 +458,43 @@ class BatchEvaluator:
             self._forms.flags.writeable = False
             self._bases, self._weights = _readout_bases(n)
             return
-        zero, proj, self._basis = _walk_constants(n)
+        zero, _, self._basis = _walk_constants(n)
         # the encodings walk one run at a time: at n = 4 one walk over five
         # runs' vec(ρ) stacks outgrew the cache and took 2.4× as long as
         # five walks, at 4× their peak memory; (R, samples, 4^n)
         rho = np.stack([_sim.apply_noisy_layout(zero, layout, angles, n, noise)[:, 0]
                         for noise in noises])
         self._rho_i = rho[:, : self.count]
-        # the 2^n outcome projectors carried back through the channel of
-        # U_φ†(w_j), so that probs = p_j · σ, and the readouts are read as
-        # ρ_j · O: Tr(A·B) = a · b for Hermitian A, B in the real basis;
-        # each run's fired projectors folded into one row, which reads f
-        kept, fired = [], []
-        for noise in noises:
-            p_j = _sim.apply_noisy_layout(proj[None], _reversed_layout(layout), -angles[at_j:],
-                                          n, noise, adjoint=True)
-            fired.append(self._fire @ p_j)
-            if distributions:
-                kept.append(p_j)
-        self._p_j = np.stack(kept) if distributions else None
-        self._p_fire = np.stack(fired)
-        self._p_fire.flags.writeable = False
         self._rho_j = rho[:, at_j:]
+        # U_φ†(w_j), through which _p_j and _p_fire carry projectors back
+        self._unencode = _reversed_layout(layout), -angles[at_j:]
         # U(θ1) then U†(θ2), driven by the angle row [θ1, −θ2]
         self._mid = self._ansatz + _reversed_layout(self._ansatz, 2 * n)
         # each run's readouts O, (R, 1, 4, 4^n)
         self._readouts = _run_readouts(n, config.link_mode, noises)
+
+    def _carried_back(self, rows: np.ndarray) -> np.ndarray:
+        """``rows`` (B, 4^n) carried back through each run's channel of
+        U_φ†(w_j), one run at a time, per sample: (R, samples, B, 4^n),
+        read-only.  Register 1 reads p · σ: Tr(A·B) = a · b for Hermitian
+        A, B in the real basis."""
+        layout, angles = self._unencode
+        out = np.stack([_sim.apply_noisy_layout(rows[None], layout, angles, self.config.n,
+                                                noise, adjoint=True) for noise in self._noises])
+        out.flags.writeable = False
+        return out
+
+    @functools.cached_property
+    def _p_j(self) -> np.ndarray:
+        """The 2^n projectors carried back, which distributions read."""
+        return self._carried_back(_walk_constants(self.config.n)[1])
+
+    @functools.cached_property
+    def _p_fire(self) -> np.ndarray:
+        """The fired projectors' sum carried back as one row, which reads f;
+        not folded from ``_p_j``, whose sum rounds differently."""
+        proj = _walk_constants(self.config.n)[1]
+        return self._carried_back((self._fire @ proj)[None])[:, :, 0]
 
     def evaluate(self, params: ParamSet, idx=None) -> tuple[np.ndarray, np.ndarray]:
         """Return (E, register-1 outcome distributions) for the batch
@@ -493,12 +504,11 @@ class BatchEvaluator:
         e_val, probs = self.evaluate_stack(theta[None], idx)
         return e_val[0], probs[0]
 
-    def _rows(self, thetas, ndim: int = 2) -> np.ndarray:
-        """``thetas`` as a checked (K, P) stack of flat parameter vectors,
-        or with ``ndim`` 1 as one vector (P,)."""
+    def _rows(self, thetas) -> np.ndarray:
+        """``thetas`` as a checked (K, P) stack of flat parameter vectors."""
         count = self.config.parameter_count
         thetas = np.asarray(thetas, dtype=float)
-        if thetas.ndim != ndim or thetas.shape[-1] != count:
+        if thetas.ndim != 2 or thetas.shape[-1] != count:
             raise ValueError(f"expected rows of {count} parameters, got shape {thetas.shape}")
         if not np.all(np.isfinite(thetas)):
             raise ValueError("parameters must be finite")
@@ -539,24 +549,13 @@ class BatchEvaluator:
         e_val, de = self._derived(theta, *look)
         return e_val[0], de[0]
 
-    def step_values(self, look, at, idx=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One optimizer step's values in one pass: E and dE of
-        ``derivatives(look, idx)``, and E at the flat vector ``at`` on
-        every sample, as ``evaluate_stack(at[None])`` gives it.  What does
-        not depend on the samples runs once for both vectors: the
-        coefficients and the unitary product, or the readout walk and,
-        when both sample sets take it, the register-1 walk on the 4^n
-        basis.  Only ``idx``'s samples meet the derivative rows.  ``look``
-        and ``at`` must each be one flat vector of finite parameters."""
-        look, at = self._rows(look, 1), self._rows(at, 1)
-        e_val, de, e_at = self._steps(look[None], at[None], idx)
-        return e_val[0], de[0], e_at[0]
-
     def _steps(self, looks, ats, idx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``step_values`` for every run in one pass, at one lookahead and
-        one current vector per run, ``looks`` and ``ats`` (R, P): E (R,
-        batch), dE (R, P, batch) and E at ``ats`` (R, count).  The caller
-        checks the vectors (``_rows``)."""
+        """One optimizer step's values for every run in one pass, at one
+        lookahead and one current vector per run, ``looks`` and ``ats`` (R,
+        P): E (R, batch) and dE (R, P, batch) of ``derivatives`` at
+        ``looks`` on ``idx``'s samples, and E (R, count) at ``ats`` on every
+        sample.  What does not depend on the samples runs once for both
+        vectors.  The caller checks the vectors (``_rows``)."""
         n = self.config.n
         grad, (fire, reads) = self._registers(looks[:, None, : 4 * n],
                                               looks[:, None, 4 * n: 6 * n], idx,

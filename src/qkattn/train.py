@@ -211,10 +211,9 @@ def train_loop(model_config: ModelConfig, train_x, train_y, config: TrainConfig,
     are recorded after every update.  Fully deterministic given the seed.
 
     One evaluator holds the train samples followed by the test samples.
-    Each step makes one pass over it (``BatchEvaluator._steps``, the
-    values of ``step_values`` for every run), which takes E and dE at the
-    Nesterov lookahead θ − γ·a on the batch's samples, for the gradient,
-    and E at the current θ on every sample,
+    Each step makes one pass over it (``BatchEvaluator._steps``), which
+    takes E and dE at the Nesterov lookahead θ − γ·a on the batch's
+    samples, for the gradient, and E at the current θ on every sample,
     whose train and test columns give the metrics of the update before
     (at step 0, the initial metrics; there a = 0 and the lookahead is θ
     itself).  The last update's metrics come from one E-only evaluation,

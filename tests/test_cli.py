@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -290,6 +291,19 @@ def test_noise_sweep_refuses_the_seed_flag_before_loading_data(tmp_path, capsys,
     assert err == "error: noise-sweep takes its seeds from --seeds, not --seed\n"
     assert not calls
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ("train", "qksas", "noise-sweep", "gradcheck"))
+def test_only_commands_that_take_the_seed_flag_offer_it(capsys, command):
+    # noise-sweep parses --seed only to refuse it, so its help must not
+    # advertise a config seed override
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    usage = capsys.readouterr().out
+    offered = re.search(r"--seed\b(?!s)", usage) is not None
+    assert offered == ("override the config seed" in usage) == (command != "noise-sweep")
+    assert ("--seeds SEEDS" in usage) == (command == "noise-sweep")
 
 
 @pytest.mark.parametrize("value, message", [

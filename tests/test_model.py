@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import tracemalloc
@@ -350,11 +351,13 @@ def test_evaluate_stack_rows_match_evaluate():
         e1, p1 = ev.evaluate(ParamSet.from_vector(vec, 2, cfg.link_mode), idx=[3, 1])
         assert np.max(np.abs(e[k] - e1)) < 1e-13
         assert np.max(np.abs(probs[k] - p1)) < 1e-13
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^expected rows of 14 parameters, got shape \\(3, 13\\)$"):
         ev.evaluate_stack(thetas[:, :-1])
+    with pytest.raises(ValueError, match="^expected rows of 14 parameters, got shape \\(14,\\)$"):
+        ev.evaluate_stack(thetas[0])
     bad = thetas.copy()
     bad[1, 0] = np.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^parameters must be finite$"):
         ev.evaluate_stack(bad)
 
 
@@ -438,6 +441,27 @@ def gradient_stack(theta, shift=np.pi / 2):
     return np.vstack([theta, theta + steps, theta - steps])
 
 
+Walk = collections.namedtuple("Walk", "layout rows shape dtype")
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Every call of sim's layout functions from here on, in order, as a
+    ``Walk``: the layout, the angle rows that drive it, and the output's
+    shape and dtype.  ``layout_unitaries`` serves analytic mode;
+    ``_walk_runs`` is every density walk, ``apply_noisy_layout``'s
+    included, whose angles and output lead with the run axis.  Clear the
+    list to count from a later point."""
+    calls = []
+    for name, at in (("layout_unitaries", 0), ("_walk_runs", 1)):
+        def spy(*args, _f=getattr(sim, name), _at=at, **kwargs):
+            out = _f(*args, **kwargs)
+            calls.append(Walk(args[_at], args[_at + 1].shape[-2], out.shape, out.dtype))
+            return out
+        monkeypatch.setattr(sim, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize("execution", ("analytic", "density"))
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_gradient_stack_rows_match_evaluate(n, execution):
@@ -468,12 +492,14 @@ def test_gradient_stack_rows_match_evaluate(n, execution):
 
 @pytest.mark.parametrize("execution", ("analytic", "density"))
 @pytest.mark.parametrize("n", (1, 2, 3))
-def test_registers_get_their_distinct_rows(monkeypatch, n, execution):
+def test_registers_get_their_distinct_rows(walks, n, execution):
     # a gradient stack reaches register 1 as 8n+1 rows of [θ1, θ2] and
     # register 2 as 4n+1 rows of θ3: the θ3 and θ4 shifts repeat the base
     # row's θ1 and θ2, the θ1, θ2 and θ4 shifts its θ3.  The link angle
     # enters only the closed-form combination of the cached readouts, so
-    # no layout function of sim sees the link gate
+    # no layout function of sim sees the link gate.  In density mode this
+    # first read of the distributions also carries the 2^n projectors
+    # back through U_φ†(w_j), once for the 4 samples
     rng = np.random.default_rng(70 + n)
     noise = NOISE_SETS["bit-flip"] if execution == "density" else ()
     for variant, link in itertools.product(VARIANTS, LINK_MODES):
@@ -481,31 +507,27 @@ def test_registers_get_their_distinct_rows(monkeypatch, n, execution):
                                        execution=execution, noise=noise)
         x = np.array([random_features(cfg, rng) for _ in range(4)])
         ev = BatchEvaluator(x, x, cfg)
-        calls = []
-        # (name, position of the layout argument); the angles follow it,
-        # with a leading run axis in the density walk
-        for name, at in (("layout_unitaries", 0), ("_walk_runs", 1)):
-            def spy(*args, _f=getattr(sim, name), _at=at, **kwargs):
-                calls.append((args[_at], args[_at + 1].shape[-2]))
-                return _f(*args, **kwargs)
-            monkeypatch.setattr(sim, name, spy)
+        walks.clear()
         ev.evaluate_stack(gradient_stack(cfg.random_params(rng).to_vector()))
-        monkeypatch.undo()
         rows = {}
-        for layout, count in calls:
-            rows.setdefault(layout, []).append(count)
+        for walk in walks:
+            rows.setdefault(walk.layout, []).append(walk.rows)
         if execution == "analytic":
             assert rows == {ev._ansatz: [2 * (8 * n + 1) + 4 * n + 1]}, (variant, link)
         else:
-            assert rows == {ev._mid: [8 * n + 1], ev._ansatz: [4 * n + 1]}, (variant, link)
+            assert walks[0].shape == (1, 4, 2**n, 4**n)  # one run's projectors
+            assert rows == {ev._unencode[0]: [4], ev._mid: [8 * n + 1],
+                            ev._ansatz: [4 * n + 1]}, (variant, link)
 
 
 @pytest.mark.parametrize("execution", ("analytic", "density"))
 @pytest.mark.parametrize("n", (1, 2, 3))
-def test_derivatives_run_each_register_once(monkeypatch, n, execution):
+def test_derivatives_run_each_register_once(walks, n, execution):
     # analytic mode: one layout_unitaries call on the rows θ1, θ2, θ3, each
     # followed by its 2n derivative rows; density mode: the register-1
-    # layout on [θ1, −θ2] (1 + 4n outputs), the ansatz on θ3 (1 + 2n)
+    # layout on [θ1, −θ2] (1 + 4n outputs), the ansatz on θ3 (1 + 2n),
+    # after this first read of f has carried the fired row back through
+    # U_φ†(w_j), one row for each of the 4 samples
     rng = np.random.default_rng(80 + n)
     noise = NOISE_SETS["bit-flip"] if execution == "density" else ()
     for variant, link in itertools.product(VARIANTS, LINK_MODES):
@@ -513,20 +535,15 @@ def test_derivatives_run_each_register_once(monkeypatch, n, execution):
                                        execution=execution, noise=noise)
         x = np.array([random_features(cfg, rng) for _ in range(4)])
         ev = BatchEvaluator(x, x, cfg)
-        calls = []
-        # the density walk's angles and output lead with the run axis
-        for name, at in (("layout_unitaries", 0), ("_walk_runs", 1)):
-            def spy(*args, _f=getattr(sim, name), _at=at, **kwargs):
-                out = _f(*args, **kwargs)
-                calls.append((args[_at], args[_at + 1].shape[-2], out.shape[-3]))
-                return out
-            monkeypatch.setattr(sim, name, spy)
+        walks.clear()
         ev.derivatives(cfg.random_params(rng).to_vector())
-        monkeypatch.undo()
+        calls = [(walk.layout, walk.rows, walk.shape[-3]) for walk in walks]
         if execution == "analytic":
             assert calls == [(ev._ansatz, 3, 3 * (2 * n + 1))], (variant, link)
         else:
-            assert calls == [(ev._mid, 1, 1 + 4 * n), (ev._ansatz, 1, 1 + 2 * n)], (variant, link)
+            assert walks[0].shape == (1, 4, 1, 4**n)  # one run's fired row
+            assert calls == [(ev._unencode[0], 4, 4), (ev._mid, 1, 1 + 4 * n),
+                             (ev._ansatz, 1, 1 + 2 * n)], (variant, link)
 
 
 # The four-term shift rule (Wierichs et al., "General parameter-shift
@@ -610,34 +627,31 @@ def test_density_derivatives_on_the_vec_basis_at_n3():
 
 @pytest.mark.parametrize("execution", ("analytic", "density"))
 @pytest.mark.parametrize("n", (1, 2, 3))
-def test_step_pass_matches_derivatives_and_evaluation(monkeypatch, n, execution):
+def test_step_pass_matches_derivatives_and_evaluation(walks, n, execution):
     # one pass gives derivatives(look, idx) and E at another vector on every
     # sample.  Batches of 3 take the states path; the whole shuffled set
     # takes the basis path when it holds at least 4^n samples, so at n = 3
     # the 70-sample evaluator walks register 1 twice, then once, and the
-    # 10-sample one walks the states for both
+    # 10-sample one walks the states for both.  A density evaluator's first
+    # pass first carries the fired row back through U_φ†(w_j)
     rng = np.random.default_rng(150 + n)
     noise = NOISE_SETS["bit-flip"] if execution == "density" else ()
-    calls = []
-    for name in ("layout_unitaries", "_walk_runs"):
-        def spy(*args, _f=getattr(sim, name), _name=name, **kwargs):
-            calls.append(_name)
-            return _f(*args, **kwargs)
-        monkeypatch.setattr(sim, name, spy)
     for variant, link in itertools.product(("AmHE", "AnQAOA"), LINK_MODES):
         cfg = ModelConfig.from_variant(variant, n=n, link_mode=link,
                                        execution=execution, noise=noise)
         x = np.array([random_features(cfg, rng) for _ in range(70)])
         for count in (10, 70):
             ev = BatchEvaluator(x[:count], x[:count], cfg)
-            for idx in (rng.permutation(count)[:3], rng.permutation(count)):
+            for first, idx in ((True, rng.permutation(count)[:3]),
+                               (False, rng.permutation(count))):
                 look, at = (cfg.random_params(rng).to_vector() for _ in range(2))
-                calls.clear()
-                e, de, e_at = ev.step_values(look, at, idx)
+                walks.clear()
+                e, de, e_at = (value[0] for value in ev._steps(look[None], at[None], idx))
                 on_basis = len(idx) >= 4**n
-                expected = (["layout_unitaries"] if execution == "analytic" else
-                            ["_walk_runs"] * (2 if on_basis else 3))
-                assert calls == expected, (variant, link, count, len(idx))
+                expected = ([ev._ansatz] if execution == "analytic" else
+                            [ev._unencode[0]] * first + [ev._mid] * (1 if on_basis else 2)
+                            + [ev._ansatz])
+                assert [walk.layout for walk in walks] == expected, (variant, link, count, len(idx))
                 e_ref, de_ref = ev.derivatives(look, idx)
                 e_at_ref = ev.evaluate_stack(at[None])[0][0]
                 assert e.shape == (len(idx),) and e_at.shape == (count,)
@@ -649,12 +663,12 @@ def test_step_pass_matches_derivatives_and_evaluation(monkeypatch, n, execution)
 @pytest.mark.parametrize("execution", ("analytic", "density"))
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
 def test_fired_path_matches_the_distributions(n, execution):
-    # derivatives and step_values read register 1's firing probability f
+    # derivatives and _steps read register 1's firing probability f
     # alone: one product on the cached per-sample forms, or one folded row
     # of the pulled-back projectors.  f must be the fired mass of the
     # distributions on a row and, by the four-term rule, on its derivative
     # rows in θ1 and θ2, for a batch below 4^n, one of at least 4^n and
-    # the whole set; step_values' second row, on every sample, is read
+    # the whole set; _steps' second row, on every sample, is read
     # the same way.  At n = 4 the whole set is the batch of at least 4^n
     # and density mode runs without noise: a noisy AmHE build over 258
     # samples takes about 0.6 s, and each walk on the 256 basis vectors
@@ -736,9 +750,8 @@ LOCKSTEP_NOISES = ((sim.NoiseChannel("bit-flip", 0.0),), NOISE_SETS["bit-flip"],
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
 def test_lockstep_evaluator_equals_one_evaluator_per_run(n):
     # one evaluator for R noise models gives each run's own evaluator's
-    # values bit for bit: the step pass and the E-only evaluation, which
-    # are all it serves, so it keeps no outcome projectors, only their
-    # fired rows.  A batch below 4^n walks the states and one of 4^n
+    # values bit for bit: the step pass, the E-only evaluation and the
+    # distributions.  A batch below 4^n walks the states and one of 4^n
     # the basis, beside the step's second row on every sample, so both
     # register-1 paths run; n = 4 once, on the small batch
     rng = np.random.default_rng(230 + n)
@@ -750,7 +763,7 @@ def test_lockstep_evaluator_equals_one_evaluator_per_run(n):
         count = 6 if n == 4 else 4**n + 2
         x = np.array([random_features(cfgs[0], rng) for _ in range(count)])
         lockstep = BatchEvaluator._lockstep(x, x, cfgs)
-        assert lockstep._p_j is None and lockstep._p_fire.shape == (len(cfgs), count, 4**n)
+        assert lockstep._p_fire.shape == (len(cfgs), count, 4**n)
         singles = [BatchEvaluator(x, x, cfg) for cfg in cfgs]
         looks, ats = (np.array([cfg.random_params(rng).to_vector() for cfg in cfgs])
                       for _ in range(2))
@@ -760,38 +773,13 @@ def test_lockstep_evaluator_equals_one_evaluator_per_run(n):
             idx = rng.permutation(count)[:size]
             got = lockstep._steps(looks, ats, idx)
             for r, single in enumerate(singles):
-                for value, ref in zip(got, single.step_values(looks[r], ats[r], idx)):
-                    assert np.array_equal(value[r], ref), (variant, link, size, r)
-            for sel in (idx, None):
-                got = lockstep._stack(thetas, sel, fired=True)
+                for value, ref in zip(got, single._steps(looks[r][None], ats[r][None], idx)):
+                    assert np.array_equal(value[r], ref[0]), (variant, link, size, r)
+            for sel, fired in itertools.product((idx, None), (True, False)):
+                got = lockstep._stack(thetas, sel, fired=fired)
                 for r, single in enumerate(singles):
-                    for value, ref in zip(got, single._stack(thetas[r][None], sel, fired=True)):
+                    for value, ref in zip(got, single._stack(thetas[r][None], sel, fired=fired)):
                         assert np.array_equal(value[r], ref[0]), (variant, link, size, r)
-
-
-@pytest.mark.parametrize("execution", ("analytic", "density"))
-def test_step_values_refuses_bad_vectors(execution):
-    # look and at are each checked for length and finiteness, with the
-    # one-line messages of evaluate_stack's row check
-    rng = np.random.default_rng(210)
-    cfg = ModelConfig(n=2, execution=execution)
-    x = np.array([random_features(cfg, rng) for _ in range(4)])
-    ev = BatchEvaluator(x, x, cfg)
-    good = cfg.random_params(rng).to_vector()
-    bad = good.copy()
-    bad[3] = np.inf
-    nan = good.copy()
-    nan[-1] = np.nan
-    cases = [(good[:-1], "expected rows of 14 parameters, got shape \\(13,\\)$"),
-             (np.append(good, 0.0), "expected rows of 14 parameters, got shape \\(15,\\)$"),
-             (bad, "^parameters must be finite$"), (nan, "^parameters must be finite$")]
-    for vec, message in cases:
-        for look, at in ((vec, good), (good, vec)):
-            with pytest.raises(ValueError, match=message) as err:
-                ev.step_values(look, at, [0, 2])
-            assert "\n" not in str(err.value)
-    with pytest.raises(ValueError, match="expected rows of 14 parameters, got shape \\(1, 14\\)$"):
-        ev.step_values(good[None], good, [0, 2])
 
 
 @pytest.mark.parametrize("link", LINK_MODES)
@@ -815,6 +803,56 @@ def test_fired_forms_cover_only_the_fired_outcomes(n, link):
         else:
             assert ev._p_fire.shape == (1, 5, 4**n)  # one run
             assert not ev._p_fire.flags.writeable
+
+
+@pytest.mark.parametrize("link", LINK_MODES)
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_projectors_are_carried_back_once_when_first_read(walks, n, link):
+    # a density evaluator carries register 1's projectors back through
+    # U_φ†(w_j) when they are first read, per sample: evaluate and
+    # evaluate_stack walk the 2^n projectors and never the fired row;
+    # derivatives, _steps and the E-only evaluation walk one fired row and
+    # never the projectors; an evaluator that serves both walks each once.
+    # Repeated calls walk neither again
+    rng = np.random.default_rng(260 + n)
+    for variant in ("AmHE", "AnQAOA"):
+        cfg = ModelConfig.from_variant(variant, n=n, link_mode=link, execution="density",
+                                       noise=NOISE_SETS["both"])
+        x = np.array([random_features(cfg, rng) for _ in range(5)])
+        thetas = np.array([cfg.random_params(rng).to_vector() for _ in range(2)])
+
+        def distributions(ev):
+            ev.evaluate(ParamSet.from_vector(thetas[0], n, link))
+            ev.evaluate_stack(thetas, [4, 1])
+
+        def fired(ev):
+            ev.derivatives(thetas[0], [0, 2])
+            ev._steps(thetas[:1], thetas[1:], [3])
+            ev._stack(thetas[None], fired=True)
+
+        for reads, rows in (((distributions,), [2**n]), ((fired,), [1]),
+                            ((fired, distributions), [1, 2**n])):
+            ev = BatchEvaluator(x, x, cfg)
+            walks.clear()
+            for read in reads * 2:
+                read(ev)
+            carried = [walk.shape for walk in walks if walk.layout is ev._unencode[0]]
+            assert carried == [(1, 5, r, 4**n) for r in rows], (variant, link, rows)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_fired_row_is_the_fired_projectors_sum(n):
+    # _p_fire walks the fired projectors' sum as one row, and _p_j each
+    # projector: the fired sum of _p_j equals _p_fire up to rounding, under
+    # every noise set, for every variant and link, with w_j apart from w_i
+    rng = np.random.default_rng(270 + n)
+    for noise, variant, link in itertools.product(NOISE_SETS.values(), VARIANTS, LINK_MODES):
+        cfg = ModelConfig.from_variant(variant, n=n, link_mode=link, execution="density",
+                                       noise=noise)
+        x = np.array([random_features(cfg, rng) for _ in range(4)])
+        ev = BatchEvaluator(x[:3], x[1:], cfg)
+        assert ev._p_fire.shape == (1, 3, 4**n) and ev._p_j.shape == (1, 3, 2**n, 4**n)
+        assert np.max(np.abs(ev._p_fire - ev._fire @ ev._p_j)) < 1e-14, (variant, link, noise)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
@@ -889,7 +927,7 @@ def test_cached_readouts_are_the_link_carried_back_in_closed_form(n):
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
-def test_density_walk_is_real_at_every_n(monkeypatch, n):
+def test_density_walk_is_real_at_every_n(walks, n):
     # every cached vector and every walk output is float64, so every
     # product of them is real, the amplitude encoder's included.  16
     # samples reach the basis path at n <= 2, a sub-batch the states
@@ -898,21 +936,13 @@ def test_density_walk_is_real_at_every_n(monkeypatch, n):
         cfg = ModelConfig.from_variant(variant, n=n, execution="density",
                                        noise=NOISE_SETS["both"])
         x = np.array([random_features(cfg, rng) for _ in range(16)])
-        outputs = []
-
-        def spy(*args, _f=sim._walk_runs, **kwargs):
-            out = _f(*args, **kwargs)
-            outputs.append(out.dtype)
-            return out
-
-        monkeypatch.setattr(sim, "_walk_runs", spy)
+        walks.clear()
         ev = BatchEvaluator(x, x, cfg)
         theta = cfg.random_params(rng).to_vector()
         ev.evaluate_stack(gradient_stack(theta))
         ev.derivatives(theta)
         ev.derivatives(theta, np.arange(3))
-        monkeypatch.undo()
-        assert outputs and set(outputs) == {np.dtype(float)}, variant
+        assert walks and {walk.dtype for walk in walks} == {np.dtype(float)}, variant
         for arr in (ev._rho_i, ev._rho_j, ev._p_j, ev._readouts, ev._basis,
                     *model._walk_constants(n)):
             assert arr.dtype == float, variant

@@ -420,8 +420,8 @@ def test_train_loop_builds_one_evaluator_and_makes_one_pass_per_step(monkeypatch
                                                                       with_test):
     # training builds its evaluator through the lockstep route, whose one
     # run's passes are _steps calls with a leading run axis
-    counts = {"__init__": 0, "_build": 0, "step_values": 0, "_steps": 0,
-              "evaluate_stack": 0, "derivatives": 0, "_stack": 0}
+    counts = {"__init__": 0, "_build": 0, "_steps": 0, "evaluate_stack": 0,
+              "derivatives": 0, "_stack": 0}
     passes, last = [], []
     for name in counts:
         original = getattr(BatchEvaluator, name)
@@ -443,8 +443,8 @@ def test_train_loop_builds_one_evaluator_and_makes_one_pass_per_step(monkeypatch
     # one pass per step, the first at θ0 for both the lookahead and the
     # initial metrics; then one E-only evaluation, at the final θ, for the
     # last step's metrics
-    assert counts == {"__init__": 0, "_build": 1, "step_values": 0, "_steps": steps,
-                      "evaluate_stack": 0, "derivatives": 0, "_stack": 1}
+    assert counts == {"__init__": 0, "_build": 1, "_steps": steps, "evaluate_stack": 0,
+                      "derivatives": 0, "_stack": 1}
     if steps:
         look, at = passes[0]
         assert np.array_equal(look, at)
