@@ -17,7 +17,10 @@ ENCODER_KINDS = ("amplitude", "angle")
 
 def _feature_rows(features, capacity: int, what: str) -> np.ndarray:
     x = np.asarray(features, dtype=float)
-    if x.ndim != 2 or x.shape[1] < 1:
+    if x.ndim != 2:
+        raise ValueError(f"expected feature rows of shape (samples, features), "
+                         f"got shape {x.shape}")
+    if x.shape[1] < 1:
         raise ValueError("feature vector is empty")
     if not np.isfinite(x).all():
         raise ValueError("feature vector has non-finite entries")

@@ -24,7 +24,8 @@ a + b·cos θ4_{n−1} + c·sin θ4_{n−1} and constant in the other θ4 slots:
 carried back through that gate and its noise, Z becomes the observable
 B + cos θ·C + sin θ·S at θ = θ4_{n−1}.  These and the observable read
 when the link does not fire, [idle, B, C, S], depend only on n, the
-link and the noise, and are built once (``_link_readouts``).
+link and the noise, and are built once per tuple of noise models
+(``_link_readouts``).
 
 ``BatchEvaluator`` evaluates that closed form for a batch of pairs and
 a stack of parameter sets at once.  In analytic mode it is plain linear
@@ -60,10 +61,11 @@ every n (``sim.to_walk_basis``), the real Pauli coordinates
 Tr(P ρ)/2^{n/2}, so every walk output and every product that reads a
 probability or a readout is real.
 The fixed ones, the zero state, the projectors and the readouts, are
-converted once per n (``_walk_constants``, ``_link_readouts``).  A density
-evaluator holds these per run, on a leading run axis: one run, or R models
-that differ in their noise alone and train in lockstep, each walk of a
-pass serving all of them (``BatchEvaluator._lockstep``).  In
+converted once per n (``_walk_constants``), and the readouts once per
+tuple of noise models, every run's in one walk (``_link_readouts``).  A
+density evaluator holds these per run, on a leading run axis: one run, or
+R models that differ in their noise alone and train in lockstep, each
+walk of a pass serving all of them (``BatchEvaluator._lockstep``).  In
 both modes the link angle enters only when E is combined, as
 cos θ4_{n−1} and sin θ4_{n−1}; no fragment is simulated for it.  The
 test suite checks both modes against the full circuit, whose literal
@@ -294,11 +296,12 @@ def _walk_constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=64)
-def _link_readouts(n: int, link_mode: str, noise: tuple[NoiseChannel, ...]) -> np.ndarray:
-    """The four register-2 readout observables [idle, B, C, S], each a
-    2^n × 2^n matrix given as a (4, 4^n) row of vectors in the basis of
-    ``sim.to_walk_basis``, for ``link_mode`` under ``noise`` (() for
-    none).
+def _link_readouts(n: int, link_mode: str, noises: tuple) -> np.ndarray:
+    """The four register-2 readout observables [idle, B, C, S] of each of
+    R runs, run r under the noise model ``noises[r]`` (() for none), each
+    observable a 2^n × 2^n matrix given as a row of 4^n entries in the
+    basis of ``sim.to_walk_basis``: (R, 1, 4, 4^n), read-only, from one
+    walk for every run (``sim._walk_runs``).
 
     Z on readout qubit n−1, carried back through the link gate RY(θ) and
     its noise, is B + cos θ·C + sin θ·S: RY(θ)'s entries are affine in
@@ -310,21 +313,13 @@ def _link_readouts(n: int, link_mode: str, noise: tuple[NoiseChannel, ...]) -> n
     θ = 0.
     """
     z = np.diag(1.0 - 2.0 * (np.arange(2**n) >> (n - 1))).astype(complex)
-    z = _sim.to_walk_basis(z.reshape(1, 1, -1), n)
-    fired = _sim.apply_noisy_layout(z, (("RY", (n - 1,), 0),), _FIRED_ANGLES, n, noise,
-                                    adjoint=True)[:, 0]
-    out = np.tensordot(_FIRED_MIX, fired, axes=(0, 0))
+    z = _sim.to_walk_basis(z.reshape(1, 1, 1, -1), n)
+    fired = _sim._walk_runs(z, (("RY", (n - 1,), 0),), _FIRED_ANGLES[None], n, noises,
+                            adjoint=True)[:, :, 0]
+    out = _FIRED_MIX.T @ fired
     if link_mode != "per-qubit-literal":
-        out[0] = z[0, 0]
-    out.flags.writeable = False
-    return out
-
-
-@functools.lru_cache(maxsize=64)
-def _run_readouts(n: int, link_mode: str, noises: tuple) -> np.ndarray:
-    """``_link_readouts`` under each noise model of ``noises``, stacked as
-    (R, 1, 4, 4^n) for R lockstep runs, read-only."""
-    out = np.stack([_link_readouts(n, link_mode, noise) for noise in noises])[:, None]
+        out[:, 0] = z[0, 0, 0]
+    out = out[:, None]
     out.flags.writeable = False
     return out
 
@@ -471,7 +466,7 @@ class BatchEvaluator:
         # U(θ1) then U†(θ2), driven by the angle row [θ1, −θ2]
         self._mid = self._ansatz + _reversed_layout(self._ansatz, 2 * n)
         # each run's readouts O, (R, 1, 4, 4^n)
-        self._readouts = _run_readouts(n, config.link_mode, noises)
+        self._readouts = _link_readouts(n, config.link_mode, noises)
 
     def _carried_back(self, rows: np.ndarray) -> np.ndarray:
         """``rows`` (B, 4^n) carried back through each run's channel of

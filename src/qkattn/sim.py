@@ -24,11 +24,12 @@ The batched layout builders (``layout_unitaries``, ``apply_noisy_layout``)
 are the fast paths checked against it; the oracle uses none of their
 compiled factors or caches.  The noisy builder walks, at every register
 size, the steps that a layout compiles into once per register size and
-noise (``_layout_plan``), placing noise by the same rule: one full-space
-step per rotation at q ≤ 2, one step on at most two qubits per rotation at
-q ≥ 3, the fixed gates folded into both.  At every register size the
-walk's stack holds each ρ in the Pauli basis, T·vec(ρ) = Tr(P ρ)/2^{q/2}
-over the Pauli strings P (``_pauli_basis``), where a Hermitian ρ is a real
+tuple of noise models (``_run_plan``), placing noise by the same rule:
+one full-space step per rotation at q ≤ 2, one step on at most two
+qubits per rotation at q ≥ 3, the fixed gates folded into both.  At
+every register size the walk's stack holds each ρ in the Pauli basis,
+T·vec(ρ) = Tr(P ρ)/2^{q/2} over the Pauli strings P
+(``_pauli_basis``), where a Hermitian ρ is a real
 vector and every folded step a real matrix, its Pauli transfer matrix;
 ``to_walk_basis`` converts vec(ρ) into it, and the oracle keeps the
 computational basis.  vec(ρ) survives only inside the walk of a layout
@@ -42,11 +43,12 @@ layout whose factors are real, as every noisy layout's are without a wide
 gate.  Both also give exact derivatives in the angles
 for the first few rows, whose coefficient rows are one product with a
 cached map (``_coefficients``).  One noisy walk serves R noise models at
-once (``_walk_runs``), as the noise sweep's lockstep runs need: the runs'
-plans are stacked once (``_run_plan``), and a leading run axis on the
-stack, the angles and the coefficients stays a batch axis of every product,
-whose matrices keep their one-run shapes, so each run's output equals its
-own walk bit for bit; ``apply_noisy_layout`` is the one-run case.
+once (``_walk_runs``), as the noise sweep's lockstep runs need: the
+compile stacks the runs' matrices on a leading run axis, and that axis on
+the stack, the angles and the coefficients stays a batch axis of every
+product, whose matrices keep their one-run shapes, so each run's output
+equals its own walk bit for bit; ``apply_noisy_layout`` is the one-run
+case.
 
 Basis ordering is little-endian throughout: qubit 0 is the least
 significant bit of a basis index.  For two-qubit gates the first
@@ -61,6 +63,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 from math import cos, sin, sqrt
 from typing import Sequence, Union
 
@@ -347,6 +350,8 @@ class NoiseChannel:
     def __post_init__(self):
         if self.kind not in ("bit-flip", "amplitude-damping"):
             raise ValueError(f"unknown noise channel {self.kind!r}")
+        if isinstance(self.strength, bool) or not isinstance(self.strength, numbers.Real):
+            raise ValueError(f"channel strength must be a real number, got {self.strength!r}")
         if not 0.0 <= self.strength <= 1.0:
             raise ValueError("channel strength must be a probability")
 
@@ -727,47 +732,54 @@ def _walk_groups(layout: tuple) -> list[tuple[tuple[int, ...], list]]:
 
 
 @functools.lru_cache(maxsize=64)
-def _layout_plan(layout: tuple, q: int, noise: tuple[NoiseChannel, ...]) -> tuple:
-    """A noisy layout compiled into the steps that ``apply_noisy_layout``
-    walks, under the ``_FOLDED_ARITY`` rule.
+def _run_plan(layout: tuple, q: int, noises: tuple[tuple[NoiseChannel, ...], ...]) -> tuple:
+    """A noisy layout compiled, for a tuple of noise models, one per run,
+    into the steps that ``_walk_runs`` walks under the ``_FOLDED_ARITY``
+    rule, cached read-only; ``apply_noisy_layout``'s one run is a tuple
+    of one.
 
     The groups are the whole register at q ≤ 2 and those of
     ``_walk_groups`` at q ≥ 3.  ``_layout_factors`` folds each group on
-    its own m qubits into one operator N^{⊗m}·(U ⊗ U*) per gate and one
-    step per rotation, every fixed gate folded into the next rotation and
-    the tail into the last; each step is conjugated into the Pauli basis
-    of those qubits, T_m F T_m† (``_pauli_basis``), where it is real,
+    its own m qubits, under each run's noise model, into one operator
+    N^{⊗m}·(U ⊗ U*) per gate and one step per rotation, every fixed gate
+    folded into the next rotation and the tail into the last; the runs'
+    steps are stacked and conjugated together into the Pauli basis of
+    those qubits, T_m F T_m† (``_pauli_basis``), where they are real,
     which ``_real`` checks.  A gate wider than ``_FOLDED_ARITY`` is U on
     its row axes, U* on its column axes, then the 4 × 4 channel on each
     of its qubits, steps that are not real maps.  A layout that holds one
     walks vec(ρ) instead, its groups left as they are, between a fixed
     step T_1† on each qubit's (column, row) bit pair first and T_1 on
-    each last.
+    each last.  Only a noisy run takes a wide gate's channel steps, so a
+    noise-free run cannot walk beside a noisy one through a wide gate;
+    at q ≤ 2 every group is narrow and any runs walk together.
 
     Returns (slots, groups, steps): the angle slot of each rotation step
     (R,); per shape of rotation factors, the indices of its rotations
-    and their factors stacked (R_g, 3 or 5, d²), read-only and real when
-    exactly real, a rotation's matrix at θ being coefficients(θ/2) @
-    factors; and per step ((group, row) or None, fixed matrix or None,
-    d, perm, inverse) for an operator on d local entries.  ``perm`` brings
-    the stack's row axis, then the operator's axes, to the front of a
-    (K, B) + (2,)·2q stack; it is None for an operator on the whole
-    register.
+    and their factors stacked (R_g, runs, 3 or 5, d²), real when exactly
+    real, a rotation's matrix at θ being coefficients(θ/2) @ factors; and
+    per step ((group, row) or None, fixed matrix (runs, 1, d, d) or None,
+    d, perm, inverse) for an operator on d local entries.  The run axis
+    is 1 where every run shares the matrix: a wide gate's U and U* and
+    the conversions T_1.  ``perm`` brings the run axis, the stack's row
+    axis, then the operator's axes, to the front of a (runs, K, B) +
+    (2,)·2q stack; it is None for an operator on the whole register.
     """
     slots, steps, shapes = [], [], {}
 
     def step(slot, factors, coords, sides):
         axes, _ = _density_axes(coords, q, sides)
         k = len(sides) * len(coords)
-        # the stack's row axis, the operator's axes, then B and the rest
-        perm = (0, *(2 + a for a in axes[:k]), 1, *(2 + a for a in axes[k:]))
+        # the run and row axes, the operator's axes, then B and the rest
+        perm = (0, 1, *(3 + a for a in axes[:k]), 2, *(3 + a for a in axes[k:]))
         inverse = _inverse(perm)
         if k == 2 * q:  # the whole register, whose axes are in order
             perm = inverse = None
         if slot is None:
-            steps.append((None, _frozen(factors.reshape(1, 2**k, 2**k)), 2**k, perm, inverse))
+            steps.append((None, _frozen(factors.reshape(len(factors), 1, 2**k, 2**k)), 2**k,
+                          perm, inverse))
             return
-        factors = factors.reshape(len(factors), -1)
+        factors = factors.reshape(factors.shape[:2] + (-1,))
         rows = shapes.setdefault(factors.shape, [])
         steps.append(((list(shapes).index(factors.shape), len(rows)), None, 2**k, perm, inverse))
         rows.append((len(slots), factors))
@@ -776,87 +788,43 @@ def _layout_plan(layout: tuple, q: int, noise: tuple[NoiseChannel, ...]) -> tupl
     whole = 4**q <= _FACTORED_VEC_DIM
     parts = [(tuple(range(q)), layout)] if whole else _walk_groups(layout)
     wide = any(len(coords) > _FOLDED_ARITY for coords, _ in parts)
+    if wide and any(noises) and not all(noises):
+        raise ValueError("lockstep runs need noise models whose walks take the same steps")
     for c in range(q if wide else 0):  # into vec(ρ)
-        step(None, _pauli_basis(1).conj().T, (c,), (0, 1))
+        step(None, _pauli_basis(1).conj().T[None], (c,), (0, 1))
     for coords, gates in parts:
         if len(coords) > _FOLDED_ARITY:
             (kind, _, slot), = gates
-            u = _gate_factors(kind, len(coords), slot is not None, None)
+            u = _gate_factors(kind, len(coords), slot is not None, None)[None]
             step(slot, u, coords, (0,))
             step(slot, u.conj(), coords, (1,))
-            if noise:
+            if noises[0]:
+                channels = np.array([_noise_superop(noise, 1) for noise in noises])
                 for c in coords:
-                    step(None, _noise_superop(noise, 1), (c,), (0, 1))
+                    step(None, channels, (c,), (0, 1))
             continue
-        # on the group's own qubits, every slot 0
-        _, factors, tail = _layout_factors(tuple(
-            (kind, tuple(coords.index(c) for c in cs), None if slot is None else 0)
-            for kind, cs, slot in gates), len(coords), noise)
+        # the group on its own qubits, every slot 0
+        local = tuple((kind, tuple(coords.index(c) for c in cs), None if slot is None else 0)
+                      for kind, cs, slot in gates)
+        # each run's factors, on a run axis after the rotation axis, and tail
+        _, factors, tail = zip(*(_layout_factors(local, len(coords), noise) for noise in noises))
+        factors, tail = np.stack(factors, axis=1), np.array(tail)
         if not wide:
             t = _pauli_basis(len(coords))
-            factors = _real(t @ factors.reshape(factors.shape[:2] + t.shape) @ t.conj().T)
+            factors = _real(t @ factors.reshape(factors.shape[:3] + t.shape) @ t.conj().T)
             tail = _real(t @ tail @ t.conj().T)
         for slot, f in zip([slot for *_, slot in gates if slot is not None], factors):
             step(slot, f, coords, (0, 1))
         if not len(factors):  # the tail is folded into the last rotation, if any
             step(None, tail, coords, (0, 1))
     for c in range(q if wide else 0):  # back to the Pauli basis
-        step(None, _pauli_basis(1), (c,), (0, 1))
+        step(None, _pauli_basis(1)[None], (c,), (0, 1))
     # a group of every rotation takes every coefficient row, a view
     groups = tuple((slice(None) if len(rows) == len(slots) else
                     np.array([r for r, _ in rows], dtype=np.intp),
                     _frozen(np.array([f for _, f in rows])), math.isqrt(width))
-                   for (_, width), rows in shapes.items())
+                   for (*_, width), rows in shapes.items())
     return _frozen(np.array(slots, dtype=np.intp)), groups, tuple(steps)
-
-
-def _structure(plan: tuple) -> tuple:
-    """What a walk of ``plan`` does apart from its matrices: its slots, each
-    rotation group's rows and factor shape, and each step's rotation,
-    fixed shape, size and permutation."""
-    slots, groups, steps = plan
-    return (slots.tolist(),
-            tuple((None if isinstance(at, slice) else at.tolist(), factors.shape, d)
-                  for at, factors, d in groups),
-            tuple((rotation, None if fixed is None else fixed.shape, d, perm)
-                  for rotation, fixed, d, perm, _ in steps))
-
-
-def _shared(arrays: list[np.ndarray], axis: int) -> np.ndarray:
-    """``arrays`` stacked on a new run axis at ``axis``, read-only, or the
-    first with a run axis of 1 when every run has the same one."""
-    if all(np.array_equal(arr, arrays[0]) for arr in arrays[1:]):
-        return np.expand_dims(arrays[0], axis)
-    out = np.stack(arrays, axis=axis)
-    out.flags.writeable = False
-    return out
-
-
-@functools.lru_cache(maxsize=64)
-def _run_plan(layout: tuple, q: int, noises: tuple[tuple[NoiseChannel, ...], ...]) -> tuple:
-    """The plans of ``_layout_plan`` for R noise models, one per run,
-    stacked once on a run axis and cached read-only: each rotation
-    group's factors as (R_g, R, terms, d²) and each fixed step as
-    (R, 1, d, d), with a run axis of 1 where every run has the same
-    matrix, like the conversion steps T_1.  Each permutation takes the
-    run axis first.  Runs walk in lockstep only when their plans share
-    slots and steps: a noise-free plan at q ≥ 3 lacks the per-qubit noise
-    steps of a wide gate, so it cannot join a noisy one."""
-    plans = [_layout_plan(layout, q, noise) for noise in noises]
-    if any(_structure(plan) != _structure(plans[0]) for plan in plans[1:]):
-        raise ValueError("lockstep runs need noise models whose walks take the same steps")
-    slots, groups, steps = plans[0]
-    groups = tuple((at, _shared([plan[1][g][1] for plan in plans], 1), d)
-                   for g, (at, _, d) in enumerate(groups))
-
-    def lead(perm):  # the run axis first, then the permutation
-        return None if perm is None else (0, *(a + 1 for a in perm))
-
-    steps = tuple((rotation,
-                   None if fixed is None else _shared([plan[2][k][1] for plan in plans], 0),
-                   d, lead(perm), lead(inverse))
-                  for k, (rotation, fixed, d, perm, inverse) in enumerate(steps))
-    return slots, groups, steps
 
 
 def _walk_runs(vecs: np.ndarray, layout: Layout, angles: np.ndarray, q: int,
@@ -868,9 +836,9 @@ def _walk_runs(vecs: np.ndarray, layout: Layout, angles: np.ndarray, q: int,
     shared by every run, give (R, K, B, 4^q), and the first
     ``derivatives`` rows of each run are followed by their derivative rows.
 
-    The runs' plans are stacked once (``_run_plan``).  The run axis is a
-    batch axis of every product, whose matrices keep the shapes of a
-    one-run walk, so each run's output equals its own
+    The layout compiles once per tuple of noise models (``_run_plan``).
+    The run axis is a batch axis of every product, whose matrices keep
+    the shapes of a one-run walk, so each run's output equals its own
     ``apply_noisy_layout`` bit for bit: folding the runs into the rows of
     one product would let a GEMM round its edge rows differently.
     """
@@ -915,8 +883,8 @@ def apply_noisy_layout(vecs: np.ndarray, layout: Layout, angles: np.ndarray, q: 
     one-row stack is shared by every row.  Run on the 4^q basis vectors,
     row k is the fragment's superoperator S in that basis transposed: its
     real Pauli transfer matrix T S T†.  At every register size the call
-    walks the steps that the layout compiled into once
-    (``_layout_plan``) over the stack, in order: at q ≤ 2 one
+    walks the steps that the layout compiled into once per noise model
+    (``_run_plan`` with one run) over the stack, in order: at q ≤ 2 one
     full-space step per rotation, at q ≥ 3 one step on at most two qubits
     per rotation, the fixed gates folded into both, and U, U* and the
     per-qubit channels of each wider gate, which the walk applies to

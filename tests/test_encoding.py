@@ -32,6 +32,8 @@ def test_normalized_amplitudes_pads_and_normalizes():
 def test_normalized_amplitudes_errors():
     for values, n, message in (
             ([[]], 1, "feature vector is empty"),
+            ([3.0, 4.0], 1, r"^expected feature rows of shape \(samples, features\), "
+                            r"got shape \(2,\)$"),
             ([[0.0, 0.0]], 1, "cannot amplitude-encode the zero vector"),
             ([[1, 2, 3, 4, 5]], 2, r"5 features exceed 2\^2 amplitude slots"),
             ([[np.nan, 1.0]], 1, "feature vector has non-finite entries")):

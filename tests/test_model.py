@@ -85,6 +85,24 @@ def test_config_refuses_malformed_noise():
             ModelConfig(execution="density", noise=noise)
 
 
+@pytest.mark.parametrize("encoder, execution", [("amplitude", "analytic"), ("angle", "density")])
+def test_feature_arrays_that_are_not_rows_name_their_shape(encoder, execution):
+    # forward wraps its one pair in a batch, so a (1, 2) row, which
+    # build_full_circuit takes as one sample, reaches the encoder as
+    # (1, 1, 2); neither it nor a 3-D batch is reported as empty
+    cfg = ModelConfig(n=2, encoder=encoder, execution=execution)
+    params = cfg.random_params(np.random.default_rng(13))
+    row = np.array([[0.5, 0.5]])
+    build_full_circuit(row, row, params, cfg)
+    batch = np.zeros((2, 2, 2))
+    for call, shape in ((lambda: forward(row, row, params, cfg), "(1, 1, 2)"),
+                        (lambda: BatchEvaluator(batch, batch, cfg), "(2, 2, 2)")):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == (f"expected feature rows of shape (samples, features), "
+                                      f"got shape {shape}")
+
+
 def test_config_bounds_register_size():
     # 2^n ≤ 16 amplitudes per register
     assert ModelConfig(n=4).feature_dim == 16
@@ -782,6 +800,19 @@ def test_lockstep_evaluator_equals_one_evaluator_per_run(n):
                         assert np.array_equal(value[r], ref[0]), (variant, link, size, r)
 
 
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_lockstep_readouts_are_each_runs_own(n):
+    # the readouts of R noise models, one walk for every run, hold run r's
+    # own one-run readouts bit for bit, a noise-free run beside noisy ones
+    noises = ((),) + LOCKSTEP_NOISES
+    for link in LINK_MODES:
+        readouts = model._link_readouts(n, link, noises)
+        assert readouts.shape == (len(noises), 1, 4, 4**n) and not readouts.flags.writeable
+        for r, noise in enumerate(noises):
+            assert np.array_equal(readouts[r], model._link_readouts(n, link, (noise,))[0]), (
+                link, r)
+
+
 @pytest.mark.parametrize("link", LINK_MODES)
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
 def test_fired_forms_cover_only_the_fired_outcomes(n, link):
@@ -893,7 +924,7 @@ def test_cached_readouts_are_the_link_carried_back_in_closed_form(n):
     link_gate = (("RY", (n - 1,), 0),)
     angles = np.concatenate([[0.0], rng.uniform(-2 * np.pi, 2 * np.pi, 5)])[:, None]
     for noise, link in itertools.product([()] + list(NOISE_SETS.values()), LINK_MODES):
-        idle, b, c, s = model._link_readouts(n, link, noise)
+        (idle, b, c, s), = model._link_readouts(n, link, (noise,))[0]
         fired = b + np.cos(angles) * c + np.sin(angles) * s
         ref = sim.apply_noisy_layout(np.broadcast_to(z_walk, (len(angles), 1, dim**2)),
                                      link_gate, angles, n, noise, adjoint=True)[:, 0]
@@ -911,7 +942,7 @@ def test_cached_readouts_are_the_link_carried_back_in_closed_form(n):
     pure = sim.to_walk_basis((psi[:, :, None] * psi.conj()[:, None, :]).reshape(5, -1), n)
     bases, weights = model._readout_bases(n)
     for link in LINK_MODES:
-        ref = (pure @ model._link_readouts(n, link, ()).conj().T).real
+        ref = (pure @ model._link_readouts(n, link, ((),))[0, 0].conj().T).real
         assert np.max(np.abs((np.abs(psi @ bases) ** 2) @ weights - ref)) < 1e-14, link
     # cached per (n, link, noise): once built, a one-pair forward, which
     # builds its own evaluator, does not build them again, nor convert the
@@ -985,7 +1016,7 @@ def test_forward_matches_eight_qubit_oracle_at_n4(execution):
                     assert abs(rec.p0 - p0_ref) < 1e-12, (variant, link, noise)
 
 
-def test_wide_gates_build_no_dense_superoperator(monkeypatch):
+def test_wide_gates_build_no_dense_superoperator(monkeypatch, clear_caches):
     # gates on more than two qubits (the amplitude encoder's and the
     # deferred link's MCRY-open) apply U and U* on their own axes in both
     # engines: no noisy gate factor and no U ⊗ U* is formed for them
@@ -1000,11 +1031,9 @@ def test_wide_gates_build_no_dense_superoperator(monkeypatch):
         superop_dims.append(len(u))
         return superop(u)
 
+    clear_caches()
     monkeypatch.setattr(sim, "_gate_factors", spy_factors)
     monkeypatch.setattr(sim, "_superop", spy_superop)
-    sim._run_plan.cache_clear()
-    sim._layout_plan.cache_clear()
-    sim._layout_factors.cache_clear()
     noise = NOISE_SETS["both"]
     cfg = ModelConfig.from_variant("AmHE", n=4, execution="density", noise=noise)
     rng = np.random.default_rng(90)
@@ -1018,17 +1047,14 @@ def test_wide_gates_build_no_dense_superoperator(monkeypatch):
     assert superop_dims and max(superop_dims) <= 4
 
 
-def test_noisy_n4_amplitude_evaluator_builds_in_little_memory():
+def test_noisy_n4_amplitude_evaluator_builds_in_little_memory(clear_caches):
     # per-sample 256 × 256 superoperators for the arity-4 MCRY-open gates
     # would take about 500 MB; U and U* on their own axes need a few MB
     cfg = ModelConfig.from_variant("AmHE", n=4, execution="density",
                                    noise=(sim.NoiseChannel("bit-flip", 0.05),))
     rng = np.random.default_rng(91)
     x = np.array([random_features(cfg, rng) for _ in range(30)])
-    sim._gate_factors.cache_clear()
-    sim._layout_factors.cache_clear()
-    sim._layout_plan.cache_clear()
-    sim._run_plan.cache_clear()
+    assert "qkattn.sim._run_plan" in clear_caches()
     tracemalloc.start()
     try:
         BatchEvaluator(x, x, cfg)

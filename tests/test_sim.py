@@ -216,6 +216,16 @@ def test_channel_validation():
         NoiseChannel("bit-flip", 1.2)
 
 
+def test_channel_strength_must_be_a_real_number():
+    for strength in ("0.1", None, 0.1j, True, np.bool_(False)):
+        with pytest.raises(ValueError, match="^channel strength must be a real number, got "):
+            NoiseChannel("bit-flip", strength)
+    # channels key the compile caches: an int, a float and a numpy float of
+    # one value stay one channel
+    same = [NoiseChannel("bit-flip", p) for p in (0, 0.0, np.float64(0.0))]
+    assert len(set(same)) == 1 and all(ch == same[0] for ch in same)
+
+
 # --- execution modes -------------------------------------------------------
 
 def test_density_matches_pure_without_noise():
@@ -664,13 +674,13 @@ def test_cached_walk_factors_are_real_read_only_and_not_aliased():
         encoder = encoding.encoder_layout("amplitude", q)
         for noise in NOISE_SETS[1:3]:
             for layout in (encoder, _reversed_layout(encoder), (("RY", (q - 1,), 0),)):
-                slots, groups, steps = sim._layout_plan(layout, q, noise)
+                slots, groups, steps = sim._run_plan(layout, q, (noise,))
                 assert not slots.flags.writeable
                 for _, factors, _ in groups:
                     assert factors.dtype == float and not factors.flags.writeable
                 for _, fixed, *_ in steps:
                     assert fixed is None or not fixed.flags.writeable
-            _, groups, steps = sim._layout_plan(ansatz.ansatz_layout("hea", q), q, noise)
+            _, groups, steps = sim._run_plan(ansatz.ansatz_layout("hea", q), q, (noise,))
             assert all(factors.dtype == float for _, factors, _ in groups)
             assert all(fixed is None or fixed.dtype == float for _, fixed, *_ in steps)
         _, factors, tail = sim._layout_factors(encoder, q)
@@ -679,7 +689,7 @@ def test_cached_walk_factors_are_real_read_only_and_not_aliased():
         # the derivative rows' map, here of the HE ansatz's rotations
         hea = ansatz.ansatz_layout("hea", q)
         for slots, terms in ((sim._layout_factors(hea, q)[0], 3),
-                             (sim._layout_plan(hea, q, NOISE_SETS[1])[0], 5)):
+                             (sim._run_plan(hea, q, (NOISE_SETS[1],))[0], 5)):
             assert not sim._expansion(tuple(slots.tolist()), 2 * q, terms).flags.writeable
         angles = rng.uniform(0, 2 * np.pi, size=(2, 2**q - 1))
         for build in (lambda: sim.layout_unitaries(encoder, angles, q),
@@ -696,8 +706,8 @@ def _conversions(steps):
     """The steps of a plan that convert between the Pauli basis and vec(ρ):
     T_1 or T_1† on one qubit's (column, row) bit pair."""
     t = sim._pauli_basis(1)
-    return sum(fixed is not None and fixed.shape == (1, 4, 4)
-               and (np.array_equal(fixed[0], t) or np.array_equal(fixed[0], t.conj().T))
+    return sum(fixed is not None and fixed.shape == (1, 1, 4, 4)
+               and (np.array_equal(fixed[0, 0], t) or np.array_equal(fixed[0, 0], t.conj().T))
                for _, fixed, *_ in steps)
 
 
@@ -716,7 +726,7 @@ def test_walk_folds_fixed_gates_into_rotation_steps(q, counts):
                                          ("reversed", _reversed_layout(layout), counts[kind]),
                                          ("mid", mid, 2 * counts[kind])):
             for noise in ((), NOISE_SETS[1]):
-                slots, _, steps = sim._layout_plan(fragment, q, noise)
+                slots, _, steps = sim._run_plan(fragment, q, (noise,))
                 assert len(steps) == slots.size == expected, (kind, name)
                 assert all(d <= 16 for _, _, d, _, _ in steps)
                 assert _conversions(steps) == 0, (kind, name)
@@ -724,7 +734,7 @@ def test_walk_folds_fixed_gates_into_rotation_steps(q, counts):
     # left through one conversion step on each qubit
     encoder = encoding.encoder_layout("amplitude", q)
     for fragment in (encoder, _reversed_layout(encoder)):
-        _, _, steps = sim._layout_plan(fragment, q, NOISE_SETS[1])
+        _, _, steps = sim._run_plan(fragment, q, (NOISE_SETS[1],))
         assert len(steps) == counts["amplitude"]
         assert _conversions(steps) == _conversions(steps[:q] + steps[-q:]) == 2 * q
 
@@ -782,15 +792,50 @@ def test_walk_over_runs_equals_one_walk_per_noise_model(q):
                                                                     q, noise)), (layout, r)
 
 
+@pytest.mark.parametrize("q", (1, 2, 3, 4))
+def test_run_plan_holds_each_runs_one_run_plan(q):
+    # one compile for R noise models holds, in slice r, run r's own
+    # one-run compile bit for bit: the same slots, groups and steps, and
+    # run r's matrices in every group's factors and fixed step, or the one
+    # matrix every run shares on a run axis of 1 (a wide gate's U and U*
+    # and the conversions T_1)
+    encoders = [encoding.encoder_layout(kind, q) for kind in ("amplitude", "angle")]
+    ansatzes = [ansatz.ansatz_layout(kind, q) for kind in ("hea", "qaoa")]
+    layouts = encoders + [_reversed_layout(encoders[0])] + ansatzes + [
+        ansatzes[0] + _reversed_layout(ansatzes[0], 2 * q), (("RY", (q - 1,), 0),)]
+    for layout in layouts:
+        wide = q >= 3 and any(len(coords) > 2 for _, coords, _ in layout)
+        # a noise-free run walks beside noisy ones unless a wide gate is met
+        noises = RUN_NOISES if wide else RUN_NOISES + ((),)
+        slots, groups, steps = sim._run_plan(layout, q, noises)
+        assert _conversions(steps) == (2 * q if wide else 0)
+        for r, noise in enumerate(noises):
+            one_slots, one_groups, one_steps = sim._run_plan(layout, q, (noise,))
+            assert np.array_equal(slots, one_slots) and len(groups) == len(one_groups)
+            for (at, factors, d), (one_at, one_factors, one_d) in zip(groups, one_groups):
+                assert d == one_d and factors.shape[1] in (1, len(noises))
+                assert np.array_equal(np.arange(slots.size)[at], np.arange(slots.size)[one_at])
+                run = factors[:, r % factors.shape[1]]
+                assert run.dtype == one_factors.dtype and np.array_equal(run, one_factors[:, 0])
+            assert len(steps) == len(one_steps)
+            for (rotation, fixed, *shape), (one_rotation, one_fixed, *one_shape) in zip(
+                    steps, one_steps):
+                assert rotation == one_rotation and shape == one_shape
+                if fixed is not None:
+                    assert len(fixed) in (1, len(noises))
+                    run = fixed[r % len(fixed)]
+                    assert run.dtype == one_fixed.dtype and np.array_equal(run, one_fixed[0])
+
+
 def test_walk_over_runs_refuses_plans_with_other_steps():
-    # at q >= 3 only a noisy plan follows a wide gate with per-qubit noise
-    # steps, so a noise-free run cannot walk beside a noisy one; at q <= 2
-    # every plan takes one step per rotation, and the walks agree
+    # at q >= 3 only a noisy run follows a wide gate with per-qubit noise
+    # steps, so the compile refuses a noise-free run beside a noisy one; at
+    # q <= 2 every run takes one step per rotation, and the walks agree
     encoder = encoding.encoder_layout("amplitude", 3)
-    angles = np.zeros((2, 1, 7))
     with pytest.raises(ValueError, match="^lockstep runs need noise models whose walks take "
                                          "the same steps$"):
-        sim._walk_runs(np.ones((1, 1, 1, 64)), encoder, angles, 3, ((), NOISE_SETS[1]))
+        sim._run_plan(encoder, 3, ((), NOISE_SETS[1]))
+    angles = np.zeros((2, 1, 7))
     encoder = encoding.encoder_layout("amplitude", 2)
     vecs = np.random.default_rng(190).normal(size=(1, 1, 2, 16))
     got = sim._walk_runs(vecs, encoder, angles[:, :, :3], 2, ((), NOISE_SETS[1]))
