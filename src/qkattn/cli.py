@@ -53,7 +53,7 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
 
 def _as_int(value, key: str) -> int:
     try:
-        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
             raise ValueError
         return int(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -310,16 +310,16 @@ def cmd_qksas(args) -> int:
 
 
 def _sweep_job(payload) -> list[tuple[float, int, float, float, float]]:
-    """One group of the sweep: strengths ``probs`` of one seed, trained in
-    lockstep (``_train_runs``), one row per strength."""
-    resolved, channel, probs, seed, split = payload
+    """One group of the sweep: the ``channels`` of one seed, one per
+    strength, trained in lockstep (``_train_runs``), one row per strength."""
+    resolved, channels, seed, split = payload
     resolved = dict(resolved, seed=seed)
-    mcfgs = [model_config_from(resolved, execution="density", noise=(NoiseChannel(channel, p),))
-             for p in probs]
+    mcfgs = [model_config_from(resolved, execution="density", noise=(channel,))
+             for channel in channels]
     records = _train_runs(mcfgs, split.train_x, split.train_y, train_config_from(resolved),
                           test_x=split.test_x, test_y=split.test_y)
-    return [(p, seed, r.final.train_acc, r.final.test_acc, r.final.loss)
-            for p, r in zip(probs, records)]
+    return [(channel.strength, seed, r.final.train_acc, r.final.test_acc, r.final.loss)
+            for channel, r in zip(channels, records)]
 
 
 def thread_budget() -> int:
@@ -352,15 +352,12 @@ def cmd_noise_sweep(args) -> int:
                 raise CliError(f"{flag} lists {value} more than once")
     if any(s < 0 for s in seeds):
         raise CliError(f"--seeds must be non-negative, got {min(seeds)}")
-    if any(not 0.0 <= p <= 1.0 for p in probs):
-        raise CliError("channel probabilities must lie in [0, 1]")
-    if args.channel not in ("bit-flip", "amplitude-damping"):
-        raise CliError(f"unknown channel {args.channel!r}")
+    # refuses an unknown channel or a strength outside [0, 1]
+    channels = [NoiseChannel(args.channel, p) for p in probs]
     threads = thread_budget()
 
     # one group per seed, which trains all of its strengths in lockstep
-    jobs = [(resolved, args.channel, probs, s, load_dataset(dict(resolved, seed=s), mcfg))
-            for s in seeds]
+    jobs = [(resolved, channels, s, load_dataset(dict(resolved, seed=s), mcfg)) for s in seeds]
     workers = min(threads, len(jobs))
     if workers > 1:
         # spawn, not fork: forking a process whose BLAS already runs

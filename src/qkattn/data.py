@@ -64,10 +64,6 @@ class Split:
     test_y: np.ndarray
     label_map: dict = dataclasses.field(default_factory=dict)
 
-    @property
-    def dim(self) -> int:
-        return self.train_x.shape[1]
-
 
 def make_split(images, labels, classes: tuple[int, int] = (0, 1),
                per_class_total: int = 550, per_class_train: int = 500,
@@ -109,10 +105,6 @@ def make_split(images, labels, classes: tuple[int, int] = (0, 1),
 class PcaModel:
     mean: np.ndarray
     components: np.ndarray  # (d, original_dim), orthonormal rows
-
-    @property
-    def d(self) -> int:
-        return self.components.shape[0]
 
     def transform(self, features) -> np.ndarray:
         x = np.atleast_2d(np.asarray(features, dtype=float))

@@ -196,10 +196,21 @@ class QksasRecord:
 
 # --- circuit assembly ---------------------------------------------------
 
+def _one_sample(w) -> np.ndarray:
+    """One sample's features, a (d,) vector or a (1, d) row, as a (1, d)
+    row; anything else is refused with its shape."""
+    row = np.asarray(w, dtype=float)
+    if row.ndim != 1 and (row.ndim != 2 or len(row) != 1):
+        raise ValueError(f"expected one sample, a (d,) vector or a (1, d) row, "
+                         f"got shape {row.shape}")
+    return row.reshape(1, -1)
+
+
 def build_full_circuit(w_i, w_j, params: ParamSet, config: ModelConfig,
                        form: str = "conditional", final_measure: bool = False) -> Circuit:
     """The complete 2n-qubit circuit: U_φ†(w_j) U†(θ2) U(θ1) U_φ(w_i) on
     qubits 0..n-1, U(θ3) U_φ(w_j) on qubits n..2n-1, then the link.
+    ``w_i`` and ``w_j`` are one sample each, a (d,) vector or a (1, d) row.
 
     ``form`` selects how the link is realized for the canonical mode:
     "conditional" measures register 1 mid-circuit and classically
@@ -211,8 +222,7 @@ def build_full_circuit(w_i, w_j, params: ParamSet, config: ModelConfig,
     n = config.n
     encoder = _encoding.encoder_layout(config.encoder, n)
     ansatz = _ansatz.ansatz_layout(config.ansatz, n)
-    enc_i, enc_j = (_encoding.encoder_angles(config.encoder,
-                                             np.asarray(w, dtype=float).reshape(1, -1), n)[0]
+    enc_i, enc_j = (_encoding.encoder_angles(config.encoder, _one_sample(w), n)[0]
                     for w in (w_i, w_j))
     theta1, theta2, theta3 = (_ansatz.check_params(t, 2 * n)
                               for t in (params.theta1, params.theta2, params.theta3))
@@ -695,12 +705,14 @@ class BatchEvaluator:
 def forward(w_i, w_j, params: ParamSet, config: ModelConfig,
             rng: np.random.Generator | None = None) -> tuple[float, QksasRecord]:
     """Classifier expectation E ∈ [−1, 1] plus the attention record, from
-    a one-pair ``BatchEvaluator``.  A positive ``config.shots`` returns
-    the mean of that many ±1 readouts instead, drawn from ``rng`` as one
-    binomial count of the readouts that read +1; the record stays exact."""
+    a one-pair ``BatchEvaluator``; ``w_i`` and ``w_j`` are one sample
+    each, a (d,) vector or a (1, d) row.  A positive ``config.shots``
+    returns the mean of that many ±1 readouts instead, drawn from ``rng``
+    as one binomial count of the readouts that read +1; the record stays
+    exact."""
     if config.shots and rng is None:
         raise ValueError("sampling 'shots' needs an rng")
-    e_val, probs = BatchEvaluator([w_i], [w_j], config).evaluate(params)
+    e_val, probs = BatchEvaluator(_one_sample(w_i), _one_sample(w_j), config).evaluate(params)
     e_val = float(e_val[0])
     if config.shots:
         plus = rng.binomial(config.shots, np.clip((1.0 + e_val) / 2.0, 0.0, 1.0))

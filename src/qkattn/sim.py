@@ -38,7 +38,7 @@ reversal at q ≥ 3), whose steps U on the row axes and U* on the column
 axes are not real maps: that walk converts each qubit into vec(ρ) first
 and back last.  In both builders every rotation's matrices come from a
 batched product of real coefficients with the real view of cached factors
-(``_products``), one product per shape of factors, real throughout for a
+(``_left``), one product per shape of factors, real throughout for a
 layout whose factors are real, as every noisy layout's are without a wide
 gate.  Both also give exact derivatives in the angles
 for the first few rows, whose coefficient rows are one product with a
@@ -132,39 +132,25 @@ def gate_matrix(kind: str, angle: float | None = None, qubits: int | None = None
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
-def _rotation_stack(kind: str, c: np.ndarray, s: np.ndarray, qubits: int) -> np.ndarray:
-    """gate_matrix of a parameterized kind at K angles θ, given as
-    c = cos(θ/2) and s = sin(θ/2) (K each): (K, D, D).
-
-    Every entry is affine in (c, s), so the rows at (c, s) = (0, 0),
-    (1, 0) and (0, 1) give the factors of R(θ) = M0 + c·M1 + s·M2 that
-    ``_gate_factors`` caches.  Kept apart from gate_matrix, which the
-    circuit oracle uses one gate at a time: the oracle tests then check
-    these matrices against it.  RY, CRY and MCRY-open rotate between two
-    local basis indices (lo, hi) and act as the identity elsewhere.
+def _rotation_factors(kind: str, qubits: int) -> np.ndarray:
+    """The factors [M0, M1, M2] of a parameterized gate kind, (3, D, D),
+    with R(θ) = M0 + cos(θ/2)·M1 + sin(θ/2)·M2, which ``_gate_factors``
+    caches.  Kept apart from gate_matrix, which the circuit oracle uses
+    one gate at a time: the oracle tests then check these factors against
+    it.  RX and RZ are cos(θ/2)·I − i·sin(θ/2)·P for their Pauli P; RY,
+    CRY and MCRY-open rotate between two local basis indices (lo, hi) and
+    act as the identity elsewhere.
     """
-    if kind == "RZ":
-        m = np.zeros((c.size, 2, 2), dtype=complex)
-        m[:, 0, 0] = c - 1j * s
-        m[:, 1, 1] = c + 1j * s
-        return m
-    if kind == "RX":
-        m = np.empty((c.size, 2, 2), dtype=complex)
-        m[:, 0, 0] = m[:, 1, 1] = c
-        m[:, 0, 1] = m[:, 1, 0] = -1j * s
-        return m
-    if kind == "RY":
-        dim, lo, hi = 2, 0, 1
-    elif kind == "CRY":
-        dim, lo, hi = 4, 1, 3
-    else:
-        dim = 2**qubits
-        lo, hi = 0, dim // 2
-    m = np.zeros((c.size, dim, dim), dtype=complex)
-    m[:, np.arange(dim), np.arange(dim)] = 1.0
-    m[:, lo, lo] = m[:, hi, hi] = c
-    m[:, lo, hi] = -s
-    m[:, hi, lo] = s
+    if kind in ("RX", "RZ"):
+        pauli = _X if kind == "RX" else np.diag([1.0, -1.0])
+        return np.array([np.zeros((2, 2)), np.eye(2), -1j * pauli])
+    dim = {"RY": 2, "CRY": 4}.get(kind, 2**qubits)
+    lo, hi = (1, 3) if kind == "CRY" else (0, dim // 2)
+    m = np.zeros((3, dim, dim), dtype=complex)
+    m[0] = np.eye(dim)
+    m[0, [lo, hi], [lo, hi]] = 0
+    m[1, [lo, hi], [lo, hi]] = 1
+    m[2, [lo, hi], [hi, lo]] = [-1, 1]
     return m
 
 
@@ -407,13 +393,9 @@ _BASIS_DERIVATIVE = np.array([[0, 0, 0, 0.5, 0], [0, 0, 0.5, 0, 0], [0, -0.5, 0,
 def _coefficients(angles: np.ndarray, slots: np.ndarray, channel: bool,
                   derivatives: int = 0) -> np.ndarray:
     """The coefficient basis of R rotations, rotation r driven by column
-    slots[r] of ``angles`` (K, P), as (R, K, terms): [1, c, s] for a
-    unitary, [1, c, s, cs, s²] for a superoperator, c, s = cos, sin(θ/2).
-    Angles with a run axis, (runs, K, P) in ``_walk_runs``, give (R, runs,
-    K, terms), and the run axis stays a batch axis of every product.
-    ``layout_unitaries`` keeps the form without one: passing it one run
-    read 1.3% lower train-analytic ``steps_per_s`` and
-    ``gradcheck_trials_per_s`` in 4 of 4 benchmark pairs (2-core Xeon).
+    slots[r] of ``angles`` (runs, K, P), as (R, runs, K, terms): [1, c, s]
+    for a unitary, [1, c, s, cs, s²] for a superoperator, c, s = cos,
+    sin(θ/2).  The run axis stays a batch axis of every product.
 
     ``derivatives`` follows each of the first ``derivatives`` rows with
     one row per column j, in which the rotation that j
@@ -425,8 +407,7 @@ def _coefficients(angles: np.ndarray, slots: np.ndarray, channel: bool,
     product of the rows with the cached map of ``_expansion``; the rows
     after the first ``derivatives`` follow them as they are.
     """
-    picked = angles[..., slots]
-    half = (picked.T if picked.ndim == 2 else picked.transpose(2, 0, 1)) / 2
+    half = angles[..., slots].transpose(2, 0, 1) / 2
     c, s = np.cos(half), np.sin(half)
     coef = np.empty(c.shape + (5 if channel else 3,))
     coef[..., 0] = 1.0
@@ -439,7 +420,7 @@ def _coefficients(angles: np.ndarray, slots: np.ndarray, channel: bool,
         return coef
     terms = coef.shape[-1]
     expansion = _expansion(tuple(slots.tolist()), angles.shape[-1], terms)
-    rows = coef[..., :derivatives, :] @ (expansion if coef.ndim == 3 else expansion[:, None])
+    rows = coef[..., :derivatives, :] @ expansion[:, None]
     rows = rows.reshape(coef.shape[:-2] + (-1, terms))
     return rows if derivatives == angles.shape[-2] else np.concatenate(
         [rows, coef[..., derivatives:, :]], axis=-2)
@@ -473,16 +454,13 @@ def _gate_factors(kind: str, arity: int, rotation: bool,
     a rotation's value at θ is coefficients(θ/2) @ factors, a fixed
     gate's is its one factor (1, d, d).
 
-    ``noise`` None gives the unitary (d = 2^m) with R(θ) = M0 + c·M1 +
-    s·M2.  Otherwise the gate is fused with each channel of ``noise`` on
-    each of its qubits into one superoperator N·(R ⊗ R*) (d = 4^m), on
-    the gate's local vec space (column bits low, row bits high).
+    ``noise`` None gives the unitary (d = 2^m), a rotation's factors
+    those of R(θ) = M0 + c·M1 + s·M2 (``_rotation_factors``).  Otherwise
+    the gate is fused with each channel of ``noise`` on each of its
+    qubits into one superoperator N·(R ⊗ R*) (d = 4^m), on the gate's
+    local vec space (column bits low, row bits high).
     """
-    if rotation:
-        m = _rotation_stack(kind, np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]), arity)
-        m[1:] -= m[0]
-    else:
-        m = gate_matrix(kind, qubits=arity)[None]
+    m = _rotation_factors(kind, arity) if rotation else gate_matrix(kind, qubits=arity)[None]
     if noise is not None:
         b, d = m.shape[:2]
         # Mi ⊗ Mj*, with vec(ρ)'s row bits high
@@ -548,19 +526,11 @@ def _layout_factors(layout: tuple, q: int, noise: tuple[NoiseChannel, ...] | Non
     return tuple(_frozen(arr) for arr in (np.array(slots, dtype=np.intp), factors, tail))
 
 
-def _products(coef: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """coef (R, K, terms) @ factors (R, terms, W): the K values of each of
-    R rotations in one batched product.  The coefficients are real, so a
-    complex factor array is multiplied through its real view, and a real
-    one gives a real product."""
-    if np.iscomplexobj(factors):
-        return (coef @ factors.view(float)).view(complex)
-    return coef @ factors
-
-
 def _left(m: np.ndarray, t: np.ndarray) -> np.ndarray:
     """m @ t, a real m applied to a contiguous complex t through t's real
-    view, as one real product."""
+    view, as one real product: a walk's step on its stack, and the real
+    coefficients of rotations on their cached factors, whose product is
+    real when the factors are."""
     if np.iscomplexobj(t) and not np.iscomplexobj(m) and t.flags.c_contiguous:
         return (m @ t.view(float)).view(complex)
     return m @ t
@@ -573,9 +543,10 @@ def layout_unitaries(layout: Layout, angles: np.ndarray, q: int,
 
     The layout is compiled once into cached full-space factors, R(θ) =
     M0 + c·M1 + s·M2 per rotation with c, s = cos(θ/2), sin(θ/2); a call
-    evaluates every rotation of every row in one batched product
-    (``_products``) and multiplies the R gates together, R − 1 batched
-    matmuls in all.  A layout whose factors are all real (RY, CRY,
+    evaluates every rotation of every row in one batched product of the
+    coefficients of ``angles`` as one run (``_coefficients``) with the
+    factors (``_left``) and multiplies the R gates together, R − 1
+    batched matmuls in all.  A layout whose factors are all real (RY, CRY,
     MCRY-open and fixed gates) gives real unitaries.  ``derivatives``
     follows each of the first ``derivatives`` unitaries with its
     derivative in each column of ``angles`` (``_coefficients``).
@@ -584,8 +555,8 @@ def layout_unitaries(layout: Layout, angles: np.ndarray, q: int,
     dim = len(tail)
     if not slots.size:
         return np.broadcast_to(tail, (len(angles), dim, dim)).copy()
-    coef = _coefficients(angles, slots, False, derivatives)
-    gates = _products(coef, factors).reshape(slots.size, -1, dim, dim)
+    coef = _coefficients(angles[None], slots, False, derivatives)[:, 0]
+    gates = _left(coef, factors).reshape(slots.size, -1, dim, dim)
     u = gates[0]
     for gate in gates[1:]:
         u = gate @ u
@@ -600,11 +571,17 @@ def _noise_superop(noise: tuple[NoiseChannel, ...], arity: int) -> np.ndarray:
     one = np.eye(4, dtype=complex)
     for ch in noise:
         one = sum(np.kron(k, k.conj()) for k in ch.kraus()) @ one
-    dim = 4**arity
-    rows = np.eye(dim, dtype=complex)[None]
-    for i in range(arity):
-        rows = _apply_stack(rows, one[None], (i, arity + i), 2 * arity)
-    # row b of the evolved basis is N e_b
+    return _per_qubit(one, arity)
+
+
+def _per_qubit(one: np.ndarray, q: int) -> np.ndarray:
+    """The 4 × 4 operator ``one`` on each qubit's (column bit, row bit)
+    pair of a q-qubit vec index, bits k and q + k: a 4^q × 4^q operator,
+    read-only."""
+    rows = np.eye(4**q, dtype=complex)[None]
+    for k in range(q):
+        rows = _apply_stack(rows, one[None], (k, q + k), 2 * q)
+    # row b of the evolved basis is the operator applied to e_b
     out = rows[0].T.copy()
     out.flags.writeable = False
     return out
@@ -646,13 +623,7 @@ def _pauli_basis(q: int) -> np.ndarray:
     Hermiticity, as every noisy gate does, has a real T S T†: its Pauli
     transfer matrix.
     """
-    rows = np.eye(4**q, dtype=complex)[None]
-    for k in range(q):
-        rows = _apply_stack(rows, _PAULI_ROWS[None], (k, q + k), 2 * q)
-    # row b of the evolved basis is T e_b
-    out = rows[0].T.copy()
-    out.flags.writeable = False
-    return out
+    return _per_qubit(_PAULI_ROWS, q)
 
 
 def _real(arr: np.ndarray) -> np.ndarray:
@@ -846,7 +817,7 @@ def _walk_runs(vecs: np.ndarray, layout: Layout, angles: np.ndarray, q: int,
     coef = _coefficients(angles, slots, True, derivatives)
     mats = []
     for at, factors, d in groups:
-        m = _products(coef[at, :, :, : factors.shape[2]], factors)
+        m = _left(coef[at, :, :, : factors.shape[2]], factors)
         mats.append(m.reshape(m.shape[:-1] + (d, d)))
     if not slots.size:
         vecs = np.broadcast_to(vecs, vecs.shape[:1] + angles.shape[-2:-1] + vecs.shape[2:])
@@ -893,7 +864,7 @@ def apply_noisy_layout(vecs: np.ndarray, layout: Layout, angles: np.ndarray, q: 
     operators together: on the 4^q basis the walk costs what the product
     S would.  Every rotation step's matrices come from one batched
     product of the real coefficients with the real view of the cached
-    factors of its shape (``_products``; at q ≤ 2 every rotation has one
+    factors of its shape (``_left``; at q ≤ 2 every rotation has one
     shape), which stays real for a layout whose factors are all real:
     every layout without a wide gate, and the amplitude encoders, their
     reversed layouts and the link RY.  A step on the whole register is

@@ -326,15 +326,18 @@ def test_noise_sweep_reads_thread_budget_before_loading_data(tmp_path, capsys, m
 
 def test_noise_sweep_validation(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path)
-    assert main(["noise-sweep", "--config", cfg, "--out", str(tmp_path),
-                 "--channel", "dephasing", "--probs", "0", "--seeds", "1"]) != 0
-    assert main(["noise-sweep", "--config", cfg, "--out", str(tmp_path),
-                 "--channel", "bit-flip", "--probs", "1.5", "--seeds", "1"]) != 0
-    # a repeated entry would train the same job twice; entries are
-    # compared after parsing
-    capsys.readouterr()
     loads = []
     monkeypatch.setattr(cli, "load_dataset", lambda *args: loads.append(args))
+    for channel, probs, line in [("dephasing", "0", "unknown noise channel 'dephasing'"),
+                                 ("bit-flip", "1.5", "channel strength must be a probability")]:
+        out = os.path.join(str(tmp_path), "bad")
+        assert main(["noise-sweep", "--config", cfg, "--out", out,
+                     "--channel", channel, "--probs", probs, "--seeds", "1"]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {line}"
+        assert not loads
+        assert not os.path.exists(out)
+    # a repeated entry would train the same job twice; entries are
+    # compared after parsing
     for probs, seeds, line in [("0.1", "1,1", "--seeds lists 1 more than once"),
                                ("0.1,0.10", "1", "--probs lists 0.1 more than once"),
                                ("0,0.3,0", "2,1", "--probs lists 0.0 more than once"),
@@ -383,6 +386,9 @@ def test_variant_flag(tmp_path):
     ({"model": {"shots": -5}}, "shots"),
     ({"model": {"shots": 10**30}}, "shots"),
     ({"seed": -1}, "seed"),
+    # a numeric string is not an integer
+    ({"seed": "7"}, "seed"),
+    ({"data": {"count": "80"}}, "count"),
 ])
 def test_malformed_config_value_is_one_line_error(tmp_path, capsys, overrides, key):
     cfg = write_config(tmp_path, **overrides)

@@ -87,20 +87,32 @@ def test_config_refuses_malformed_noise():
 
 @pytest.mark.parametrize("encoder, execution", [("amplitude", "analytic"), ("angle", "density")])
 def test_feature_arrays_that_are_not_rows_name_their_shape(encoder, execution):
-    # forward wraps its one pair in a batch, so a (1, 2) row, which
-    # build_full_circuit takes as one sample, reaches the encoder as
-    # (1, 1, 2); neither it nor a 3-D batch is reported as empty
+    # forward and build_full_circuit take one sample as a (d,) vector or a
+    # (1, d) row, and refuse a (2, 2) batch rather than read it as one
+    # 4-feature sample; a 3-D batch is not reported as empty
     cfg = ModelConfig(n=2, encoder=encoder, execution=execution)
     params = cfg.random_params(np.random.default_rng(13))
-    row = np.array([[0.5, 0.5]])
-    build_full_circuit(row, row, params, cfg)
-    batch = np.zeros((2, 2, 2))
-    for call, shape in ((lambda: forward(row, row, params, cfg), "(1, 1, 2)"),
-                        (lambda: BatchEvaluator(batch, batch, cfg), "(2, 2, 2)")):
+    vec = np.array([0.5, 0.25])
+    e_val, record = forward(vec, vec[::-1], params, cfg)
+    for wi, wj in ((vec[None], vec[::-1][None]), (vec[None], vec[::-1]), (vec, vec[::-1][None])):
+        got, got_record = forward(wi, wj, params, cfg)
+        assert got == e_val and np.array_equal(got_record.distribution, record.distribution)
+    assert build_full_circuit(vec[None], vec, params, cfg).ops == build_full_circuit(
+        vec, vec, params, cfg).ops
+    batch = np.full((2, 2), 0.5)
+    for call in (lambda: forward(batch, vec, params, cfg),
+                 lambda: forward(vec, batch, params, cfg),
+                 lambda: build_full_circuit(batch, vec, params, cfg),
+                 lambda: build_full_circuit(vec, batch, params, cfg)):
         with pytest.raises(ValueError) as refused:
             call()
-        assert str(refused.value) == (f"expected feature rows of shape (samples, features), "
-                                      f"got shape {shape}")
+        assert str(refused.value) == ("expected one sample, a (d,) vector or a (1, d) row, "
+                                      "got shape (2, 2)")
+    stack = np.zeros((2, 2, 2))
+    with pytest.raises(ValueError) as refused:
+        BatchEvaluator(stack, stack, cfg)
+    assert str(refused.value) == ("expected feature rows of shape (samples, features), "
+                                  "got shape (2, 2, 2)")
 
 
 def test_config_bounds_register_size():

@@ -546,16 +546,18 @@ def test_derivative_coefficient_rows_are_one_product_with_a_cached_map(channel):
     rng = np.random.default_rng(145)
     slots = np.array([3, 0, 2])
     for k in (1, 2, 4):
-        angles = rng.uniform(-2 * np.pi, 2 * np.pi, size=(k, 5))
-        ref = _repeated_coefficient_rows(angles, slots, channel)
+        # two runs on the leading axis, each its own rows
+        angles = rng.uniform(-2 * np.pi, 2 * np.pi, size=(2, k, 5))
         got = sim._coefficients(angles, slots, channel, k)
-        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
-        assert np.all(got.reshape(3, k, 6, -1)[0, :, [2, 5]] == 0.0)
         plain = sim._coefficients(angles, slots, channel)
-        for lead in range(1, k):
-            got = sim._coefficients(angles, slots, channel, lead)
-            assert np.array_equal(got[:, : 6 * lead], ref[:, : 6 * lead])
-            assert np.array_equal(got[:, 6 * lead:], plain[:, lead:])
+        for run in range(2):
+            ref = _repeated_coefficient_rows(angles[run], slots, channel)
+            assert got[:, run].shape == ref.shape and got[:, run].tobytes() == ref.tobytes()
+            assert np.all(got[:, run].reshape(3, k, 6, -1)[0, :, [2, 5]] == 0.0)
+            for lead in range(1, k):
+                some = sim._coefficients(angles, slots, channel, lead)[:, run]
+                assert np.array_equal(some[:, : 6 * lead], ref[:, : 6 * lead])
+                assert np.array_equal(some[:, 6 * lead:], plain[:, run, lead:])
     assert sim._expansion(tuple(slots), 5, 5 if channel else 3) is sim._expansion(
         tuple(slots), 5, 5 if channel else 3)
 
@@ -877,16 +879,16 @@ def test_layout_unitaries_match_kronecker_oracle(q):
     _assert_matches_kron(fixed, np.zeros((2, 0)), q)
 
 
-def test_rotation_stack_matches_gate_matrix():
+def test_rotation_factors_match_gate_matrix():
     rng = np.random.default_rng(90)
     angles = rng.uniform(-2 * np.pi, 2 * np.pi, size=5)
-    c, s = np.cos(angles / 2), np.sin(angles / 2)
     for kind, arity in (("RX", 1), ("RY", 1), ("RZ", 1), ("CRY", 2),
-                        ("MCRY-open", 2), ("MCRY-open", 3)):
-        stack = sim._rotation_stack(kind, c, s, arity)
-        assert stack.shape == (5, 2**arity, 2**arity)
-        for k, angle in enumerate(angles):
-            assert np.max(np.abs(stack[k] - gate_matrix(kind, angle, qubits=arity))) < 1e-15
+                        ("MCRY-open", 2), ("MCRY-open", 3), ("MCRY-open", 4)):
+        m0, m1, m2 = sim._rotation_factors(kind, arity)
+        assert m0.shape == (2**arity, 2**arity)
+        for angle in angles:
+            got = m0 + np.cos(angle / 2) * m1 + np.sin(angle / 2) * m2
+            assert np.max(np.abs(got - gate_matrix(kind, angle, qubits=arity))) < 1e-15
 
 
 def test_layout_unitaries_results_do_not_alias_the_cache():
@@ -1016,6 +1018,15 @@ def test_density_oracle_caches_are_keyed_by_channel_strength():
     assert not np.array_equal(sim._oracle_folds(weak)[0], sim._oracle_folds(strong)[0])
     assert not np.array_equal(sim._oracle_fixed("CNOT", 2, weak),
                               sim._oracle_fixed("CNOT", 2, strong))
+
+
+def test_noise_superop_matches_the_oracle_folds():
+    # the fast path lifts N onto each qubit's (column, row) bit pair; the
+    # oracle builds N^{⊗m} by kron and a transpose of its own
+    for noise in NOISE_SETS:
+        for m in range(1, sim._FOLDED_ARITY + 1):
+            ref = sim._oracle_folds(noise)[m - 1] if noise else np.eye(4**m)
+            assert np.array_equal(sim._noise_superop(noise, m), ref), (noise, m)
 
 
 def test_density_oracle_caches_are_read_only():
