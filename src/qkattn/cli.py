@@ -15,7 +15,6 @@ process-level parallelism: a worker's unit of work is one seed's group.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import functools
 import json
@@ -361,8 +360,9 @@ def cmd_noise_sweep(args) -> int:
     workers = min(threads, len(jobs))
     if workers > 1:
         # spawn, not fork: forking a process whose BLAS already runs
-        # threads can deadlock the children.  Imported here, as
-        # concurrent.futures does, so serial sweeps do not load it.
+        # threads can deadlock the children.  Imported here, so serial
+        # sweeps load neither.
+        import concurrent.futures
         import multiprocessing
 
         spawn = multiprocessing.get_context("spawn")

@@ -1,54 +1,39 @@
 """Exact simulation of few-qubit circuits.
 
-Two exact engines: pure statevector evolution of measurement-free
-circuits, and density-matrix evolution with Kraus noise channels,
+``run_circuit`` is the gate-by-gate oracle: exact evolution from |0…0⟩,
 resolved over every classical branch of mid-circuit measurements and
-classically conditioned gates.  A density run records the outcome
-distribution of each measurement (``RunResult.measurement_probs``), and
-``expectation_z`` reads ⟨Z⟩ from either state.
-
-``run_circuit`` is the gate-by-gate oracle.  Its density mode keeps each
-classical branch's ρ as a product of factors, one per group of qubits
-that no gate has coupled yet (groups start as single qubits and merge,
-in every branch, when an op spans several), and applies every operator
-on its group's own axes.  A gate on at most ``_FOLDED_ARITY`` (two)
-qubits is one superoperator N^{⊗m}·(U ⊗ U*) built from ``gate_matrix``
-and the noise channels, composed from ``NoiseChannel.kraus`` into one
-4 × 4 superoperator N per qubit; a wider gate applies U on its row axes,
-U* on its column axes, then N on each of its qubits, so no 4^m × 4^m
-operator is formed for it.  N, its folds N^{⊗m} and the superoperators
-of the unparameterized gates are built once per noise model, in
-read-only caches of the oracle's own.  Only one label operator per
-measurement is lifted, to the measured group's space (``expand_matrix``).
+classically conditioned gates, with Kraus noise channels in density
+mode; ``expectation_z`` reads ⟨Z⟩ from either final state.  One branch
+loop serves both modes, pure mode as its one-branch case
+(``_run_branches``).  It holds each branch as a product of factors, one
+per group of qubits that no gate has coupled yet, and applies every
+operator on its group's own axes.  A noise-free run whose measurements
+write each classical bit once holds state vectors, each gate its
+``gate_matrix`` U, and its density is Σ_b ψ_b ψ_b† over the branches b;
+any other holds densities, where a gate on at most ``_FOLDED_ARITY``
+(two) qubits is one superoperator N^{⊗m}·(U ⊗ U*), its noise from
+``NoiseChannel.kraus`` folded in.  Its caches are its own.
 The batched layout builders (``layout_unitaries``, ``apply_noisy_layout``)
 are the fast paths checked against it; the oracle uses none of their
-compiled factors or caches.  The noisy builder walks, at every register
-size, the steps that a layout compiles into once per register size and
-tuple of noise models (``_run_plan``), placing noise by the same rule:
-one full-space step per rotation at q ≤ 2, one step on at most two
-qubits per rotation at q ≥ 3, the fixed gates folded into both.  At
-every register size the walk's stack holds each ρ in the Pauli basis,
-T·vec(ρ) = Tr(P ρ)/2^{q/2} over the Pauli strings P
-(``_pauli_basis``), where a Hermitian ρ is a real
-vector and every folded step a real matrix, its Pauli transfer matrix;
-``to_walk_basis`` converts vec(ρ) into it, and the oracle keeps the
-computational basis.  vec(ρ) survives only inside the walk of a layout
-with a gate wider than ``_FOLDED_ARITY`` (the amplitude encoder and its
-reversal at q ≥ 3), whose steps U on the row axes and U* on the column
-axes are not real maps: that walk converts each qubit into vec(ρ) first
-and back last.  In both builders every rotation's matrices come from a
-batched product of real coefficients with the real view of cached factors
-(``_left``), one product per shape of factors, real throughout for a
-layout whose factors are real, as every noisy layout's are without a wide
-gate.  Both also give exact derivatives in the angles
-for the first few rows, whose coefficient rows are one product with a
-cached map (``_coefficients``).  One noisy walk serves R noise models at
-once (``_walk_runs``), as the noise sweep's lockstep runs need: the
-compile stacks the runs' matrices on a leading run axis, and that axis on
-the stack, the angles and the coefficients stays a batch axis of every
-product, whose matrices keep their one-run shapes, so each run's output
-equals its own walk bit for bit; ``apply_noisy_layout`` is the one-run
-case.
+compiled factors or caches.  The noisy builder walks the steps that a
+layout compiles into once per register size and tuple of noise models
+(``_run_plan``), placing noise by the same rule: one full-space step per
+rotation at q ≤ 2, one step on at most two qubits per rotation at q ≥ 3,
+the fixed gates folded into both.  Its stack holds each ρ in the Pauli
+basis, T·vec(ρ) = Tr(P ρ)/2^{q/2} over the Pauli strings P
+(``_pauli_basis``, ``to_walk_basis``), where a Hermitian ρ is a real
+vector and every folded step a real matrix, its Pauli transfer matrix.
+Only the walk of a layout with a gate wider than ``_FOLDED_ARITY`` (the
+amplitude encoder and its reversal at q ≥ 3), whose steps U on the row
+axes and U* on the column axes are not real maps, converts each qubit
+into vec(ρ) first and back last.  In both builders every rotation's
+matrices come from a batched product of real coefficients with the real
+view of cached factors (``_left``), one product per shape of factors,
+and both give exact derivatives in the angles for the first few rows
+(``_coefficients``).  One noisy walk serves R noise models at once
+(``_walk_runs``), as the noise sweep's lockstep runs need: the run axis
+stays a batch axis of every product, so each run's output equals its
+own walk bit for bit; ``apply_noisy_layout`` is the one-run case.
 
 Basis ordering is little-endian throughout: qubit 0 is the least
 significant bit of a basis index.  For two-qubit gates the first
@@ -593,8 +578,8 @@ def _per_qubit(one: np.ndarray, q: int) -> np.ndarray:
 # MCRY-open gates) apply U on their row axes, U* on their column axes,
 # then the 4 × 4 channel on each of their qubits: folding would cost a
 # 4^m × 4^m superoperator per gate, 256 × 256 at arity 4 and 4096 × 4096
-# at arity 6.  Both engines follow this rule: the oracle
-# (``_run_density``) and ``apply_noisy_layout``'s walks.
+# at arity 6.  Both engines follow this rule: the oracle's density
+# factors (``_run_branches``) and ``apply_noisy_layout``'s walks.
 _FOLDED_ARITY = 2
 
 # Registers with at most this many Pauli coordinates (q ≤ 2) walk one
@@ -645,14 +630,14 @@ def to_walk_basis(vecs: np.ndarray, q: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1024)
-def _density_axes(coords: tuple[int, ...], q: int, sides: tuple[int, ...] = (0, 1)
-                  ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _density_axes(coords: tuple[int, ...], q: int, sides: tuple[int, ...] = (0, 1),
+                  ndim: int | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The permutation that brings the row axes of ``coords`` (side 0),
     then their column axes (side 1), to the front of a (2,)·2q density
-    tensor, and its inverse."""
+    tensor, or of a (2,)·q state tensor (``ndim`` q), and its inverse."""
     rows = _coord_axes(coords, q)
     front = [side * q + a for side in sides for a in rows]
-    perm = front + [a for a in range(2 * q) if a not in front]
+    perm = front + [a for a in range(ndim or 2 * q) if a not in front]
     return tuple(perm), _inverse(perm)
 
 
@@ -853,31 +838,26 @@ def apply_noisy_layout(vecs: np.ndarray, layout: Layout, angles: np.ndarray, q: 
     qubits.  Row k of ``angles`` drives the gates applied to vecs[k]; a
     one-row stack is shared by every row.  Run on the 4^q basis vectors,
     row k is the fragment's superoperator S in that basis transposed: its
-    real Pauli transfer matrix T S T†.  At every register size the call
-    walks the steps that the layout compiled into once per noise model
-    (``_run_plan`` with one run) over the stack, in order: at q ≤ 2 one
-    full-space step per rotation, at q ≥ 3 one step on at most two qubits
-    per rotation, the fixed gates folded into both, and U, U* and the
-    per-qubit channels of each wider gate, which the walk applies to
-    vec(ρ) between a conversion step on each qubit first and last; it
-    returns a real stack real.  No call multiplies two
-    operators together: on the 4^q basis the walk costs what the product
-    S would.  Every rotation step's matrices come from one batched
-    product of the real coefficients with the real view of the cached
-    factors of its shape (``_left``; at q ≤ 2 every rotation has one
-    shape), which stays real for a layout whose factors are all real:
-    every layout without a wide gate, and the amplitude encoders, their
-    reversed layouts and the link RY.  A step on the whole register is
-    one matmul on the right of the stack; any other is one transpose, one
-    matmul on the left (a real matrix through a complex stack's real view,
-    ``_left``) and the inverse transpose.
-    ``adjoint`` applies the adjoint map instead (S†: the steps'
-    matrices conjugate-transposed in reverse order), which carries
-    vectorised observables backwards: Tr(O·Λ(ρ)) = Tr(Λ†(O)·ρ).
-    ``derivatives`` follows each of the first ``derivatives`` rows with
-    the fragment's derivative in each column of ``angles``
-    (``_coefficients``); it needs every slot to
-    drive at most one gate on at most ``_FOLDED_ARITY`` qubits.
+    real Pauli transfer matrix T S T†.  The call walks the steps that the
+    layout compiled into once per noise model (``_run_plan`` with one
+    run) over the stack, in order, and returns a real stack real.  No
+    call multiplies two operators together: on the 4^q basis the walk
+    costs what the product S would.  Every rotation step's matrices come
+    from one batched product of the real coefficients with the real view
+    of the cached factors of its shape (``_left``; at q ≤ 2 every
+    rotation has one shape), which stays real for a layout whose factors
+    are all real: every layout without a wide gate, and the amplitude
+    encoders, their reversed layouts and the link RY.  A step on the
+    whole register is one matmul on the right of the stack; any other is
+    one transpose, one matmul on the left (a real matrix through a
+    complex stack's real view, ``_left``) and the inverse transpose.
+    ``adjoint`` applies the adjoint map instead (S†: the steps' matrices
+    conjugate-transposed in reverse order), which carries vectorised
+    observables backwards: Tr(O·Λ(ρ)) = Tr(Λ†(O)·ρ).  ``derivatives``
+    follows each of the first ``derivatives`` rows with the fragment's
+    derivative in each column of ``angles`` (``_coefficients``); it needs
+    every slot to drive at most one gate on at most ``_FOLDED_ARITY``
+    qubits.
     """
     return _walk_runs(vecs[None], layout, angles[None], q, (tuple(noise),), adjoint,
                       derivatives)[0]
@@ -899,8 +879,7 @@ def expand_matrix(u: np.ndarray, coords: Sequence[int], q: int) -> np.ndarray:
 
 def expectation_z(state: StateVector | DensityMatrix, qubit: int) -> float:
     """⟨Z⟩ on one qubit: P(qubit=0) − P(qubit=1)."""
-    if qubit >= state.qubits:
-        raise ValueError("qubit index out of range")
+    _check_range("qubit", (qubit,), state.qubits)
     sign = 1.0 - 2.0 * ((np.arange(2**state.qubits) >> qubit) & 1)
     if isinstance(state, StateVector):
         return float(np.sum((np.abs(state.amps) ** 2) * sign))
@@ -913,23 +892,18 @@ def expectation_z(state: StateVector | DensityMatrix, qubit: int) -> float:
 class RunResult:
     """Final state plus the classical record of a circuit run.
 
-    ``bits`` is the all-zero register tuple in pure mode, which runs only
-    measurement-free circuits, and a {bit-pattern: probability} dict in
-    density mode.  ``measurement_probs`` holds the exact pre-measurement
-    outcome distribution of each measurement marker, in order; pure mode
-    records none.
+    ``state`` is a StateVector in pure mode and a DensityMatrix in density
+    mode, Σ_b ψ_b ψ_b† over the branches b of a run that holds state
+    vectors.  ``bits`` is the all-zero register tuple in pure mode, which
+    runs only measurement-free circuits, and a {bit-pattern: probability}
+    dict in density mode.  ``measurement_probs`` holds the exact
+    pre-measurement outcome distribution of each measurement marker, in
+    order; pure mode records none.
     """
 
     state: StateVector | DensityMatrix
     bits: tuple[int, ...] | dict[tuple[int, ...], float]
     measurement_probs: list[np.ndarray]
-
-
-def _run_pure(circuit: Circuit) -> RunResult:
-    amps = StateVector.zero(circuit.qubits).amps.reshape(1, 1, -1)
-    for op in circuit.ops:
-        amps = _apply_stack(amps, op.matrix()[None], op.coords, circuit.qubits)
-    return RunResult(StateVector(circuit.qubits, amps.reshape(-1)), (0,) * circuit.clbits, [])
 
 
 def _superop(u: np.ndarray) -> np.ndarray:
@@ -939,7 +913,7 @@ def _superop(u: np.ndarray) -> np.ndarray:
     return (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(d * d, d * d)
 
 
-# The density oracle's own caches, built from NoiseChannel.kraus and
+# The circuit oracle's own caches, built from NoiseChannel.kraus and
 # gate_matrix alone, so the checks against it share no fast-path factors.
 
 @functools.lru_cache(maxsize=64)
@@ -973,9 +947,11 @@ def _folded(u: np.ndarray, folds: tuple[np.ndarray, ...]) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _oracle_fixed(kind: str, arity: int, noise: tuple[NoiseChannel, ...]) -> np.ndarray:
-    """``_folded`` of an unparameterized gate, read-only."""
-    out = _folded(gate_matrix(kind, qubits=arity), _oracle_folds(noise))
+def _oracle_fixed(kind: str, arity: int, noise: tuple[NoiseChannel, ...] | None) -> np.ndarray:
+    """An unparameterized gate, read-only: its unitary when ``noise`` is
+    None, else its ``_folded`` superoperator under ``noise``."""
+    u = gate_matrix(kind, qubits=arity)
+    out = u if noise is None else _folded(u, _oracle_folds(noise))
     out.flags.writeable = False
     return out
 
@@ -983,57 +959,73 @@ def _oracle_fixed(kind: str, arity: int, noise: tuple[NoiseChannel, ...]) -> np.
 def _apply_local(rho: np.ndarray, mat: np.ndarray, coords: tuple[int, ...], q: int,
                  sides: tuple[int, ...] = (0, 1)) -> np.ndarray:
     """Apply a local operator to the axes of ``coords`` on the given sides
-    (0 rows, 1 columns) of a (2,)·2q density tensor: a superoperator on
-    both sides, U on the rows or U* on the columns.  One transpose, one
-    matmul, the inverse."""
-    perm, inverse = _density_axes(coords, q, sides)
+    (0 rows, 1 columns) of a group's factor: on a (2,)·2q density tensor
+    a superoperator on both sides, U on the rows or U* on the columns; on
+    a (2,)·q state tensor U on the rows.  One transpose, one matmul, the
+    inverse."""
+    perm, inverse = _density_axes(coords, q, sides, rho.ndim)
     t = rho.transpose(perm)
     moved = t.shape
     return (mat @ t.reshape(len(mat), -1)).reshape(moved).transpose(inverse)
 
 
-def _matrix(factor: np.ndarray) -> np.ndarray:
-    """A (2,)·2m density tensor as a 2^m × 2^m matrix."""
-    d = 2 ** (factor.ndim // 2)
-    return factor.reshape(d, d)
+def _flat(factor: np.ndarray, sides: int) -> np.ndarray:
+    """A group's factor as a 2^m × 2^m density matrix (two sides, from a
+    (2,)·2m tensor) or a 2^m state vector (one side, from (2,)·m)."""
+    d = 2 ** (factor.ndim // sides)
+    return factor.reshape((d,) * sides)
 
 
-def _kron(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """hi ⊗ lo over the last two axes: ``lo``'s index gives the low bits."""
+def _probs(flat: np.ndarray, sides: int) -> np.ndarray:
+    """The weight of each basis index of flat factors, (…, d, d) or (…,
+    d): a density's real diagonal, or |ψ|² of a state vector."""
+    return flat.diagonal(axis1=-2, axis2=-1).real if sides == 2 else flat.real**2 + flat.imag**2
+
+
+def _kron(hi: np.ndarray, lo: np.ndarray, sides: int) -> np.ndarray:
+    """hi ⊗ lo over the last ``sides`` axes, matrices (two) or vectors
+    (one): ``lo``'s index gives the low bits."""
+    if sides == 1:
+        return (hi[..., :, None] * lo[..., None, :]).reshape(hi.shape[:-1] + (-1,))
     dh, dl = hi.shape[-1], lo.shape[-1]
     return (hi[..., :, None, :, None] * lo[..., None, :, None, :]).reshape(
         hi.shape[:-2] + (dh * dl, dh * dl))
 
 
-def _merge(branches: dict, hit: tuple[int, ...]) -> None:
+def _merge(branches: dict, hit: tuple[int, ...], sides: int) -> None:
     """Replace the factors ``hit`` of every branch by their product, last,
     with the first one's qubits lowest."""
     shape = (2,) * sum(next(iter(branches.values()))[g].ndim for g in hit)
     for key, factors in branches.items():
-        merged = _matrix(factors[hit[0]])
+        merged = _flat(factors[hit[0]], sides)
         for g in hit[1:]:
-            merged = _kron(_matrix(factors[g]), merged)
+            merged = _kron(_flat(factors[g], sides), merged, sides)
         branches[key] = [f for g, f in enumerate(factors) if g not in hit] + [merged.reshape(shape)]
 
 
 @functools.lru_cache(maxsize=256)
-def _group_plan(q: int, sites: tuple) -> tuple[tuple, tuple[int, ...]]:
-    """The qubit groups of a density run, from the (qubits, clbits) of
+def _group_plan(q: int, sites: tuple) -> tuple[tuple, tuple[int, ...], bool, tuple[int, ...]]:
+    """The qubit groups of a circuit run, from the (qubits, clbits) of
     each op (clbits () for a gate) alone.
 
     Groups start as one per qubit; an op on qubits of several groups
     merges them first.  A measurement that writes a classical bit an
-    earlier one wrote can bring two branches onto one bit pattern, whose
-    sum is no product, so it merges every group first.  Returns, per op,
-    (groups to merge, the op's group, its local coordinates, the group's
-    size), then the permutation that takes the axes of the final density,
-    as ``_run_density`` sums it, to qubit order.
+    earlier one wrote, or writes one bit twice, can bring two branches
+    onto one bit pattern, whose sum is no product, so it merges every
+    group first.  Returns, per op, (groups to merge, the op's group, its
+    local coordinates, the group's size); the permutation that takes the
+    axes of the final density, as ``_run_branches`` sums density factors,
+    to qubit order; whether a measurement rewrites a bit; and the
+    permutation that takes the axes of a product of state vectors to
+    qubit order.
     """
     groups = [(k,) for k in range(q)]
     written: set[int] = set()
+    rewrites = False
     steps = []
     for qubits, clbits in sites:
-        if written.intersection(clbits):
+        if len(written.union(clbits)) < len(written) + len(clbits):  # a bit written twice
+            rewrites = True
             hit = list(range(len(groups)))
         else:
             hit = sorted({g for g, group in enumerate(groups) if set(group) & set(qubits)},
@@ -1049,46 +1041,49 @@ def _group_plan(q: int, sites: tuple) -> tuple[tuple, tuple[int, ...]]:
     order = sum(groups, ())
     # local bit i of the product of the final groups (group 0 lowest) is
     # qubit order[i]; the axis of qubit k is q-1-k
-    perm = [q - 1 - order.index(q - 1 - a) for a in range(q)]
-    perm += [q + a for a in perm]
-    # the sum arrives as the last group's row bits, its column bits, then
-    # the other groups' row bits and column bits
+    order = tuple(q - 1 - order.index(q - 1 - a) for a in range(q))
+    # a density sum arrives as the last group's row bits, its column
+    # bits, then the other groups' row bits and column bits
     m = len(groups[-1])
     axes = [*range(m), *range(2 * m, q + m), *range(m, 2 * m), *range(q + m, 2 * q)]
-    return tuple(steps), tuple(axes[a] for a in perm)
+    perm = tuple(axes[a] for a in order + tuple(q + a for a in order))
+    return tuple(steps), perm, rewrites, order
 
 
-def _run_density(circuit: Circuit, noise: tuple[NoiseChannel, ...]) -> RunResult:
+def _run_branches(circuit: Circuit, noise: tuple[NoiseChannel, ...], mode: str) -> RunResult:
     """Exact branch-resolved evolution, one classical bit pattern per
-    branch.  A branch's unnormalized density is a product of factors, one
-    per qubit group: a (2,)·2m tensor (row bits, then column bits) over the
-    group's m qubits.  Every branch shares the groups, which start as one
-    per qubit and merge by outer product, in every branch, when an op
-    spans several of them (``_group_plan``); at the end all merge into one.
+    branch; pure mode is the one-branch case.  A branch's unnormalized
+    state is a product of factors, one per qubit group; every branch
+    shares the groups, which merge by outer product when an op spans
+    several (``_group_plan``).
 
-    Each gate acts on its group's local row and column axes
-    (``_apply_local``), never lifted to the full space, and is followed by
-    the channels of ``noise``, composed once into one 4 × 4 superoperator
-    N = Σ K ⊗ K*, on each of its qubits.  A gate on m ≤ ``_FOLDED_ARITY``
-    qubits is one application of N^{⊗m}·(U ⊗ U*).  N and N^{⊗m} are built
-    once per noise model (``_oracle_folds``), and so is the superoperator
-    of each unparameterized gate (``_oracle_fixed``).  A wider gate
-    applies U on its row axes, U* on its column axes, then N on each of
-    its qubits.  A measurement lifts one label operator, diag(0, …,
-    2^m − 1), on its group to read each basis index's outcome, and splits
-    every branch by outcome, dropping outcomes of weight ≤ 1e-15: an
-    outcome's weight is its share of the group's trace times the traces
-    of the branch's other factors, and the split masks only the measured
-    factor, sharing the others.
+    Without noise, and when no measurement rewrites a classical bit, a
+    factor is its group's state vector, a (2,)·m tensor, and a gate is U
+    on its rows: a measurement then only splits pure states into pure
+    branches.  Otherwise a factor is the group's density, a (2,)·2m
+    tensor (row bits, then column bits), as noise and branches that meet
+    on one bit pattern need, and a gate on m ≤ ``_FOLDED_ARITY`` qubits
+    is N^{⊗m}·(U ⊗ U*), N = Σ K ⊗ K* the channels of ``noise`` composed
+    on one qubit (``_oracle_folds``); a wider gate is U on its row axes,
+    U* on its column axes, then N on each of its qubits.  A fixed gate's
+    operator comes from a read-only cache (``_oracle_fixed``), and every
+    operator acts on its group's own axes (``_apply_local``).  A
+    measurement lifts one label operator, diag(0, …, 2^m − 1), on its
+    group to read each basis index's outcome, and splits every branch by
+    outcome, dropping outcomes of weight ≤ 1e-15: an outcome's weight is
+    its share of the group's |ψ|² or trace times the other factors', and
+    the split masks only the measured factor, sharing the others.
     """
     q = circuit.qubits
     dim = 2**q
-    folds = _oracle_folds(noise)
-    steps, perm = _group_plan(q, tuple(
+    steps, perm, rewrites, order = _group_plan(q, tuple(
         (op.qubits, op.clbits) if isinstance(op, Measure) else (op.coords, ())
         for op in circuit.ops))
-    zero = np.zeros((2, 2), dtype=complex)
-    zero[0, 0] = 1.0
+    vector = not noise and not rewrites
+    sides = 1 if vector else 2
+    folds = _oracle_folds(noise)
+    zero = np.zeros((2,) * sides, dtype=complex)
+    zero[(0,) * sides] = 1.0
     # branch key = classical bit pattern; values are one unnormalized
     # factor per group, in a list the branch owns
     branches: dict[tuple[int, ...], list[np.ndarray]] = {(0,) * circuit.clbits: [zero] * q}
@@ -1096,41 +1091,42 @@ def _run_density(circuit: Circuit, noise: tuple[NoiseChannel, ...]) -> RunResult
 
     for op, (hit, g, local, m) in zip(circuit.ops, steps):
         if hit:
-            _merge(branches, hit)
+            _merge(branches, hit, sides)
         if isinstance(op, Measure):
             outcomes = 2 ** len(op.qubits)
             # bit i of a local basis index's label is the value of op.qubits[i]
             labels = expand_matrix(np.diag(np.arange(outcomes, dtype=float)), local,
                                    m).diagonal().real.astype(np.intp)
-            # masks[o]: the block of the basis indices with label o
+            # masks[o]: the basis indices with label o, or their block
             keep = labels == np.arange(outcomes)[:, None]
-            masks = keep[:, :, None] & keep[:, None, :]
+            masks = keep if vector else keep[:, :, None] & keep[:, None, :]
             agg = np.zeros(outcomes)
             split: dict[tuple[int, ...], list[np.ndarray]] = {}
             for key, factors in branches.items():
-                others = 1.0
-                for h, factor in enumerate(factors):
-                    if h != g:
-                        others *= _matrix(factor).trace().real
-                mat = _matrix(factors[g])
-                weights = np.bincount(labels, mat.diagonal().real, outcomes) * others
+                others = math.prod(_probs(_flat(f, sides), sides).sum()
+                                   for h, f in enumerate(factors) if h != g)
+                flat = _flat(factors[g], sides)
+                weights = np.bincount(labels, _probs(flat, sides), outcomes) * others
                 agg += weights
                 for outcome, weight in enumerate(weights.tolist()):
                     if weight <= 1e-15:
                         continue
-                    sub = (mat * masks[outcome]).reshape((2,) * (2 * m))
+                    sub = (flat * masks[outcome]).reshape((2,) * (sides * m))
                     newkey = list(key)
                     for i, cb in enumerate(op.clbits):
                         newkey[cb] = (outcome >> i) & 1
                     newkey = tuple(newkey)
-                    if newkey in split:  # only after a merge into one group
+                    if newkey in split:  # only after a merge into one density group
                         sub = split[newkey][g] + sub
                     split[newkey] = factors[:g] + [sub] + factors[g + 1:]
             branches = split
             probs_record.append(agg)
             continue
         # (operator, local coordinates, sides) in order
-        if len(op.coords) > _FOLDED_ARITY:
+        if vector:
+            u = op.matrix() if op.angle is not None else _oracle_fixed(op.kind, len(op.coords), None)
+            local_ops = [(u, local, (0,))]
+        elif len(op.coords) > _FOLDED_ARITY:
             u = op.matrix()
             local_ops = [(u, local, (0,)), (u.conj(), local, (1,))]
             if noise:
@@ -1143,22 +1139,27 @@ def _run_density(circuit: Circuit, noise: tuple[NoiseChannel, ...]) -> RunResult
             if op.condition is not None and not op.condition.holds(key):
                 continue
             factor = factors[g]
-            for mat, coords, sides in local_ops:
-                factor = _apply_local(factor, mat, coords, m, sides)
+            for mat, coords, op_sides in local_ops:
+                factor = _apply_local(factor, mat, coords, m, op_sides)
             factors[g] = factor
 
-    # a branch's weight is the product of its factors' traces; the state
-    # Σ hi ⊗ lo over the branches, hi the last group's factor and lo the
-    # product of the others (group 0 lowest), is one matrix product over
-    # the branch axis
-    stacks = [np.array([_matrix(f) for f in group]) for group in zip(*branches.values())]
-    weights = functools.reduce(np.multiply, [s.trace(axis1=1, axis2=2).real for s in stacks])
-    hi = stacks.pop()
-    lo = functools.reduce(lambda low, high: _kron(high, low), stacks) if stacks else np.ones(len(hi))
-    mat = (hi.reshape(len(hi), -1).T @ lo.reshape(len(lo), -1)).reshape(
-        (2,) * (2 * q)).transpose(perm).reshape(dim, dim)
-    bits = dict(zip(branches, weights.tolist()))
-    return RunResult(DensityMatrix(q, mat), bits, probs_record)
+    # a branch's weight is the product of its factors'; each state below
+    # is one matrix product over the branch axis
+    stacks = [np.array([_flat(f, sides) for f in group]) for group in zip(*branches.values())]
+    bits = functools.reduce(np.multiply, [_probs(s, sides).sum(-1) for s in stacks])
+    if vector:  # Σ_b ψ_b ψ_b†, ψ_b the product of b's vectors (group 0 lowest) in qubit order
+        psi = functools.reduce(lambda low, high: _kron(high, low, 1), stacks)
+        psi = psi.reshape((-1,) + (2,) * q).transpose(0, *(1 + a for a in order)).reshape(-1, dim)
+        if mode == "pure":
+            return RunResult(StateVector(q, psi[0]), (0,) * circuit.clbits, [])
+        mat = psi.T @ psi.conj()
+    else:  # Σ hi ⊗ lo, hi the last group's factor, lo the others' product (group 0 lowest)
+        hi = stacks.pop()
+        lo = (functools.reduce(lambda low, high: _kron(high, low, 2), stacks) if stacks
+              else np.ones(len(hi)))
+        mat = (hi.reshape(len(hi), -1).T @ lo.reshape(len(lo), -1)).reshape(
+            (2,) * (2 * q)).transpose(perm).reshape(dim, dim)
+    return RunResult(DensityMatrix(q, mat), dict(zip(branches, bits.tolist())), probs_record)
 
 
 def run_circuit(circuit: Circuit, mode: str = "pure",
@@ -1167,25 +1168,22 @@ def run_circuit(circuit: Circuit, mode: str = "pure",
 
     Modes: "pure" (statevector; measurement-free, noise-free circuits
     only) and "density" (exact, branch-resolved over the classical
-    outcomes of mid-circuit measurements; each branch's ρ is held as a
-    product of one factor per group of qubits no gate has yet coupled,
-    and each gate applied on its own row and column axes of its group's
-    factor and followed by ``noise``, composed into one single-qubit
-    superoperator, on each of its qubits, as ``apply_noisy_layout``
-    places it; see ``_run_density``).  The noise superoperators, and the
-    superoperators of unparameterized gates, are built once per noise
-    model and cached.
+    outcomes of mid-circuit measurements, ``noise`` after every gate on
+    each of its qubits, as ``apply_noisy_layout`` places it).  Both run
+    one branch loop, pure mode as its one-branch case (``_run_branches``):
+    a noise-free run whose measurements write each classical bit once
+    holds state vectors, its density Σ_b ψ_b ψ_b† over the branches b,
+    and any other holds density factors.
     """
     circuit.validate()
     if isinstance(noise, NoiseChannel):
         noise = (noise,)
     noise = tuple(noise) if noise else ()
+    if mode not in ("pure", "density"):
+        raise ValueError(f"unknown mode {mode!r}")
     if mode == "pure":
         if noise:
             raise ValueError("pure mode cannot carry noise; use density mode")
         if any(isinstance(op, Measure) for op in circuit.ops):
             raise ValueError("pure mode runs measurement-free circuits; use density mode")
-        return _run_pure(circuit)
-    if mode == "density":
-        return _run_density(circuit, noise)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _run_branches(circuit, noise, mode)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import re
@@ -229,8 +230,9 @@ def test_noise_sweep_process_pool_matches_serial(tmp_path, monkeypatch):
     assert len(outputs["1"].strip().split("\n")) == 5
     assert outputs["2"] == outputs["1"]
     # one seed and more workers than seeds: the seed's one group trains in
-    # process, from one split, and starts no pool
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", None)
+    # process, from one split, and starts no pool (cli imports the pool
+    # module only where it starts one)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
     for threads in ("1", "2"):
         monkeypatch.setenv("QKATTN_THREADS", threads)
         seeds = []
@@ -643,3 +645,13 @@ def test_package_import_pins_blas_threads_unless_set(preset, expected):
          " os.environ['OMP_NUM_THREADS'], os.environ['MKL_NUM_THREADS'])"],
         env=env, capture_output=True, text=True, check=True).stdout.split()
     assert out == [expected, "1", "1"]
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only a sweep with two or more workers uses concurrent.futures, which
+    # brings logging with it
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, qkattn.cli; print('concurrent.futures' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert out == ["False"]

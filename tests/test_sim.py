@@ -6,7 +6,7 @@ import pytest
 
 from qkattn import ansatz, encoding, sim
 from qkattn.model import ModelConfig, _reversed_layout, build_full_circuit
-from qkattn.sim import (Circuit, Condition, GateOp, Measure, NoiseChannel,
+from qkattn.sim import (Circuit, Condition, DensityMatrix, GateOp, Measure, NoiseChannel,
                         StateVector, expand_matrix, expectation_z,
                         gate_matrix, run_circuit)
 
@@ -181,6 +181,17 @@ def test_expectation_z():
     assert abs(expectation_z(plus, 0)) < 1e-12
 
 
+def test_expectation_z_refuses_a_qubit_outside_the_register():
+    # -1 once read bit 0 of every index (a >> -1 is 0) and gave 1.0 for |10⟩
+    minus = StateVector(2, np.array([0, 0, 1, 0], dtype=complex))
+    for state in (minus, DensityMatrix(2, np.outer(minus.amps, minus.amps.conj()))):
+        assert np.isclose(expectation_z(state, 1), -1.0)
+        for qubit in (-1, 2):
+            with pytest.raises(ValueError, match=r"^qubit \(%d,\) out of range \(valid: 0\.\.1\)$"
+                               % qubit):
+                expectation_z(state, qubit)
+
+
 # --- noise channels -------------------------------------------------------
 
 @pytest.mark.parametrize("kind", ["bit-flip", "amplitude-damping"])
@@ -229,12 +240,15 @@ def test_channel_strength_must_be_a_real_number():
 # --- execution modes -------------------------------------------------------
 
 def test_density_matches_pure_without_noise():
+    # a noise-free density run keeps state vectors, as pure mode does; a
+    # zero-strength channel, whose Kraus set {I, 0·X} folds to the exact
+    # identity, forces density factors
     rng = np.random.default_rng(9)
     for _ in range(20):
         q = int(rng.integers(1, 4))
         circ = _random_circuit(rng, q, 8)
         pure = run_circuit(circ, "pure").state
-        dens = run_circuit(circ, "density").state
+        dens = run_circuit(circ, "density", noise=(NoiseChannel("bit-flip", 0.0),)).state
         assert np.allclose(dens.mat, np.outer(pure.amps, pure.amps.conj()), atol=1e-12)
 
 
@@ -362,7 +376,8 @@ def _lifted_channel(layout, row, q, noise):
 
 
 NOISE_SETS = [(), (NoiseChannel("bit-flip", 0.15),), (NoiseChannel("amplitude-damping", 0.2),),
-              (NoiseChannel("bit-flip", 0.1), NoiseChannel("amplitude-damping", 0.3))]
+              (NoiseChannel("bit-flip", 0.1), NoiseChannel("amplitude-damping", 0.3)),
+              (NoiseChannel("bit-flip", 0.0),)]
 
 
 def _walk_channel(ref, q):
@@ -985,20 +1000,55 @@ def _lifted_density_run(circ, noise):
     return sum(branches.values()), weights, probs
 
 
+def _fresh_bits(circ):
+    """``circ`` with every measurement writing classical bits no earlier
+    one wrote, and each condition reading the bits that last held its
+    own: the same branches, none of which meet on one bit pattern."""
+    ops, latest, clbits = [], {}, 0
+    for op in circ.ops:
+        if isinstance(op, Measure):
+            latest.update((b, clbits + i) for i, b in enumerate(op.clbits))
+            clbits += len(op.clbits)
+            op = Measure(op.qubits, tuple(latest[b] for b in op.clbits))
+        elif op.condition is not None:
+            bits = tuple(latest[b] for b in op.condition.bits)
+            op = GateOp(op.kind, op.coords, op.angle, Condition(bits, op.condition.pattern))
+        ops.append(op)
+    out = Circuit(circ.qubits, clbits)
+    for op in ops:
+        out.add(op)
+    return out
+
+
 @pytest.mark.parametrize("noise", NOISE_SETS)
 def test_density_oracle_matches_lifted_kraus_reference(noise):
+    # a drawn circuit rewrites classical bits, so its runs keep density
+    # factors; its twin with fresh bits keeps state vectors when noise-free
     rng = np.random.default_rng(130 + NOISE_SETS.index(noise))
     for q in range(1, 7):
         for _ in range(2):
-            circ = _random_measured_circuit(rng, q)
-            got = run_circuit(circ, "density", noise=noise)
-            mat, weights, probs = _lifted_density_run(circ, noise)
-            assert np.max(np.abs(got.state.mat - mat)) < 1e-12, (q, noise)
-            assert set(got.bits) == set(weights), (q, noise)
-            assert max(abs(got.bits[k] - w) for k, w in weights.items()) < 1e-12
-            assert len(got.measurement_probs) == len(probs)
-            for a, b in zip(got.measurement_probs, probs):
-                assert np.max(np.abs(a - b)) < 1e-12, (q, noise)
+            drawn = _random_measured_circuit(rng, q)
+            for circ in (drawn, _fresh_bits(drawn)):
+                got = run_circuit(circ, "density", noise=noise)
+                mat, weights, probs = _lifted_density_run(circ, noise)
+                assert np.max(np.abs(got.state.mat - mat)) < 1e-12, (q, noise)
+                assert set(got.bits) == set(weights), (q, noise)
+                assert max(abs(got.bits[k] - w) for k, w in weights.items()) < 1e-12
+                assert len(got.measurement_probs) == len(probs)
+                for a, b in zip(got.measurement_probs, probs):
+                    assert np.max(np.abs(a - b)) < 1e-12, (q, noise)
+
+
+def test_oracle_sums_outcomes_that_one_measurement_writes_into_one_bit():
+    # the last write wins, so outcomes 01 and 11 meet on one bit pattern:
+    # a noise-free run must sum their densities, not their state vectors
+    circ = Circuit(2, clbits=1).gate("H", (0,)).gate("RY", (1,), 0.7)
+    circ.measure((0, 1), (0, 0)).gate("RX", (0,), 0.4, condition=Condition((0,), (1,)))
+    got = run_circuit(circ, "density")
+    mat, weights, probs = _lifted_density_run(circ, ())
+    assert np.max(np.abs(got.state.mat - mat)) < 1e-12
+    assert max(abs(got.bits[k] - w) for k, w in weights.items()) < 1e-12
+    assert np.max(np.abs(got.measurement_probs[0] - probs[0])) < 1e-12
 
 
 def test_density_oracle_caches_are_keyed_by_channel_strength():
@@ -1101,10 +1151,13 @@ def test_density_oracle_lifts_one_operator_per_measurement(monkeypatch):
         return expand(u, coords, q)
 
     monkeypatch.setattr(sim, "expand_matrix", spy)
+    # noise-free, the first circuit keeps state vectors and the second,
+    # which rewrites a bit, density factors
     for circ in (_noisy_branching_circuit().measure((2,), (2,)), _meeting_branches_circuit()):
-        calls.clear()
-        run_circuit(circ, "density", noise=(NoiseChannel("amplitude-damping", 0.2),))
-        assert calls == [len(op.qubits) for op in circ.ops if isinstance(op, Measure)]
+        for noise in ((), (NoiseChannel("amplitude-damping", 0.2),)):
+            calls.clear()
+            run_circuit(circ, "density", noise=noise)
+            assert calls == [len(op.qubits) for op in circ.ops if isinstance(op, Measure)]
 
 
 @pytest.mark.parametrize("noise", NOISE_SETS)
@@ -1144,8 +1197,8 @@ def test_density_oracle_keeps_conditionally_linked_registers_apart(monkeypatch):
 
 def test_density_oracle_couples_registers_at_the_first_literal_link_gate(monkeypatch):
     # the literal link's CRY gates are the first ops that span both
-    # registers, so the first application to the full 2n-qubit density
-    # is the first of them
+    # registers, so the first application to the full 2n-qubit state is
+    # the first of them; noise-free, the run keeps state vectors
     n = 2
     cfg = ModelConfig.from_variant("AmHE", n=n, link_mode="per-qubit-literal")
     rng = np.random.default_rng(141)
@@ -1155,7 +1208,7 @@ def test_density_oracle_couples_registers_at_the_first_literal_link_gate(monkeyp
     calls = _spy_apply_local(monkeypatch)
     run_circuit(circ, "density")
     assert len(calls) == len(circ.ops)  # noise-free, one branch: one call per gate
-    first = next(k for k, (ndim, _) in enumerate(calls) if ndim == 4 * n)
+    first = next(k for k, (ndim, _) in enumerate(calls) if ndim == 2 * n)
     link = next(k for k, op in enumerate(circ.ops) if op.coords == (0, n))
     assert circ.ops[link].kind == "CRY" and first == link
-    assert np.allclose(calls[first][1], sim._superop(gate_matrix("CRY", params.theta4[0])))
+    assert np.allclose(calls[first][1], gate_matrix("CRY", params.theta4[0]))
